@@ -34,7 +34,11 @@
 #      full NameArena stack (gate → session reuse → padded atomics →
 #      release-ordered stores). Release mode matters here: optimized
 #      code paths plus real thread timing is where a wrong memory
-#      ordering would actually surface.
+#      ordering would actually surface. It also runs the session layer
+#      (the handle's `Counting<AtomicMemory>` copy of every served
+#      machine pinned cycle by cycle to the checker's `&dyn Memory`
+#      copy) and the zero-allocation steady state, in the optimized
+#      build the benchmark measures.
 #   8. crash/churn gate: the fault-injection sweeps (freeze and
 #      crash–restart at every stall point, all ten protocol cores)
 #      and the arena churn battery (armed clients panicking mid-acquire
@@ -67,8 +71,8 @@ cargo test -q --offline --release --test frontier_format --test liveness_spill
 echo "== POR soundness subset (differential + footprint audit, release) =="
 cargo test -q --offline --release --test por_equivalence --test footprint_audit
 
-echo "== real-atomics arena gate (differential + stress + smoke, release) =="
-cargo test -q --offline --release --test atomic_backend
+echo "== real-atomics arena gate (differential + stress + smoke + handle copy + zero-alloc, release) =="
+cargo test -q --offline --release --test atomic_backend --test session_layer --test arena_alloc
 
 echo "== crash/churn gate (fault injection + arena churn, release) =="
 cargo test -q --offline --release --test crash_tolerance --test arena_churn

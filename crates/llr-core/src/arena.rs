@@ -26,13 +26,25 @@
 //! [`NameArena::with_permits`] for the capacity headroom a deployment
 //! needs when clients may die while *holding* a name.
 //!
-//! Steady-state `acquire`/`release` through an arena over SPLIT or the
-//! Moir–Anderson grid performs **no heap allocation** (verified by
-//! `tests/arena_alloc.rs`): the per-thread [`ArenaClient`] reuses its
-//! session machinery, and SPLIT's path lives inline in the machine
-//! ([`crate::split::PathVec`]). FILTER's acquire machine keeps dynamic
-//! per-tree progress vectors, so the zero-alloc guarantee covers the
-//! SPLIT/MA/chain paths only.
+//! Steady-state `acquire`/`release` through an arena over SPLIT, the
+//! Moir–Anderson grid or the LevelArray performs **no heap allocation**
+//! (verified by `tests/arena_alloc.rs`): the per-thread [`ArenaClient`]
+//! reuses its session machinery, and SPLIT's path lives inline in the
+//! machine ([`crate::split::PathVec`]). FILTER's acquire machine keeps
+//! dynamic per-tree progress vectors, so the zero-alloc guarantee covers
+//! the SPLIT/MA/chain/LevelArray paths only.
+//!
+//! # Hot-path layout
+//!
+//! A cycle through an arena writes exactly two kinds of shared memory:
+//! the gate's permit counter and the protocol's registers. Nothing else
+//! is written per operation — the protocol machines borrow their shape
+//! from the client's core, so no reference count is touched (see
+//! [`crate::session`]). The gate is stored as a [`CachePadded`]`<Gate>`,
+//! so its counter owns its cache line(s): a permit CAS by one client never
+//! invalidates the line holding the protocol object's fields (the
+//! register-file pointer, the shape), which every client reads on every
+//! step.
 //!
 //! # Example
 //!
@@ -62,6 +74,7 @@
 
 use crate::traits::{Renaming, RenamingHandle};
 use crate::types::{Name, Pid};
+use llr_mem::CachePadded;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 
@@ -217,7 +230,9 @@ impl Drop for Permit<'_> {
 #[derive(Debug)]
 pub struct NameArena<R: Renaming> {
     inner: R,
-    gate: Gate,
+    /// Padded onto its own cache line(s): the permit counter is written
+    /// by every admission, `inner` is read by every protocol step.
+    gate: CachePadded<Gate>,
 }
 
 impl<R: Renaming> NameArena<R> {
@@ -257,7 +272,7 @@ impl<R: Renaming> NameArena<R> {
         );
         Self {
             inner,
-            gate: Gate::new(permits),
+            gate: CachePadded::new(Gate::new(permits)),
         }
     }
 
@@ -395,6 +410,23 @@ mod tests {
         g.exit();
         waiter.join().unwrap();
         assert_eq!(g.permits.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn gate_sits_on_its_own_cache_line() {
+        let arena = NameArena::new(Split::new(3));
+        let line = std::mem::align_of::<CachePadded<Gate>>();
+        #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+        assert_eq!(line, 128);
+        let gate = std::ptr::addr_of!(arena.gate) as usize;
+        let gate_end = gate + std::mem::size_of::<CachePadded<Gate>>();
+        assert_eq!(gate % line, 0, "the gate must start a cache line");
+        let inner = std::ptr::addr_of!(arena.inner) as usize;
+        let inner_end = inner + std::mem::size_of::<Split>();
+        assert!(
+            inner_end <= gate || gate_end <= inner,
+            "gate [{gate:#x}, {gate_end:#x}) overlaps inner [{inner:#x}, {inner_end:#x})"
+        );
     }
 
     #[test]

@@ -411,6 +411,12 @@ pub mod spec {
             let ma = MaShape::build(k, 3u64.pow(k as u32 - 1), layout);
             Self { split, ma }
         }
+
+        /// Holders of each stage's shape (`Arc` strong counts).
+        #[cfg(test)]
+        pub(crate) fn strong_counts(&self) -> (usize, usize) {
+            (self.split.strong_count(), self.ma.strong_count())
+        }
     }
 
     /// The composite acquire machine: walk the SPLIT tree, then — under
@@ -461,7 +467,8 @@ pub mod spec {
 
     /// The SPLIT → MA mini-chain's
     /// [`ProtocolCore`][crate::session::ProtocolCore]: both stages' shapes
-    /// plus one pid.
+    /// plus one pid. The core owns both shapes; the embedded stage
+    /// machines borrow them on every step, like the stand-alone cores'.
     #[derive(Clone, Debug)]
     pub struct ChainCore {
         shape: MiniChainShape,
@@ -490,20 +497,22 @@ pub mod spec {
         }
 
         fn begin_acquire(&self) -> ChainAcquire {
-            ChainAcquire::Split(SplitAcquire::new(self.shape.split.clone(), self.pid))
+            ChainAcquire::Split(SplitAcquire::new(self.pid))
         }
 
-        fn step_acquire(&self, a: &mut ChainAcquire, mem: &dyn Memory) -> Option<ChainToken> {
+        fn step_acquire<M: Memory + ?Sized>(
+            &self,
+            a: &mut ChainAcquire,
+            mem: &M,
+        ) -> Option<ChainToken> {
             match a {
                 ChainAcquire::Split(m) => {
-                    if let Some(intermediate) = m.step(mem) {
-                        let split_path =
-                            std::mem::replace(m, SplitAcquire::new(self.shape.split.clone(), 0))
-                                .into_path();
+                    if let Some(intermediate) = m.step(&self.shape.split, mem) {
+                        let split_path = std::mem::replace(m, SplitAcquire::new(0)).into_path();
                         *a = ChainAcquire::Ma {
                             split_path,
                             intermediate,
-                            m: MaAcquire::new(self.shape.ma.clone(), intermediate),
+                            m: MaAcquire::new(&self.shape.ma, intermediate),
                         };
                     }
                     None
@@ -512,7 +521,7 @@ pub mod spec {
                     split_path,
                     intermediate,
                     m,
-                } => m.step(mem).map(|name| ChainToken {
+                } => m.step(&self.shape.ma, mem).map(|name| ChainToken {
                     split_path: std::mem::take(split_path),
                     intermediate: *intermediate,
                     cell: m.stopped_at().expect("stopped"),
@@ -524,23 +533,22 @@ pub mod spec {
         fn begin_release(&self, t: ChainToken) -> ChainRelease {
             ChainRelease::Ma {
                 split_path: t.split_path,
-                m: MaRelease::new(self.shape.ma.clone(), t.intermediate, t.cell),
+                m: MaRelease::new(t.intermediate, t.cell),
             }
         }
 
-        fn step_release(&self, r: &mut ChainRelease, mem: &dyn Memory) -> bool {
+        fn step_release<M: Memory + ?Sized>(&self, r: &mut ChainRelease, mem: &M) -> bool {
             match r {
                 ChainRelease::Ma { split_path, m } => {
-                    let done = m.step(mem);
+                    let done = m.step(&self.shape.ma, mem);
                     debug_assert!(done, "MA release is a single write");
                     *r = ChainRelease::Split(SplitRelease::new(
-                        self.shape.split.clone(),
                         self.pid,
                         std::mem::take(split_path),
                     ));
                     false
                 }
-                ChainRelease::Split(rel) => rel.step(mem),
+                ChainRelease::Split(rel) => rel.step(&self.shape.split, mem),
             }
         }
 
@@ -549,10 +557,10 @@ pub mod spec {
                 ChainAcquire::Split(m) => {
                     // Completing the SPLIT walk only hands off to the MA
                     // stage; the chain acquire continues.
-                    m.footprint(fp);
+                    m.footprint(&self.shape.split, fp);
                     false
                 }
-                ChainAcquire::Ma { m, .. } => m.footprint(fp),
+                ChainAcquire::Ma { m, .. } => m.footprint(&self.shape.ma, fp),
             }
         }
 
@@ -560,10 +568,10 @@ pub mod spec {
             match r {
                 ChainRelease::Ma { m, .. } => {
                     // The MA write's step hands off to the SPLIT unwind.
-                    m.footprint(fp);
+                    m.footprint(&self.shape.ma, fp);
                     false
                 }
-                ChainRelease::Split(rel) => rel.footprint(fp),
+                ChainRelease::Split(rel) => rel.footprint(&self.shape.split, fp),
             }
         }
 
@@ -579,14 +587,10 @@ pub mod spec {
         fn release_future_footprint(&self, r: &ChainRelease, fp: &mut Footprint) {
             match r {
                 ChainRelease::Ma { split_path, m } => {
-                    m.future_footprint(fp);
-                    for e in split_path.as_slice() {
-                        let regs = self.shape.split.regs(e.node);
-                        fp.future_read(regs.last);
-                        fp.future_write(regs.a1);
-                    }
+                    m.future_footprint(&self.shape.ma, fp);
+                    self.shape.split.path_release_footprint(split_path, fp);
                 }
-                ChainRelease::Split(rel) => rel.future_footprint(fp),
+                ChainRelease::Split(rel) => rel.future_footprint(&self.shape.split, fp),
             }
         }
 
@@ -707,7 +711,15 @@ pub mod spec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::test_support::sequential_cycle;
+    use crate::traits::test_support::{assert_session_keeps_refcount, sequential_cycle};
+
+    #[test]
+    fn a_session_never_touches_the_stage_refcounts() {
+        let mut layout = llr_mem::Layout::new();
+        let shape = spec::MiniChainShape::build(3, &mut layout);
+        let user = spec::ChainUser::new(shape.clone(), 0xBEEF, 3);
+        assert_session_keeps_refcount(&layout, user, || shape.strong_counts());
+    }
 
     #[test]
     fn exhaustive_mini_chain_k2() {

@@ -89,7 +89,8 @@ impl fmt::Display for FilterError {
 impl std::error::Error for FilterError {}
 
 /// The static shape of a FILTER instance: parameters plus the sparse
-/// per-name tournament trees. Cheap to clone.
+/// per-name tournament trees. Cheap to clone; owned by the
+/// [`FilterCore`] and lent to the machines on every step.
 #[derive(Clone, Debug)]
 pub struct FilterShape {
     params: FilterParams,
@@ -199,9 +200,10 @@ enum Mode {
 }
 
 /// `GetName` (Figure 4) as a step machine: one shared access per step.
+/// Holds only the operation's locals; the trees are lent by the caller on
+/// every [`step`](Self::step).
 #[derive(Clone, Debug)]
 pub struct FilterAcquire {
-    shape: FilterShape,
     pid: Pid,
     names: Vec<Name>,
     progress: Vec<TreeProgress>,
@@ -214,12 +216,13 @@ pub struct FilterAcquire {
 }
 
 impl FilterAcquire {
-    /// Starts a `GetName` for registered process `pid`.
+    /// Starts a `GetName` for registered process `pid` on the instance
+    /// `shape`.
     ///
     /// # Panics
     ///
     /// Panics if `pid` was not registered when the shape was built.
-    pub fn new(shape: FilterShape, pid: Pid) -> Self {
+    pub fn new(shape: &FilterShape, pid: Pid) -> Self {
         assert!(
             shape.is_registered(pid),
             "pid {pid} was not registered with this FILTER instance"
@@ -229,7 +232,6 @@ impl FilterAcquire {
         let first_side = TreeShape::side_at(pid, 1);
         let check_budget = 50 * shape.params.max_checks() + 1_000;
         Self {
-            shape,
             pid,
             names,
             progress,
@@ -241,19 +243,20 @@ impl FilterAcquire {
         }
     }
 
-    /// Executes one atomic statement; returns the acquired name when done.
+    /// Executes one atomic statement on the instance `shape`; returns the
+    /// acquired name when done.
     ///
     /// # Panics
     ///
     /// Panics if the number of checks wildly exceeds Theorem 10's
     /// wait-freedom bound — which can only happen if more than `k`
     /// processes use the object concurrently.
-    pub fn step(&mut self, mem: &dyn Memory) -> Option<Name> {
+    pub fn step<M: Memory + ?Sized>(&mut self, shape: &FilterShape, mem: &M) -> Option<Name> {
         if let Some(i) = self.acquired {
             return Some(self.names[i]);
         }
         let m = self.names[self.cur];
-        let tree = self.shape.tree(m).clone();
+        let tree = shape.tree(m);
         match &mut self.mode {
             Mode::Entering(op) => {
                 let level = self.progress[self.cur].entered_level() + 1;
@@ -276,8 +279,8 @@ impl FilterAcquire {
                     "wait-freedom tripwire: {} checks exceed 50× Theorem 10's bound \
                      ({}); is the concurrency bound k = {} being violated?",
                     self.metrics.checks,
-                    self.shape.params.max_checks(),
-                    self.shape.params.concurrency()
+                    shape.params.max_checks(),
+                    shape.params.concurrency()
                 );
                 if pf::check(&regs, side, own, mem) {
                     self.metrics.advances_this_round += 1;
@@ -315,13 +318,14 @@ impl FilterAcquire {
         };
     }
 
-    /// Declares the register the next [`step`](Self::step) touches into
-    /// `fp`; returns `true` iff that step may complete the `GetName`.
-    pub fn footprint(&self, fp: &mut Footprint) -> bool {
+    /// Declares the register the next [`step`](Self::step) on `shape`
+    /// touches into `fp`; returns `true` iff that step may complete the
+    /// `GetName`.
+    pub fn footprint(&self, shape: &FilterShape, fp: &mut Footprint) -> bool {
         if self.acquired.is_some() {
             return true;
         }
-        let tree = self.shape.tree(self.names[self.cur]);
+        let tree = shape.tree(self.names[self.cur]);
         match &self.mode {
             Mode::Entering(op) => {
                 let level = self.progress[self.cur].entered_level() + 1;
@@ -364,10 +368,12 @@ impl FilterAcquire {
     /// critical section this process currently holds): used by the
     /// model-checking invariants.
     pub fn confirmed_level(&self, i: usize) -> usize {
-        if self.acquired == Some(i) {
-            return self.shape.tree(self.names[i]).levels();
-        }
         let entered = self.progress[i].entered_level();
+        if self.acquired == Some(i) {
+            // The winning check was at the root, the tree's top entered
+            // level: the whole path is held.
+            return entered;
+        }
         if self.cur == i && matches!(self.mode, Mode::Entering(_)) {
             // We are entering `entered + 1`, so `entered` itself was won
             // (or `entered = 0` and nothing is won yet).
@@ -382,17 +388,19 @@ impl FilterAcquire {
         &self.names
     }
 
-    /// Consumes the machine, yielding everything the matching
-    /// [`FilterRelease`] needs.
-    pub fn into_position(self) -> FilterPosition {
+    /// Moves everything the matching [`FilterRelease`] needs out of a
+    /// completed machine (no clone of the per-tree vectors), leaving it
+    /// empty. The machine must not be stepped afterwards.
+    fn take_position(&mut self) -> FilterPosition {
         let confirmed = (0..self.names.len())
             .map(|i| self.confirmed_level(i))
             .collect();
         FilterPosition {
-            names: self.names,
-            progress: self.progress,
+            names: std::mem::take(&mut self.names),
+            progress: std::mem::take(&mut self.progress),
             confirmed,
             acquired: self.acquired,
+            metrics: self.metrics,
         }
     }
 
@@ -452,12 +460,20 @@ pub struct FilterPosition {
     progress: Vec<TreeProgress>,
     confirmed: Vec<usize>,
     acquired: Option<usize>,
+    /// How the `GetName` that produced this position went (diagnostic,
+    /// never keyed: it does not influence future behaviour).
+    metrics: AcquireMetrics,
 }
 
 impl FilterPosition {
     /// The acquired name, if any.
     pub fn name(&self) -> Option<Name> {
         self.acquired.map(|i| self.names[i])
+    }
+
+    /// Metrics of the `GetName` that produced this position.
+    pub fn metrics(&self) -> AcquireMetrics {
+        self.metrics
     }
 
     /// The names of this position (parallel to tree indices).
@@ -506,10 +522,10 @@ impl FilterPosition {
 }
 
 /// `ReleaseName` as a step machine: one register write (`nil`) per entered
-/// ME block, top-down within each tree.
+/// ME block, top-down within each tree. Like [`FilterAcquire`], it
+/// borrows the trees on every step.
 #[derive(Clone, Debug)]
 pub struct FilterRelease {
-    shape: FilterShape,
     pid: Pid,
     pos: FilterPosition,
     tree_idx: usize,
@@ -517,18 +533,17 @@ pub struct FilterRelease {
 
 impl FilterRelease {
     /// Starts releasing all positions in `pos`.
-    pub fn new(shape: FilterShape, pid: Pid, pos: FilterPosition) -> Self {
+    pub fn new(pid: Pid, pos: FilterPosition) -> Self {
         Self {
-            shape,
             pid,
             pos,
             tree_idx: 0,
         }
     }
 
-    /// Executes one atomic statement; returns `true` when every entered
-    /// block has been released.
-    pub fn step(&mut self, mem: &dyn Memory) -> bool {
+    /// Executes one atomic statement on the instance `shape`; returns
+    /// `true` when every entered block has been released.
+    pub fn step<M: Memory + ?Sized>(&mut self, shape: &FilterShape, mem: &M) -> bool {
         // Find the next tree that still has entered levels.
         while self.tree_idx < self.pos.names.len() {
             let prog = &mut self.pos.progress[self.tree_idx];
@@ -538,8 +553,7 @@ impl FilterRelease {
                 continue;
             }
             let m = self.pos.names[self.tree_idx];
-            let tree = self.shape.tree(m);
-            let regs = tree.block_for(self.pid, level);
+            let regs = shape.tree(m).block_for(self.pid, level);
             pf::release(&regs, TreeShape::side_at(self.pid, level), mem);
             prog.pop_released();
             self.pos.confirmed[self.tree_idx] =
@@ -562,9 +576,10 @@ impl FilterRelease {
         self.pos.confirmed[i].min(self.pos.progress[i].entered_level())
     }
 
-    /// Declares the register the next [`step`](Self::step) touches into
-    /// `fp`; returns `true` iff that step may complete the `ReleaseName`.
-    pub fn footprint(&self, fp: &mut Footprint) -> bool {
+    /// Declares the register the next [`step`](Self::step) on `shape`
+    /// touches into `fp`; returns `true` iff that step may complete the
+    /// `ReleaseName`.
+    pub fn footprint(&self, shape: &FilterShape, fp: &mut Footprint) -> bool {
         let mut idx = self.tree_idx;
         while idx < self.pos.names.len() {
             let prog = &self.pos.progress[idx];
@@ -573,7 +588,7 @@ impl FilterRelease {
                 idx += 1;
                 continue;
             }
-            let tree = self.shape.tree(self.pos.names[idx]);
+            let tree = shape.tree(self.pos.names[idx]);
             let regs = tree.block_for(self.pid, level);
             pf::release_footprint(&regs, TreeShape::side_at(self.pid, level), fp);
             return level == 1 && self.remaining_after(idx) == 0;
@@ -592,12 +607,12 @@ impl FilterRelease {
             .any(|p| p.entered_level() > 0)
     }
 
-    /// Adds every register the rest of this `ReleaseName` may touch — the
-    /// process's own side of each still-entered block — to `fp`'s future
-    /// sets.
-    pub fn future_footprint(&self, fp: &mut Footprint) {
+    /// Adds every register the rest of this `ReleaseName` on `shape` may
+    /// touch — the process's own side of each still-entered block — to
+    /// `fp`'s future sets.
+    pub fn future_footprint(&self, shape: &FilterShape, fp: &mut Footprint) {
         for idx in self.tree_idx..self.pos.names.len() {
-            let tree = self.shape.tree(self.pos.names[idx]);
+            let tree = shape.tree(self.pos.names[idx]);
             for level in 1..=self.pos.progress[idx].entered_level() {
                 let regs = tree.block_for(self.pid, level);
                 fp.future_write(regs.r[TreeShape::side_at(self.pid, level)]);
@@ -699,7 +714,8 @@ impl Renaming for Filter {
 
 /// FILTER's [`ProtocolCore`]: the shape, one pid, and the release policy
 /// (which decides whether acquire completion routes through the
-/// eager-loser prologue).
+/// eager-loser prologue). The core owns the shape and lends it to each
+/// step, so no step clones a tree.
 #[derive(Clone, Debug)]
 pub struct FilterCore {
     shape: FilterShape,
@@ -758,13 +774,17 @@ impl ProtocolCore for FilterCore {
     }
 
     fn begin_acquire(&self) -> FilterAcquire {
-        FilterAcquire::new(self.shape.clone(), self.pid)
+        FilterAcquire::new(&self.shape, self.pid)
     }
 
-    fn step_acquire(&self, a: &mut FilterAcquire, mem: &dyn Memory) -> Option<FilterPosition> {
-        // Clone-then-consume so the completed machine (and its metrics)
-        // stays available to diagnostics like `FilterHandle::last_metrics`.
-        a.step(mem).map(|_| a.clone().into_position())
+    fn step_acquire<M: Memory + ?Sized>(
+        &self,
+        a: &mut FilterAcquire,
+        mem: &M,
+    ) -> Option<FilterPosition> {
+        // The completed machine is discarded by every caller, so its
+        // vectors move into the token; the metrics travel with it.
+        a.step(&self.shape, mem).map(|_| a.take_position())
     }
 
     fn prologue(&self, token: &mut FilterPosition) -> Option<FilterRelease> {
@@ -773,21 +793,21 @@ impl ProtocolCore for FilterCore {
             ReleasePolicy::EagerLosers => {
                 let (winner, losers) = token.clone().split_winner();
                 *token = winner;
-                Some(FilterRelease::new(self.shape.clone(), self.pid, losers))
+                Some(FilterRelease::new(self.pid, losers))
             }
         }
     }
 
     fn begin_release(&self, pos: FilterPosition) -> FilterRelease {
-        FilterRelease::new(self.shape.clone(), self.pid, pos)
+        FilterRelease::new(self.pid, pos)
     }
 
-    fn step_release(&self, r: &mut FilterRelease, mem: &dyn Memory) -> bool {
-        r.step(mem)
+    fn step_release<M: Memory + ?Sized>(&self, r: &mut FilterRelease, mem: &M) -> bool {
+        r.step(&self.shape, mem)
     }
 
     fn acquire_footprint(&self, a: &FilterAcquire, fp: &mut Footprint) -> bool {
-        let may_complete = a.footprint(fp);
+        let may_complete = a.footprint(&self.shape, fp);
         // A check may succeed and confirm an ME block, changing
         // `won_blocks`; entry steps only push unconfirmed levels.
         if self.observe_blocks && a.is_checking() {
@@ -797,7 +817,7 @@ impl ProtocolCore for FilterCore {
     }
 
     fn release_footprint(&self, r: &FilterRelease, fp: &mut Footprint) -> bool {
-        let may_complete = r.footprint(fp);
+        let may_complete = r.footprint(&self.shape, fp);
         // Every pop removes a block from `won_blocks`; a release with
         // nothing entered completes without touching the won set.
         if self.observe_blocks && r.has_entered() {
@@ -815,7 +835,7 @@ impl ProtocolCore for FilterCore {
     }
 
     fn release_future_footprint(&self, r: &FilterRelease, fp: &mut Footprint) {
-        r.future_footprint(fp);
+        r.future_footprint(&self.shape, fp);
     }
 
     fn token_name(&self, pos: &FilterPosition) -> Option<Name> {
@@ -864,10 +884,10 @@ impl ProtocolCore for FilterCore {
 pub type FilterHandle<'a> = Handle<'a, FilterCore>;
 
 impl FilterHandle<'_> {
-    /// Metrics of the most recent acquire (checks/enters/rounds), if one
-    /// completed.
+    /// Metrics (checks/enters/rounds) of the acquire that produced the
+    /// held name; `None` while no name is held.
     pub fn last_metrics(&self) -> Option<AcquireMetrics> {
-        self.last_acquire().map(FilterAcquire::metrics)
+        self.held_token().map(FilterPosition::metrics)
     }
 }
 
@@ -1056,13 +1076,26 @@ pub mod spec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::test_support::sequential_cycle;
+    use crate::traits::test_support::{assert_cycles_keep_refcount, sequential_cycle};
     use crate::traits::RenamingHandle;
     use llr_mem::Counting;
 
     /// The smallest interesting instance: k=2, d=1, z=2, S=4.
     fn tiny_params() -> FilterParams {
         FilterParams::new(2, 4, 1, 2).unwrap()
+    }
+
+    #[test]
+    fn cycles_never_touch_the_shape_refcount() {
+        for policy in [ReleasePolicy::AtReleaseName, ReleasePolicy::EagerLosers] {
+            let f = Filter::with_policy(tiny_params(), &[1, 2], policy).unwrap();
+            assert_cycles_keep_refcount(&f, 1, || {
+                (
+                    Arc::strong_count(&f.shape.trees),
+                    Arc::strong_count(&f.shape.participants),
+                )
+            });
+        }
     }
 
     #[test]
@@ -1231,9 +1264,9 @@ mod tests {
     fn split_winner_partitions_positions() {
         let f = Filter::new(tiny_params(), &[1, 3]).unwrap();
         let mem = Counting::new(&f.mem);
-        let mut m = FilterAcquire::new(f.shape.clone(), 1);
-        while m.step(&mem).is_none() {}
-        let pos = m.into_position();
+        let mut m = FilterAcquire::new(&f.shape, 1);
+        while m.step(&f.shape, &mem).is_none() {}
+        let pos = m.take_position();
         let total_blocks = pos.entered_blocks().len();
         let name = pos.name().unwrap();
         let (winner, losers) = pos.split_winner();

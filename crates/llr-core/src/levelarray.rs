@@ -277,7 +277,11 @@ impl ProtocolCore for LevelArrayCore {
         LevelAcquire { lvl: 0, probe: 0, budget: reserve_budget(self.shape.k) }
     }
 
-    fn step_acquire(&self, a: &mut LevelAcquire, mem: &dyn Memory) -> Option<LevelToken> {
+    fn step_acquire<M: Memory + ?Sized>(
+        &self,
+        a: &mut LevelAcquire,
+        mem: &M,
+    ) -> Option<LevelToken> {
         let (slot, name) = self.current(a);
         if mem.swap(slot, TRUE) == FALSE {
             // The winning swap is the whole acquire: the bit is ours and
@@ -293,7 +297,7 @@ impl ProtocolCore for LevelArrayCore {
         LevelRelease { slot: token.slot }
     }
 
-    fn step_release(&self, r: &mut LevelRelease, mem: &dyn Memory) -> bool {
+    fn step_release<M: Memory + ?Sized>(&self, r: &mut LevelRelease, mem: &M) -> bool {
         // The release's single (and final) access to the object: the
         // release-path store class of the ordering policy.
         mem.write_rel(r.slot, FALSE);

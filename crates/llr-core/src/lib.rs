@@ -31,6 +31,10 @@
 //! * is **exhaustively model-checked** with [`llr_mc`] (all interleavings
 //!   of small configurations) — see the `spec` items in each module.
 //!
+//! The step hooks are generic over the memory, so each use gets its own
+//! compiled copy of the one source, and every core owns its shape while
+//! its machines hold only per-operation locals (see [`session`]).
+//!
 //! # Quickstart
 //!
 //! ```

@@ -90,7 +90,8 @@ impl BlockRegs {
     }
 }
 
-/// The static shape of an MA grid. Cheap to clone.
+/// The static shape of an MA grid. Cheap to clone; owned by the
+/// [`MaCore`] and lent to the machines on every step.
 #[derive(Clone, Debug)]
 pub struct MaShape {
     k: usize,
@@ -128,6 +129,12 @@ impl MaShape {
     /// The source space size `S`.
     pub fn s(&self) -> u64 {
         self.s
+    }
+
+    /// Holders of the block table (the shape's `Arc` strong count).
+    #[cfg(test)]
+    pub(crate) fn strong_count(&self) -> usize {
+        Arc::strong_count(&self.blocks)
     }
 
     /// The name of cell `(r, c)`: `r·k − r(r−1)/2 + c`.
@@ -177,9 +184,10 @@ enum BlockPc {
 }
 
 /// `GetName` as a step machine: walk the grid, one shared access per step.
+/// Holds only the walk's locals; the grid is lent by the caller on every
+/// [`step`](Self::step).
 #[derive(Clone, Debug)]
 pub struct MaAcquire {
-    shape: MaShape,
     pid: Pid,
     r: usize,
     c: usize,
@@ -193,15 +201,14 @@ pub struct MaAcquire {
 const MAX_RESTARTS: u64 = 100_000;
 
 impl MaAcquire {
-    /// Starts a `GetName` for process `pid`.
+    /// Starts a `GetName` for process `pid` on the grid `shape`.
     ///
     /// # Panics
     ///
     /// Panics if `pid ≥ S`.
-    pub fn new(shape: MaShape, pid: Pid) -> Self {
+    pub fn new(shape: &MaShape, pid: Pid) -> Self {
         assert!(pid < shape.s, "pid {pid} outside source space {}", shape.s);
         Self {
-            shape,
             pid,
             r: 0,
             c: 0,
@@ -211,17 +218,18 @@ impl MaAcquire {
         }
     }
 
-    /// Executes one atomic statement; returns the acquired name when done.
+    /// Executes one atomic statement on the grid `shape`; returns the
+    /// acquired name when done.
     ///
     /// # Panics
     ///
     /// Panics if the walk restarts more than a generous tripwire bound
     /// (possible only under sustained adversarial scheduling).
-    pub fn step(&mut self, mem: &dyn Memory) -> Option<Name> {
+    pub fn step<M: Memory + ?Sized>(&mut self, shape: &MaShape, mem: &M) -> Option<Name> {
         if let Some(name) = self.name {
             return Some(name);
         }
-        let block = self.shape.block(self.r, self.c).clone();
+        let block = shape.block(self.r, self.c);
         match self.pc {
             BlockPc::WriteX => {
                 mem.write(block.x, self.pid);
@@ -233,14 +241,14 @@ impl MaAcquire {
                 // it before leaving any block).
                 if i == self.pid {
                     self.pc = BlockPc::Scan(i + 1);
-                    return self.step(mem);
+                    return self.step(shape, mem);
                 }
-                if i >= self.shape.s {
+                if i >= shape.s {
                     self.pc = BlockPc::PublishY;
-                    return self.step(mem);
+                    return self.step(shape, mem);
                 }
                 if mem.read(block.y.at(i as usize)) == TRUE {
-                    self.move_to(Outcome::Right);
+                    self.move_to(shape.k, Outcome::Right);
                 } else {
                     self.pc = BlockPc::Scan(i + 1);
                 }
@@ -255,7 +263,7 @@ impl MaAcquire {
                 if mem.read(block.x) == self.pid {
                     // Stop: this cell's name is ours; our Y bit stays set
                     // until release.
-                    self.name = Some(self.shape.cell_name(self.r, self.c));
+                    self.name = Some(shape.cell_name(self.r, self.c));
                     return self.name;
                 }
                 self.pc = BlockPc::WithdrawY;
@@ -263,28 +271,27 @@ impl MaAcquire {
             }
             BlockPc::WithdrawY => {
                 mem.write(block.y.at(self.pid as usize), FALSE);
-                self.move_to(Outcome::Down);
+                self.move_to(shape.k, Outcome::Down);
                 None
             }
         }
     }
 
-    /// Local move to the next cell (or restart from the origin when the
-    /// walk falls off the diagonal).
-    fn move_to(&mut self, outcome: Outcome) {
+    /// Local move to the next cell of a `k`-grid (or restart from the
+    /// origin when the walk falls off the diagonal).
+    fn move_to(&mut self, k: usize, outcome: Outcome) {
         let (nr, nc) = match outcome {
             Outcome::Right => (self.r, self.c + 1),
             Outcome::Down => (self.r + 1, self.c),
             Outcome::Stop => unreachable!("stop is terminal"),
         };
-        if nr + nc > self.shape.k - 1 {
+        if nr + nc > k - 1 {
             self.restarts += 1;
             assert!(
                 self.restarts <= MAX_RESTARTS,
                 "MA grid walk restarted {} times; the concurrency bound \
-                 k = {} is being violated or the scheduler is adversarial",
+                 k = {k} is being violated or the scheduler is adversarial",
                 self.restarts,
-                self.shape.k
             );
             self.r = 0;
             self.c = 0;
@@ -295,13 +302,14 @@ impl MaAcquire {
         self.pc = BlockPc::WriteX;
     }
 
-    /// Declares the register the next [`step`](Self::step) touches into
-    /// `fp`; returns `true` iff that step may complete the `GetName`.
-    pub fn footprint(&self, fp: &mut Footprint) -> bool {
+    /// Declares the register the next [`step`](Self::step) on `shape`
+    /// touches into `fp`; returns `true` iff that step may complete the
+    /// `GetName`.
+    pub fn footprint(&self, shape: &MaShape, fp: &mut Footprint) -> bool {
         if self.name.is_some() {
             return true;
         }
-        let block = self.shape.block(self.r, self.c);
+        let block = shape.block(self.r, self.c);
         match self.pc {
             BlockPc::WriteX => fp.write(block.x),
             BlockPc::Scan(i) => {
@@ -311,7 +319,7 @@ impl MaAcquire {
                 if j == self.pid {
                     j += 1;
                 }
-                if j >= self.shape.s {
+                if j >= shape.s {
                     fp.write(block.y.at(self.pid as usize));
                 } else {
                     fp.read(block.y.at(j as usize));
@@ -367,7 +375,6 @@ impl MaAcquire {
 /// (one write).
 #[derive(Clone, Debug)]
 pub struct MaRelease {
-    shape: MaShape,
     pid: Pid,
     cell: (usize, usize),
     done: bool,
@@ -375,19 +382,19 @@ pub struct MaRelease {
 
 impl MaRelease {
     /// Starts releasing the name of `cell`.
-    pub fn new(shape: MaShape, pid: Pid, cell: (usize, usize)) -> Self {
+    pub fn new(pid: Pid, cell: (usize, usize)) -> Self {
         Self {
-            shape,
             pid,
             cell,
             done: false,
         }
     }
 
-    /// Executes the single release write; returns `true` when done.
-    pub fn step(&mut self, mem: &dyn Memory) -> bool {
+    /// Executes the single release write on the grid `shape`; returns
+    /// `true` when done.
+    pub fn step<M: Memory + ?Sized>(&mut self, shape: &MaShape, mem: &M) -> bool {
         if !self.done {
-            let block = self.shape.block(self.cell.0, self.cell.1);
+            let block = shape.block(self.cell.0, self.cell.1);
             // The release's only access: Release ordering suffices (see
             // llr-mem's AtomicMemory docs).
             mem.write_rel(block.y.at(self.pid as usize), FALSE);
@@ -396,19 +403,19 @@ impl MaRelease {
         true
     }
 
-    /// Declares the single release write into `fp` (nothing once done);
-    /// the next [`step`](Self::step) always completes.
-    pub fn footprint(&self, fp: &mut Footprint) {
+    /// Declares the single release write on `shape` into `fp` (nothing
+    /// once done); the next [`step`](Self::step) always completes.
+    pub fn footprint(&self, shape: &MaShape, fp: &mut Footprint) {
         if !self.done {
-            let block = self.shape.block(self.cell.0, self.cell.1);
+            let block = shape.block(self.cell.0, self.cell.1);
             fp.write(block.y.at(self.pid as usize));
         }
     }
 
-    /// Adds the pending release write to `fp`'s future sets.
-    pub fn future_footprint(&self, fp: &mut Footprint) {
+    /// Adds the pending release write on `shape` to `fp`'s future sets.
+    pub fn future_footprint(&self, shape: &MaShape, fp: &mut Footprint) {
         if !self.done {
-            let block = self.shape.block(self.cell.0, self.cell.1);
+            let block = shape.block(self.cell.0, self.cell.1);
             fp.future_write(block.y.at(self.pid as usize));
         }
     }
@@ -461,27 +468,32 @@ impl ProtocolCore for MaCore {
     }
 
     fn begin_acquire(&self) -> MaAcquire {
-        MaAcquire::new(self.shape.clone(), self.pid)
+        MaAcquire::new(&self.shape, self.pid)
     }
 
-    fn step_acquire(&self, a: &mut MaAcquire, mem: &dyn Memory) -> Option<(usize, usize)> {
-        a.step(mem).map(|_| a.stopped_at().expect("stopped"))
+    fn step_acquire<M: Memory + ?Sized>(
+        &self,
+        a: &mut MaAcquire,
+        mem: &M,
+    ) -> Option<(usize, usize)> {
+        a.step(&self.shape, mem)
+            .map(|_| a.stopped_at().expect("stopped"))
     }
 
     fn begin_release(&self, cell: (usize, usize)) -> MaRelease {
-        MaRelease::new(self.shape.clone(), self.pid, cell)
+        MaRelease::new(self.pid, cell)
     }
 
-    fn step_release(&self, r: &mut MaRelease, mem: &dyn Memory) -> bool {
-        r.step(mem)
+    fn step_release<M: Memory + ?Sized>(&self, r: &mut MaRelease, mem: &M) -> bool {
+        r.step(&self.shape, mem)
     }
 
     fn acquire_footprint(&self, a: &MaAcquire, fp: &mut Footprint) -> bool {
-        a.footprint(fp)
+        a.footprint(&self.shape, fp)
     }
 
     fn release_footprint(&self, r: &MaRelease, fp: &mut Footprint) -> bool {
-        r.footprint(fp);
+        r.footprint(&self.shape, fp);
         true
     }
 
@@ -490,7 +502,7 @@ impl ProtocolCore for MaCore {
     }
 
     fn release_future_footprint(&self, r: &MaRelease, fp: &mut Footprint) {
-        r.future_footprint(fp);
+        r.future_footprint(&self.shape, fp);
     }
 
     fn token_name(&self, cell: &(usize, usize)) -> Option<Name> {
@@ -643,8 +655,14 @@ pub mod spec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::test_support::sequential_cycle;
+    use crate::traits::test_support::{assert_cycles_keep_refcount, sequential_cycle};
     use crate::traits::RenamingHandle;
+
+    #[test]
+    fn cycles_never_touch_the_shape_refcount() {
+        let ma = MaGrid::new(3, 16);
+        assert_cycles_keep_refcount(&ma, 9, || ma.shape.strong_count());
+    }
 
     #[test]
     fn cell_naming_is_triangular() {

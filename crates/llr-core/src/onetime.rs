@@ -48,7 +48,9 @@ pub struct OtBlockRegs {
     y: Loc,
 }
 
-/// The static shape of a one-time grid. Cheap to clone.
+/// The static shape of a one-time grid. Cheap to clone; owned by the
+/// [`OneTimeCore`] (or [`OneTimeGrid`]) and lent to the machine on every
+/// step.
 #[derive(Clone, Debug)]
 pub struct OneTimeShape {
     k: usize,
@@ -98,10 +100,10 @@ impl OneTimeShape {
     }
 }
 
-/// One-time `GetName` as a step machine.
+/// One-time `GetName` as a step machine. Holds only the walk's locals;
+/// the grid is lent by the caller on every [`step`](Self::step).
 #[derive(Clone, Debug)]
 pub struct OneTimeAcquire {
-    shape: OneTimeShape,
     pid: Pid,
     r: usize,
     c: usize,
@@ -111,9 +113,8 @@ pub struct OneTimeAcquire {
 
 impl OneTimeAcquire {
     /// Starts the (single) `GetName` of process `pid`.
-    pub fn new(shape: OneTimeShape, pid: Pid) -> Self {
+    pub fn new(pid: Pid) -> Self {
         Self {
-            shape,
             pid,
             r: 0,
             c: 0,
@@ -122,12 +123,13 @@ impl OneTimeAcquire {
         }
     }
 
-    /// Executes one atomic statement; returns the acquired name when done.
-    pub fn step(&mut self, mem: &dyn Memory) -> Option<Name> {
+    /// Executes one atomic statement on the grid `shape`; returns the
+    /// acquired name when done.
+    pub fn step<M: Memory + ?Sized>(&mut self, shape: &OneTimeShape, mem: &M) -> Option<Name> {
         if let Some(name) = self.name {
             return Some(name);
         }
-        let b = self.shape.block(self.r, self.c);
+        let b = shape.block(self.r, self.c);
         match self.pc {
             // X ← p
             0 => {
@@ -139,7 +141,7 @@ impl OneTimeAcquire {
                 if mem.read(b.y) == TRUE {
                     self.c += 1;
                     self.pc = 0;
-                    self.check_bounds();
+                    self.check_bounds(shape.k);
                 } else {
                     self.pc = 2;
                 }
@@ -152,33 +154,33 @@ impl OneTimeAcquire {
             // if X = p then Stop else Down
             _ => {
                 if mem.read(b.x) == self.pid {
-                    self.name = Some(self.shape.cell_name(self.r, self.c));
+                    self.name = Some(shape.cell_name(self.r, self.c));
                     return self.name;
                 }
                 self.r += 1;
                 self.pc = 0;
-                self.check_bounds();
+                self.check_bounds(shape.k);
             }
         }
         None
     }
 
-    fn check_bounds(&mut self) {
+    fn check_bounds(&self, k: usize) {
         assert!(
-            self.r + self.c < self.shape.k,
-            "one-time grid walk fell off the triangle: more than k = {} \
+            self.r + self.c < k,
+            "one-time grid walk fell off the triangle: more than k = {k} \
              processes, or a pid was reused",
-            self.shape.k
         );
     }
 
-    /// Declares the register the next [`step`](Self::step) touches into
-    /// `fp`; returns `true` iff that step may complete the `GetName`.
-    pub fn footprint(&self, fp: &mut Footprint) -> bool {
+    /// Declares the register the next [`step`](Self::step) on `shape`
+    /// touches into `fp`; returns `true` iff that step may complete the
+    /// `GetName`.
+    pub fn footprint(&self, shape: &OneTimeShape, fp: &mut Footprint) -> bool {
         if self.name.is_some() {
             return true;
         }
-        let b = self.shape.block(self.r, self.c);
+        let b = shape.block(self.r, self.c);
         match self.pc {
             0 => fp.write(b.x),
             1 => fp.read(b.y),
@@ -250,9 +252,9 @@ impl OneTimeGrid {
     pub fn get_name(&self, pid: Pid) -> (Name, u64) {
         assert!(pid < self.s, "pid {pid} outside source space {}", self.s);
         let mem = Counting::new(&self.mem);
-        let mut m = OneTimeAcquire::new(self.shape.clone(), pid);
+        let mut m = OneTimeAcquire::new(pid);
         let name = loop {
-            if let Some(n) = m.step(&mem) {
+            if let Some(n) = m.step(&self.shape, &mem) {
                 break n;
             }
         };
@@ -293,21 +295,21 @@ impl crate::session::ProtocolCore for OneTimeCore {
     }
 
     fn begin_acquire(&self) -> OneTimeAcquire {
-        OneTimeAcquire::new(self.shape.clone(), self.pid)
+        OneTimeAcquire::new(self.pid)
     }
 
-    fn step_acquire(&self, a: &mut OneTimeAcquire, mem: &dyn Memory) -> Option<Name> {
-        a.step(mem)
+    fn step_acquire<M: Memory + ?Sized>(&self, a: &mut OneTimeAcquire, mem: &M) -> Option<Name> {
+        a.step(&self.shape, mem)
     }
 
     fn begin_release(&self, _name: Name) {}
 
-    fn step_release(&self, _r: &mut (), _mem: &dyn Memory) -> bool {
+    fn step_release<M: Memory + ?Sized>(&self, _r: &mut (), _mem: &M) -> bool {
         true
     }
 
     fn acquire_footprint(&self, a: &OneTimeAcquire, fp: &mut Footprint) -> bool {
-        a.footprint(fp)
+        a.footprint(&self.shape, fp)
     }
 
     fn release_footprint(&self, _r: &(), _fp: &mut Footprint) -> bool {
@@ -416,6 +418,16 @@ pub mod spec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Session;
+    use crate::traits::test_support::assert_session_keeps_refcount;
+
+    #[test]
+    fn a_session_never_touches_the_shape_refcount() {
+        let mut layout = Layout::new();
+        let shape = OneTimeShape::build(3, &mut layout);
+        let user = Session::start(OneTimeCore::new(shape.clone(), 5), 1);
+        assert_session_keeps_refcount(&layout, user, || Arc::strong_count(&shape.blocks));
+    }
 
     #[test]
     fn solo_stops_at_origin_in_4_accesses() {

@@ -112,7 +112,7 @@ impl MeEnter {
 
     /// Executes one atomic statement; returns the final own-register value
     /// when the `Enter` completes.
-    pub fn step(&mut self, regs: &MeRegs, mem: &dyn Memory) -> Option<Word> {
+    pub fn step<M: Memory + ?Sized>(&mut self, regs: &MeRegs, mem: &M) -> Option<Word> {
         match self.pc {
             EnterPc::WritePrelim => {
                 mem.write(regs.r[self.side], ENTERING);
@@ -179,7 +179,7 @@ impl MeEnter {
 /// block's critical section (it stays held until [`release`]).
 ///
 /// `own` must be the value returned by the matching [`MeEnter`].
-pub fn check(regs: &MeRegs, side: Side, own: Word, mem: &dyn Memory) -> bool {
+pub fn check<M: Memory + ?Sized>(regs: &MeRegs, side: Side, own: Word, mem: &M) -> bool {
     let v = mem.read(regs.r[1 - side]);
     if v == NIL {
         return true;
@@ -200,7 +200,7 @@ pub fn check(regs: &MeRegs, side: Side, own: Word, mem: &dyn Memory) -> bool {
 /// The release's only access: Release ordering suffices (see llr-mem's
 /// `AtomicMemory` docs). This covers every FILTER and tournament release,
 /// both of which funnel through here.
-pub fn release(regs: &MeRegs, side: Side, mem: &dyn Memory) {
+pub fn release<M: Memory + ?Sized>(regs: &MeRegs, side: Side, mem: &M) {
     mem.write_rel(regs.r[side], NIL);
 }
 
@@ -280,7 +280,7 @@ impl crate::session::ProtocolCore for MeCore {
         MeAcquire::Entering(MeEnter::new(self.side))
     }
 
-    fn step_acquire(&self, a: &mut MeAcquire, mem: &dyn Memory) -> Option<Word> {
+    fn step_acquire<M: Memory + ?Sized>(&self, a: &mut MeAcquire, mem: &M) -> Option<Word> {
         match a {
             MeAcquire::Entering(op) => {
                 if let Some(own) = op.step(&self.regs, mem) {
@@ -300,7 +300,7 @@ impl crate::session::ProtocolCore for MeCore {
 
     fn begin_release(&self, _own: Word) {}
 
-    fn step_release(&self, _r: &mut (), mem: &dyn Memory) -> bool {
+    fn step_release<M: Memory + ?Sized>(&self, _r: &mut (), mem: &M) -> bool {
         release(&self.regs, self.side, mem);
         true
     }
@@ -483,7 +483,7 @@ mod tests {
         (regs, mem)
     }
 
-    fn enter_fully(regs: &MeRegs, side: Side, mem: &dyn Memory) -> Word {
+    fn enter_fully(regs: &MeRegs, side: Side, mem: &SimMemory) -> Word {
         let mut op = MeEnter::new(side);
         loop {
             if let Some(own) = op.step(regs, mem) {

@@ -33,6 +33,25 @@
 //! The optional [`prologue`] hook inserts work between acquire completion
 //! and Holding (FILTER's eager-loser release is the one user).
 //!
+//! # One source, two compiled copies
+//!
+//! Every core follows one ownership rule: **the core owns the shape, the
+//! machines own the locals.** The shape (register table, parameters) is
+//! the core's, and its step hooks lend it to the machines as `&Shape`;
+//! an acquire, release or token value holds only what one operation
+//! needs — program counter, path so far, the name — and never an `Arc`.
+//! Starting, finishing or abandoning an operation therefore touches no
+//! reference count, and a token moves by `memcpy`.
+//!
+//! The step hooks are generic over `M: Memory + ?Sized`. The checker
+//! steps [`Session`] through `&dyn Memory` (its [`StepMachine::step`] is
+//! the one place in this crate that type appears), while [`Handle`] steps
+//! the same hooks over `Counting<AtomicMemory>`, so the served machines
+//! are compiled for the memory they run on: every register access is a
+//! direct, inlinable atomic instead of a vtable call.
+//! `tests/session_layer.rs` pins the two copies to identical names and
+//! access counts, cycle by cycle.
+//!
 //! # The crash–restart fault model
 //!
 //! Every session machine is fault-capable: [`Session::inject`] tears the
@@ -101,8 +120,14 @@ pub trait ProtocolCore: Clone + Debug + Send + Sync {
 
     /// One acquire step: at most one shared access; `Some(token)` exactly
     /// when GetName completes (the same scheduled step as its last
-    /// access).
-    fn step_acquire(&self, a: &mut Self::Acquire, mem: &dyn Memory) -> Option<Self::Token>;
+    /// access). Generic over the memory, so the checker's `&dyn Memory`
+    /// and the threaded handle's concrete memory each get their own
+    /// compiled copy of the same source.
+    fn step_acquire<M: Memory + ?Sized>(
+        &self,
+        a: &mut Self::Acquire,
+        mem: &M,
+    ) -> Option<Self::Token>;
 
     /// Work between acquire completion and Holding, run in its own phase
     /// (FILTER's eager loser release). Returning `Some(rel)` routes the
@@ -117,8 +142,9 @@ pub trait ProtocolCore: Clone + Debug + Send + Sync {
     /// One release step: at most one shared access; `true` when
     /// ReleaseName is complete. A release that is already trivially
     /// complete (e.g. an empty SPLIT path) returns `true` without any
-    /// access.
-    fn step_release(&self, r: &mut Self::Release, mem: &dyn Memory) -> bool;
+    /// access. Generic over the memory, like
+    /// [`step_acquire`](Self::step_acquire).
+    fn step_release<M: Memory + ?Sized>(&self, r: &mut Self::Release, mem: &M) -> bool;
 
     /// The destination name a held token maps to. `None` for the mutex
     /// building blocks (splitter, PF, tournament), which hand out
@@ -681,12 +707,16 @@ where
 /// machines the model checker explores, in a loop over [`AtomicMemory`],
 /// with a [`Counting`] wrapper maintaining the paper's shared-access
 /// complexity measure.
+///
+/// The step hooks are monomorphized for `Counting<AtomicMemory>` here
+/// (the checker's [`Session`] runs them through `&dyn Memory`), and a
+/// cycle moves only per-operation locals: the core's shape is lent to
+/// each step, never cloned.
 #[derive(Debug)]
 pub struct Handle<'a, P: ProtocolCore> {
     core: P,
     mem: &'a AtomicMemory,
     token: Option<P::Token>,
-    last_acquire: Option<P::Acquire>,
     accesses: u64,
     /// Armed fault fuse: the next `acquire` panics after this many
     /// machine steps (see [`arm_crash`](Self::arm_crash)).
@@ -700,7 +730,6 @@ impl<'a, P: ProtocolCore> Handle<'a, P> {
             core,
             mem,
             token: None,
-            last_acquire: None,
             accesses: 0,
             fuse: None,
         }
@@ -723,11 +752,11 @@ impl<'a, P: ProtocolCore> Handle<'a, P> {
         &self.core
     }
 
-    /// The completed acquire machine from the most recent
-    /// [`RenamingHandle::acquire`], for protocol-specific diagnostics
-    /// (e.g. FILTER's check/enter counters).
-    pub fn last_acquire(&self) -> Option<&P::Acquire> {
-        self.last_acquire.as_ref()
+    /// The token currently held, if any — for protocol-specific
+    /// diagnostics carried in the token (e.g. FILTER's check/enter
+    /// counters).
+    pub(crate) fn held_token(&self) -> Option<&P::Token> {
+        self.token.as_ref()
     }
 }
 
@@ -760,7 +789,6 @@ impl<P: ProtocolCore> RenamingHandle for Handle<'_, P> {
             }
         }
         self.accesses += mem.accesses();
-        self.last_acquire = Some(a);
         let name = self
             .core
             .token_name(&token)

@@ -77,7 +77,8 @@ struct NetSplitterRegs {
 }
 
 /// The static shape of a depth-`ℓ` small splitter network. Cheap to
-/// clone.
+/// clone; owned by the [`SmallNetCore`] (or network generation) and lent
+/// to the machine on every step.
 #[derive(Clone, Debug)]
 pub struct SmallNetShape {
     /// Depth: splitters live on diagonals `0..ℓ`, the free (register-less)
@@ -143,10 +144,11 @@ impl SmallNetShape {
 }
 
 /// The network walk as a step machine: the classic three-line splitter at
-/// every cell before the free diagonal, zero accesses on it.
+/// every cell before the free diagonal, zero accesses on it. Holds only
+/// the walk's locals; the network is lent by the caller on every
+/// [`step`](Self::step).
 #[derive(Clone, Debug)]
 pub struct SmallNetAcquire {
-    shape: SmallNetShape,
     pid: Pid,
     r: usize,
     c: usize,
@@ -156,27 +158,34 @@ pub struct SmallNetAcquire {
 
 impl SmallNetAcquire {
     /// Starts the (single) walk of process `pid`.
-    pub fn new(shape: SmallNetShape, pid: Pid) -> Self {
-        Self { shape, pid, r: 0, c: 0, pc: 0, name: None }
+    pub fn new(pid: Pid) -> Self {
+        Self {
+            pid,
+            r: 0,
+            c: 0,
+            pc: 0,
+            name: None,
+        }
     }
 
     /// `true` iff the walk sits on the register-free final diagonal.
-    fn on_free_diagonal(&self) -> bool {
-        self.r + self.c == self.shape.ell
+    fn on_free_diagonal(&self, shape: &SmallNetShape) -> bool {
+        self.r + self.c == shape.ell
     }
 
-    /// Executes one atomic statement; returns the acquired name when done.
-    pub fn step(&mut self, mem: &dyn Memory) -> Option<Name> {
+    /// Executes one atomic statement on the network `shape`; returns the
+    /// acquired name when done.
+    pub fn step<M: Memory + ?Sized>(&mut self, shape: &SmallNetShape, mem: &M) -> Option<Name> {
         if let Some(name) = self.name {
             return Some(name);
         }
-        if self.on_free_diagonal() {
+        if self.on_free_diagonal(shape) {
             // At most one process reaches each final-diagonal cell: the
             // name is free for the taking, no registers involved.
-            self.name = Some(self.shape.cell_name(self.r, self.c));
+            self.name = Some(shape.cell_name(self.r, self.c));
             return self.name;
         }
-        let s = self.shape.splitter(self.r, self.c);
+        let s = shape.splitter(self.r, self.c);
         match self.pc {
             // X ← p
             0 => {
@@ -188,7 +197,7 @@ impl SmallNetAcquire {
                 if mem.read(s.y) == TRUE {
                     self.c += 1;
                     self.pc = 0;
-                    return self.take_if_free();
+                    return self.take_if_free(shape);
                 }
                 self.pc = 2;
             }
@@ -200,12 +209,12 @@ impl SmallNetAcquire {
             // if X = p then Stop else Down
             _ => {
                 if mem.read(s.x) == self.pid {
-                    self.name = Some(self.shape.cell_name(self.r, self.c));
+                    self.name = Some(shape.cell_name(self.r, self.c));
                     return self.name;
                 }
                 self.r += 1;
                 self.pc = 0;
-                return self.take_if_free();
+                return self.take_if_free(shape);
             }
         }
         None
@@ -214,27 +223,28 @@ impl SmallNetAcquire {
     /// After a Right/Down move: if it landed on the free diagonal, the
     /// name is taken in the same step (the move's read was the step's one
     /// access; the free cell costs none).
-    fn take_if_free(&mut self) -> Option<Name> {
-        if self.on_free_diagonal() {
-            self.name = Some(self.shape.cell_name(self.r, self.c));
+    fn take_if_free(&mut self, shape: &SmallNetShape) -> Option<Name> {
+        if self.on_free_diagonal(shape) {
+            self.name = Some(shape.cell_name(self.r, self.c));
         }
         self.name
     }
 
-    /// Declares the register the next [`step`](Self::step) touches into
-    /// `fp`; returns `true` iff that step may complete the walk.
-    pub fn footprint(&self, fp: &mut Footprint) -> bool {
-        if self.name.is_some() || self.on_free_diagonal() {
+    /// Declares the register the next [`step`](Self::step) on `shape`
+    /// touches into `fp`; returns `true` iff that step may complete the
+    /// walk.
+    pub fn footprint(&self, shape: &SmallNetShape, fp: &mut Footprint) -> bool {
+        if self.name.is_some() || self.on_free_diagonal(shape) {
             // Completing (or free-cell) step: no accesses.
             return true;
         }
-        let s = self.shape.splitter(self.r, self.c);
+        let s = shape.splitter(self.r, self.c);
         match self.pc {
             0 => fp.write(s.x),
             // A Right move may land on the free diagonal and complete.
             1 => {
                 fp.read(s.y);
-                return self.r + self.c + 1 == self.shape.ell;
+                return self.r + self.c + 1 == shape.ell;
             }
             2 => fp.write(s.y),
             // Stop completes here; a Down move may land on the free
@@ -305,21 +315,21 @@ impl ProtocolCore for SmallNetCore {
     }
 
     fn begin_acquire(&self) -> SmallNetAcquire {
-        SmallNetAcquire::new(self.shape.clone(), self.pid)
+        SmallNetAcquire::new(self.pid)
     }
 
-    fn step_acquire(&self, a: &mut SmallNetAcquire, mem: &dyn Memory) -> Option<Name> {
-        a.step(mem)
+    fn step_acquire<M: Memory + ?Sized>(&self, a: &mut SmallNetAcquire, mem: &M) -> Option<Name> {
+        a.step(&self.shape, mem)
     }
 
     fn begin_release(&self, _name: Name) {}
 
-    fn step_release(&self, _r: &mut (), _mem: &dyn Memory) -> bool {
+    fn step_release<M: Memory + ?Sized>(&self, _r: &mut (), _mem: &M) -> bool {
         true
     }
 
     fn acquire_footprint(&self, a: &SmallNetAcquire, fp: &mut Footprint) -> bool {
-        a.footprint(fp)
+        a.footprint(&self.shape, fp)
     }
 
     fn release_footprint(&self, _r: &(), _fp: &mut Footprint) -> bool {
@@ -403,9 +413,9 @@ impl SmallNet {
     /// most `ℓ + 1` processes may do so in total.
     pub fn get_name(&self, pid: Pid) -> (Name, u64) {
         let mem = Counting::new(&self.mem);
-        let mut m = SmallNetAcquire::new(self.shape.clone(), pid);
+        let mut m = SmallNetAcquire::new(pid);
         let name = loop {
-            if let Some(n) = m.step(&mem) {
+            if let Some(n) = m.step(&self.shape, &mem) {
                 break n;
             }
         };
@@ -548,9 +558,9 @@ impl RenamingHandle for RenewableHandle<'_> {
         assert!(self.held.is_none(), "acquire while holding a name");
         let (gen, entry) = self.net.enter();
         let mem = Counting::new(&gen.mem);
-        let mut m = SmallNetAcquire::new(gen.shape.clone(), entry);
+        let mut m = SmallNetAcquire::new(entry);
         let name = loop {
-            if let Some(n) = m.step(&mem) {
+            if let Some(n) = m.step(&gen.shape, &mem) {
                 break n;
             }
         };
@@ -625,6 +635,15 @@ pub mod spec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::test_support::assert_session_keeps_refcount;
+
+    #[test]
+    fn a_session_never_touches_the_shape_refcount() {
+        let mut layout = Layout::new();
+        let shape = SmallNetShape::build(3, &mut layout);
+        let user = Session::start(SmallNetCore::new(shape.clone(), 5), 1);
+        assert_session_keeps_refcount(&layout, user, || Arc::strong_count(&shape.splitters));
+    }
 
     #[test]
     fn shape_counts() {

@@ -49,7 +49,8 @@ use std::sync::Arc;
 pub const MAX_K: usize = 14;
 
 /// The static shape of a SPLIT instance: the splitter tree's register
-/// table. Cheap to clone (the node table is shared).
+/// table. Cheap to clone (the node table is shared); owned by the
+/// [`SplitCore`] and lent to the machines on every step.
 #[derive(Clone, Debug)]
 pub struct SplitShape {
     k: usize,
@@ -108,6 +109,23 @@ impl SplitShape {
     pub fn future_footprint(&self, fp: &mut Footprint) {
         for regs in self.nodes.iter() {
             regs.future_footprint(fp);
+        }
+    }
+
+    /// Holders of the node table (the shape's `Arc` strong count).
+    #[cfg(test)]
+    pub(crate) fn strong_count(&self) -> usize {
+        Arc::strong_count(&self.nodes)
+    }
+
+    /// Adds the release footprint of each splitter on `path` (its `LAST`
+    /// read and `ADVICE[1]` write) to `fp`'s future sets: everything a
+    /// `ReleaseName` of that path may still touch.
+    pub fn path_release_footprint(&self, path: &[PathEntry], fp: &mut Footprint) {
+        for e in path {
+            let regs = self.regs(e.node);
+            fp.future_read(regs.last);
+            fp.future_write(regs.a1);
         }
     }
 }
@@ -210,10 +228,10 @@ impl PartialEq for PathVec {
 impl Eq for PathVec {}
 
 /// `GetName` as a step machine: descend the splitter tree, one shared
-/// access per step.
+/// access per step. Holds only the operation's locals; the tree is lent
+/// by the caller on every [`step`](Self::step).
 #[derive(Clone, Debug)]
 pub struct SplitAcquire {
-    shape: SplitShape,
     pid: Pid,
     node: u64,
     depth: usize,
@@ -228,9 +246,8 @@ pub struct SplitAcquire {
 
 impl SplitAcquire {
     /// Starts a `GetName` for process `pid`.
-    pub fn new(shape: SplitShape, pid: Pid) -> Self {
+    pub fn new(pid: Pid) -> Self {
         Self {
-            shape,
             pid,
             node: 0,
             depth: 0,
@@ -241,21 +258,22 @@ impl SplitAcquire {
         }
     }
 
-    /// Executes one atomic statement; returns the acquired name when done.
+    /// Executes one atomic statement on the tree `shape`; returns the
+    /// acquired name when done.
     ///
     /// With `k = 1` the tree has depth 0 and the (vacuous) root leaf is the
     /// name: the first call returns `Some(0)` without touching memory.
-    pub fn step(&mut self, mem: &dyn Memory) -> Option<Name> {
+    pub fn step<M: Memory + ?Sized>(&mut self, shape: &SplitShape, mem: &M) -> Option<Name> {
         if let Some(name) = self.name {
             return Some(name);
         }
-        if self.depth == self.shape.k - 1 {
+        if self.depth == shape.k - 1 {
             // Reached a (vacuous) leaf: the accumulated path encoding is
             // the name.
             self.name = Some(self.acc_name);
             return self.name;
         }
-        let regs = self.shape.regs(self.node);
+        let regs = shape.regs(self.node);
         if let Some(dir) = self.op.step(&regs, self.pid, mem) {
             self.path.push(PathEntry {
                 node: self.node,
@@ -266,7 +284,7 @@ impl SplitAcquire {
             self.node = SplitShape::child(self.node, dir);
             self.depth += 1;
             self.op = EnterOp::new();
-            if self.depth == self.shape.k - 1 {
+            if self.depth == shape.k - 1 {
                 // Complete now so completion does not cost an extra
                 // scheduled step.
                 self.name = Some(self.acc_name);
@@ -298,15 +316,16 @@ impl SplitAcquire {
         self.path
     }
 
-    /// Declares the register the next [`step`](Self::step) touches into
-    /// `fp`; returns `true` iff that step may complete the `GetName`.
-    pub fn footprint(&self, fp: &mut Footprint) -> bool {
-        if self.name.is_some() || self.depth == self.shape.k - 1 {
+    /// Declares the register the next [`step`](Self::step) on `shape`
+    /// touches into `fp`; returns `true` iff that step may complete the
+    /// `GetName`.
+    pub fn footprint(&self, shape: &SplitShape, fp: &mut Footprint) -> bool {
+        if self.name.is_some() || self.depth == shape.k - 1 {
             // Completing is a pure-local name computation (k = 1 start).
             return true;
         }
-        let regs = self.shape.regs(self.node);
-        self.op.footprint(&regs, fp) && self.depth + 1 == self.shape.k - 1
+        let regs = shape.regs(self.node);
+        self.op.footprint(&regs, fp) && self.depth + 1 == shape.k - 1
     }
 
     /// Encodes machine state for model-checker keys.
@@ -331,10 +350,9 @@ impl SplitAcquire {
 }
 
 /// `ReleaseName` as a step machine: release the path's splitters deepest
-/// first.
+/// first. Like [`SplitAcquire`], it borrows the tree on every step.
 #[derive(Clone, Debug)]
 pub struct SplitRelease {
-    shape: SplitShape,
     pid: Pid,
     path: PathVec,
     /// Index of the entry currently being released (runs from the end of
@@ -345,10 +363,9 @@ pub struct SplitRelease {
 
 impl SplitRelease {
     /// Starts a `ReleaseName` for the splitters recorded in `path`.
-    pub fn new(shape: SplitShape, pid: Pid, path: PathVec) -> Self {
+    pub fn new(pid: Pid, path: PathVec) -> Self {
         let idx = path.len();
         Self {
-            shape,
             pid,
             path,
             idx,
@@ -356,14 +373,14 @@ impl SplitRelease {
         }
     }
 
-    /// Executes one atomic statement; returns `true` when every splitter
-    /// on the path has been released.
-    pub fn step(&mut self, mem: &dyn Memory) -> bool {
+    /// Executes one atomic statement on the tree `shape`; returns `true`
+    /// when every splitter on the path has been released.
+    pub fn step<M: Memory + ?Sized>(&mut self, shape: &SplitShape, mem: &M) -> bool {
         if self.idx == 0 {
             return true;
         }
         let entry = self.path[self.idx - 1];
-        let regs = self.shape.regs(entry.node);
+        let regs = shape.regs(entry.node);
         if self
             .op
             .step(&regs, self.pid, entry.advice, entry.adv2, mem)
@@ -377,26 +394,23 @@ impl SplitRelease {
         false
     }
 
-    /// Declares the register the next [`step`](Self::step) touches into
-    /// `fp`; returns `true` iff that step may complete the `ReleaseName`.
-    pub fn footprint(&self, fp: &mut Footprint) -> bool {
+    /// Declares the register the next [`step`](Self::step) on `shape`
+    /// touches into `fp`; returns `true` iff that step may complete the
+    /// `ReleaseName`.
+    pub fn footprint(&self, shape: &SplitShape, fp: &mut Footprint) -> bool {
         if self.idx == 0 {
             return true;
         }
         let entry = self.path[self.idx - 1];
-        self.op.footprint(&self.shape.regs(entry.node), fp);
+        self.op.footprint(&shape.regs(entry.node), fp);
         self.idx == 1
     }
 
     /// Adds every register the rest of this `ReleaseName` may touch to
     /// `fp`'s future sets: the release footprint of each splitter still on
     /// the path.
-    pub fn future_footprint(&self, fp: &mut Footprint) {
-        for e in &self.path[..self.idx] {
-            let regs = self.shape.regs(e.node);
-            fp.future_read(regs.last);
-            fp.future_write(regs.a1);
-        }
+    pub fn future_footprint(&self, shape: &SplitShape, fp: &mut Footprint) {
+        shape.path_release_footprint(&self.path[..self.idx], fp);
     }
 
     /// Encodes machine state for model-checker keys.
@@ -425,6 +439,8 @@ impl SplitRelease {
 /// The acquire machine is [`SplitAcquire`] (root-to-leaf descent), the
 /// release machine is [`SplitRelease`] (deepest-first ascent), and the
 /// token is the leaf name plus the acquisition path the release needs.
+/// The core owns the shape and lends it to each step, so a cycle never
+/// touches the shape's reference count.
 #[derive(Clone, Debug)]
 pub struct SplitCore {
     shape: SplitShape,
@@ -465,32 +481,36 @@ impl ProtocolCore for SplitCore {
     }
 
     fn begin_acquire(&self) -> SplitAcquire {
-        SplitAcquire::new(self.shape.clone(), self.pid)
+        SplitAcquire::new(self.pid)
     }
 
-    fn step_acquire(&self, a: &mut SplitAcquire, mem: &dyn Memory) -> Option<SplitToken> {
+    fn step_acquire<M: Memory + ?Sized>(
+        &self,
+        a: &mut SplitAcquire,
+        mem: &M,
+    ) -> Option<SplitToken> {
         // The path clone is an inline memcpy (PathVec), not a heap
         // allocation: steady-state acquire stays allocation-free.
-        a.step(mem).map(|name| SplitToken {
+        a.step(&self.shape, mem).map(|name| SplitToken {
             name,
             path: a.path_vec().clone(),
         })
     }
 
     fn begin_release(&self, token: SplitToken) -> SplitRelease {
-        SplitRelease::new(self.shape.clone(), self.pid, token.path)
+        SplitRelease::new(self.pid, token.path)
     }
 
-    fn step_release(&self, r: &mut SplitRelease, mem: &dyn Memory) -> bool {
-        r.step(mem)
+    fn step_release<M: Memory + ?Sized>(&self, r: &mut SplitRelease, mem: &M) -> bool {
+        r.step(&self.shape, mem)
     }
 
     fn acquire_footprint(&self, a: &SplitAcquire, fp: &mut Footprint) -> bool {
-        a.footprint(fp)
+        a.footprint(&self.shape, fp)
     }
 
     fn release_footprint(&self, r: &SplitRelease, fp: &mut Footprint) -> bool {
-        r.footprint(fp)
+        r.footprint(&self.shape, fp)
     }
 
     fn future_footprint(&self, fp: &mut Footprint) {
@@ -498,7 +518,7 @@ impl ProtocolCore for SplitCore {
     }
 
     fn release_future_footprint(&self, r: &SplitRelease, fp: &mut Footprint) {
-        r.future_footprint(fp);
+        r.future_footprint(&self.shape, fp);
     }
 
     fn token_name(&self, token: &SplitToken) -> Option<Name> {
@@ -735,7 +755,13 @@ pub mod spec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::test_support::sequential_cycle;
+    use crate::traits::test_support::{assert_cycles_keep_refcount, sequential_cycle};
+
+    #[test]
+    fn cycles_never_touch_the_shape_refcount() {
+        let split = Split::new(4);
+        assert_cycles_keep_refcount(&split, 0xC0FF_EE00, || split.shape.strong_count());
+    }
 
     #[test]
     fn shape_counts() {

@@ -132,7 +132,12 @@ impl EnterOp {
     /// Executes one atomic statement on behalf of process `pid`.
     ///
     /// Returns `Some(direction)` when the `Enter` completes.
-    pub fn step(&mut self, regs: &SplitterRegs, pid: Pid, mem: &dyn Memory) -> Option<Direction> {
+    pub fn step<M: Memory + ?Sized>(
+        &mut self,
+        regs: &SplitterRegs,
+        pid: Pid,
+        mem: &M,
+    ) -> Option<Direction> {
         match self.pc {
             EnterPc::WriteLast => {
                 mem.write(regs.last, pid);
@@ -262,13 +267,13 @@ impl ReleaseOp {
 
     /// Executes one atomic statement; returns `true` when the `Release`
     /// completes.
-    pub fn step(
+    pub fn step<M: Memory + ?Sized>(
         &mut self,
         regs: &SplitterRegs,
         pid: Pid,
         advice: Adv,
         adv2: bool,
-        mem: &dyn Memory,
+        mem: &M,
     ) -> bool {
         match self.pc {
             ReleasePc::ReadLast => {
@@ -418,10 +423,10 @@ impl crate::session::ProtocolCore for SplitterCore {
         EnterOp::new()
     }
 
-    fn step_acquire(
+    fn step_acquire<M: Memory + ?Sized>(
         &self,
         op: &mut EnterOp,
-        mem: &dyn Memory,
+        mem: &M,
     ) -> Option<(Direction, Adv, bool)> {
         op.step(&self.regs, self.pid, mem)
             .map(|dir| (dir, op.advice(), op.adv2()))
@@ -435,7 +440,7 @@ impl crate::session::ProtocolCore for SplitterCore {
         }
     }
 
-    fn step_release(&self, r: &mut SplitterRelease, mem: &dyn Memory) -> bool {
+    fn step_release<M: Memory + ?Sized>(&self, r: &mut SplitterRelease, mem: &M) -> bool {
         r.op.step(&self.regs, self.pid, r.advice, r.adv2, mem)
     }
 

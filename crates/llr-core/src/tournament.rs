@@ -329,7 +329,7 @@ impl crate::session::ProtocolCore for TreeCore {
         }
     }
 
-    fn step_acquire(&self, a: &mut TreeClimb, mem: &dyn Memory) -> Option<TreeProgress> {
+    fn step_acquire<M: Memory + ?Sized>(&self, a: &mut TreeClimb, mem: &M) -> Option<TreeProgress> {
         match &mut a.stage {
             ClimbStage::Entering(op) => {
                 let level = a.progress.entered_level() + 1;
@@ -363,7 +363,7 @@ impl crate::session::ProtocolCore for TreeCore {
         }
     }
 
-    fn step_release(&self, r: &mut TreeRelease, mem: &dyn Memory) -> bool {
+    fn step_release<M: Memory + ?Sized>(&self, r: &mut TreeRelease, mem: &M) -> bool {
         let regs = self.shape.block_for(self.pid, r.level);
         pf::release(&regs, TreeShape::side_at(self.pid, r.level), mem);
         if r.level == 1 {

@@ -110,4 +110,49 @@ pub(crate) mod test_support {
         }
         (names, max_acc)
     }
+
+    /// Asserts that a handle's acquire/release cycles leave a shape's
+    /// reference count (`refs()`, an `Arc::strong_count`) where the
+    /// handle's creation put it: before `acquire`, while holding, and
+    /// after `release`. The machines borrow the shape from the core, so
+    /// no cycle may clone it.
+    pub fn assert_cycles_keep_refcount<R: Renaming, T: PartialEq + std::fmt::Debug>(
+        rn: &R,
+        pid: Pid,
+        refs: impl Fn() -> T,
+    ) {
+        let mut h = rn.handle(pid);
+        let before = refs();
+        for _ in 0..3 {
+            h.acquire();
+            assert_eq!(refs(), before, "holding a name holds a shape clone");
+            h.release();
+            assert_eq!(refs(), before, "a finished cycle left a shape clone behind");
+        }
+    }
+
+    /// Steps `session` solo to completion on a fresh [`llr_mem::SimMemory`]
+    /// for `layout`, asserting after every step that `refs()` (a shape's
+    /// `Arc::strong_count`) is unchanged — the session-level counterpart
+    /// of [`assert_cycles_keep_refcount`] for cores without a handle.
+    pub fn assert_session_keeps_refcount<P, T>(
+        layout: &llr_mem::Layout,
+        mut session: crate::session::Session<P>,
+        refs: impl Fn() -> T,
+    ) where
+        P: crate::session::ProtocolCore,
+        T: PartialEq + std::fmt::Debug,
+    {
+        use llr_mc::StepMachine;
+        let mem = llr_mem::SimMemory::new(layout);
+        let before = refs();
+        for _ in 0..100_000 {
+            let done = session.step(&mem).is_done();
+            assert_eq!(refs(), before, "a step changed the shape's refcount");
+            if done {
+                return;
+            }
+        }
+        panic!("solo session did not terminate");
+    }
 }

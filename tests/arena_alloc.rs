@@ -1,11 +1,13 @@
 //! Steady-state arena operations must not allocate.
 //!
-//! The arena's hot-path claim (ISSUE 6 tentpole): after warm-up, a client
-//! thread's acquire/release cycle over SPLIT or the Moir–Anderson grid —
-//! including the SPLIT → MA chain — performs **zero heap allocations**.
-//! SPLIT's acquisition path lives inline in the machine
-//! (`split::PathVec`), MA's machines are Arc-shape + scalars, and the
-//! admission gate's uncontended path is a single CAS.
+//! The arena's hot-path claim: after warm-up, a client thread's
+//! acquire/release cycle over SPLIT, the Moir–Anderson grid or the
+//! LevelArray — including the SPLIT → MA chain — performs **zero heap
+//! allocations**. Every machine holds only per-operation locals and
+//! borrows its shape from the core: SPLIT's acquisition path lives inline
+//! in the machine (`split::PathVec`), MA's and the LevelArray's machines
+//! are scalars, and the admission gate's uncontended path is a single
+//! CAS.
 //!
 //! This is its own test binary because it installs a counting global
 //! allocator, and the count is only meaningful single-threaded — hence
@@ -17,6 +19,7 @@
 
 use llr_core::arena::NameArena;
 use llr_core::chain::Chain;
+use llr_core::levelarray::LevelArray;
 use llr_core::ma::MaGrid;
 use llr_core::split::Split;
 use llr_core::traits::{Renaming, RenamingHandle};
@@ -100,5 +103,12 @@ fn steady_state_acquire_release_does_not_allocate() {
         allocs_per_steady_state(&chain, 0xBEEF_CAFE, 1_000),
         0,
         "SPLIT→MA chain arena steady state allocated"
+    );
+
+    let levelarray = NameArena::new(LevelArray::new(8));
+    assert_eq!(
+        allocs_per_steady_state(&levelarray, 0x1EAF_CAFE, 10_000),
+        0,
+        "LevelArray arena steady state allocated"
     );
 }

@@ -143,26 +143,24 @@ fn sim_and_atomic_memory_agree_on_protocol_runs() {
     let sim = SimMemory::new(&layout);
     let atomic = llr_mem::AtomicMemory::new(&layout);
     for pid in [3u64, 99, 1 << 50] {
-        let mut a = llr_core::split::SplitAcquire::new(shape.clone(), pid);
-        let mut b = llr_core::split::SplitAcquire::new(shape.clone(), pid);
+        let mut a = llr_core::split::SplitAcquire::new(pid);
+        let mut b = llr_core::split::SplitAcquire::new(pid);
         let na = loop {
-            if let Some(n) = a.step(&sim) {
+            if let Some(n) = a.step(&shape, &sim) {
                 break n;
             }
         };
         let nb = loop {
-            if let Some(n) = b.step(&atomic) {
+            if let Some(n) = b.step(&shape, &atomic) {
                 break n;
             }
         };
         assert_eq!(na, nb, "pid {pid}");
         // Clean up both memories identically.
-        let mut ra =
-            llr_core::split::SplitRelease::new(shape.clone(), pid, a.into_path());
-        while !ra.step(&sim) {}
-        let mut rb =
-            llr_core::split::SplitRelease::new(shape.clone(), pid, b.into_path());
-        while !rb.step(&atomic) {}
+        let mut ra = llr_core::split::SplitRelease::new(pid, a.into_path());
+        while !ra.step(&shape, &sim) {}
+        let mut rb = llr_core::split::SplitRelease::new(pid, b.into_path());
+        while !rb.step(&shape, &atomic) {}
     }
     assert_eq!(sim.snapshot(), atomic.snapshot());
 }
@@ -173,16 +171,16 @@ fn ma_restart_counter_stays_zero_in_normal_runs() {
     let shape = llr_core::ma::MaShape::build(3, 8, &mut layout);
     let mem = SimMemory::new(&layout);
     for pid in [0u64, 3, 7] {
-        let mut m = llr_core::ma::MaAcquire::new(shape.clone(), pid);
+        let mut m = llr_core::ma::MaAcquire::new(&shape, pid);
         let name = loop {
-            if let Some(n) = m.step(&mem) {
+            if let Some(n) = m.step(&shape, &mem) {
                 break n;
             }
         };
         assert_eq!(m.restarts(), 0);
         let cell = m.stopped_at().unwrap();
-        let mut r = llr_core::ma::MaRelease::new(shape.clone(), pid, cell);
-        while !r.step(&mem) {}
+        let mut r = llr_core::ma::MaRelease::new(pid, cell);
+        while !r.step(&shape, &mem) {}
         let _ = name;
     }
 }

@@ -10,11 +10,14 @@
 //!   the naming protocols under the *generic* uniqueness invariant and the
 //!   substrates under their own exclusion/output-set invariants;
 //! * the threaded handle and the stepped session are pinned to the *same*
-//!   shared-access counts (they are the same machines by construction),
-//!   and those counts are pinned to the paper's theorem bounds.
+//!   names and shared-access counts over 50 consecutive solo cycles, for
+//!   every core the handle serves — the same source, compiled once for
+//!   `Counting<AtomicMemory>` and once for `&dyn Memory` — and those
+//!   counts are pinned to the paper's theorem bounds.
 
 use llr_core::chain::spec as chain_spec;
 use llr_core::filter::{Filter, FilterCore, FilterShape, ReleasePolicy};
+use llr_core::levelarray::{LevelArray, LevelArrayCore, LevelShape};
 use llr_core::ma::{MaCore, MaGrid, MaShape};
 use llr_core::onetime::{OneTimeCore, OneTimeGrid, OneTimeShape};
 use llr_core::pf::{spec as pf_spec, MeCore, MeRegs};
@@ -26,7 +29,7 @@ use llr_core::traits::{Renaming, RenamingHandle};
 use llr_core::types::Name;
 use llr_gf::FilterParams;
 use llr_mc::{MachineStatus, ModelChecker, SplitMix64, StepMachine, World};
-use llr_mem::{AtomicMemory, Counting, Layout};
+use llr_mem::{AtomicMemory, Counting, Layout, Memory};
 
 /// Random-schedule sampling over any session world — the single driver
 /// every protocol below goes through.
@@ -198,54 +201,93 @@ fn draw_pids(gen: &mut SplitMix64, n: u64, want: usize) -> Vec<u64> {
     pids
 }
 
-/// Steps one spec session solo to completion on a counting memory.
-/// Returns (name, shared accesses when the name was first held, total
-/// shared accesses for the full acquire/release cycle).
-fn spec_solo_cycle<P: ProtocolCore>(layout: &Layout, core: P) -> (Name, u64, u64) {
+/// What one solo acquire/release cycle looked like: the name, the shared
+/// accesses until it was held, and the accesses of the whole cycle.
+type Cycle = (Name, u64, u64);
+
+/// Steps one spec session of `cycles` sessions solo to completion on a
+/// counting memory — through `&dyn Memory`, the checker's compiled copy of
+/// the machines — and reports every cycle.
+fn spec_solo_cycles<P: ProtocolCore>(layout: &Layout, core: P, cycles: u8) -> Vec<Cycle> {
     let mem = AtomicMemory::new(layout);
     let counting = Counting::new(&mem);
-    let mut s = Session::start(core, 1);
-    let mut name = None;
-    let mut at_acquire = 0;
-    for _ in 0..1_000_000 {
-        let status = s.step(&counting);
-        if name.is_none() {
+    let dyn_mem: &dyn Memory = &counting;
+    let mut s = Session::start(core, cycles);
+    let mut out = Vec::new();
+    let mut cycle_start = 0;
+    let mut held = None;
+    for _ in 0..10_000_000 {
+        let left = s.sessions_left();
+        let status = s.step(dyn_mem);
+        if held.is_none() {
             if let Some(n) = s.holding() {
-                name = Some(n);
-                at_acquire = counting.accesses();
+                held = Some((n, counting.accesses() - cycle_start));
             }
         }
-        if status == MachineStatus::Done {
-            let name = name.expect("session finished without holding a name");
-            return (name, at_acquire, counting.accesses());
+        if s.sessions_left() < left || status == MachineStatus::Done {
+            let (name, at_acquire) = held
+                .take()
+                .expect("a cycle finished without holding a name");
+            out.push((name, at_acquire, counting.accesses() - cycle_start));
+            cycle_start = counting.accesses();
+            if status == MachineStatus::Done {
+                return out;
+            }
         }
     }
     panic!("solo session did not terminate");
 }
 
-/// The handle and the spec are the same machines: a solo acquire/release
-/// cycle performs *identical* shared-access counts through either, yields
-/// the same name, and both sit inside the paper's bounds.
+/// Runs `cycles` solo acquire/release cycles through the threaded
+/// [`session::Handle`] — the machines' `Counting<AtomicMemory>` copy —
+/// and reports every cycle.
+fn handle_solo_cycles<P: ProtocolCore>(mut h: session::Handle<'_, P>, cycles: u8) -> Vec<Cycle> {
+    (0..cycles)
+        .map(|_| {
+            let start = h.accesses();
+            let name = h.acquire();
+            let at_acquire = h.accesses() - start;
+            h.release();
+            (name, at_acquire, h.accesses() - start)
+        })
+        .collect()
+}
+
+/// Solo cycles compared between the two compiled copies.
+const CYCLES: u8 = 50;
+
+/// Asserts the handle's and the spec's cycles agree one for one, and
+/// returns them for the protocol's bound checks.
+fn assert_copies_agree(label: &str, exec: Vec<Cycle>, spec: Vec<Cycle>) -> Vec<Cycle> {
+    assert_eq!(exec.len(), spec.len(), "{label}: cycle counts diverge");
+    for (i, (e, s)) in exec.iter().zip(&spec).enumerate() {
+        assert_eq!(e.0, s.0, "{label}: names diverge on cycle {i}");
+        assert_eq!(e.1, s.1, "{label}: acquire accesses diverge on cycle {i}");
+        assert_eq!(e.2, s.2, "{label}: total accesses diverge on cycle {i}");
+    }
+    spec
+}
+
+/// The handle and the spec are the same machines compiled twice — the
+/// handle's copy for `Counting<AtomicMemory>`, the spec's for
+/// `&dyn Memory`. For every core served through `session::Handle`, 50
+/// consecutive solo cycles must give the same name and the same access
+/// counts through either copy, cycle by cycle, inside the paper's bounds.
 #[test]
 fn handle_and_spec_agree_on_access_counts() {
     // SPLIT, Theorem 2: full cycle within 9(k-1) accesses.
     for k in 2..=6usize {
         let pid = 123_456_789u64;
         let split = Split::new(k);
-        let mut h = split.handle(pid);
-        let exec_name = h.acquire();
-        let exec_acquire = h.accesses();
-        h.release();
+        let exec = handle_solo_cycles(split.handle(pid), CYCLES);
 
         let mut layout = Layout::new();
         let shape = SplitShape::build(k, &mut layout);
-        let (spec_name, spec_acquire, spec_total) =
-            spec_solo_cycle(&layout, SplitCore::new(shape, pid));
+        let spec = spec_solo_cycles(&layout, SplitCore::new(shape, pid), CYCLES);
 
-        assert_eq!(exec_name, spec_name, "split k={k}: names diverge");
-        assert_eq!(exec_acquire, spec_acquire, "split k={k}: acquire accesses diverge");
-        assert_eq!(h.accesses(), spec_total, "split k={k}: total accesses diverge");
-        assert!(spec_total <= 9 * (k as u64 - 1), "split k={k}: {spec_total}");
+        for (_, _, total) in assert_copies_agree(&format!("split k={k}"), exec, spec) {
+            assert!(total <= 9 * (k as u64 - 1), "split k={k}: {total}");
+        }
     }
 
     // FILTER, Theorem 10: GetName within the computed access bound.
@@ -254,46 +296,55 @@ fn handle_and_spec_agree_on_access_counts() {
         let s = params.source_size();
         let pids: Vec<u64> = (0..k as u64).map(|i| (i * (s / 7) + 1) % s).collect();
         let filter = Filter::new(params, &pids).unwrap();
-        let mut h = filter.handle(pids[0]);
-        let exec_name = h.acquire();
-        let exec_acquire = h.accesses();
-        h.release();
+        let exec = handle_solo_cycles(filter.handle(pids[0]), CYCLES);
 
         let mut layout = Layout::new();
         let shape = FilterShape::build(params, &pids, &mut layout).unwrap();
-        let (spec_name, spec_acquire, spec_total) = spec_solo_cycle(
-            &layout,
-            FilterCore::new(shape, pids[0], ReleasePolicy::AtReleaseName),
-        );
+        let core = FilterCore::new(shape, pids[0], ReleasePolicy::AtReleaseName);
+        let spec = spec_solo_cycles(&layout, core, CYCLES);
 
-        assert_eq!(exec_name, spec_name, "filter k={k}: names diverge");
-        assert_eq!(exec_acquire, spec_acquire, "filter k={k}: acquire accesses diverge");
-        assert_eq!(h.accesses(), spec_total, "filter k={k}: total accesses diverge");
-        assert!(
-            spec_acquire <= params.getname_access_bound(),
-            "filter k={k}: {spec_acquire} > {}",
-            params.getname_access_bound()
-        );
+        for (_, acquire, _) in assert_copies_agree(&format!("filter k={k}"), exec, spec) {
+            assert!(
+                acquire <= params.getname_access_bound(),
+                "filter k={k}: {acquire} > {}",
+                params.getname_access_bound()
+            );
+        }
     }
 
     // MA, the linear-in-S baseline: one block scan plus slack.
     {
         let (k, s, pid) = (3usize, 16u64, 7u64);
         let ma = MaGrid::new(k, s);
-        let mut h = ma.handle(pid);
-        let exec_name = h.acquire();
-        h.release();
+        let exec = handle_solo_cycles(ma.handle(pid), CYCLES);
 
         let mut layout = Layout::new();
         let shape = MaShape::build(k, s, &mut layout);
-        let (spec_name, _, spec_total) = spec_solo_cycle(&layout, MaCore::new(shape, pid));
+        let spec = spec_solo_cycles(&layout, MaCore::new(shape, pid), CYCLES);
 
-        assert_eq!(exec_name, spec_name, "ma: names diverge");
-        assert_eq!(h.accesses(), spec_total, "ma: total accesses diverge");
-        assert!(spec_total <= 2 * s + 16, "ma: {spec_total}");
+        for (_, _, total) in assert_copies_agree("ma", exec, spec) {
+            assert!(total <= 2 * s + 16, "ma: {total}");
+        }
     }
 
-    // One-time grid: at most 4k accesses and no release machine at all.
+    // LevelArray: a solo cycle is one winning swap (read + write) and one
+    // clearing write, on every cycle.
+    for k in [1usize, 4, 8] {
+        let pid = 987_654_321u64;
+        let la = LevelArray::new(k);
+        let exec = handle_solo_cycles(la.handle(pid), CYCLES);
+
+        let mut layout = Layout::new();
+        let shape = LevelShape::build(k, &mut layout);
+        let spec = spec_solo_cycles(&layout, LevelArrayCore::new(shape, pid), CYCLES);
+
+        for (_, acquire, total) in assert_copies_agree(&format!("levelarray k={k}"), exec, spec) {
+            assert_eq!((acquire, total), (2, 3), "levelarray k={k}");
+        }
+    }
+
+    // One-time grid: at most 4k accesses and no release machine at all
+    // (one-shot, so no handle: its direct walk stands in).
     {
         let (k, pid) = (4usize, 777u64);
         let grid = OneTimeGrid::new(k, 1 << 20);
@@ -301,8 +352,8 @@ fn handle_and_spec_agree_on_access_counts() {
 
         let mut layout = Layout::new();
         let shape = OneTimeShape::build(k, &mut layout);
-        let (spec_name, spec_acquire, spec_total) =
-            spec_solo_cycle(&layout, OneTimeCore::new(shape, pid));
+        let spec = spec_solo_cycles(&layout, OneTimeCore::new(shape, pid), 1);
+        let (spec_name, spec_acquire, spec_total) = spec[0];
 
         assert_eq!(exec_name, spec_name, "onetime: names diverge");
         assert_eq!(exec_acc, spec_acquire, "onetime: acquire accesses diverge");
