@@ -46,6 +46,13 @@
 #      Also release: the churn rounds are real oversubscribed threads,
 #      and the RAII permit-return path only earns trust under optimized
 #      unwinding.
+#   9. benchmark self-test: the benchmark crate's own tests (perfbench/,
+#      a workspace of its own, so `--manifest-path`). They smoke-run all
+#      four workloads traced and untraced and assert the checker
+#      workloads' pinned counts — 1 255 072 / 3 407 847 for check-bfs
+#      and 605 380 / 787 365 (states / transitions) under POR + spill for
+#      check-por-spill — plus the histogram, name grammar and
+#      BENCHMARK.json round trip. About 30–40 s in release once built.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -76,5 +83,8 @@ cargo test -q --offline --release --test atomic_backend --test session_layer --t
 
 echo "== crash/churn gate (fault injection + arena churn, release) =="
 cargo test -q --offline --release --test crash_tolerance --test arena_churn
+
+echo "== benchmark self-test (perfbench's own tests, release) =="
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "ci.sh: all green"

@@ -30,9 +30,11 @@
 //! Moir–Anderson grid or the LevelArray performs **no heap allocation**
 //! (verified by `tests/arena_alloc.rs`): the per-thread [`ArenaClient`]
 //! reuses its session machinery, and SPLIT's path lives inline in the
-//! machine ([`crate::split::PathVec`]). FILTER's acquire machine keeps
-//! dynamic per-tree progress vectors, so the zero-alloc guarantee covers
-//! the SPLIT/MA/chain/LevelArray paths only.
+//! machine ([`crate::split::PathVec`]). FILTER is the one exception: each
+//! acquire allocates exactly one vector, its per-tree progress (one
+//! `Copy` [`crate::tournament::TreeProgress`] per name in `N_p`, no
+//! per-tree vectors), which moves into the token and on into the release.
+//! The zero-alloc guarantee covers the SPLIT/MA/chain/LevelArray paths.
 //!
 //! # Hot-path layout
 //!

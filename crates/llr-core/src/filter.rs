@@ -46,7 +46,7 @@
 //! h.release();
 //! ```
 
-use crate::pf::{self, MeEnter};
+use crate::pf::{self, MeEnter, MeRegs, Side};
 use crate::session::{Handle, ProtocolCore, Session};
 use crate::tournament::{TreeProgress, TreeShape};
 use crate::traits::Renaming;
@@ -54,9 +54,9 @@ use crate::types::{Name, Pid};
 use llr_gf::FilterParams;
 use llr_mc::Footprint;
 use llr_mem::{AtomicMemory, Layout, Memory, Word};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Errors from [`Filter::new`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -88,19 +88,80 @@ impl fmt::Display for FilterError {
 
 impl std::error::Error for FilterError {}
 
-/// The static shape of a FILTER instance: parameters plus the sparse
-/// per-name tournament trees. Cheap to clone; owned by the
-/// [`FilterCore`] and lent to the machines on every step.
+/// The static shape of a FILTER instance: parameters, the sparse per-name
+/// tournament trees, and one *plan* per registered pid — its name set,
+/// its block at every (tree, level) pair and its lifetime footprint,
+/// each derived once (the footprint on first use) so that no step,
+/// footprint or key derives them again. Cheap to clone (one reference
+/// count); owned by the [`FilterCore`] and lent to the machines on every
+/// step.
 #[derive(Clone, Debug)]
 pub struct FilterShape {
+    inner: Arc<ShapeInner>,
+}
+
+#[derive(Debug)]
+struct ShapeInner {
     params: FilterParams,
-    trees: Arc<HashMap<Name, TreeShape>>,
-    participants: Arc<HashSet<Pid>>,
+    trees: HashMap<Name, TreeShape>,
+    /// Registered pid → index into `plans`, consulted only when a core or
+    /// machine is created for a pid.
+    plan_index: HashMap<Pid, usize>,
+    plans: Vec<ProcessPlan>,
+    dest_size: u64,
+    max_checks: u64,
+}
+
+/// Everything one registered process can touch, fixed when the shape is
+/// built: its name set `N_p`, its block at every (tree, level) pair and
+/// its lifetime footprint. Cores and machines carry the plan's index, so
+/// no step, footprint or key hashes a map or evaluates a polynomial over
+/// GF(z).
+#[derive(Debug)]
+struct ProcessPlan {
+    pid: Pid,
+    /// `N_p` in `x` order; a machine's tree index `i` is `names[i]`.
+    names: Vec<Name>,
+    /// Tree depth `⌈log₂ S⌉`, the same for every tree.
+    levels: usize,
+    /// `blocks[i * levels + level - 1]`: the block of tree `names[i]` at
+    /// `level` on this process's root path.
+    blocks: Vec<MeRegs>,
+    /// The lifetime footprint: this side of every block on every root
+    /// path. Built on first use from `blocks`: its bitsets span the whole
+    /// layout, which for a large registration (Theorem 11's first FILTER
+    /// stage at `k = 8`: 2187 pids over 1.28M registers) would cost
+    /// hundreds of megabytes that an instance serving threads never uses.
+    lifetime: OnceLock<Footprint>,
+}
+
+impl ProcessPlan {
+    /// The block of tree `i` at `level`.
+    fn block(&self, i: usize, level: usize) -> MeRegs {
+        self.blocks[i * self.levels + level - 1]
+    }
+
+    /// The side from which this process enters its blocks at `level`.
+    fn side(&self, level: usize) -> Side {
+        TreeShape::side_at(self.pid, level)
+    }
+
+    /// The union of [`TreeShape::path_future_footprint`] over every tree
+    /// of the name set.
+    fn lifetime(&self) -> &Footprint {
+        self.lifetime.get_or_init(|| {
+            let mut fp = Footprint::new();
+            for (j, regs) in self.blocks.iter().enumerate() {
+                pf::side_future_footprint(regs, self.side(j % self.levels + 1), &mut fp);
+            }
+            fp
+        })
+    }
 }
 
 impl FilterShape {
     /// Allocates all tournament trees touched by `participants` in
-    /// `layout`.
+    /// `layout`, and builds each participant's plan.
     ///
     /// # Errors
     ///
@@ -112,36 +173,77 @@ impl FilterShape {
     ) -> Result<Self, FilterError> {
         let sets = params.name_sets();
         let s = params.source_size();
-        let mut seen = HashSet::new();
-        let mut per_tree: HashMap<Name, Vec<Pid>> = HashMap::new();
-        for &p in participants {
+        let mut plan_index = HashMap::new();
+        let mut name_sets = Vec::with_capacity(participants.len());
+        // Name → the indices of the participants competing for it.
+        let mut per_tree: HashMap<Name, Vec<usize>> = HashMap::new();
+        for (i, &p) in participants.iter().enumerate() {
             if p >= s {
                 return Err(FilterError::PidOutOfRange { pid: p, s });
             }
-            if !seen.insert(p) {
+            if plan_index.insert(p, i).is_some() {
                 return Err(FilterError::DuplicatePid { pid: p });
             }
-            for m in sets.name_set(p) {
-                per_tree.entry(m).or_default().push(p);
+            let names = sets.name_set(p);
+            for &m in &names {
+                per_tree.entry(m).or_default().push(i);
+            }
+            name_sets.push(names);
+        }
+        let levels = TreeShape::levels_for(s);
+        let mut blocks: Vec<Vec<MeRegs>> = name_sets
+            .iter()
+            .map(|names| Vec::with_capacity(names.len() * levels))
+            .collect();
+        let mut trees = HashMap::new();
+        let mut tree_names: Vec<Name> = per_tree.keys().copied().collect();
+        tree_names.sort_unstable(); // deterministic layout order
+        let mut paths = Vec::new();
+        for m in tree_names {
+            let members = &per_tree[&m];
+            let pids: Vec<Pid> = members.iter().map(|&i| participants[i]).collect();
+            paths.clear();
+            let tree = TreeShape::build_with_paths(layout, &format!("T{m}"), s, &pids, &mut paths);
+            trees.insert(m, tree);
+            // n_p(x) = z·x + Q_p(x) lies in stripe [zx, zx + z), so N_p
+            // ascends with x: visiting trees in ascending name order
+            // appends each plan's paths in x order.
+            for (&i, path) in members.iter().zip(paths.chunks_exact(levels)) {
+                blocks[i].extend_from_slice(path);
             }
         }
-        let mut trees = HashMap::new();
-        let mut names: Vec<Name> = per_tree.keys().copied().collect();
-        names.sort_unstable(); // deterministic layout order
-        for m in names {
-            let pids = &per_tree[&m];
-            trees.insert(m, TreeShape::build(layout, &format!("T{m}"), s, pids));
-        }
+        let plans = participants
+            .iter()
+            .zip(name_sets)
+            .zip(blocks)
+            .map(|((&pid, names), blocks)| ProcessPlan {
+                pid,
+                names,
+                levels,
+                blocks,
+                lifetime: OnceLock::new(),
+            })
+            .collect();
         Ok(Self {
-            params,
-            trees: Arc::new(trees),
-            participants: Arc::new(seen),
+            inner: Arc::new(ShapeInner {
+                params,
+                trees,
+                plan_index,
+                plans,
+                dest_size: params.dest_size(),
+                max_checks: params.max_checks(),
+            }),
         })
     }
 
     /// The validated parameters.
     pub fn params(&self) -> FilterParams {
-        self.params
+        self.inner.params
+    }
+
+    /// Destination name-space size `D = 2zd(k-1)`, computed once at build.
+    fn dest_size(&self) -> u64 {
+        self.inner.dest_size
     }
 
     /// The tournament tree of name `m`.
@@ -150,19 +252,47 @@ impl FilterShape {
     ///
     /// Panics if no registered participant competes for `m`.
     pub fn tree(&self, m: Name) -> &TreeShape {
-        self.trees
+        self.inner
+            .trees
             .get(&m)
             .unwrap_or_else(|| panic!("no registered participant competes for name {m}"))
     }
 
     /// Whether `pid` was registered.
     pub fn is_registered(&self, pid: Pid) -> bool {
-        self.participants.contains(&pid)
+        self.inner.plan_index.contains_key(&pid)
     }
 
     /// Total ME blocks allocated across all trees.
     pub fn allocated_blocks(&self) -> usize {
-        self.trees.values().map(TreeShape::allocated_blocks).sum()
+        self.inner
+            .trees
+            .values()
+            .map(TreeShape::allocated_blocks)
+            .sum()
+    }
+
+    /// The plan index of registered process `pid`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pid` was not registered when the shape was built.
+    fn plan_index(&self, pid: Pid) -> usize {
+        *self
+            .inner
+            .plan_index
+            .get(&pid)
+            .unwrap_or_else(|| panic!("pid {pid} was not registered with this FILTER instance"))
+    }
+
+    fn plan(&self, i: usize) -> &ProcessPlan {
+        &self.inner.plans[i]
+    }
+
+    /// Wait-freedom tripwire: a generous multiple of Theorem 10's bound
+    /// on checks per `GetName`.
+    fn check_budget(&self) -> u64 {
+        50 * self.inner.max_checks + 1_000
     }
 }
 
@@ -200,19 +330,17 @@ enum Mode {
 }
 
 /// `GetName` (Figure 4) as a step machine: one shared access per step.
-/// Holds only the operation's locals; the trees are lent by the caller on
-/// every [`step`](Self::step).
+/// Holds only the operation's locals — its plan index and its progress in
+/// each tree; the shape (and with it the name set and the blocks) is lent
+/// by the caller on every [`step`](Self::step).
 #[derive(Clone, Debug)]
 pub struct FilterAcquire {
-    pid: Pid,
-    names: Vec<Name>,
+    plan: usize,
     progress: Vec<TreeProgress>,
     cur: usize,
     mode: Mode,
     acquired: Option<usize>,
     metrics: AcquireMetrics,
-    /// Wait-freedom tripwire: generous multiple of Theorem 10's bound.
-    check_budget: u64,
 }
 
 impl FilterAcquire {
@@ -223,23 +351,18 @@ impl FilterAcquire {
     ///
     /// Panics if `pid` was not registered when the shape was built.
     pub fn new(shape: &FilterShape, pid: Pid) -> Self {
-        assert!(
-            shape.is_registered(pid),
-            "pid {pid} was not registered with this FILTER instance"
-        );
-        let names = shape.params.name_sets().name_set(pid);
-        let progress = vec![TreeProgress::new(); names.len()];
-        let first_side = TreeShape::side_at(pid, 1);
-        let check_budget = 50 * shape.params.max_checks() + 1_000;
+        Self::for_plan(shape, shape.plan_index(pid))
+    }
+
+    fn for_plan(shape: &FilterShape, plan: usize) -> Self {
+        let p = shape.plan(plan);
         Self {
-            pid,
-            names,
-            progress,
+            plan,
+            progress: vec![TreeProgress::new(); p.names.len()],
             cur: 0,
-            mode: Mode::Entering(MeEnter::new(first_side)),
+            mode: Mode::Entering(MeEnter::new(p.side(1))),
             acquired: None,
             metrics: AcquireMetrics::new(),
-            check_budget,
         }
     }
 
@@ -252,47 +375,43 @@ impl FilterAcquire {
     /// wait-freedom bound — which can only happen if more than `k`
     /// processes use the object concurrently.
     pub fn step<M: Memory + ?Sized>(&mut self, shape: &FilterShape, mem: &M) -> Option<Name> {
+        let plan = shape.plan(self.plan);
         if let Some(i) = self.acquired {
-            return Some(self.names[i]);
+            return Some(plan.names[i]);
         }
-        let m = self.names[self.cur];
-        let tree = shape.tree(m);
+        let cur = self.cur;
         match &mut self.mode {
             Mode::Entering(op) => {
-                let level = self.progress[self.cur].entered_level() + 1;
-                let regs = tree.block_for(self.pid, level);
-                if let Some(own) = op.step(&regs, mem) {
-                    self.progress[self.cur].push_entered(own);
+                let level = self.progress[cur].entered_level() + 1;
+                if let Some(own) = op.step(&plan.block(cur, level), mem) {
+                    self.progress[cur].push_entered(own);
                     self.metrics.enters += 1;
                     self.mode = Mode::Checking;
                 }
                 None
             }
             Mode::Checking => {
-                let level = self.progress[self.cur].entered_level();
-                let regs = tree.block_for(self.pid, level);
-                let side = TreeShape::side_at(self.pid, level);
-                let own = self.progress[self.cur].own_at(level);
+                let level = self.progress[cur].entered_level();
+                let own = self.progress[cur].own_at(level);
                 self.metrics.checks += 1;
                 assert!(
-                    self.metrics.checks <= self.check_budget,
+                    self.metrics.checks <= shape.check_budget(),
                     "wait-freedom tripwire: {} checks exceed 50× Theorem 10's bound \
                      ({}); is the concurrency bound k = {} being violated?",
                     self.metrics.checks,
-                    shape.params.max_checks(),
-                    shape.params.concurrency()
+                    shape.inner.max_checks,
+                    shape.inner.params.concurrency()
                 );
-                if pf::check(&regs, side, own, mem) {
+                if pf::check(&plan.block(cur, level), plan.side(level), own, mem) {
                     self.metrics.advances_this_round += 1;
-                    if level == tree.levels() {
+                    if level == plan.levels {
                         // Root critical section won: name acquired.
-                        self.acquired = Some(self.cur);
-                        return Some(m);
+                        self.acquired = Some(cur);
+                        return Some(plan.names[cur]);
                     }
-                    let next_side = TreeShape::side_at(self.pid, level + 1);
-                    self.mode = Mode::Entering(MeEnter::new(next_side));
+                    self.mode = Mode::Entering(MeEnter::new(plan.side(level + 1)));
                 } else {
-                    self.advance_tree();
+                    self.advance_tree(plan);
                 }
                 None
             }
@@ -301,8 +420,8 @@ impl FilterAcquire {
 
     /// Moves to the next tree in the round-robin order after a failed
     /// check (purely local).
-    fn advance_tree(&mut self) {
-        self.cur = (self.cur + 1) % self.names.len();
+    fn advance_tree(&mut self, plan: &ProcessPlan) {
+        self.cur = (self.cur + 1) % self.progress.len();
         if self.cur == 0 {
             self.metrics.rounds += 1;
             self.metrics.min_round_advances = self
@@ -312,7 +431,7 @@ impl FilterAcquire {
             self.metrics.advances_this_round = 0;
         }
         self.mode = if self.progress[self.cur].entered_level() == 0 {
-            Mode::Entering(MeEnter::new(TreeShape::side_at(self.pid, 1)))
+            Mode::Entering(MeEnter::new(plan.side(1)))
         } else {
             Mode::Checking
         };
@@ -325,22 +444,18 @@ impl FilterAcquire {
         if self.acquired.is_some() {
             return true;
         }
-        let tree = shape.tree(self.names[self.cur]);
+        let plan = shape.plan(self.plan);
         match &self.mode {
             Mode::Entering(op) => {
                 let level = self.progress[self.cur].entered_level() + 1;
-                op.footprint(&tree.block_for(self.pid, level), fp);
+                op.footprint(&plan.block(self.cur, level), fp);
                 false
             }
             Mode::Checking => {
                 let level = self.progress[self.cur].entered_level();
-                pf::check_footprint(
-                    &tree.block_for(self.pid, level),
-                    TreeShape::side_at(self.pid, level),
-                    fp,
-                );
+                pf::check_footprint(&plan.block(self.cur, level), plan.side(level), fp);
                 // Only winning a root check completes the GetName.
-                level == tree.levels()
+                level == plan.levels
             }
         }
     }
@@ -383,23 +498,15 @@ impl FilterAcquire {
         }
     }
 
-    /// The name set being competed for.
-    pub fn names(&self) -> &[Name] {
-        &self.names
-    }
-
     /// Moves everything the matching [`FilterRelease`] needs out of a
-    /// completed machine (no clone of the per-tree vectors), leaving it
+    /// completed machine (no clone of the per-tree vector), leaving it
     /// empty. The machine must not be stepped afterwards.
-    fn take_position(&mut self) -> FilterPosition {
-        let confirmed = (0..self.names.len())
-            .map(|i| self.confirmed_level(i))
-            .collect();
+    fn take_position(&mut self, shape: &FilterShape) -> FilterPosition {
+        let names = &shape.plan(self.plan).names;
         FilterPosition {
-            names: std::mem::take(&mut self.names),
+            plan: self.plan,
             progress: std::mem::take(&mut self.progress),
-            confirmed,
-            acquired: self.acquired,
+            acquired: self.acquired.map(|i| (i, names[i])),
             metrics: self.metrics,
         }
     }
@@ -421,7 +528,7 @@ impl FilterAcquire {
     }
 
     /// Short state description for traces.
-    pub fn describe(&self) -> String {
+    pub fn describe(&self, shape: &FilterShape) -> String {
         let mode = match &self.mode {
             Mode::Entering(op) => op.describe(),
             Mode::Checking => format!(
@@ -429,7 +536,7 @@ impl FilterAcquire {
                 self.progress[self.cur].entered_level()
             ),
         };
-        format!("Acquire[T{} {mode}]", self.names[self.cur])
+        format!("Acquire[T{} {mode}]", shape.plan(self.plan).names[self.cur])
     }
 }
 
@@ -453,13 +560,14 @@ pub enum ReleasePolicy {
 }
 
 /// A process's standing positions in all trees: produced by a completed
-/// [`FilterAcquire`], consumed by [`FilterRelease`].
+/// [`FilterAcquire`], consumed by [`FilterRelease`]. Its only heap
+/// storage is the per-tree progress vector.
 #[derive(Clone, Debug)]
 pub struct FilterPosition {
-    names: Vec<Name>,
+    plan: usize,
     progress: Vec<TreeProgress>,
-    confirmed: Vec<usize>,
-    acquired: Option<usize>,
+    /// The won tree's index and name.
+    acquired: Option<(usize, Name)>,
     /// How the `GetName` that produced this position went (diagnostic,
     /// never keyed: it does not influence future behaviour).
     metrics: AcquireMetrics,
@@ -468,7 +576,7 @@ pub struct FilterPosition {
 impl FilterPosition {
     /// The acquired name, if any.
     pub fn name(&self) -> Option<Name> {
-        self.acquired.map(|i| self.names[i])
+        self.acquired.map(|(_, name)| name)
     }
 
     /// Metrics of the `GetName` that produced this position.
@@ -476,14 +584,16 @@ impl FilterPosition {
         self.metrics
     }
 
-    /// The names of this position (parallel to tree indices).
-    pub fn names(&self) -> &[Name] {
-        &self.names
-    }
-
-    /// The highest level whose critical section is held in tree `i`.
+    /// The highest level whose critical section is held in tree `i`: the
+    /// whole entered path in the won tree, and every entered level but
+    /// the unconfirmed top one elsewhere (a `GetName` leaves a tree only
+    /// after a failed check).
     pub fn confirmed_level(&self, i: usize) -> usize {
-        self.confirmed[i].min(self.progress[i].entered_level())
+        let entered = self.progress[i].entered_level();
+        match self.acquired {
+            Some((won, _)) if won == i => entered,
+            _ => entered.saturating_sub(1),
+        }
     }
 
     /// Splits this position into (winner-tree-only, loser-trees-only)
@@ -493,28 +603,28 @@ impl FilterPosition {
     ///
     /// Panics if no name was acquired.
     pub fn split_winner(self) -> (FilterPosition, FilterPosition) {
-        let won = self.acquired.expect("split_winner on an empty position");
+        let (won, _) = self.acquired.expect("split_winner on an empty position");
         let mut winner = self.clone();
         let mut losers = self;
-        for i in 0..winner.names.len() {
+        for i in 0..winner.progress.len() {
             if i == won {
-                losers.progress[i] = crate::tournament::TreeProgress::new();
-                losers.confirmed[i] = 0;
+                losers.progress[i].reset();
             } else {
-                winner.progress[i] = crate::tournament::TreeProgress::new();
-                winner.confirmed[i] = 0;
+                winner.progress[i].reset();
             }
         }
         losers.acquired = None;
         (winner, losers)
     }
 
-    /// ME blocks currently entered, as (name, level) pairs.
-    pub fn entered_blocks(&self) -> Vec<(Name, usize)> {
+    /// ME blocks currently entered on the instance `shape`, as
+    /// (name, level) pairs.
+    pub fn entered_blocks(&self, shape: &FilterShape) -> Vec<(Name, usize)> {
+        let names = &shape.plan(self.plan).names;
         let mut out = Vec::new();
         for (i, p) in self.progress.iter().enumerate() {
             for level in 1..=p.entered_level() {
-                out.push((self.names[i], level));
+                out.push((names[i], level));
             }
         }
         out
@@ -523,42 +633,42 @@ impl FilterPosition {
 
 /// `ReleaseName` as a step machine: one register write (`nil`) per entered
 /// ME block, top-down within each tree. Like [`FilterAcquire`], it
-/// borrows the trees on every step.
+/// borrows the shape on every step.
 #[derive(Clone, Debug)]
 pub struct FilterRelease {
-    pid: Pid,
     pos: FilterPosition,
     tree_idx: usize,
+    /// Whether a level of tree `tree_idx` has been released yet (never
+    /// keyed: it only decides [`confirmed_level`](Self::confirmed_level)).
+    popped: bool,
 }
 
 impl FilterRelease {
     /// Starts releasing all positions in `pos`.
-    pub fn new(pid: Pid, pos: FilterPosition) -> Self {
+    pub fn new(pos: FilterPosition) -> Self {
         Self {
-            pid,
             pos,
             tree_idx: 0,
+            popped: false,
         }
     }
 
     /// Executes one atomic statement on the instance `shape`; returns
     /// `true` when every entered block has been released.
     pub fn step<M: Memory + ?Sized>(&mut self, shape: &FilterShape, mem: &M) -> bool {
+        let plan = shape.plan(self.pos.plan);
         // Find the next tree that still has entered levels.
-        while self.tree_idx < self.pos.names.len() {
+        while self.tree_idx < self.pos.progress.len() {
             let prog = &mut self.pos.progress[self.tree_idx];
             let level = prog.entered_level();
             if level == 0 {
                 self.tree_idx += 1;
                 continue;
             }
-            let m = self.pos.names[self.tree_idx];
-            let regs = shape.tree(m).block_for(self.pid, level);
-            pf::release(&regs, TreeShape::side_at(self.pid, level), mem);
+            pf::release(&plan.block(self.tree_idx, level), plan.side(level), mem);
             prog.pop_released();
-            self.pos.confirmed[self.tree_idx] =
-                self.pos.confirmed[self.tree_idx].min(prog.entered_level());
-            return prog.entered_level() == 0 && self.remaining_after(self.tree_idx) == 0;
+            self.popped = true;
+            return level == 1 && self.remaining_after(self.tree_idx) == 0;
         }
         true
     }
@@ -571,27 +681,27 @@ impl FilterRelease {
     }
 
     /// The highest level still *held-and-won* in tree `i` (shrinks as the
-    /// release proceeds); used by the model-checking invariants.
+    /// release proceeds); used by the model-checking invariants. Once a
+    /// tree has released a level, every level it still holds is won.
     pub fn confirmed_level(&self, i: usize) -> usize {
-        self.pos.confirmed[i].min(self.pos.progress[i].entered_level())
+        if i < self.tree_idx || (i == self.tree_idx && self.popped) {
+            self.pos.progress[i].entered_level()
+        } else {
+            self.pos.confirmed_level(i)
+        }
     }
 
     /// Declares the register the next [`step`](Self::step) on `shape`
     /// touches into `fp`; returns `true` iff that step may complete the
     /// `ReleaseName`.
     pub fn footprint(&self, shape: &FilterShape, fp: &mut Footprint) -> bool {
-        let mut idx = self.tree_idx;
-        while idx < self.pos.names.len() {
-            let prog = &self.pos.progress[idx];
-            let level = prog.entered_level();
-            if level == 0 {
-                idx += 1;
-                continue;
+        let plan = shape.plan(self.pos.plan);
+        for idx in self.tree_idx..self.pos.progress.len() {
+            let level = self.pos.progress[idx].entered_level();
+            if level > 0 {
+                pf::release_footprint(&plan.block(idx, level), plan.side(level), fp);
+                return level == 1 && self.remaining_after(idx) == 0;
             }
-            let tree = shape.tree(self.pos.names[idx]);
-            let regs = tree.block_for(self.pid, level);
-            pf::release_footprint(&regs, TreeShape::side_at(self.pid, level), fp);
-            return level == 1 && self.remaining_after(idx) == 0;
         }
         // Nothing entered: the next step completes without any access.
         true
@@ -611,18 +721,12 @@ impl FilterRelease {
     /// touch — the process's own side of each still-entered block — to
     /// `fp`'s future sets.
     pub fn future_footprint(&self, shape: &FilterShape, fp: &mut Footprint) {
-        for idx in self.tree_idx..self.pos.names.len() {
-            let tree = shape.tree(self.pos.names[idx]);
+        let plan = shape.plan(self.pos.plan);
+        for idx in self.tree_idx..self.pos.progress.len() {
             for level in 1..=self.pos.progress[idx].entered_level() {
-                let regs = tree.block_for(self.pid, level);
-                fp.future_write(regs.r[TreeShape::side_at(self.pid, level)]);
+                fp.future_write(plan.block(idx, level).r[plan.side(level)]);
             }
         }
-    }
-
-    /// The names of this position (parallel to tree indices).
-    pub fn names(&self) -> &[Name] {
-        &self.pos.names
     }
 
     /// Encodes machine state for model-checker keys.
@@ -692,44 +796,47 @@ impl Renaming for Filter {
     type Handle<'a> = FilterHandle<'a>;
 
     fn handle(&self, pid: Pid) -> FilterHandle<'_> {
-        assert!(
-            self.shape.is_registered(pid),
-            "pid {pid} was not registered with this FILTER instance"
-        );
         Handle::new(FilterCore::new(self.shape.clone(), pid, self.policy), &self.mem)
     }
 
     fn source_size(&self) -> u64 {
-        self.shape.params.source_size()
+        self.shape.params().source_size()
     }
 
     fn dest_size(&self) -> u64 {
-        self.shape.params.dest_size()
+        self.shape.dest_size()
     }
 
     fn concurrency(&self) -> usize {
-        self.shape.params.concurrency()
+        self.shape.params().concurrency()
     }
 }
 
-/// FILTER's [`ProtocolCore`]: the shape, one pid, and the release policy
-/// (which decides whether acquire completion routes through the
-/// eager-loser prologue). The core owns the shape and lends it to each
-/// step, so no step clones a tree.
+/// FILTER's [`ProtocolCore`]: the shape, one pid with its plan index, and
+/// the release policy (which decides whether acquire completion routes
+/// through the eager-loser prologue). The core owns the shape and lends
+/// it to each step, so no step clones a tree or looks one up.
 #[derive(Clone, Debug)]
 pub struct FilterCore {
     shape: FilterShape,
     pid: Pid,
+    plan: usize,
     policy: ReleasePolicy,
     observe_blocks: bool,
 }
 
 impl FilterCore {
     /// A core for registered process `pid` under `policy`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pid` was not registered when the shape was built.
     pub fn new(shape: FilterShape, pid: Pid, policy: ReleasePolicy) -> Self {
+        let plan = shape.plan_index(pid);
         Self {
             shape,
             pid,
+            plan,
             policy,
             observe_blocks: false,
         }
@@ -758,6 +865,12 @@ impl FilterCore {
     pub fn policy(&self) -> ReleasePolicy {
         self.policy
     }
+
+    /// The name set `N_p` this process competes for, in `x` order: tree
+    /// index `i` of every machine of this core is `names()[i]`.
+    pub fn names(&self) -> &[Name] {
+        &self.shape.plan(self.plan).names
+    }
 }
 
 impl ProtocolCore for FilterCore {
@@ -774,7 +887,7 @@ impl ProtocolCore for FilterCore {
     }
 
     fn begin_acquire(&self) -> FilterAcquire {
-        FilterAcquire::new(&self.shape, self.pid)
+        FilterAcquire::for_plan(&self.shape, self.plan)
     }
 
     fn step_acquire<M: Memory + ?Sized>(
@@ -783,8 +896,9 @@ impl ProtocolCore for FilterCore {
         mem: &M,
     ) -> Option<FilterPosition> {
         // The completed machine is discarded by every caller, so its
-        // vectors move into the token; the metrics travel with it.
-        a.step(&self.shape, mem).map(|_| a.take_position())
+        // progress vector moves into the token; the metrics travel with it.
+        a.step(&self.shape, mem)
+            .map(|_| a.take_position(&self.shape))
     }
 
     fn prologue(&self, token: &mut FilterPosition) -> Option<FilterRelease> {
@@ -793,13 +907,13 @@ impl ProtocolCore for FilterCore {
             ReleasePolicy::EagerLosers => {
                 let (winner, losers) = token.clone().split_winner();
                 *token = winner;
-                Some(FilterRelease::new(self.pid, losers))
+                Some(FilterRelease::new(losers))
             }
         }
     }
 
     fn begin_release(&self, pos: FilterPosition) -> FilterRelease {
-        FilterRelease::new(self.pid, pos)
+        FilterRelease::new(pos)
     }
 
     fn step_release<M: Memory + ?Sized>(&self, r: &mut FilterRelease, mem: &M) -> bool {
@@ -827,11 +941,10 @@ impl ProtocolCore for FilterCore {
     }
 
     fn future_footprint(&self, fp: &mut Footprint) {
-        // The union of the pid's root paths in every tree of its name set;
-        // exact, so processes with disjoint name sets never conflict.
-        for m in self.shape.params.name_sets().name_set(self.pid) {
-            self.shape.tree(m).path_future_footprint(self.pid, fp);
-        }
+        // The union of the pid's root paths in every tree of its name set,
+        // precomputed in the plan; exact, so processes with disjoint name
+        // sets never conflict.
+        fp.extend_future(self.shape.plan(self.plan).lifetime());
     }
 
     fn release_future_footprint(&self, r: &FilterRelease, fp: &mut Footprint) {
@@ -843,7 +956,7 @@ impl ProtocolCore for FilterCore {
     }
 
     fn dest_size(&self) -> u64 {
-        self.shape.params.dest_size()
+        self.shape.dest_size()
     }
 
     fn key_acquire(&self, a: &FilterAcquire, out: &mut Vec<Word>) {
@@ -852,7 +965,7 @@ impl ProtocolCore for FilterCore {
 
     fn key_token(&self, pos: &FilterPosition, out: &mut Vec<Word>) {
         out.push(pos.name().map_or(u64::MAX, |n| n));
-        for i in 0..pos.names().len() {
+        for i in 0..pos.progress.len() {
             out.push(pos.confirmed_level(i) as u64);
             pos.progress[i].key(out);
         }
@@ -871,7 +984,7 @@ impl ProtocolCore for FilterCore {
     }
 
     fn describe_acquire(&self, a: &FilterAcquire) -> String {
-        a.describe()
+        a.describe(&self.shape)
     }
 
     fn describe_release(&self, r: &FilterRelease) -> String {
@@ -925,7 +1038,8 @@ pub mod spec {
         /// says no two processes share.
         pub fn won_blocks(&self) -> Vec<(Name, usize, u64)> {
             let pid = self.core().pid;
-            let collect = |names: &[Name], conf: &dyn Fn(usize) -> usize| {
+            let names = self.core().names();
+            let collect = |conf: &dyn Fn(usize) -> usize| {
                 let mut out = Vec::new();
                 for (i, &m) in names.iter().enumerate() {
                     for level in 1..=conf(i) {
@@ -936,14 +1050,14 @@ pub mod spec {
             };
             match self.phase() {
                 SessionPhase::Idle => Vec::new(),
-                SessionPhase::Acquiring(a) => collect(a.names(), &|i| a.confirmed_level(i)),
+                SessionPhase::Acquiring(a) => collect(&|i| a.confirmed_level(i)),
                 SessionPhase::Prologue { rel, token } => {
-                    let mut out = collect(rel.names(), &|i| rel.confirmed_level(i));
-                    out.extend(collect(token.names(), &|i| token.confirmed_level(i)));
+                    let mut out = collect(&|i| rel.confirmed_level(i));
+                    out.extend(collect(&|i| token.confirmed_level(i)));
                     out
                 }
-                SessionPhase::Holding(pos) => collect(pos.names(), &|i| pos.confirmed_level(i)),
-                SessionPhase::Releasing(r) => collect(r.names(), &|i| r.confirmed_level(i)),
+                SessionPhase::Holding(pos) => collect(&|i| pos.confirmed_level(i)),
+                SessionPhase::Releasing(r) => collect(&|i| r.confirmed_level(i)),
                 // A crashed process holds no critical section *as far as
                 // liveness goes* — its torn marks may still block others,
                 // which is exactly what the crash tests observe.
@@ -1089,12 +1203,79 @@ mod tests {
     fn cycles_never_touch_the_shape_refcount() {
         for policy in [ReleasePolicy::AtReleaseName, ReleasePolicy::EagerLosers] {
             let f = Filter::with_policy(tiny_params(), &[1, 2], policy).unwrap();
-            assert_cycles_keep_refcount(&f, 1, || {
-                (
-                    Arc::strong_count(&f.shape.trees),
-                    Arc::strong_count(&f.shape.participants),
-                )
-            });
+            assert_cycles_keep_refcount(&f, 1, || Arc::strong_count(&f.shape.inner));
+        }
+    }
+
+    /// Every registered pid's plan holds exactly what its definitions
+    /// say: the name set, the block of every (tree, level) pair, and the
+    /// union of its root-path footprints.
+    fn assert_plans_match_definitions(params: FilterParams, pids: &[Pid]) {
+        let mut layout = Layout::new();
+        let shape = FilterShape::build(params, pids, &mut layout).unwrap();
+        let sets = params.name_sets();
+        assert_eq!(shape.dest_size(), params.dest_size());
+        assert_eq!(shape.inner.max_checks, params.max_checks());
+        for &pid in pids {
+            let plan = shape.plan(shape.plan_index(pid));
+            assert_eq!(plan.pid, pid);
+            assert_eq!(plan.names, sets.name_set(pid), "pid {pid}");
+            let core = FilterCore::new(shape.clone(), pid, ReleasePolicy::default());
+            assert_eq!(core.names(), &plan.names[..]);
+            let mut union = Footprint::new();
+            for (i, &m) in plan.names.iter().enumerate() {
+                for level in 1..=params.tree_levels() {
+                    assert_eq!(
+                        plan.block(i, level),
+                        shape.tree(m).block_for(pid, level),
+                        "pid {pid} tree {m} level {level}"
+                    );
+                }
+                shape.tree(m).path_future_footprint(pid, &mut union);
+            }
+            let lifetime = plan.lifetime();
+            for l in 0..layout.len() as u32 + 64 {
+                let loc = llr_mem::Loc(l);
+                assert_eq!(
+                    lifetime.covers_future_read(loc),
+                    union.covers_future_read(loc),
+                    "pid {pid} future read of {l}"
+                );
+                assert_eq!(
+                    lifetime.covers_future_write(loc),
+                    union.covers_future_write(loc),
+                    "pid {pid} future write of {l}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn plans_match_their_definitions() {
+        assert_plans_match_definitions(FilterParams::new(3, 25, 1, 5).unwrap(), &[1, 6, 11]);
+        assert_plans_match_definitions(FilterParams::new(4, 49, 1, 7).unwrap(), &[1, 8, 15, 22]);
+    }
+
+    #[test]
+    fn sixty_four_level_trees_serve_names() {
+        // S = 2^63 + 1: every tree is 64 levels deep, so each progress
+        // value fills all 64 of its bits on the way to a root.
+        let params = FilterParams::new(3, (1 << 63) + 1, 11, 47).unwrap();
+        assert_eq!(params.tree_levels(), 64);
+        let pids = [0, 1 << 63];
+        let f = Filter::new(params, &pids).unwrap();
+        let mut h0 = f.handle(pids[0]);
+        let mut h1 = f.handle(pids[1]);
+        for _ in 0..3 {
+            let n0 = h0.acquire();
+            let n1 = h1.acquire();
+            assert_ne!(n0, n1);
+            assert!(n0.max(n1) < f.dest_size());
+            h0.release();
+            h1.release();
+        }
+        for w in f.mem.snapshot() {
+            assert_eq!(w, crate::types::enc::NIL);
         }
     }
 
@@ -1266,17 +1447,17 @@ mod tests {
         let mem = Counting::new(&f.mem);
         let mut m = FilterAcquire::new(&f.shape, 1);
         while m.step(&f.shape, &mem).is_none() {}
-        let pos = m.take_position();
-        let total_blocks = pos.entered_blocks().len();
+        let pos = m.take_position(&f.shape);
+        let total_blocks = pos.entered_blocks(&f.shape).len();
         let name = pos.name().unwrap();
         let (winner, losers) = pos.split_winner();
         assert_eq!(winner.name(), Some(name));
         assert_eq!(losers.name(), None);
         assert_eq!(
-            winner.entered_blocks().len() + losers.entered_blocks().len(),
+            winner.entered_blocks(&f.shape).len() + losers.entered_blocks(&f.shape).len(),
             total_blocks
         );
-        for (m_, _) in winner.entered_blocks() {
+        for (m_, _) in winner.entered_blocks(&f.shape) {
             assert_eq!(m_, name);
         }
     }

@@ -28,6 +28,7 @@
 //! many trees.
 
 use crate::pf::{self, MeEnter, MeRegs, Side};
+use crate::types::enc::{BIT0, BIT1};
 use crate::types::Pid;
 use llr_mc::Footprint;
 use llr_mem::{Layout, Memory, Word};
@@ -50,16 +51,30 @@ impl TreeShape {
     ///
     /// Panics if a participant id is `≥ s`, or `s < 2`.
     pub fn build(layout: &mut Layout, tree_name: &str, s: u64, participants: &[Pid]) -> Self {
+        Self::build_with_paths(layout, tree_name, s, participants, &mut Vec::new())
+    }
+
+    /// [`build`](Self::build), also appending every participant's root
+    /// path — its block at levels `1..=levels`, participant by
+    /// participant — to `paths`.
+    pub(crate) fn build_with_paths(
+        layout: &mut Layout,
+        tree_name: &str,
+        s: u64,
+        participants: &[Pid],
+        paths: &mut Vec<MeRegs>,
+    ) -> Self {
         assert!(s >= 2, "a tournament needs a source space of at least 2");
         let levels = Self::levels_for(s);
         let mut blocks = HashMap::new();
         for &p in participants {
             assert!(p < s, "participant {p} outside source space of size {s}");
             for level in 1..=levels {
-                let idx = p >> level;
-                blocks.entry((level, idx)).or_insert_with(|| {
+                let idx = Self::block_index(p, level);
+                let regs = *blocks.entry((level, idx)).or_insert_with(|| {
                     MeRegs::allocate(layout, &format!("{tree_name}/L{level}B{idx}"))
                 });
+                paths.push(regs);
             }
         }
         Self {
@@ -68,7 +83,7 @@ impl TreeShape {
         }
     }
 
-    /// `⌈log₂ s⌉`, at least 1.
+    /// `⌈log₂ s⌉`, at least 1 and at most 64 (any `s > 2^63`).
     pub fn levels_for(s: u64) -> usize {
         (64 - (s.max(2) - 1).leading_zeros()) as usize
     }
@@ -83,9 +98,11 @@ impl TreeShape {
         self.blocks.len()
     }
 
-    /// Process `p`'s block index at `level`.
+    /// Process `p`'s block index at `level`: `p >> level`, which is 0 at
+    /// level 64 (the root of a 64-level tree, where `p >> 64` would
+    /// overflow the shift).
     pub fn block_index(p: Pid, level: usize) -> u64 {
-        p >> level
+        p.checked_shr(level as u32).unwrap_or(0)
     }
 
     /// The side from which process `p` enters its block at `level`.
@@ -126,13 +143,20 @@ impl TreeShape {
 /// Per-process progress in one tree: how high it has climbed and the ME
 /// register values it holds on the way up.
 ///
-/// `entered_levels` holds the own-register value for every level whose
-/// block has been *entered* (the last one may still be unconfirmed — its
-/// `check` has not yet returned `true`).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// A `Copy` value with no heap storage: the entered-level count plus one
+/// bit per level. An own-register value is always [`BIT0`] or [`BIT1`]
+/// (the final value [`MeEnter`] writes), and a tree has at most 64
+/// levels ([`TreeShape::levels_for`]), so bit `ℓ - 1` of one word holds
+/// the value at level `ℓ`. Every entered level is recorded (the last one
+/// may still be unconfirmed — its `check` has not yet returned `true`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TreeProgress {
-    own_values: Vec<Word>,
+    levels: u8,
+    own_bits: u64,
 }
+
+// The packing stores each own value as its own bit.
+const _: () = assert!(BIT0 == 0 && BIT1 == 1);
 
 impl TreeProgress {
     /// Fresh progress: not in the tree at all.
@@ -142,12 +166,25 @@ impl TreeProgress {
 
     /// Highest entered level (0 = not entered).
     pub fn entered_level(&self) -> usize {
-        self.own_values.len()
+        self.levels as usize
     }
 
-    /// Records completion of an `Enter` at the next level up.
+    /// Records completion of an `Enter` at the next level up, holding the
+    /// own-register value `own`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `own` is neither [`BIT0`] nor [`BIT1`] (so `NIL` and
+    /// `ENTERING`, which no completed `Enter` holds, are rejected), or if
+    /// all 64 levels are already entered.
     pub fn push_entered(&mut self, own: Word) {
-        self.own_values.push(own);
+        assert!(
+            own == BIT0 || own == BIT1,
+            "a completed Enter holds BIT0 or BIT1, not {own}"
+        );
+        assert!(self.levels < 64, "a tournament tree has at most 64 levels");
+        self.own_bits |= own << self.levels;
+        self.levels += 1;
     }
 
     /// The own-register value held at `level`.
@@ -156,12 +193,17 @@ impl TreeProgress {
     ///
     /// Panics if that level has not been entered.
     pub fn own_at(&self, level: usize) -> Word {
-        self.own_values[level - 1]
+        assert!(
+            (1..=self.entered_level()).contains(&level),
+            "level {level} not entered (entered {})",
+            self.levels
+        );
+        (self.own_bits >> (level - 1)) & 1
     }
 
     /// Clears the progress (after all blocks were released).
     pub fn reset(&mut self) {
-        self.own_values.clear();
+        *self = Self::new();
     }
 
     /// Drops the topmost entered level (after its block was released;
@@ -171,15 +213,16 @@ impl TreeProgress {
     ///
     /// Panics if no level is entered.
     pub fn pop_released(&mut self) {
-        self.own_values
-            .pop()
-            .expect("pop_released on an empty tree position");
+        assert!(self.levels > 0, "pop_released on an empty tree position");
+        self.levels -= 1;
+        self.own_bits &= !(1 << self.levels);
     }
 
-    /// Appends the progress to a model-checker key.
+    /// Appends the progress to a model-checker key: the entered-level
+    /// count, then the own value held at each level, bottom-up.
     pub fn key(&self, out: &mut Vec<Word>) {
-        out.push(self.own_values.len() as u64);
-        out.extend_from_slice(&self.own_values);
+        out.push(self.levels as u64);
+        out.extend((0..self.levels).map(|l| (self.own_bits >> l) & 1));
     }
 }
 
@@ -346,7 +389,7 @@ impl crate::session::ProtocolCore for TreeCore {
                 let side = TreeShape::side_at(self.pid, level);
                 if pf::check(&regs, side, a.progress.own_at(level), mem) {
                     if level == self.shape.levels() {
-                        return Some(a.progress.clone());
+                        return Some(a.progress);
                     }
                     let next_side = TreeShape::side_at(self.pid, level + 1);
                     a.stage = ClimbStage::Entering(MeEnter::new(next_side));
@@ -545,6 +588,88 @@ mod tests {
         assert_eq!(TreeShape::side_at(6, 2), 1);
         assert_eq!(TreeShape::block_index(6, 3), 0);
         assert_eq!(TreeShape::side_at(6, 3), 1);
+    }
+
+    #[test]
+    fn sixty_four_level_root_is_shared() {
+        // S = 2^63 + 1 needs all 64 levels; pids 0 and 2^63 first meet at
+        // the root, from opposite sides.
+        let s = (1u64 << 63) + 1;
+        let top = 1u64 << 63;
+        assert_eq!(TreeShape::levels_for(s), 64);
+        assert_eq!(TreeShape::block_index(top, 64), 0);
+        let mut layout = Layout::new();
+        let shape = TreeShape::build(&mut layout, "T", s, &[0, top]);
+        assert_eq!(shape.levels(), 64);
+        assert_eq!(
+            shape.block_for(0, 64),
+            shape.block_for(top, 64),
+            "one root block"
+        );
+        assert_ne!(TreeShape::side_at(0, 64), TreeShape::side_at(top, 64));
+        // Disjoint paths below the root: 63 blocks each, plus the root.
+        assert_eq!(shape.allocated_blocks(), 2 * 63 + 1);
+    }
+
+    #[test]
+    fn tree_progress_matches_vec_reference() {
+        use crate::types::enc::{BIT0, BIT1};
+        let mut rng = llr_mc::SplitMix64::new(0x07EE_0064);
+        let mut deepest = 0;
+        for round in 0..300 {
+            let mut packed = TreeProgress::new();
+            let mut reference: Vec<Word> = Vec::new();
+            for step in 0..240 {
+                let ctx = format!("round {round} step {step}");
+                if reference.is_empty() || (reference.len() < 64 && rng.next_below(3) != 0) {
+                    let own = if rng.next_below(2) == 0 { BIT0 } else { BIT1 };
+                    packed.push_entered(own);
+                    reference.push(own);
+                } else if rng.next_below(20) == 0 {
+                    packed.reset();
+                    reference.clear();
+                } else {
+                    packed.pop_released();
+                    reference.pop();
+                }
+                deepest = deepest.max(reference.len());
+                assert_eq!(packed.entered_level(), reference.len(), "{ctx}");
+                for (level, &own) in (1..).zip(&reference) {
+                    assert_eq!(packed.own_at(level), own, "{ctx} level {level}");
+                }
+                let mut key = Vec::new();
+                packed.key(&mut key);
+                let mut want = vec![reference.len() as Word];
+                want.extend_from_slice(&reference);
+                assert_eq!(key, want, "{ctx}");
+                // Popped levels leave no stale bits behind.
+                let mut rebuilt = TreeProgress::new();
+                reference.iter().for_each(|&own| rebuilt.push_entered(own));
+                assert_eq!(packed, rebuilt, "{ctx}");
+            }
+        }
+        assert_eq!(deepest, 64, "the sequences must reach a full-depth tree");
+    }
+
+    #[test]
+    #[should_panic(expected = "holds BIT0 or BIT1")]
+    fn push_entered_rejects_nil() {
+        TreeProgress::new().push_entered(crate::types::enc::NIL);
+    }
+
+    #[test]
+    #[should_panic(expected = "holds BIT0 or BIT1")]
+    fn push_entered_rejects_entering() {
+        TreeProgress::new().push_entered(crate::types::enc::ENTERING);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 levels")]
+    fn push_entered_stops_at_64_levels() {
+        let mut p = TreeProgress::new();
+        for _ in 0..65 {
+            p.push_entered(crate::types::enc::BIT1);
+        }
     }
 
     #[test]

@@ -13,16 +13,19 @@
 //! allocator, and the count is only meaningful single-threaded — hence
 //! exactly one `#[test]` (the harness would interleave others).
 //!
-//! FILTER is deliberately absent: its acquire machine keeps dynamic
-//! per-tree progress vectors (a documented exception, see
-//! `llr_core::arena`).
+//! FILTER is the documented exception (see `llr_core::arena`): each
+//! acquire allocates exactly one vector, its per-tree progress, and no
+//! per-tree vectors. The test pins that count too — one allocation per
+//! cycle — so the exception cannot silently grow.
 
 use llr_core::arena::NameArena;
 use llr_core::chain::Chain;
+use llr_core::filter::Filter;
 use llr_core::levelarray::LevelArray;
 use llr_core::ma::MaGrid;
 use llr_core::split::Split;
 use llr_core::traits::{Renaming, RenamingHandle};
+use llr_gf::FilterParams;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -110,5 +113,13 @@ fn steady_state_acquire_release_does_not_allocate() {
         allocs_per_steady_state(&levelarray, 0x1EAF_CAFE, 10_000),
         0,
         "LevelArray arena steady state allocated"
+    );
+
+    let filter =
+        NameArena::new(Filter::new(FilterParams::new(3, 25, 1, 5).unwrap(), &[1, 6, 11]).unwrap());
+    assert_eq!(
+        allocs_per_steady_state(&filter, 6, 1_000),
+        1_000,
+        "FILTER arena steady state: exactly one allocation (the progress vector) per cycle"
     );
 }
