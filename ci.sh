@@ -10,11 +10,14 @@
 #      compiling and passing.
 #   4. fast E2 subset: the engine-equivalence tests re-check the
 #      mid-size rows of results/e2_modelcheck.csv under the sequential
-#      DFS, the parallel BFS engine (1/2/4 workers, exact and hashed
-#      dedup) and the spill-to-disk engine (generous and zero budgets),
-#      pinning the counts byte-for-byte — one family per protocol,
-#      including the rival cores (LevelArray, small splitter networks).
-#      This is the checker hot path; run it in release so it stays fast.
+#      DFS and the one breadth-first loop on each of its stores — in
+#      RAM with exact and hashed keys at 1/2/4 workers, and on disk at
+#      generous and zero budgets — pinning the counts byte-for-byte, one
+#      family per protocol, including the rival cores (LevelArray, small
+#      splitter networks). This is the checker hot path; run it in
+#      release so it stays fast.
+#      Steps 4–6 run with TMPDIR set to a fresh directory, and fail if a
+#      spill run left an `llr-mc-spill-*` scratch directory in it.
 #   5. frontier-spill gate: the on-disk frontier's file-format property
 #      suite (round-trips, loud failure on truncated/torn layer files)
 #      and the disk-CSR liveness differential (every E2 family spill vs
@@ -69,14 +72,26 @@ echo "== docs (-D warnings) + doctests =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 cargo test -q --offline --doc --workspace
 
+spill_tmp=$(mktemp -d)
+trap 'rm -rf "$spill_tmp"' EXIT
+
 echo "== fast E2 subset (engine equivalence, release) =="
-cargo test -q --offline --release --test engine_equivalence
+TMPDIR="$spill_tmp" cargo test -q --offline --release --test engine_equivalence
 
 echo "== frontier-spill gate (layer format + disk-CSR liveness, release) =="
-cargo test -q --offline --release --test frontier_format --test liveness_spill
+TMPDIR="$spill_tmp" cargo test -q --offline --release --test frontier_format --test liveness_spill
 
 echo "== POR soundness subset (differential + footprint audit, release) =="
-cargo test -q --offline --release --test por_equivalence --test footprint_audit
+TMPDIR="$spill_tmp" cargo test -q --offline --release --test por_equivalence --test footprint_audit
+
+echo "== spill scratch cleanup (no llr-mc-spill-* left by steps 4-6) =="
+leaked=$(find "$spill_tmp" -maxdepth 1 -name 'llr-mc-spill-*')
+if [ -n "$leaked" ]; then
+    echo "spill runs left scratch directories behind:"
+    echo "$leaked"
+    exit 1
+fi
+rm -rf "$spill_tmp"
 
 echo "== real-atomics arena gate (differential + stress + smoke + handle copy + zero-alloc, release) =="
 cargo test -q --offline --release --test atomic_backend --test session_layer --test arena_alloc

@@ -62,16 +62,19 @@ pub struct CheckStats {
     /// Peak tracked bytes resident in the engine's own data structures
     /// (visited set, frontier materializations, spanning-tree parents).
     ///
-    /// Only the parallel frontier engines account for this
-    /// ([`ModelChecker::check_parallel`], with or without spilling); the
+    /// Only the parallel breadth-first loop accounts for this
+    /// ([`ModelChecker::check_parallel`], with or without spilling), and a
+    /// run that stops early charges the layer it was draining; the
     /// sequential DFS reports `0`. The figure is a deterministic lower
     /// bound on real memory use: it counts payload bytes and ignores
     /// allocator and hash-table overhead, so it is reproducible across
     /// hosts (unlike an RSS sample) and is what the E2 table records.
     pub peak_resident_bytes: u64,
-    /// Total bytes written to disk by the spilling visited set
-    /// ([`ModelChecker::spill_dir`]), including compaction rewrites.
-    /// `0` for the purely in-RAM engines.
+    /// Total bytes written to disk under [`ModelChecker::spill_dir`]: the
+    /// visited set's sorted runs (including compaction rewrites), the
+    /// layer and candidate files, the parent log, and — for liveness
+    /// checks — the edge log and predecessor file. `0` for the purely
+    /// in-RAM engines.
     pub spilled_bytes: u64,
 }
 
@@ -186,20 +189,13 @@ impl CheckError {
 ///
 /// A state key is `registers ++ (done_i, machine_i key, u64::MAX)*` — the
 /// `u64::MAX` separator guards against ambiguous concatenation of
-/// variable-length machine keys. With `symmetry` enabled, the per-machine
-/// blocks are sorted, so states that differ only by a permutation of
-/// machine local states map to one key (see
-/// [`ModelChecker::symmetry_reduction`] for the soundness condition).
+/// variable-length machine keys.
 ///
-/// All buffers are reused across calls: after warm-up, building a key
+/// The buffer is reused across calls: after warm-up, building a key
 /// allocates nothing.
 #[derive(Default)]
 pub(crate) struct KeyBuilder {
     buf: Vec<u64>,
-    /// Machine blocks staging area (symmetry mode only).
-    mbuf: Vec<u64>,
-    /// `(start, end)` block ranges into `mbuf` (symmetry mode only).
-    ranges: Vec<(u32, u32)>,
 }
 
 impl KeyBuilder {
@@ -213,38 +209,17 @@ impl KeyBuilder {
         machines: &[M],
         done: &[bool],
         replace: Option<(usize, &M, bool)>,
-        symmetry: bool,
     ) -> &[u64] {
         self.buf.clear();
         mem.snapshot_append(&mut self.buf);
-        let block = |out: &mut Vec<u64>, j: usize| {
+        for j in 0..machines.len() {
             let (m, d) = match replace {
                 Some((i, m, d)) if i == j => (m, d),
                 _ => (&machines[j], done[j]),
             };
-            out.push(u64::from(d));
-            m.key(out);
-            out.push(u64::MAX);
-        };
-        if !symmetry {
-            for j in 0..machines.len() {
-                block(&mut self.buf, j);
-            }
-        } else {
-            self.mbuf.clear();
-            self.ranges.clear();
-            for j in 0..machines.len() {
-                let start = self.mbuf.len() as u32;
-                block(&mut self.mbuf, j);
-                self.ranges.push((start, self.mbuf.len() as u32));
-            }
-            let (mbuf, ranges) = (&self.mbuf, &mut self.ranges);
-            ranges.sort_unstable_by(|&(a0, a1), &(b0, b1)| {
-                mbuf[a0 as usize..a1 as usize].cmp(&mbuf[b0 as usize..b1 as usize])
-            });
-            for &(s, e) in self.ranges.iter() {
-                self.buf.extend_from_slice(&self.mbuf[s as usize..e as usize]);
-            }
+            self.buf.push(u64::from(d));
+            m.key(&mut self.buf);
+            self.buf.push(u64::MAX);
         }
         &self.buf
     }
@@ -306,7 +281,8 @@ struct Frame<M> {
 ///
 /// * [`check`](Self::check) — sequential depth-first search;
 /// * [`check_parallel`](Self::check_parallel) — breadth-first frontier
-///   exploration over [`workers`](Self::workers) threads.
+///   exploration over [`workers`](Self::workers) threads, with its stores
+///   in RAM or on disk ([`spill_dir`](Self::spill_dir)).
 ///
 /// Both visit exactly the same set of states and report identical
 /// `states`/`transitions`/`terminal_states` counts.
@@ -317,7 +293,6 @@ pub struct ModelChecker<M> {
     machines: Vec<M>,
     max_states: usize,
     hashed_dedup: bool,
-    symmetry: bool,
     workers: usize,
     spill: Option<SpillConfig>,
     por: bool,
@@ -333,7 +308,6 @@ impl<M: StepMachine> ModelChecker<M> {
             machines,
             max_states: 20_000_000,
             hashed_dedup: false,
-            symmetry: false,
             workers: 1,
             spill: None,
             por: false,
@@ -372,25 +346,6 @@ impl<M: StepMachine> ModelChecker<M> {
     /// configurations; the CI-sized runs use exact dedup.
     pub fn hashed_dedup(mut self, on: bool) -> Self {
         self.hashed_dedup = on;
-        self
-    }
-
-    /// Quotient the state space by permutations of machine local states.
-    ///
-    /// With this flag on, two states whose shared registers agree and whose
-    /// multiset of machine local states agree are identified, collapsing
-    /// the `ℓ!` orderings of fully symmetric configurations.
-    ///
-    /// **Soundness condition:** this is a sound reduction only when the
-    /// machines are fully interchangeable — identical programs whose
-    /// observable behaviour does not depend on which machine index holds
-    /// which local state, and whose identities (pids) are not recorded in
-    /// shared registers. Most of the renaming protocol specs write pids
-    /// into registers, so this flag must stay **off** for them (the
-    /// default); it is intended for symmetric harness machines and for
-    /// future pid-normalizing specs.
-    pub fn symmetry_reduction(mut self, on: bool) -> Self {
-        self.symmetry = on;
         self
     }
 
@@ -477,15 +432,17 @@ impl<M: StepMachine> ModelChecker<M> {
         self
     }
 
-    /// Spill the visited set to sorted runs on disk under `dir`, keeping
-    /// at most `budget_bytes` of not-yet-flushed state hashes in RAM.
+    /// Spill the visited set and the breadth-first layers to disk under
+    /// `dir`, keeping the tracked resident bytes within `budget_bytes` in
+    /// total: half of it bounds the not-yet-flushed state hashes.
     ///
-    /// This selects the external-memory backend of
-    /// [`check_parallel`](Self::check_parallel) (the `spill` module):
-    /// dedup is by 128-bit state hash (as if
+    /// This selects the disk stores of
+    /// [`check_parallel`](Self::check_parallel)'s loop (the `spill`
+    /// module): dedup is by 128-bit state hash (as if
     /// [`hashed_dedup`](Self::hashed_dedup) were set), recently
     /// discovered hashes stay in an in-RAM delta, and whenever the delta
-    /// exceeds the budget it is flushed as one sorted run per shard.
+    /// exceeds its half of the budget it is flushed as one sorted run per
+    /// shard.
     /// Every layer's candidate states are merge-joined against the
     /// on-disk runs, so states, transitions, terminal counts and any
     /// violation (message *and* schedule) are **bit-for-bit identical**
@@ -578,16 +535,6 @@ impl<M: StepMachine> ModelChecker<M> {
         }
     }
 
-    /// The initial register-file layout (for sibling analyses).
-    pub(crate) fn initial_layout(&self) -> Layout {
-        self.layout.clone()
-    }
-
-    /// The initial machines (for sibling analyses).
-    pub(crate) fn initial_machines(&self) -> &[M] {
-        &self.machines
-    }
-
     /// The configured state budget.
     pub(crate) fn state_limit(&self) -> usize {
         self.max_states
@@ -596,11 +543,6 @@ impl<M: StepMachine> ModelChecker<M> {
     /// Whether hashed dedup is enabled.
     pub(crate) fn hashed(&self) -> bool {
         self.hashed_dedup
-    }
-
-    /// Whether symmetry reduction is enabled.
-    pub(crate) fn symmetry(&self) -> bool {
-        self.symmetry
     }
 
     /// The spill configuration, if the external-memory backend is on.
@@ -652,7 +594,7 @@ impl<M: StepMachine> ModelChecker<M> {
 
         let done0 = vec![false; self.machines.len()];
         {
-            let key0 = kb.build(&mem, &self.machines, &done0, None, self.symmetry);
+            let key0 = kb.build(&mem, &self.machines, &done0, None);
             if self.hashed_dedup {
                 visited_hash.insert(hash128(key0));
             } else {
@@ -756,8 +698,7 @@ impl<M: StepMachine> ModelChecker<M> {
             };
             stats.transitions += 1;
 
-            let key =
-                kb.build(&mem, &top.machines, &top.done, Some((slot, &mi, done_i)), self.symmetry);
+            let key = kb.build(&mem, &top.machines, &top.done, Some((slot, &mi, done_i)));
             let fresh = if self.hashed_dedup {
                 visited_hash.insert(hash128(key))
             } else if visited_exact.contains(key) {

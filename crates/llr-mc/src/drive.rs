@@ -1,12 +1,13 @@
 //! Engine selection: one value that names an exploration backend, and one
 //! entry point that routes a configured [`ModelChecker`] to it.
 //!
-//! The three backends (sequential DFS, layer-synchronous parallel BFS,
-//! external-memory BFS) visit exactly the same states and report identical
-//! counts and violations — which one to use is purely a resource question.
-//! Callers that want to make that choice data-driven (experiment tables,
-//! the generic session drivers in `llr-core`) pass an [`Engine`] instead of
-//! hard-coding a method chain.
+//! There are two engines: the sequential DFS, and one layer-synchronous
+//! parallel BFS loop whose visited and layer stores live in RAM (exact or
+//! hashed keys) or on disk (`spill_dir`). Every choice visits exactly the
+//! same states and reports identical counts and violations — which one to
+//! use is purely a resource question. Callers that want to make that
+//! choice data-driven (experiment tables, the generic session drivers in
+//! `llr-core`) pass an [`Engine`] instead of hard-coding a method chain.
 
 use crate::checker::{CheckError, CheckStats, ModelChecker, World};
 use crate::machine::StepMachine;
@@ -53,8 +54,8 @@ pub enum Engine {
         /// Store 128-bit state hashes instead of exact packed keys.
         hashed: bool,
     },
-    /// Parallel BFS with the external-memory visited set **and** the
-    /// on-disk frontier ([`ModelChecker::spill_dir`]): `budget_bytes`
+    /// Parallel BFS on the disk stores — the external-memory visited set
+    /// **and** the on-disk frontier ([`ModelChecker::spill_dir`]): `budget_bytes`
     /// bounds total resident bytes under one budget — half goes to the
     /// not-yet-flushed visited delta (the rest lives in sorted runs on
     /// disk), a quarter to the frontier read window (layers stream

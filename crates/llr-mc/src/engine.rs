@@ -1,48 +1,63 @@
-//! Parallel breadth-first frontier exploration.
+//! The breadth-first layer loop, shared by every exploration store.
 //!
-//! The engine expands the reachable state space one breadth-first layer at
-//! a time. Within a layer, `std::thread::scope` workers each expand a
-//! contiguous chunk of the frontier ([`expand_layer`], also reused by the
-//! external-memory backend in [`crate::spill`]):
+//! [`explore`] expands the reachable state space one breadth-first layer
+//! at a time over two stores:
 //!
-//! * the **frozen** visited set (all states discovered in earlier layers)
-//!   is a plain sharded `HashMap` read lock-free by every worker — it is
-//!   immutable for the whole layer;
-//! * states first discovered *in this layer* go into **pending** — 64
-//!   mutex-guarded shards keyed like the frozen set. Each pending entry
-//!   remembers which worker materialized the successor state and the
-//!   schedule-least `(parent, via)` edge that reached it (min-merged on
-//!   every rediscovery).
+//! * a **visited store** ([`Visited`]) — which states are known, and the
+//!   spanning tree of the ones that are: the sharded in-RAM map
+//!   [`RamVisited`] (exact or hashed keys, returning ids for liveness
+//!   edges), or the spill module's in-RAM delta plus sorted runs on disk;
+//! * a **layer store** ([`Layers`]) — the layer being expanded and the one
+//!   being filled: [`RamLayers`], a `Vec` of materialized states expanded
+//!   in one chunk, or the spill module's layer and candidate files read
+//!   through a bounded window.
 //!
-//! After the scope joins, a sequential phase drains pending, sorts the
-//! fresh states by `(parent id, via)` — parent ids are themselves assigned
-//! in this order, so state numbering, parent pointers, and therefore the
-//! first reported violation are **identical for every worker count** —
-//! assigns ids, checks the invariant, and promotes the entries into the
-//! frozen set for the next layer.
+//! Within a chunk, `std::thread::scope` workers each expand a contiguous
+//! run of states ([`expand_layer`]):
 //!
-//! The same engine builds the liveness graph: with edge recording on,
-//! every transition is reported as a `(from, to)` id pair, which
+//! * the visited store is read lock-free by every worker — it is
+//!   immutable for the whole expansion;
+//! * states not found there go into **pending** — 64 mutex-guarded shards
+//!   keyed like the visited store. Each pending entry remembers which
+//!   worker materialized the successor state and the schedule-least
+//!   `(parent, via)` edge that reached it (min-merged on every
+//!   rediscovery). Pending persists across the chunks of one layer.
+//!
+//! After the expansion, a sequential phase drops the candidates a visited
+//! store on disk already knows (re-expanding, under partial-order
+//! reduction, the states whose ample successor was among them), drains
+//! pending, sorts the fresh states by `(parent id, via)` — parent ids are
+//! themselves assigned in this order, so state numbering, parent pointers,
+//! and therefore the first reported violation are **identical for every
+//! worker count and every store** — assigns ids, checks the invariant, and
+//! appends the survivors to the next layer.
+//!
+//! The same loop builds the liveness graph: with edge recording on, every
+//! transition is reported as a `(from, to)` id pair, which
 //! [`crate::liveness`] consumes for its backward reachability marking.
 //!
-//! Exploration is instrumented with deterministic memory accounting: the
-//! engine tracks the payload bytes of its own structures (visited set,
-//! frontier materializations, pending entries, spanning-tree parents) and
-//! reports the per-layer peak as
+//! Exploration is instrumented with deterministic memory accounting: each
+//! store reports the payload bytes of its own structures, the loop adds
+//! the pending entries and the recorded edges, and the per-layer peak —
+//! including the layer being drained when a run stops early — is
 //! [`CheckStats::peak_resident_bytes`](crate::CheckStats::peak_resident_bytes).
 
 use crate::checker::{
     hash128, CheckError, CheckStats, KeyBuilder, ModelChecker, Violation, World,
     CRASH_SCHEDULE_BASE,
 };
+use crate::frontier::{EdgeLog, ScratchDir};
 use crate::por::AmpleCtx;
+use crate::spill::{DiskLayers, SpillSet};
 use crate::StepMachine;
 use llr_mem::{Loc, Memory as _, SimMemory, Word};
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
+use std::io;
 use std::sync::Mutex;
 
-/// Shard count for both the frozen and pending maps. Power of two so the
+/// Shard count for both the visited and pending maps. Power of two so the
 /// shard index is a bit slice of the 128-bit state hash.
 pub(crate) const SHARDS: usize = 64;
 
@@ -58,30 +73,24 @@ pub(crate) fn shard_of(h: u128) -> usize {
 
 /// Abstracts over the two dedup representations: owned full keys
 /// (`Box<[u64]>`, exact) and 128-bit hashes (`u128`, memory-lean). Both
-/// support lookup by the borrowed key buffer so the miss path allocates
-/// nothing.
-pub(crate) trait EngineKey: Eq + Hash + Send + Sync + Sized {
+/// are looked up by a probe borrowed from the key buffer or the hash, so
+/// the miss path allocates nothing.
+pub(crate) trait EngineKey: Eq + Hash + Send + Sync + Sized + Borrow<Self::Probe> {
+    /// The borrowed form a lookup uses: the key words, or the hash.
+    type Probe: ?Sized + Eq + Hash;
     fn make(buf: &[u64], h: u128) -> Self;
-    fn find<V: Copy>(map: &HashMap<Self, V>, buf: &[u64], h: u128) -> Option<V>;
-    fn find_mut<'m, V>(map: &'m mut HashMap<Self, V>, buf: &[u64], h: u128)
-        -> Option<&'m mut V>;
+    fn probe<'a>(buf: &'a [u64], h: &'a u128) -> &'a Self::Probe;
     /// Payload bytes of one stored key (for the resident-bytes accounting).
     fn bytes(&self) -> u64;
 }
 
 impl EngineKey for Box<[u64]> {
+    type Probe = [u64];
     fn make(buf: &[u64], _h: u128) -> Self {
         buf.into()
     }
-    fn find<V: Copy>(map: &HashMap<Self, V>, buf: &[u64], _h: u128) -> Option<V> {
-        map.get(buf).copied()
-    }
-    fn find_mut<'m, V>(
-        map: &'m mut HashMap<Self, V>,
-        buf: &[u64],
-        _h: u128,
-    ) -> Option<&'m mut V> {
-        map.get_mut(buf)
+    fn probe<'a>(buf: &'a [u64], _h: &'a u128) -> &'a [u64] {
+        buf
     }
     fn bytes(&self) -> u64 {
         (self.len() * 8) as u64
@@ -89,18 +98,12 @@ impl EngineKey for Box<[u64]> {
 }
 
 impl EngineKey for u128 {
+    type Probe = u128;
     fn make(_buf: &[u64], h: u128) -> Self {
         h
     }
-    fn find<V: Copy>(map: &HashMap<Self, V>, _buf: &[u64], h: u128) -> Option<V> {
-        map.get(&h).copied()
-    }
-    fn find_mut<'m, V>(
-        map: &'m mut HashMap<Self, V>,
-        _buf: &[u64],
-        h: u128,
-    ) -> Option<&'m mut V> {
-        map.get_mut(&h)
+    fn probe<'a>(_buf: &'a [u64], h: &'a u128) -> &'a u128 {
+        h
     }
     fn bytes(&self) -> u64 {
         16
@@ -125,55 +128,229 @@ pub(crate) struct Pend {
     /// Schedule-least discovering edge (min-merged across rediscoveries).
     pub(crate) parent: u32,
     pub(crate) via: u8,
-    /// State hash, kept so promotion to frozen recomputes nothing.
+    /// State hash, kept so promotion to the visited store recomputes
+    /// nothing.
     pub(crate) h: u128,
 }
 
-pub(crate) enum EdgeTo {
-    /// Successor was already frozen with this id.
+/// The pending shards of one layer.
+type Pending<K> = [Mutex<HashMap<K, Pend>>];
+
+/// One worker's materialized successors, indexed by [`Pend::idx`].
+pub(crate) type Fresh<M> = Vec<Option<FrontierState<M>>>;
+
+enum EdgeTo {
+    /// Successor was already visited with this id.
     Known(u32),
     /// Successor is pending: `(worker, idx)` names its materialization.
     Fresh(u32, u32),
 }
 
-pub(crate) struct WorkerOut<M> {
-    pub(crate) fresh: Vec<Option<FrontierState<M>>>,
-    pub(crate) transitions: u64,
-    pub(crate) edges: Vec<(u32, EdgeTo)>,
-    /// States this worker expanded via an ample singleton, recorded (when
-    /// requested) as `(frontier index, ample machine, successor hash)` so
-    /// the spill backend can re-check the cycle proviso against the
-    /// on-disk visited set at join time and patch up with a full
-    /// expansion where it fires.
-    pub(crate) reduced: Vec<(u32, u8, u128)>,
-}
-
-/// Where the recorded transition pairs ended up.
+/// Where the recorded transition pairs go.
 pub(crate) enum EdgeStore {
     /// The full `(from, to)` list in RAM — the default, and always the
-    /// variant when edge recording was off (then the list is empty).
+    /// variant when edge recording is off (then the list is empty).
     Ram(Vec<(u32, u32)>),
-    /// Streamed to an append-only [`EdgeLog`](crate::frontier::EdgeLog)
-    /// file because a spill budget is configured; the scratch guard
-    /// keeps the file alive until the consumer is done.
-    Disk {
-        guard: crate::frontier::ScratchDir,
-        path: std::path::PathBuf,
-        count: u64,
-    },
+    /// Streamed to an append-only [`EdgeLog`] file because a spill budget
+    /// is configured, in a scratch directory whose guard keeps the file
+    /// alive until the consumer is done.
+    Disk(ScratchDir, EdgeLog),
 }
 
-/// The engine's result: exploration stats plus the spanning-tree parent
-/// pointers (always) and the full edge list (when requested).
-pub(crate) struct Explored {
-    pub stats: CheckStats,
+/// The visited half of the loop: which states are known, and the spanning
+/// tree of the ones that are.
+pub(crate) trait Visited: Sync {
+    /// The key pending entries are deduplicated by.
+    type Key: EngineKey;
+    /// Whether [`find`](Self::find) sees every visited state. A store that
+    /// sees only a recent part answers for the rest in
+    /// [`join`](Self::join), where partial-order reduction re-checks its
+    /// cycle proviso.
+    const COMPLETE: bool = true;
+    /// The id of a visited state, looked up by the expansion workers (no
+    /// locks, no I/O). Ids are meaningful only in complete stores.
+    fn find(&self, key: &[u64], h: u128) -> Option<u32>;
+    /// The candidate hashes this store knows but [`find`](Self::find) does
+    /// not see — none, in a complete store.
+    fn join(&self, _candidates: impl Iterator<Item = u128>) -> io::Result<HashSet<u128>> {
+        Ok(HashSet::new())
+    }
+    /// Records state `id` with hash `h`, reached by the `(parent, via)`
+    /// edge.
+    fn insert(
+        &mut self,
+        id: u32,
+        key: Self::Key,
+        h: u128,
+        edge: (u32, u8),
+        terminal: bool,
+    ) -> io::Result<()>;
+    /// The spanning-tree schedule reaching `id`.
+    fn schedule_to(&mut self, id: u32) -> io::Result<Vec<usize>>;
+    /// Payload bytes resident in the store, plus `pending` pending entries.
+    fn resident(&self, pending: u64) -> u64;
+    /// Bytes the store wrote to disk.
+    fn spilled(&self) -> u64 {
+        0
+    }
+}
+
+/// The layer half of the loop: the layer being expanded and the one being
+/// filled. A store starts with the root as its only state.
+pub(crate) trait Layers<M> {
+    /// Expands the current layer — or, with `only`, the states at those
+    /// ordinals — chunk by chunk: `step(chunk, first, base)` steps the
+    /// selection's states `first..` with worker ids from `base` on and
+    /// returns each worker's fresh states, which the store keeps.
+    fn expand(
+        &mut self,
+        only: Option<&[u32]>,
+        step: impl FnMut(&[FrontierState<M>], usize, u32) -> Vec<Fresh<M>>,
+    ) -> io::Result<()>;
+    /// Ends the layer's expansions, before the first [`admit`](Self::admit).
+    fn end_expansion(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+    /// Numbers the fresh state `(worker, idx)` as `id`, hands it to
+    /// `check`, and appends it to the next layer.
+    fn admit(
+        &mut self,
+        worker: u32,
+        idx: u32,
+        id: u32,
+        check: impl FnOnce(&FrontierState<M>) -> io::Result<Result<(), String>>,
+    ) -> io::Result<Result<(), String>>;
+    /// Makes the next layer current and returns its width.
+    fn advance(&mut self) -> io::Result<u64>;
+    /// Payload bytes resident in the store.
+    fn resident(&self) -> u64;
+    /// Bytes the store wrote to disk.
+    fn spilled(&self) -> u64 {
+        0
+    }
+}
+
+/// The in-RAM visited store: a sharded map from keys to ids, plus the
+/// spanning tree and terminal flags the liveness check reads back.
+pub(crate) struct RamVisited<K> {
+    frozen: Vec<HashMap<K, u32>>,
+    /// Payload bytes of `frozen`.
+    bytes: u64,
     /// `parent[id] = (parent id, machine index)`; the root has parent
     /// `u32::MAX`.
-    pub parent: Vec<(u32, u8)>,
+    pub(crate) parent: Vec<(u32, u8)>,
     /// `terminal[id]` iff every machine is done in state `id`.
-    pub terminal: Vec<bool>,
-    /// All `(from, to)` transition pairs — empty unless `record_edges`.
-    pub edges: EdgeStore,
+    pub(crate) terminal: Vec<bool>,
+}
+
+impl<K> RamVisited<K> {
+    pub(crate) fn new() -> Self {
+        Self {
+            frozen: (0..SHARDS).map(|_| HashMap::new()).collect(),
+            bytes: 0,
+            parent: Vec::new(),
+            terminal: Vec::new(),
+        }
+    }
+}
+
+impl<K: EngineKey> Visited for RamVisited<K> {
+    type Key = K;
+
+    fn find(&self, key: &[u64], h: u128) -> Option<u32> {
+        self.frozen[shard_of(h)].get(K::probe(key, &h)).copied()
+    }
+
+    fn insert(
+        &mut self,
+        id: u32,
+        key: K,
+        h: u128,
+        edge: (u32, u8),
+        terminal: bool,
+    ) -> io::Result<()> {
+        self.bytes += key.bytes() + 4;
+        self.frozen[shard_of(h)].insert(key, id);
+        self.parent.push(edge);
+        self.terminal.push(terminal);
+        Ok(())
+    }
+
+    fn schedule_to(&mut self, id: u32) -> io::Result<Vec<usize>> {
+        Ok(schedule_to(&self.parent, id))
+    }
+
+    fn resident(&self, pending: u64) -> u64 {
+        self.bytes
+            + self.parent.len() as u64 * 8
+            + self.terminal.len() as u64
+            + pending * PEND_OVERHEAD_BYTES
+    }
+}
+
+/// The in-RAM layer store: the current layer fully materialized and
+/// expanded in one chunk, and the states the workers materialized.
+pub(crate) struct RamLayers<M> {
+    current: Vec<FrontierState<M>>,
+    next: Vec<FrontierState<M>>,
+    /// Each worker's fresh states, taken as they are admitted.
+    fresh: Vec<Fresh<M>>,
+    /// Payload bytes of one materialized state.
+    per_state: u64,
+}
+
+impl<M> RamLayers<M> {
+    pub(crate) fn new(root: FrontierState<M>) -> io::Result<Self> {
+        Ok(Self {
+            per_state: frontier_state_bytes::<M>(root.snap.len(), root.machines.len()),
+            current: vec![root],
+            next: Vec::new(),
+            fresh: Vec::new(),
+        })
+    }
+}
+
+impl<M> Layers<M> for RamLayers<M> {
+    fn expand(
+        &mut self,
+        only: Option<&[u32]>,
+        mut step: impl FnMut(&[FrontierState<M>], usize, u32) -> Vec<Fresh<M>>,
+    ) -> io::Result<()> {
+        assert!(only.is_none(), "a complete store re-expands nothing");
+        self.fresh = step(&self.current, 0, 0);
+        // Every fresh state survives: nothing is on disk to drop it.
+        self.next
+            .reserve_exact(self.fresh.iter().map(Vec::len).sum());
+        Ok(())
+    }
+
+    fn admit(
+        &mut self,
+        worker: u32,
+        idx: u32,
+        id: u32,
+        check: impl FnOnce(&FrontierState<M>) -> io::Result<Result<(), String>>,
+    ) -> io::Result<Result<(), String>> {
+        let mut st = self.fresh[worker as usize][idx as usize]
+            .take()
+            .expect("pending entry names a materialized state");
+        st.id = id;
+        let verdict = check(&st)?;
+        self.next.push(st);
+        Ok(verdict)
+    }
+
+    fn advance(&mut self) -> io::Result<u64> {
+        self.current = std::mem::take(&mut self.next);
+        self.fresh = Vec::new();
+        Ok(self.current.len() as u64)
+    }
+
+    /// The current layer plus every state materialized from it.
+    fn resident(&self) -> u64 {
+        let fresh: usize = self.fresh.iter().map(Vec::len).sum();
+        (self.current.len() + fresh) as u64 * self.per_state
+    }
 }
 
 /// Reconstructs the schedule reaching `id` by walking parent pointers.
@@ -187,250 +364,226 @@ pub(crate) fn schedule_to(parent: &[(u32, u8)], mut id: u32) -> Vec<usize> {
     schedule
 }
 
-/// Steps machine `i` of frontier state `st` and routes the successor:
-/// frozen states only record an edge, unknown states are materialized and
-/// min-merged into the `pending` shards. Returns the successor's hash and
-/// whether it was found frozen (the spill backend needs the hash for its
-/// join-time proviso re-check; the in-RAM engines use only the flag).
-///
-/// With `crash = Some((loc, left))` the transition is a crash instead of
-/// a step: the fault-budget register `loc` is set to `left` and machine
-/// `i` is torn down via [`StepMachine::crash_restart`]; the recorded
-/// `via` is `i + `[`CRASH_SCHEDULE_BASE`] so replayed schedules
-/// distinguish the two transition kinds.
-#[allow(clippy::too_many_arguments)]
-fn step_state<M, K, L>(
-    st: &FrontierState<M>,
-    i: usize,
-    crash: Option<(Loc, Word)>,
-    wmem: &SimMemory,
-    kb: &mut KeyBuilder,
-    pending: &[Mutex<HashMap<K, Pend>>],
-    symmetry: bool,
-    record_edges: bool,
-    frozen_find: &L,
-    wid: u32,
-    out: &mut WorkerOut<M>,
-) -> (bool, u128)
-where
-    M: StepMachine,
-    K: EngineKey,
-    L: Fn(&[u64], u128) -> Option<u32>,
-{
-    wmem.restore(&st.snap);
-    let mut mi = st.machines[i].clone();
-    let (done_i, via) = match crash {
-        None => (mi.step(wmem).is_done(), i as u8),
-        Some((loc, left)) => {
-            wmem.write(loc, left);
-            (mi.crash_restart().is_done(), (i + CRASH_SCHEDULE_BASE) as u8)
+/// One expansion worker: its private register file and key buffer, the
+/// shared pending shards and visited store, and what it found.
+struct Worker<'a, M, V: Visited> {
+    wmem: SimMemory,
+    kb: KeyBuilder,
+    pending: &'a Pending<V::Key>,
+    visited: &'a V,
+    /// The id pending entries record for this worker.
+    id: u32,
+    fresh: Fresh<M>,
+    transitions: u64,
+    /// Every transition taken, when edges are recorded.
+    edges: Option<Vec<(u32, EdgeTo)>>,
+    /// States expanded via an ample singleton whose successor `find` did
+    /// not see, as `(frontier index, ample machine, successor hash)`, when
+    /// the visited store is not complete, so the loop can re-check the
+    /// cycle proviso at the join.
+    reduced: Vec<(u32, u8, u128)>,
+}
+
+impl<'a, M: StepMachine, V: Visited> Worker<'a, M, V> {
+    fn new(
+        snap: &[Word],
+        pending: &'a Pending<V::Key>,
+        visited: &'a V,
+        record_edges: bool,
+        id: u32,
+    ) -> Self {
+        Self {
+            wmem: SimMemory::with_values(snap),
+            kb: KeyBuilder::default(),
+            pending,
+            visited,
+            id,
+            fresh: Vec::new(),
+            transitions: 0,
+            edges: record_edges.then(Vec::new),
+            reduced: Vec::new(),
         }
-    };
-    out.transitions += 1;
-    let kbuf = kb.build(wmem, &st.machines, &st.done, Some((i, &mi, done_i)), symmetry);
-    let h = hash128(kbuf);
-    let sh = shard_of(h);
-    if let Some(id) = frozen_find(kbuf, h) {
-        if record_edges {
-            out.edges.push((st.id, EdgeTo::Known(id)));
-        }
-        return (true, h);
     }
-    // First lock: min-merge if some worker already materialized this
-    // state this layer.
-    let hit = {
-        let mut g = pending[sh].lock().expect("shard poisoned");
-        if let Some(p) = K::find_mut(&mut g, kbuf, h) {
-            if (st.id, via) < (p.parent, p.via) {
-                p.parent = st.id;
-                p.via = via;
+
+    /// Steps machine `i` of frontier state `st` and routes the successor:
+    /// visited states only record an edge, unknown states are min-merged
+    /// into the pending shards, and materialized by the first worker to
+    /// reach them. Returns whether the successor was found visited, and
+    /// its hash.
+    ///
+    /// With `crash = Some((loc, left))` the transition is a crash instead
+    /// of a step: the fault-budget register `loc` is set to `left` and
+    /// machine `i` is torn down via [`StepMachine::crash_restart`]; the
+    /// recorded `via` is `i + `[`CRASH_SCHEDULE_BASE`] so replayed
+    /// schedules distinguish the two transition kinds.
+    fn step(
+        &mut self,
+        st: &FrontierState<M>,
+        i: usize,
+        crash: Option<(Loc, Word)>,
+    ) -> (bool, u128) {
+        self.wmem.restore(&st.snap);
+        let mut mi = st.machines[i].clone();
+        let (done_i, via) = match crash {
+            None => (mi.step(&self.wmem).is_done(), i as u8),
+            Some((loc, left)) => {
+                self.wmem.write(loc, left);
+                (
+                    mi.crash_restart().is_done(),
+                    (i + CRASH_SCHEDULE_BASE) as u8,
+                )
             }
-            Some((p.worker, p.idx))
-        } else {
-            None
-        }
-    };
-    let (w2, idx2) = match hit {
-        Some(wi) => wi,
-        None => {
-            // Materialize outside the lock, then double-check: another
-            // worker may have inserted the same state meanwhile.
-            let mut machines = st.machines.clone();
-            machines[i] = mi;
-            let mut done = st.done.clone();
-            done[i] = done_i;
-            let snap = wmem.snapshot();
-            let mut g = pending[sh].lock().expect("shard poisoned");
-            if let Some(p) = K::find_mut(&mut g, kbuf, h) {
-                if (st.id, via) < (p.parent, p.via) {
-                    p.parent = st.id;
-                    p.via = via;
-                }
-                (p.worker, p.idx)
-            } else {
-                let idx = out.fresh.len() as u32;
-                g.insert(
-                    K::make(kbuf, h),
-                    Pend {
-                        worker: wid,
+        };
+        self.transitions += 1;
+        let kbuf = self
+            .kb
+            .build(&self.wmem, &st.machines, &st.done, Some((i, &mi, done_i)));
+        let h = hash128(kbuf);
+        let found = self.visited.find(kbuf, h);
+        let to = match found {
+            Some(id) => EdgeTo::Known(id),
+            None => {
+                let mut shard = self.pending[shard_of(h)].lock().expect("shard poisoned");
+                if let Some(p) = shard.get_mut(V::Key::probe(kbuf, &h)) {
+                    if (st.id, via) < (p.parent, p.via) {
+                        p.parent = st.id;
+                        p.via = via;
+                    }
+                    EdgeTo::Fresh(p.worker, p.idx)
+                } else {
+                    let (worker, idx) = (self.id, self.fresh.len() as u32);
+                    let pend = Pend {
+                        worker,
                         idx,
                         parent: st.id,
                         via,
                         h,
-                    },
-                );
-                drop(g);
-                out.fresh.push(Some(FrontierState {
-                    snap,
-                    machines,
-                    done,
-                    id: u32::MAX,
-                }));
-                (wid, idx)
+                    };
+                    shard.insert(V::Key::make(kbuf, h), pend);
+                    // The slot is reserved: materialize outside the lock.
+                    drop(shard);
+                    let mut machines = st.machines.clone();
+                    machines[i] = mi;
+                    let mut done = st.done.clone();
+                    done[i] = done_i;
+                    let snap = self.wmem.snapshot();
+                    self.fresh.push(Some(FrontierState {
+                        snap,
+                        machines,
+                        done,
+                        id: u32::MAX,
+                    }));
+                    EdgeTo::Fresh(worker, idx)
+                }
+            }
+        };
+        if let Some(edges) = &mut self.edges {
+            edges.push((st.id, to));
+        }
+        (found.is_some(), h)
+    }
+
+    /// Steps every runnable machine of `st` except `skip`.
+    fn step_all_but(&mut self, st: &FrontierState<M>, skip: Option<usize>) {
+        for i in 0..st.machines.len() {
+            if Some(i) != skip && !st.done[i] {
+                self.step(st, i, None);
             }
         }
-    };
-    if record_edges {
-        out.edges.push((st.id, EdgeTo::Fresh(w2, idx2)));
     }
-    (false, h)
 }
 
-/// Expands one breadth-first layer over `workers` scoped threads.
+/// Expands one chunk of a breadth-first layer over `workers` scoped
+/// threads.
 ///
 /// Every frontier state's every runnable machine is stepped once — unless
-/// `por` is on and [`AmpleCtx::choose`] picks an ample singleton for the
-/// state, in which case only that machine is stepped. If the ample
-/// successor is found *frozen* (discovered in an earlier-or-current
+/// partial-order reduction is on and [`AmpleCtx::choose`] picks an ample
+/// singleton for the state, in which case only that machine is stepped.
+/// If the ample successor is found *visited* (in an earlier-or-current
 /// layer), the cycle proviso fires and the state is expanded fully after
 /// all: a cycle in the reduced graph must contain an edge into an
-/// earlier-or-equal layer, so no step is ignored forever. With
-/// `record_reduced`, states left reduced are reported in
-/// [`WorkerOut::reduced`] so the spill backend — whose `frozen_find` only
-/// sees the in-RAM delta of the visited set — can redo the proviso check
-/// against disk at join time.
-///
-/// Successors are looked up in the frozen set via `frozen_find` (which
-/// returns the frozen id, used only for edge recording — the in-RAM
-/// engine passes a sharded-map lookup, the spill engine a membership
-/// test over its in-RAM delta); unknown successors are materialized and
-/// min-merged into the `pending` shards.
+/// earlier-or-equal layer, so no step is ignored forever. If the visited
+/// store is not complete, states left reduced are reported in
+/// [`Worker::reduced`] so the loop can redo the proviso check against the
+/// rest of the store at the join.
 ///
 /// `worker_base` offsets the worker ids recorded in [`Pend`] (and in
-/// [`EdgeTo::Fresh`]): the in-RAM engine expands whole layers at once and
-/// passes `0`, while the spill backend expands one bounded chunk of the
-/// on-disk layer at a time against a *layer-persistent* pending set, so
-/// each chunk's workers need globally unique ids for the join to find
-/// their materializations. The `frontier index` in [`WorkerOut::reduced`]
-/// stays relative to the `frontier` slice passed in; chunked callers add
-/// their chunk base.
+/// [`EdgeTo::Fresh`]): a layer store that expands a layer in several
+/// chunks against one pending set gives each chunk's workers globally
+/// unique ids, so the drain can find their materializations. The
+/// `frontier index` in [`Worker::reduced`] stays relative to the
+/// `frontier` slice passed in.
 ///
-/// With `crash_loc = Some(loc)` a fault budget lives in register `loc`:
-/// while a state's budget is positive, partial-order reduction is
-/// bypassed for that state (a crash may preempt *any* step, so no
-/// singleton is ample) and, next to every ordinary step, each
-/// crash-capable machine also gets a crash transition that decrements
-/// the budget. States whose budget has reached zero are expanded exactly
-/// as in the fault-free engine — including POR.
+/// With a fault budget in register [`ModelChecker::crash_loc`]: while a
+/// state's budget is positive, partial-order reduction is bypassed for
+/// that state (a crash may preempt *any* step, so no singleton is ample)
+/// and, next to every ordinary step, each crash-capable machine also gets
+/// a crash transition that decrements the budget. States whose budget has
+/// reached zero are expanded exactly as in the fault-free engine —
+/// including POR.
 ///
-/// This is the only concurrent phase of either backend; everything the
-/// caller does afterwards (draining `pending` in `(parent, via)` order)
-/// is sequential and deterministic.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn expand_layer<M, K, L>(
+/// This is the only concurrent phase of the loop; everything afterwards
+/// (draining `pending` in `(parent, via)` order) is sequential and
+/// deterministic.
+fn expand_layer<'a, M, V>(
+    mc: &ModelChecker<M>,
     frontier: &[FrontierState<M>],
-    pending: &[Mutex<HashMap<K, Pend>>],
+    pending: &'a Pending<V::Key>,
+    visited: &'a V,
     workers: usize,
-    symmetry: bool,
     record_edges: bool,
-    por: bool,
-    record_reduced: bool,
-    crash_loc: Option<Loc>,
     worker_base: u32,
-    frozen_find: &L,
-) -> Vec<WorkerOut<M>>
+) -> Vec<Worker<'a, M, V>>
 where
     M: StepMachine + Send + Sync,
-    K: EngineKey,
-    L: Fn(&[u64], u128) -> Option<u32> + Sync,
+    V: Visited,
 {
-    let nw = workers.clamp(1, frontier.len());
-    let chunk = frontier.len().div_ceil(nw);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..nw)
-            .map(|w| {
-                s.spawn(move || {
+    let (por, crash_loc) = (mc.por_on(), mc.crash_loc());
+    let chunk = frontier.len().div_ceil(workers.clamp(1, frontier.len()));
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = frontier
+            .chunks(chunk)
+            .enumerate()
+            .map(|(w, part)| {
+                scope.spawn(move || {
                     let wid = worker_base + w as u32;
-                    // ceil-division chunking can leave trailing workers
-                    // with an empty (clamped) range.
-                    let lo = (w * chunk).min(frontier.len());
-                    let hi = (lo + chunk).min(frontier.len());
-                    let mut out = WorkerOut {
-                        fresh: Vec::new(),
-                        transitions: 0,
-                        edges: Vec::new(),
-                        reduced: Vec::new(),
-                    };
-                    if lo >= hi {
-                        return out;
-                    }
-                    let mut kb = KeyBuilder::default();
+                    let mut s = Worker::new(&part[0].snap, pending, visited, record_edges, wid);
                     let mut ample = AmpleCtx::new();
-                    // Worker-private register file, restored per state.
-                    let wmem = SimMemory::with_values(&frontier[lo].snap);
-                    for (fi, st) in frontier.iter().enumerate().take(hi).skip(lo) {
+                    for (fi, st) in part.iter().enumerate() {
+                        let fi = w * chunk + fi;
                         // Remaining fault budget in this state. A positive
                         // budget disables POR (a crash may preempt any
                         // step, so no singleton is ample) and enables the
                         // crash-successor loop below.
                         let budget = crash_loc.map_or(0, |l| st.snap[l.index()]);
-                        if por && budget == 0 {
-                            if let Some(a) = ample.choose(&st.machines, &st.done) {
-                                let (frozen, h) = step_state(
-                                    st, a, None, &wmem, &mut kb, pending, symmetry,
-                                    record_edges, frozen_find, wid, &mut out,
-                                );
-                                if frozen {
-                                    // Cycle proviso: fall back to full
-                                    // expansion (the ample step is already
-                                    // taken and counted).
-                                    for j in 0..st.machines.len() {
-                                        if j != a && !st.done[j] {
-                                            step_state(
-                                                st, j, None, &wmem, &mut kb,
-                                                pending, symmetry, record_edges,
-                                                frozen_find, wid, &mut out,
-                                            );
-                                        }
-                                    }
-                                } else if record_reduced {
-                                    out.reduced.push((fi as u32, a as u8, h));
-                                }
-                                continue;
+                        let a = if por && budget == 0 {
+                            ample.choose(&st.machines, &st.done)
+                        } else {
+                            None
+                        };
+                        if let Some(a) = a {
+                            let (seen, h) = s.step(st, a, None);
+                            if seen {
+                                // Cycle proviso: fall back to full
+                                // expansion (the ample step is already
+                                // taken and counted).
+                                s.step_all_but(st, Some(a));
+                            } else if !V::COMPLETE {
+                                s.reduced.push((fi as u32, a as u8, h));
                             }
+                            continue;
                         }
-                        for i in 0..st.machines.len() {
-                            if !st.done[i] {
-                                step_state(
-                                    st, i, None, &wmem, &mut kb, pending, symmetry,
-                                    record_edges, frozen_find, wid, &mut out,
-                                );
-                            }
-                        }
+                        s.step_all_but(st, None);
                         if budget > 0 {
                             let loc = crash_loc.expect("positive budget implies a fault register");
                             for i in 0..st.machines.len() {
                                 if !st.done[i] && st.machines[i].can_crash() {
-                                    step_state(
-                                        st, i, Some((loc, budget - 1)), &wmem,
-                                        &mut kb, pending, symmetry, record_edges,
-                                        frozen_find, wid, &mut out,
-                                    );
+                                    s.step(st, i, Some((loc, budget - 1)));
                                 }
                             }
                         }
                     }
-                    out
+                    s
                 })
             })
             .collect();
@@ -443,178 +596,217 @@ where
 
 /// Per-frontier-state payload bytes: one register-file snapshot, the
 /// machine vector and the done flags. Used by the deterministic memory
-/// accounting of both parallel backends.
+/// accounting of both layer stores.
 pub(crate) fn frontier_state_bytes<M>(words: usize, machines: usize) -> u64 {
     (words * 8 + machines * std::mem::size_of::<M>() + machines) as u64
 }
 
+/// Every entry of the pending shards.
+fn entries<K>(pending: &mut [Mutex<HashMap<K, Pend>>]) -> impl Iterator<Item = &Pend> {
+    pending.iter_mut().flat_map(|s| {
+        let map: &HashMap<K, Pend> = s.get_mut().expect("shard poisoned");
+        map.values()
+    })
+}
+
+/// Charges `stats` with the stores' resident bytes (keeping the larger of
+/// the peak so far and the present), the loop's own `pending` entries and
+/// the edges recorded in RAM, and the stores' disk bytes.
+fn charge<M>(
+    stats: &mut CheckStats,
+    visited: &impl Visited,
+    layers: &impl Layers<M>,
+    pending: u64,
+    edges: &EdgeStore,
+) {
+    let edges = match edges {
+        EdgeStore::Ram(list) => list.len() as u64 * 8,
+        EdgeStore::Disk(..) => 0,
+    };
+    let resident = visited.resident(pending) + layers.resident() + edges;
+    stats.peak_resident_bytes = stats.peak_resident_bytes.max(resident);
+    stats.spilled_bytes = visited.spilled() + layers.spilled();
+}
+
 /// Breadth-first exploration of the full state space over `workers`
-/// threads. Visits exactly the states [`ModelChecker::check`] visits and
-/// reports the same `states`/`transitions`/`terminal_states`;
-/// `max_depth` counts breadth-first layers instead of DFS depth.
+/// threads, keeping visited states in `visited` — handed back at the end
+/// — and layers in the store `new_layers` builds from the root.
 ///
-/// Violations are deterministic regardless of worker count: ids are
-/// assigned in `(parent, via)` order layer by layer, the invariant is
-/// checked in id order, and the first failing state's spanning-tree
-/// schedule is reported.
-pub(crate) fn explore<M, F, K>(
+/// Visits exactly the states [`ModelChecker::check`] visits and reports
+/// the same `states`/`transitions`/`terminal_states`; `max_depth` counts
+/// breadth-first layers instead of DFS depth. Violations are deterministic
+/// for every worker count and store: ids are assigned in `(parent, via)`
+/// order layer by layer, the invariant is checked in id order, and the
+/// first failing state's spanning-tree schedule is reported.
+///
+/// With `record_edges` (complete visited stores only) every transition
+/// comes back as a `(from, to)` id pair — streamed to an edge log on disk
+/// when a spill budget is configured, the only forward structure that
+/// grows with *transitions* rather than states.
+pub(crate) fn explore<M, F, V, L>(
     mc: &ModelChecker<M>,
     invariant: &F,
     workers: usize,
     record_edges: bool,
-) -> Result<Explored, CheckError>
+    mut visited: V,
+    new_layers: impl FnOnce(FrontierState<M>) -> io::Result<L>,
+) -> Result<(CheckStats, EdgeStore, V), CheckError>
 where
     M: StepMachine + Send + Sync,
     F: Fn(&World<'_, M>) -> Result<(), String>,
-    K: EngineKey,
+    V: Visited,
+    L: Layers<M>,
 {
-    let symmetry = mc.symmetry();
-    let layout = mc.initial_layout();
-    let mem = SimMemory::new(&layout);
-    let machines0 = mc.initial_machines().to_vec();
+    let mem = SimMemory::new(mc.layout());
+    let machines = mc.machines().to_vec();
     assert!(
-        machines0.len() < u8::MAX as usize,
+        machines.len() < u8::MAX as usize,
         "the frontier engine supports at most 254 machines"
     );
     assert!(
-        mc.crash_loc().is_none() || machines0.len() <= CRASH_SCHEDULE_BASE,
+        mc.crash_loc().is_none() || machines.len() <= CRASH_SCHEDULE_BASE,
         "with a fault budget the frontier engine supports at most {CRASH_SCHEDULE_BASE} machines \
          (crash transitions are encoded as machine + {CRASH_SCHEDULE_BASE})"
     );
-    let per_state = frontier_state_bytes::<M>(mem.len(), machines0.len());
-    let done0 = vec![false; machines0.len()];
-
-    let mut stats = CheckStats::default();
-    let mut frozen: Vec<HashMap<K, u32>> = (0..SHARDS).map(|_| HashMap::new()).collect();
-    let mut parent: Vec<(u32, u8)> = vec![(u32::MAX, 0)];
-    let mut terminal: Vec<bool> = Vec::new();
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    // With a spill budget configured, the edge list — the only forward
-    // structure that grows with *transitions* rather than states — is
-    // streamed to an append-only log instead of accumulating in RAM.
-    let mut edge_disk: Option<(crate::frontier::ScratchDir, crate::frontier::EdgeLog)> =
-        match (record_edges, mc.spill_config()) {
-            (true, Some(cfg)) => {
-                let guard = crate::frontier::ScratchDir::create(&cfg.dir)?;
-                let log = crate::frontier::EdgeLog::create(guard.path().join("edges.log"))?;
-                Some((guard, log))
-            }
-            _ => None,
-        };
-    // Running payload bytes of the frozen visited set.
-    let mut visited_bytes: u64 = 0;
-
+    let root = FrontierState {
+        snap: mem.snapshot(),
+        done: vec![false; machines.len()],
+        machines,
+        id: 0,
+    };
+    let terminal = root.done.iter().all(|&d| d);
+    let mut stats = CheckStats {
+        states: 1,
+        terminal_states: u64::from(terminal),
+        ..CheckStats::default()
+    };
     {
         let mut kb = KeyBuilder::default();
-        let key0 = kb.build(&mem, &machines0, &done0, None, symmetry);
-        let h0 = hash128(key0);
-        let k0 = K::make(key0, h0);
-        visited_bytes += k0.bytes() + 4;
-        frozen[shard_of(h0)].insert(k0, 0);
+        let key0 = kb.build(&mem, &root.machines, &root.done, None);
+        let h = hash128(key0);
+        visited.insert(0, V::Key::make(key0, h), h, (u32::MAX, 0), terminal)?;
     }
-    stats.states = 1;
-    terminal.push(done0.iter().all(|&d| d));
-    if terminal[0] {
-        stats.terminal_states = 1;
-    }
-    {
-        let world = World {
-            mem: &mem,
-            machines: &machines0,
-            done: &done0,
-        };
-        if let Err(message) = invariant(&world) {
-            return Err(CheckError::Violation(Box::new(Violation {
-                message,
-                schedule: vec![],
-                trace: "(violated in the initial state)".into(),
-                stats,
-            })));
-        }
-    }
-
-    let mut frontier: Vec<FrontierState<M>> = vec![FrontierState {
-        snap: mem.snapshot(),
-        machines: machines0,
-        done: done0,
-        id: 0,
-    }];
     // Scratch register file for main-thread invariant checks.
-    let check_mem = SimMemory::new(&layout);
+    let check_mem = SimMemory::new(mc.layout());
+    let check = |st: &FrontierState<M>| {
+        check_mem.restore(&st.snap);
+        invariant(&World {
+            mem: &check_mem,
+            machines: &st.machines,
+            done: &st.done,
+        })
+    };
+    if let Err(message) = check(&root) {
+        return Err(CheckError::Violation(Box::new(Violation {
+            message,
+            schedule: vec![],
+            trace: "(violated in the initial state)".into(),
+            stats,
+        })));
+    }
+    let mut layers = new_layers(root)?;
 
-    while !frontier.is_empty() {
-        let pending: Vec<Mutex<HashMap<K, Pend>>> =
-            (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect();
-        let frozen_ref = &frozen;
-        let find = |buf: &[u64], h: u128| K::find(&frozen_ref[shard_of(h)], buf, h);
-        // The in-RAM frozen set is the complete visited set, so the cycle
-        // proviso is fully handled inside `expand_layer`; no reduced-state
-        // records are needed.
-        let mut outs = expand_layer(
-            &frontier,
-            &pending,
-            workers,
-            symmetry,
-            record_edges,
-            mc.por_on(),
-            false,
-            mc.crash_loc(),
-            0,
-            &find,
-        );
-
-        stats.transitions += outs.iter().map(|o| o.transitions).sum::<u64>();
-        let materialized: usize = outs.iter().map(|o| o.fresh.len()).sum();
-
-        // Phase B (sequential): drain pending in deterministic order.
-        let mut discovered: Vec<(K, Pend)> = Vec::new();
-        for shard in pending {
-            let map = shard.into_inner().expect("shard poisoned");
-            discovered.extend(map);
+    let mut edges = match (record_edges, mc.spill_config()) {
+        (true, Some(cfg)) => {
+            let guard = ScratchDir::create(&cfg.dir)?;
+            let log = EdgeLog::create(guard.path().join("edges.log"))?;
+            EdgeStore::Disk(guard, log)
         }
-        // (parent, via) is unique per entry — `step` is deterministic, so one
-        // parent/machine pair can produce only one successor — hence this
-        // order is total and worker-independent.
+        _ => EdgeStore::Ram(Vec::new()),
+    };
+
+    loop {
+        let mut pending: Vec<Mutex<HashMap<V::Key, Pend>>> =
+            (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect();
+        // `assigned[w][idx]` maps a worker-local fresh slot to its global
+        // id (edge recording only).
+        let mut assigned: Vec<Vec<u32>> = Vec::new();
+        let mut layer_edges = Vec::new();
+        let mut reduced = Vec::new();
+        layers.expand(None, |chunk, first, base| {
+            let found = expand_layer(mc, chunk, &pending, &visited, workers, record_edges, base);
+            let fresh = found.into_iter().map(|w| {
+                stats.transitions += w.transitions;
+                layer_edges.extend(w.edges.into_iter().flatten());
+                let at = |(fi, a, h)| (fi + first as u32, a, h);
+                reduced.extend(w.reduced.into_iter().map(at));
+                if record_edges {
+                    assigned.push(vec![u32::MAX; w.fresh.len()]);
+                }
+                w.fresh
+            });
+            fresh.collect()
+        })?;
+
+        // Drop every candidate the visited store knows beyond `find`.
+        let candidates: u64 = pending
+            .iter_mut()
+            .map(|s| s.get_mut().expect("shard poisoned").len() as u64)
+            .sum();
+        let mut old = visited.join(entries(&mut pending).map(|p| p.h))?;
+        // The workers' proviso check only saw what `find` sees. A state
+        // left reduced whose ample successor is among the dropped
+        // candidates would have been expanded fully by a complete store,
+        // so expand it fully here, into the still-undrained pending shards,
+        // and drop the new candidates the store knows too. This keeps
+        // states, ids and violation schedules identical for every store
+        // under reduction.
+        let (ords, amples): (Vec<u32>, Vec<u8>) = reduced
+            .iter()
+            .filter(|r| old.contains(&r.2))
+            .map(|&(fi, a, _)| (fi, a))
+            .unzip();
+        if !ords.is_empty() {
+            let mut patch_base = u32::MAX;
+            layers.expand(Some(&ords), |chunk, first, base| {
+                patch_base = patch_base.min(base);
+                let mut w = Worker::new(&chunk[0].snap, &pending, &visited, false, base);
+                for (st, &a) in chunk.iter().zip(&amples[first..]) {
+                    w.step_all_but(st, Some(usize::from(a)));
+                }
+                stats.transitions += w.transitions;
+                vec![w.fresh]
+            })?;
+            let extras = entries(&mut pending).filter(|p| p.worker >= patch_base);
+            old.extend(visited.join(extras.map(|p| p.h))?);
+        }
+
+        // Drain pending in deterministic order. (parent, via) is unique per
+        // entry — `step` is deterministic, so one parent/machine pair can
+        // produce only one successor — hence this order is total and
+        // worker-independent.
+        let mut discovered: Vec<(V::Key, Pend)> = pending
+            .into_iter()
+            .flat_map(|s| s.into_inner().expect("shard poisoned"))
+            .collect();
         discovered.sort_unstable_by_key(|(_, p)| (p.parent, p.via));
-        let fresh_n = discovered.len() as u64;
-
-        // `assigned[w][idx]` maps a worker-local fresh slot to its global id.
-        let mut assigned: Vec<Vec<u32>> =
-            outs.iter().map(|o| vec![u32::MAX; o.fresh.len()]).collect();
-        let mut next_frontier: Vec<FrontierState<M>> = Vec::with_capacity(discovered.len());
-
-        for (k, p) in discovered {
+        layers.end_expansion()?;
+        for (key, p) in discovered {
+            if old.contains(&p.h) {
+                continue;
+            }
             let id = u32::try_from(stats.states).expect("state ids exceed u32");
             stats.states += 1;
             if stats.states as usize > mc.state_limit() {
+                charge(&mut stats, &visited, &layers, candidates, &edges);
                 return Err(CheckError::StateLimit {
                     limit: mc.state_limit(),
                     stats,
                 });
             }
-            visited_bytes += k.bytes() + 4;
-            frozen[shard_of(p.h)].insert(k, id);
-            assigned[p.worker as usize][p.idx as usize] = id;
-            let mut st = outs[p.worker as usize].fresh[p.idx as usize]
-                .take()
-                .expect("pending entry names a materialized state");
-            st.id = id;
-            parent.push((p.parent, p.via));
-            let term = st.done.iter().all(|&d| d);
-            terminal.push(term);
-            if term {
-                stats.terminal_states += 1;
-            }
-
-            check_mem.restore(&st.snap);
-            let world = World {
-                mem: &check_mem,
-                machines: &st.machines,
-                done: &st.done,
-            };
-            if let Err(message) = invariant(&world) {
-                let schedule = schedule_to(&parent, id);
+            let verdict = layers.admit(p.worker, p.idx, id, |st| {
+                let terminal = st.done.iter().all(|&d| d);
+                stats.terminal_states += u64::from(terminal);
+                visited.insert(id, key, p.h, (p.parent, p.via), terminal)?;
+                if record_edges {
+                    assigned[p.worker as usize][p.idx as usize] = id;
+                }
+                Ok(check(st))
+            })?;
+            if let Err(message) = verdict {
+                let schedule = visited.schedule_to(id)?;
                 let trace = mc.render_trace(&schedule);
+                charge(&mut stats, &visited, &layers, candidates, &edges);
                 return Err(CheckError::Violation(Box::new(Violation {
                     message,
                     schedule,
@@ -622,56 +814,30 @@ where
                     stats,
                 })));
             }
-            next_frontier.push(st);
         }
 
-        if record_edges {
-            for out in &outs {
-                for (from, to) in &out.edges {
-                    let to_id = match *to {
-                        EdgeTo::Known(id) => id,
-                        EdgeTo::Fresh(w2, idx2) => assigned[w2 as usize][idx2 as usize],
-                    };
-                    match &mut edge_disk {
-                        Some((_, log)) => log.push(*from, to_id)?,
-                        None => edges.push((*from, to_id)),
-                    }
-                }
+        for (from, to) in layer_edges {
+            let to = match to {
+                EdgeTo::Known(id) => id,
+                EdgeTo::Fresh(w, idx) => assigned[w as usize][idx as usize],
+            };
+            match &mut edges {
+                EdgeStore::Ram(list) => list.push((from, to)),
+                EdgeStore::Disk(_, log) => log.push(from, to)?,
             }
         }
-
-        // Deterministic per-layer resident footprint: visited set, the
-        // expanded frontier plus every state materialized this layer,
-        // the pending-map entries, the spanning-tree arrays, and — when
-        // it accumulates in RAM — the recorded edge list.
-        let resident = visited_bytes
-            + (frontier.len() + materialized) as u64 * per_state
-            + fresh_n * PEND_OVERHEAD_BYTES
-            + parent.len() as u64 * 8
-            + terminal.len() as u64
-            + edges.len() as u64 * 8;
-        stats.peak_resident_bytes = stats.peak_resident_bytes.max(resident);
-
-        if !next_frontier.is_empty() {
-            stats.max_depth += 1;
+        charge(&mut stats, &visited, &layers, candidates, &edges);
+        if layers.advance()? == 0 {
+            break;
         }
-        frontier = next_frontier;
+        stats.max_depth += 1;
     }
 
-    let edges = match edge_disk {
-        Some((guard, log)) => {
-            let (path, count) = log.finish()?;
-            stats.spilled_bytes += count * 8;
-            EdgeStore::Disk { guard, path, count }
-        }
-        None => EdgeStore::Ram(edges),
-    };
-    Ok(Explored {
-        stats,
-        parent,
-        terminal,
-        edges,
-    })
+    stats.spilled_bytes = visited.spilled() + layers.spilled();
+    if let EdgeStore::Disk(_, log) = &mut edges {
+        stats.spilled_bytes += log.finish()? * 8;
+    }
+    Ok((stats, edges, visited))
 }
 
 impl<M: StepMachine + Send + Sync> ModelChecker<M> {
@@ -686,10 +852,10 @@ impl<M: StepMachine + Send + Sync> ModelChecker<M> {
     /// ids follow the layered `(parent, via)` order, and the first
     /// violating id's spanning-tree schedule is returned.
     ///
-    /// With [`spill_dir`](Self::spill_dir) configured, the visited set is
-    /// kept in sorted runs on disk (the `spill` module) and only a
-    /// bounded in-RAM delta is held; the reported counts and any
-    /// violation remain bit-for-bit identical.
+    /// With [`spill_dir`](Self::spill_dir) configured, the same loop keeps
+    /// the visited set in sorted runs on disk behind a bounded in-RAM
+    /// delta and the layers in files (the `spill` module); the reported
+    /// counts and any violation remain bit-for-bit identical.
     ///
     /// # Errors
     ///
@@ -734,12 +900,22 @@ impl<M: StepMachine + Send + Sync> ModelChecker<M> {
         F: Fn(&World<'_, M>) -> Result<(), String>,
     {
         let workers = self.resolved_workers();
-        if self.spill_config().is_some() {
-            crate::spill::explore_spilled(self, &invariant, workers).map(|e| e.stats)
-        } else if self.hashed() {
-            explore::<M, F, u128>(self, &invariant, workers, false).map(|e| e.stats)
-        } else {
-            explore::<M, F, Box<[u64]>>(self, &invariant, workers, false).map(|e| e.stats)
+        let inv = &invariant;
+        match self.spill_config() {
+            Some(cfg) => {
+                let scratch = ScratchDir::create(&cfg.dir)?;
+                let visited = SpillSet::create(scratch.path(), cfg)?;
+                let layers = |root| DiskLayers::new(scratch.path(), cfg, root);
+                explore(self, inv, workers, false, visited, layers).map(|(stats, ..)| stats)
+            }
+            None if self.hashed() => {
+                let visited = RamVisited::<u128>::new();
+                explore(self, inv, workers, false, visited, RamLayers::new).map(|(stats, ..)| stats)
+            }
+            None => {
+                let visited = RamVisited::<Box<[u64]>>::new();
+                explore(self, inv, workers, false, visited, RamLayers::new).map(|(stats, ..)| stats)
+            }
         }
     }
 }

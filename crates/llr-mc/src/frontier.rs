@@ -384,6 +384,8 @@ pub(crate) struct MachinePool<M> {
     index: Vec<HashMap<Box<[u64]>, u32>>,
     items: Vec<Vec<M>>,
     bytes: u64,
+    /// Key scratch buffer.
+    keybuf: Vec<u64>,
 }
 
 impl<M: StepMachine> MachinePool<M> {
@@ -392,28 +394,41 @@ impl<M: StepMachine> MachinePool<M> {
             index: (0..slots).map(|_| HashMap::new()).collect(),
             items: (0..slots).map(|_| Vec::new()).collect(),
             bytes: 0,
+            keybuf: Vec::new(),
         }
     }
 
+    /// Interns every slot's machine into that slot, returning the stable
+    /// ids.
+    pub(crate) fn intern_all(&mut self, machines: &[M]) -> Vec<u32> {
+        machines
+            .iter()
+            .enumerate()
+            .map(|(slot, m)| self.intern(slot, m))
+            .collect()
+    }
+
     /// Interns `m` into `slot`, returning its stable id.
-    pub(crate) fn intern(&mut self, slot: usize, m: &M, keybuf: &mut Vec<u64>) -> u32 {
-        keybuf.clear();
-        m.key(keybuf);
-        if let Some(&id) = self.index[slot].get(keybuf.as_slice()) {
+    fn intern(&mut self, slot: usize, m: &M) -> u32 {
+        self.keybuf.clear();
+        m.key(&mut self.keybuf);
+        if let Some(&id) = self.index[slot].get(self.keybuf.as_slice()) {
             return id;
         }
         let id = u32::try_from(self.items[slot].len()).expect("machine pool exceeds u32 ids");
-        self.bytes += (keybuf.len() * 8) as u64
-            + std::mem::size_of::<M>() as u64
-            + POOL_OVERHEAD_BYTES;
-        self.index[slot].insert(keybuf.as_slice().into(), id);
+        self.bytes +=
+            (self.keybuf.len() * 8) as u64 + std::mem::size_of::<M>() as u64 + POOL_OVERHEAD_BYTES;
+        self.index[slot].insert(self.keybuf.as_slice().into(), id);
         self.items[slot].push(m.clone());
         id
     }
 
-    /// A clone of the machine interned under `id` in `slot`.
-    pub(crate) fn get(&self, slot: usize, id: u32) -> M {
-        self.items[slot][id as usize].clone()
+    /// Clones of the machines interned under `ids`, one per slot.
+    pub(crate) fn machines(&self, ids: &[u32]) -> Vec<M> {
+        ids.iter()
+            .zip(&self.items)
+            .map(|(&id, items)| items[id as usize].clone())
+            .collect()
     }
 
     /// Tracked payload bytes (structs + keys + map overhead), for the
@@ -453,8 +468,7 @@ impl ParentLog {
     }
 
     /// Reconstructs the schedule reaching `id` by walking parent records
-    /// backwards (the on-disk analogue of
-    /// [`crate::engine::schedule_to`]).
+    /// backwards (the on-disk analogue of the in-RAM parent vector walk).
     pub(crate) fn schedule_to(&mut self, mut id: u32) -> io::Result<Vec<usize>> {
         self.w.flush()?;
         let mut file = File::open(&self.path)?;
@@ -480,8 +494,9 @@ impl ParentLog {
 /// an in-RAM edge list.
 pub(crate) struct EdgeLog {
     w: BufWriter<File>,
-    path: PathBuf,
-    count: u64,
+    pub(crate) path: PathBuf,
+    /// Pairs appended so far.
+    pub(crate) count: u64,
 }
 
 impl EdgeLog {
@@ -497,10 +512,10 @@ impl EdgeLog {
         Ok(())
     }
 
-    /// Flushes and closes the log, returning its path for the CSR build.
-    pub(crate) fn finish(mut self) -> io::Result<(PathBuf, u64)> {
+    /// Flushes the log for the CSR build, returning its pair count.
+    pub(crate) fn finish(&mut self) -> io::Result<u64> {
         self.w.flush()?;
-        Ok((self.path, self.count))
+        Ok(self.count)
     }
 }
 

@@ -74,14 +74,18 @@
 //!
 //! # Engines
 //!
-//! Three interchangeable exploration backends, all visiting the same
-//! states and reporting identical counts and violations:
+//! Two exploration engines, visiting the same states and reporting
+//! identical counts and violations: the sequential DFS
+//! ([`ModelChecker::check`]), with an explicit stack and an in-RAM visited
+//! set of exact or hashed keys, and one parallel breadth-first loop
+//! ([`ModelChecker::check_parallel`], also the forward pass of
+//! [`ModelChecker::check_always_terminable`]). The loop runs over two
+//! stores, and [`ModelChecker::spill_dir`] selects their disk versions:
 //!
-//! | backend | selected by | visited set | frontier |
-//! |---|---|---|---|
-//! | sequential DFS | [`ModelChecker::check`] | in RAM, exact or hashed keys | explicit stack |
-//! | parallel BFS | [`ModelChecker::check_parallel`] | in RAM, sharded | in RAM |
-//! | external-memory BFS | `check_parallel` + [`ModelChecker::spill_dir`] | bounded in-RAM delta + sorted runs on disk | per-layer files on disk ([`frontier`]) |
+//! | store | in RAM | with `spill_dir` |
+//! |---|---|---|
+//! | visited | sharded map, exact or hashed keys | bounded in-RAM delta + sorted runs on disk |
+//! | layers | materialized states, one chunk per layer | per-layer files on disk ([`frontier`]), read in bounded chunks |
 
 #![warn(missing_docs)]
 

@@ -13,14 +13,16 @@
 //! For blocking substrates like the Peterson–Fischer block, it is
 //! exactly deadlock-freedom.
 //!
-//! The graph is built by the same parallel frontier engine as
-//! [`ModelChecker::check_parallel`] (with edge recording on), so the
-//! forward pass scales over [`ModelChecker::workers`] threads. The
-//! backward marking runs layer-parallel over the same worker count: the
-//! reversed edges are packed into a CSR adjacency (one offset array, one
-//! flat predecessor array — no per-state `Vec`s), and each backward
-//! layer is swept concurrently with atomic-swap claiming so every state
-//! is enqueued exactly once. Edges are stored as flat `u32` index pairs.
+//! The graph is built by the same breadth-first loop as
+//! [`ModelChecker::check_parallel`], on its in-RAM visited store with edge
+//! recording on, so the forward pass scales over
+//! [`ModelChecker::workers`] threads. The backward marking runs
+//! layer-parallel over the same worker count: the reversed edges are
+//! packed into a CSR adjacency (one offset array, one flat predecessor
+//! array — no per-state `Vec`s), and one sweep marks each backward layer
+//! concurrently with atomic-swap claiming, so every state is enqueued
+//! exactly once, whichever of the two CSR forms below it reads. Edges are
+//! stored as flat `u32` index pairs.
 //!
 //! With [`ModelChecker::spill_dir`] configured, the structure that grows
 //! with *edges* moves to disk: the forward pass streams `(from, to)`
@@ -35,8 +37,10 @@
 //! family).
 
 use crate::checker::{CheckError, CheckStats, ModelChecker, Violation};
-use crate::engine::{explore, schedule_to, EdgeStore};
+use crate::engine::{explore, schedule_to, EdgeStore, RamLayers, RamVisited};
+use crate::frontier::{DiskCsr, ScratchDir};
 use crate::StepMachine;
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Result of a [`ModelChecker::check_always_terminable`] run.
@@ -73,7 +77,7 @@ impl<M: StepMachine + Send + Sync> ModelChecker<M> {
     /// reachable state**.
     ///
     /// Both passes run over [`workers`](Self::workers) threads: the
-    /// forward graph construction on the parallel frontier engine, and
+    /// forward graph construction on the breadth-first loop, and
     /// the backward marking as a layered sweep over the reversed-edge
     /// CSR adjacency. State ids, the set of trap states, and hence the
     /// reported trap are deterministic for every worker count.
@@ -121,39 +125,38 @@ impl<M: StepMachine + Send + Sync> ModelChecker<M> {
         let ok = |_: &crate::World<'_, M>| Ok(());
         // With a spill budget the edge log lives on disk anyway, so the
         // memory-lean hashed dedup is the only sensible forward pairing.
-        let explored = if self.hashed() || self.spill_config().is_some() {
-            explore::<M, _, u128>(self, &ok, workers, true)?
+        let hashed = self.hashed() || self.spill_config().is_some();
+        let (explored, edges, parent, terminal) = if hashed {
+            let visited = RamVisited::<u128>::new();
+            let (stats, edges, v) = explore(self, &ok, workers, true, visited, RamLayers::new)?;
+            (stats, edges, v.parent, v.terminal)
         } else {
-            explore::<M, _, Box<[u64]>>(self, &ok, workers, true)?
+            let visited = RamVisited::<Box<[u64]>>::new();
+            let (stats, edges, v) = explore(self, &ok, workers, true, visited, RamLayers::new)?;
+            (stats, edges, v.parent, v.terminal)
         };
 
         // Backward marking from terminal states over reversed edges,
         // layer-parallel like the forward pass. The reversed graph is
         // packed into CSR form (offset + flat predecessor arrays — on
         // disk when spilling), then each backward layer is swept over
-        // the worker pool: a worker claims an unmarked predecessor with
-        // an atomic swap, so every state enters the next frontier
-        // exactly once. The *set* marked per layer is
+        // the worker pool. The *set* marked per layer is
         // schedule-independent, hence the first unmarked id (the
         // reported trap) is deterministic for every worker count — and
         // for both CSR representations.
-        let n = explored.stats.states as usize;
+        let n = explored.states as usize;
         let can_finish: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        let mut frontier: Vec<u32> = (0..n as u32)
-            .filter(|&i| explored.terminal[i as usize])
-            .collect();
-        let terminal_count = frontier.len() as u64;
+        let frontier: Vec<u32> = (0..n as u32).filter(|&i| terminal[i as usize]).collect();
         for &t in &frontier {
             can_finish[t as usize].store(true, Ordering::Relaxed);
         }
-        let mut peak = explored.stats.peak_resident_bytes;
-        let mut spilled = explored.stats.spilled_bytes;
-        let mut width_peak: u64 = frontier.len() as u64;
+        let mut peak = explored.peak_resident_bytes;
+        let mut spilled = explored.spilled_bytes;
 
-        match &explored.edges {
+        let preds = match edges {
             EdgeStore::Ram(edge_list) => {
                 let mut off: Vec<u32> = vec![0; n + 1];
-                for &(_, to) in edge_list {
+                for &(_, to) in &edge_list {
                     off[to as usize + 1] += 1;
                 }
                 for i in 0..n {
@@ -161,122 +164,36 @@ impl<M: StepMachine + Send + Sync> ModelChecker<M> {
                 }
                 let mut cursor = off.clone();
                 let mut preds: Vec<u32> = vec![0; edge_list.len()];
-                for &(from, to) in edge_list {
+                for &(from, to) in &edge_list {
                     let c = &mut cursor[to as usize];
                     preds[*c as usize] = from;
                     *c += 1;
                 }
                 // CSR build holds offsets, cursors, the predecessor
                 // array and the still-live edge list at once.
-                peak = peak.max(
-                    8 * (n as u64 + 1) + 12 * edge_list.len() as u64 + n as u64,
-                );
-
-                while !frontier.is_empty() {
-                    width_peak = width_peak.max(frontier.len() as u64);
-                    let nw = workers.clamp(1, frontier.len());
-                    let chunk = frontier.len().div_ceil(nw);
-                    let frontier_ref = &frontier;
-                    let can_finish_ref = &can_finish;
-                    let off_ref = &off;
-                    let preds_ref = &preds;
-                    frontier = std::thread::scope(|s| {
-                        let handles: Vec<_> = (0..nw)
-                            .map(|w| {
-                                s.spawn(move || {
-                                    let lo = (w * chunk).min(frontier_ref.len());
-                                    let hi = (lo + chunk).min(frontier_ref.len());
-                                    let mut next = Vec::new();
-                                    for &st in &frontier_ref[lo..hi] {
-                                        let (a, b) =
-                                            (off_ref[st as usize], off_ref[st as usize + 1]);
-                                        for &p in &preds_ref[a as usize..b as usize] {
-                                            if !can_finish_ref[p as usize]
-                                                .swap(true, Ordering::Relaxed)
-                                            {
-                                                next.push(p);
-                                            }
-                                        }
-                                    }
-                                    next
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .flat_map(|h| h.join().expect("a liveness worker panicked"))
-                            .collect()
-                    });
-                }
+                peak = peak.max(8 * (n as u64 + 1) + 12 * edge_list.len() as u64 + n as u64);
+                Preds::Ram { off, preds }
             }
-            EdgeStore::Disk { guard, path, count } => {
-                let budget = self
+            EdgeStore::Disk(guard, log) => {
+                let cfg = self
                     .spill_config()
-                    .map_or(0, |c| c.budget_bytes);
-                let window = (budget / 4).max(64 * 1024);
-                let csr = crate::frontier::DiskCsr::build(
-                    path,
-                    *count,
-                    n,
-                    window,
-                    guard.path().join("preds.csr"),
-                )?;
-                spilled += *count * 4;
+                    .expect("edges spill only under a spill budget");
+                let out = guard.path().join("preds.csr");
+                let csr = DiskCsr::build(&log.path, log.count, n, cfg.window_bytes(), out)?;
+                spilled += log.count * 4;
                 peak = peak.max(8 * (n as u64 + 1) + csr.build_window_bytes + n as u64);
-
-                let csr_ref = &csr;
-                let can_finish_ref = &can_finish;
-                while !frontier.is_empty() {
-                    width_peak = width_peak.max(frontier.len() as u64);
-                    let nw = workers.clamp(1, frontier.len());
-                    let chunk = frontier.len().div_ceil(nw);
-                    let frontier_ref = &frontier;
-                    let joined: std::io::Result<Vec<u32>> = std::thread::scope(|s| {
-                        let handles: Vec<_> = (0..nw)
-                            .map(|w| {
-                                s.spawn(move || -> std::io::Result<Vec<u32>> {
-                                    let lo = (w * chunk).min(frontier_ref.len());
-                                    let hi = (lo + chunk).min(frontier_ref.len());
-                                    let mut next = Vec::new();
-                                    // One independent file handle per
-                                    // worker; runs are read in bounded
-                                    // sub-chunks.
-                                    let mut r = csr_ref.reader()?;
-                                    for &st in &frontier_ref[lo..hi] {
-                                        r.for_each(
-                                            csr_ref.off[st as usize],
-                                            csr_ref.off[st as usize + 1],
-                                            |p| {
-                                                if !can_finish_ref[p as usize]
-                                                    .swap(true, Ordering::Relaxed)
-                                                {
-                                                    next.push(p);
-                                                }
-                                            },
-                                        )?;
-                                    }
-                                    Ok(next)
-                                })
-                            })
-                            .collect();
-                        let mut all = Vec::new();
-                        for h in handles {
-                            all.extend(h.join().expect("a liveness worker panicked")?);
-                        }
-                        Ok(all)
-                    });
-                    frontier = joined?;
-                }
+                Preds::Disk { csr, _guard: guard }
             }
-        }
+        };
+        let width_peak = preds.sweep(frontier, &can_finish, workers)?;
         // The marking frontiers themselves (current + next, 4 bytes per
         // entry, bounded by the widest marked layer).
         peak = peak.max(8 * (n as u64 + 1) + n as u64 + 8 * width_peak);
 
         if let Some(trap) = (0..n).find(|&i| !can_finish[i].load(Ordering::Relaxed)) {
-            // Reconstruct the schedule into the trap via the engine's
-            // spanning-tree parent pointers.
-            let schedule = schedule_to(&explored.parent, trap as u32);
+            // Reconstruct the schedule into the trap via the forward
+            // pass's spanning-tree parent pointers.
+            let schedule = schedule_to(&parent, trap as u32);
             let trace = self.render_trace(&schedule);
             return Err(CheckError::Violation(Box::new(Violation {
                 message: format!(
@@ -285,23 +202,88 @@ impl<M: StepMachine + Send + Sync> ModelChecker<M> {
                 schedule,
                 trace,
                 stats: CheckStats {
-                    states: n as u64,
-                    transitions: explored.stats.transitions,
-                    max_depth: explored.stats.max_depth,
-                    terminal_states: terminal_count,
                     peak_resident_bytes: peak,
                     spilled_bytes: spilled,
+                    ..explored
                 },
             })));
         }
 
         Ok(LivenessStats {
             states: n as u64,
-            edges: explored.stats.transitions,
-            terminal_states: terminal_count,
+            edges: explored.transitions,
+            terminal_states: explored.terminal_states,
             peak_resident_bytes: peak,
             spilled_bytes: spilled,
         })
+    }
+}
+
+/// The reversed edges — each state's predecessors — as a CSR adjacency.
+enum Preds {
+    /// `preds[off[s]..off[s + 1]]` are the predecessors of `s`.
+    Ram { off: Vec<u32>, preds: Vec<u32> },
+    /// The same with the flat predecessor array on disk, and the scratch
+    /// guard that keeps it there.
+    Disk { csr: DiskCsr, _guard: ScratchDir },
+}
+
+impl Preds {
+    /// Marks every state with a path into `frontier` in `marked`, one
+    /// backward layer at a time over `workers` threads, and returns the
+    /// widest layer.
+    fn sweep(
+        &self,
+        mut frontier: Vec<u32>,
+        marked: &[AtomicBool],
+        workers: usize,
+    ) -> io::Result<u64> {
+        let mut width_peak = frontier.len() as u64;
+        while !frontier.is_empty() {
+            width_peak = width_peak.max(frontier.len() as u64);
+            let chunk = frontier.len().div_ceil(workers.clamp(1, frontier.len()));
+            frontier = std::thread::scope(|s| {
+                let handles: Vec<_> = frontier
+                    .chunks(chunk)
+                    .map(|part| s.spawn(move || self.mark_preds(part, marked)))
+                    .collect();
+                let mut next = Vec::new();
+                for h in handles {
+                    next.extend(h.join().expect("a liveness worker panicked")?);
+                }
+                Ok::<_, io::Error>(next)
+            })?;
+        }
+        Ok(width_peak)
+    }
+
+    /// Marks the unmarked predecessors of `states` and returns them. Each
+    /// is claimed with an atomic swap, so every state enters the next
+    /// layer exactly once.
+    fn mark_preds(&self, states: &[u32], marked: &[AtomicBool]) -> io::Result<Vec<u32>> {
+        let mut next = Vec::new();
+        let mut visit = |p: u32| {
+            if !marked[p as usize].swap(true, Ordering::Relaxed) {
+                next.push(p);
+            }
+        };
+        match self {
+            Preds::Ram { off, preds } => {
+                for &st in states {
+                    let (a, b) = (off[st as usize], off[st as usize + 1]);
+                    preds[a as usize..b as usize].iter().for_each(|&p| visit(p));
+                }
+            }
+            Preds::Disk { csr, .. } => {
+                // One independent file handle per worker; runs are read in
+                // bounded sub-chunks.
+                let mut r = csr.reader()?;
+                for &st in states {
+                    r.for_each(csr.off[st as usize], csr.off[st as usize + 1], &mut visit)?;
+                }
+            }
+        }
+        Ok(next)
     }
 }
 

@@ -1,17 +1,20 @@
-//! External-memory exploration: a spill-to-disk visited set **and** a
+//! External-memory exploration: the disk-backed stores of the
+//! breadth-first loop — a spill-to-disk visited set **and** a
 //! spill-to-disk frontier.
 //!
-//! The in-RAM frontier engine ([`crate::engine`]) holds every visited
+//! The in-RAM stores of the loop ([`crate::engine`]) hold every visited
 //! state hash in a sharded map and every frontier state fully
-//! materialized, so its ceiling is the host's memory — first through the
-//! visited set (grows with *total* states), then through the frontier
-//! (grows with the *widest layer*). This backend lifts both ceilings
-//! while preserving the engine's exact counts and deterministic
-//! violation schedules bit-for-bit:
+//! materialized, so their ceiling is the host's memory — first through
+//! the visited set (grows with *total* states), then through the frontier
+//! (grows with the *widest layer*). These stores lift both ceilings
+//! while preserving the exact counts and deterministic violation
+//! schedules bit-for-bit:
 //!
-//! * Dedup is by 128-bit state hash (the same [`hash128`] as
-//!   [`ModelChecker::hashed_dedup`]); hashes are partitioned into the
-//!   engine's 64 shards by their top bits.
+//! * Dedup is by 128-bit state hash (the same
+//!   [`hash128`](crate::checker::hash128) as
+//!   [`ModelChecker::hashed_dedup`](crate::ModelChecker::hashed_dedup));
+//!   hashes are partitioned into the loop's 64 shards by their top
+//!   bits.
 //! * Recently discovered hashes live in an **in-RAM delta** (one
 //!   `HashSet` per shard). Workers consult only this delta during layer
 //!   expansion — never the disk — so the concurrent phase stays
@@ -32,8 +35,8 @@
 //!   so writes are streaming. Expansion reads the layer back as a
 //!   bounded-buffer sequential scan: one chunk of at most a
 //!   quarter-budget's worth of materialized states at a time, expanded
-//!   by [`expand_layer`] against the **layer-persistent** pending set
-//!   (chunk workers get globally unique ids via `worker_base`).
+//!   by the loop's workers against the **layer-persistent** pending set
+//!   (chunk workers get globally unique ids).
 //!   Successors are streamed to a per-layer *candidate* file the same
 //!   way and re-read by ordinal at the join. Machine structs are
 //!   interned per slot, so records store a `u32` per machine.
@@ -50,16 +53,17 @@
 //! pins this, including with a zero budget that forces runs out
 //! mid-layer and single-state expansion chunks.
 //!
-//! One budget governs every structure that scales with the state space:
-//! half bounds the visited-set delta (floored at [`MIN_FLUSH_BYTES`]),
-//! a quarter bounds the frontier chunk buffer (floored at one state,
-//! with worst-case successor materialization counted against it). What
+//! One budget governs every structure that scales with the state space
+//! ([`SpillConfig`] splits it): half bounds the visited-set delta, a
+//! quarter bounds the frontier chunk buffer (at least one state, with
+//! worst-case successor materialization counted against it), and the
+//! last quarter bounds the liveness CSR build window. What
 //! stays in RAM is *accounted but not bounded*: the per-layer pending
 //! set (≈48 bytes per candidate — one to two orders of magnitude below
 //! the retired per-state frontier payload) and the per-slot machine
 //! intern pool (grows with slot-local machine diversity, not states).
-//! [`CheckStats::peak_resident_bytes`] reports the deterministic
-//! per-layer peak over all of it.
+//! [`CheckStats::peak_resident_bytes`](crate::CheckStats::peak_resident_bytes)
+//! reports the deterministic per-layer peak over all of it.
 //!
 //! ```text
 //!        layer file N ──sequential chunk reads──► expansion workers
@@ -82,33 +86,27 @@
 //!                                                    append layer file N+1
 //! ```
 
-use crate::checker::{hash128, CheckError, CheckStats, KeyBuilder, ModelChecker, Violation, World};
 use crate::engine::{
-    expand_layer, frontier_state_bytes, shard_of, EdgeStore, Explored, FrontierState, Pend,
-    PEND_OVERHEAD_BYTES, SHARDS,
+    frontier_state_bytes, shard_of, Fresh, FrontierState, Layers, Visited, PEND_OVERHEAD_BYTES,
+    SHARDS,
 };
-use crate::frontier::{LayerReader, LayerRecord, LayerWriter, MachinePool, ParentLog, ScratchDir};
+use crate::frontier::{LayerReader, LayerWriter, MachinePool, ParentLog};
 use crate::StepMachine;
-use llr_mem::{Memory as _, SimMemory};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// Bytes per stored state hash.
 const HASH_BYTES: usize = 16;
 
-/// Flush granularity floor: the delta is flushed in chunks of at least
-/// this many bytes even when the configured budget is smaller, so a
-/// zero-byte test budget produces runs per layer instead of a file per
-/// state. Budgets below this floor are honored up to this granularity.
-const MIN_FLUSH_BYTES: usize = 64 * 1024;
-
-/// Floor for the frontier chunk buffer, mirroring [`MIN_FLUSH_BYTES`]:
-/// tiny test budgets still expand a few states per chunk instead of
-/// degenerating to one read per record.
-const MIN_CHUNK_BYTES: usize = 64 * 1024;
+/// Floor of every slice of the budget: the delta is flushed in chunks of
+/// at least this many bytes even when the configured budget is smaller,
+/// so a zero-byte test budget produces runs per layer instead of a file
+/// per state, and tiny budgets still expand a few states per frontier
+/// chunk and sort a few predecessor runs per CSR bucket. Budgets below
+/// this floor are honored up to this granularity.
+const MIN_SLICE_BYTES: usize = 64 * 1024;
 
 /// A shard exceeding this many runs is compacted into a single run.
 const MAX_RUNS_PER_SHARD: usize = 8;
@@ -116,13 +114,28 @@ const MAX_RUNS_PER_SHARD: usize = 8;
 /// Buffered-reader capacity for streaming run files.
 const RUN_READ_BUF: usize = 1 << 20;
 
-/// Configuration carried by [`ModelChecker::spill_dir`].
+/// Configuration carried by
+/// [`ModelChecker::spill_dir`](crate::ModelChecker::spill_dir).
 pub(crate) struct SpillConfig {
     /// Parent directory for the per-run spill subdirectory.
     pub dir: PathBuf,
-    /// Total resident budget in bytes (delta + frontier window + CSR
-    /// window share it; see [`ModelChecker::spill_dir`]).
+    /// Total resident budget in bytes, split `B/2` delta, `B/4` frontier
+    /// window, `B/4` CSR window, each slice floored at
+    /// [`MIN_SLICE_BYTES`].
     pub budget_bytes: usize,
+}
+
+impl SpillConfig {
+    /// Flush threshold of the visited-set delta: half the budget.
+    pub(crate) fn delta_bytes(&self) -> usize {
+        (self.budget_bytes / 2).max(MIN_SLICE_BYTES)
+    }
+
+    /// The frontier read window, and the liveness CSR build window: a
+    /// quarter of the budget each.
+    pub(crate) fn window_bytes(&self) -> usize {
+        (self.budget_bytes / 4).max(MIN_SLICE_BYTES)
+    }
 }
 
 /// Sequential reader over one sorted run file.
@@ -155,9 +168,10 @@ impl RunReader {
 }
 
 /// The sharded external visited set: an in-RAM delta plus sorted runs on
-/// disk. See the module docs for the discipline. Files live inside the
-/// caller's [`ScratchDir`]; the guard owns cleanup.
-struct SpillSet {
+/// disk, and the spanning tree as a parent log. See the module docs for
+/// the discipline. Files live inside the caller's scratch directory,
+/// whose guard owns cleanup.
+pub(crate) struct SpillSet {
     /// Directory owning every run file (the exploration's scratch dir).
     dir: PathBuf,
     /// Effective flush threshold.
@@ -174,41 +188,23 @@ struct SpillSet {
     spilled_bytes: u64,
     /// Fresh-file counter.
     file_seq: u64,
+    /// `(parent, via)` of every state, in id order.
+    parents: ParentLog,
 }
 
 impl SpillSet {
-    fn create_in(dir: &Path, threshold: usize) -> Self {
-        Self {
+    pub(crate) fn create(dir: &Path, cfg: &SpillConfig) -> io::Result<Self> {
+        Ok(Self {
             dir: dir.to_path_buf(),
-            threshold,
+            threshold: cfg.delta_bytes(),
             recent: (0..SHARDS).map(|_| HashSet::new()).collect(),
             recent_bytes: 0,
             peak_recent_bytes: 0,
             runs: vec![Vec::new(); SHARDS],
             spilled_bytes: 0,
             file_seq: 0,
-        }
-    }
-
-    /// Whether `h` is in the in-RAM delta. This is the only lookup the
-    /// concurrent expansion phase performs (`&self`, no locks, no I/O);
-    /// hashes already flushed to disk are caught by [`probe_old`].
-    ///
-    /// [`probe_old`]: Self::probe_old
-    fn contains_recent(&self, h: u128) -> bool {
-        self.recent[shard_of(h)].contains(&h)
-    }
-
-    /// Inserts a genuinely fresh hash into the delta, flushing it to
-    /// disk if the budget is exceeded.
-    fn insert_fresh(&mut self, h: u128) -> io::Result<()> {
-        self.recent[shard_of(h)].insert(h);
-        self.recent_bytes += HASH_BYTES;
-        self.peak_recent_bytes = self.peak_recent_bytes.max(self.recent_bytes as u64);
-        if self.recent_bytes > self.threshold {
-            self.flush()?;
-        }
-        Ok(())
+            parents: ParentLog::create(dir.join("parents.log"))?,
+        })
     }
 
     /// Writes every non-empty shard of the delta as one new sorted run
@@ -279,6 +275,19 @@ impl SpillSet {
         self.runs[shard] = vec![path];
         Ok(())
     }
+}
+
+impl Visited for SpillSet {
+    type Key = u128;
+    const COMPLETE: bool = false;
+
+    /// Whether `h` is in the in-RAM delta — the only lookup the concurrent
+    /// expansion phase performs (no locks, no I/O); hashes already flushed
+    /// to disk are caught by [`join`](Self::join). The id is a
+    /// placeholder.
+    fn find(&self, _key: &[u64], h: u128) -> Option<u32> {
+        self.recent[shard_of(h)].contains(&h).then_some(0)
+    }
 
     /// Merge-joins this layer's candidate hashes against every on-disk
     /// run and returns the subset that is already on disk (states
@@ -287,7 +296,7 @@ impl SpillSet {
     /// Candidates are sorted per shard; each run file is read once,
     /// sequentially, with a two-pointer join. Shards with no runs or no
     /// candidates cost nothing.
-    fn probe_old(&self, candidates: impl Iterator<Item = u128>) -> io::Result<HashSet<u128>> {
+    fn join(&self, candidates: impl Iterator<Item = u128>) -> io::Result<HashSet<u128>> {
         let mut by_shard: Vec<Vec<u128>> = vec![Vec::new(); SHARDS];
         for h in candidates {
             by_shard[shard_of(h)].push(h);
@@ -315,394 +324,207 @@ impl SpillSet {
         }
         Ok(old)
     }
+
+    /// Inserts a genuinely fresh hash into the delta, flushing it to
+    /// disk if the budget is exceeded, and logs its parent. The key is
+    /// the hash.
+    fn insert(&mut self, _: u32, h: u128, _: u128, edge: (u32, u8), _: bool) -> io::Result<()> {
+        self.recent[shard_of(h)].insert(h);
+        self.recent_bytes += HASH_BYTES;
+        self.peak_recent_bytes = self.peak_recent_bytes.max(self.recent_bytes as u64);
+        if self.recent_bytes > self.threshold {
+            self.flush()?;
+        }
+        self.parents.push(edge.0, edge.1)
+    }
+
+    fn schedule_to(&mut self, id: u32) -> io::Result<Vec<usize>> {
+        self.parents.schedule_to(id)
+    }
+
+    /// The delta's peak stands in for the visited set; every pending
+    /// entry is charged with its hash.
+    fn resident(&self, pending: u64) -> u64 {
+        self.peak_recent_bytes + pending * (PEND_OVERHEAD_BYTES + HASH_BYTES as u64)
+    }
+
+    fn spilled(&self) -> u64 {
+        self.spilled_bytes + self.parents.bytes()
+    }
 }
 
-/// Breadth-first exploration with the external-memory visited set and
-/// the on-disk frontier.
-///
-/// Mirrors [`crate::engine::explore`] exactly — same worker expansion
-/// ([`expand_layer`]), same `(parent, via)` drain order, same invariant
-/// check order — but keeps only a budget-bounded delta of the visited
-/// set in RAM, streams each layer (and each layer's candidate
-/// successors) through files instead of holding them materialized, and
-/// merge-joins each layer's candidates against the on-disk runs. The
-/// difference is *when* a rediscovered state is recognized (one layer
-/// later, at the join), never *whether*: states, transitions, terminal
-/// counts and violation schedules are bit-for-bit those of the in-RAM
-/// engines.
-///
-/// Edge recording is not supported here (the liveness checker runs the
-/// in-RAM-visited engine with a disk edge log instead); callers reach
-/// this path only via [`ModelChecker::check_parallel`] with
-/// [`ModelChecker::spill_dir`] configured. The returned [`Explored`]
-/// carries stats only — parents live on disk and are dropped with the
-/// scratch directory.
-pub(crate) fn explore_spilled<M, F>(
-    mc: &ModelChecker<M>,
-    invariant: &F,
-    workers: usize,
-) -> Result<Explored, CheckError>
-where
-    M: StepMachine + Send + Sync,
-    F: Fn(&World<'_, M>) -> Result<(), String>,
-{
-    let cfg = mc.spill_config().expect("spill backend selected without a config");
-    let scratch = ScratchDir::create(&cfg.dir)?;
-    let mut spill = SpillSet::create_in(
-        scratch.path(),
-        (cfg.budget_bytes / 2).max(MIN_FLUSH_BYTES),
-    );
-    let symmetry = mc.symmetry();
-    let layout = mc.initial_layout();
-    let mem = SimMemory::new(&layout);
-    let machines0 = mc.initial_machines().to_vec();
-    assert!(
-        machines0.len() < u8::MAX as usize,
-        "the frontier engine supports at most 254 machines"
-    );
-    assert!(
-        mc.crash_loc().is_none() || machines0.len() <= crate::checker::CRASH_SCHEDULE_BASE,
-        "with a fault budget the frontier engine supports at most 128 machines \
-         (crash transitions are encoded as machine + CRASH_SCHEDULE_BASE)"
-    );
-    let nm = machines0.len();
-    let words = mem.len();
-    let per_state = frontier_state_bytes::<M>(words, nm);
-    // A chunk of `n` frontier states can materialize at most `n × slots`
-    // fresh successors before they are streamed out, so the quarter
-    // budget is divided by the worst-case amplification. Never below one
-    // state per chunk.
-    let chunk_states = ((cfg.budget_bytes / 4).max(MIN_CHUNK_BYTES) as u64
-        / (per_state * (1 + nm as u64)))
-        .max(1);
-    let done0 = vec![false; nm];
+/// A layer file read back and the layer file written from it.
+type FilePair = (LayerReader, LayerWriter);
 
-    let mut stats = CheckStats::default();
-    let mut pool: MachinePool<M> = MachinePool::new(nm);
-    let mut keybuf: Vec<u64> = Vec::new();
-    let mut parents = ParentLog::create(scratch.path().join("parents.log"))?;
-    parents.push(u32::MAX, 0)?;
-    // Bytes retired to frontier/parent files (for `spilled_bytes`).
-    let mut frontier_disk_bytes: u64 = 0;
+/// The on-disk layer store: the current and the next layer as layer
+/// files, each layer's fresh successors as a candidate file, and the
+/// per-slot machine pool every record's machine ids point into. Files
+/// live inside the caller's scratch directory.
+pub(crate) struct DiskLayers<M> {
+    dir: PathBuf,
+    /// States per expansion chunk.
+    chunk_states: usize,
+    per_state: u64,
+    pool: MachinePool<M>,
+    /// Index of the current layer, which names its files.
+    layer: u64,
+    width: u64,
+    /// The current layer and its candidate file while it expands...
+    expanding: Option<FilePair>,
+    /// ...then the candidates read back and the next layer.
+    draining: Option<FilePair>,
+    /// `fresh_base[worker] + idx` is a fresh state's candidate ordinal.
+    fresh_base: Vec<u64>,
+    /// Peak bytes of one chunk's materialized states and successors.
+    chunk_peak: u64,
+    /// Bytes of every finished layer and candidate file.
+    disk_bytes: u64,
+}
 
-    {
-        let mut kb = KeyBuilder::default();
-        let key0 = kb.build(&mem, &machines0, &done0, None, symmetry);
-        spill.insert_fresh(hash128(key0))?;
-    }
-    stats.states = 1;
-    if done0.iter().all(|&d| d) {
-        stats.terminal_states = 1;
-    }
-    {
-        let world = World {
-            mem: &mem,
-            machines: &machines0,
-            done: &done0,
-        };
-        if let Err(message) = invariant(&world) {
-            return Err(CheckError::Violation(Box::new(Violation {
-                message,
-                schedule: vec![],
-                trace: "(violated in the initial state)".into(),
-                stats,
-            })));
-        }
+impl<M: StepMachine> DiskLayers<M> {
+    /// Starts the store in `dir` with the root as layer 0, expanding
+    /// chunks that fit `cfg`'s frontier window.
+    pub(crate) fn new(dir: &Path, cfg: &SpillConfig, root: FrontierState<M>) -> io::Result<Self> {
+        let (words, slots) = (root.snap.len(), root.machines.len());
+        let per_state = frontier_state_bytes::<M>(words, slots);
+        // A chunk of `n` frontier states can materialize at most
+        // `n × slots` fresh successors before they are streamed out, so
+        // the window is divided by the worst-case amplification. Never
+        // below one state per chunk.
+        let chunk_states = (cfg.window_bytes() as u64 / (per_state * (1 + slots as u64))).max(1);
+        let mut pool = MachinePool::new(slots);
+        let mut w = LayerWriter::create(&dir.join("layer-0.flr"), words, slots)?;
+        w.push(0, &root.done, &pool.intern_all(&root.machines), &root.snap)?;
+        Ok(Self {
+            dir: dir.to_path_buf(),
+            chunk_states: chunk_states as usize,
+            per_state,
+            pool,
+            layer: 0,
+            disk_bytes: w.bytes(),
+            width: w.finish()?,
+            expanding: None,
+            draining: None,
+            fresh_base: Vec::new(),
+            chunk_peak: 0,
+        })
     }
 
-    // Layer 0: the initial state, straight to disk.
-    let mut layer_path = scratch.path().join("layer-0.flr");
-    let mut layer_len: u64 = {
-        let mut w = LayerWriter::create(&layer_path, words, nm)?;
-        let ids: Vec<u32> = machines0
-            .iter()
-            .enumerate()
-            .map(|(slot, m)| pool.intern(slot, m, &mut keybuf))
-            .collect();
-        w.push(0, &done0, &ids, &mem.snapshot())?;
-        frontier_disk_bytes += w.bytes();
-        w.finish()?
-    };
-    let check_mem = SimMemory::new(&layout);
-    let mut layer_idx: u64 = 0;
-    let por = mc.por_on();
+    fn path(&self, (kind, layer): (&str, u64)) -> PathBuf {
+        self.dir.join(format!("{kind}-{layer}.flr"))
+    }
 
-    let materialize = |rec: &LayerRecord, pool: &MachinePool<M>| -> FrontierState<M> {
-        FrontierState {
-            snap: rec.snap.clone(),
-            machines: rec
-                .machine_ids
-                .iter()
-                .enumerate()
-                .map(|(slot, &mid)| pool.get(slot, mid))
-                .collect(),
-            done: rec.done.clone(),
-            id: rec.id,
+    /// Opens file `read` and creates file `write` for records of the same
+    /// shape; a file is named by its kind and layer.
+    fn open_pair(&self, read: (&str, u64), write: (&str, u64)) -> io::Result<FilePair> {
+        let r = LayerReader::open(&self.path(read))?;
+        let w = LayerWriter::create(&self.path(write), r.words(), r.machines())?;
+        Ok((r, w))
+    }
+}
+
+impl<M: StepMachine> Layers<M> for DiskLayers<M> {
+    fn expand(
+        &mut self,
+        only: Option<&[u32]>,
+        mut step: impl FnMut(&[FrontierState<M>], usize, u32) -> Vec<Fresh<M>>,
+    ) -> io::Result<()> {
+        if only.is_none() {
+            self.expanding = Some(self.open_pair(("layer", self.layer), ("cand", self.layer))?);
+            self.fresh_base.clear();
+            self.chunk_peak = 0;
         }
-    };
-
-    while layer_len > 0 {
-        let pending: Vec<Mutex<HashMap<u128, Pend>>> =
-            (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect();
-        let mut reader = LayerReader::open(&layer_path)?;
-        // Successors materialized this layer, streamed out chunk by
-        // chunk; `fresh_base[worker] + idx` is a record ordinal here.
-        let fresh_path = scratch.path().join(format!("cand-{layer_idx}.flr"));
-        let mut fresh_w = LayerWriter::create(&fresh_path, words, nm)?;
-        let mut fresh_base: Vec<u64> = Vec::new();
-        let mut worker_base: u32 = 0;
-        // POR-reduced states, with layer-global frontier ordinals.
-        let mut reduced_all: Vec<(u32, u8, u128)> = Vec::new();
-        // Peak bytes of one chunk's materialized states + successors.
-        let mut chunk_peak: u64 = 0;
-        let mut pos: u64 = 0;
-        while pos < layer_len {
-            let recs = reader.read_range(pos, chunk_states as usize)?;
-            let chunk: Vec<FrontierState<M>> =
-                recs.iter().map(|r| materialize(r, &pool)).collect();
-            let spill_ref = &spill;
-            // Workers filter against the in-RAM delta only (no I/O in
-            // the concurrent phase); flushed hashes are caught by the
-            // join below. The returned id is a placeholder — edge
-            // recording is off on this path.
-            let find = |_buf: &[u64], h: u128| spill_ref.contains_recent(h).then_some(0);
-            let outs = expand_layer(
-                &chunk,
-                &pending,
-                workers,
-                symmetry,
-                false,
-                por,
-                por,
-                mc.crash_loc(),
-                worker_base,
-                &find,
-            );
-            stats.transitions += outs.iter().map(|o| o.transitions).sum::<u64>();
-            let materialized: usize = outs.iter().map(|o| o.fresh.len()).sum();
-            chunk_peak = chunk_peak.max((chunk.len() + materialized) as u64 * per_state);
-            worker_base += outs.len() as u32;
-            for out in outs {
-                fresh_base.push(fresh_w.count());
-                for st in out.fresh {
-                    let st = st.expect("fresh states are untouched before the join");
-                    let ids: Vec<u32> = st
-                        .machines
-                        .iter()
-                        .enumerate()
-                        .map(|(slot, m)| pool.intern(slot, m, &mut keybuf))
-                        .collect();
-                    fresh_w.push(u32::MAX, &st.done, &ids, &st.snap)?;
-                }
-                for (fi, a, h) in out.reduced {
-                    reduced_all.push((pos as u32 + fi, a, h));
-                }
-            }
-            pos += recs.len() as u64;
-        }
-
-        // Sequential phase: drain pending in deterministic order, then
-        // drop every candidate the disk already knows.
-        let mut discovered: Vec<(u128, Pend)> = Vec::new();
-        for shard in pending {
-            let map = shard.into_inner().expect("shard poisoned");
-            discovered.extend(map);
-        }
-        let candidate_n = discovered.len() as u64;
-        let mut old = spill.probe_old(discovered.iter().map(|&(h, _)| h))?;
-
-        // POR patch-up: the workers' proviso check only saw the in-RAM
-        // delta. A state left reduced whose ample successor turns out to
-        // be on disk would have been fully expanded by the in-RAM engine,
-        // so expand it fully here — sequentially and in frontier order,
-        // min-merging into the pending drain exactly as the workers would
-        // have. The frontier states involved are point-read back from the
-        // layer file; extra successors are appended to the candidate file
-        // under one more virtual worker id. Successors the delta knows
-        // are skipped (frozen hits); the rest are probed against disk in
-        // a second pass. This keeps states, ids and violation schedules
-        // bit-for-bit identical to the in-RAM engine under reduction.
-        if por {
-            let mut patch: Vec<(u32, u8)> = reduced_all
-                .iter()
-                .filter(|&&(_, _, h)| old.contains(&h))
-                .map(|&(fi, a, _)| (fi, a))
-                .collect();
-            if !patch.is_empty() {
-                patch.sort_unstable();
-                let mut index: HashMap<u128, usize> = discovered
+        let (layer, cand) = self.expanding.as_mut().expect("expand opens the layer");
+        let total = only.map_or(self.width as usize, <[u32]>::len);
+        let mut first = 0;
+        while first < total {
+            let recs = match only {
+                None => layer.read_range(first as u64, self.chunk_states)?,
+                Some(ords) => ords[first..(first + self.chunk_states).min(total)]
                     .iter()
-                    .enumerate()
-                    .map(|(i, &(h, _))| (h, i))
-                    .collect();
-                let virt = worker_base;
-                fresh_base.push(fresh_w.count());
-                let mut virt_idx: u32 = 0;
-                let mut extras: Vec<u128> = Vec::new();
-                let mut kb = KeyBuilder::default();
-                for &(fi, a) in &patch {
-                    let rec = reader.read_at(fi as u64)?;
-                    let st = materialize(&rec, &pool);
-                    for j in 0..st.machines.len() {
-                        if j == a as usize || st.done[j] {
-                            continue;
-                        }
-                        check_mem.restore(&st.snap);
-                        let mut mj = st.machines[j].clone();
-                        let done_j = mj.step(&check_mem).is_done();
-                        stats.transitions += 1;
-                        let kbuf = kb.build(
-                            &check_mem,
-                            &st.machines,
-                            &st.done,
-                            Some((j, &mj, done_j)),
-                            symmetry,
-                        );
-                        let h = hash128(kbuf);
-                        if spill.contains_recent(h) {
-                            continue;
-                        }
-                        if let Some(&di) = index.get(&h) {
-                            let p = &mut discovered[di].1;
-                            if (st.id, j as u8) < (p.parent, p.via) {
-                                p.parent = st.id;
-                                p.via = j as u8;
-                            }
-                            continue;
-                        }
-                        let mut machines = st.machines.clone();
-                        machines[j] = mj;
-                        let mut done = st.done.clone();
-                        done[j] = done_j;
-                        let ids: Vec<u32> = machines
-                            .iter()
-                            .enumerate()
-                            .map(|(slot, m)| pool.intern(slot, m, &mut keybuf))
-                            .collect();
-                        fresh_w.push(u32::MAX, &done, &ids, &check_mem.snapshot())?;
-                        index.insert(h, discovered.len());
-                        discovered.push((
-                            h,
-                            Pend {
-                                worker: virt,
-                                idx: virt_idx,
-                                parent: st.id,
-                                via: j as u8,
-                                h,
-                            },
-                        ));
-                        virt_idx += 1;
-                        extras.push(h);
-                    }
-                }
-                if !extras.is_empty() {
-                    old.extend(spill.probe_old(extras.into_iter())?);
-                }
-            }
-        }
-        frontier_disk_bytes += fresh_w.bytes();
-        fresh_w.finish()?;
-        let mut fresh_r = LayerReader::open(&fresh_path)?;
-        discovered.sort_unstable_by_key(|(_, p)| (p.parent, p.via));
-
-        let next_path = scratch.path().join(format!("layer-{}.flr", layer_idx + 1));
-        let mut next_w = LayerWriter::create(&next_path, words, nm)?;
-        for (h, p) in discovered {
-            if old.contains(&h) {
-                // Visited in an earlier, already-flushed layer: the
-                // in-RAM engine would have skipped it at expansion time.
-                continue;
-            }
-            let id = u32::try_from(stats.states).expect("state ids exceed u32");
-            stats.states += 1;
-            if stats.states as usize > mc.state_limit() {
-                stats.peak_resident_bytes = stats.peak_resident_bytes.max(
-                    spill.peak_recent_bytes
-                        + chunk_peak
-                        + pool.bytes()
-                        + candidate_n * (PEND_OVERHEAD_BYTES + HASH_BYTES as u64),
-                );
-                stats.spilled_bytes =
-                    spill.spilled_bytes + frontier_disk_bytes + parents.bytes();
-                return Err(CheckError::StateLimit {
-                    limit: mc.state_limit(),
-                    stats,
-                });
-            }
-            spill.insert_fresh(h)?;
-            parents.push(p.parent, p.via)?;
-            let rec = fresh_r.read_at(fresh_base[p.worker as usize] + p.idx as u64)?;
-            let term = rec.done.iter().all(|&d| d);
-            if term {
-                stats.terminal_states += 1;
-            }
-
-            check_mem.restore(&rec.snap);
-            let machines: Vec<M> = rec
-                .machine_ids
-                .iter()
-                .enumerate()
-                .map(|(slot, &mid)| pool.get(slot, mid))
-                .collect();
-            let world = World {
-                mem: &check_mem,
-                machines: &machines,
-                done: &rec.done,
+                    .map(|&o| layer.read_at(u64::from(o)))
+                    .collect::<io::Result<_>>()?,
             };
-            if let Err(message) = invariant(&world) {
-                let schedule = parents.schedule_to(id)?;
-                let trace = mc.render_trace(&schedule);
-                stats.peak_resident_bytes = stats.peak_resident_bytes.max(
-                    spill.peak_recent_bytes
-                        + chunk_peak
-                        + pool.bytes()
-                        + candidate_n * (PEND_OVERHEAD_BYTES + HASH_BYTES as u64),
-                );
-                stats.spilled_bytes =
-                    spill.spilled_bytes + frontier_disk_bytes + parents.bytes();
-                return Err(CheckError::Violation(Box::new(Violation {
-                    message,
-                    schedule,
-                    trace,
-                    stats,
-                })));
+            let chunk: Vec<FrontierState<M>> = recs
+                .into_iter()
+                .map(|r| FrontierState {
+                    machines: self.pool.machines(&r.machine_ids),
+                    snap: r.snap,
+                    done: r.done,
+                    id: r.id,
+                })
+                .collect();
+            let found = step(&chunk, first, self.fresh_base.len() as u32);
+            if only.is_none() {
+                let materialized: usize = found.iter().map(Vec::len).sum();
+                let bytes = (chunk.len() + materialized) as u64 * self.per_state;
+                self.chunk_peak = self.chunk_peak.max(bytes);
             }
-            next_w.push(id, &rec.done, &rec.machine_ids, &rec.snap)?;
+            for fresh in found {
+                self.fresh_base.push(cand.count());
+                for st in fresh {
+                    let st = st.expect("fresh states are untouched before the drain");
+                    let ids = self.pool.intern_all(&st.machines);
+                    cand.push(u32::MAX, &st.done, &ids, &st.snap)?;
+                }
+            }
+            first += chunk.len();
         }
-        frontier_disk_bytes += next_w.bytes();
-        let next_len = next_w.finish()?;
+        Ok(())
+    }
 
-        // Same deterministic accounting discipline as the in-RAM engine,
-        // with the delta's peak standing in for the visited set, the
-        // chunk peak for the frontier, and the machine pool counted
-        // honestly; parents and the layers themselves are on disk now.
-        let resident = spill.peak_recent_bytes
-            + chunk_peak
-            + pool.bytes()
-            + candidate_n * (PEND_OVERHEAD_BYTES + HASH_BYTES as u64);
-        stats.peak_resident_bytes = stats.peak_resident_bytes.max(resident);
+    fn end_expansion(&mut self) -> io::Result<()> {
+        let (layer, cand) = self.expanding.take().expect("end_expansion follows expand");
+        drop(layer);
+        self.disk_bytes += cand.bytes();
+        cand.finish()?;
+        self.draining = Some(self.open_pair(("cand", self.layer), ("layer", self.layer + 1))?);
+        Ok(())
+    }
 
+    fn admit(
+        &mut self,
+        worker: u32,
+        idx: u32,
+        id: u32,
+        check: impl FnOnce(&FrontierState<M>) -> io::Result<Result<(), String>>,
+    ) -> io::Result<Result<(), String>> {
+        let (cand, next) = self.draining.as_mut().expect("admit follows end_expansion");
+        let rec = cand.read_at(self.fresh_base[worker as usize] + u64::from(idx))?;
+        let machines = self.pool.machines(&rec.machine_ids);
+        let st = FrontierState {
+            snap: rec.snap,
+            machines,
+            done: rec.done,
+            id,
+        };
+        let verdict = check(&st)?;
+        // Survivors keep their interned ids; nothing is re-interned.
+        next.push(id, &st.done, &rec.machine_ids, &st.snap)?;
+        Ok(verdict)
+    }
+
+    fn advance(&mut self) -> io::Result<u64> {
+        let (cand, next) = self.draining.take().expect("advance follows end_expansion");
+        drop(cand);
+        self.disk_bytes += next.bytes();
+        self.width = next.finish()?;
         // The consumed layer and candidate files are dead: remove them
         // eagerly so disk usage stays O(current + next layer), not
         // O(total states).
-        drop(reader);
-        drop(fresh_r);
-        fs::remove_file(&layer_path)?;
-        fs::remove_file(&fresh_path)?;
-
-        if next_len > 0 {
-            stats.max_depth += 1;
-        }
-        layer_path = next_path;
-        layer_len = next_len;
-        layer_idx += 1;
+        fs::remove_file(self.path(("layer", self.layer)))?;
+        fs::remove_file(self.path(("cand", self.layer)))?;
+        self.layer += 1;
+        Ok(self.width)
     }
 
-    stats.spilled_bytes = spill.spilled_bytes + frontier_disk_bytes + parents.bytes();
-    Ok(Explored {
-        stats,
-        parent: Vec::new(),
-        terminal: Vec::new(),
-        edges: EdgeStore::Ram(Vec::new()),
-    })
+    /// The chunk peak stands in for the frontier; the machine pool is
+    /// counted in full. Parents and the layers themselves are on disk.
+    fn resident(&self) -> u64 {
+        self.chunk_peak + self.pool.bytes()
+    }
+
+    fn spilled(&self) -> u64 {
+        self.disk_bytes
+    }
 }

@@ -603,3 +603,321 @@ fn engines_agree_under_faults() {
     assert_eq!(seq.transitions, par.transitions);
     assert_eq!(seq.terminal_states, par.terminal_states);
 }
+
+// ---------------------------------------------------------------------------
+// Accounting pins. `Looper`s count through a short cycle in their own
+// register with local, invisible steps and read a shared flag `T` each time
+// the count wraps; a `Setter` takes a few local steps and then raises `T`.
+// The model lives here, so protocol edits cannot move the pins. It has more
+// than 4 096 states, so a zero spill budget flushes visited runs mid-layer,
+// and its local cycles make the reduced search revisit ample successors in
+// earlier layers, so the reduced spill search re-expands states whose ample
+// successor was already flushed.
+// ---------------------------------------------------------------------------
+
+const LOOP_LEN: u8 = 4;
+
+#[derive(Clone)]
+struct Looper {
+    own: Loc,
+    t: Loc,
+    c: u8,
+    reading: bool,
+}
+
+impl StepMachine for Looper {
+    fn step(&mut self, mem: &dyn Memory) -> MachineStatus {
+        if self.reading {
+            self.reading = false;
+            if mem.read(self.t) == 1 {
+                return MachineStatus::Done;
+            }
+            return MachineStatus::Running;
+        }
+        self.c = (self.c + 1) % LOOP_LEN;
+        mem.write(self.own, u64::from(self.c));
+        self.reading = self.c == 0;
+        MachineStatus::Running
+    }
+
+    fn key(&self, out: &mut Vec<u64>) {
+        out.push(u64::from(self.c));
+        out.push(u64::from(self.reading));
+    }
+
+    fn describe(&self) -> String {
+        format!("Looper(c={}, reading={})", self.c, self.reading)
+    }
+
+    fn footprint(&self, fp: &mut crate::Footprint) {
+        if self.reading {
+            fp.read(self.t);
+            fp.set_visible();
+        } else {
+            fp.write(self.own);
+        }
+        fp.future_write(self.own);
+        fp.future_read(self.t);
+    }
+}
+
+#[derive(Clone)]
+struct Setter {
+    own: Loc,
+    t: Loc,
+    left: u8,
+}
+
+impl StepMachine for Setter {
+    fn step(&mut self, mem: &dyn Memory) -> MachineStatus {
+        if self.left == 0 {
+            mem.write(self.t, 1);
+            return MachineStatus::Done;
+        }
+        mem.write(self.own, u64::from(self.left));
+        self.left -= 1;
+        MachineStatus::Running
+    }
+
+    fn key(&self, out: &mut Vec<u64>) {
+        out.push(u64::from(self.left));
+    }
+
+    fn describe(&self) -> String {
+        format!("Setter(left={})", self.left)
+    }
+
+    fn footprint(&self, fp: &mut crate::Footprint) {
+        if self.left == 0 {
+            fp.write(self.t);
+            fp.set_visible();
+        } else {
+            fp.write(self.own);
+        }
+        fp.future_write(self.own);
+        fp.future_write(self.t);
+    }
+}
+
+#[derive(Clone)]
+enum Pinned {
+    Loop(Looper),
+    Set(Setter),
+}
+
+impl StepMachine for Pinned {
+    fn step(&mut self, mem: &dyn Memory) -> MachineStatus {
+        match self {
+            Pinned::Loop(m) => m.step(mem),
+            Pinned::Set(m) => m.step(mem),
+        }
+    }
+
+    fn key(&self, out: &mut Vec<u64>) {
+        match self {
+            Pinned::Loop(m) => m.key(out),
+            Pinned::Set(m) => m.key(out),
+        }
+    }
+
+    fn describe(&self) -> String {
+        match self {
+            Pinned::Loop(m) => m.describe(),
+            Pinned::Set(m) => m.describe(),
+        }
+    }
+
+    fn footprint(&self, fp: &mut crate::Footprint) {
+        match self {
+            Pinned::Loop(m) => m.footprint(fp),
+            Pinned::Set(m) => m.footprint(fp),
+        }
+    }
+}
+
+/// `loopers` `Looper`s and, if `setter`, one `Setter` with three local
+/// steps. Without the setter no `Looper` ever finishes.
+fn looper_checker(loopers: usize, setter: bool) -> ModelChecker<Pinned> {
+    let mut layout = Layout::new();
+    let t = layout.scalar("T", 0);
+    let mut machines: Vec<Pinned> = (0..loopers)
+        .map(|i| {
+            let own = layout.scalar(format!("C{i}"), 0);
+            Pinned::Loop(Looper {
+                own,
+                t,
+                c: 0,
+                reading: false,
+            })
+        })
+        .collect();
+    if setter {
+        let own = layout.scalar("S", 0);
+        machines.push(Pinned::Set(Setter { own, t, left: 3 }));
+    }
+    ModelChecker::new(layout, machines)
+}
+
+/// The pinned model: five `Looper`s and the `Setter`.
+fn pinned_checker() -> ModelChecker<Pinned> {
+    looper_checker(5, true)
+}
+
+/// A successful run of the pinned model, which has one terminal state.
+fn stats(states: u64, transitions: u64, depth: usize, peak: u64, spilled: u64) -> CheckStats {
+    CheckStats {
+        states,
+        transitions,
+        max_depth: depth,
+        terminal_states: 1,
+        peak_resident_bytes: peak,
+        spilled_bytes: spilled,
+    }
+}
+
+#[test]
+fn bfs_stores_account_exactly() {
+    let tmp = std::env::temp_dir();
+    let full_exact = stats(20_276, 107_400, 29, 5_154_438, 0);
+    let full_hashed = stats(20_276, 107_400, 29, 997_012, 0);
+    let full_spill = [
+        (1usize << 30, stats(20_276, 107_400, 29, 862_182, 3_752_434)),
+        (256 << 10, stats(20_276, 107_400, 29, 307_154, 4_605_460)),
+        (0, stats(20_276, 107_400, 29, 241_618, 4_726_452)),
+    ];
+    let reduced_hashed = stats(8_613, 27_617, 69, 297_893, 0);
+    let reduced_spill = [
+        (1usize << 30, stats(8_613, 27_617, 69, 220_216, 1_596_699)),
+        (256 << 10, stats(8_613, 27_617, 69, 159_654, 1_794_567)),
+        (0, stats(8_613, 27_617, 69, 105_084, 1_998_703)),
+    ];
+    for workers in [1, 2, 4] {
+        for por in [false, true] {
+            let run = |mc: ModelChecker<Pinned>| {
+                mc.workers(workers)
+                    .por(por)
+                    .check_parallel(|_| Ok(()))
+                    .unwrap()
+            };
+            let (hashed, spill) = if por {
+                (reduced_hashed, &reduced_spill)
+            } else {
+                assert_eq!(
+                    run(pinned_checker()),
+                    full_exact,
+                    "in-RAM exact, {workers}w"
+                );
+                (full_hashed, &full_spill)
+            };
+            assert_eq!(
+                run(pinned_checker().hashed_dedup(true)),
+                hashed,
+                "in-RAM hashed, {workers}w, por {por}"
+            );
+            for &(budget, pin) in spill.iter() {
+                assert_eq!(
+                    run(pinned_checker().spill_dir(&tmp, budget)),
+                    pin,
+                    "spill {budget} B, {workers}w, por {por}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn liveness_csr_paths_account_exactly() {
+    let ram = crate::LivenessStats {
+        states: 20_276,
+        edges: 107_400,
+        terminal_states: 1,
+        peak_resident_bytes: 6_008_598,
+        spilled_bytes: 0,
+    };
+    let disk = crate::LivenessStats {
+        states: 20_276,
+        edges: 107_400,
+        terminal_states: 1,
+        peak_resident_bytes: 997_012,
+        spilled_bytes: 1_288_800,
+    };
+    for workers in [1, 2, 4] {
+        let mc = pinned_checker().workers(workers);
+        assert_eq!(
+            mc.check_always_terminable().unwrap(),
+            ram,
+            "in-RAM CSR, {workers}w"
+        );
+        let mc = pinned_checker()
+            .workers(workers)
+            .spill_dir(std::env::temp_dir(), 0);
+        assert_eq!(
+            mc.check_always_terminable().unwrap(),
+            disk,
+            "disk CSR, {workers}w"
+        );
+    }
+}
+
+#[test]
+fn in_ram_errors_charge_the_layer_in_progress() {
+    let t_raised = |w: &crate::World<'_, Pinned>| {
+        if w.mem.read(Loc(0)) == 1 {
+            Err("T raised".into())
+        } else {
+            Ok(())
+        }
+    };
+    for hashed in [false, true] {
+        let mc = || pinned_checker().hashed_dedup(hashed);
+        match mc().max_states(1).check_parallel(|_| Ok(())) {
+            Err(crate::CheckError::StateLimit { stats, .. }) => {
+                assert!(stats.peak_resident_bytes > 0, "hashed {hashed}: {stats:?}")
+            }
+            other => panic!("expected the state limit, got {other:?}"),
+        }
+        let v = mc()
+            .check_parallel(t_raised)
+            .unwrap_err()
+            .unwrap_violation();
+        assert!(
+            v.stats.peak_resident_bytes > 0,
+            "hashed {hashed}: {:?}",
+            v.stats
+        );
+    }
+}
+
+#[test]
+fn spill_runs_leave_no_scratch_behind() {
+    let dir = std::env::temp_dir().join(format!("llr-mc-scratch-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spill = |mc: ModelChecker<Pinned>| mc.spill_dir(&dir, 0).workers(2);
+    let t_raised = |w: &crate::World<'_, Pinned>| {
+        if w.mem.read(Loc(0)) == 1 {
+            Err("T raised".into())
+        } else {
+            Ok(())
+        }
+    };
+    spill(pinned_checker()).check_parallel(|_| Ok(())).unwrap();
+    spill(pinned_checker())
+        .check_parallel(t_raised)
+        .unwrap_err()
+        .unwrap_violation();
+    assert!(matches!(
+        spill(pinned_checker().max_states(5_000)).check_parallel(|_| Ok(())),
+        Err(crate::CheckError::StateLimit { .. })
+    ));
+    spill(pinned_checker()).check_always_terminable().unwrap();
+    let trap = spill(looper_checker(3, false))
+        .check_always_terminable()
+        .unwrap_err();
+    assert!(trap.unwrap_violation().message.contains("trap state"));
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert!(left.is_empty(), "spill scratch left behind: {left:?}");
+    std::fs::remove_dir(&dir).unwrap();
+}
