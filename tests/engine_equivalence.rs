@@ -20,8 +20,13 @@ use llr_core::smallnet::spec as net_spec;
 use llr_core::split::spec as split_spec;
 use llr_core::splitter::spec as splitter_spec;
 use llr_core::tournament::spec as tree_spec;
+use llr_core::levelarray::{LevelArrayCore, LevelShape};
+use llr_core::ma::{MaCore, MaShape};
+use llr_core::session::{crash_robust_uniqueness, ProtocolCore, Session};
+use llr_core::smallnet::{SmallNetCore, SmallNetShape};
 use llr_gf::FilterParams;
-use llr_mc::{CheckError, CheckStats, ModelChecker, StepMachine, World};
+use llr_mc::{CheckError, CheckStats, ModelChecker, StepMachine, World, CRASH_SCHEDULE_BASE};
+use llr_mem::Layout;
 
 /// Worker counts exercised for every configuration. 1 covers the
 /// parallel code path degenerated to one thread; the others cover real
@@ -238,6 +243,126 @@ fn onetime_engines_agree() {
     }
 }
 
+/// A crash–restart world as E12 builds it: two live sessions of one
+/// cycle, each with one spare core, under a fault budget of `f`.
+fn faults<P: ProtocolCore>(
+    layout: Layout,
+    cores: [(P, P); 2],
+    f: u64,
+) -> ModelChecker<Session<P>> {
+    let machines = cores
+        .into_iter()
+        .map(|(live, spare)| Session::start(live, 1).with_spares(vec![spare]))
+        .collect();
+    ModelChecker::new(layout, machines).faults(f)
+}
+
+/// E12's LevelArray k=4 world.
+fn la_faults(f: u64) -> ModelChecker<Session<LevelArrayCore>> {
+    let mut layout = Layout::new();
+    let shape = LevelShape::build(4, &mut layout);
+    let core = |p| LevelArrayCore::new(shape.clone(), p);
+    faults(layout, [(core(3), core(50_003)), (core(9_000), core(59_000))], f)
+}
+
+/// E12's small splitter network ℓ=3 world.
+fn net_faults(f: u64) -> ModelChecker<Session<SmallNetCore>> {
+    let mut layout = Layout::new();
+    let shape = SmallNetShape::build(3, &mut layout);
+    let core = |p| SmallNetCore::new(shape.clone(), p);
+    faults(layout, [(core(0), core(2)), (core(1), core(3))], f)
+}
+
+/// E12's MA grid k=4, S=8 world.
+fn ma_faults(f: u64) -> ModelChecker<Session<MaCore>> {
+    let mut layout = Layout::new();
+    let shape = MaShape::build(4, 8, &mut layout);
+    let core = |p| MaCore::new(shape.clone(), p);
+    faults(layout, [(core(0), core(1)), (core(3), core(5))], f)
+}
+
+/// The crash–restart fault model on E12's worlds: the DFS and the
+/// in-RAM BFS must take the same crash moves.
+#[test]
+fn faults_engines_agree() {
+    for (f, expect, terminal) in [(1, (120, 211), 7), (2, (261, 531), 25)] {
+        let label = format!("LevelArray k=4 f={f}");
+        let seq =
+            assert_engines_agree(&label, || la_faults(f), crash_robust_uniqueness, Some(expect));
+        assert_eq!(seq.terminal_states, terminal, "{label}: terminal states");
+    }
+    let label = "small net ℓ=3 f=2";
+    let seq = assert_engines_agree(
+        label,
+        || net_faults(2),
+        crash_robust_uniqueness,
+        Some((10_416, 19_364)),
+    );
+    assert_eq!(seq.terminal_states, 712, "{label}: terminal states");
+}
+
+/// E12's MA world under one fault. Slow in debug builds: run with
+/// `cargo test --release --test engine_equivalence -- --ignored`.
+#[test]
+#[ignore = "about 30 s in a debug build; run in release mode"]
+fn ma_faults_engines_agree() {
+    assert_engines_agree(
+        "MA k=4 S=8 f=1",
+        || ma_faults(1),
+        crash_robust_uniqueness,
+        Some((19_217, 36_724)),
+    );
+}
+
+/// A crash on the spanning tree: every store, worker count and
+/// reduction setting must report the same crash schedule, and it must
+/// replay to the crashed state and render as a crash.
+#[test]
+fn fault_schedule_is_deterministic() {
+    let leaked = |w: &World<'_, Session<LevelArrayCore>>| {
+        match w.machines.iter().position(|m| !m.leaked().is_empty()) {
+            Some(i) => Err(format!("machine {i} leaked a name")),
+            None => Ok(()),
+        }
+    };
+    let replays = |v: &llr_mc::Violation, tag: &str| {
+        let (_, machines, _) = la_faults(2).run_schedule(&v.schedule);
+        assert!(
+            machines.iter().any(|m| !m.leaked().is_empty()),
+            "{tag}: the schedule must replay to a leaked name"
+        );
+        assert!(v.trace.contains("CRASH"), "{tag}: trace:\n{}", v.trace);
+    };
+    let dir = std::env::temp_dir();
+    for por in [false, true] {
+        for workers in WORKER_COUNTS {
+            let stores = [
+                ("exact", la_faults(2)),
+                ("hashed", la_faults(2).hashed_dedup(true)),
+                ("spill 0 B", la_faults(2).spill_dir(&dir, 0)),
+                ("spill 1 GiB", la_faults(2).spill_dir(&dir, 1 << 30)),
+            ];
+            for (store, mc) in stores {
+                let tag = format!("{store}, {workers}w, por {por}");
+                let v = mc
+                    .por(por)
+                    .workers(workers)
+                    .check_parallel(leaked)
+                    .expect_err("a crash while holding leaks the name")
+                    .unwrap_violation();
+                assert_eq!(v.schedule, vec![0, 0, CRASH_SCHEDULE_BASE], "{tag}");
+                replays(&v, &tag);
+            }
+        }
+    }
+    let v = la_faults(2)
+        .check(leaked)
+        .expect_err("a crash while holding leaks the name")
+        .unwrap_violation();
+    assert_eq!(v.schedule, vec![0, 0, 0, 1, 1, CRASH_SCHEDULE_BASE + 1], "DFS");
+    replays(&v, "DFS");
+}
+
 /// Hashed dedup must reproduce the exact-dedup counts on a mid-size
 /// instance, sequentially and in parallel.
 #[test]
@@ -403,6 +528,10 @@ fn frontier_spill_battery() {
         || net_spec::checker(2, &[0, 1, 2]),
         net_spec::unique_names_invariant,
     );
+    for f in [1, 2] {
+        battery(&format!("LevelArray k=4 f={f}"), || la_faults(f), crash_robust_uniqueness);
+    }
+    battery("small net ℓ=3 f=2", || net_faults(2), crash_robust_uniqueness);
 }
 
 /// Under a tiny budget the spill backend must hold far less of the
