@@ -18,6 +18,11 @@
 #      release so it stays fast.
 #      Steps 4–6 run with TMPDIR set to a fresh directory, and fail if a
 #      spill run left an `llr-mc-spill-*` scratch directory in it.
+#      Step 4 also runs the member crates' own tests (`--workspace
+#      --exclude long-lived-renaming`: llr-mc, llr-core, llr-gf, llr-mem,
+#      llr-bench), which a root-level `cargo test` does not build —
+#      among them llr-mc's accounting pins and its spill-cleanup and
+#      replay tests, whose spill runs fall under the same leak check.
 #   5. frontier-spill gate: the on-disk frontier's file-format property
 #      suite (round-trips, loud failure on truncated/torn layer files)
 #      and the disk-CSR liveness differential (every E2 family spill vs
@@ -74,6 +79,9 @@ cargo test -q --offline --doc --workspace
 
 spill_tmp=$(mktemp -d)
 trap 'rm -rf "$spill_tmp"' EXIT
+
+echo "== member crates' own tests (unit, property and doc tests) =="
+TMPDIR="$spill_tmp" cargo test -q --offline --workspace --exclude long-lived-renaming
 
 echo "== fast E2 subset (engine equivalence, release) =="
 TMPDIR="$spill_tmp" cargo test -q --offline --release --test engine_equivalence

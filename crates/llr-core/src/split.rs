@@ -36,11 +36,11 @@
 
 use crate::session::{Handle, ProtocolCore, Session};
 use crate::splitter::{EnterOp, ReleaseOp, SplitterRegs};
-use crate::traits::{Renaming, RenamingHandle};
+use crate::traits::Renaming;
 use crate::types::enc::Adv;
 use crate::types::{Direction, Name, Pid};
 use llr_mc::Footprint;
-use llr_mem::{AtomicMemory, Counting, Layout, MemPolicy, Memory, Word};
+use llr_mem::{AtomicMemory, Layout, MemPolicy, Memory, Word};
 use std::fmt;
 use std::sync::Arc;
 
@@ -621,79 +621,6 @@ impl Renaming for Split {
 /// driving [`SplitCore`]'s machines.
 pub type SplitHandle<'a> = Handle<'a, SplitCore>;
 
-impl Split {
-    /// A handle that drives the splitters through the direct
-    /// [`crate::splitter::native`] fast path instead of the step
-    /// machines — same protocol, same accesses, no per-step dispatch.
-    /// Used by the `ablation` benchmarks; differential-tested against
-    /// the step-machine handle.
-    pub fn native_handle(&self, pid: Pid) -> NativeSplitHandle<'_> {
-        NativeSplitHandle {
-            split: self,
-            pid,
-            held: None,
-            path: PathVec::new(),
-            accesses: 0,
-        }
-    }
-}
-
-/// Fast-path process handle on a [`Split`] object (see
-/// [`Split::native_handle`]).
-#[derive(Debug)]
-pub struct NativeSplitHandle<'a> {
-    split: &'a Split,
-    pid: Pid,
-    held: Option<Name>,
-    path: PathVec,
-    accesses: u64,
-}
-
-impl RenamingHandle for NativeSplitHandle<'_> {
-    fn acquire(&mut self) -> Name {
-        assert!(self.held.is_none(), "acquire while holding a name");
-        let mem = Counting::new(&self.split.mem);
-        let k = self.split.shape.k;
-        let mut node = 0u64;
-        let mut name = 0u64;
-        for depth in 0..k.saturating_sub(1) {
-            let regs = self.split.shape.regs(node);
-            let (dir, advice, adv2) =
-                crate::splitter::native::enter(&regs, self.pid, &mem);
-            self.path.push(PathEntry { node, advice, adv2 });
-            name += dir.digit() as u64 * 3u64.pow(depth as u32);
-            node = SplitShape::child(node, dir);
-        }
-        self.accesses += mem.accesses();
-        self.held = Some(name);
-        name
-    }
-
-    fn release(&mut self) {
-        assert!(self.held.is_some(), "release without holding a name");
-        self.held = None;
-        let mem = Counting::new(&self.split.mem);
-        for entry in self.path.as_slice().iter().rev() {
-            let regs = self.split.shape.regs(entry.node);
-            crate::splitter::native::release(&regs, self.pid, entry.advice, entry.adv2, &mem);
-        }
-        self.path.clear();
-        self.accesses += mem.accesses();
-    }
-
-    fn pid(&self) -> Pid {
-        self.pid
-    }
-
-    fn held(&self) -> Option<Name> {
-        self.held
-    }
-
-    fn accesses(&self) -> u64 {
-        self.accesses
-    }
-}
-
 pub mod spec {
     //! Model-checkable specification of SPLIT: uniqueness of held names
     //! under every interleaving. The session loop, key encoding, and
@@ -756,6 +683,7 @@ pub mod spec {
 mod tests {
     use super::*;
     use crate::traits::test_support::{assert_cycles_keep_refcount, sequential_cycle};
+    use crate::traits::RenamingHandle;
 
     #[test]
     fn cycles_never_touch_the_shape_refcount() {
@@ -862,58 +790,6 @@ mod tests {
             .check_always_terminable()
             .expect("SPLIT is wait-free: no trap states");
         assert!(stats.terminal_states >= 1);
-    }
-
-    #[test]
-    fn native_handle_matches_step_machine_sequentially() {
-        // Two Split instances, identical operation sequences, one driven
-        // by step machines and one by the native fast path: every name
-        // and every access count must agree.
-        let a = Split::new(4);
-        let b = Split::new(4);
-        for round in 0..30u64 {
-            let pid = round * 7_919 + 3;
-            let mut ha = a.handle(pid);
-            let mut hb = b.native_handle(pid);
-            let na = ha.acquire();
-            let nb = hb.acquire();
-            assert_eq!(na, nb, "round {round}");
-            ha.release();
-            hb.release();
-            assert_eq!(ha.accesses(), hb.accesses(), "round {round}");
-        }
-    }
-
-    #[test]
-    fn native_handle_stress() {
-        let split = std::sync::Arc::new(Split::new(4));
-        let claimed: std::sync::Arc<Vec<std::sync::atomic::AtomicBool>> =
-            std::sync::Arc::new(
-                (0..split.dest_size())
-                    .map(|_| std::sync::atomic::AtomicBool::new(false))
-                    .collect(),
-            );
-        let hs: Vec<_> = (0..4u64)
-            .map(|i| {
-                let split = std::sync::Arc::clone(&split);
-                let claimed = std::sync::Arc::clone(&claimed);
-                std::thread::spawn(move || {
-                    let mut h = split.native_handle(i * 104_729 + 1);
-                    for _ in 0..500 {
-                        let n = h.acquire();
-                        let was = claimed[n as usize]
-                            .swap(true, std::sync::atomic::Ordering::SeqCst);
-                        assert!(!was, "name {n} double-held");
-                        claimed[n as usize]
-                            .store(false, std::sync::atomic::Ordering::SeqCst);
-                        h.release();
-                    }
-                })
-            })
-            .collect();
-        for h in hs {
-            h.join().unwrap();
-        }
     }
 
     #[test]

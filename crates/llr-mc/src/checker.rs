@@ -1,17 +1,19 @@
 //! DFS state-space exploration with memoization, replay and random walks.
 //!
 //! This module holds the checker configuration, the sequential DFS
-//! engine (the fallback that the parallel frontier engine in
+//! engine (the exact-dedup reference that the parallel frontier engine in
 //! [`crate::engine`] is checked against), and the shared state-key
 //! machinery: a reusable [`KeyBuilder`] so the hot path performs no
 //! per-transition allocation, and an incremental 128-bit hash for the
-//! memory-lean dedup mode.
+//! breadth-first loop's memory-lean dedup mode. Both engines and replay
+//! take their moves from [`crate::relation`].
 
 use crate::por::AmpleCtx;
+use crate::relation::{Plan, Relation, Replay};
 use crate::rng::SplitMix64;
 use crate::spill::SpillConfig;
 use crate::StepMachine;
-use llr_mem::{Layout, Loc, Memory as _, SimMemory, Word};
+use llr_mem::{Layout, Loc, SimMemory, Word};
 use std::collections::HashSet;
 use std::fmt;
 use std::path::PathBuf;
@@ -20,9 +22,11 @@ use std::path::PathBuf;
 /// `i < CRASH_SCHEDULE_BASE` steps machine `i`, entry
 /// `CRASH_SCHEDULE_BASE + i` crashes machine `i`
 /// ([`StepMachine::crash_restart`]) and decrements the fault budget
-/// register installed by [`ModelChecker::faults`]. With the fault model
-/// enabled, worlds are limited to `CRASH_SCHEDULE_BASE` machines so the
-/// two ranges cannot collide.
+/// register installed by [`ModelChecker::faults`]. Every engine writes
+/// crashes this way, and replay ([`ModelChecker::run_schedule`]) reads
+/// them back through the same transition relation. Without the fault
+/// model every entry is a step. With it, worlds are limited to
+/// `CRASH_SCHEDULE_BASE` machines so the two ranges cannot collide.
 pub const CRASH_SCHEDULE_BASE: usize = 128;
 
 /// A read-only view of one global state, handed to invariant closures.
@@ -105,7 +109,8 @@ impl fmt::Display for CheckStats {
 pub struct Violation {
     /// The invariant's error message.
     pub message: String,
-    /// The machine indices, in order, whose steps reach the bad state.
+    /// The schedule entries, in order, whose moves reach the bad state:
+    /// `i` steps machine `i`, [`CRASH_SCHEDULE_BASE`]` + i` crashes it.
     pub schedule: Vec<usize>,
     /// A human-readable replay of the schedule (one line per step).
     pub trace: String,
@@ -259,19 +264,13 @@ struct Frame<M> {
     mem: Vec<Word>,
     machines: Vec<M>,
     done: Vec<bool>,
-    /// Next machine index to try stepping from this state.
+    /// How many of the plan's moves have been taken from this state.
     next: usize,
-    /// Which machine's step produced this state (usize::MAX for the root).
+    /// The schedule entry of the move that produced this state (unused
+    /// for the root).
     via: usize,
-    /// Whether the ample-set decision has been made for this state (POR).
-    decided: bool,
-    /// The chosen ample machine, not yet stepped (POR).
-    ample_pending: bool,
-    /// Index of the chosen ample machine when `ample_pending`.
-    ample_idx: usize,
-    /// On ample fallback (cycle proviso), the machine already stepped from
-    /// this state; the full-expansion cursor skips it. `usize::MAX` = none.
-    skip: usize,
+    /// Which of the state's enabled moves the search takes.
+    plan: Plan,
 }
 
 /// Explores every interleaving of a set of [`StepMachine`]s over a shared
@@ -336,14 +335,19 @@ impl<M: StepMachine> ModelChecker<M> {
         self
     }
 
-    /// Deduplicate visited states by a 128-bit hash instead of the full
-    /// state vector.
+    /// Deduplicate visited states in
+    /// [`check_parallel`](Self::check_parallel)'s in-RAM store by a
+    /// 128-bit hash instead of the full state vector.
     ///
     /// This reduces memory by an order of magnitude for large runs. A hash
     /// collision would silently prune a reachable state; with a 128-bit
     /// hash and `n` states the collision probability is about `n²/2¹²⁹`
     /// (< 10⁻²⁴ for 10⁸ states), which we accept for the large
     /// configurations; the CI-sized runs use exact dedup.
+    ///
+    /// Like [`spill_dir`](Self::spill_dir), this is ignored by
+    /// [`check`](Self::check): the sequential DFS always dedups by exact
+    /// keys, as the reference the other engines are checked against.
     pub fn hashed_dedup(mut self, on: bool) -> Self {
         self.hashed_dedup = on;
         self
@@ -402,13 +406,15 @@ impl<M: StepMachine> ModelChecker<M> {
     /// The budget lives in a hidden shared register (`⚡CRASH_BUDGET`,
     /// appended to the layout), so it participates in state keys,
     /// snapshots, and traces for free — two states differing only in
-    /// remaining budget are distinct, which keeps all three engines
-    /// ([`check`](Self::check), [`check_parallel`](Self::check_parallel),
-    /// with or without [`spill_dir`](Self::spill_dir)) sound and mutually
-    /// byte-identical under faults. Crash transitions appear in
+    /// remaining budget are distinct. The DFS, the breadth-first loop on
+    /// every store and replay share one transition relation, so they
+    /// take the same crashes: `tests/engine_equivalence.rs` and
+    /// `tests/por_equivalence.rs` pin E12's worlds on every engine, store,
+    /// worker count and reduction setting. Crash transitions appear in
     /// [`Violation::schedule`]s as entries `≥` [`CRASH_SCHEDULE_BASE`]
     /// and are replayed by [`run_schedule`](Self::run_schedule) /
-    /// [`render_trace`](Self::render_trace).
+    /// [`render_trace`](Self::render_trace), which skip a crash the state
+    /// does not enable.
     ///
     /// Composes with partial-order reduction ([`por`](Self::por)): states
     /// with remaining budget are always fully expanded (a crash is a
@@ -417,9 +423,9 @@ impl<M: StepMachine> ModelChecker<M> {
     ///
     /// # Panics
     ///
-    /// The engines assert `machines.len() ≤ CRASH_SCHEDULE_BASE` when the
-    /// fault model is on (the crash encoding shares the schedule-entry
-    /// byte with machine indices).
+    /// Checking and replay assert `machines.len() ≤ CRASH_SCHEDULE_BASE`
+    /// when the fault model is on (the crash encoding shares the
+    /// schedule-entry byte with machine indices).
     pub fn faults(mut self, f: u64) -> Self {
         match self.faults_loc {
             Some(loc) => self.layout.set_initial(loc, f),
@@ -566,10 +572,8 @@ impl<M: StepMachine> ModelChecker<M> {
     ///
     /// The hot path is allocation-free: state keys are built in a reusable
     /// `KeyBuilder`, only one machine is cloned per transition, and
-    /// popped DFS frames are pooled and recycled. Exact dedup allocates
-    /// once per *distinct* state (the owned key); hashed dedup
-    /// ([`hashed_dedup`](Self::hashed_dedup)) stores a 16-byte hash
-    /// instead.
+    /// popped DFS frames are pooled and recycled. Dedup is exact: the
+    /// search allocates once per *distinct* state (the owned key).
     ///
     /// # Errors
     ///
@@ -580,27 +584,15 @@ impl<M: StepMachine> ModelChecker<M> {
     where
         F: Fn(&World<'_, M>) -> Result<(), String>,
     {
-        if self.faults_loc.is_some() {
-            assert!(
-                self.machines.len() <= CRASH_SCHEDULE_BASE,
-                "the crash–restart fault model supports at most {CRASH_SCHEDULE_BASE} machines"
-            );
-        }
+        let rel = Relation::of(self);
         let mem = SimMemory::new(&self.layout);
         let mut stats = CheckStats::default();
-        let mut visited_exact: HashSet<Box<[u64]>> = HashSet::new();
-        let mut visited_hash: HashSet<u128> = HashSet::new();
+        let mut visited: HashSet<Box<[u64]>> = HashSet::new();
         let mut kb = KeyBuilder::default();
+        let mut ample = AmpleCtx::new();
 
         let done0 = vec![false; self.machines.len()];
-        {
-            let key0 = kb.build(&mem, &self.machines, &done0, None);
-            if self.hashed_dedup {
-                visited_hash.insert(hash128(key0));
-            } else {
-                visited_exact.insert(key0.into());
-            }
-        }
+        visited.insert(kb.build(&mem, &self.machines, &done0, None).into());
         stats.states = 1;
         if done0.iter().all(|&d| d) {
             stats.terminal_states += 1;
@@ -619,104 +611,47 @@ impl<M: StepMachine> ModelChecker<M> {
             })));
         }
 
+        let snap0 = mem.snapshot();
+        let plan = rel.plan(&mut ample, &snap0, &self.machines, &done0);
         let mut stack: Vec<Frame<M>> = vec![Frame {
-            mem: mem.snapshot(),
+            mem: snap0,
             machines: self.machines.clone(),
             done: done0,
             next: 0,
             via: usize::MAX,
-            decided: false,
-            ample_pending: false,
-            ample_idx: 0,
-            skip: usize::MAX,
+            plan,
         }];
         // Recycled frames: their Vec allocations are reused by clone_from /
         // snapshot_into, so steady-state exploration stops allocating.
         let mut pool: Vec<Frame<M>> = Vec::new();
-        let mut ample = AmpleCtx::new();
 
         loop {
             let depth = stack.len();
             let Some(top) = stack.last_mut() else { break };
-            let n = top.machines.len();
-            // Remaining crash budget in this state (0 when the fault model
-            // is off). While budget remains, POR is disabled for the state
-            // (a crash transition is visible and does not commute with its
-            // machine's own step) and the cursor extends to a second range
-            // of crash transitions, one per crashable machine.
-            let budget = self.faults_loc.map_or(0, |l| top.mem[l.index()]);
-            if self.por && budget == 0 && !top.decided {
-                top.decided = true;
-                if let Some(a) = ample.choose(&top.machines, &top.done) {
-                    top.ample_idx = a;
-                    top.ample_pending = true;
-                }
-            }
-            // Pick the transition: the pending ample singleton, or the next
-            // untried cursor position — `0..n` are ordinary steps of
-            // not-done, not-skipped machines; `n..2n` (budget permitting)
-            // are crash transitions of not-done, crashable machines.
-            let limit = if budget > 0 { 2 * n } else { n };
-            let ample_attempt = top.ample_pending;
-            let i = if ample_attempt {
-                top.ample_pending = false;
-                top.ample_idx
-            } else {
-                let mut i = top.next;
-                loop {
-                    if i >= limit {
-                        break;
-                    }
-                    if i < n {
-                        if !top.done[i] && i != top.skip {
-                            break;
-                        }
-                    } else if !top.done[i - n] && top.machines[i - n].can_crash() {
-                        break;
-                    }
-                    i += 1;
-                }
-                if i >= limit {
-                    let spent = stack.pop().expect("stack is nonempty");
-                    pool.push(spent);
-                    continue;
-                }
-                top.next = i + 1;
-                i
+            let mv = rel
+                .moves(&top.mem, &top.machines, &top.done, top.plan)
+                .nth(top.next);
+            let Some(mv) = mv else {
+                pool.extend(stack.pop());
+                continue;
             };
+            top.next += 1;
 
             mem.restore(&top.mem);
-            // The machine slot acted on and the schedule-entry encoding.
-            let (slot, via) = if i < n { (i, i) } else { (i - n, i - n + CRASH_SCHEDULE_BASE) };
-            let mut mi = top.machines[slot].clone();
-            let done_i = if i < n {
-                mi.step(&mem).is_done()
-            } else {
-                let loc = self.faults_loc.expect("crash cursor range requires a fault budget");
-                mem.write(loc, budget - 1);
-                mi.crash_restart().is_done()
-            };
+            let i = mv.machine();
+            let mut mi = top.machines[i].clone();
+            let done_i = rel.apply(mv, &mem, &mut mi);
             stats.transitions += 1;
 
-            let key = kb.build(&mem, &top.machines, &top.done, Some((slot, &mi, done_i)));
-            let fresh = if self.hashed_dedup {
-                visited_hash.insert(hash128(key))
-            } else if visited_exact.contains(key) {
-                false
-            } else {
-                visited_exact.insert(key.into())
-            };
-            if ample_attempt {
-                if fresh {
-                    // The ample singleton is this state's only branch.
-                    top.next = top.machines.len();
-                } else {
-                    // Cycle proviso: the ample successor was already visited
-                    // (possibly down the current DFS path), so the singleton
-                    // could defer a conflicting step forever around a cycle.
-                    // Expand fully, skipping the step just taken.
-                    top.skip = i;
-                }
+            let key = kb.build(&mem, &top.machines, &top.done, Some((i, &mi, done_i)));
+            let fresh = !visited.contains(key) && visited.insert(key.into());
+            if let (Plan::Ample(a), false) = (top.plan, fresh) {
+                // Cycle proviso: the ample successor was already visited
+                // (possibly down the current DFS path), so the singleton
+                // could defer a conflicting step forever around a cycle.
+                // Expand fully, skipping the step just taken.
+                top.plan = Plan::AllBut(Some(a));
+                top.next = 0;
             }
             if !fresh {
                 continue;
@@ -730,22 +665,16 @@ impl<M: StepMachine> ModelChecker<M> {
                 done: Vec::new(),
                 next: 0,
                 via: 0,
-                decided: false,
-                ample_pending: false,
-                ample_idx: 0,
-                skip: usize::MAX,
+                plan: Plan::AllBut(None),
             });
             mem.snapshot_into(&mut frame.mem);
             frame.machines.clone_from(&top.machines);
-            frame.machines[slot] = mi;
+            frame.machines[i] = mi;
             frame.done.clear();
             frame.done.extend_from_slice(&top.done);
-            frame.done[slot] = done_i;
+            frame.done[i] = done_i;
             frame.next = 0;
-            frame.via = via;
-            frame.decided = false;
-            frame.ample_pending = false;
-            frame.skip = usize::MAX;
+            frame.via = mv.entry();
 
             let terminal = frame.done.iter().all(|&d| d);
             if terminal {
@@ -764,9 +693,8 @@ impl<M: StepMachine> ModelChecker<M> {
                 done: &frame.done,
             };
             if let Err(message) = invariant(&world) {
-                let mut schedule: Vec<usize> =
-                    stack.iter().map(|f| f.via).filter(|&v| v != usize::MAX).collect();
-                schedule.push(via);
+                let mut schedule: Vec<usize> = stack[1..].iter().map(|f| f.via).collect();
+                schedule.push(frame.via);
                 let trace = self.render_trace(&schedule);
                 return Err(CheckError::Violation(Box::new(Violation {
                     message,
@@ -776,76 +704,45 @@ impl<M: StepMachine> ModelChecker<M> {
                 })));
             }
 
+            frame.plan = rel.plan(&mut ample, &frame.mem, &frame.machines, &frame.done);
             stack.push(frame);
         }
 
         Ok(stats)
     }
 
-    /// Splits a schedule entry into `(machine index, is_crash)`. Crash
-    /// entries ([`CRASH_SCHEDULE_BASE`]` + i`) only exist when the fault
-    /// model is on; without it every entry is a plain machine index.
-    fn decode_entry(&self, e: usize) -> (usize, bool) {
-        if self.faults_loc.is_some() && e >= CRASH_SCHEDULE_BASE {
-            (e - CRASH_SCHEDULE_BASE, true)
-        } else {
-            (e, false)
-        }
-    }
-
-    /// Applies one decoded schedule entry to a replay world: an ordinary
-    /// step, or a crash (budget decrement + [`StepMachine::crash_restart`]).
-    fn apply_entry(&self, i: usize, crash: bool, mem: &SimMemory, machines: &mut [M]) -> bool {
-        if crash {
-            let loc = self.faults_loc.expect("crash entry without a fault budget");
-            let left = mem.read(loc);
-            mem.write(loc, left.saturating_sub(1));
-            machines[i].crash_restart().is_done()
-        } else {
-            machines[i].step(mem).is_done()
-        }
-    }
-
     /// Replays a schedule (a sequence of machine indices, with crash
     /// entries encoded as [`CRASH_SCHEDULE_BASE`]` + i`) from the initial
     /// state, returning the final memory and machines.
     ///
-    /// Steps scheduling a machine that is already done are skipped.
+    /// Replay takes the same moves the engines take, and skips an entry
+    /// whose move the state does not enable: a step of a machine that is
+    /// already done, or a crash of a machine that is done, whose
+    /// [`StepMachine::can_crash`] is false, or that would exceed the
+    /// fault budget.
     pub fn run_schedule(&self, schedule: &[usize]) -> (SimMemory, Vec<M>, Vec<bool>) {
-        let mem = SimMemory::new(&self.layout);
-        let mut machines = self.machines.clone();
-        let mut done = vec![false; machines.len()];
+        let mut r = Replay::new(self);
         for &e in schedule {
-            let (i, crash) = self.decode_entry(e);
-            if done[i] {
-                continue;
-            }
-            if self.apply_entry(i, crash, &mem, &mut machines) {
-                done[i] = true;
-            }
+            r.take(e);
         }
-        (mem, machines, done)
+        (r.mem, r.machines, r.done)
     }
 
-    /// Renders a schedule as a step-by-step human-readable trace.
+    /// Renders a schedule as a step-by-step human-readable trace. Entries
+    /// [`run_schedule`](Self::run_schedule) skips are marked as skipped.
     pub fn render_trace(&self, schedule: &[usize]) -> String {
         use std::fmt::Write as _;
-        let mem = SimMemory::new(&self.layout);
-        let mut machines = self.machines.clone();
-        let mut done = vec![false; machines.len()];
+        let mut r = Replay::new(self);
         let mut out = String::new();
-        let _ = writeln!(out, "  init: {}", self.layout.dump(&mem.snapshot()));
+        let _ = writeln!(out, "  init: {}", self.layout.dump(&r.mem.snapshot()));
         for (n, &e) in schedule.iter().enumerate() {
-            let (i, crash) = self.decode_entry(e);
-            if done[i] {
-                let _ = writeln!(out, "  #{n:<3} p{i}: (already done, skipped)");
+            let before = r.mem.snapshot();
+            let (mv, taken) = r.take(e);
+            if !taken {
+                let _ = writeln!(out, "  #{n:<3} {mv}: (not enabled, skipped)");
                 continue;
             }
-            let before = mem.snapshot();
-            if self.apply_entry(i, crash, &mem, &mut machines) {
-                done[i] = true;
-            }
-            let after = mem.snapshot();
+            let after = r.mem.snapshot();
             let delta: Vec<String> = before
                 .iter()
                 .zip(&after)
@@ -857,9 +754,8 @@ impl<M: StepMachine> ModelChecker<M> {
                 .collect();
             let _ = writeln!(
                 out,
-                "  #{n:<3} p{i}{}: {} {}",
-                if crash { " CRASH" } else { "" },
-                machines[i].describe(),
+                "  #{n:<3} {mv}: {} {}",
+                r.machines[mv.machine()].describe(),
                 if delta.is_empty() {
                     String::new()
                 } else {
@@ -867,7 +763,7 @@ impl<M: StepMachine> ModelChecker<M> {
                 }
             );
         }
-        let _ = writeln!(out, "  final: {}", self.layout.dump(&mem.snapshot()));
+        let _ = writeln!(out, "  final: {}", self.layout.dump(&r.mem.snapshot()));
         out
     }
 
@@ -979,32 +875,19 @@ impl<M: StepMachine> ModelChecker<M> {
     ///
     /// DFS counterexamples are often cluttered with irrelevant steps by
     /// unrelated machines; a shrunk schedule reads like a proof sketch.
+    ///
+    /// Candidates replay as [`run_schedule`](Self::run_schedule) does:
+    /// deleting an entry can disable a later crash, which is then skipped,
+    /// so the result takes only moves the engines take.
     pub fn shrink_schedule<F>(&self, schedule: &[usize], invariant: F) -> Vec<usize>
     where
         F: Fn(&World<'_, M>) -> Result<(), String>,
     {
         let violates = |candidate: &[usize]| -> bool {
-            let mem = SimMemory::new(&self.layout);
-            let mut machines = self.machines.clone();
-            let mut done = vec![false; machines.len()];
-            for &e in candidate {
-                let (i, crash) = self.decode_entry(e);
-                if done[i] {
-                    continue;
-                }
-                if self.apply_entry(i, crash, &mem, &mut machines) {
-                    done[i] = true;
-                }
-                let world = World {
-                    mem: &mem,
-                    machines: &machines,
-                    done: &done,
-                };
-                if invariant(&world).is_err() {
-                    return true;
-                }
-            }
-            false
+            let mut r = Replay::new(self);
+            candidate
+                .iter()
+                .any(|&e| r.take(e).1 && invariant(&r.world()).is_err())
         };
         assert!(
             violates(schedule),

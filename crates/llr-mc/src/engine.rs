@@ -42,15 +42,13 @@
 //! including the layer being drained when a run stops early — is
 //! [`CheckStats::peak_resident_bytes`](crate::CheckStats::peak_resident_bytes).
 
-use crate::checker::{
-    hash128, CheckError, CheckStats, KeyBuilder, ModelChecker, Violation, World,
-    CRASH_SCHEDULE_BASE,
-};
+use crate::checker::{hash128, CheckError, CheckStats, KeyBuilder, ModelChecker, Violation, World};
 use crate::frontier::{EdgeLog, ScratchDir};
 use crate::por::AmpleCtx;
+use crate::relation::{via_entry, Move, Plan, Relation};
 use crate::spill::{DiskLayers, SpillSet};
 use crate::StepMachine;
-use llr_mem::{Loc, Memory as _, SimMemory, Word};
+use llr_mem::{SimMemory, Word};
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -236,8 +234,8 @@ pub(crate) struct RamVisited<K> {
     frozen: Vec<HashMap<K, u32>>,
     /// Payload bytes of `frozen`.
     bytes: u64,
-    /// `parent[id] = (parent id, machine index)`; the root has parent
-    /// `u32::MAX`.
+    /// `parent[id] = (parent id, via)`: the move that reached `id`, as
+    /// [`Move::via`] stores it. The root has parent `u32::MAX`.
     pub(crate) parent: Vec<(u32, u8)>,
     /// `terminal[id]` iff every machine is done in state `id`.
     pub(crate) terminal: Vec<bool>,
@@ -357,7 +355,7 @@ impl<M> Layers<M> for RamLayers<M> {
 pub(crate) fn schedule_to(parent: &[(u32, u8)], mut id: u32) -> Vec<usize> {
     let mut schedule = Vec::new();
     while parent[id as usize].0 != u32::MAX {
-        schedule.push(parent[id as usize].1 as usize);
+        schedule.push(via_entry(parent[id as usize].1));
         id = parent[id as usize].0;
     }
     schedule.reverse();
@@ -367,6 +365,7 @@ pub(crate) fn schedule_to(parent: &[(u32, u8)], mut id: u32) -> Vec<usize> {
 /// One expansion worker: its private register file and key buffer, the
 /// shared pending shards and visited store, and what it found.
 struct Worker<'a, M, V: Visited> {
+    rel: Relation,
     wmem: SimMemory,
     kb: KeyBuilder,
     pending: &'a Pending<V::Key>,
@@ -386,6 +385,7 @@ struct Worker<'a, M, V: Visited> {
 
 impl<'a, M: StepMachine, V: Visited> Worker<'a, M, V> {
     fn new(
+        rel: Relation,
         snap: &[Word],
         pending: &'a Pending<V::Key>,
         visited: &'a V,
@@ -393,6 +393,7 @@ impl<'a, M: StepMachine, V: Visited> Worker<'a, M, V> {
         id: u32,
     ) -> Self {
         Self {
+            rel,
             wmem: SimMemory::with_values(snap),
             kb: KeyBuilder::default(),
             pending,
@@ -405,35 +406,17 @@ impl<'a, M: StepMachine, V: Visited> Worker<'a, M, V> {
         }
     }
 
-    /// Steps machine `i` of frontier state `st` and routes the successor:
+    /// Takes move `mv` from frontier state `st` and routes the successor:
     /// visited states only record an edge, unknown states are min-merged
     /// into the pending shards, and materialized by the first worker to
     /// reach them. Returns whether the successor was found visited, and
     /// its hash.
-    ///
-    /// With `crash = Some((loc, left))` the transition is a crash instead
-    /// of a step: the fault-budget register `loc` is set to `left` and
-    /// machine `i` is torn down via [`StepMachine::crash_restart`]; the
-    /// recorded `via` is `i + `[`CRASH_SCHEDULE_BASE`] so replayed
-    /// schedules distinguish the two transition kinds.
-    fn step(
-        &mut self,
-        st: &FrontierState<M>,
-        i: usize,
-        crash: Option<(Loc, Word)>,
-    ) -> (bool, u128) {
+    fn step(&mut self, st: &FrontierState<M>, mv: Move) -> (bool, u128) {
         self.wmem.restore(&st.snap);
+        let i = mv.machine();
         let mut mi = st.machines[i].clone();
-        let (done_i, via) = match crash {
-            None => (mi.step(&self.wmem).is_done(), i as u8),
-            Some((loc, left)) => {
-                self.wmem.write(loc, left);
-                (
-                    mi.crash_restart().is_done(),
-                    (i + CRASH_SCHEDULE_BASE) as u8,
-                )
-            }
-        };
+        let done_i = self.rel.apply(mv, &self.wmem, &mut mi);
+        let via = mv.via();
         self.transitions += 1;
         let kbuf = self
             .kb
@@ -483,12 +466,11 @@ impl<'a, M: StepMachine, V: Visited> Worker<'a, M, V> {
         (found.is_some(), h)
     }
 
-    /// Steps every runnable machine of `st` except `skip`.
-    fn step_all_but(&mut self, st: &FrontierState<M>, skip: Option<usize>) {
-        for i in 0..st.machines.len() {
-            if Some(i) != skip && !st.done[i] {
-                self.step(st, i, None);
-            }
+    /// Takes every move `plan` allows from `st`.
+    fn expand(&mut self, st: &FrontierState<M>, plan: Plan) {
+        let rel = self.rel;
+        for mv in rel.moves(&st.snap, &st.machines, &st.done, plan) {
+            self.step(st, mv);
         }
     }
 }
@@ -496,9 +478,9 @@ impl<'a, M: StepMachine, V: Visited> Worker<'a, M, V> {
 /// Expands one chunk of a breadth-first layer over `workers` scoped
 /// threads.
 ///
-/// Every frontier state's every runnable machine is stepped once — unless
-/// partial-order reduction is on and [`AmpleCtx::choose`] picks an ample
-/// singleton for the state, in which case only that machine is stepped.
+/// Every frontier state's every enabled move ([`Relation::moves`]) is
+/// taken once — unless the POR gate ([`Relation::plan`]) picks an ample
+/// singleton for the state, in which case only that step is taken.
 /// If the ample successor is found *visited* (in an earlier-or-current
 /// layer), the cycle proviso fires and the state is expanded fully after
 /// all: a cycle in the reduced graph must contain an edge into an
@@ -514,19 +496,11 @@ impl<'a, M: StepMachine, V: Visited> Worker<'a, M, V> {
 /// `frontier index` in [`Worker::reduced`] stays relative to the
 /// `frontier` slice passed in.
 ///
-/// With a fault budget in register [`ModelChecker::crash_loc`]: while a
-/// state's budget is positive, partial-order reduction is bypassed for
-/// that state (a crash may preempt *any* step, so no singleton is ample)
-/// and, next to every ordinary step, each crash-capable machine also gets
-/// a crash transition that decrements the budget. States whose budget has
-/// reached zero are expanded exactly as in the fault-free engine —
-/// including POR.
-///
 /// This is the only concurrent phase of the loop; everything afterwards
 /// (draining `pending` in `(parent, via)` order) is sequential and
 /// deterministic.
 fn expand_layer<'a, M, V>(
-    mc: &ModelChecker<M>,
+    rel: Relation,
     frontier: &[FrontierState<M>],
     pending: &'a Pending<V::Key>,
     visited: &'a V,
@@ -538,7 +512,6 @@ where
     M: StepMachine + Send + Sync,
     V: Visited,
 {
-    let (por, crash_loc) = (mc.por_on(), mc.crash_loc());
     let chunk = frontier.len().div_ceil(workers.clamp(1, frontier.len()));
     std::thread::scope(|scope| {
         let handles: Vec<_> = frontier
@@ -547,40 +520,24 @@ where
             .map(|(w, part)| {
                 scope.spawn(move || {
                     let wid = worker_base + w as u32;
-                    let mut s = Worker::new(&part[0].snap, pending, visited, record_edges, wid);
+                    let mut s =
+                        Worker::new(rel, &part[0].snap, pending, visited, record_edges, wid);
                     let mut ample = AmpleCtx::new();
                     for (fi, st) in part.iter().enumerate() {
                         let fi = w * chunk + fi;
-                        // Remaining fault budget in this state. A positive
-                        // budget disables POR (a crash may preempt any
-                        // step, so no singleton is ample) and enables the
-                        // crash-successor loop below.
-                        let budget = crash_loc.map_or(0, |l| st.snap[l.index()]);
-                        let a = if por && budget == 0 {
-                            ample.choose(&st.machines, &st.done)
-                        } else {
-                            None
-                        };
-                        if let Some(a) = a {
-                            let (seen, h) = s.step(st, a, None);
-                            if seen {
-                                // Cycle proviso: fall back to full
-                                // expansion (the ample step is already
-                                // taken and counted).
-                                s.step_all_but(st, Some(a));
-                            } else if !V::COMPLETE {
-                                s.reduced.push((fi as u32, a as u8, h));
-                            }
-                            continue;
-                        }
-                        s.step_all_but(st, None);
-                        if budget > 0 {
-                            let loc = crash_loc.expect("positive budget implies a fault register");
-                            for i in 0..st.machines.len() {
-                                if !st.done[i] && st.machines[i].can_crash() {
-                                    s.step(st, i, Some((loc, budget - 1)));
+                        match rel.plan(&mut ample, &st.snap, &st.machines, &st.done) {
+                            Plan::Ample(a) => {
+                                let (seen, h) = s.step(st, Move::Step(a));
+                                if seen {
+                                    // Cycle proviso: fall back to full
+                                    // expansion (the ample step is already
+                                    // taken and counted).
+                                    s.expand(st, Plan::AllBut(Some(a)));
+                                } else if !V::COMPLETE {
+                                    s.reduced.push((fi as u32, a as u8, h));
                                 }
                             }
+                            plan => s.expand(st, plan),
                         }
                     }
                     s
@@ -657,17 +614,9 @@ where
     V: Visited,
     L: Layers<M>,
 {
+    let rel = Relation::of(mc);
     let mem = SimMemory::new(mc.layout());
     let machines = mc.machines().to_vec();
-    assert!(
-        machines.len() < u8::MAX as usize,
-        "the frontier engine supports at most 254 machines"
-    );
-    assert!(
-        mc.crash_loc().is_none() || machines.len() <= CRASH_SCHEDULE_BASE,
-        "with a fault budget the frontier engine supports at most {CRASH_SCHEDULE_BASE} machines \
-         (crash transitions are encoded as machine + {CRASH_SCHEDULE_BASE})"
-    );
     let root = FrontierState {
         snap: mem.snapshot(),
         done: vec![false; machines.len()],
@@ -724,7 +673,7 @@ where
         let mut layer_edges = Vec::new();
         let mut reduced = Vec::new();
         layers.expand(None, |chunk, first, base| {
-            let found = expand_layer(mc, chunk, &pending, &visited, workers, record_edges, base);
+            let found = expand_layer(rel, chunk, &pending, &visited, workers, record_edges, base);
             let fresh = found.into_iter().map(|w| {
                 stats.transitions += w.transitions;
                 layer_edges.extend(w.edges.into_iter().flatten());
@@ -760,9 +709,9 @@ where
             let mut patch_base = u32::MAX;
             layers.expand(Some(&ords), |chunk, first, base| {
                 patch_base = patch_base.min(base);
-                let mut w = Worker::new(&chunk[0].snap, &pending, &visited, false, base);
+                let mut w = Worker::new(rel, &chunk[0].snap, &pending, &visited, false, base);
                 for (st, &a) in chunk.iter().zip(&amples[first..]) {
-                    w.step_all_but(st, Some(usize::from(a)));
+                    w.expand(st, Plan::AllBut(Some(usize::from(a))));
                 }
                 stats.transitions += w.transitions;
                 vec![w.fresh]

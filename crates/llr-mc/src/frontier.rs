@@ -481,7 +481,7 @@ impl ParentLog {
             if parent == u32::MAX {
                 break;
             }
-            schedule.push(buf[4] as usize);
+            schedule.push(crate::relation::via_entry(buf[4]));
             id = parent;
         }
         schedule.reverse();

@@ -34,6 +34,8 @@
 //! * [`ModelChecker::run_schedule`] / [`ModelChecker::round_robin`] —
 //!   deterministic replay and a bounded-fairness liveness check
 //!   (every machine finishes within a step budget under a fair schedule).
+//! * [`ModelChecker::faults`] — the crash–restart fault model: a crash of
+//!   a machine is one more kind of move, with a budget.
 //!
 //! # Example
 //!
@@ -77,14 +79,25 @@
 //! Two exploration engines, visiting the same states and reporting
 //! identical counts and violations: the sequential DFS
 //! ([`ModelChecker::check`]), with an explicit stack and an in-RAM visited
-//! set of exact or hashed keys, and one parallel breadth-first loop
+//! set of exact keys, and one parallel breadth-first loop
 //! ([`ModelChecker::check_parallel`], also the forward pass of
-//! [`ModelChecker::check_always_terminable`]). The loop runs over two
-//! stores, and [`ModelChecker::spill_dir`] selects their disk versions:
+//! [`ModelChecker::check_always_terminable`]).
+//!
+//! Both engines and replay share one transition relation: which moves
+//! (machine steps and, under [`ModelChecker::faults`], crashes) a state
+//! enables and in what order, when partial-order reduction
+//! ([`ModelChecker::por`]) may take one ample step instead, what a move
+//! does, and how a move is written in a [`Violation::schedule`]. Replay
+//! ([`ModelChecker::run_schedule`], [`ModelChecker::render_trace`],
+//! [`ModelChecker::shrink_schedule`]) skips an entry whose move the state
+//! does not enable, so it never takes a move that no engine takes.
+//!
+//! The loop runs over two stores, and [`ModelChecker::spill_dir`] selects
+//! their disk versions:
 //!
 //! | store | in RAM | with `spill_dir` |
 //! |---|---|---|
-//! | visited | sharded map, exact or hashed keys | bounded in-RAM delta + sorted runs on disk |
+//! | visited | sharded map, exact or hashed keys ([`ModelChecker::hashed_dedup`]) | bounded in-RAM delta + sorted runs on disk |
 //! | layers | materialized states, one chunk per layer | per-layer files on disk ([`frontier`]), read in bounded chunks |
 
 #![warn(missing_docs)]
@@ -96,6 +109,7 @@ pub mod frontier;
 mod liveness;
 mod machine;
 mod por;
+mod relation;
 mod rng;
 mod spill;
 

@@ -98,7 +98,7 @@ fn hashed_dedup_matches_exact() {
         .unwrap();
     let hashed = ModelChecker::new(layout, machines)
         .hashed_dedup(true)
-        .check(|_| Ok(()))
+        .check_parallel(|_| Ok(()))
         .unwrap();
     assert_eq!(exact.states, hashed.states);
     assert_eq!(exact.transitions, hashed.transitions);
@@ -561,6 +561,80 @@ fn a_crash_exposes_torn_state() {
     assert!(done[0]);
     assert_eq!(mem.read(x), 1);
     assert_eq!(machines[0].pc, 3);
+}
+
+/// A `Flagger` that can crash only inside its window, between the raise
+/// and the lower.
+#[derive(Clone)]
+struct WindowFlagger(Flagger);
+
+impl StepMachine for WindowFlagger {
+    fn step(&mut self, mem: &dyn Memory) -> MachineStatus {
+        self.0.step(mem)
+    }
+
+    fn key(&self, out: &mut Vec<u64>) {
+        self.0.key(out);
+    }
+
+    fn describe(&self) -> String {
+        self.0.describe()
+    }
+
+    fn can_crash(&self) -> bool {
+        self.0.pc == 1
+    }
+
+    fn crash_restart(&mut self) -> MachineStatus {
+        assert!(
+            self.can_crash(),
+            "crashed outside the window: {}",
+            self.describe()
+        );
+        self.0.crash_restart()
+    }
+}
+
+/// Two `WindowFlagger`s on one register under a budget of one crash.
+fn window_checker() -> (ModelChecker<WindowFlagger>, Loc) {
+    let mut layout = Layout::new();
+    let x = layout.scalar("X", 0);
+    let m = WindowFlagger(Flagger { x, pc: 0 });
+    (ModelChecker::new(layout, vec![m.clone(), m]).faults(1), x)
+}
+
+#[test]
+fn replay_skips_a_crash_outside_the_window() {
+    let (mc, _) = window_checker();
+    let (_, machines, done) = mc.run_schedule(&[crate::CRASH_SCHEDULE_BASE]);
+    assert_eq!((machines[0].0.pc, done[0]), (0, false));
+}
+
+#[test]
+fn replay_skips_a_crash_beyond_the_budget() {
+    let (mc, _) = window_checker();
+    let crash = crate::CRASH_SCHEDULE_BASE;
+    let (_, machines, done) = mc.run_schedule(&[0, 1, crash, crash + 1]);
+    assert_eq!([machines[0].0.pc, machines[1].0.pc], [3, 1]);
+    assert_eq!(done, [true, false]);
+}
+
+#[test]
+fn shrinking_takes_only_enabled_crashes() {
+    let (mc, x) = window_checker();
+    let torn = |w: &crate::World<'_, WindowFlagger>| {
+        if w.all_done() && w.mem.read(x) == 1 {
+            Err("flag left torn high".into())
+        } else {
+            Ok(())
+        }
+    };
+    let v = mc.check_parallel(torn).unwrap_err().unwrap_violation();
+    assert_eq!(v.schedule, [0, 0, 1, crate::CRASH_SCHEDULE_BASE + 1]);
+    let shrunk = mc.shrink_schedule(&v.schedule, torn);
+    let (mem, _, done) = mc.run_schedule(&shrunk);
+    assert!(done.iter().all(|&d| d), "shrunk: {shrunk:?}");
+    assert_eq!(mem.read(x), 1, "shrunk: {shrunk:?}");
 }
 
 #[test]

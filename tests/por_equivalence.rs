@@ -27,17 +27,17 @@
 use llr_core::chain::spec as chain_spec;
 use llr_core::filter::spec as filter_spec;
 use llr_core::levelarray::spec as la_spec;
+use llr_core::levelarray::{LevelArrayCore, LevelShape};
 use llr_core::ma::spec as ma_spec;
+use llr_core::ma::{MaCore, MaShape};
 use llr_core::smallnet::spec as net_spec;
+use llr_core::smallnet::{SmallNetCore, SmallNetShape};
 use llr_core::onetime::spec as onetime_spec;
 use llr_core::pf::spec as pf_spec;
+use llr_core::session::{crash_robust_uniqueness, ProtocolCore, Session};
 use llr_core::split::spec as split_spec;
 use llr_core::splitter::spec as splitter_spec;
 use llr_core::tournament::spec as tree_spec;
-use llr_core::levelarray::{LevelArrayCore, LevelShape};
-use llr_core::ma::{MaCore, MaShape};
-use llr_core::session::{crash_robust_uniqueness, ProtocolCore, Session};
-use llr_core::smallnet::{SmallNetCore, SmallNetShape};
 use llr_gf::FilterParams;
 use llr_mc::{CheckError, CheckStats, ModelChecker, StepMachine, World};
 use llr_mem::Layout;
@@ -333,11 +333,7 @@ fn smallnet_por_sound() {
 
 /// A crash–restart world as E12 builds it: two live sessions of one
 /// cycle, each with one spare core, under a fault budget of `f`.
-fn faults<P: ProtocolCore>(
-    layout: Layout,
-    cores: [(P, P); 2],
-    f: u64,
-) -> ModelChecker<Session<P>> {
+fn faults<P: ProtocolCore>(layout: Layout, cores: [(P, P); 2], f: u64) -> ModelChecker<Session<P>> {
     let machines = cores
         .into_iter()
         .map(|(live, spare)| Session::start(live, 1).with_spares(vec![spare]))
@@ -350,7 +346,11 @@ fn la_faults(f: u64) -> ModelChecker<Session<LevelArrayCore>> {
     let mut layout = Layout::new();
     let shape = LevelShape::build(4, &mut layout);
     let core = |p| LevelArrayCore::new(shape.clone(), p);
-    faults(layout, [(core(3), core(50_003)), (core(9_000), core(59_000))], f)
+    faults(
+        layout,
+        [(core(3), core(50_003)), (core(9_000), core(59_000))],
+        f,
+    )
 }
 
 /// Under a fault budget, reduction resumes only once the budget is
@@ -361,7 +361,11 @@ fn faults_por_sound() {
     for (f, expect) in [(1, (110, 177)), (2, (261, 503))] {
         let label = format!("LevelArray k=4 f={f}");
         let (_, por) = assert_por_sound(&label, || la_faults(f), crash_robust_uniqueness);
-        assert_eq!((por.states, por.transitions), expect, "{label}: reduced BFS");
+        assert_eq!(
+            (por.states, por.transitions),
+            expect,
+            "{label}: reduced BFS"
+        );
     }
     assert_por_sound(
         "small net ℓ=3 f=2",
@@ -387,7 +391,11 @@ fn ma_faults_por_sound() {
         faults(layout, [(core(0), core(1)), (core(3), core(5))], 1)
     };
     let (_, por) = assert_por_sound("MA k=4 S=8 f=1", build, crash_robust_uniqueness);
-    assert_eq!((por.states, por.transitions), (14_071, 19_820), "reduced BFS");
+    assert_eq!(
+        (por.states, por.transitions),
+        (14_071, 19_820),
+        "reduced BFS"
+    );
 }
 
 /// `check_always_terminable` must reach the same verdict and the same
