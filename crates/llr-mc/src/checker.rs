@@ -556,15 +556,9 @@ impl<M: StepMachine> ModelChecker<M> {
         self.spill.as_ref()
     }
 
-    /// Whether partial-order reduction is enabled.
-    pub(crate) fn por_on(&self) -> bool {
-        self.por
-    }
-
-    /// The hidden fault-budget register, if [`faults`](Self::faults)
-    /// installed one with a nonzero budget.
-    pub(crate) fn crash_loc(&self) -> Option<Loc> {
-        self.faults_loc
+    /// The transition relation the engines and replay explore.
+    pub(crate) fn relation(&self) -> Relation {
+        Relation::new(self.faults_loc, self.por, self.machines.len())
     }
 
     /// Exhaustively explores the state space depth-first, checking
@@ -584,7 +578,7 @@ impl<M: StepMachine> ModelChecker<M> {
     where
         F: Fn(&World<'_, M>) -> Result<(), String>,
     {
-        let rel = Relation::of(self);
+        let rel = self.relation();
         let mem = SimMemory::new(&self.layout);
         let mut stats = CheckStats::default();
         let mut visited: HashSet<Box<[u64]>> = HashSet::new();

@@ -614,7 +614,7 @@ where
     V: Visited,
     L: Layers<M>,
 {
-    let rel = Relation::of(mc);
+    let rel = mc.relation();
     let mem = SimMemory::new(mc.layout());
     let machines = mc.machines().to_vec();
     let root = FrontierState {

@@ -100,22 +100,20 @@ pub(crate) struct Relation {
 }
 
 impl Relation {
-    /// The relation `mc` explores.
+    /// The relation over `machines` machines, with the fault-budget
+    /// register `budget` if the fault model is on, and with partial-order
+    /// reduction if `por`.
     ///
     /// # Panics
     ///
-    /// With the fault model on, if `mc` has more machines than crash
+    /// With the fault model on, if there are more machines than crash
     /// entries can name ([`CRASH_SCHEDULE_BASE`]).
-    pub(crate) fn of<M: StepMachine>(mc: &ModelChecker<M>) -> Self {
-        let budget = mc.crash_loc();
+    pub(crate) fn new(budget: Option<Loc>, por: bool, machines: usize) -> Self {
         assert!(
-            budget.is_none() || mc.machines().len() <= CRASH_SCHEDULE_BASE,
+            budget.is_none() || machines <= CRASH_SCHEDULE_BASE,
             "the crash–restart fault model supports at most {CRASH_SCHEDULE_BASE} machines"
         );
-        Self {
-            budget,
-            por: mc.por_on(),
-        }
+        Self { budget, por }
     }
 
     /// The fault budget left in a state with registers `snap`: `0` when
@@ -200,7 +198,7 @@ impl<M: StepMachine> Replay<M> {
     /// The initial state of `mc`.
     pub(crate) fn new(mc: &ModelChecker<M>) -> Self {
         Self {
-            rel: Relation::of(mc),
+            rel: mc.relation(),
             mem: SimMemory::new(mc.layout()),
             machines: mc.machines().to_vec(),
             done: vec![false; mc.machines().len()],
