@@ -608,6 +608,8 @@ fn replay_skips_a_crash_outside_the_window() {
     let (mc, _) = window_checker();
     let (_, machines, done) = mc.run_schedule(&[crate::CRASH_SCHEDULE_BASE]);
     assert_eq!((machines[0].0.pc, done[0]), (0, false));
+    let trace = mc.render_trace(&[crate::CRASH_SCHEDULE_BASE]);
+    assert!(trace.contains("p0 CRASH: (not enabled, skipped)"), "{trace}");
 }
 
 #[test]
