@@ -6,13 +6,12 @@
 //!
 //! Every row records which engine explored it and how long it took
 //! (`wall_ms`, `states_per_sec`). The sequential DFS is the reference
-//! engine and covers the CI-sized rows; the parallel BFS engine (one
-//! worker per core) covers the rows that used to be infeasible, with
-//! 128-bit hashed dedup where the exact visited set would not fit in
-//! memory. The two largest seed rows run under **both** engines, so the
-//! parallel speedup is measurable straight from the CSV on a multicore
-//! host (engines agree exactly on states/transitions by construction —
-//! `tests/engine_equivalence.rs` pins that).
+//! engine, the one that dedups by exact keys, and covers the CI-sized
+//! rows; the parallel BFS engine (one worker per core, 128-bit hashed
+//! dedup) covers the rows that used to be infeasible. Three mid-size rows
+//! run under **both** engines, so the parallel speedup is measurable
+//! straight from the CSV on a multicore host (engines agree exactly on
+//! states/transitions — `tests/engine_equivalence.rs` pins that).
 //!
 //! The largest rows — one size step beyond what fits in RAM — run on the
 //! external-memory backend (`bfs+spill`): the visited set lives in
@@ -58,11 +57,6 @@ const SPILL_BUDGET: usize = 256 << 20;
 /// The reference sequential DFS.
 fn dfs() -> Engine {
     Engine::Sequential
-}
-
-/// Parallel BFS, one worker per core, exact dedup.
-fn bfs() -> Engine {
-    Engine::Parallel { workers: 0, hashed: false }
 }
 
 /// Parallel BFS, one worker per core, 128-bit hashed dedup.
@@ -221,7 +215,7 @@ pub fn run() {
         &dfs(),
         splitter_all_inits(2, 3, &dfs()),
     );
-    for engine in [dfs(), bfs()] {
+    for engine in [dfs(), bfs_hashed()] {
         add(
             "splitter (Fig 2)",
             "each output set ≤ ℓ-1",
@@ -434,7 +428,7 @@ pub fn run() {
             explore(onetime_spec::checker(k, &pids), onetime_spec::unique_names_invariant, &dfs()),
         );
     }
-    for engine in [dfs(), bfs()] {
+    for engine in [dfs(), bfs_hashed()] {
         add(
             "one-time grid",
             "acquired names unique",
@@ -511,7 +505,7 @@ pub fn run() {
             explore(net_spec::checker(ell, &pids), net_spec::unique_names_invariant, &dfs()),
         );
     }
-    for engine in [dfs(), bfs()] {
+    for engine in [dfs(), bfs_hashed()] {
         add(
             "small net",
             "acquired names unique",

@@ -1,12 +1,12 @@
 //! DFS state-space exploration with memoization, replay and random walks.
 //!
 //! This module holds the checker configuration, the sequential DFS
-//! engine (the exact-dedup reference that the parallel frontier engine in
-//! [`crate::engine`] is checked against), and the shared state-key
-//! machinery: a reusable [`KeyBuilder`] so the hot path performs no
-//! per-transition allocation, and an incremental 128-bit hash for the
-//! breadth-first loop's memory-lean dedup mode. Both engines and replay
-//! take their moves from [`crate::relation`].
+//! engine (the one exact-dedup engine, the reference that the
+//! breadth-first loop in [`crate::engine`] is checked against), and the
+//! shared state-key machinery: a reusable [`KeyBuilder`] so the hot path
+//! performs no per-transition allocation, and the 128-bit hash the
+//! breadth-first loop dedups by. Both engines and replay take their moves
+//! from [`crate::relation`].
 
 use crate::por::AmpleCtx;
 use crate::relation::{Plan, Relation, Replay};
@@ -239,10 +239,11 @@ fn mix64(mut z: u64) -> u64 {
 }
 
 /// Incremental 128-bit state-key hash: two independently-seeded
-/// mix-chained 64-bit lanes over the key words. A collision would
-/// silently merge two states; with `n` states the probability is about
-/// `n²/2¹²⁹` (< 10⁻²⁴ for 10⁸ states), which the large configurations
-/// accept — CI-sized runs use exact dedup.
+/// mix-chained 64-bit lanes over the key words. The breadth-first loop
+/// dedups by it on every store. A collision would silently merge two
+/// states; with `n` states the probability is about `n²/2¹²⁹` (< 10⁻²⁴
+/// for 10⁸ states). The DFS dedups by exact keys, and the equivalence
+/// suites compare the two.
 pub(crate) fn hash128(key: &[u64]) -> u128 {
     let mut h1: u64 = 0x243F_6A88_85A3_08D3; // first 64 fractional bits of π
     let mut h2: u64 = 0x1319_8A2E_0370_7344; // next 64
@@ -284,14 +285,14 @@ struct Frame<M> {
 ///   in RAM or on disk ([`spill_dir`](Self::spill_dir)).
 ///
 /// Both visit exactly the same set of states and report identical
-/// `states`/`transitions`/`terminal_states` counts.
+/// `states`/`transitions`/`terminal_states` counts. The DFS dedups by
+/// exact keys; the breadth-first loop by a 128-bit state hash.
 ///
 /// See the crate docs for a full example.
 pub struct ModelChecker<M> {
     layout: Layout,
     machines: Vec<M>,
     max_states: usize,
-    hashed_dedup: bool,
     workers: usize,
     spill: Option<SpillConfig>,
     por: bool,
@@ -306,7 +307,6 @@ impl<M: StepMachine> ModelChecker<M> {
             layout,
             machines,
             max_states: 20_000_000,
-            hashed_dedup: false,
             workers: 1,
             spill: None,
             por: false,
@@ -332,24 +332,6 @@ impl<M: StepMachine> ModelChecker<M> {
     /// up with [`CheckError::StateLimit`] (default: 20 million).
     pub fn max_states(mut self, n: usize) -> Self {
         self.max_states = n;
-        self
-    }
-
-    /// Deduplicate visited states in
-    /// [`check_parallel`](Self::check_parallel)'s in-RAM store by a
-    /// 128-bit hash instead of the full state vector.
-    ///
-    /// This reduces memory by an order of magnitude for large runs. A hash
-    /// collision would silently prune a reachable state; with a 128-bit
-    /// hash and `n` states the collision probability is about `n²/2¹²⁹`
-    /// (< 10⁻²⁴ for 10⁸ states), which we accept for the large
-    /// configurations; the CI-sized runs use exact dedup.
-    ///
-    /// Like [`spill_dir`](Self::spill_dir), this is ignored by
-    /// [`check`](Self::check): the sequential DFS always dedups by exact
-    /// keys, as the reference the other engines are checked against.
-    pub fn hashed_dedup(mut self, on: bool) -> Self {
-        self.hashed_dedup = on;
         self
     }
 
@@ -444,8 +426,7 @@ impl<M: StepMachine> ModelChecker<M> {
     ///
     /// This selects the disk stores of
     /// [`check_parallel`](Self::check_parallel)'s loop (the `spill`
-    /// module): dedup is by 128-bit state hash (as if
-    /// [`hashed_dedup`](Self::hashed_dedup) were set), recently
+    /// module): dedup is by 128-bit state hash, as in RAM, recently
     /// discovered hashes stay in an in-RAM delta, and whenever the delta
     /// exceeds its half of the budget it is flushed as one sorted run per
     /// shard.
@@ -544,11 +525,6 @@ impl<M: StepMachine> ModelChecker<M> {
     /// The configured state budget.
     pub(crate) fn state_limit(&self) -> usize {
         self.max_states
-    }
-
-    /// Whether hashed dedup is enabled.
-    pub(crate) fn hashed(&self) -> bool {
-        self.hashed_dedup
     }
 
     /// The spill configuration, if the external-memory backend is on.

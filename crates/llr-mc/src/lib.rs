@@ -77,11 +77,12 @@
 //! # Engines
 //!
 //! Two exploration engines, visiting the same states and reporting
-//! identical counts and violations: the sequential DFS
-//! ([`ModelChecker::check`]), with an explicit stack and an in-RAM visited
-//! set of exact keys, and one parallel breadth-first loop
+//! identical counts: the sequential DFS ([`ModelChecker::check`]), with an
+//! explicit stack and an in-RAM visited set of exact keys — the one exact
+//! engine — and one parallel breadth-first loop
 //! ([`ModelChecker::check_parallel`], also the forward pass of
-//! [`ModelChecker::check_always_terminable`]).
+//! [`ModelChecker::check_always_terminable`]), which dedups by a 128-bit
+//! state hash on every store.
 //!
 //! Both engines and replay share one transition relation: which moves
 //! (machine steps and, under [`ModelChecker::faults`], crashes) a state
@@ -97,7 +98,7 @@
 //!
 //! | store | in RAM | with `spill_dir` |
 //! |---|---|---|
-//! | visited | sharded map, exact or hashed keys ([`ModelChecker::hashed_dedup`]) | bounded in-RAM delta + sorted runs on disk |
+//! | visited | sharded map of state hashes | bounded in-RAM delta + sorted runs on disk |
 //! | layers | materialized states, one chunk per layer | per-layer files on disk ([`frontier`]), read in bounded chunks |
 
 #![warn(missing_docs)]

@@ -1,7 +1,7 @@
-//! Engine equivalence: the sequential DFS checker, the parallel BFS
-//! engine (at several worker counts), and hashed dedup must all agree on
-//! the exploration counts, and the parallel engine's violation report
-//! must not depend on the worker count.
+//! Engine equivalence: the sequential DFS checker (exact dedup) and the
+//! parallel BFS engine (hashed dedup, at several worker counts, in RAM and
+//! on disk) must agree on the exploration counts, and the parallel
+//! engine's violation report must not depend on the worker count.
 //!
 //! The expected `(states, transitions)` pairs are the frozen numbers
 //! from `results/e2_modelcheck.csv` as produced by the original
@@ -339,8 +339,7 @@ fn fault_schedule_is_deterministic() {
     for por in [false, true] {
         for workers in WORKER_COUNTS {
             let stores = [
-                ("exact", la_faults(2)),
-                ("hashed", la_faults(2).hashed_dedup(true)),
+                ("in RAM", la_faults(2)),
                 ("spill 0 B", la_faults(2).spill_dir(&dir, 0)),
                 ("spill 1 GiB", la_faults(2).spill_dir(&dir, 1 << 30)),
             ];
@@ -367,33 +366,6 @@ fn fault_schedule_is_deterministic() {
         "DFS"
     );
     replays(&v, "DFS");
-}
-
-/// Hashed dedup must reproduce the exact-dedup counts on a mid-size
-/// instance at every worker count (the DFS always dedups exactly).
-#[test]
-fn hashed_dedup_engines_agree() {
-    let exact = split_spec::checker(3, 2, 2)
-        .check(split_spec::unique_names_invariant)
-        .expect("SPLIT verifies");
-    assert_eq!((exact.states, exact.transitions), (48_803, 93_696));
-
-    for workers in WORKER_COUNTS {
-        let par = split_spec::checker(3, 2, 2)
-            .hashed_dedup(true)
-            .workers(workers)
-            .check_parallel(split_spec::unique_names_invariant)
-            .expect("SPLIT verifies hashed+parallel");
-        assert_eq!(par.states, exact.states, "hashed parallel states ({workers}w)");
-        assert_eq!(
-            par.transitions, exact.transitions,
-            "hashed parallel transitions ({workers}w)"
-        );
-        assert_eq!(
-            par.terminal_states, exact.terminal_states,
-            "hashed parallel terminal states ({workers}w)"
-        );
-    }
 }
 
 /// The external-memory (spill-to-disk) backend must reproduce the exact
@@ -542,7 +514,6 @@ fn frontier_spill_battery() {
 #[test]
 fn spill_backend_bounds_resident_memory() {
     let inram = split_spec::checker(3, 2, 2)
-        .hashed_dedup(true)
         .workers(1)
         .check_parallel(split_spec::unique_names_invariant)
         .expect("SPLIT verifies hashed");
@@ -560,9 +531,9 @@ fn spill_backend_bounds_resident_memory() {
 }
 
 /// On a broken spec the parallel engine must report the *same* violation
-/// — message and schedule — regardless of worker count or dedup mode
-/// (first violating state in deterministic BFS id order), and replaying
-/// the schedule must reproduce the violating state.
+/// — message and schedule — regardless of worker count or store (first
+/// violating state in deterministic BFS id order), and replaying the
+/// schedule must reproduce the violating state.
 #[test]
 fn violation_schedule_is_deterministic() {
     // "No terminal state exists" is false for the one-time grid: every
@@ -576,30 +547,27 @@ fn violation_schedule_is_deterministic() {
     };
 
     let mut first: Option<(String, Vec<usize>)> = None;
-    for hashed in [false, true] {
-        for workers in WORKER_COUNTS {
-            let err = onetime_spec::checker(2, &[0, 1])
-                .hashed_dedup(hashed)
-                .workers(workers)
-                .check_parallel(broken)
-                .expect_err("the broken invariant must trip");
-            let CheckError::Violation(v) = err else {
-                panic!("expected a violation, got {err}");
-            };
-            let got = (v.message.clone(), v.schedule.clone());
-            match &first {
-                None => {
-                    // Replay check: the schedule drives both machines to
-                    // completion from the initial state.
-                    assert!(!v.schedule.is_empty());
-                    assert!(v.trace.contains("#0"), "trace renders steps:\n{}", v.trace);
-                    first = Some(got);
-                }
-                Some(expected) => assert_eq!(
-                    &got, expected,
-                    "violation differs (workers={workers}, hashed={hashed})"
-                ),
+    for workers in WORKER_COUNTS {
+        let err = onetime_spec::checker(2, &[0, 1])
+            .workers(workers)
+            .check_parallel(broken)
+            .expect_err("the broken invariant must trip");
+        let CheckError::Violation(v) = err else {
+            panic!("expected a violation, got {err}");
+        };
+        let got = (v.message.clone(), v.schedule.clone());
+        match &first {
+            None => {
+                // Replay check: the schedule drives both machines to
+                // completion from the initial state.
+                assert!(!v.schedule.is_empty());
+                assert!(v.trace.contains("#0"), "trace renders steps:\n{}", v.trace);
+                first = Some(got);
             }
+            Some(expected) => assert_eq!(
+                &got, expected,
+                "violation differs (workers={workers})"
+            ),
         }
     }
 
