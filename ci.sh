@@ -10,8 +10,8 @@
 #      compiling and passing.
 #   4. fast E2 subset: the engine-equivalence tests re-check the
 #      mid-size rows of results/e2_modelcheck.csv under the sequential
-#      DFS and the one breadth-first loop on each of its stores — in
-#      RAM with exact and hashed keys at 1/2/4 workers, and on disk at
+#      DFS (exact keys) and the one breadth-first loop (hashed keys) on
+#      each of its stores — in RAM at 1/2/4 workers, and on disk at
 #      generous and zero budgets — pinning the counts byte-for-byte, one
 #      family per protocol, including the rival cores (LevelArray, small
 #      splitter networks). This is the checker hot path; run it in
@@ -54,8 +54,10 @@
 #      Also release: the churn rounds are real oversubscribed threads,
 #      and the RAII permit-return path only earns trust under optimized
 #      unwinding.
-#   9. benchmark self-test: the benchmark crate's own tests (perfbench/,
-#      a workspace of its own, so `--manifest-path`). They smoke-run all
+#   9. benchmark self-test: clippy with warnings denied on the benchmark
+#      crate (perfbench/, a workspace of its own, so `--manifest-path`),
+#      so an llr-mc or llr-core API change that leaves the benchmark with
+#      a warning fails here; then its own tests. They smoke-run all
 #      four workloads traced and untraced and assert the checker
 #      workloads' pinned counts — 1 255 072 / 3 407 847 for check-bfs
 #      and 605 380 / 787 365 (states / transitions) under POR + spill for
@@ -107,7 +109,8 @@ cargo test -q --offline --release --test atomic_backend --test session_layer --t
 echo "== crash/churn gate (fault injection + arena churn, release) =="
 cargo test -q --offline --release --test crash_tolerance --test arena_churn
 
-echo "== benchmark self-test (perfbench's own tests, release) =="
+echo "== benchmark self-test (perfbench clippy -D warnings + its own tests, release) =="
+cargo clippy --manifest-path perfbench/Cargo.toml --all-targets --offline -- -D warnings
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "ci.sh: all green"
