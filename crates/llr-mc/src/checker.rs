@@ -4,9 +4,9 @@
 //! engine (the one exact-dedup engine, the reference that the
 //! breadth-first loop in [`crate::engine`] is checked against), and the
 //! shared state-key machinery: a reusable [`KeyBuilder`] so the hot path
-//! performs no per-transition allocation, and the 128-bit hash the
-//! breadth-first loop dedups by. Both engines and replay take their moves
-//! from [`crate::relation`].
+//! performs no per-transition allocation, and the 128-bit hash
+//! ([`Hash128`]) the breadth-first loop dedups by. Both engines and
+//! replay take their moves from [`crate::relation`].
 
 use crate::por::AmpleCtx;
 use crate::relation::{Plan, Relation, Replay};
@@ -63,8 +63,14 @@ pub struct CheckStats {
     pub max_depth: usize,
     /// States in which every machine was done.
     pub terminal_states: u64,
-    /// Peak tracked bytes resident in the engine's own data structures
-    /// (visited set, frontier materializations, spanning-tree parents).
+    /// Peak tracked bytes resident in the engine's own data structures:
+    /// the visited set and spanning-tree parents, the layer records held
+    /// in RAM (each
+    /// [`layer_record_bytes`](crate::frontier::layer_record_bytes) long),
+    /// the machine pool their intern ids point into, the pending set and
+    /// any edges recorded in RAM. Nothing is charged per state for the
+    /// machine structs themselves: the pool holds each distinct machine
+    /// once.
     ///
     /// Only the parallel breadth-first loop accounts for this
     /// ([`ModelChecker::check_parallel`], with or without spilling), and a
@@ -197,7 +203,9 @@ impl CheckError {
 /// variable-length machine keys.
 ///
 /// The buffer is reused across calls: after warm-up, building a key
-/// allocates nothing.
+/// allocates nothing. The DFS stores these keys; the breadth-first loop
+/// never builds one, and hashes the same words straight from the
+/// registers and its machine pool instead (`engine::state_hash`).
 #[derive(Default)]
 pub(crate) struct KeyBuilder {
     buf: Vec<u64>,
@@ -238,23 +246,49 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Incremental 128-bit state-key hash: two independently-seeded
-/// mix-chained 64-bit lanes over the key words. The breadth-first loop
-/// dedups by it on every store. A collision would silently merge two
-/// states; with `n` states the probability is about `n²/2¹²⁹` (< 10⁻²⁴
-/// for 10⁸ states). The DFS dedups by exact keys, and the equivalence
-/// suites compare the two.
-pub(crate) fn hash128(key: &[u64]) -> u128 {
-    let mut h1: u64 = 0x243F_6A88_85A3_08D3; // first 64 fractional bits of π
-    let mut h2: u64 = 0x1319_8A2E_0370_7344; // next 64
-    for &w in key {
-        h1 = mix64(h1 ^ w);
-        h2 = mix64(h2 ^ w.rotate_left(32));
+/// The 128-bit state hash, fed one key word at a time: two
+/// independently-seeded mix-chained 64-bit lanes over the words of the
+/// key [`KeyBuilder`] builds, with the key length folded in last. The
+/// breadth-first loop dedups by it on every store, feeding it the key's
+/// words straight from the registers and the machine pool. A collision
+/// would silently merge two states; with `n` states the probability is
+/// about `n²/2¹²⁹` (< 10⁻²⁴ for 10⁸ states). The DFS dedups by exact
+/// keys, and the equivalence suites compare the two.
+pub(crate) struct Hash128 {
+    h1: u64,
+    h2: u64,
+    len: u64,
+}
+
+impl Hash128 {
+    pub(crate) fn new() -> Self {
+        Self {
+            h1: 0x243F_6A88_85A3_08D3, // first 64 fractional bits of π
+            h2: 0x1319_8A2E_0370_7344, // next 64
+            len: 0,
+        }
     }
-    // Fold the length in so prefix keys cannot collide trivially.
-    h1 = mix64(h1 ^ key.len() as u64);
-    h2 = mix64(h2 ^ (key.len() as u64).rotate_left(32));
-    ((h1 as u128) << 64) | h2 as u128
+
+    #[inline]
+    pub(crate) fn word(&mut self, w: u64) {
+        self.h1 = mix64(self.h1 ^ w);
+        self.h2 = mix64(self.h2 ^ w.rotate_left(32));
+        self.len += 1;
+    }
+
+    #[inline]
+    pub(crate) fn words(&mut self, ws: &[u64]) {
+        for &w in ws {
+            self.word(w);
+        }
+    }
+
+    pub(crate) fn finish(self) -> u128 {
+        // Fold the length in so prefix keys cannot collide trivially.
+        let h1 = mix64(self.h1 ^ self.len);
+        let h2 = mix64(self.h2 ^ self.len.rotate_left(32));
+        ((h1 as u128) << 64) | h2 as u128
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -10,18 +10,36 @@
 //!   128-bit state hash; the exact-key reference is the DFS
 //!   ([`ModelChecker::check`]);
 //! * a **layer store** ([`Layers`]) — the layer being expanded and the one
-//!   being filled: [`RamLayers`], a `Vec` of materialized states expanded
-//!   in one chunk, or the spill module's layer and candidate files read
-//!   through a bounded window.
+//!   being filled: [`RamLayers`], flat buffers of records expanded in one
+//!   chunk, or the spill module's layer and candidate files read through
+//!   a bounded window.
+//!
+//! Both layer stores keep a state as one packed record ([`RecordCodec`]):
+//! `[id | per slot: done, machine intern id | registers]`. The machine ids
+//! point into one per-slot [`MachinePool`] that the loop owns, which also
+//! keeps each interned machine's key words. A transition restores the
+//! parent's registers, borrows its machines from the pool, clones and
+//! steps only the machine that moves, and hashes the successor's key from
+//! the registers, the pool's key words and that one machine's
+//! [`key`](StepMachine::key) — the same words, and so the same hash, as
+//! the full key the DFS builds. A fresh successor costs one record write;
+//! machines are cloned out of the pool in full only for the invariant,
+//! when a state is admitted.
 //!
 //! Within a chunk, `std::thread::scope` workers each expand a contiguous
-//! run of states ([`expand_layer`]):
+//! run of records ([`expand_layer`]):
 //!
-//! * the visited store is read lock-free by every worker — it is
-//!   immutable for the whole expansion;
+//! * the visited store and the machine pool are read lock-free by every
+//!   worker — both are frozen for the whole expansion. A machine the pool
+//!   lacks goes into the worker's side table under a provisional id, and
+//!   the loop interns the side tables, in worker order, before the store
+//!   keeps the chunk's fresh records. Intern ids therefore depend on the
+//!   worker count, but nothing observable depends on them: hashes come
+//!   from key words, and the pool's bytes only from which machines it
+//!   holds;
 //! * states not found there go into **pending** — 64 mutex-guarded shards
 //!   keyed by the state hash. Each pending entry remembers which
-//!   worker materialized the successor state and the schedule-least
+//!   worker wrote the successor's record and the schedule-least
 //!   `(parent, via)` edge that reached it (min-merged on every
 //!   rediscovery). Pending persists across the chunks of one layer.
 //!
@@ -39,14 +57,15 @@
 //! [`crate::liveness`] consumes for its backward reachability marking.
 //!
 //! Exploration is instrumented with deterministic memory accounting: each
-//! store reports the payload bytes of its own structures, the loop adds
-//! the pending entries (≈48 B each) and the recorded edges, and the
-//! per-layer peak — including the layer being drained when a run stops
-//! early — is
+//! store reports the payload bytes of its own structures — a layer store
+//! its records, `records × layer_record_bytes` — and the loop adds the
+//! machine pool, the pending entries (≈48 B each) and the recorded edges.
+//! The per-layer peak — including the layer being drained when a run
+//! stops early — is
 //! [`CheckStats::peak_resident_bytes`](crate::CheckStats::peak_resident_bytes).
 
-use crate::checker::{hash128, CheckError, CheckStats, KeyBuilder, ModelChecker, Violation, World};
-use crate::frontier::{EdgeLog, ScratchDir};
+use crate::checker::{CheckError, CheckStats, Hash128, ModelChecker, Violation, World};
+use crate::frontier::{EdgeLog, MachinePool, RecordCodec, ScratchDir, PROVISIONAL};
 use crate::por::AmpleCtx;
 use crate::relation::{via_entry, Move, Plan, Relation};
 use crate::spill::{DiskLayers, SpillSet};
@@ -70,20 +89,11 @@ pub(crate) fn shard_of(h: u128) -> usize {
     (h >> 122) as usize & (SHARDS - 1)
 }
 
-/// A fully materialized frontier state.
-pub(crate) struct FrontierState<M> {
-    pub(crate) snap: Vec<Word>,
-    pub(crate) machines: Vec<M>,
-    pub(crate) done: Vec<bool>,
-    /// Global state id (assigned sequentially in deterministic order).
-    pub(crate) id: u32,
-}
-
 /// A state discovered in the current layer, not yet assigned an id.
 pub(crate) struct Pend {
-    /// Worker that materialized the state...
+    /// Worker that wrote the state's record...
     pub(crate) worker: u32,
-    /// ...and the index into that worker's `fresh` vector.
+    /// ...and the record's index among that worker's fresh records.
     pub(crate) idx: u32,
     /// Schedule-least discovering edge (min-merged across rediscoveries).
     pub(crate) parent: u32,
@@ -93,13 +103,10 @@ pub(crate) struct Pend {
 /// The pending shards of one layer, keyed by state hash.
 type Pending = [Mutex<HashMap<u128, Pend>>];
 
-/// One worker's materialized successors, indexed by [`Pend::idx`].
-pub(crate) type Fresh<M> = Vec<Option<FrontierState<M>>>;
-
 enum EdgeTo {
     /// Successor was already visited with this id.
     Known(u32),
-    /// Successor is pending: `(worker, idx)` names its materialization.
+    /// Successor is pending: `(worker, idx)` names its record.
     Fresh(u32, u32),
 }
 
@@ -144,33 +151,37 @@ pub(crate) trait Visited: Sync {
 }
 
 /// The layer half of the loop: the layer being expanded and the one being
-/// filled. A store starts with the root as its only state.
-pub(crate) trait Layers<M> {
-    /// Expands the current layer — or, with `only`, the states at those
+/// filled, as packed state records ([`RecordCodec`]). A store starts with
+/// the root's record as its only one.
+pub(crate) trait Layers {
+    /// Expands the current layer — or, with `only`, the records at those
     /// ordinals — chunk by chunk: `step(chunk, first, base)` steps the
-    /// selection's states `first..` with worker ids from `base` on and
-    /// returns each worker's fresh states, which the store keeps.
+    /// selection's records `first..`, back to back in the runs of `chunk`,
+    /// with worker ids from `base` on, and returns each worker's fresh
+    /// records, which the store keeps.
     fn expand(
         &mut self,
         only: Option<&[u32]>,
-        step: impl FnMut(&[FrontierState<M>], usize, u32) -> Vec<Fresh<M>>,
+        step: impl FnMut(&[Vec<u8>], usize, u32) -> Vec<Vec<u8>>,
     ) -> io::Result<()>;
     /// Ends the layer's expansions, before the first [`admit`](Self::admit).
     fn end_expansion(&mut self) -> io::Result<()> {
         Ok(())
     }
-    /// Numbers the fresh state `(worker, idx)` as `id`, hands it to
-    /// `check`, and appends it to the next layer.
+    /// Numbers the fresh record `(worker, idx)` as `id`, hands it to
+    /// `check`, and keeps it for the next layer.
     fn admit(
         &mut self,
         worker: u32,
         idx: u32,
         id: u32,
-        check: impl FnOnce(&FrontierState<M>) -> io::Result<Result<(), String>>,
+        check: impl FnOnce(&[u8]) -> io::Result<Result<(), String>>,
     ) -> io::Result<Result<(), String>>;
-    /// Makes the next layer current and returns its width.
-    fn advance(&mut self) -> io::Result<u64>;
-    /// Payload bytes resident in the store.
+    /// Makes the next layer current and returns its width. Its records'
+    /// machine ids go through `renumber` if the pool dropped machines
+    /// ([`MachinePool::retain`]).
+    fn advance(&mut self, renumber: Option<&[Vec<u32>]>) -> io::Result<u64>;
+    /// Record bytes resident in the store.
     fn resident(&self) -> u64;
     /// Bytes the store wrote to disk.
     fn spilled(&self) -> u64 {
@@ -221,39 +232,38 @@ impl Visited for RamVisited {
     }
 }
 
-/// The in-RAM layer store: the current layer fully materialized and
-/// expanded in one chunk, and the states the workers materialized.
-pub(crate) struct RamLayers<M> {
-    current: Vec<FrontierState<M>>,
-    next: Vec<FrontierState<M>>,
-    /// Each worker's fresh states, taken as they are admitted.
-    fresh: Vec<Fresh<M>>,
-    /// Payload bytes of one materialized state.
-    per_state: u64,
+/// The in-RAM layer store: the current layer and each worker's fresh
+/// successors, as runs of records back to back in flat buffers. The
+/// current layer is expanded in one chunk; the fresh runs are numbered in
+/// place and become the next layer as they are. A layer's record order is
+/// therefore the workers' order, which nothing observable depends on: ids
+/// come from the `(parent, via)` drain.
+pub(crate) struct RamLayers {
+    codec: RecordCodec,
+    current: Vec<Vec<u8>>,
+    /// Each worker's fresh records.
+    fresh: Vec<Vec<u8>>,
 }
 
-impl<M> RamLayers<M> {
-    pub(crate) fn new(root: FrontierState<M>) -> io::Result<Self> {
+impl RamLayers {
+    pub(crate) fn new(codec: RecordCodec, root: Vec<u8>) -> io::Result<Self> {
         Ok(Self {
-            per_state: frontier_state_bytes::<M>(root.snap.len(), root.machines.len()),
+            codec,
             current: vec![root],
-            next: Vec::new(),
             fresh: Vec::new(),
         })
     }
 }
 
-impl<M> Layers<M> for RamLayers<M> {
+impl Layers for RamLayers {
     fn expand(
         &mut self,
         only: Option<&[u32]>,
-        mut step: impl FnMut(&[FrontierState<M>], usize, u32) -> Vec<Fresh<M>>,
+        mut step: impl FnMut(&[Vec<u8>], usize, u32) -> Vec<Vec<u8>>,
     ) -> io::Result<()> {
         assert!(only.is_none(), "a complete store re-expands nothing");
+        // Every fresh record survives: nothing is on disk to drop it.
         self.fresh = step(&self.current, 0, 0);
-        // Every fresh state survives: nothing is on disk to drop it.
-        self.next
-            .reserve_exact(self.fresh.iter().map(Vec::len).sum());
         Ok(())
     }
 
@@ -262,27 +272,31 @@ impl<M> Layers<M> for RamLayers<M> {
         worker: u32,
         idx: u32,
         id: u32,
-        check: impl FnOnce(&FrontierState<M>) -> io::Result<Result<(), String>>,
+        check: impl FnOnce(&[u8]) -> io::Result<Result<(), String>>,
     ) -> io::Result<Result<(), String>> {
-        let mut st = self.fresh[worker as usize][idx as usize]
-            .take()
-            .expect("pending entry names a materialized state");
-        st.id = id;
-        let verdict = check(&st)?;
-        self.next.push(st);
-        Ok(verdict)
+        let rb = self.codec.bytes();
+        let at = idx as usize * rb;
+        let rec = &mut self.fresh[worker as usize][at..at + rb];
+        self.codec.set_id(rec, id);
+        check(rec)
     }
 
-    fn advance(&mut self) -> io::Result<u64> {
-        self.current = std::mem::take(&mut self.next);
-        self.fresh = Vec::new();
-        Ok(self.current.len() as u64)
+    fn advance(&mut self, renumber: Option<&[Vec<u32>]>) -> io::Result<u64> {
+        self.current = std::mem::take(&mut self.fresh);
+        self.current.retain(|run| !run.is_empty());
+        if let Some(map) = renumber {
+            for run in &mut self.current {
+                self.codec.renumber(run, map);
+            }
+        }
+        let bytes: usize = self.current.iter().map(Vec::len).sum();
+        Ok((bytes / self.codec.bytes()) as u64)
     }
 
-    /// The current layer plus every state materialized from it.
+    /// The current layer and every fresh record.
     fn resident(&self) -> u64 {
-        let fresh: usize = self.fresh.iter().map(Vec::len).sum();
-        (self.current.len() + fresh) as u64 * self.per_state
+        let runs = self.current.iter().chain(&self.fresh);
+        runs.map(|run| run.len() as u64).sum()
     }
 }
 
@@ -297,17 +311,81 @@ pub(crate) fn schedule_to(parent: &[(u32, u8)], mut id: u32) -> Vec<usize> {
     schedule
 }
 
-/// One expansion worker: its private register file and key buffer, the
-/// shared pending shards and visited store, and what it found.
-struct Worker<'a, M, V: Visited> {
-    rel: Relation,
-    wmem: SimMemory,
-    kb: KeyBuilder,
-    pending: &'a Pending,
-    visited: &'a V,
-    /// The id pending entries record for this worker.
+/// The hash of the state with registers `regs`, done flags `done` and
+/// machines keyed `keys`, with slot `i`'s flag and key replaced when
+/// `replace = Some((i, done, key))`. It feeds [`Hash128`] the words of the
+/// key `KeyBuilder` builds: the registers, then per slot its done flag,
+/// its key and a `u64::MAX` separator.
+pub(crate) fn state_hash(
+    regs: &[Word],
+    done: &[bool],
+    keys: &[&[u64]],
+    replace: Option<(usize, bool, &[u64])>,
+) -> u128 {
+    let mut h = Hash128::new();
+    h.words(regs);
+    for (j, (&d, &k)) in done.iter().zip(keys).enumerate() {
+        let (d, k) = match replace {
+            Some((i, d, k)) if i == j => (d, k),
+            _ => (d, k),
+        };
+        h.word(u64::from(d));
+        h.words(k);
+        h.word(u64::MAX);
+    }
+    h.finish()
+}
+
+/// A record decoded for expansion, its machines borrowed from the pool.
+struct Parent<'p, M> {
+    /// The record's id and slots, which its successors' records copy.
+    head: Vec<u8>,
     id: u32,
-    fresh: Fresh<M>,
+    snap: Vec<Word>,
+    done: Vec<bool>,
+    machines: Vec<&'p M>,
+    keys: Vec<&'p [u64]>,
+}
+
+impl<'p, M: StepMachine> Parent<'p, M> {
+    fn new() -> Self {
+        Self {
+            head: Vec::new(),
+            id: 0,
+            snap: Vec::new(),
+            done: Vec::new(),
+            machines: Vec::new(),
+            keys: Vec::new(),
+        }
+    }
+
+    fn load(&mut self, codec: RecordCodec, rec: &[u8], pool: &'p MachinePool<M>) {
+        self.head.clear();
+        self.head.extend_from_slice(codec.head(rec));
+        self.id = codec.id(rec);
+        codec.registers(rec, &mut self.snap);
+        self.done.clear();
+        self.machines.clear();
+        self.keys.clear();
+        for slot in 0..codec.slots() {
+            let id = codec.machine(rec, slot);
+            self.done.push(codec.done(rec, slot));
+            self.machines.push(pool.machine(slot, id));
+            self.keys.push(pool.key(slot, id));
+        }
+    }
+}
+
+/// What one worker found in a chunk.
+struct Found<M> {
+    /// The records of the successors this worker reached first, indexed by
+    /// [`Pend::idx`].
+    fresh: Vec<u8>,
+    /// Machines the pool lacked, as `(slot, machine)`, indexed by the low
+    /// bits of their provisional ids.
+    side: Vec<(usize, M)>,
+    /// `(record, slot)` of every provisional id in `fresh`.
+    provisional: Vec<(usize, usize)>,
     transitions: u64,
     /// Every transition taken, when edges are recorded.
     edges: Option<Vec<(u32, EdgeTo)>>,
@@ -318,10 +396,52 @@ struct Worker<'a, M, V: Visited> {
     reduced: Vec<(u32, u8, u128)>,
 }
 
+impl<M: StepMachine> Found<M> {
+    /// Interns the side table into `pool`, in order, and patches the
+    /// provisional ids in the fresh records. Returns the fresh records.
+    fn adopt(self, pool: &mut MachinePool<M>, codec: RecordCodec) -> Vec<u8> {
+        let mut fresh = self.fresh;
+        let ids: Vec<u32> = self
+            .side
+            .into_iter()
+            .map(|(slot, m)| pool.intern(slot, m))
+            .collect();
+        let rb = codec.bytes();
+        for (r, slot) in self.provisional {
+            let rec = &mut fresh[r * rb..(r + 1) * rb];
+            let id = ids[(codec.machine(rec, slot) & !PROVISIONAL) as usize];
+            codec.set_machine(rec, slot, id);
+        }
+        fresh
+    }
+}
+
+/// One expansion worker: its private register file and key buffers, the
+/// shared pending shards, visited store and machine pool, and what it
+/// found.
+struct Worker<'a, M, V: Visited> {
+    rel: Relation,
+    codec: RecordCodec,
+    wmem: SimMemory,
+    pool: &'a MachinePool<M>,
+    pending: &'a Pending,
+    visited: &'a V,
+    /// The id pending entries record for this worker.
+    id: u32,
+    /// The successor's registers.
+    regs: Vec<Word>,
+    /// The key of the machine that moved.
+    kbuf: Vec<u64>,
+    /// Provisional ids of the side table's machines, by slot and key.
+    side_ids: Vec<HashMap<Box<[u64]>, u32>>,
+    found: Found<M>,
+}
+
 impl<'a, M: StepMachine, V: Visited> Worker<'a, M, V> {
     fn new(
         rel: Relation,
-        snap: &[Word],
+        codec: RecordCodec,
+        pool: &'a MachinePool<M>,
         pending: &'a Pending,
         visited: &'a V,
         record_edges: bool,
@@ -329,88 +449,113 @@ impl<'a, M: StepMachine, V: Visited> Worker<'a, M, V> {
     ) -> Self {
         Self {
             rel,
-            wmem: SimMemory::with_values(snap),
-            kb: KeyBuilder::default(),
+            codec,
+            wmem: SimMemory::with_values(&vec![0; codec.words()]),
+            pool,
             pending,
             visited,
             id,
-            fresh: Vec::new(),
-            transitions: 0,
-            edges: record_edges.then(Vec::new),
-            reduced: Vec::new(),
+            regs: Vec::new(),
+            kbuf: Vec::new(),
+            side_ids: (0..codec.slots()).map(|_| HashMap::new()).collect(),
+            found: Found {
+                fresh: Vec::new(),
+                side: Vec::new(),
+                provisional: Vec::new(),
+                transitions: 0,
+                edges: record_edges.then(Vec::new),
+                reduced: Vec::new(),
+            },
         }
     }
 
-    /// Takes move `mv` from frontier state `st` and routes the successor:
+    /// Takes move `mv` from the parent state `p` and routes the successor:
     /// visited states only record an edge, unknown states are min-merged
-    /// into the pending shards, and materialized by the first worker to
-    /// reach them. Returns whether the successor was found visited, and
-    /// its hash.
-    fn step(&mut self, st: &FrontierState<M>, mv: Move) -> (bool, u128) {
-        self.wmem.restore(&st.snap);
+    /// into the pending shards, and written as a record by the first
+    /// worker to reach them. Returns whether the successor was found
+    /// visited, and its hash.
+    fn step(&mut self, p: &Parent<'a, M>, mv: Move) -> (bool, u128) {
+        self.wmem.restore(&p.snap);
         let i = mv.machine();
-        let mut mi = st.machines[i].clone();
+        let mut mi = p.machines[i].clone();
         let done_i = self.rel.apply(mv, &self.wmem, &mut mi);
         let via = mv.via();
-        self.transitions += 1;
-        let kbuf = self
-            .kb
-            .build(&self.wmem, &st.machines, &st.done, Some((i, &mi, done_i)));
-        let h = hash128(kbuf);
+        self.found.transitions += 1;
+        self.wmem.snapshot_into(&mut self.regs);
+        self.kbuf.clear();
+        mi.key(&mut self.kbuf);
+        let h = state_hash(&self.regs, &p.done, &p.keys, Some((i, done_i, &self.kbuf)));
         let found = self.visited.find(h);
         let to = match found {
             Some(id) => EdgeTo::Known(id),
             None => {
                 let mut shard = self.pending[shard_of(h)].lock().expect("shard poisoned");
-                if let Some(p) = shard.get_mut(&h) {
-                    if (st.id, via) < (p.parent, p.via) {
-                        p.parent = st.id;
-                        p.via = via;
+                if let Some(pend) = shard.get_mut(&h) {
+                    if (p.id, via) < (pend.parent, pend.via) {
+                        pend.parent = p.id;
+                        pend.via = via;
                     }
-                    EdgeTo::Fresh(p.worker, p.idx)
+                    EdgeTo::Fresh(pend.worker, pend.idx)
                 } else {
-                    let (worker, idx) = (self.id, self.fresh.len() as u32);
+                    let idx = (self.found.fresh.len() / self.codec.bytes()) as u32;
                     let pend = Pend {
-                        worker,
+                        worker: self.id,
                         idx,
-                        parent: st.id,
+                        parent: p.id,
                         via,
                     };
                     shard.insert(h, pend);
-                    // The slot is reserved: materialize outside the lock.
+                    // The slot is reserved: write the record outside the lock.
                     drop(shard);
-                    let mut machines = st.machines.clone();
-                    machines[i] = mi;
-                    let mut done = st.done.clone();
-                    done[i] = done_i;
-                    let snap = self.wmem.snapshot();
-                    self.fresh.push(Some(FrontierState {
-                        snap,
-                        machines,
-                        done,
-                        id: u32::MAX,
-                    }));
-                    EdgeTo::Fresh(worker, idx)
+                    self.write_fresh(p, i, mi, done_i);
+                    EdgeTo::Fresh(self.id, idx)
                 }
             }
         };
-        if let Some(edges) = &mut self.edges {
-            edges.push((st.id, to));
+        if let Some(edges) = &mut self.found.edges {
+            edges.push((p.id, to));
         }
         (found.is_some(), h)
     }
 
-    /// Takes every move `plan` allows from `st`.
-    fn expand(&mut self, st: &FrontierState<M>, plan: Plan) {
-        let rel = self.rel;
-        for mv in rel.moves(&st.snap, &st.machines, &st.done, plan) {
-            self.step(st, mv);
+    /// Appends the successor's record: the parent's, with slot `i` holding
+    /// `mi` and the registers the move left.
+    fn write_fresh(&mut self, p: &Parent<'a, M>, i: usize, mi: M, done_i: bool) {
+        let ids = &mut self.side_ids[i];
+        let machine = match self.pool.find(i, &self.kbuf) {
+            Some(id) => id,
+            None => match ids.get(self.kbuf.as_slice()) {
+                Some(&id) => id,
+                None => {
+                    let side = u32::try_from(self.found.side.len())
+                        .ok()
+                        .filter(|&n| n < PROVISIONAL)
+                        .expect("a worker's side table exceeds 2^31 machines");
+                    ids.insert(self.kbuf.as_slice().into(), PROVISIONAL | side);
+                    self.found.side.push((i, mi));
+                    PROVISIONAL | side
+                }
+            },
+        };
+        let r = self.found.fresh.len() / self.codec.bytes();
+        let fresh = &mut self.found.fresh;
+        (self.codec).push_successor(&p.head, (i, done_i, machine), &self.regs, fresh);
+        if machine & PROVISIONAL != 0 {
+            self.found.provisional.push((r, i));
+        }
+    }
+
+    /// Takes every move `plan` allows from `p`.
+    fn expand(&mut self, p: &Parent<'a, M>, plan: Plan) {
+        for mv in self.rel.moves::<M, &M>(&p.snap, &p.machines, &p.done, plan) {
+            self.step(p, mv);
         }
     }
 }
 
-/// Expands one chunk of a breadth-first layer over `workers` scoped
-/// threads.
+/// Expands one chunk of a breadth-first layer, the records back to back in
+/// the runs of `chunk`, over `workers` scoped threads, each taking a
+/// contiguous share of the chunk's records.
 ///
 /// Every frontier state's every enabled move ([`Relation::moves`]) is
 /// taken once — unless the POR gate ([`Relation::plan`]) picks an ample
@@ -420,61 +565,68 @@ impl<'a, M: StepMachine, V: Visited> Worker<'a, M, V> {
 /// all: a cycle in the reduced graph must contain an edge into an
 /// earlier-or-equal layer, so no step is ignored forever. If the visited
 /// store is not complete, states left reduced are reported in
-/// [`Worker::reduced`] so the loop can redo the proviso check against the
+/// [`Found::reduced`] so the loop can redo the proviso check against the
 /// rest of the store at the join.
 ///
 /// `worker_base` offsets the worker ids recorded in [`Pend`] (and in
 /// [`EdgeTo::Fresh`]): a layer store that expands a layer in several
 /// chunks against one pending set gives each chunk's workers globally
-/// unique ids, so the drain can find their materializations. The
-/// `frontier index` in [`Worker::reduced`] stays relative to the
-/// `frontier` slice passed in.
+/// unique ids, so the drain can find their records. The `frontier index`
+/// in [`Found::reduced`] stays relative to the `chunk` passed in.
 ///
 /// This is the only concurrent phase of the loop; everything afterwards
-/// (draining `pending` in `(parent, via)` order) is sequential and
-/// deterministic.
-fn expand_layer<'a, M, V>(
+/// (interning the side tables, draining `pending` in `(parent, via)`
+/// order) is sequential and deterministic.
+#[allow(clippy::too_many_arguments)]
+fn expand_layer<M, V>(
     rel: Relation,
-    frontier: &[FrontierState<M>],
-    pending: &'a Pending,
-    visited: &'a V,
+    codec: RecordCodec,
+    chunk: &[Vec<u8>],
+    pool: &MachinePool<M>,
+    pending: &Pending,
+    visited: &V,
     workers: usize,
     record_edges: bool,
     worker_base: u32,
-) -> Vec<Worker<'a, M, V>>
+) -> Vec<Found<M>>
 where
     M: StepMachine + Send + Sync,
     V: Visited,
 {
-    let chunk = frontier.len().div_ceil(workers.clamp(1, frontier.len()));
+    let rb = codec.bytes();
+    let n = chunk.iter().map(|run| run.len() / rb).sum::<usize>();
+    let share = n.div_ceil(workers.clamp(1, n));
     std::thread::scope(|scope| {
-        let handles: Vec<_> = frontier
-            .chunks(chunk)
-            .enumerate()
-            .map(|(w, part)| {
+        let handles: Vec<_> = (0..n.div_ceil(share))
+            .map(|w| {
                 scope.spawn(move || {
                     let wid = worker_base + w as u32;
-                    let mut s =
-                        Worker::new(rel, &part[0].snap, pending, visited, record_edges, wid);
+                    let mut s = Worker::new(rel, codec, pool, pending, visited, record_edges, wid);
+                    // Every state is some state's fresh successor, so one
+                    // per record is the average over a run.
+                    s.found.fresh.reserve(share * rb);
+                    let mut p = Parent::new();
                     let mut ample = AmpleCtx::new();
-                    for (fi, st) in part.iter().enumerate() {
-                        let fi = w * chunk + fi;
-                        match rel.plan(&mut ample, &st.snap, &st.machines, &st.done) {
+                    let records = chunk.iter().flat_map(|run| run.chunks_exact(rb));
+                    let part = records.enumerate().skip(w * share).take(share);
+                    for (fi, rec) in part {
+                        p.load(codec, rec, pool);
+                        match rel.plan::<M, &M>(&mut ample, &p.snap, &p.machines, &p.done) {
                             Plan::Ample(a) => {
-                                let (seen, h) = s.step(st, Move::Step(a));
+                                let (seen, h) = s.step(&p, Move::Step(a));
                                 if seen {
                                     // Cycle proviso: fall back to full
                                     // expansion (the ample step is already
                                     // taken and counted).
-                                    s.expand(st, Plan::AllBut(Some(a)));
+                                    s.expand(&p, Plan::AllBut(Some(a)));
                                 } else if !V::COMPLETE {
-                                    s.reduced.push((fi as u32, a as u8, h));
+                                    s.found.reduced.push((fi as u32, a as u8, h));
                                 }
                             }
-                            plan => s.expand(st, plan),
+                            plan => s.expand(&p, plan),
                         }
                     }
-                    s
+                    s.found
                 })
             })
             .collect();
@@ -485,13 +637,6 @@ where
     })
 }
 
-/// Per-frontier-state payload bytes: one register-file snapshot, the
-/// machine vector and the done flags. Used by the deterministic memory
-/// accounting of both layer stores.
-pub(crate) fn frontier_state_bytes<M>(words: usize, machines: usize) -> u64 {
-    (words * 8 + machines * std::mem::size_of::<M>() + machines) as u64
-}
-
 /// Every entry of the pending shards, with its state hash.
 fn entries(pending: &mut Pending) -> impl Iterator<Item = (&u128, &Pend)> {
     pending
@@ -500,13 +645,14 @@ fn entries(pending: &mut Pending) -> impl Iterator<Item = (&u128, &Pend)> {
 }
 
 /// Charges `stats` with the stores' resident bytes (keeping the larger of
-/// the peak so far and the present), the loop's own `pending` entries
-/// (≈48 B each: a [`Pend`] slot and its hash key) and the edges recorded
-/// in RAM, and the stores' disk bytes.
-fn charge<M>(
+/// the peak so far and the present), the machine pool, the loop's own
+/// `pending` entries (≈48 B each: a [`Pend`] slot and its hash key) and
+/// the edges recorded in RAM, and the stores' disk bytes.
+fn charge<M: StepMachine>(
     stats: &mut CheckStats,
     visited: &impl Visited,
-    layers: &impl Layers<M>,
+    layers: &impl Layers,
+    pool: &MachinePool<M>,
     pending: u64,
     edges: &EdgeStore,
 ) {
@@ -515,14 +661,67 @@ fn charge<M>(
         EdgeStore::Disk(..) => 0,
     };
     let pending = pending * (PEND_OVERHEAD_BYTES + 16);
-    let resident = visited.resident() + layers.resident() + pending + edges;
+    let resident = visited.resident() + layers.resident() + pool.bytes() + pending + edges;
     stats.peak_resident_bytes = stats.peak_resident_bytes.max(resident);
     stats.spilled_bytes = visited.spilled() + layers.spilled();
 }
 
+/// The world the invariant is shown when a state is admitted. It is kept
+/// from one admitted state to the next, so a slot's machine is cloned out
+/// of the pool only when its id changes.
+struct Shown<M> {
+    mem: SimMemory,
+    regs: Vec<Word>,
+    ids: Vec<u32>,
+    machines: Vec<M>,
+    done: Vec<bool>,
+}
+
+impl<M: StepMachine> Shown<M> {
+    /// Loads the state `rec`, marks its machines in `live`, and returns
+    /// whether it is terminal.
+    fn load(
+        &mut self,
+        codec: RecordCodec,
+        rec: &[u8],
+        pool: &MachinePool<M>,
+        live: &mut [Vec<bool>],
+    ) -> bool {
+        codec.registers(rec, &mut self.regs);
+        self.mem.restore(&self.regs);
+        for (slot, live) in live.iter_mut().enumerate() {
+            self.done[slot] = codec.done(rec, slot);
+            let id = codec.machine(rec, slot);
+            live[id as usize] = true;
+            if self.ids[slot] != id {
+                self.machines[slot].clone_from(pool.machine(slot, id));
+                self.ids[slot] = id;
+            }
+        }
+        self.done.iter().all(|&d| d)
+    }
+
+    /// Follows the pool's renumbering; a dropped machine is cloned again
+    /// if it comes back.
+    fn renumber(&mut self, renumber: &[Vec<u32>]) {
+        for (id, map) in self.ids.iter_mut().zip(renumber) {
+            *id = map[*id as usize];
+        }
+    }
+
+    fn world(&self) -> World<'_, M> {
+        World {
+            mem: &self.mem,
+            machines: &self.machines,
+            done: &self.done,
+        }
+    }
+}
+
 /// Breadth-first exploration of the full state space over `workers`
 /// threads, keeping visited states in `visited` — handed back at the end
-/// — and layers in the store `new_layers` builds from the root.
+/// — and layers in the store `new_layers` builds from the record codec and
+/// the root's record.
 ///
 /// Visits exactly the states [`ModelChecker::check`] visits and reports
 /// the same `states`/`transitions`/`terminal_states`; `max_depth` counts
@@ -541,45 +740,47 @@ pub(crate) fn explore<M, F, V, L>(
     workers: usize,
     record_edges: bool,
     mut visited: V,
-    new_layers: impl FnOnce(FrontierState<M>) -> io::Result<L>,
+    new_layers: impl FnOnce(RecordCodec, Vec<u8>) -> io::Result<L>,
 ) -> Result<(CheckStats, EdgeStore, V), CheckError>
 where
     M: StepMachine + Send + Sync,
     F: Fn(&World<'_, M>) -> Result<(), String>,
     V: Visited,
-    L: Layers<M>,
+    L: Layers,
 {
     let rel = mc.relation();
-    let mem = SimMemory::new(mc.layout());
-    let machines = mc.machines().to_vec();
-    let root = FrontierState {
-        snap: mem.snapshot(),
-        done: vec![false; machines.len()],
-        machines,
-        id: 0,
+    let slots = mc.machines().len();
+    let mut shown = Shown {
+        mem: SimMemory::new(mc.layout()),
+        regs: Vec::new(),
+        ids: Vec::new(),
+        machines: mc.machines().to_vec(),
+        done: vec![false; slots],
     };
-    let terminal = root.done.iter().all(|&d| d);
+    let snap = shown.mem.snapshot();
+    let codec = RecordCodec::new(snap.len(), slots);
+    let mut pool = MachinePool::new(slots);
+    shown.ids = (mc.machines().iter().cloned().enumerate())
+        .map(|(slot, m)| pool.intern(slot, m))
+        .collect();
+    let mut root = Vec::with_capacity(codec.bytes());
+    codec.encode(0, &shown.done, &shown.ids, &snap, &mut root);
+    let terminal = shown.load(codec, &root, &pool, &mut pool.marks());
     let mut stats = CheckStats {
         states: 1,
         terminal_states: u64::from(terminal),
         ..CheckStats::default()
     };
-    {
-        let mut kb = KeyBuilder::default();
-        let h = hash128(kb.build(&mem, &root.machines, &root.done, None));
-        visited.insert(0, h, (u32::MAX, 0), terminal)?;
-    }
-    // Scratch register file for main-thread invariant checks.
-    let check_mem = SimMemory::new(mc.layout());
-    let check = |st: &FrontierState<M>| {
-        check_mem.restore(&st.snap);
-        invariant(&World {
-            mem: &check_mem,
-            machines: &st.machines,
-            done: &st.done,
-        })
-    };
-    if let Err(message) = check(&root) {
+    let keys: Vec<&[u64]> = (shown.ids.iter().enumerate())
+        .map(|(slot, &id)| pool.key(slot, id))
+        .collect();
+    visited.insert(
+        0,
+        state_hash(&snap, &shown.done, &keys, None),
+        (u32::MAX, 0),
+        terminal,
+    )?;
+    if let Err(message) = invariant(&shown.world()) {
         return Err(CheckError::Violation(Box::new(Violation {
             message,
             schedule: vec![],
@@ -587,7 +788,7 @@ where
             stats,
         })));
     }
-    let mut layers = new_layers(root)?;
+    let mut layers = new_layers(codec, root)?;
 
     let mut edges = match (record_edges, mc.spill_config()) {
         (true, Some(cfg)) => {
@@ -601,22 +802,32 @@ where
     loop {
         let mut pending: Vec<Mutex<HashMap<u128, Pend>>> =
             (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect();
-        // `assigned[w][idx]` maps a worker-local fresh slot to its global
+        // `assigned[w][idx]` maps a worker-local fresh record to its global
         // id (edge recording only).
         let mut assigned: Vec<Vec<u32>> = Vec::new();
         let mut layer_edges = Vec::new();
         let mut reduced = Vec::new();
         layers.expand(None, |chunk, first, base| {
-            let found = expand_layer(rel, chunk, &pending, &visited, workers, record_edges, base);
-            let fresh = found.into_iter().map(|w| {
+            let found = expand_layer(
+                rel,
+                codec,
+                chunk,
+                &pool,
+                &pending,
+                &visited,
+                workers,
+                record_edges,
+                base,
+            );
+            let fresh = found.into_iter().map(|mut w| {
                 stats.transitions += w.transitions;
-                layer_edges.extend(w.edges.into_iter().flatten());
+                layer_edges.extend(w.edges.take().into_iter().flatten());
                 let at = |(fi, a, h)| (fi + first as u32, a, h);
-                reduced.extend(w.reduced.into_iter().map(at));
+                reduced.extend(w.reduced.drain(..).map(at));
                 if record_edges {
-                    assigned.push(vec![u32::MAX; w.fresh.len()]);
+                    assigned.push(vec![u32::MAX; w.fresh.len() / codec.bytes()]);
                 }
-                w.fresh
+                w.adopt(&mut pool, codec)
             });
             fresh.collect()
         })?;
@@ -643,17 +854,24 @@ where
             let mut patch_base = u32::MAX;
             layers.expand(Some(&ords), |chunk, first, base| {
                 patch_base = patch_base.min(base);
-                let mut w = Worker::new(rel, &chunk[0].snap, &pending, &visited, false, base);
-                for (st, &a) in chunk.iter().zip(&amples[first..]) {
-                    w.expand(st, Plan::AllBut(Some(usize::from(a))));
+                let mut w = Worker::new(rel, codec, &pool, &pending, &visited, false, base);
+                let mut p = Parent::new();
+                let records = chunk.iter().flat_map(|run| run.chunks_exact(codec.bytes()));
+                for (rec, &a) in records.zip(&amples[first..]) {
+                    p.load(codec, rec, &pool);
+                    w.expand(&p, Plan::AllBut(Some(usize::from(a))));
                 }
-                stats.transitions += w.transitions;
-                vec![w.fresh]
+                let found = w.found;
+                stats.transitions += found.transitions;
+                vec![found.adopt(&mut pool, codec)]
             })?;
             let extras = entries(&mut pending).filter(|(_, p)| p.worker >= patch_base);
             old.extend(visited.join(extras.map(|(&h, _)| h))?);
         }
 
+        // The machines the next layer's records name; the pool drops the
+        // rest once they outnumber these.
+        let mut live = pool.marks();
         // Drain pending in deterministic order. (parent, via) is unique per
         // entry — `step` is deterministic, so one parent/machine pair can
         // produce only one successor — hence this order is total and
@@ -671,25 +889,25 @@ where
             let id = u32::try_from(stats.states).expect("state ids exceed u32");
             stats.states += 1;
             if stats.states as usize > mc.state_limit() {
-                charge(&mut stats, &visited, &layers, candidates, &edges);
+                charge(&mut stats, &visited, &layers, &pool, candidates, &edges);
                 return Err(CheckError::StateLimit {
                     limit: mc.state_limit(),
                     stats,
                 });
             }
-            let verdict = layers.admit(p.worker, p.idx, id, |st| {
-                let terminal = st.done.iter().all(|&d| d);
+            let verdict = layers.admit(p.worker, p.idx, id, |rec| {
+                let terminal = shown.load(codec, rec, &pool, &mut live);
                 stats.terminal_states += u64::from(terminal);
                 visited.insert(id, h, (p.parent, p.via), terminal)?;
                 if record_edges {
                     assigned[p.worker as usize][p.idx as usize] = id;
                 }
-                Ok(check(st))
+                Ok(invariant(&shown.world()))
             })?;
             if let Err(message) = verdict {
                 let schedule = visited.schedule_to(id)?;
                 let trace = mc.render_trace(&schedule);
-                charge(&mut stats, &visited, &layers, candidates, &edges);
+                charge(&mut stats, &visited, &layers, &pool, candidates, &edges);
                 return Err(CheckError::Violation(Box::new(Violation {
                     message,
                     schedule,
@@ -709,8 +927,12 @@ where
                 EdgeStore::Disk(_, log) => log.push(from, to)?,
             }
         }
-        charge(&mut stats, &visited, &layers, candidates, &edges);
-        if layers.advance()? == 0 {
+        charge(&mut stats, &visited, &layers, &pool, candidates, &edges);
+        let renumber = pool.retain(&live);
+        if let Some(map) = &renumber {
+            shown.renumber(map);
+        }
+        if layers.advance(renumber.as_deref())? == 0 {
             break;
         }
         stats.max_depth += 1;
@@ -792,7 +1014,10 @@ impl<M: StepMachine + Send + Sync> ModelChecker<M> {
             Some(cfg) => {
                 let scratch = ScratchDir::create(&cfg.dir)?;
                 let visited = SpillSet::create(scratch.path(), cfg)?;
-                let layers = |root| DiskLayers::new(scratch.path(), cfg, root);
+                let max_moves = self.relation().max_moves(self.machines().len());
+                let layers = |codec, root: Vec<u8>| {
+                    DiskLayers::new(scratch.path(), cfg, codec, &root, max_moves)
+                };
                 explore(self, inv, workers, false, visited, layers).map(|(stats, ..)| stats)
             }
             None => {

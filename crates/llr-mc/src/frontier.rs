@@ -1,25 +1,25 @@
 //! On-disk breadth-first frontier layers and the reversed-edge CSR.
 //!
-//! The spill backend (`crate::spill`) bounds the visited-set delta, but
-//! until this module the *frontier* itself — one register-file snapshot
-//! plus a machine vector per state in the widest layer — and the liveness
-//! checker's full edge list still lived in RAM. This module puts both on
-//! disk:
+//! The spill backend (`crate::spill`) bounds the visited-set delta; this
+//! module puts the rest of what grows with the state space on disk: the
+//! frontier layers and the liveness checker's edge list.
 //!
 //! * **Layer files** ([`LayerWriter`] / [`LayerReader`]): an append-only
-//!   per-layer format holding one fixed-size record per frontier state.
+//!   per-layer format holding one fixed-size record per frontier state —
+//!   the packed record (`RecordCodec`, crate-internal) the in-RAM layer
+//!   store keeps too, behind a header.
 //!   Layers are produced sequentially (states are assigned ids in
 //!   `(parent, via)` order and written in that order), so writes are
 //!   streaming; reads are a bounded-buffer sequential scan
 //!   ([`LayerReader::read_range`]) feeding the expansion workers, plus
 //!   point reads ([`LayerReader::read_at`]) for the partial-order
 //!   reduction patch-up.
-//! * **Machine pool** (`MachinePool`, crate-internal): records store a
-//!   per-slot intern id instead of the machine struct, so a machine
-//!   configuration recurring across millions of states costs disk bytes
-//!   once per *slot-local* distinct value. Interning is per machine slot
-//!   because [`StepMachine::key`] is injective only within one slot's
-//!   lineage (two different pids can share a key).
+//! * **Machine pool** (`MachinePool`, crate-internal): records in RAM and
+//!   on disk store a per-slot intern id instead of the machine struct, so
+//!   a machine configuration recurring across millions of states is held
+//!   once per *slot-local* distinct value, with its key words. Interning
+//!   is per machine slot because [`StepMachine::key`] is injective only
+//!   within one slot's lineage (two different pids can share a key).
 //! * **Parent log** (`ParentLog`, crate-internal): the spanning-tree
 //!   `(parent, via)` pairs as packed 5-byte records, appended in id
 //!   order; violation schedules are reconstructed by walking the file
@@ -45,6 +45,7 @@ use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Magic number opening every layer file (`b"LLRFLR1\0"`).
 const LAYER_MAGIC: [u8; 8] = *b"LLRFLR1\0";
@@ -120,6 +121,153 @@ pub struct LayerRecord {
     pub snap: Vec<Word>,
 }
 
+/// The packed state record every store of the breadth-first loop keeps:
+/// `[id | per slot: done, machine intern id | registers]`, little-endian,
+/// [`layer_record_bytes`] long. The in-RAM layer store keeps records back
+/// to back in flat buffers; the layer files hold the same bytes behind a
+/// header.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct RecordCodec {
+    words: usize,
+    slots: usize,
+}
+
+impl RecordCodec {
+    pub(crate) fn new(words: usize, slots: usize) -> Self {
+        Self { words, slots }
+    }
+
+    /// Bytes of one record.
+    pub(crate) fn bytes(self) -> usize {
+        layer_record_bytes(self.words, self.slots) as usize
+    }
+
+    /// Registers per record.
+    pub(crate) fn words(self) -> usize {
+        self.words
+    }
+
+    /// Machine slots per record.
+    pub(crate) fn slots(self) -> usize {
+        self.slots
+    }
+
+    /// Byte offset of `slot`'s done flag; its machine id follows it.
+    fn slot_at(slot: usize) -> usize {
+        4 + slot * 5
+    }
+
+    /// Byte offset of the registers.
+    fn registers_at(self) -> usize {
+        Self::slot_at(self.slots)
+    }
+
+    /// The record's id and slots: everything before its registers.
+    pub(crate) fn head(self, rec: &[u8]) -> &[u8] {
+        &rec[..self.registers_at()]
+    }
+
+    /// Appends one record to `out`.
+    pub(crate) fn encode(
+        self,
+        id: u32,
+        done: &[bool],
+        ids: &[u32],
+        snap: &[Word],
+        out: &mut Vec<u8>,
+    ) {
+        assert_eq!(done.len(), self.slots, "done flags must cover every slot");
+        assert_eq!(ids.len(), self.slots, "machine ids must cover every slot");
+        assert_eq!(
+            snap.len(),
+            self.words,
+            "snapshot must span the register file"
+        );
+        out.extend_from_slice(&id.to_le_bytes());
+        for (&d, &m) in done.iter().zip(ids) {
+            out.push(u8::from(d));
+            out.extend_from_slice(&m.to_le_bytes());
+        }
+        for &word in snap {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+    }
+
+    fn decode(self, rec: &[u8]) -> LayerRecord {
+        let mut snap = Vec::with_capacity(self.words);
+        self.registers(rec, &mut snap);
+        LayerRecord {
+            id: self.id(rec),
+            done: (0..self.slots).map(|s| self.done(rec, s)).collect(),
+            machine_ids: (0..self.slots).map(|s| self.machine(rec, s)).collect(),
+            snap,
+        }
+    }
+
+    pub(crate) fn id(self, rec: &[u8]) -> u32 {
+        u32::from_le_bytes(rec[..4].try_into().unwrap())
+    }
+
+    pub(crate) fn set_id(self, rec: &mut [u8], id: u32) {
+        rec[..4].copy_from_slice(&id.to_le_bytes());
+    }
+
+    /// Whether the machine in `slot` is done.
+    pub(crate) fn done(self, rec: &[u8], slot: usize) -> bool {
+        rec[Self::slot_at(slot)] != 0
+    }
+
+    /// The intern id of the machine in `slot`.
+    pub(crate) fn machine(self, rec: &[u8], slot: usize) -> u32 {
+        let at = Self::slot_at(slot) + 1;
+        u32::from_le_bytes(rec[at..at + 4].try_into().unwrap())
+    }
+
+    pub(crate) fn set_machine(self, rec: &mut [u8], slot: usize, machine: u32) {
+        let at = Self::slot_at(slot) + 1;
+        rec[at..at + 4].copy_from_slice(&machine.to_le_bytes());
+    }
+
+    /// Appends the record of a successor with no id yet: the slots of
+    /// `head` (a record's [`head`](Self::head)), but for `slot` set to
+    /// `(done, machine)`, and the registers `snap`.
+    pub(crate) fn push_successor(
+        self,
+        head: &[u8],
+        (slot, done, machine): (usize, bool, u32),
+        snap: &[Word],
+        out: &mut Vec<u8>,
+    ) {
+        let at = out.len();
+        out.extend_from_slice(head);
+        for &word in snap {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        let rec = &mut out[at..];
+        self.set_id(rec, u32::MAX);
+        rec[Self::slot_at(slot)] = u8::from(done);
+        self.set_machine(rec, slot, machine);
+    }
+
+    /// Decodes the registers into `out`, replacing its contents.
+    pub(crate) fn registers(self, rec: &[u8], out: &mut Vec<Word>) {
+        out.clear();
+        let words = rec[self.registers_at()..].chunks_exact(8);
+        out.extend(words.map(|w| u64::from_le_bytes(w.try_into().unwrap())));
+    }
+
+    /// Rewrites the machine ids of every record in `records` through
+    /// `renumber[slot]`, a [`MachinePool::retain`] map.
+    pub(crate) fn renumber(self, records: &mut [u8], renumber: &[Vec<u32>]) {
+        for rec in records.chunks_exact_mut(self.bytes()) {
+            for (slot, map) in renumber.iter().enumerate() {
+                let id = map[self.machine(rec, slot) as usize];
+                self.set_machine(rec, slot, id);
+            }
+        }
+    }
+}
+
 /// Streaming writer for one on-disk frontier layer.
 ///
 /// Records are appended with [`push`](Self::push) and the file becomes
@@ -153,9 +301,10 @@ pub struct LayerRecord {
 /// ```
 pub struct LayerWriter {
     w: BufWriter<File>,
-    words: usize,
-    machines: usize,
+    codec: RecordCodec,
     count: u64,
+    /// One encoded record.
+    scratch: Vec<u8>,
 }
 
 impl LayerWriter {
@@ -173,9 +322,9 @@ impl LayerWriter {
         w.write_all(&COUNT_SENTINEL.to_le_bytes())?;
         Ok(Self {
             w,
-            words,
-            machines,
+            codec: RecordCodec::new(words, machines),
             count: 0,
+            scratch: Vec::new(),
         })
     }
 
@@ -188,18 +337,21 @@ impl LayerWriter {
         machine_ids: &[u32],
         snap: &[Word],
     ) -> io::Result<()> {
-        assert_eq!(done.len(), self.machines, "done flags must cover every slot");
-        assert_eq!(machine_ids.len(), self.machines, "machine ids must cover every slot");
-        assert_eq!(snap.len(), self.words, "snapshot must span the register file");
-        self.w.write_all(&id.to_le_bytes())?;
-        for (&d, &m) in done.iter().zip(machine_ids) {
-            self.w.write_all(&[d as u8])?;
-            self.w.write_all(&m.to_le_bytes())?;
-        }
-        for &word in snap {
-            self.w.write_all(&word.to_le_bytes())?;
-        }
+        self.scratch.clear();
+        self.codec
+            .encode(id, done, machine_ids, snap, &mut self.scratch);
+        self.w.write_all(&self.scratch)?;
         self.count += 1;
+        Ok(())
+    }
+
+    /// Appends records already encoded back to back by the writer's
+    /// [`RecordCodec`].
+    pub(crate) fn push_records(&mut self, records: &[u8]) -> io::Result<()> {
+        let rb = self.codec.bytes();
+        assert_eq!(records.len() % rb, 0, "records must be whole");
+        self.w.write_all(records)?;
+        self.count += (records.len() / rb) as u64;
         Ok(())
     }
 
@@ -210,7 +362,7 @@ impl LayerWriter {
 
     /// Total bytes this file will occupy once finalized.
     pub fn bytes(&self) -> u64 {
-        HEADER_BYTES + self.count * layer_record_bytes(self.words, self.machines)
+        HEADER_BYTES + self.count * self.codec.bytes() as u64
     }
 
     /// Flushes, patches the record count into the header, and returns
@@ -233,10 +385,8 @@ impl LayerWriter {
 /// [`read_at`](Self::read_at) seeks to a single record.
 pub struct LayerReader {
     file: BufReader<File>,
-    words: usize,
-    machines: usize,
+    codec: RecordCodec,
     count: u64,
-    record: u64,
     /// Ordinal of the record the underlying cursor sits at, to skip
     /// redundant seeks during pure sequential scans.
     pos: u64,
@@ -287,10 +437,8 @@ impl LayerReader {
         }
         Ok(Self {
             file,
-            words,
-            machines,
+            codec: RecordCodec::new(words, machines),
             count,
-            record,
             pos: 0,
         })
     }
@@ -302,41 +450,18 @@ impl LayerReader {
 
     /// Register-file width every record carries.
     pub fn words(&self) -> usize {
-        self.words
+        self.codec.words()
     }
 
     /// Machine slots every record carries.
     pub fn machines(&self) -> usize {
-        self.machines
-    }
-
-    fn decode(&self, buf: &[u8]) -> LayerRecord {
-        let id = u32::from_le_bytes(buf[..4].try_into().unwrap());
-        let mut done = Vec::with_capacity(self.machines);
-        let mut machine_ids = Vec::with_capacity(self.machines);
-        let mut at = 4;
-        for _ in 0..self.machines {
-            done.push(buf[at] != 0);
-            machine_ids.push(u32::from_le_bytes(buf[at + 1..at + 5].try_into().unwrap()));
-            at += 5;
-        }
-        let mut snap = Vec::with_capacity(self.words);
-        for _ in 0..self.words {
-            snap.push(u64::from_le_bytes(buf[at..at + 8].try_into().unwrap()));
-            at += 8;
-        }
-        LayerRecord {
-            id,
-            done,
-            machine_ids,
-            snap,
-        }
+        self.codec.slots()
     }
 
     fn seek_to(&mut self, ordinal: u64) -> io::Result<()> {
         if self.pos != ordinal {
-            self.file
-                .seek(SeekFrom::Start(HEADER_BYTES + ordinal * self.record))?;
+            let at = HEADER_BYTES + ordinal * self.codec.bytes() as u64;
+            self.file.seek(SeekFrom::Start(at))?;
             self.pos = ordinal;
         }
         Ok(())
@@ -346,16 +471,27 @@ impl LayerReader {
     /// into a fresh buffer — the bounded-buffer sequential scan feeding
     /// the expansion workers.
     pub fn read_range(&mut self, start: u64, n: usize) -> io::Result<Vec<LayerRecord>> {
+        let mut buf = Vec::new();
+        self.read_records(start, n, &mut buf)?;
+        let records = buf.chunks_exact(self.codec.bytes());
+        Ok(records.map(|r| self.codec.decode(r)).collect())
+    }
+
+    /// Appends the encoded records `start..start + n` (clamped to the
+    /// layer end) to `out`.
+    pub(crate) fn read_records(
+        &mut self,
+        start: u64,
+        n: usize,
+        out: &mut Vec<u8>,
+    ) -> io::Result<()> {
         let n = (n as u64).min(self.count.saturating_sub(start)) as usize;
         self.seek_to(start)?;
-        let mut buf = vec![0u8; self.record as usize];
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.file.read_exact(&mut buf)?;
-            out.push(self.decode(&buf));
-        }
+        let at = out.len();
+        out.resize(at + n * self.codec.bytes(), 0);
+        self.file.read_exact(&mut out[at..])?;
         self.pos = start + n as u64;
-        Ok(out)
+        Ok(())
     }
 
     /// Point-reads the record at `ordinal`.
@@ -364,71 +500,151 @@ impl LayerReader {
     ///
     /// Panics if `ordinal` is out of range.
     pub fn read_at(&mut self, ordinal: u64) -> io::Result<LayerRecord> {
+        let mut buf = Vec::new();
+        self.read_record_at(ordinal, &mut buf)?;
+        Ok(self.codec.decode(&buf))
+    }
+
+    /// Appends the encoded record at `ordinal` to `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ordinal` is out of range.
+    pub(crate) fn read_record_at(&mut self, ordinal: u64, out: &mut Vec<u8>) -> io::Result<()> {
         assert!(ordinal < self.count, "record {ordinal} out of range");
-        self.seek_to(ordinal)?;
-        let mut buf = vec![0u8; self.record as usize];
-        self.file.read_exact(&mut buf)?;
-        self.pos = ordinal + 1;
-        Ok(self.decode(&buf))
+        self.read_records(ordinal, 1, out)
     }
 }
 
-/// Approximate per-interned-machine bookkeeping overhead (key box, map
-/// slot, id) on top of the machine struct itself.
+/// Approximate per-interned-machine bookkeeping overhead (key header, map
+/// slot, id) on top of the machine struct and its key words.
 const POOL_OVERHEAD_BYTES: u64 = 48;
 
-/// Per-slot machine interning: layer records store a `u32` per slot
-/// instead of the machine struct. Interning is per slot because
+/// The id bit that marks a machine not interned yet. Pool ids stay below
+/// it; the breadth-first loop hands out ids with it set while the pool is
+/// frozen, and replaces them once the machines are interned.
+pub(crate) const PROVISIONAL: u32 = 1 << 31;
+
+/// Per-slot machine interning: state records store a `u32` per slot
+/// instead of the machine struct, and the pool keeps each interned
+/// machine's key words so a state's key can be assembled without calling
+/// [`StepMachine::key`] again. Interning is per slot because
 /// [`StepMachine::key`] is only injective within one slot's lineage.
+///
+/// Ids are dense per slot and stay below [`PROVISIONAL`]. The loop
+/// drops the machines no stored record names any more
+/// ([`retain`](Self::retain)), so the pool follows the machines of the
+/// layers in flight, not every machine ever reached.
 pub(crate) struct MachinePool<M> {
-    index: Vec<HashMap<Box<[u64]>, u32>>,
-    items: Vec<Vec<M>>,
+    slots: Vec<SlotPool<M>>,
     bytes: u64,
     /// Key scratch buffer.
     keybuf: Vec<u64>,
 }
 
+struct SlotPool<M> {
+    index: HashMap<Arc<[u64]>, u32>,
+    /// Every interned machine with its key, by id.
+    items: Vec<(M, Arc<[u64]>)>,
+}
+
 impl<M: StepMachine> MachinePool<M> {
     pub(crate) fn new(slots: usize) -> Self {
         Self {
-            index: (0..slots).map(|_| HashMap::new()).collect(),
-            items: (0..slots).map(|_| Vec::new()).collect(),
+            slots: (0..slots)
+                .map(|_| SlotPool {
+                    index: HashMap::new(),
+                    items: Vec::new(),
+                })
+                .collect(),
             bytes: 0,
             keybuf: Vec::new(),
         }
     }
 
-    /// Interns every slot's machine into that slot, returning the stable
-    /// ids.
-    pub(crate) fn intern_all(&mut self, machines: &[M]) -> Vec<u32> {
-        machines
-            .iter()
-            .enumerate()
-            .map(|(slot, m)| self.intern(slot, m))
-            .collect()
+    /// The id of the machine keyed `key` in `slot`, if it is interned.
+    pub(crate) fn find(&self, slot: usize, key: &[u64]) -> Option<u32> {
+        self.slots[slot].index.get(key).copied()
     }
 
     /// Interns `m` into `slot`, returning its stable id.
-    fn intern(&mut self, slot: usize, m: &M) -> u32 {
+    pub(crate) fn intern(&mut self, slot: usize, m: M) -> u32 {
         self.keybuf.clear();
         m.key(&mut self.keybuf);
-        if let Some(&id) = self.index[slot].get(self.keybuf.as_slice()) {
+        let pool = &mut self.slots[slot];
+        if let Some(&id) = pool.index.get(self.keybuf.as_slice()) {
             return id;
         }
-        let id = u32::try_from(self.items[slot].len()).expect("machine pool exceeds u32 ids");
-        self.bytes +=
-            (self.keybuf.len() * 8) as u64 + std::mem::size_of::<M>() as u64 + POOL_OVERHEAD_BYTES;
-        self.index[slot].insert(self.keybuf.as_slice().into(), id);
-        self.items[slot].push(m.clone());
+        let id = u32::try_from(pool.items.len())
+            .ok()
+            .filter(|&id| id < PROVISIONAL)
+            .expect("machine pool exceeds 2^31 ids in one slot");
+        self.bytes += Self::entry_bytes(self.keybuf.len());
+        let key: Arc<[u64]> = self.keybuf.as_slice().into();
+        pool.index.insert(Arc::clone(&key), id);
+        pool.items.push((m, key));
         id
     }
 
-    /// Clones of the machines interned under `ids`, one per slot.
-    pub(crate) fn machines(&self, ids: &[u32]) -> Vec<M> {
-        ids.iter()
-            .zip(&self.items)
-            .map(|(&id, items)| items[id as usize].clone())
+    /// Tracked bytes of one interned machine with a key of `words` words.
+    fn entry_bytes(words: usize) -> u64 {
+        (words * 8) as u64 + std::mem::size_of::<M>() as u64 + POOL_OVERHEAD_BYTES
+    }
+
+    /// One unset mark per interned machine, per slot, for
+    /// [`retain`](Self::retain).
+    pub(crate) fn marks(&self) -> Vec<Vec<bool>> {
+        self.slots
+            .iter()
+            .map(|p| vec![false; p.items.len()])
             .collect()
+    }
+
+    /// Drops the machines `live` leaves unmarked once they outnumber the
+    /// marked ones, and numbers the rest densely in their old order.
+    /// Returns the map from old ids to new ones per slot (`u32::MAX` for a
+    /// dropped machine), or `None` if nothing was dropped. Every id stored
+    /// outside the pool must go through the map.
+    pub(crate) fn retain(&mut self, live: &[Vec<bool>]) -> Option<Vec<Vec<u32>>> {
+        let marked = live.iter().flatten().filter(|&&l| l).count();
+        let total: usize = live.iter().map(Vec::len).sum();
+        if total - marked <= marked {
+            return None;
+        }
+        let mut renumber = Vec::with_capacity(live.len());
+        for (pool, live) in self.slots.iter_mut().zip(live) {
+            assert_eq!(
+                live.len(),
+                pool.items.len(),
+                "one mark per interned machine"
+            );
+            let mut map = vec![u32::MAX; live.len()];
+            let items = std::mem::take(&mut pool.items);
+            for ((m, key), (&keep, new)) in items.into_iter().zip(live.iter().zip(&mut map)) {
+                if keep {
+                    *new = pool.items.len() as u32;
+                    pool.items.push((m, key));
+                } else {
+                    self.bytes -= Self::entry_bytes(key.len());
+                }
+            }
+            pool.index.retain(|_, id| live[*id as usize]);
+            for id in pool.index.values_mut() {
+                *id = map[*id as usize];
+            }
+            renumber.push(map);
+        }
+        Some(renumber)
+    }
+
+    /// The machine interned under `id` in `slot`.
+    pub(crate) fn machine(&self, slot: usize, id: u32) -> &M {
+        &self.slots[slot].items[id as usize].0
+    }
+
+    /// The key words of the machine interned under `id` in `slot`.
+    pub(crate) fn key(&self, slot: usize, id: u32) -> &[u64] {
+        &self.slots[slot].items[id as usize].1
     }
 
     /// Tracked payload bytes (structs + keys + map overhead), for the

@@ -99,7 +99,12 @@
 //! | store | in RAM | with `spill_dir` |
 //! |---|---|---|
 //! | visited | sharded map of state hashes | bounded in-RAM delta + sorted runs on disk |
-//! | layers | materialized states, one chunk per layer | per-layer files on disk ([`frontier`]), read in bounded chunks |
+//! | layers | packed records in flat buffers, one chunk per layer | the same records in per-layer files on disk ([`frontier`]), read in bounded chunks |
+//!
+//! Both layer stores keep a state as one packed record — registers, done
+//! flags and a per-slot machine intern id — over one machine pool the loop
+//! owns, so a state costs
+//! [`layer_record_bytes`](frontier::layer_record_bytes) in RAM as on disk.
 
 #![warn(missing_docs)]
 

@@ -313,10 +313,11 @@ impl AmpleCtx {
     /// Returns the lowest machine index whose next step is declared,
     /// invisible, and independent of every other running machine's entire
     /// remaining footprint. States with fewer than two running machines are
-    /// never reduced (there is nothing to save).
-    pub(crate) fn choose<M: crate::StepMachine>(
+    /// never reduced (there is nothing to save). `machines` are owned or
+    /// borrowed.
+    pub(crate) fn choose<M: crate::StepMachine, B: std::borrow::Borrow<M>>(
         &mut self,
-        machines: &[M],
+        machines: &[B],
         done: &[bool],
     ) -> Option<usize> {
         let n = machines.len();
@@ -328,7 +329,7 @@ impl AmpleCtx {
             if !done[i] {
                 running += 1;
                 self.fps[i].clear();
-                machines[i].footprint(&mut self.fps[i]);
+                machines[i].borrow().footprint(&mut self.fps[i]);
             }
         }
         if running < 2 {

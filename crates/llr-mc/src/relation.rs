@@ -30,6 +30,7 @@ use crate::checker::{ModelChecker, World, CRASH_SCHEDULE_BASE};
 use crate::por::AmpleCtx;
 use crate::StepMachine;
 use llr_mem::{Loc, Memory as _, SimMemory, Word};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// One edge of the global state graph.
@@ -122,17 +123,28 @@ impl Relation {
         self.budget.map_or(0, |l| snap[l.index()])
     }
 
+    /// The most moves one state can enable: a step per machine, plus a
+    /// crash per machine while the fault model is on.
+    pub(crate) fn max_moves(self, machines: usize) -> usize {
+        if self.budget.is_some() {
+            2 * machines
+        } else {
+            machines
+        }
+    }
+
     /// The POR gate: an ample singleton, if reduction is on, the budget is
     /// spent, and [`AmpleCtx::choose`] finds one; otherwise every move.
-    pub(crate) fn plan<M: StepMachine>(
+    /// `machines` are owned or borrowed.
+    pub(crate) fn plan<M: StepMachine, B: Borrow<M>>(
         self,
         ample: &mut AmpleCtx,
         snap: &[Word],
-        machines: &[M],
+        machines: &[B],
         done: &[bool],
     ) -> Plan {
         let a = if self.por && self.budget(snap) == 0 {
-            ample.choose(machines, done)
+            ample.choose::<M, B>(machines, done)
         } else {
             None
         };
@@ -140,11 +152,11 @@ impl Relation {
     }
 
     /// The moves `plan` takes from the state `(snap, machines, done)`, in
-    /// the order every engine takes them.
-    pub(crate) fn moves<'a, M: StepMachine>(
+    /// the order every engine takes them. `machines` are owned or borrowed.
+    pub(crate) fn moves<'a, M: StepMachine + 'a, B: Borrow<M>>(
         self,
         snap: &[Word],
-        machines: &'a [M],
+        machines: &'a [B],
         done: &'a [bool],
         plan: Plan,
     ) -> impl Iterator<Item = Move> + 'a {
@@ -155,7 +167,7 @@ impl Relation {
             Plan::AllBut(skip) => (0..n, 0..0, skip),
         };
         let steps = steps.filter(move |&i| !done[i] && Some(i) != skip);
-        let crashes = crashes.filter(move |&i| !done[i] && machines[i].can_crash());
+        let crashes = crashes.filter(move |&i| !done[i] && machines[i].borrow().can_crash());
         steps.map(Move::Step).chain(crashes.map(Move::Crash))
     }
 

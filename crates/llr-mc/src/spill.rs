@@ -3,15 +3,15 @@
 //! spill-to-disk frontier.
 //!
 //! The in-RAM stores of the loop ([`crate::engine`]) hold every visited
-//! state hash in a sharded map and every frontier state fully
-//! materialized, so their ceiling is the host's memory — first through
+//! state hash in a sharded map and every frontier state's packed record in
+//! flat buffers, so their ceiling is the host's memory — first through
 //! the visited set (grows with *total* states), then through the frontier
 //! (grows with the *widest layer*). These stores lift both ceilings
 //! while preserving the exact counts and deterministic violation
 //! schedules bit-for-bit:
 //!
 //! * Dedup is by 128-bit state hash (the same
-//!   [`hash128`](crate::checker::hash128) as the in-RAM store); hashes
+//!   [`Hash128`](crate::checker::Hash128) as the in-RAM store); hashes
 //!   are partitioned into the loop's 64 shards by their top bits.
 //! * Recently discovered hashes live in an **in-RAM delta** (one
 //!   `HashSet` per shard). Workers consult only this delta during layer
@@ -27,23 +27,26 @@
 //!   in one sequential pass per run file; candidates found on disk are
 //!   dropped before ids are assigned.
 //! * The **frontier lives in per-layer files** ([`crate::frontier`]):
-//!   each layer is an append-only file of fixed-size records (state id,
-//!   per-slot done flags and machine intern ids, register-file
-//!   snapshot), written in id order — which *is* `(parent, via)` order —
-//!   so writes are streaming. Expansion reads the layer back as a
-//!   bounded-buffer sequential scan: one chunk of at most a
-//!   quarter-budget's worth of materialized states at a time, expanded
-//!   by the loop's workers against the **layer-persistent** pending set
-//!   (chunk workers get globally unique ids).
-//!   Successors are streamed to a per-layer *candidate* file the same
-//!   way and re-read by ordinal at the join. Machine structs are
-//!   interned per slot, so records store a `u32` per machine.
+//!   each layer is an append-only file of the loop's packed records
+//!   (state id, per-slot done flags and machine intern ids, register-file
+//!   snapshot) — the bytes the in-RAM layer store keeps — written in id
+//!   order, which *is* `(parent, via)` order, so writes are streaming.
+//!   Expansion reads the layer back as a bounded-buffer sequential scan:
+//!   one chunk at a time, small enough that its records and every
+//!   successor record it can produce fit a quarter of the budget,
+//!   expanded by the loop's workers against the **layer-persistent**
+//!   pending set (chunk workers get globally unique ids). Successor
+//!   records are streamed to a per-layer *candidate* file as they are and
+//!   re-read by ordinal at the join. Machine structs are interned per
+//!   slot in the loop's machine pool, which both layer stores share, so
+//!   records store a `u32` per machine and nothing is converted on the
+//!   way to or from disk.
 //! * The spanning-tree parents go to an append-only **parent log** (5
 //!   bytes per state); violation schedules are reconstructed by walking
 //!   the log backwards with point reads.
 //!
 //! Because the drop set is a pure membership fact and chunking changes
-//! only *which worker* first materializes a state (the min-merged
+//! only *which worker* first writes a state's record (the min-merged
 //! `(parent, via)` edge and the drain order do not change), the
 //! surviving states, their id order, the invariant-check order and hence
 //! the first reported violation are identical to the in-RAM engines at
@@ -53,20 +56,22 @@
 //!
 //! One budget governs every structure that scales with the state space
 //! ([`SpillConfig`] splits it): half bounds the visited-set delta, a
-//! quarter bounds the frontier chunk buffer (at least one state, with
-//! worst-case successor materialization counted against it), and the
-//! last quarter bounds the liveness CSR build window. What
-//! stays in RAM is *accounted but not bounded*: the per-layer pending
-//! set (≈48 bytes per candidate — one to two orders of magnitude below
-//! the retired per-state frontier payload) and the per-slot machine
-//! intern pool (grows with slot-local machine diversity, not states).
+//! quarter bounds the frontier chunk buffer (at least one state; a chunk
+//! of `n` records can produce at most `n` × the relation's move bound
+//! successor records — a step per machine, plus a crash per machine while
+//! the fault model is on — and they are counted against it too), and the
+//! last quarter bounds the liveness CSR build window. What stays in RAM
+//! is *accounted but not bounded*: the per-layer pending set (≈48 bytes
+//! per candidate) and the per-slot machine pool (grows with the
+//! slot-local machine diversity of the layers in flight, not with
+//! states).
 //! [`CheckStats::peak_resident_bytes`](crate::CheckStats::peak_resident_bytes)
 //! reports the deterministic per-layer peak over all of it.
 //!
 //! ```text
 //!        layer file N ──sequential chunk reads──► expansion workers
 //!      (id|done|mach|snap          │                (parallel, no I/O)
-//!       fixed-size records)        │ ≤ budget/4 materialized   │
+//!       fixed-size records)        │ ≤ budget/4 of records     │
 //!            ▲                     │ per chunk                 ▼
 //!            │                                         pending (64 shards,
 //!   parent log (5 B/state,                             layer-persistent)
@@ -84,11 +89,8 @@
 //!                                                    append layer file N+1
 //! ```
 
-use crate::engine::{
-    frontier_state_bytes, shard_of, Fresh, FrontierState, Layers, Visited, SHARDS,
-};
-use crate::frontier::{LayerReader, LayerWriter, MachinePool, ParentLog};
-use crate::StepMachine;
+use crate::engine::{shard_of, Layers, Visited, SHARDS};
+use crate::frontier::{LayerReader, LayerWriter, ParentLog, RecordCodec};
 use std::collections::HashSet;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -350,16 +352,23 @@ impl Visited for SpillSet {
 /// A layer file read back and the layer file written from it.
 type FilePair = (LayerReader, LayerWriter);
 
+/// States per expansion chunk: as many as fit `window` bytes together with
+/// every successor they can enable, `max_moves` records each
+/// ([`Relation::max_moves`](crate::relation::Relation::max_moves)), and
+/// never fewer than one.
+pub(crate) fn chunk_states(window: usize, record: usize, max_moves: usize) -> usize {
+    (window / (record * (1 + max_moves))).max(1)
+}
+
 /// The on-disk layer store: the current and the next layer as layer
-/// files, each layer's fresh successors as a candidate file, and the
-/// per-slot machine pool every record's machine ids point into. Files
-/// live inside the caller's scratch directory.
-pub(crate) struct DiskLayers<M> {
+/// files, and each layer's fresh successors as a candidate file, all of
+/// them records whose machine ids point into the loop's machine pool.
+/// Files live inside the caller's scratch directory.
+pub(crate) struct DiskLayers {
     dir: PathBuf,
+    codec: RecordCodec,
     /// States per expansion chunk.
     chunk_states: usize,
-    per_state: u64,
-    pool: MachinePool<M>,
     /// Index of the current layer, which names its files.
     layer: u64,
     width: u64,
@@ -369,31 +378,35 @@ pub(crate) struct DiskLayers<M> {
     draining: Option<FilePair>,
     /// `fresh_base[worker] + idx` is a fresh state's candidate ordinal.
     fresh_base: Vec<u64>,
-    /// Peak bytes of one chunk's materialized states and successors.
+    /// Peak bytes of one chunk's records and the fresh records expanded
+    /// from it.
     chunk_peak: u64,
     /// Bytes of every finished layer and candidate file.
     disk_bytes: u64,
+    /// The chunk being expanded, then the candidate being admitted.
+    buf: Vec<u8>,
+    /// The machine-id map of the current layer's file, if the pool dropped
+    /// machines after the file was written.
+    renumber: Option<Vec<Vec<u32>>>,
 }
 
-impl<M: StepMachine> DiskLayers<M> {
-    /// Starts the store in `dir` with the root as layer 0, expanding
-    /// chunks that fit `cfg`'s frontier window.
-    pub(crate) fn new(dir: &Path, cfg: &SpillConfig, root: FrontierState<M>) -> io::Result<Self> {
-        let (words, slots) = (root.snap.len(), root.machines.len());
-        let per_state = frontier_state_bytes::<M>(words, slots);
-        // A chunk of `n` frontier states can materialize at most
-        // `n × slots` fresh successors before they are streamed out, so
-        // the window is divided by the worst-case amplification. Never
-        // below one state per chunk.
-        let chunk_states = (cfg.window_bytes() as u64 / (per_state * (1 + slots as u64))).max(1);
-        let mut pool = MachinePool::new(slots);
-        let mut w = LayerWriter::create(&dir.join("layer-0.flr"), words, slots)?;
-        w.push(0, &root.done, &pool.intern_all(&root.machines), &root.snap)?;
+impl DiskLayers {
+    /// Starts the store in `dir` with the record `root` as layer 0,
+    /// expanding chunks that fit `cfg`'s frontier window with every
+    /// successor, at most `max_moves` per state.
+    pub(crate) fn new(
+        dir: &Path,
+        cfg: &SpillConfig,
+        codec: RecordCodec,
+        root: &[u8],
+        max_moves: usize,
+    ) -> io::Result<Self> {
+        let mut w = LayerWriter::create(&dir.join("layer-0.flr"), codec.words(), codec.slots())?;
+        w.push_records(root)?;
         Ok(Self {
             dir: dir.to_path_buf(),
-            chunk_states: chunk_states as usize,
-            per_state,
-            pool,
+            codec,
+            chunk_states: chunk_states(cfg.window_bytes(), codec.bytes(), max_moves),
             layer: 0,
             disk_bytes: w.bytes(),
             width: w.finish()?,
@@ -401,6 +414,8 @@ impl<M: StepMachine> DiskLayers<M> {
             draining: None,
             fresh_base: Vec::new(),
             chunk_peak: 0,
+            buf: Vec::new(),
+            renumber: None,
         })
     }
 
@@ -417,11 +432,11 @@ impl<M: StepMachine> DiskLayers<M> {
     }
 }
 
-impl<M: StepMachine> Layers<M> for DiskLayers<M> {
+impl Layers for DiskLayers {
     fn expand(
         &mut self,
         only: Option<&[u32]>,
-        mut step: impl FnMut(&[FrontierState<M>], usize, u32) -> Vec<Fresh<M>>,
+        mut step: impl FnMut(&[Vec<u8>], usize, u32) -> Vec<Vec<u8>>,
     ) -> io::Result<()> {
         if only.is_none() {
             self.expanding = Some(self.open_pair(("layer", self.layer), ("cand", self.layer))?);
@@ -432,37 +447,30 @@ impl<M: StepMachine> Layers<M> for DiskLayers<M> {
         let total = only.map_or(self.width as usize, <[u32]>::len);
         let mut first = 0;
         while first < total {
-            let recs = match only {
-                None => layer.read_range(first as u64, self.chunk_states)?,
-                Some(ords) => ords[first..(first + self.chunk_states).min(total)]
-                    .iter()
-                    .map(|&o| layer.read_at(u64::from(o)))
-                    .collect::<io::Result<_>>()?,
-            };
-            let chunk: Vec<FrontierState<M>> = recs
-                .into_iter()
-                .map(|r| FrontierState {
-                    machines: self.pool.machines(&r.machine_ids),
-                    snap: r.snap,
-                    done: r.done,
-                    id: r.id,
-                })
-                .collect();
-            let found = step(&chunk, first, self.fresh_base.len() as u32);
-            if only.is_none() {
-                let materialized: usize = found.iter().map(Vec::len).sum();
-                let bytes = (chunk.len() + materialized) as u64 * self.per_state;
-                self.chunk_peak = self.chunk_peak.max(bytes);
-            }
-            for fresh in found {
-                self.fresh_base.push(cand.count());
-                for st in fresh {
-                    let st = st.expect("fresh states are untouched before the drain");
-                    let ids = self.pool.intern_all(&st.machines);
-                    cand.push(u32::MAX, &st.done, &ids, &st.snap)?;
+            let n = self.chunk_states.min(total - first);
+            self.buf.clear();
+            match only {
+                None => {
+                    layer.read_records(first as u64, n, &mut self.buf)?;
+                }
+                Some(ords) => {
+                    for &o in &ords[first..first + n] {
+                        layer.read_record_at(u64::from(o), &mut self.buf)?;
+                    }
                 }
             }
-            first += chunk.len();
+            if let Some(map) = &self.renumber {
+                self.codec.renumber(&mut self.buf, map);
+            }
+            let chunk = std::slice::from_ref(&self.buf);
+            let found = step(chunk, first, self.fresh_base.len() as u32);
+            let fresh: usize = found.iter().map(Vec::len).sum();
+            self.chunk_peak = self.chunk_peak.max((self.buf.len() + fresh) as u64);
+            for records in found {
+                self.fresh_base.push(cand.count());
+                cand.push_records(&records)?;
+            }
+            first += n;
         }
         Ok(())
     }
@@ -481,24 +489,23 @@ impl<M: StepMachine> Layers<M> for DiskLayers<M> {
         worker: u32,
         idx: u32,
         id: u32,
-        check: impl FnOnce(&FrontierState<M>) -> io::Result<Result<(), String>>,
+        check: impl FnOnce(&[u8]) -> io::Result<Result<(), String>>,
     ) -> io::Result<Result<(), String>> {
         let (cand, next) = self.draining.as_mut().expect("admit follows end_expansion");
-        let rec = cand.read_at(self.fresh_base[worker as usize] + u64::from(idx))?;
-        let machines = self.pool.machines(&rec.machine_ids);
-        let st = FrontierState {
-            snap: rec.snap,
-            machines,
-            done: rec.done,
-            id,
-        };
-        let verdict = check(&st)?;
+        self.buf.clear();
+        cand.read_record_at(
+            self.fresh_base[worker as usize] + u64::from(idx),
+            &mut self.buf,
+        )?;
+        self.codec.set_id(&mut self.buf, id);
+        let verdict = check(&self.buf)?;
         // Survivors keep their interned ids; nothing is re-interned.
-        next.push(id, &st.done, &rec.machine_ids, &st.snap)?;
+        next.push_records(&self.buf)?;
         Ok(verdict)
     }
 
-    fn advance(&mut self) -> io::Result<u64> {
+    fn advance(&mut self, renumber: Option<&[Vec<u32>]>) -> io::Result<u64> {
+        self.renumber = renumber.map(<[_]>::to_vec);
         let (cand, next) = self.draining.take().expect("advance follows end_expansion");
         drop(cand);
         self.disk_bytes += next.bytes();
@@ -512,10 +519,10 @@ impl<M: StepMachine> Layers<M> for DiskLayers<M> {
         Ok(self.width)
     }
 
-    /// The chunk peak stands in for the frontier; the machine pool is
-    /// counted in full. Parents and the layers themselves are on disk.
+    /// The chunk peak stands in for the frontier. Parents and the layers
+    /// themselves are on disk.
     fn resident(&self) -> u64 {
-        self.chunk_peak + self.pool.bytes()
+        self.chunk_peak
     }
 
     fn spilled(&self) -> u64 {

@@ -853,17 +853,17 @@ fn stats(states: u64, transitions: u64, depth: usize, peak: u64, spilled: u64) -
 #[test]
 fn bfs_stores_account_exactly() {
     let tmp = std::env::temp_dir();
-    let full_hashed = stats(20_276, 107_400, 29, 1_022_868, 0);
+    let full_hashed = stats(20_276, 107_400, 29, 794_500, 0);
     let full_spill = [
-        (1usize << 30, stats(20_276, 107_400, 29, 862_182, 3_752_434)),
-        (256 << 10, stats(20_276, 107_400, 29, 307_154, 4_605_460)),
-        (0, stats(20_276, 107_400, 29, 241_618, 4_726_452)),
+        (1usize << 30, stats(20_276, 107_400, 29, 614_866, 3_752_434)),
+        (256 << 10, stats(20_276, 107_400, 29, 303_044, 4_605_460)),
+        (0, stats(20_276, 107_400, 29, 237_508, 4_726_452)),
     ];
-    let reduced_hashed = stats(8_613, 27_617, 69, 300_709, 0);
+    let reduced_hashed = stats(8_613, 27_617, 69, 277_901, 0);
     let reduced_spill = [
-        (1usize << 30, stats(8_613, 27_617, 69, 220_216, 1_596_699)),
-        (256 << 10, stats(8_613, 27_617, 69, 159_654, 1_794_567)),
-        (0, stats(8_613, 27_617, 69, 105_084, 1_998_703)),
+        (1usize << 30, stats(8_613, 27_617, 69, 174_720, 1_596_699)),
+        (256 << 10, stats(8_613, 27_617, 69, 162_002, 1_794_567)),
+        (0, stats(8_613, 27_617, 69, 110_578, 1_998_703)),
     ];
     for workers in [1, 2, 4] {
         for por in [false, true] {
@@ -900,14 +900,14 @@ fn liveness_csr_paths_account_exactly() {
         states: 20_276,
         edges: 107_400,
         terminal_states: 1,
-        peak_resident_bytes: 1_654_898,
+        peak_resident_bytes: 1_516_578,
         spilled_bytes: 0,
     };
     let disk = crate::LivenessStats {
         states: 20_276,
         edges: 107_400,
         terminal_states: 1,
-        peak_resident_bytes: 1_022_868,
+        peak_resident_bytes: 794_500,
         spilled_bytes: 1_288_800,
     };
     for workers in [1, 2, 4] {
@@ -926,6 +926,89 @@ fn liveness_csr_paths_account_exactly() {
             "disk CSR, {workers}w"
         );
     }
+}
+
+/// The breadth-first loop hashes a state from its registers, its done
+/// flags and each machine's key words, with the moved machine's key put in
+/// place: the words the DFS's full key holds, so the hash is the one the
+/// full key always had.
+#[test]
+fn state_hash_feeds_the_full_key() {
+    use crate::checker::{Hash128, KeyBuilder};
+    use crate::engine::state_hash;
+    let full = |key: &[u64]| {
+        let mut h = Hash128::new();
+        h.words(key);
+        h.finish()
+    };
+    let keys = |machines: &[Pinned]| -> Vec<Vec<u64>> {
+        let key = |m: &Pinned| {
+            let mut k = Vec::new();
+            m.key(&mut k);
+            k
+        };
+        machines.iter().map(key).collect()
+    };
+    let mc = pinned_checker();
+    let mut kb = KeyBuilder::default();
+    let mut replay = crate::relation::Replay::new(&mc);
+    let mut rng = crate::SplitMix64::new(7);
+    let n = mc.machines().len();
+    for walk in 0..400 {
+        if replay.done.iter().all(|&d| d) {
+            replay = crate::relation::Replay::new(&mc);
+        }
+        let regs = replay.mem.snapshot();
+        let keys = keys(&replay.machines);
+        let keys: Vec<&[u64]> = keys.iter().map(Vec::as_slice).collect();
+        let want = full(kb.build(&replay.mem, &replay.machines, &replay.done, None));
+        assert_eq!(state_hash(&regs, &replay.done, &keys, None), want, "walk {walk}");
+        if walk == 0 {
+            // The pinned model's root, as the full key hashed it before
+            // the machine pool existed.
+            assert_eq!(want, 0x33a7_da81_844f_27c7_36e4_2c1d_781e_7676);
+        }
+        // Step a running machine on a copy of the registers, and hash it
+        // into any slot.
+        let running: Vec<usize> = (0..n).filter(|&j| !replay.done[j]).collect();
+        let j = running[rng.next_index(running.len())];
+        let i = rng.next_index(n);
+        let mem = llr_mem::SimMemory::with_values(&regs);
+        let mut mi = replay.machines[j].clone();
+        let d = mi.step(&mem).is_done();
+        let mut key = Vec::new();
+        mi.key(&mut key);
+        let want = full(kb.build(&mem, &replay.machines, &replay.done, Some((i, &mi, d))));
+        let got = state_hash(&mem.snapshot(), &replay.done, &keys, Some((i, d, &key)));
+        assert_eq!(got, want, "walk {walk}, machine {j} in slot {i}");
+        replay.take(j);
+    }
+}
+
+/// A frontier chunk of the on-disk layer store fits the window together
+/// with every successor it can enable: one per machine, plus one crash per
+/// machine while the fault model is on.
+#[test]
+fn frontier_chunks_fit_every_successor() {
+    use crate::frontier::layer_record_bytes;
+    use crate::spill::{chunk_states, SpillConfig};
+    let window = SpillConfig {
+        dir: std::env::temp_dir(),
+        budget_bytes: 0,
+    }
+    .window_bytes();
+    assert_eq!(window, 64 << 10);
+    // Six machines over 7 registers (90-byte records), and over 8 with the
+    // fault budget's register (98-byte records).
+    for (mc, moves, chunk) in [(pinned_checker(), 6, 104), (pinned_checker().faults(1), 12, 51)] {
+        let n = mc.machines().len();
+        assert_eq!(mc.relation().max_moves(n), moves);
+        let record = layer_record_bytes(mc.layout().len(), n) as usize;
+        assert_eq!(chunk_states(window, record, moves), chunk);
+        assert!(chunk * record * (1 + moves) <= window);
+        assert!((chunk + 1) * record * (1 + moves) > window);
+    }
+    assert_eq!(chunk_states(100, 90, 6), 1, "at least one state per chunk");
 }
 
 #[test]

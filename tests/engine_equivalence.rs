@@ -508,6 +508,70 @@ fn frontier_spill_battery() {
     );
 }
 
+/// One world as the invariant saw it: the registers, then each
+/// machine's done flag and key.
+type Seen = (Vec<u64>, Vec<(bool, Vec<u64>)>);
+
+/// Every world `check` shows its invariant, sorted. Each state is shown
+/// exactly once.
+fn worlds_seen<M: StepMachine>(
+    check: impl FnOnce(&dyn Fn(&World<'_, M>) -> Result<(), String>) -> Result<CheckStats, CheckError>,
+) -> Vec<Seen> {
+    let seen = std::cell::RefCell::new(Vec::new());
+    let record = |w: &World<'_, M>| {
+        let machines = w.machines.iter().zip(w.done).map(|(m, &done)| {
+            let mut key = Vec::new();
+            m.key(&mut key);
+            (done, key)
+        });
+        seen.borrow_mut().push((w.mem.snapshot(), machines.collect()));
+        Ok(())
+    };
+    let stats = check(&record).unwrap_or_else(|e| panic!("a recording invariant cannot fail:\n{e}"));
+    let mut seen = seen.into_inner();
+    assert_eq!(seen.len() as u64, stats.states, "one world per state");
+    seen.sort();
+    seen
+}
+
+/// Every store must show the invariant the same worlds, not just the same
+/// number of them: a record decoded with the wrong machine, or a machine
+/// left over from the previously checked state, keeps every count pin but
+/// changes a world. Without reduction the DFS, the in-RAM BFS at every
+/// worker count and the spill store at a zero and a generous budget agree;
+/// with it, the breadth-first stores agree among themselves.
+#[test]
+fn every_store_shows_the_invariant_the_same_worlds() {
+    fn stores_agree<M: StepMachine + Send + Sync>(label: &str, build: impl Fn() -> ModelChecker<M>) {
+        let dir = std::env::temp_dir();
+        for por in [false, true] {
+            let mut reference = (!por).then(|| worlds_seen(|inv| build().check(inv)));
+            let mut agree = |tag: String, got: Vec<Seen>| match &reference {
+                Some(want) => assert!(got == *want, "{label}: {tag} shows other worlds"),
+                None => reference = Some(got),
+            };
+            for workers in WORKER_COUNTS {
+                let ram = worlds_seen(|inv| build().por(por).workers(workers).check_parallel(inv));
+                agree(format!("in RAM, {workers}w, por {por}"), ram);
+                for budget in [0, 1 << 30] {
+                    let spill = worlds_seen(|inv| {
+                        build()
+                            .por(por)
+                            .workers(workers)
+                            .spill_dir(&dir, budget)
+                            .check_parallel(inv)
+                    });
+                    agree(format!("spill {budget} B, {workers}w, por {por}"), spill);
+                }
+            }
+        }
+    }
+    // Long enough for the breadth-first loop's machine pool to drop and
+    // renumber machines between layers.
+    stores_agree("SPLIT k=3", || split_spec::checker(3, 2, 2));
+    stores_agree("LevelArray k=4 f=1", || la_faults(1));
+}
+
 /// Under a tiny budget the spill backend must hold far less of the
 /// visited set in RAM than the in-RAM hashed engine — this is the whole
 /// point of the backend, and what the E2 table's budget column claims.
