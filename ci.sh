@@ -63,6 +63,10 @@
 #      and 605 380 / 787 365 (states / transitions) under POR + spill for
 #      check-por-spill — plus the histogram, name grammar and
 #      BENCHMARK.json round trip. About 30–40 s in release once built.
+#      The smoke runs keep their scratch in
+#      perfbench/target/tmp/smoke-*: the step clears those directories
+#      first and fails if a spill run (check-por-spill's) left an
+#      `llr-mc-spill-*` directory in one of them.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -111,6 +115,16 @@ cargo test -q --offline --release --test crash_tolerance --test arena_churn
 
 echo "== benchmark self-test (perfbench clippy -D warnings + its own tests, release) =="
 cargo clippy --manifest-path perfbench/Cargo.toml --all-targets --offline -- -D warnings
+smoke_tmp=perfbench/target/tmp
+rm -rf "$smoke_tmp"/smoke-*
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "== benchmark spill scratch cleanup (no llr-mc-spill-* left by the smoke runs) =="
+leaked=$(find "$smoke_tmp" -mindepth 2 -maxdepth 2 -path "$smoke_tmp/smoke-*/llr-mc-spill-*")
+if [ -n "$leaked" ]; then
+    echo "benchmark spill runs left scratch directories behind:"
+    echo "$leaked"
+    exit 1
+fi
 
 echo "ci.sh: all green"
