@@ -16,7 +16,7 @@
 #      family per protocol, including the rival cores (LevelArray, small
 #      splitter networks). This is the checker hot path; run it in
 #      release so it stays fast.
-#      Steps 4–6 run with TMPDIR set to a fresh directory, and fail if a
+#      Steps 4–7 run with TMPDIR set to a fresh directory, and fail if a
 #      spill run left an `llr-mc-spill-*` scratch directory in it.
 #      Step 4 also runs the member crates' own tests (`--workspace
 #      --exclude long-lived-renaming`: llr-mc, llr-core, llr-gf, llr-mem,
@@ -35,7 +35,12 @@
 #      suite (reduced vs full verdicts/terminals on every family, all
 #      backends) and the footprint audit (declared footprints must
 #      cover recorded accesses), also in release.
-#   7. real-atomics arena gate: the SimMemory-vs-AtomicMemory
+#   7. multi-million-state equivalence rows: the `--ignored` rows of the
+#      engine-equivalence and POR suites (`full_seed_table_engines_agree`
+#      and both `ma_faults_*` rows), in release, about 90 s. They are the
+#      strongest differential check of the 128-bit state hash every
+#      breadth-first store dedups by.
+#   8. real-atomics arena gate: the SimMemory-vs-AtomicMemory
 #      differential suite plus the multi-threaded stress tests in
 #      release — including `arena_smoke`, a few thousand
 #      uniqueness-checked acquire/release ops at 4 threads through the
@@ -47,14 +52,14 @@
 #      machine pinned cycle by cycle to the checker's `&dyn Memory`
 #      copy) and the zero-allocation steady state, in the optimized
 #      build the benchmark measures.
-#   8. crash/churn gate: the fault-injection sweeps (freeze and
+#   9. crash/churn gate: the fault-injection sweeps (freeze and
 #      crash–restart at every stall point, all ten protocol cores)
 #      and the arena churn battery (armed clients panicking mid-acquire
 #      under a 4-permit gate, 100 seeded rounds, zero leaked permits).
 #      Also release: the churn rounds are real oversubscribed threads,
 #      and the RAII permit-return path only earns trust under optimized
 #      unwinding.
-#   9. benchmark self-test: clippy with warnings denied on the benchmark
+#  10. benchmark self-test: clippy with warnings denied on the benchmark
 #      crate (perfbench/, a workspace of its own, so `--manifest-path`),
 #      so an llr-mc or llr-core API change that leaves the benchmark with
 #      a warning fails here; then its own tests. They smoke-run all
@@ -98,7 +103,10 @@ TMPDIR="$spill_tmp" cargo test -q --offline --release --test frontier_format --t
 echo "== POR soundness subset (differential + footprint audit, release) =="
 TMPDIR="$spill_tmp" cargo test -q --offline --release --test por_equivalence --test footprint_audit
 
-echo "== spill scratch cleanup (no llr-mc-spill-* left by steps 4-6) =="
+echo "== multi-million-state equivalence rows (--ignored, release) =="
+TMPDIR="$spill_tmp" cargo test -q --offline --release --test engine_equivalence --test por_equivalence -- --ignored
+
+echo "== spill scratch cleanup (no llr-mc-spill-* left by steps 4-7) =="
 leaked=$(find "$spill_tmp" -maxdepth 1 -name 'llr-mc-spill-*')
 if [ -n "$leaked" ]; then
     echo "spill runs left scratch directories behind:"

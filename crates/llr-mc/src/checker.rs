@@ -4,9 +4,9 @@
 //! engine (the one exact-dedup engine, the reference that the
 //! breadth-first loop in [`crate::engine`] is checked against), and the
 //! shared state-key machinery: a reusable [`KeyBuilder`] so the hot path
-//! performs no per-transition allocation, and the 128-bit hash
-//! ([`Hash128`]) the breadth-first loop dedups by. Both engines and
-//! replay take their moves from [`crate::relation`].
+//! performs no per-transition allocation, and the 128-bit digests
+//! ([`Hash128`]) the breadth-first loop hashes states from. Both engines
+//! and replay take their moves from [`crate::relation`].
 
 use crate::por::AmpleCtx;
 use crate::relation::{Plan, Relation, Replay};
@@ -66,11 +66,12 @@ pub struct CheckStats {
     /// Peak tracked bytes resident in the engine's own data structures:
     /// the visited set and spanning-tree parents, the layer records held
     /// in RAM (each
-    /// [`layer_record_bytes`](crate::frontier::layer_record_bytes) long),
-    /// the machine pool their intern ids point into, the pending set and
-    /// any edges recorded in RAM. Nothing is charged per state for the
-    /// machine structs themselves: the pool holds each distinct machine
-    /// once.
+    /// [`layer_record_bytes`](crate::frontier::layer_record_bytes) long,
+    /// with one word per 8-register block), the two pools their ids point
+    /// into, the pending set and any edges recorded in RAM. Nothing is
+    /// charged per state for the machine structs or the registers
+    /// themselves: the pools hold each distinct machine per slot and each
+    /// distinct register block per block position once, with its digest.
     ///
     /// Only the parallel breadth-first loop accounts for this
     /// ([`ModelChecker::check_parallel`], with or without spilling), and a
@@ -204,8 +205,8 @@ impl CheckError {
 ///
 /// The buffer is reused across calls: after warm-up, building a key
 /// allocates nothing. The DFS stores these keys; the breadth-first loop
-/// never builds one, and hashes the same words straight from the
-/// registers and its machine pool instead (`engine::state_hash`).
+/// never builds one, and hashes a state from its parts' digests instead
+/// ([`Hash128`]).
 #[derive(Default)]
 pub(crate) struct KeyBuilder {
     buf: Vec<u64>,
@@ -246,14 +247,26 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The 128-bit state hash, fed one key word at a time: two
-/// independently-seeded mix-chained 64-bit lanes over the words of the
-/// key [`KeyBuilder`] builds, with the key length folded in last. The
-/// breadth-first loop dedups by it on every store, feeding it the key's
-/// words straight from the registers and the machine pool. A collision
-/// would silently merge two states; with `n` states the probability is
-/// about `n²/2¹²⁹` (< 10⁻²⁴ for 10⁸ states). The DFS dedups by exact
-/// keys, and the equivalence suites compare the two.
+/// The 128-bit digest of one part of a state ([`digest`](Self::digest)):
+/// two independently-seeded mix-chained 64-bit lanes over a salt word —
+/// the part's kind and position — and the part's words, with the word
+/// count folded in last.
+///
+/// The breadth-first loop hashes a state, on every store, as the XOR of
+/// its parts' digests: one per 8-register block, one per machine slot's
+/// key, and one per done slot's flag; its pools intern blocks and
+/// machines by digest. Modelling each digest as an independent uniform
+/// 128-bit value per distinct input, two different states differ in at
+/// least one part, and as a state has exactly one block and one machine
+/// per position, the XOR of their hashes is the XOR of a non-empty set of
+/// distinct digests: uniform, so they collide with probability 2⁻¹²⁸.
+/// The salts are what keep the inputs distinct — without the position,
+/// two blocks' contents swapped would cancel. With `n` states the odds
+/// that any two merge are about `n²/2¹²⁹` (< 10⁻²⁴ for 10⁸ states). Two
+/// blocks or machines at one position with one digest would merge in
+/// their pool; the same bound covers it, as every pair of states that
+/// differ only there would collide too. The DFS dedups by exact keys, and
+/// the equivalence suites compare the two.
 pub(crate) struct Hash128 {
     h1: u64,
     h2: u64,
@@ -261,7 +274,7 @@ pub(crate) struct Hash128 {
 }
 
 impl Hash128 {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             h1: 0x243F_6A88_85A3_08D3, // first 64 fractional bits of π
             h2: 0x1319_8A2E_0370_7344, // next 64
@@ -270,24 +283,33 @@ impl Hash128 {
     }
 
     #[inline]
-    pub(crate) fn word(&mut self, w: u64) {
+    fn word(&mut self, w: u64) {
         self.h1 = mix64(self.h1 ^ w);
         self.h2 = mix64(self.h2 ^ w.rotate_left(32));
         self.len += 1;
     }
 
     #[inline]
-    pub(crate) fn words(&mut self, ws: &[u64]) {
+    fn words(&mut self, ws: &[u64]) {
         for &w in ws {
             self.word(w);
         }
     }
 
-    pub(crate) fn finish(self) -> u128 {
+    fn finish(self) -> u128 {
         // Fold the length in so prefix keys cannot collide trivially.
         let h1 = mix64(self.h1 ^ self.len);
         let h2 = mix64(self.h2 ^ self.len.rotate_left(32));
         ((h1 as u128) << 64) | h2 as u128
+    }
+
+    /// The digest of one part of a state: the words `words` of the part
+    /// kind `part` at `position`, salted by both.
+    pub(crate) fn digest(part: u64, position: usize, words: &[u64]) -> u128 {
+        let mut h = Self::new();
+        h.word(part << 32 | position as u64);
+        h.words(words);
+        h.finish()
     }
 }
 

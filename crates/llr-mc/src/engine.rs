@@ -15,28 +15,33 @@
 //!   a bounded window.
 //!
 //! Both layer stores keep a state as one packed record ([`RecordCodec`]):
-//! `[id | per slot: done, machine intern id | registers]`. The machine ids
-//! point into one per-slot [`MachinePool`] that the loop owns, which also
-//! keeps each interned machine's key words. A transition restores the
-//! parent's registers, borrows its machines from the pool, clones and
-//! steps only the machine that moves, and hashes the successor's key from
-//! the registers, the pool's key words and that one machine's
-//! [`key`](StepMachine::key) — the same words, and so the same hash, as
-//! the full key the DFS builds. A fresh successor costs one record write;
+//! `[id | per slot: done, machine id | per 8-register block: block id]`.
+//! The ids point into two pools the loop owns ([`Pool`]): machines per
+//! slot, and register [`Block`]s per block position. Each pool keeps its
+//! values' 128-bit digests, salted by position, and a state's hash is the
+//! XOR of one digest per block and one per slot (the slot's covers its
+//! done flag and machine key). A transition gathers the parent's registers
+//! from its blocks, borrows its machines from the pool, clones and steps
+//! only the machine that moves, and compares the successor's registers
+//! with the parent's block by block. Its hash is the parent's with the old
+//! and new digests of the moved slot and of each changed block XORed in,
+//! so it hashes only the moved machine's [`key`](StepMachine::key) and the
+//! changed blocks, not every register and key word (Zobrist-style
+//! incremental hashing). A fresh successor costs one record write;
 //! machines are cloned out of the pool in full only for the invariant,
 //! when a state is admitted.
 //!
 //! Within a chunk, `std::thread::scope` workers each expand a contiguous
 //! run of records ([`expand_layer`]):
 //!
-//! * the visited store and the machine pool are read lock-free by every
-//!   worker — both are frozen for the whole expansion. A machine the pool
+//! * the visited store and both pools are read lock-free by every worker
+//!   — all are frozen for the whole expansion. A machine or block a pool
 //!   lacks goes into the worker's side table under a provisional id, and
 //!   the loop interns the side tables, in worker order, before the store
-//!   keeps the chunk's fresh records. Intern ids therefore depend on the
+//!   keeps the chunk's fresh records. Pool ids therefore depend on the
 //!   worker count, but nothing observable depends on them: hashes come
-//!   from key words, and the pool's bytes only from which machines it
-//!   holds;
+//!   from digests, ids from the `(parent, via)` drain, and the pools'
+//!   bytes only from which values they hold;
 //! * states not found there go into **pending** — 64 mutex-guarded shards
 //!   keyed by the state hash. Each pending entry remembers which
 //!   worker wrote the successor's record and the schedule-least
@@ -59,13 +64,15 @@
 //! Exploration is instrumented with deterministic memory accounting: each
 //! store reports the payload bytes of its own structures — a layer store
 //! its records, `records × layer_record_bytes` — and the loop adds the
-//! machine pool, the pending entries (≈48 B each) and the recorded edges.
+//! two pools, the pending entries (≈48 B each) and the recorded edges.
 //! The per-layer peak — including the layer being drained when a run
 //! stops early — is
 //! [`CheckStats::peak_resident_bytes`](crate::CheckStats::peak_resident_bytes).
 
 use crate::checker::{CheckError, CheckStats, Hash128, ModelChecker, Violation, World};
-use crate::frontier::{EdgeLog, MachinePool, RecordCodec, ScratchDir, PROVISIONAL};
+use crate::frontier::{
+    Block, EdgeLog, Pool, RecordCodec, Renumber, ScratchDir, BLOCK, PROVISIONAL,
+};
 use crate::por::AmpleCtx;
 use crate::relation::{via_entry, Move, Plan, Relation};
 use crate::spill::{DiskLayers, SpillSet};
@@ -178,9 +185,9 @@ pub(crate) trait Layers {
         check: impl FnOnce(&[u8]) -> io::Result<Result<(), String>>,
     ) -> io::Result<Result<(), String>>;
     /// Makes the next layer current and returns its width. Its records'
-    /// machine ids go through `renumber` if the pool dropped machines
-    /// ([`MachinePool::retain`]).
-    fn advance(&mut self, renumber: Option<&[Vec<u32>]>) -> io::Result<u64>;
+    /// machine and block ids go through `renumber`'s maps, if a pool
+    /// dropped values ([`Pool::retain`]).
+    fn advance(&mut self, renumber: &Renumber) -> io::Result<u64>;
     /// Record bytes resident in the store.
     fn resident(&self) -> u64;
     /// Bytes the store wrote to disk.
@@ -281,12 +288,12 @@ impl Layers for RamLayers {
         check(rec)
     }
 
-    fn advance(&mut self, renumber: Option<&[Vec<u32>]>) -> io::Result<u64> {
+    fn advance(&mut self, renumber: &Renumber) -> io::Result<u64> {
         self.current = std::mem::take(&mut self.fresh);
         self.current.retain(|run| !run.is_empty());
-        if let Some(map) = renumber {
+        if !renumber.is_empty() {
             for run in &mut self.current {
-                self.codec.renumber(run, map);
+                self.codec.renumber(run, renumber);
             }
         }
         let bytes: usize = self.current.iter().map(Vec::len).sum();
@@ -311,29 +318,115 @@ pub(crate) fn schedule_to(parent: &[(u32, u8)], mut id: u32) -> Vec<usize> {
     schedule
 }
 
-/// The hash of the state with registers `regs`, done flags `done` and
-/// machines keyed `keys`, with slot `i`'s flag and key replaced when
-/// `replace = Some((i, done, key))`. It feeds [`Hash128`] the words of the
-/// key `KeyBuilder` builds: the registers, then per slot its done flag,
-/// its key and a `u64::MAX` separator.
-pub(crate) fn state_hash(
-    regs: &[Word],
-    done: &[bool],
-    keys: &[&[u64]],
-    replace: Option<(usize, bool, &[u64])>,
-) -> u128 {
-    let mut h = Hash128::new();
-    h.words(regs);
-    for (j, (&d, &k)) in done.iter().zip(keys).enumerate() {
-        let (d, k) = match replace {
-            Some((i, d, k)) if i == j => (d, k),
-            _ => (d, k),
-        };
-        h.word(u64::from(d));
-        h.words(k);
-        h.word(u64::MAX);
+/// The two pools the records' ids point into: machines per slot, and the
+/// register file's [`Block`]s per block position.
+struct Pools<M> {
+    machines: Pool<M>,
+    blocks: Pool<Block>,
+    /// The register file's width.
+    registers: usize,
+}
+
+/// One mark per interned value of each pool, set for the values the next
+/// layer's records name.
+struct Marks {
+    machines: Vec<Vec<bool>>,
+    blocks: Vec<Vec<bool>>,
+}
+
+impl<M> Pools<M> {
+    fn new(slots: usize, registers: usize) -> Self {
+        Self {
+            machines: Pool::new(slots),
+            blocks: Pool::new(registers.div_ceil(BLOCK)),
+            registers,
+        }
     }
-    h.finish()
+
+    /// Gathers the registers of the blocks `ids` into `out`, replacing its
+    /// contents.
+    fn gather(&self, ids: &[Word], out: &mut Vec<Word>) {
+        out.clear();
+        for (b, &id) in ids.iter().enumerate() {
+            let width = (self.registers - b * BLOCK).min(BLOCK);
+            out.extend_from_slice(&self.blocks.get(b, id as u32)[..width]);
+        }
+    }
+
+    fn marks(&self) -> Marks {
+        Marks {
+            machines: self.machines.marks(),
+            blocks: self.blocks.marks(),
+        }
+    }
+
+    /// Drops the values `live` leaves unmarked, pool by pool
+    /// ([`Pool::retain`]).
+    fn retain(&mut self, live: &Marks) -> Renumber {
+        Renumber {
+            machines: self.machines.retain(&live.machines),
+            blocks: self.blocks.retain(&live.blocks),
+        }
+    }
+
+    fn bytes(&self) -> u64 {
+        self.machines.bytes() + self.blocks.bytes()
+    }
+}
+
+/// Block `b` of the registers `regs`, padded with zeros.
+fn block_of(regs: &[Word], b: usize) -> Block {
+    let words = &regs[b * BLOCK..regs.len().min((b + 1) * BLOCK)];
+    let mut block = [0; BLOCK];
+    block[..words.len()].copy_from_slice(words);
+    block
+}
+
+/// Part kinds a digest is salted with, besides its position.
+const BLOCK_PART: u64 = 1;
+const KEY_PART: u64 = 2;
+const DONE_PART: u64 = 3;
+
+/// The digest of the registers `words` at block position `b`.
+pub(crate) fn block_digest(b: usize, words: &[Word]) -> u128 {
+    Hash128::digest(BLOCK_PART, b, words)
+}
+
+/// The digest of the machine key `key` in `slot`.
+pub(crate) fn key_digest(slot: usize, key: &[u64]) -> u128 {
+    Hash128::digest(KEY_PART, slot, key)
+}
+
+/// The digest of `slot`: its machine's key digest `key`, and its done
+/// flag.
+pub(crate) fn slot_digest(slot: usize, done: bool, key: u128) -> u128 {
+    if done {
+        key ^ Hash128::digest(DONE_PART, slot, &[])
+    } else {
+        key
+    }
+}
+
+/// The hash of a successor whose registers `new` differ from its parent's,
+/// `old`: `h`, with the parent's digest of each changed block,
+/// `digest(b)`, and the block's new digest XORed in. Each changed block
+/// goes into `changed` with its new digest.
+pub(crate) fn rehash(
+    mut h: u128,
+    old: &[Word],
+    new: &[Word],
+    digest: impl Fn(usize) -> u128,
+    changed: &mut Vec<(usize, u128)>,
+) -> u128 {
+    changed.clear();
+    for (b, (old, new)) in old.chunks(BLOCK).zip(new.chunks(BLOCK)).enumerate() {
+        if old != new {
+            let d = block_digest(b, new);
+            h ^= digest(b) ^ d;
+            changed.push((b, d));
+        }
+    }
+    h
 }
 
 /// A record decoded for expansion, its machines borrowed from the pool.
@@ -341,10 +434,16 @@ struct Parent<'p, M> {
     /// The record's id and slots, which its successors' records copy.
     head: Vec<u8>,
     id: u32,
+    /// The record's block ids.
+    blocks: Vec<Word>,
+    /// The registers, gathered from the blocks.
     snap: Vec<Word>,
     done: Vec<bool>,
     machines: Vec<&'p M>,
-    keys: Vec<&'p [u64]>,
+    /// Each slot's digest.
+    slots: Vec<u128>,
+    /// The state hash: every block's and every slot's digest, XORed.
+    hash: u128,
 }
 
 impl<'p, M: StepMachine> Parent<'p, M> {
@@ -352,27 +451,93 @@ impl<'p, M: StepMachine> Parent<'p, M> {
         Self {
             head: Vec::new(),
             id: 0,
+            blocks: Vec::new(),
             snap: Vec::new(),
             done: Vec::new(),
             machines: Vec::new(),
-            keys: Vec::new(),
+            slots: Vec::new(),
+            hash: 0,
         }
     }
 
-    fn load(&mut self, codec: RecordCodec, rec: &[u8], pool: &'p MachinePool<M>) {
+    /// Decodes `rec` and hashes it from the pools' digests.
+    fn load(&mut self, codec: RecordCodec, rec: &[u8], pools: &'p Pools<M>) {
         self.head.clear();
         self.head.extend_from_slice(codec.head(rec));
         self.id = codec.id(rec);
-        codec.registers(rec, &mut self.snap);
+        codec.read_words(rec, &mut self.blocks);
+        pools.gather(&self.blocks, &mut self.snap);
+        self.hash = 0;
+        for (b, &id) in self.blocks.iter().enumerate() {
+            self.hash ^= pools.blocks.digest(b, id as u32);
+        }
         self.done.clear();
         self.machines.clear();
-        self.keys.clear();
+        self.slots.clear();
         for slot in 0..codec.slots() {
-            let id = codec.machine(rec, slot);
-            self.done.push(codec.done(rec, slot));
-            self.machines.push(pool.machine(slot, id));
-            self.keys.push(pool.key(slot, id));
+            let (id, done) = (codec.machine(rec, slot), codec.done(rec, slot));
+            let digest = slot_digest(slot, done, pools.machines.digest(slot, id));
+            self.done.push(done);
+            self.machines.push(pools.machines.get(slot, id));
+            self.slots.push(digest);
+            self.hash ^= digest;
         }
+    }
+}
+
+/// A worker's values a frozen pool lacks, under provisional ids.
+struct Side<T> {
+    /// `(position, value, digest)`, indexed by the low bits of their
+    /// provisional ids.
+    items: Vec<(usize, T, u128)>,
+    /// Provisional ids by position and digest.
+    ids: Vec<HashMap<u128, u32>>,
+    /// `(record, position)` of every provisional id in the worker's fresh
+    /// records.
+    patches: Vec<(usize, usize)>,
+}
+
+impl<T> Side<T> {
+    fn new(positions: usize) -> Self {
+        Self {
+            items: Vec::new(),
+            ids: (0..positions).map(|_| HashMap::new()).collect(),
+            patches: Vec::new(),
+        }
+    }
+
+    /// The id record `record` stores at `pos` for the value digested
+    /// `digest`: the pool's, or a provisional one, under which `value()`
+    /// joins the side table if it is new there too.
+    fn id(
+        &mut self,
+        pool: &Pool<T>,
+        (record, pos): (usize, usize),
+        digest: u128,
+        value: impl FnOnce() -> T,
+    ) -> u32 {
+        if let Some(id) = pool.find(pos, digest) {
+            return id;
+        }
+        let items = &mut self.items;
+        let id = *self.ids[pos].entry(digest).or_insert_with(|| {
+            let side = u32::try_from(items.len())
+                .ok()
+                .filter(|&n| n < PROVISIONAL)
+                .expect("a worker's side table exceeds 2^31 values");
+            items.push((pos, value(), digest));
+            PROVISIONAL | side
+        });
+        self.patches.push((record, pos));
+        id
+    }
+
+    /// Interns the side table into `pool`, in order. Returns the ids the
+    /// provisional ones stand for, and where they are stored.
+    fn adopt(self, pool: &mut Pool<T>) -> (Vec<u32>, Vec<(usize, usize)>) {
+        let items = self.items.into_iter();
+        let ids = items.map(|(pos, v, d)| pool.intern(pos, d, v)).collect();
+        (ids, self.patches)
     }
 }
 
@@ -381,11 +546,9 @@ struct Found<M> {
     /// The records of the successors this worker reached first, indexed by
     /// [`Pend::idx`].
     fresh: Vec<u8>,
-    /// Machines the pool lacked, as `(slot, machine)`, indexed by the low
-    /// bits of their provisional ids.
-    side: Vec<(usize, M)>,
-    /// `(record, slot)` of every provisional id in `fresh`.
-    provisional: Vec<(usize, usize)>,
+    /// Machines and blocks the pools lacked.
+    machines: Side<M>,
+    blocks: Side<Block>,
     transitions: u64,
     /// Every transition taken, when edges are recorded.
     edges: Option<Vec<(u32, EdgeTo)>>,
@@ -397,33 +560,34 @@ struct Found<M> {
 }
 
 impl<M: StepMachine> Found<M> {
-    /// Interns the side table into `pool`, in order, and patches the
+    /// Interns the side tables into `pools`, in order, and patches the
     /// provisional ids in the fresh records. Returns the fresh records.
-    fn adopt(self, pool: &mut MachinePool<M>, codec: RecordCodec) -> Vec<u8> {
+    fn adopt(self, pools: &mut Pools<M>, codec: RecordCodec) -> Vec<u8> {
         let mut fresh = self.fresh;
-        let ids: Vec<u32> = self
-            .side
-            .into_iter()
-            .map(|(slot, m)| pool.intern(slot, m))
-            .collect();
         let rb = codec.bytes();
-        for (r, slot) in self.provisional {
+        let (ids, patches) = self.machines.adopt(&mut pools.machines);
+        for (r, slot) in patches {
             let rec = &mut fresh[r * rb..(r + 1) * rb];
             let id = ids[(codec.machine(rec, slot) & !PROVISIONAL) as usize];
             codec.set_machine(rec, slot, id);
+        }
+        let (ids, patches) = self.blocks.adopt(&mut pools.blocks);
+        for (r, b) in patches {
+            let rec = &mut fresh[r * rb..(r + 1) * rb];
+            let id = ids[(codec.word(rec, b) as u32 & !PROVISIONAL) as usize];
+            codec.set_word(rec, b, Word::from(id));
         }
         fresh
     }
 }
 
 /// One expansion worker: its private register file and key buffers, the
-/// shared pending shards, visited store and machine pool, and what it
-/// found.
+/// shared pending shards, visited store and pools, and what it found.
 struct Worker<'a, M, V: Visited> {
     rel: Relation,
     codec: RecordCodec,
     wmem: SimMemory,
-    pool: &'a MachinePool<M>,
+    pools: &'a Pools<M>,
     pending: &'a Pending,
     visited: &'a V,
     /// The id pending entries record for this worker.
@@ -432,8 +596,10 @@ struct Worker<'a, M, V: Visited> {
     regs: Vec<Word>,
     /// The key of the machine that moved.
     kbuf: Vec<u64>,
-    /// Provisional ids of the side table's machines, by slot and key.
-    side_ids: Vec<HashMap<Box<[u64]>, u32>>,
+    /// The blocks the move changed, with their digests.
+    changed: Vec<(usize, u128)>,
+    /// The successor's block ids.
+    blocks: Vec<Word>,
     found: Found<M>,
 }
 
@@ -441,7 +607,7 @@ impl<'a, M: StepMachine, V: Visited> Worker<'a, M, V> {
     fn new(
         rel: Relation,
         codec: RecordCodec,
-        pool: &'a MachinePool<M>,
+        pools: &'a Pools<M>,
         pending: &'a Pending,
         visited: &'a V,
         record_edges: bool,
@@ -450,18 +616,19 @@ impl<'a, M: StepMachine, V: Visited> Worker<'a, M, V> {
         Self {
             rel,
             codec,
-            wmem: SimMemory::with_values(&vec![0; codec.words()]),
-            pool,
+            wmem: SimMemory::with_values(&vec![0; pools.registers]),
+            pools,
             pending,
             visited,
             id,
             regs: Vec::new(),
             kbuf: Vec::new(),
-            side_ids: (0..codec.slots()).map(|_| HashMap::new()).collect(),
+            changed: Vec::new(),
+            blocks: Vec::new(),
             found: Found {
                 fresh: Vec::new(),
-                side: Vec::new(),
-                provisional: Vec::new(),
+                machines: Side::new(codec.slots()),
+                blocks: Side::new(codec.words()),
                 transitions: 0,
                 edges: record_edges.then(Vec::new),
                 reduced: Vec::new(),
@@ -484,7 +651,11 @@ impl<'a, M: StepMachine, V: Visited> Worker<'a, M, V> {
         self.wmem.snapshot_into(&mut self.regs);
         self.kbuf.clear();
         mi.key(&mut self.kbuf);
-        let h = state_hash(&self.regs, &p.done, &p.keys, Some((i, done_i, &self.kbuf)));
+        let key = key_digest(i, &self.kbuf);
+        let h = p.hash ^ p.slots[i] ^ slot_digest(i, done_i, key);
+        let blocks = &self.pools.blocks;
+        let old = |b| blocks.digest(b, p.blocks[b] as u32);
+        let h = rehash(h, &p.snap, &self.regs, old, &mut self.changed);
         let found = self.visited.find(h);
         let to = match found {
             Some(id) => EdgeTo::Known(id),
@@ -507,7 +678,7 @@ impl<'a, M: StepMachine, V: Visited> Worker<'a, M, V> {
                     shard.insert(h, pend);
                     // The slot is reserved: write the record outside the lock.
                     drop(shard);
-                    self.write_fresh(p, i, mi, done_i);
+                    self.write_fresh(p, (i, done_i, mi, key));
                     EdgeTo::Fresh(self.id, idx)
                 }
             }
@@ -519,30 +690,20 @@ impl<'a, M: StepMachine, V: Visited> Worker<'a, M, V> {
     }
 
     /// Appends the successor's record: the parent's, with slot `i` holding
-    /// `mi` and the registers the move left.
-    fn write_fresh(&mut self, p: &Parent<'a, M>, i: usize, mi: M, done_i: bool) {
-        let ids = &mut self.side_ids[i];
-        let machine = match self.pool.find(i, &self.kbuf) {
-            Some(id) => id,
-            None => match ids.get(self.kbuf.as_slice()) {
-                Some(&id) => id,
-                None => {
-                    let side = u32::try_from(self.found.side.len())
-                        .ok()
-                        .filter(|&n| n < PROVISIONAL)
-                        .expect("a worker's side table exceeds 2^31 machines");
-                    ids.insert(self.kbuf.as_slice().into(), PROVISIONAL | side);
-                    self.found.side.push((i, mi));
-                    PROVISIONAL | side
-                }
-            },
-        };
+    /// `mi` (its key digested `key`) and the blocks the move changed.
+    fn write_fresh(&mut self, p: &Parent<'a, M>, (i, done_i, mi, key): (usize, bool, M, u128)) {
         let r = self.found.fresh.len() / self.codec.bytes();
-        let fresh = &mut self.found.fresh;
-        (self.codec).push_successor(&p.head, (i, done_i, machine), &self.regs, fresh);
-        if machine & PROVISIONAL != 0 {
-            self.found.provisional.push((r, i));
+        let machine = (self.found.machines).id(&self.pools.machines, (r, i), key, || mi);
+        self.blocks.clear();
+        self.blocks.extend_from_slice(&p.blocks);
+        for &(b, digest) in &self.changed {
+            let regs = &self.regs;
+            let id =
+                (self.found.blocks).id(&self.pools.blocks, (r, b), digest, || block_of(regs, b));
+            self.blocks[b] = Word::from(id);
         }
+        let fresh = &mut self.found.fresh;
+        (self.codec).push_successor(&p.head, (i, done_i, machine), &self.blocks, fresh);
     }
 
     /// Takes every move `plan` allows from `p`.
@@ -582,7 +743,7 @@ fn expand_layer<M, V>(
     rel: Relation,
     codec: RecordCodec,
     chunk: &[Vec<u8>],
-    pool: &MachinePool<M>,
+    pools: &Pools<M>,
     pending: &Pending,
     visited: &V,
     workers: usize,
@@ -601,7 +762,7 @@ where
             .map(|w| {
                 scope.spawn(move || {
                     let wid = worker_base + w as u32;
-                    let mut s = Worker::new(rel, codec, pool, pending, visited, record_edges, wid);
+                    let mut s = Worker::new(rel, codec, pools, pending, visited, record_edges, wid);
                     // Every state is some state's fresh successor, so one
                     // per record is the average over a run.
                     s.found.fresh.reserve(share * rb);
@@ -610,7 +771,7 @@ where
                     let records = chunk.iter().flat_map(|run| run.chunks_exact(rb));
                     let part = records.enumerate().skip(w * share).take(share);
                     for (fi, rec) in part {
-                        p.load(codec, rec, pool);
+                        p.load(codec, rec, pools);
                         match rel.plan::<M, &M>(&mut ample, &p.snap, &p.machines, &p.done) {
                             Plan::Ample(a) => {
                                 let (seen, h) = s.step(&p, Move::Step(a));
@@ -645,14 +806,14 @@ fn entries(pending: &mut Pending) -> impl Iterator<Item = (&u128, &Pend)> {
 }
 
 /// Charges `stats` with the stores' resident bytes (keeping the larger of
-/// the peak so far and the present), the machine pool, the loop's own
+/// the peak so far and the present), the two pools, the loop's own
 /// `pending` entries (≈48 B each: a [`Pend`] slot and its hash key) and
 /// the edges recorded in RAM, and the stores' disk bytes.
-fn charge<M: StepMachine>(
+fn charge<M>(
     stats: &mut CheckStats,
     visited: &impl Visited,
     layers: &impl Layers,
-    pool: &MachinePool<M>,
+    pools: &Pools<M>,
     pending: u64,
     edges: &EdgeStore,
 ) {
@@ -661,7 +822,7 @@ fn charge<M: StepMachine>(
         EdgeStore::Disk(..) => 0,
     };
     let pending = pending * (PEND_OVERHEAD_BYTES + 16);
-    let resident = visited.resident() + layers.resident() + pool.bytes() + pending + edges;
+    let resident = visited.resident() + layers.resident() + pools.bytes() + pending + edges;
     stats.peak_resident_bytes = stats.peak_resident_bytes.max(resident);
     stats.spilled_bytes = visited.spilled() + layers.spilled();
 }
@@ -672,39 +833,39 @@ fn charge<M: StepMachine>(
 struct Shown<M> {
     mem: SimMemory,
     regs: Vec<Word>,
+    /// The state's block ids.
+    blocks: Vec<Word>,
     ids: Vec<u32>,
     machines: Vec<M>,
     done: Vec<bool>,
 }
 
 impl<M: StepMachine> Shown<M> {
-    /// Loads the state `rec`, marks its machines in `live`, and returns
-    /// whether it is terminal.
-    fn load(
-        &mut self,
-        codec: RecordCodec,
-        rec: &[u8],
-        pool: &MachinePool<M>,
-        live: &mut [Vec<bool>],
-    ) -> bool {
-        codec.registers(rec, &mut self.regs);
+    /// Loads the state `rec`, marks its machines and blocks in `live`, and
+    /// returns whether it is terminal.
+    fn load(&mut self, codec: RecordCodec, rec: &[u8], pools: &Pools<M>, live: &mut Marks) -> bool {
+        codec.read_words(rec, &mut self.blocks);
+        for (live, &id) in live.blocks.iter_mut().zip(&self.blocks) {
+            live[id as usize] = true;
+        }
+        pools.gather(&self.blocks, &mut self.regs);
         self.mem.restore(&self.regs);
-        for (slot, live) in live.iter_mut().enumerate() {
+        for (slot, live) in live.machines.iter_mut().enumerate() {
             self.done[slot] = codec.done(rec, slot);
             let id = codec.machine(rec, slot);
             live[id as usize] = true;
             if self.ids[slot] != id {
-                self.machines[slot].clone_from(pool.machine(slot, id));
+                self.machines[slot].clone_from(pools.machines.get(slot, id));
                 self.ids[slot] = id;
             }
         }
         self.done.iter().all(|&d| d)
     }
 
-    /// Follows the pool's renumbering; a dropped machine is cloned again
-    /// if it comes back.
-    fn renumber(&mut self, renumber: &[Vec<u32>]) {
-        for (id, map) in self.ids.iter_mut().zip(renumber) {
+    /// Follows the machine pool's renumbering; a dropped machine is cloned
+    /// again if it comes back.
+    fn renumber(&mut self, renumber: &Renumber) {
+        for (id, map) in self.ids.iter_mut().zip(renumber.machines.iter().flatten()) {
             *id = map[*id as usize];
         }
     }
@@ -753,33 +914,43 @@ where
     let mut shown = Shown {
         mem: SimMemory::new(mc.layout()),
         regs: Vec::new(),
+        blocks: Vec::new(),
         ids: Vec::new(),
         machines: mc.machines().to_vec(),
         done: vec![false; slots],
     };
     let snap = shown.mem.snapshot();
-    let codec = RecordCodec::new(snap.len(), slots);
-    let mut pool = MachinePool::new(slots);
-    shown.ids = (mc.machines().iter().cloned().enumerate())
-        .map(|(slot, m)| pool.intern(slot, m))
+    let mut pools = Pools::new(slots, snap.len());
+    let codec = RecordCodec::new(snap.len().div_ceil(BLOCK), slots);
+    let mut key = Vec::new();
+    for (slot, m) in mc.machines().iter().enumerate() {
+        key.clear();
+        m.key(&mut key);
+        let id = pools
+            .machines
+            .intern(slot, key_digest(slot, &key), m.clone());
+        shown.ids.push(id);
+    }
+    let blocks: Vec<Word> = (snap.chunks(BLOCK).enumerate())
+        .map(|(b, words)| {
+            Word::from(
+                pools
+                    .blocks
+                    .intern(b, block_digest(b, words), block_of(&snap, b)),
+            )
+        })
         .collect();
     let mut root = Vec::with_capacity(codec.bytes());
-    codec.encode(0, &shown.done, &shown.ids, &snap, &mut root);
-    let terminal = shown.load(codec, &root, &pool, &mut pool.marks());
+    codec.encode(0, &shown.done, &shown.ids, &blocks, &mut root);
+    let terminal = shown.load(codec, &root, &pools, &mut pools.marks());
     let mut stats = CheckStats {
         states: 1,
         terminal_states: u64::from(terminal),
         ..CheckStats::default()
     };
-    let keys: Vec<&[u64]> = (shown.ids.iter().enumerate())
-        .map(|(slot, &id)| pool.key(slot, id))
-        .collect();
-    visited.insert(
-        0,
-        state_hash(&snap, &shown.done, &keys, None),
-        (u32::MAX, 0),
-        terminal,
-    )?;
+    let mut parent = Parent::new();
+    parent.load(codec, &root, &pools);
+    visited.insert(0, parent.hash, (u32::MAX, 0), terminal)?;
     if let Err(message) = invariant(&shown.world()) {
         return Err(CheckError::Violation(Box::new(Violation {
             message,
@@ -812,7 +983,7 @@ where
                 rel,
                 codec,
                 chunk,
-                &pool,
+                &pools,
                 &pending,
                 &visited,
                 workers,
@@ -827,7 +998,7 @@ where
                 if record_edges {
                     assigned.push(vec![u32::MAX; w.fresh.len() / codec.bytes()]);
                 }
-                w.adopt(&mut pool, codec)
+                w.adopt(&mut pools, codec)
             });
             fresh.collect()
         })?;
@@ -854,24 +1025,24 @@ where
             let mut patch_base = u32::MAX;
             layers.expand(Some(&ords), |chunk, first, base| {
                 patch_base = patch_base.min(base);
-                let mut w = Worker::new(rel, codec, &pool, &pending, &visited, false, base);
+                let mut w = Worker::new(rel, codec, &pools, &pending, &visited, false, base);
                 let mut p = Parent::new();
                 let records = chunk.iter().flat_map(|run| run.chunks_exact(codec.bytes()));
                 for (rec, &a) in records.zip(&amples[first..]) {
-                    p.load(codec, rec, &pool);
+                    p.load(codec, rec, &pools);
                     w.expand(&p, Plan::AllBut(Some(usize::from(a))));
                 }
                 let found = w.found;
                 stats.transitions += found.transitions;
-                vec![found.adopt(&mut pool, codec)]
+                vec![found.adopt(&mut pools, codec)]
             })?;
             let extras = entries(&mut pending).filter(|(_, p)| p.worker >= patch_base);
             old.extend(visited.join(extras.map(|(&h, _)| h))?);
         }
 
-        // The machines the next layer's records name; the pool drops the
-        // rest once they outnumber these.
-        let mut live = pool.marks();
+        // The machines and blocks the next layer's records name; a pool
+        // drops the rest once they outnumber these.
+        let mut live = pools.marks();
         // Drain pending in deterministic order. (parent, via) is unique per
         // entry — `step` is deterministic, so one parent/machine pair can
         // produce only one successor — hence this order is total and
@@ -889,14 +1060,14 @@ where
             let id = u32::try_from(stats.states).expect("state ids exceed u32");
             stats.states += 1;
             if stats.states as usize > mc.state_limit() {
-                charge(&mut stats, &visited, &layers, &pool, candidates, &edges);
+                charge(&mut stats, &visited, &layers, &pools, candidates, &edges);
                 return Err(CheckError::StateLimit {
                     limit: mc.state_limit(),
                     stats,
                 });
             }
             let verdict = layers.admit(p.worker, p.idx, id, |rec| {
-                let terminal = shown.load(codec, rec, &pool, &mut live);
+                let terminal = shown.load(codec, rec, &pools, &mut live);
                 stats.terminal_states += u64::from(terminal);
                 visited.insert(id, h, (p.parent, p.via), terminal)?;
                 if record_edges {
@@ -907,7 +1078,7 @@ where
             if let Err(message) = verdict {
                 let schedule = visited.schedule_to(id)?;
                 let trace = mc.render_trace(&schedule);
-                charge(&mut stats, &visited, &layers, &pool, candidates, &edges);
+                charge(&mut stats, &visited, &layers, &pools, candidates, &edges);
                 return Err(CheckError::Violation(Box::new(Violation {
                     message,
                     schedule,
@@ -927,12 +1098,10 @@ where
                 EdgeStore::Disk(_, log) => log.push(from, to)?,
             }
         }
-        charge(&mut stats, &visited, &layers, &pool, candidates, &edges);
-        let renumber = pool.retain(&live);
-        if let Some(map) = &renumber {
-            shown.renumber(map);
-        }
-        if layers.advance(renumber.as_deref())? == 0 {
+        charge(&mut stats, &visited, &layers, &pools, candidates, &edges);
+        let renumber = pools.retain(&live);
+        shown.renumber(&renumber);
+        if layers.advance(&renumber)? == 0 {
             break;
         }
         stats.max_depth += 1;

@@ -7,19 +7,25 @@
 //! * **Layer files** ([`LayerWriter`] / [`LayerReader`]): an append-only
 //!   per-layer format holding one fixed-size record per frontier state —
 //!   the packed record (`RecordCodec`, crate-internal) the in-RAM layer
-//!   store keeps too, behind a header.
+//!   store keeps too, behind a header. The format carries a number of
+//!   words per record; the breadth-first loop's files hold one register
+//!   block id per word.
 //!   Layers are produced sequentially (states are assigned ids in
 //!   `(parent, via)` order and written in that order), so writes are
 //!   streaming; reads are a bounded-buffer sequential scan
 //!   ([`LayerReader::read_range`]) feeding the expansion workers, plus
 //!   point reads ([`LayerReader::read_at`]) for the partial-order
-//!   reduction patch-up.
-//! * **Machine pool** (`MachinePool`, crate-internal): records in RAM and
-//!   on disk store a per-slot intern id instead of the machine struct, so
-//!   a machine configuration recurring across millions of states is held
-//!   once per *slot-local* distinct value, with its key words. Interning
-//!   is per machine slot because [`StepMachine::key`] is injective only
-//!   within one slot's lineage (two different pids can share a key).
+//!   reduction patch-up and the admission of candidates; a point read a
+//!   short way ahead keeps the read buffer.
+//! * **Pools** (`Pool`, crate-internal): records in RAM and on disk store
+//!   a per-slot machine id instead of the machine struct, and one block
+//!   id per 8-register block instead of the registers, so a machine or a
+//!   block recurring across millions of states is held once per position,
+//!   with its 128-bit digest. Machines are interned per slot because
+//!   [`StepMachine::key`](crate::StepMachine::key) is injective only
+//!   within one slot's lineage (two different pids can share a key);
+//!   blocks per block position, so equal contents at two positions stay
+//!   apart.
 //! * **Parent log** (`ParentLog`, crate-internal): the spanning-tree
 //!   `(parent, via)` pairs as packed 5-byte records, appended in id
 //!   order; violation schedules are reconstructed by walking the file
@@ -38,14 +44,12 @@
 //! not match `header + count × record_size`) is an explicit
 //! [`io::Error`], never a silently short read.
 
-use crate::StepMachine;
 use llr_mem::Word;
 use std::collections::HashMap;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Magic number opening every layer file (`b"LLRFLR1\0"`).
 const LAYER_MAGIC: [u8; 8] = *b"LLRFLR1\0";
@@ -101,8 +105,9 @@ impl Drop for ScratchDir {
 }
 
 /// Number of bytes one layer record occupies on disk: the state id, one
-/// done flag and one machine intern id per machine slot, and the full
-/// register-file snapshot.
+/// done flag and one machine intern id per machine slot, and `words`
+/// 8-byte words — the register-file snapshot, or, in the breadth-first
+/// loop's records, one block id per 8-register block.
 pub fn layer_record_bytes(words: usize, machines: usize) -> u64 {
     4 + machines as u64 * 5 + words as u64 * 8
 }
@@ -115,15 +120,18 @@ pub struct LayerRecord {
     pub id: u32,
     /// Per-slot done flags.
     pub done: Vec<bool>,
-    /// Per-slot machine intern ids (see `MachinePool`).
+    /// Per-slot machine intern ids (see `Pool`).
     pub machine_ids: Vec<u32>,
-    /// The register-file snapshot.
+    /// The record's words: the register-file snapshot as the caller
+    /// pushed it. The breadth-first loop's own layer files hold one block
+    /// id per 8-register block here, into its block pool, not registers.
     pub snap: Vec<Word>,
 }
 
 /// The packed state record every store of the breadth-first loop keeps:
-/// `[id | per slot: done, machine intern id | registers]`, little-endian,
-/// [`layer_record_bytes`] long. The in-RAM layer store keeps records back
+/// `[id | per slot: done, machine intern id | words]`, little-endian,
+/// [`layer_record_bytes`] long. The loop's words are block ids, one per
+/// 8-register block ([`BLOCK`]). The in-RAM layer store keeps records back
 /// to back in flat buffers; the layer files hold the same bytes behind a
 /// header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -142,7 +150,7 @@ impl RecordCodec {
         layer_record_bytes(self.words, self.slots) as usize
     }
 
-    /// Registers per record.
+    /// Words per record.
     pub(crate) fn words(self) -> usize {
         self.words
     }
@@ -157,14 +165,14 @@ impl RecordCodec {
         4 + slot * 5
     }
 
-    /// Byte offset of the registers.
-    fn registers_at(self) -> usize {
+    /// Byte offset of the words.
+    fn words_at(self) -> usize {
         Self::slot_at(self.slots)
     }
 
-    /// The record's id and slots: everything before its registers.
+    /// The record's id and slots: everything before its words.
     pub(crate) fn head(self, rec: &[u8]) -> &[u8] {
-        &rec[..self.registers_at()]
+        &rec[..self.words_at()]
     }
 
     /// Appends one record to `out`.
@@ -195,7 +203,7 @@ impl RecordCodec {
 
     fn decode(self, rec: &[u8]) -> LayerRecord {
         let mut snap = Vec::with_capacity(self.words);
-        self.registers(rec, &mut snap);
+        self.read_words(rec, &mut snap);
         LayerRecord {
             id: self.id(rec),
             done: (0..self.slots).map(|s| self.done(rec, s)).collect(),
@@ -230,17 +238,17 @@ impl RecordCodec {
 
     /// Appends the record of a successor with no id yet: the slots of
     /// `head` (a record's [`head`](Self::head)), but for `slot` set to
-    /// `(done, machine)`, and the registers `snap`.
+    /// `(done, machine)`, and the words `words`.
     pub(crate) fn push_successor(
         self,
         head: &[u8],
         (slot, done, machine): (usize, bool, u32),
-        snap: &[Word],
+        words: &[Word],
         out: &mut Vec<u8>,
     ) {
         let at = out.len();
         out.extend_from_slice(head);
-        for &word in snap {
+        for &word in words {
             out.extend_from_slice(&word.to_le_bytes());
         }
         let rec = &mut out[at..];
@@ -249,20 +257,35 @@ impl RecordCodec {
         self.set_machine(rec, slot, machine);
     }
 
-    /// Decodes the registers into `out`, replacing its contents.
-    pub(crate) fn registers(self, rec: &[u8], out: &mut Vec<Word>) {
+    /// Decodes the words into `out`, replacing its contents.
+    pub(crate) fn read_words(self, rec: &[u8], out: &mut Vec<Word>) {
         out.clear();
-        let words = rec[self.registers_at()..].chunks_exact(8);
+        let words = rec[self.words_at()..].chunks_exact(8);
         out.extend(words.map(|w| u64::from_le_bytes(w.try_into().unwrap())));
     }
 
-    /// Rewrites the machine ids of every record in `records` through
-    /// `renumber[slot]`, a [`MachinePool::retain`] map.
-    pub(crate) fn renumber(self, records: &mut [u8], renumber: &[Vec<u32>]) {
+    /// Word `at` of the record.
+    pub(crate) fn word(self, rec: &[u8], at: usize) -> Word {
+        let at = self.words_at() + at * 8;
+        u64::from_le_bytes(rec[at..at + 8].try_into().unwrap())
+    }
+
+    pub(crate) fn set_word(self, rec: &mut [u8], at: usize, word: Word) {
+        let at = self.words_at() + at * 8;
+        rec[at..at + 8].copy_from_slice(&word.to_le_bytes());
+    }
+
+    /// Rewrites the machine ids and the block ids (the words) of every
+    /// record in `records` through `renumber`'s maps.
+    pub(crate) fn renumber(self, records: &mut [u8], renumber: &Renumber) {
         for rec in records.chunks_exact_mut(self.bytes()) {
-            for (slot, map) in renumber.iter().enumerate() {
+            for (slot, map) in renumber.machines.iter().flatten().enumerate() {
                 let id = map[self.machine(rec, slot) as usize];
                 self.set_machine(rec, slot, id);
+            }
+            for (at, map) in renumber.blocks.iter().flatten().enumerate() {
+                let id = map[self.word(rec, at) as usize];
+                self.set_word(rec, at, Word::from(id));
             }
         }
     }
@@ -309,8 +332,10 @@ pub struct LayerWriter {
 
 impl LayerWriter {
     /// Creates the file and writes a header with the sentinel count.
-    /// `words` is the register-file width, `machines` the machine slot
-    /// count; every pushed record must match.
+    /// `words` is the words per record — the register-file width, or, in
+    /// the breadth-first loop's files, its block count, one block id per
+    /// word — and `machines` the machine slot count; every pushed record
+    /// must match.
     pub fn create(path: &Path, words: usize, machines: usize) -> io::Result<Self> {
         let file = File::create(path)?;
         let mut w = BufWriter::with_capacity(LAYER_BUF, file);
@@ -458,10 +483,13 @@ impl LayerReader {
         self.codec.slots()
     }
 
+    /// Moves the cursor to record `ordinal`, relative to `pos`, so that a
+    /// target inside the read buffer keeps the buffer.
     fn seek_to(&mut self, ordinal: u64) -> io::Result<()> {
         if self.pos != ordinal {
-            let at = HEADER_BYTES + ordinal * self.codec.bytes() as u64;
-            self.file.seek(SeekFrom::Start(at))?;
+            let record = self.codec.bytes() as i64;
+            let records = ordinal as i64 - self.pos as i64;
+            self.file.seek_relative(records * record)?;
             self.pos = ordinal;
         }
         Ok(())
@@ -516,95 +544,119 @@ impl LayerReader {
     }
 }
 
-/// Approximate per-interned-machine bookkeeping overhead (key header, map
-/// slot, id) on top of the machine struct and its key words.
-const POOL_OVERHEAD_BYTES: u64 = 48;
+/// Approximate per-value bookkeeping overhead of a [`Pool`] entry on top of
+/// the value itself: its stored digest (16 B) and its index slot, the
+/// digest again and the id (24 B).
+const POOL_OVERHEAD_BYTES: u64 = 40;
 
-/// The id bit that marks a machine not interned yet. Pool ids stay below
-/// it; the breadth-first loop hands out ids with it set while the pool is
-/// frozen, and replaces them once the machines are interned.
+/// The id bit that marks a value not interned yet. Pool ids stay below
+/// it; the breadth-first loop hands out ids with it set while the pools
+/// are frozen, and replaces them once the values are interned.
 pub(crate) const PROVISIONAL: u32 = 1 << 31;
 
-/// Per-slot machine interning: state records store a `u32` per slot
-/// instead of the machine struct, and the pool keeps each interned
-/// machine's key words so a state's key can be assembled without calling
-/// [`StepMachine::key`] again. Interning is per slot because
-/// [`StepMachine::key`] is only injective within one slot's lineage.
+/// Registers per block of the register file. The breadth-first loop's
+/// records hold one block id per block ([`Block`]).
+pub(crate) const BLOCK: usize = 8;
+
+/// One block of the register file, as the block pool keeps it; the file's
+/// last block is padded with zeros.
+pub(crate) type Block = [Word; BLOCK];
+
+/// Per-position interning by digest: state records store a `u32` id per
+/// position instead of the value. The breadth-first loop keeps two pools,
+/// machines per slot and register blocks per block position. Interning is
+/// per position because [`StepMachine::key`](crate::StepMachine::key) is
+/// only injective within one slot's lineage, and so that equal contents at
+/// two positions stay apart.
 ///
-/// Ids are dense per slot and stay below [`PROVISIONAL`]. The loop
-/// drops the machines no stored record names any more
-/// ([`retain`](Self::retain)), so the pool follows the machines of the
-/// layers in flight, not every machine ever reached.
-pub(crate) struct MachinePool<M> {
-    slots: Vec<SlotPool<M>>,
+/// A value is identified by its 128-bit digest, which the pool keeps with
+/// it: the loop hashes states from these digests
+/// ([`Hash128`](crate::checker::Hash128) gives the collision argument).
+/// Ids are dense per position and stay below [`PROVISIONAL`]. The loop
+/// drops the values no stored record names any more
+/// ([`retain`](Self::retain)), so a pool follows the layers in flight, not
+/// every value ever reached.
+pub(crate) struct Pool<T> {
+    positions: Vec<Interned<T>>,
     bytes: u64,
-    /// Key scratch buffer.
-    keybuf: Vec<u64>,
 }
 
-struct SlotPool<M> {
-    index: HashMap<Arc<[u64]>, u32>,
-    /// Every interned machine with its key, by id.
-    items: Vec<(M, Arc<[u64]>)>,
+struct Interned<T> {
+    index: HashMap<u128, u32>,
+    /// Every interned value with its digest, by id.
+    items: Vec<(T, u128)>,
 }
 
-impl<M: StepMachine> MachinePool<M> {
-    pub(crate) fn new(slots: usize) -> Self {
+/// The id maps of the pools that dropped values ([`Pool::retain`]): per
+/// position, old id to new id (`u32::MAX` for a dropped value). Every id
+/// stored outside a pool goes through its pool's map.
+#[derive(Clone)]
+pub(crate) struct Renumber {
+    pub(crate) machines: Option<Vec<Vec<u32>>>,
+    pub(crate) blocks: Option<Vec<Vec<u32>>>,
+}
+
+impl Renumber {
+    /// Whether no pool dropped anything.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.machines.is_none() && self.blocks.is_none()
+    }
+}
+
+impl<T> Pool<T> {
+    pub(crate) fn new(positions: usize) -> Self {
         Self {
-            slots: (0..slots)
-                .map(|_| SlotPool {
+            positions: (0..positions)
+                .map(|_| Interned {
                     index: HashMap::new(),
                     items: Vec::new(),
                 })
                 .collect(),
             bytes: 0,
-            keybuf: Vec::new(),
         }
     }
 
-    /// The id of the machine keyed `key` in `slot`, if it is interned.
-    pub(crate) fn find(&self, slot: usize, key: &[u64]) -> Option<u32> {
-        self.slots[slot].index.get(key).copied()
+    /// The id of the value digested `digest` at `pos`, if it is interned.
+    pub(crate) fn find(&self, pos: usize, digest: u128) -> Option<u32> {
+        self.positions[pos].index.get(&digest).copied()
     }
 
-    /// Interns `m` into `slot`, returning its stable id.
-    pub(crate) fn intern(&mut self, slot: usize, m: M) -> u32 {
-        self.keybuf.clear();
-        m.key(&mut self.keybuf);
-        let pool = &mut self.slots[slot];
-        if let Some(&id) = pool.index.get(self.keybuf.as_slice()) {
+    /// Interns `value`, digested `digest`, at `pos`, returning its stable
+    /// id.
+    pub(crate) fn intern(&mut self, pos: usize, digest: u128, value: T) -> u32 {
+        let at = &mut self.positions[pos];
+        if let Some(&id) = at.index.get(&digest) {
             return id;
         }
-        let id = u32::try_from(pool.items.len())
+        let id = u32::try_from(at.items.len())
             .ok()
             .filter(|&id| id < PROVISIONAL)
-            .expect("machine pool exceeds 2^31 ids in one slot");
-        self.bytes += Self::entry_bytes(self.keybuf.len());
-        let key: Arc<[u64]> = self.keybuf.as_slice().into();
-        pool.index.insert(Arc::clone(&key), id);
-        pool.items.push((m, key));
+            .expect("a pool exceeds 2^31 ids at one position");
+        self.bytes += Self::entry_bytes();
+        at.index.insert(digest, id);
+        at.items.push((value, digest));
         id
     }
 
-    /// Tracked bytes of one interned machine with a key of `words` words.
-    fn entry_bytes(words: usize) -> u64 {
-        (words * 8) as u64 + std::mem::size_of::<M>() as u64 + POOL_OVERHEAD_BYTES
+    /// Tracked bytes of one interned value.
+    fn entry_bytes() -> u64 {
+        std::mem::size_of::<T>() as u64 + POOL_OVERHEAD_BYTES
     }
 
-    /// One unset mark per interned machine, per slot, for
+    /// One unset mark per interned value, per position, for
     /// [`retain`](Self::retain).
     pub(crate) fn marks(&self) -> Vec<Vec<bool>> {
-        self.slots
+        self.positions
             .iter()
             .map(|p| vec![false; p.items.len()])
             .collect()
     }
 
-    /// Drops the machines `live` leaves unmarked once they outnumber the
+    /// Drops the values `live` leaves unmarked once they outnumber the
     /// marked ones, and numbers the rest densely in their old order.
-    /// Returns the map from old ids to new ones per slot (`u32::MAX` for a
-    /// dropped machine), or `None` if nothing was dropped. Every id stored
-    /// outside the pool must go through the map.
+    /// Returns the map from old ids to new ones per position (`u32::MAX`
+    /// for a dropped value), or `None` if nothing was dropped. Every id
+    /// stored outside the pool must go through the map.
     pub(crate) fn retain(&mut self, live: &[Vec<bool>]) -> Option<Vec<Vec<u32>>> {
         let marked = live.iter().flatten().filter(|&&l| l).count();
         let total: usize = live.iter().map(Vec::len).sum();
@@ -612,24 +664,20 @@ impl<M: StepMachine> MachinePool<M> {
             return None;
         }
         let mut renumber = Vec::with_capacity(live.len());
-        for (pool, live) in self.slots.iter_mut().zip(live) {
-            assert_eq!(
-                live.len(),
-                pool.items.len(),
-                "one mark per interned machine"
-            );
+        for (at, live) in self.positions.iter_mut().zip(live) {
+            assert_eq!(live.len(), at.items.len(), "one mark per interned value");
             let mut map = vec![u32::MAX; live.len()];
-            let items = std::mem::take(&mut pool.items);
-            for ((m, key), (&keep, new)) in items.into_iter().zip(live.iter().zip(&mut map)) {
+            let items = std::mem::take(&mut at.items);
+            for (item, (&keep, new)) in items.into_iter().zip(live.iter().zip(&mut map)) {
                 if keep {
-                    *new = pool.items.len() as u32;
-                    pool.items.push((m, key));
+                    *new = at.items.len() as u32;
+                    at.items.push(item);
                 } else {
-                    self.bytes -= Self::entry_bytes(key.len());
+                    self.bytes -= Self::entry_bytes();
                 }
             }
-            pool.index.retain(|_, id| live[*id as usize]);
-            for id in pool.index.values_mut() {
+            at.index.retain(|_, id| live[*id as usize]);
+            for id in at.index.values_mut() {
                 *id = map[*id as usize];
             }
             renumber.push(map);
@@ -637,17 +685,17 @@ impl<M: StepMachine> MachinePool<M> {
         Some(renumber)
     }
 
-    /// The machine interned under `id` in `slot`.
-    pub(crate) fn machine(&self, slot: usize, id: u32) -> &M {
-        &self.slots[slot].items[id as usize].0
+    /// The value interned under `id` at `pos`.
+    pub(crate) fn get(&self, pos: usize, id: u32) -> &T {
+        &self.positions[pos].items[id as usize].0
     }
 
-    /// The key words of the machine interned under `id` in `slot`.
-    pub(crate) fn key(&self, slot: usize, id: u32) -> &[u64] {
-        &self.slots[slot].items[id as usize].1
+    /// The digest of the value interned under `id` at `pos`.
+    pub(crate) fn digest(&self, pos: usize, id: u32) -> u128 {
+        self.positions[pos].items[id as usize].1
     }
 
-    /// Tracked payload bytes (structs + keys + map overhead), for the
+    /// Tracked payload bytes (values, digests and index overhead), for the
     /// deterministic resident accounting.
     pub(crate) fn bytes(&self) -> u64 {
         self.bytes

@@ -98,13 +98,17 @@
 //!
 //! | store | in RAM | with `spill_dir` |
 //! |---|---|---|
-//! | visited | sharded map of state hashes | bounded in-RAM delta + sorted runs on disk |
+//! | visited | sharded map of 128-bit state hashes | bounded in-RAM delta + sorted runs on disk |
 //! | layers | packed records in flat buffers, one chunk per layer | the same records in per-layer files on disk ([`frontier`]), read in bounded chunks |
+//! | pools | machines per slot and 8-register blocks per block position, with their digests | the same, in RAM |
 //!
-//! Both layer stores keep a state as one packed record — registers, done
-//! flags and a per-slot machine intern id — over one machine pool the loop
-//! owns, so a state costs
-//! [`layer_record_bytes`](frontier::layer_record_bytes) in RAM as on disk.
+//! Both layer stores keep a state as one packed record — done flags, a
+//! per-slot machine id and one block id per 8-register block — over the
+//! two pools the loop owns, so a state costs
+//! [`layer_record_bytes`](frontier::layer_record_bytes)`(⌈registers / 8⌉,
+//! machines)` in RAM as on disk. A state's hash is the XOR of its blocks'
+//! and slots' digests, so a transition re-hashes only what its move
+//! changed.
 
 #![warn(missing_docs)]
 

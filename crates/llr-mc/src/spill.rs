@@ -28,19 +28,20 @@
 //!   dropped before ids are assigned.
 //! * The **frontier lives in per-layer files** ([`crate::frontier`]):
 //!   each layer is an append-only file of the loop's packed records
-//!   (state id, per-slot done flags and machine intern ids, register-file
-//!   snapshot) — the bytes the in-RAM layer store keeps — written in id
-//!   order, which *is* `(parent, via)` order, so writes are streaming.
+//!   (state id, per-slot done flags and machine ids, one block id per
+//!   8-register block) — the bytes the in-RAM layer store keeps — written
+//!   in id order, which *is* `(parent, via)` order, so writes are
+//!   streaming.
 //!   Expansion reads the layer back as a bounded-buffer sequential scan:
 //!   one chunk at a time, small enough that its records and every
 //!   successor record it can produce fit a quarter of the budget,
 //!   expanded by the loop's workers against the **layer-persistent**
 //!   pending set (chunk workers get globally unique ids). Successor
 //!   records are streamed to a per-layer *candidate* file as they are and
-//!   re-read by ordinal at the join. Machine structs are interned per
-//!   slot in the loop's machine pool, which both layer stores share, so
-//!   records store a `u32` per machine and nothing is converted on the
-//!   way to or from disk.
+//!   re-read by ordinal at the join. Machine structs and register blocks
+//!   are interned per position in the loop's two pools, which both layer
+//!   stores share, so records store a `u32` per machine and a word per
+//!   block, and nothing is converted on the way to or from disk.
 //! * The spanning-tree parents go to an append-only **parent log** (5
 //!   bytes per state); violation schedules are reconstructed by walking
 //!   the log backwards with point reads.
@@ -62,15 +63,15 @@
 //! the fault model is on — and they are counted against it too), and the
 //! last quarter bounds the liveness CSR build window. What stays in RAM
 //! is *accounted but not bounded*: the per-layer pending set (≈48 bytes
-//! per candidate) and the per-slot machine pool (grows with the
-//! slot-local machine diversity of the layers in flight, not with
+//! per candidate) and the two pools (grow with the per-position machine
+//! and register-block diversity of the layers in flight, not with
 //! states).
 //! [`CheckStats::peak_resident_bytes`](crate::CheckStats::peak_resident_bytes)
 //! reports the deterministic per-layer peak over all of it.
 //!
 //! ```text
 //!        layer file N ──sequential chunk reads──► expansion workers
-//!      (id|done|mach|snap          │                (parallel, no I/O)
+//!      (id|done|mach|blocks        │                (parallel, no I/O)
 //!       fixed-size records)        │ ≤ budget/4 of records     │
 //!            ▲                     │ per chunk                 ▼
 //!            │                                         pending (64 shards,
@@ -90,7 +91,7 @@
 //! ```
 
 use crate::engine::{shard_of, Layers, Visited, SHARDS};
-use crate::frontier::{LayerReader, LayerWriter, ParentLog, RecordCodec};
+use crate::frontier::{LayerReader, LayerWriter, ParentLog, RecordCodec, Renumber};
 use std::collections::HashSet;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -362,7 +363,7 @@ pub(crate) fn chunk_states(window: usize, record: usize, max_moves: usize) -> us
 
 /// The on-disk layer store: the current and the next layer as layer
 /// files, and each layer's fresh successors as a candidate file, all of
-/// them records whose machine ids point into the loop's machine pool.
+/// them records whose machine and block ids point into the loop's pools.
 /// Files live inside the caller's scratch directory.
 pub(crate) struct DiskLayers {
     dir: PathBuf,
@@ -385,9 +386,9 @@ pub(crate) struct DiskLayers {
     disk_bytes: u64,
     /// The chunk being expanded, then the candidate being admitted.
     buf: Vec<u8>,
-    /// The machine-id map of the current layer's file, if the pool dropped
-    /// machines after the file was written.
-    renumber: Option<Vec<Vec<u32>>>,
+    /// The id maps of the current layer's file, if a pool dropped values
+    /// after the file was written.
+    renumber: Option<Renumber>,
 }
 
 impl DiskLayers {
@@ -504,8 +505,8 @@ impl Layers for DiskLayers {
         Ok(verdict)
     }
 
-    fn advance(&mut self, renumber: Option<&[Vec<u32>]>) -> io::Result<u64> {
-        self.renumber = renumber.map(<[_]>::to_vec);
+    fn advance(&mut self, renumber: &Renumber) -> io::Result<u64> {
+        self.renumber = (!renumber.is_empty()).then(|| renumber.clone());
         let (cand, next) = self.draining.take().expect("advance follows end_expansion");
         drop(cand);
         self.disk_bytes += next.bytes();

@@ -853,17 +853,17 @@ fn stats(states: u64, transitions: u64, depth: usize, peak: u64, spilled: u64) -
 #[test]
 fn bfs_stores_account_exactly() {
     let tmp = std::env::temp_dir();
-    let full_hashed = stats(20_276, 107_400, 29, 794_500, 0);
+    let full_hashed = stats(20_276, 107_400, 29, 954_374, 0);
     let full_spill = [
-        (1usize << 30, stats(20_276, 107_400, 29, 614_866, 3_752_434)),
-        (256 << 10, stats(20_276, 107_400, 29, 303_044, 4_605_460)),
-        (0, stats(20_276, 107_400, 29, 237_508, 4_726_452)),
+        (1usize << 30, stats(20_276, 107_400, 29, 791_874, 1_805_986)),
+        (256 << 10, stats(20_276, 107_400, 29, 651_166, 2_343_892)),
+        (0, stats(20_276, 107_400, 29, 585_630, 2_400_372)),
     ];
-    let reduced_hashed = stats(8_613, 27_617, 69, 277_901, 0);
+    let reduced_hashed = stats(8_613, 27_617, 69, 286_337, 0);
     let reduced_spill = [
-        (1usize << 30, stats(8_613, 27_617, 69, 174_720, 1_596_699)),
-        (256 << 10, stats(8_613, 27_617, 69, 162_002, 1_794_567)),
-        (0, stats(8_613, 27_617, 69, 110_578, 1_998_703)),
+        (1usize << 30, stats(8_613, 27_617, 69, 185_874, 769_899)),
+        (256 << 10, stats(8_613, 27_617, 69, 183_676, 932_151)),
+        (0, stats(8_613, 27_617, 69, 160_234, 1_027_423)),
     ];
     for workers in [1, 2, 4] {
         for por in [false, true] {
@@ -900,14 +900,14 @@ fn liveness_csr_paths_account_exactly() {
         states: 20_276,
         edges: 107_400,
         terminal_states: 1,
-        peak_resident_bytes: 1_516_578,
+        peak_resident_bytes: 1_590_340,
         spilled_bytes: 0,
     };
     let disk = crate::LivenessStats {
         states: 20_276,
         edges: 107_400,
         terminal_states: 1,
-        peak_resident_bytes: 794_500,
+        peak_resident_bytes: 954_374,
         spilled_bytes: 1_288_800,
     };
     for workers in [1, 2, 4] {
@@ -928,61 +928,130 @@ fn liveness_csr_paths_account_exactly() {
     }
 }
 
-/// The breadth-first loop hashes a state from its registers, its done
-/// flags and each machine's key words, with the moved machine's key put in
-/// place: the words the DFS's full key holds, so the hash is the one the
-/// full key always had.
-#[test]
-fn state_hash_feeds_the_full_key() {
-    use crate::checker::{Hash128, KeyBuilder};
-    use crate::engine::state_hash;
-    let full = |key: &[u64]| {
-        let mut h = Hash128::new();
-        h.words(key);
-        h.finish()
+/// The hash the breadth-first loop gives a state, recomputed from scratch:
+/// every register block's digest and every slot's, XORed.
+fn digest_hash<M: StepMachine>(regs: &[u64], machines: &[M], done: &[bool]) -> u128 {
+    use crate::engine::{block_digest, key_digest, slot_digest};
+    let blocks = regs.chunks(crate::frontier::BLOCK).enumerate();
+    let blocks = blocks.map(|(b, words)| block_digest(b, words));
+    let slots = machines.iter().zip(done).enumerate().map(|(i, (m, &d))| {
+        let mut key = Vec::new();
+        m.key(&mut key);
+        slot_digest(i, d, key_digest(i, &key))
+    });
+    blocks.chain(slots).fold(0, |h, d| h ^ d)
+}
+
+/// Walks `mc` for `steps` random moves from its initial state, starting
+/// over whenever every machine is done. At every step, every enabled move
+/// is hashed as the breadth-first loop hashes a successor — the parent's
+/// hash with the moved slot's and each changed block's old and new digests
+/// XORed in — and must match [`digest_hash`] of the successor.
+fn walk_digest_hash<M: StepMachine>(label: &str, mc: &ModelChecker<M>, steps: usize) {
+    use crate::engine::{block_digest, key_digest, rehash, slot_digest};
+    use crate::frontier::BLOCK;
+    use crate::relation::{Plan, Replay};
+    let rel = mc.relation();
+    let slot = |i: usize, m: &M, d: bool| {
+        let mut key = Vec::new();
+        m.key(&mut key);
+        slot_digest(i, d, key_digest(i, &key))
     };
-    let keys = |machines: &[Pinned]| -> Vec<Vec<u64>> {
-        let key = |m: &Pinned| {
-            let mut k = Vec::new();
-            m.key(&mut k);
-            k
-        };
-        machines.iter().map(key).collect()
-    };
-    let mc = pinned_checker();
-    let mut kb = KeyBuilder::default();
-    let mut replay = crate::relation::Replay::new(&mc);
     let mut rng = crate::SplitMix64::new(7);
-    let n = mc.machines().len();
-    for walk in 0..400 {
+    let mut replay = Replay::new(mc);
+    let mut h = digest_hash(&replay.mem.snapshot(), &replay.machines, &replay.done);
+    let mut changed = Vec::new();
+    for walk in 0..steps {
         if replay.done.iter().all(|&d| d) {
-            replay = crate::relation::Replay::new(&mc);
+            replay = Replay::new(mc);
+            h = digest_hash(&replay.mem.snapshot(), &replay.machines, &replay.done);
         }
         let regs = replay.mem.snapshot();
-        let keys = keys(&replay.machines);
-        let keys: Vec<&[u64]> = keys.iter().map(Vec::as_slice).collect();
-        let want = full(kb.build(&replay.mem, &replay.machines, &replay.done, None));
-        assert_eq!(state_hash(&regs, &replay.done, &keys, None), want, "walk {walk}");
-        if walk == 0 {
-            // The pinned model's root, as the full key hashed it before
-            // the machine pool existed.
-            assert_eq!(want, 0x33a7_da81_844f_27c7_36e4_2c1d_781e_7676);
+        assert_eq!(
+            h,
+            digest_hash(&regs, &replay.machines, &replay.done),
+            "{label}, walk {walk}"
+        );
+        let moves: Vec<_> = rel
+            .moves::<M, M>(&regs, &replay.machines, &replay.done, Plan::AllBut(None))
+            .collect();
+        let pick = rng.next_index(moves.len());
+        let mut next = h;
+        for (k, &mv) in moves.iter().enumerate() {
+            let i = mv.machine();
+            let mem = llr_mem::SimMemory::with_values(&regs);
+            let mut mi = replay.machines[i].clone();
+            let d = rel.apply(mv, &mem, &mut mi);
+            let new = mem.snapshot();
+            let moved = h ^ slot(i, &replay.machines[i], replay.done[i]) ^ slot(i, &mi, d);
+            let old = |b: usize| block_digest(b, &regs[b * BLOCK..regs.len().min((b + 1) * BLOCK)]);
+            let got = rehash(moved, &regs, &new, old, &mut changed);
+            let mut machines = replay.machines.clone();
+            let mut done = replay.done.clone();
+            (machines[i], done[i]) = (mi, d);
+            let want = digest_hash(&new, &machines, &done);
+            assert_eq!(got, want, "{label}, walk {walk}, move {mv}");
+            if k == pick {
+                next = got;
+            }
         }
-        // Step a running machine on a copy of the registers, and hash it
-        // into any slot.
-        let running: Vec<usize> = (0..n).filter(|&j| !replay.done[j]).collect();
-        let j = running[rng.next_index(running.len())];
-        let i = rng.next_index(n);
-        let mem = llr_mem::SimMemory::with_values(&regs);
-        let mut mi = replay.machines[j].clone();
-        let d = mi.step(&mem).is_done();
-        let mut key = Vec::new();
-        mi.key(&mut key);
-        let want = full(kb.build(&mem, &replay.machines, &replay.done, Some((i, &mi, d))));
-        let got = state_hash(&mem.snapshot(), &replay.done, &keys, Some((i, d, &key)));
-        assert_eq!(got, want, "walk {walk}, machine {j} in slot {i}");
-        replay.take(j);
+        assert!(
+            replay.take(moves[pick].entry()).1,
+            "{label}: the move is enabled"
+        );
+        h = next;
     }
+}
+
+/// The breadth-first loop hashes a state as the XOR of position-salted
+/// digests, one per 8-register block and one per machine slot, and hashes
+/// a successor from its parent's hash and the parts the move changed. The
+/// update agrees with the hash recomputed from scratch along random walks
+/// of the pinned model with faults off and on, of a two-block model, and
+/// of crashing machines; and the salts keep swapped blocks and a flipped
+/// done flag apart.
+#[test]
+fn digest_hash_follows_every_move() {
+    walk_digest_hash("pinned", &pinned_checker(), 400);
+    walk_digest_hash("pinned, faults", &pinned_checker().faults(1), 400);
+    // Eleven registers: two blocks.
+    walk_digest_hash("nine loopers", &looper_checker(9, true), 400);
+    let mut layout = Layout::new();
+    let (x, y) = (layout.scalar("X", 0), layout.scalar("Y", 0));
+    let flaggers = vec![
+        Flagger { x, pc: 0 },
+        Flagger { x: y, pc: 0 },
+        Flagger { x, pc: 0 },
+    ];
+    walk_digest_hash(
+        "flaggers, faults",
+        &ModelChecker::new(layout, flaggers).faults(2),
+        400,
+    );
+
+    let mc = looper_checker(9, true);
+    let replay = crate::relation::Replay::new(&mc);
+    let (machines, done) = (&replay.machines, &replay.done);
+    let mut regs = replay.mem.snapshot();
+    regs.resize(16, 0);
+    regs[8..].copy_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8]);
+    let h = digest_hash(&regs, machines, done);
+    let mut swapped = regs[8..].to_vec();
+    swapped.extend_from_slice(&regs[..8]);
+    assert_ne!(digest_hash(&swapped, machines, done), h, "swapped blocks");
+    let mut flipped = done.clone();
+    flipped[3] = true;
+    assert_ne!(
+        digest_hash(&regs, machines, &flipped),
+        h,
+        "a flipped done flag"
+    );
+
+    // The pinned model's root.
+    let mc = pinned_checker();
+    let root = crate::relation::Replay::new(&mc);
+    let h = digest_hash(&root.mem.snapshot(), &root.machines, &root.done);
+    assert_eq!(h, 0x6aff_d4ae_eaab_99f9_960b_622a_33e5_e740);
 }
 
 /// A frontier chunk of the on-disk layer store fits the window together
@@ -998,12 +1067,17 @@ fn frontier_chunks_fit_every_successor() {
     }
     .window_bytes();
     assert_eq!(window, 64 << 10);
-    // Six machines over 7 registers (90-byte records), and over 8 with the
-    // fault budget's register (98-byte records).
-    for (mc, moves, chunk) in [(pinned_checker(), 6, 104), (pinned_checker().faults(1), 12, 51)] {
+    // Six machines over 7 registers, and over 8 with the fault budget's
+    // register: one block either way, so 42-byte records.
+    for (mc, moves, chunk) in [
+        (pinned_checker(), 6, 222),
+        (pinned_checker().faults(1), 12, 120),
+    ] {
         let n = mc.machines().len();
         assert_eq!(mc.relation().max_moves(n), moves);
-        let record = layer_record_bytes(mc.layout().len(), n) as usize;
+        let blocks = mc.layout().len().div_ceil(crate::frontier::BLOCK);
+        let record = layer_record_bytes(blocks, n) as usize;
+        assert_eq!(record, 42);
         assert_eq!(chunk_states(window, record, moves), chunk);
         assert!(chunk * record * (1 + moves) <= window);
         assert!((chunk + 1) * record * (1 + moves) > window);

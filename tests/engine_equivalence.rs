@@ -570,6 +570,11 @@ fn every_store_shows_the_invariant_the_same_worlds() {
     // renumber machines between layers.
     stores_agree("SPLIT k=3", || split_spec::checker(3, 2, 2));
     stores_agree("LevelArray k=4 f=1", || la_faults(1));
+    // 74 registers: nine full register blocks and a two-word tail.
+    let gf5 = FilterParams::new(3, 25, 1, 5).unwrap();
+    stores_agree("FILTER gf5, 2 pids", || {
+        filter_spec::checker(gf5, &[1, 6], 1)
+    });
 }
 
 /// Under a tiny budget the spill backend must hold far less of the

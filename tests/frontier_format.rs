@@ -77,16 +77,23 @@ fn write_layer(path: &Path, words: usize, machines: usize, layer: &[LayerRecord]
 }
 
 /// Seeded random layers round-trip exactly: full scan, chunked scans at
-/// awkward chunk sizes, and point reads in a shuffled order all decode
-/// the records that were written.
+/// awkward chunk sizes, point reads in a shuffled order, and point reads
+/// that skip ahead all decode the records that were written. The last
+/// layer is larger than the reader's 64 KiB buffer, so its point reads
+/// land both inside the buffer and beyond it.
 #[test]
 fn random_layers_round_trip() {
     let dir = TestDir::new("roundtrip");
     let mut rng = SplitMix64::new(20260808);
-    for case in 0..12 {
-        let words = 1 + rng.next_index(9);
-        let machines = 1 + rng.next_index(5);
-        let count = 1 + rng.next_index(300);
+    for case in 0..13 {
+        let (words, machines, count) = if case < 12 {
+            let words = 1 + rng.next_index(9);
+            let machines = 1 + rng.next_index(5);
+            (words, machines, 1 + rng.next_index(300))
+        } else {
+            // 2 000 records of 101 bytes.
+            (9, 5, 2_000)
+        };
         let layer = random_layer(&mut rng, count, words, machines);
         let path = dir.file(&format!("layer-{case}.flr"));
         write_layer(&path, words, machines, &layer);
@@ -126,7 +133,18 @@ fn random_layers_round_trip() {
                 "point read of record {i} (case {case})"
             );
         }
+
+        // Point reads in ascending order that skip records (the admit
+        // pattern), then one back to the start.
+        for i in (0..count).step_by(1 + case).chain([0]) {
+            assert_eq!(
+                r.read_at(i as u64).unwrap(),
+                layer[i],
+                "skipping read of record {i} (case {case})"
+            );
+        }
     }
+    assert!(2_000 * layer_record_bytes(9, 5) > 64 << 10);
 }
 
 /// A multi-layer sequence (the spill engine's actual layout: one file
