@@ -3,7 +3,9 @@
 # third-party dependencies, so `--offline` must always succeed.
 #
 #   1. tier-1: release build + full test suite
-#   2. lint: clippy, warnings are errors
+#   2. lint: clippy, warnings are errors; then rustfmt on llr-mc
+#      (`cargo fmt -p llr-mc --check`), the one crate kept formatted
+#      throughout, so an unformatted line there fails the gate.
 #   3. docs: `cargo doc` with warnings denied (llr-mc carries
 #      `#![warn(missing_docs)]`, so every public item must stay
 #      documented) plus the doctests, so the documented examples keep
@@ -83,6 +85,9 @@ cargo test -q --offline
 
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== rustfmt (llr-mc) =="
+cargo fmt -p llr-mc --check
 
 echo "== docs (-D warnings) + doctests =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

@@ -83,7 +83,6 @@ use llr_mc::{
     CheckError, CheckStats, Footprint, MachineStatus, ModelChecker, StepMachine, Violation, World,
 };
 use llr_mem::{AtomicMemory, Counting, Memory, Word};
-use std::collections::HashMap;
 use std::fmt::Debug;
 
 pub use llr_mc::Engine;
@@ -628,14 +627,14 @@ impl<P: ProtocolCore> StepMachine for Session<P> {
 pub fn unique_names_invariant<P: ProtocolCore>(
     world: &World<'_, Session<P>>,
 ) -> Result<(), String> {
-    let mut held: HashMap<Name, usize> = HashMap::new();
-    for (i, m) in world.machines.iter().enumerate() {
+    let machines = world.machines;
+    for (i, m) in machines.iter().enumerate() {
         let Some(name) = m.holding() else { continue };
         let d = m.core().dest_size();
         if name >= d {
             return Err(format!("machine {i} holds out-of-range name {name} (D = {d})"));
         }
-        if let Some(j) = held.insert(name, i) {
+        if let Some(j) = machines[..i].iter().position(|m| m.holding() == Some(name)) {
             return Err(format!("machines {j} and {i} concurrently hold name {name}"));
         }
     }
@@ -655,14 +654,14 @@ pub fn unique_names_invariant<P: ProtocolCore>(
 pub fn crash_robust_uniqueness<P: ProtocolCore>(
     world: &World<'_, Session<P>>,
 ) -> Result<(), String> {
-    let mut claimed: HashMap<Name, String> = HashMap::new();
-    for (i, m) in world.machines.iter().enumerate() {
+    let machines = world.machines;
+    for (i, m) in machines.iter().enumerate() {
         let d = m.core().dest_size();
-        for &name in m.leaked() {
+        for (l, &name) in m.leaked().iter().enumerate() {
             if name >= d {
                 return Err(format!("machine {i} leaked out-of-range name {name} (D = {d})"));
             }
-            if let Some(prev) = claimed.insert(name, format!("machine {i} (leaked)")) {
+            if let Some(prev) = claimant(&machines[..i], (i, &m.leaked()[..l]), name) {
                 return Err(format!("{prev} and machine {i} (leaked) both claim name {name}"));
             }
         }
@@ -670,12 +669,32 @@ pub fn crash_robust_uniqueness<P: ProtocolCore>(
             if name >= d {
                 return Err(format!("machine {i} holds out-of-range name {name} (D = {d})"));
             }
-            if let Some(prev) = claimed.insert(name, format!("machine {i}")) {
+            if let Some(prev) = claimant(&machines[..i], (i, m.leaked()), name) {
                 return Err(format!("{prev} and machine {i} both claim name {name}"));
             }
         }
     }
     Ok(())
+}
+
+/// The earlier claim on `name` in [`crash_robust_uniqueness`], as its
+/// messages name it: by one of `earlier`, the machines before `i`, or by
+/// `own`, the names `i` leaked before. Every earlier claim was checked
+/// against the ones before it, so there is at most one.
+fn claimant<P: ProtocolCore>(
+    earlier: &[Session<P>],
+    (i, own): (usize, &[Name]),
+    name: Name,
+) -> Option<String> {
+    for (j, m) in earlier.iter().enumerate() {
+        if m.leaked().contains(&name) {
+            return Some(format!("machine {j} (leaked)"));
+        }
+        if m.holding() == Some(name) {
+            return Some(format!("machine {j}"));
+        }
+    }
+    own.contains(&name).then(|| format!("machine {i} (leaked)"))
 }
 
 /// Runs `invariant` over every reachable state of `checker` on the
@@ -815,5 +834,136 @@ impl<P: ProtocolCore> RenamingHandle for Handle<'_, P> {
 
     fn accesses(&self) -> u64 {
         self.accesses
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use llr_mem::{Layout, SimMemory};
+
+    /// A core whose acquire takes one step and yields `name`, from a
+    /// destination space of 4 names.
+    #[derive(Clone, Debug)]
+    struct Fixed {
+        name: Name,
+    }
+
+    impl ProtocolCore for Fixed {
+        type Acquire = ();
+        type Token = ();
+        type Release = ();
+        const LAZY_START: bool = false;
+
+        fn pid(&self) -> Pid {
+            0
+        }
+        fn begin_acquire(&self) {}
+        fn step_acquire<M: Memory + ?Sized>(&self, _: &mut (), _: &M) -> Option<()> {
+            Some(())
+        }
+        fn begin_release(&self, _: ()) {}
+        fn step_release<M: Memory + ?Sized>(&self, _: &mut (), _: &M) -> bool {
+            true
+        }
+        fn token_name(&self, _: &()) -> Option<Name> {
+            Some(self.name)
+        }
+        fn dest_size(&self) -> u64 {
+            4
+        }
+        fn key_acquire(&self, _: &(), _: &mut Vec<Word>) {}
+        fn key_token(&self, _: &(), _: &mut Vec<Word>) {}
+        fn key_release(&self, _: &(), _: &mut Vec<Word>) {}
+        fn describe_acquire(&self, _: &()) -> String {
+            "Acquiring".into()
+        }
+        fn describe_release(&self, _: &()) -> String {
+            "Releasing".into()
+        }
+    }
+
+    /// A session that took each of `leaked` in turn and crashed holding
+    /// it, then holds `holding`, if any.
+    fn session(leaked: &[Name], holding: Option<Name>) -> Session<Fixed> {
+        let mem = SimMemory::new(&Layout::new());
+        let mut cores = leaked.iter().chain(&holding).map(|&name| Fixed { name });
+        let first = cores.next().unwrap_or(Fixed { name: 0 });
+        let mut s = Session::start(first, 1).with_spares(cores.collect());
+        for _ in leaked {
+            s.step(&mem);
+            s.inject(Fault::CrashRestart);
+        }
+        if holding.is_some() {
+            s.step(&mem);
+        }
+        s
+    }
+
+    fn err(message: &str) -> Result<(), String> {
+        Err(message.into())
+    }
+
+    #[test]
+    fn name_invariants_pin_their_messages() {
+        let mem = SimMemory::new(&Layout::new());
+        let check = |machines: &[Session<Fixed>]| {
+            let done = vec![false; machines.len()];
+            let world = World {
+                mem: &mem,
+                machines,
+                done: &done,
+            };
+            (
+                unique_names_invariant(&world),
+                crash_robust_uniqueness(&world),
+            )
+        };
+        let holds = |name| session(&[], Some(name));
+        let idle = session(&[], None);
+        assert_eq!(holds(2).holding(), Some(2));
+        assert_eq!(session(&[1, 3], Some(2)).leaked(), &[1, 3]);
+
+        assert_eq!(check(&[holds(1), idle.clone(), holds(2)]), (Ok(()), Ok(())));
+        let out_of_range = "machine 1 holds out-of-range name 4 (D = 4)";
+        assert_eq!(
+            check(&[holds(1), holds(4)]),
+            (err(out_of_range), err(out_of_range))
+        );
+        assert_eq!(
+            check(&[holds(3), idle, holds(3)]),
+            (
+                err("machines 0 and 2 concurrently hold name 3"),
+                err("machine 0 and machine 2 both claim name 3")
+            )
+        );
+        for (machines, message) in [
+            (
+                vec![holds(1), session(&[5], None)],
+                "machine 1 leaked out-of-range name 5 (D = 4)",
+            ),
+            (
+                vec![holds(2), session(&[2], None)],
+                "machine 0 and machine 1 (leaked) both claim name 2",
+            ),
+            (
+                vec![session(&[1], None), session(&[0, 1], None)],
+                "machine 0 (leaked) and machine 1 (leaked) both claim name 1",
+            ),
+            (
+                vec![holds(0), session(&[2, 2], None)],
+                "machine 1 (leaked) and machine 1 (leaked) both claim name 2",
+            ),
+            (
+                vec![session(&[3], None), holds(3)],
+                "machine 0 (leaked) and machine 1 both claim name 3",
+            ),
+            (
+                vec![holds(0), session(&[1], Some(1))],
+                "machine 1 (leaked) and machine 1 both claim name 1",
+            ),
+        ] {
+            assert_eq!(check(&machines), (Ok(()), err(message)));
+        }
     }
 }

@@ -14,8 +14,9 @@ use crate::rng::SplitMix64;
 use crate::spill::SpillConfig;
 use crate::StepMachine;
 use llr_mem::{Layout, Loc, SimMemory, Word};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::path::PathBuf;
 
 /// Schedule-entry encoding of crash transitions: entry `i` with
@@ -313,6 +314,36 @@ impl Hash128 {
     }
 }
 
+/// The hasher of maps keyed by a 128-bit digest ([`Hash128`]) or a XOR of
+/// digests: the key is already uniform, so its low 64 bits are the hash,
+/// with no second hashing. hashbrown takes the bucket from the hash's low
+/// bits and the tag from its top 7, both apart from the digest's top 6
+/// bits that pick a loop shard. Maps still compare the full key. The keys
+/// are digests this crate computes, never outside input, so no key can be
+/// crafted to collide.
+#[derive(Default)]
+pub(crate) struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a digest map hashes u128 keys only")
+    }
+
+    fn write_u128(&mut self, digest: u128) {
+        self.0 = digest as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by digests, hashed by [`DigestHasher`].
+pub(crate) type DigestMap<V> = HashMap<u128, V, BuildHasherDefault<DigestHasher>>;
+
+/// A set of digests, hashed by [`DigestHasher`].
+pub(crate) type DigestSet = HashSet<u128, BuildHasherDefault<DigestHasher>>;
+
 // ---------------------------------------------------------------------------
 // The checker
 // ---------------------------------------------------------------------------
@@ -486,8 +517,8 @@ impl<M: StepMachine> ModelChecker<M> {
     /// discovered hashes stay in an in-RAM delta, and whenever the delta
     /// exceeds its half of the budget it is flushed as one sorted run per
     /// shard.
-    /// Every layer's candidate states are merge-joined against the
-    /// on-disk runs, so states, transitions, terminal counts and any
+    /// Every layer's candidate states are joined against the on-disk
+    /// runs, read in blocks, so states, transitions, terminal counts and any
     /// violation (message *and* schedule) are **bit-for-bit identical**
     /// to the in-RAM engines at every worker count — only the memory
     /// ceiling moves. A unique subdirectory is created under `dir` and
@@ -774,9 +805,7 @@ impl<M: StepMachine> ModelChecker<M> {
                 .zip(&after)
                 .enumerate()
                 .filter(|(_, (b, a))| b != a)
-                .map(|(r, (_, a))| {
-                    format!("{}←{}", self.layout.name_of(llr_mem::Loc(r as u32)), a)
-                })
+                .map(|(r, (_, a))| format!("{}←{}", self.layout.name_of(llr_mem::Loc(r as u32)), a))
                 .collect();
             let _ = writeln!(
                 out,
@@ -816,15 +845,13 @@ impl<M: StepMachine> ModelChecker<M> {
     {
         let mut stats = CheckStats::default();
         for w in 0..walks {
-            let mut rng =
-                SplitMix64::new(seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut rng = SplitMix64::new(seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let mem = SimMemory::new(&self.layout);
             let mut machines = self.machines.clone();
             let mut done = vec![false; machines.len()];
             let mut schedule = Vec::new();
             for _ in 0..max_steps {
-                let running: Vec<usize> =
-                    (0..machines.len()).filter(|&i| !done[i]).collect();
+                let running: Vec<usize> = (0..machines.len()).filter(|&i| !done[i]).collect();
                 if running.is_empty() {
                     stats.terminal_states += 1;
                     break;

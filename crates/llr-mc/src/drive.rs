@@ -96,7 +96,11 @@ impl Engine {
         match self {
             Engine::Sequential => "dfs".into(),
             Engine::Parallel { workers, .. } => format!("bfs+hash:{}w", resolve(*workers)),
-            Engine::Spill { budget_bytes, workers, .. } => {
+            Engine::Spill {
+                budget_bytes,
+                workers,
+                ..
+            } => {
                 format!("bfs+spill:{}w:{}MiB", resolve(*workers), budget_bytes >> 20)
             }
             Engine::Reduced(inner) => format!("{}+por", inner.label()),
@@ -137,7 +141,11 @@ impl<M: StepMachine + Send + Sync> ModelChecker<M> {
                 );
                 self.workers(*workers).check_parallel(invariant)
             }
-            Engine::Spill { dir, budget_bytes, workers } => self
+            Engine::Spill {
+                dir,
+                budget_bytes,
+                workers,
+            } => self
                 .workers(*workers)
                 .spill_dir(dir.clone(), *budget_bytes)
                 .check_parallel(invariant),

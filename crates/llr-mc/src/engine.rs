@@ -69,7 +69,9 @@
 //! stops early — is
 //! [`CheckStats::peak_resident_bytes`](crate::CheckStats::peak_resident_bytes).
 
-use crate::checker::{CheckError, CheckStats, Hash128, ModelChecker, Violation, World};
+use crate::checker::{
+    CheckError, CheckStats, DigestMap, DigestSet, Hash128, ModelChecker, Violation, World,
+};
 use crate::frontier::{
     Block, EdgeLog, Pool, RecordCodec, Renumber, ScratchDir, BLOCK, PROVISIONAL,
 };
@@ -78,7 +80,6 @@ use crate::relation::{via_entry, Move, Plan, Relation};
 use crate::spill::{DiskLayers, SpillSet};
 use crate::StepMachine;
 use llr_mem::{SimMemory, Word};
-use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::Mutex;
 
@@ -108,7 +109,7 @@ pub(crate) struct Pend {
 }
 
 /// The pending shards of one layer, keyed by state hash.
-type Pending = [Mutex<HashMap<u128, Pend>>];
+type Pending = [Mutex<DigestMap<Pend>>];
 
 enum EdgeTo {
     /// Successor was already visited with this id.
@@ -141,8 +142,8 @@ pub(crate) trait Visited: Sync {
     fn find(&self, h: u128) -> Option<u32>;
     /// The candidate hashes this store knows but [`find`](Self::find) does
     /// not see — none, in a complete store.
-    fn join(&self, _candidates: impl Iterator<Item = u128>) -> io::Result<HashSet<u128>> {
-        Ok(HashSet::new())
+    fn join(&mut self, _candidates: impl Iterator<Item = u128>) -> io::Result<DigestSet> {
+        Ok(DigestSet::default())
     }
     /// Records state `id` with hash `h`, reached by the `(parent, via)`
     /// edge.
@@ -199,7 +200,7 @@ pub(crate) trait Layers {
 /// The in-RAM visited store: a sharded map from state hashes to ids, plus
 /// the spanning tree and terminal flags the liveness check reads back.
 pub(crate) struct RamVisited {
-    frozen: Vec<HashMap<u128, u32>>,
+    frozen: Vec<DigestMap<u32>>,
     /// `parent[id] = (parent id, via)`: the move that reached `id`, as
     /// [`Move::via`] stores it. The root has parent `u32::MAX`.
     pub(crate) parent: Vec<(u32, u8)>,
@@ -210,7 +211,7 @@ pub(crate) struct RamVisited {
 impl RamVisited {
     pub(crate) fn new() -> Self {
         Self {
-            frozen: (0..SHARDS).map(|_| HashMap::new()).collect(),
+            frozen: (0..SHARDS).map(|_| DigestMap::default()).collect(),
             parent: Vec::new(),
             terminal: Vec::new(),
         }
@@ -491,7 +492,7 @@ struct Side<T> {
     /// provisional ids.
     items: Vec<(usize, T, u128)>,
     /// Provisional ids by position and digest.
-    ids: Vec<HashMap<u128, u32>>,
+    ids: Vec<DigestMap<u32>>,
     /// `(record, position)` of every provisional id in the worker's fresh
     /// records.
     patches: Vec<(usize, usize)>,
@@ -501,7 +502,7 @@ impl<T> Side<T> {
     fn new(positions: usize) -> Self {
         Self {
             items: Vec::new(),
-            ids: (0..positions).map(|_| HashMap::new()).collect(),
+            ids: (0..positions).map(|_| DigestMap::default()).collect(),
             patches: Vec::new(),
         }
     }
@@ -971,8 +972,8 @@ where
     };
 
     loop {
-        let mut pending: Vec<Mutex<HashMap<u128, Pend>>> =
-            (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect();
+        let mut pending: Vec<Mutex<DigestMap<Pend>>> =
+            (0..SHARDS).map(|_| Mutex::default()).collect();
         // `assigned[w][idx]` maps a worker-local fresh record to its global
         // id (edge recording only).
         let mut assigned: Vec<Vec<u32>> = Vec::new();

@@ -44,8 +44,8 @@
 //! not match `header + count × record_size`) is an explicit
 //! [`io::Error`], never a silently short read.
 
+use crate::checker::DigestMap;
 use llr_mem::Word;
-use std::collections::HashMap;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -340,9 +340,15 @@ impl LayerWriter {
         let file = File::create(path)?;
         let mut w = BufWriter::with_capacity(LAYER_BUF, file);
         w.write_all(&LAYER_MAGIC)?;
-        w.write_all(&u32::try_from(words).expect("register file exceeds u32 words").to_le_bytes())?;
         w.write_all(
-            &u32::try_from(machines).expect("machine count exceeds u32").to_le_bytes(),
+            &u32::try_from(words)
+                .expect("register file exceeds u32 words")
+                .to_le_bytes(),
+        )?;
+        w.write_all(
+            &u32::try_from(machines)
+                .expect("machine count exceeds u32")
+                .to_le_bytes(),
         )?;
         w.write_all(&COUNT_SENTINEL.to_le_bytes())?;
         Ok(Self {
@@ -582,7 +588,7 @@ pub(crate) struct Pool<T> {
 }
 
 struct Interned<T> {
-    index: HashMap<u128, u32>,
+    index: DigestMap<u32>,
     /// Every interned value with its digest, by id.
     items: Vec<(T, u128)>,
 }
@@ -608,7 +614,7 @@ impl<T> Pool<T> {
         Self {
             positions: (0..positions)
                 .map(|_| Interned {
-                    index: HashMap::new(),
+                    index: DigestMap::default(),
                     items: Vec::new(),
                 })
                 .collect(),
@@ -898,7 +904,9 @@ impl PredReader {
             let n = ((off_hi - at) as usize).min(PRED_CHUNK);
             self.file.read_exact(&mut buf[..n * 4])?;
             for i in 0..n {
-                visit(u32::from_le_bytes(buf[i * 4..i * 4 + 4].try_into().unwrap()));
+                visit(u32::from_le_bytes(
+                    buf[i * 4..i * 4 + 4].try_into().unwrap(),
+                ));
             }
             at += n as u64;
         }

@@ -350,8 +350,16 @@ mod tests {
         let mc = ModelChecker::new(
             layout,
             vec![
-                DeadlockProne { first: a, second: b, pc: 0 },
-                DeadlockProne { first: b, second: a, pc: 0 },
+                DeadlockProne {
+                    first: a,
+                    second: b,
+                    pc: 0,
+                },
+                DeadlockProne {
+                    first: b,
+                    second: a,
+                    pc: 0,
+                },
             ],
         );
         let err = mc.check_always_terminable().unwrap_err();

@@ -23,9 +23,13 @@
 //!   k-way merge into a single run.
 //! * A state rediscovered after its hash was flushed is caught one layer
 //!   later: each layer's candidate states (the pending set, minus the
-//!   delta) are sorted per shard and **merge-joined against every run**
-//!   in one sequential pass per run file; candidates found on disk are
-//!   dropped before ids are assigned.
+//!   delta) are sorted per shard and **joined against every run** in
+//!   blocks. A run is read sequentially, `RUN_READ_BUF` (1 MiB) at a
+//!   time, into one reused buffer, and each candidate up to a block's
+//!   last hash is placed inside that block by binary search, with no
+//!   per-hash read or decode; a run is read only until every candidate
+//!   of its shard is placed. Candidates found on disk are dropped before
+//!   ids are assigned.
 //! * The **frontier lives in per-layer files** ([`crate::frontier`]):
 //!   each layer is an append-only file of the loop's packed records
 //!   (state id, per-slot done flags and machine ids, one block id per
@@ -65,7 +69,10 @@
 //! is *accounted but not bounded*: the per-layer pending set (≈48 bytes
 //! per candidate) and the two pools (grow with the per-position machine
 //! and register-block diversity of the layers in flight, not with
-//! states).
+//! states). The run blocks are neither charged nor bounded, like the
+//! files' read and write buffers: the join's one `RUN_READ_BUF` buffer,
+//! kept for the whole run, and while a shard compacts, one block per
+//! input run, the first of them the join's.
 //! [`CheckStats::peak_resident_bytes`](crate::CheckStats::peak_resident_bytes)
 //! reports the deterministic per-layer peak over all of it.
 //!
@@ -81,7 +88,7 @@
 //!            ▲                     │ re-read by ordinal       ▼
 //!            │                     ▼                     candidates
 //!     delta (RAM, ≤ budget/2)   runs (disk, sorted)          │
-//!     ┌───────────────┐         ┌────┐┌────┐┌────┐           │ merge-join:
+//!     ┌───────────────┐         ┌────┐┌────┐┌────┐           │ block join:
 //!     │ shard 0..63   │         │ r0 ││ r1 ││ r2 │ ──────────┤ drop hashes
 //!     └──────┬────────┘         └─┬──┘└─┬──┘└─┬──┘           │ found on disk
 //!            │ flush at budget/2  └─────┴─────┴── compact    ▼
@@ -90,11 +97,11 @@
 //!                                                    append layer file N+1
 //! ```
 
+use crate::checker::DigestSet;
 use crate::engine::{shard_of, Layers, Visited, SHARDS};
 use crate::frontier::{LayerReader, LayerWriter, ParentLog, RecordCodec, Renumber};
-use std::collections::HashSet;
 use std::fs::{self, File};
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Bytes per stored state hash.
@@ -111,8 +118,13 @@ const MIN_SLICE_BYTES: usize = 64 * 1024;
 /// A shard exceeding this many runs is compacted into a single run.
 const MAX_RUNS_PER_SHARD: usize = 8;
 
-/// Buffered-reader capacity for streaming run files.
+/// Bytes per block read from a run file, by the join and by compaction:
+/// a whole number of hashes.
 const RUN_READ_BUF: usize = 1 << 20;
+const _: () = assert!(
+    RUN_READ_BUF.is_multiple_of(HASH_BYTES),
+    "a block holds whole hashes"
+);
 
 /// Configuration carried by
 /// [`ModelChecker::spill_dir`](crate::ModelChecker::spill_dir).
@@ -138,32 +150,87 @@ impl SpillConfig {
     }
 }
 
-/// Sequential reader over one sorted run file.
-struct RunReader {
-    file: BufReader<File>,
-    /// Hashes still unread.
+/// A sorted run file read back `RUN_READ_BUF` bytes at a time into a
+/// caller's buffer: the one way a run is read, by the join and by
+/// compaction.
+struct RunBlocks {
+    file: File,
+    /// Bytes still unread.
     left: u64,
 }
 
-impl RunReader {
-    fn open(path: &PathBuf) -> io::Result<Self> {
+impl RunBlocks {
+    fn open(path: &Path) -> io::Result<Self> {
         let file = File::open(path)?;
-        let left = file.metadata()?.len() / HASH_BYTES as u64;
+        let left = file.metadata()?.len();
+        if !left.is_multiple_of(HASH_BYTES as u64) {
+            let torn = format!("{} holds a partial hash", path.display());
+            return Err(io::Error::new(io::ErrorKind::InvalidData, torn));
+        }
+        Ok(Self { file, left })
+    }
+
+    /// Reads the run's next block into `buf` and returns its hashes, in
+    /// place; none at the end of the run. `buf` only grows, so a buffer
+    /// reused across runs is zeroed once.
+    fn next<'b>(&mut self, buf: &'b mut Vec<u8>) -> io::Result<&'b [[u8; HASH_BYTES]]> {
+        let n = self.left.min(RUN_READ_BUF as u64) as usize;
+        if buf.len() < n {
+            buf.resize(n, 0);
+        }
+        self.file.read_exact(&mut buf[..n])?;
+        self.left -= n as u64;
+        Ok(buf[..n].as_chunks().0)
+    }
+}
+
+/// The index of the first of `hashes[from..]`, which are sorted, that is
+/// not below `h`: `hashes.len()` if there is none.
+fn seek(hashes: &[[u8; HASH_BYTES]], from: usize, h: u128) -> usize {
+    from + hashes[from..].partition_point(|b| u128::from_le_bytes(*b) < h)
+}
+
+/// One input run of a compaction: its current block and the index of its
+/// next hash there.
+struct Merging {
+    run: RunBlocks,
+    buf: Vec<u8>,
+    /// Hashes in the current block; 0 once the run is spent.
+    len: usize,
+    at: usize,
+}
+
+impl Merging {
+    /// Opens the run at `path` and reads its first block into `buf`.
+    fn open(path: &Path, mut buf: Vec<u8>) -> io::Result<Self> {
+        let mut run = RunBlocks::open(path)?;
+        let len = run.next(&mut buf)?.len();
         Ok(Self {
-            file: BufReader::with_capacity(RUN_READ_BUF, file),
-            left,
+            run,
+            buf,
+            len,
+            at: 0,
         })
     }
 
-    /// The next hash, or `None` at end of run.
-    fn next(&mut self) -> io::Result<Option<u128>> {
-        if self.left == 0 {
-            return Ok(None);
+    fn block(&self) -> &[[u8; HASH_BYTES]] {
+        &self.buf.as_chunks().0[..self.len]
+    }
+
+    fn head(&self) -> Option<u128> {
+        let b = self.block().get(self.at)?;
+        Some(u128::from_le_bytes(*b))
+    }
+
+    /// Moves past the hashes before `to`, reading the next block once the
+    /// current one is spent.
+    fn advance(&mut self, to: usize) -> io::Result<()> {
+        self.at = to;
+        if self.at == self.len {
+            self.len = self.run.next(&mut self.buf)?.len();
+            self.at = 0;
         }
-        self.left -= 1;
-        let mut b = [0u8; HASH_BYTES];
-        self.file.read_exact(&mut b)?;
-        Ok(Some(u128::from_le_bytes(b)))
+        Ok(())
     }
 }
 
@@ -177,13 +244,16 @@ pub(crate) struct SpillSet {
     /// Effective flush threshold.
     threshold: usize,
     /// The in-RAM delta: hashes not yet flushed, sharded like the engine.
-    recent: Vec<HashSet<u128>>,
+    recent: Vec<DigestSet>,
     /// Payload bytes currently in the delta.
     recent_bytes: usize,
     /// Largest delta ever held (for the resident accounting).
     peak_recent_bytes: u64,
     /// Sorted, immutable, pairwise-disjoint run files per shard.
     runs: Vec<Vec<PathBuf>>,
+    /// The block every join reads runs into, and compaction's first input
+    /// block; not charged, like a file buffer.
+    block: Vec<u8>,
     /// Total bytes ever written to disk (runs + compaction rewrites).
     spilled_bytes: u64,
     /// Fresh-file counter.
@@ -197,10 +267,11 @@ impl SpillSet {
         Ok(Self {
             dir: dir.to_path_buf(),
             threshold: cfg.delta_bytes(),
-            recent: (0..SHARDS).map(|_| HashSet::new()).collect(),
+            recent: (0..SHARDS).map(|_| DigestSet::default()).collect(),
             recent_bytes: 0,
             peak_recent_bytes: 0,
             runs: vec![Vec::new(); SHARDS],
+            block: Vec::new(),
             spilled_bytes: 0,
             file_seq: 0,
             parents: ParentLog::create(dir.join("parents.log"))?,
@@ -235,45 +306,52 @@ impl SpillSet {
     }
 
     /// Streaming k-way merge of all of `shard`'s runs into a single run.
-    /// Runs are pairwise disjoint (a hash is flushed exactly once), so
-    /// the merge is a plain interleave with no dedup.
+    /// Each input run is read in blocks, as the join reads it, into a
+    /// buffer of its own; the first input borrows the join's. Runs are
+    /// pairwise disjoint (a hash is flushed exactly once), so the merge is
+    /// a plain interleave with no dedup: each step copies the input with
+    /// the least next hash, up to the least next hash of the others, in
+    /// one write.
     fn compact(&mut self, shard: usize) -> io::Result<()> {
         let old = std::mem::take(&mut self.runs[shard]);
-        let mut readers = Vec::with_capacity(old.len());
-        for p in &old {
-            readers.push(RunReader::open(p)?);
-        }
-        // (current hash, reader index) min-heap via sorted Vec scan —
-        // the fan-in is ≤ MAX_RUNS_PER_SHARD + 1, so a linear minimum
-        // beats heap bookkeeping.
-        let mut heads: Vec<Option<u128>> = Vec::with_capacity(readers.len());
-        for r in &mut readers {
-            heads.push(r.next()?);
-        }
+        let bufs =
+            std::iter::once(std::mem::take(&mut self.block)).chain(std::iter::repeat(vec![]));
+        let mut inputs = (old.iter().zip(bufs))
+            .map(|(p, buf)| Merging::open(p, buf))
+            .collect::<io::Result<Vec<_>>>()?;
         let path = self.dir.join(format!("s{shard:02}-{}.run", self.file_seq));
         self.file_seq += 1;
         let mut w = BufWriter::new(File::create(&path)?);
+        // The fan-in is ≤ MAX_RUNS_PER_SHARD + 1, so a linear minimum beats
+        // heap bookkeeping.
         loop {
-            let mut min: Option<(u128, usize)> = None;
-            for (i, head) in heads.iter().enumerate() {
-                if let Some(h) = head {
-                    if min.is_none_or(|(mh, _)| *h < mh) {
-                        min = Some((*h, i));
-                    }
-                }
-            }
-            let Some((h, i)) = min else { break };
-            w.write_all(&h.to_le_bytes())?;
-            self.spilled_bytes += HASH_BYTES as u64;
-            heads[i] = readers[i].next()?;
+            // The input with the least next hash, and the least next hash
+            // of the others.
+            let heads = || (inputs.iter().enumerate()).filter_map(|(i, m)| Some((m.head()?, i)));
+            let Some((_, i)) = heads().min() else { break };
+            let bound = heads().filter(|&(_, j)| j != i).map(|(h, _)| h).min();
+            let m = &mut inputs[i];
+            let end = bound.map_or(m.len, |b| seek(m.block(), m.at, b));
+            w.write_all(m.block()[m.at..end].as_flattened())?;
+            self.spilled_bytes += ((end - m.at) * HASH_BYTES) as u64;
+            m.advance(end)?;
         }
         w.flush()?;
-        drop(readers);
+        self.block = std::mem::take(&mut inputs[0].buf);
+        drop(inputs);
         for p in old {
             fs::remove_file(p)?;
         }
         self.runs[shard] = vec![path];
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl SpillSet {
+    /// Every shard's run files.
+    pub(crate) fn runs(&self) -> &[Vec<PathBuf>] {
+        &self.runs
     }
 }
 
@@ -288,35 +366,43 @@ impl Visited for SpillSet {
         self.recent[shard_of(h)].contains(&h).then_some(0)
     }
 
-    /// Merge-joins this layer's candidate hashes against every on-disk
-    /// run and returns the subset that is already on disk (states
-    /// visited in an earlier, flushed layer).
+    /// Joins this layer's candidate hashes against every on-disk run and
+    /// returns the subset that is already on disk (states visited in an
+    /// earlier, flushed layer).
     ///
-    /// Candidates are sorted per shard; each run file is read once,
-    /// sequentially, with a two-pointer join. Shards with no runs or no
+    /// Candidates are sorted per shard. Each run is read in blocks of
+    /// `RUN_READ_BUF` bytes into one reused buffer, and every candidate up
+    /// to a block's last hash is placed in that block by binary search,
+    /// starting where the previous candidate was placed. A run is read
+    /// only until every candidate is placed. Shards with no runs or no
     /// candidates cost nothing.
-    fn join(&self, candidates: impl Iterator<Item = u128>) -> io::Result<HashSet<u128>> {
+    fn join(&mut self, candidates: impl Iterator<Item = u128>) -> io::Result<DigestSet> {
         let mut by_shard: Vec<Vec<u128>> = vec![Vec::new(); SHARDS];
         for h in candidates {
             by_shard[shard_of(h)].push(h);
         }
-        let mut old = HashSet::new();
+        let mut old = DigestSet::default();
         for (shard, cands) in by_shard.iter_mut().enumerate() {
             if cands.is_empty() || self.runs[shard].is_empty() {
                 continue;
             }
             cands.sort_unstable();
             for path in &self.runs[shard] {
-                let mut r = RunReader::open(path)?;
-                let mut i = 0;
-                while i < cands.len() {
-                    let Some(h) = r.next()? else { break };
-                    while i < cands.len() && cands[i] < h {
-                        i += 1;
-                    }
-                    if i < cands.len() && cands[i] == h {
-                        old.insert(h);
-                        i += 1;
+                let mut run = RunBlocks::open(path)?;
+                // The first candidate not yet placed in this run.
+                let mut next = 0;
+                while next < cands.len() {
+                    let block = run.next(&mut self.block)?;
+                    let Some(last) = block.last() else { break };
+                    let last = u128::from_le_bytes(*last);
+                    let mut at = 0;
+                    while next < cands.len() && cands[next] <= last {
+                        let h = cands[next];
+                        at = seek(block, at, h);
+                        if u128::from_le_bytes(block[at]) == h {
+                            old.insert(h);
+                        }
+                        next += 1;
                     }
                 }
             }

@@ -392,7 +392,10 @@ fn error_displays_are_informative() {
     assert!(text.contains("invariant violated"));
     assert!(text.contains("schedule"));
 
-    let limit = crate::CheckError::StateLimit { limit: 7, stats: Default::default() };
+    let limit = crate::CheckError::StateLimit {
+        limit: 7,
+        stats: Default::default(),
+    };
     assert!(limit.to_string().contains("7"));
 }
 
@@ -608,7 +611,10 @@ fn replay_skips_a_crash_outside_the_window() {
     let (_, machines, done) = mc.run_schedule(&[crate::CRASH_SCHEDULE_BASE]);
     assert_eq!((machines[0].0.pc, done[0]), (0, false));
     let trace = mc.render_trace(&[crate::CRASH_SCHEDULE_BASE]);
-    assert!(trace.contains("p0 CRASH: (not enabled, skipped)"), "{trace}");
+    assert!(
+        trace.contains("p0 CRASH: (not enabled, skipped)"),
+        "{trace}"
+    );
 }
 
 #[test]
@@ -664,7 +670,11 @@ fn engines_agree_under_faults() {
     let mut layout = Layout::new();
     let x = layout.scalar("X", 0);
     let y = layout.scalar("Y", 0);
-    let machines = vec![Flagger { x, pc: 0 }, Flagger { x: y, pc: 0 }, Flagger { x, pc: 0 }];
+    let machines = vec![
+        Flagger { x, pc: 0 },
+        Flagger { x: y, pc: 0 },
+        Flagger { x, pc: 0 },
+    ];
     let seq = ModelChecker::new(layout.clone(), machines.clone())
         .faults(2)
         .check(|_| Ok(()))
@@ -1141,10 +1151,116 @@ fn spill_runs_leave_no_scratch_behind() {
     std::fs::remove_dir(&dir).unwrap();
 }
 
+/// The spilled visited set's join returns exactly the candidates that it
+/// holds on disk and `find` does not see: checked against an oracle over
+/// one shard whose compacted run spans two read blocks, beside small runs
+/// and shards with no runs.
+#[test]
+fn block_join_matches_an_oracle() {
+    use crate::checker::DigestSet;
+    use crate::engine::{shard_of, Visited};
+    use crate::frontier::ScratchDir;
+    use crate::spill::{SpillConfig, SpillSet};
+    let tmp = std::env::temp_dir();
+    let scratch = ScratchDir::create(&tmp).unwrap();
+    // A zero budget flushes the delta every 4 097 hashes (the 64 KiB floor).
+    let cfg = SpillConfig {
+        dir: tmp,
+        budget_bytes: 0,
+    };
+    let mut set = SpillSet::create(scratch.path(), &cfg).unwrap();
+    let mut rng = crate::SplitMix64::new(22);
+    let mut random_in = |shard: u128| {
+        let h = u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64());
+        h >> 6 | shard << 122
+    };
+    // 80 078 hashes in shard 5, and 322 in shards 0 to 4.
+    let mut inserted = Vec::new();
+    let mut seen = DigestSet::default();
+    while inserted.len() < 80_400 {
+        let n = inserted.len();
+        let h = random_in(if n % 250 == 0 {
+            (n / 250 % 5) as u128
+        } else {
+            5
+        });
+        if seen.insert(h) {
+            set.insert(n as u32, h, (0, 0), false).unwrap();
+            inserted.push(h);
+        }
+    }
+    let read_run = |path: &std::path::PathBuf| -> Vec<u128> {
+        let bytes = std::fs::read(path).unwrap();
+        let run: Vec<u128> = (bytes.chunks_exact(16))
+            .map(|b| u128::from_le_bytes(b.try_into().unwrap()))
+            .collect();
+        assert!(run.is_sorted(), "{path:?} is sorted");
+        run
+    };
+
+    // Compaction kept every flushed hash, each once.
+    let mut on_disk: Vec<u128> = set.runs().iter().flatten().flat_map(read_run).collect();
+    on_disk.sort_unstable();
+    let mut flushed: Vec<u128> = inserted
+        .iter()
+        .copied()
+        .filter(|&h| set.find(h).is_none())
+        .collect();
+    flushed.sort_unstable();
+    assert_eq!(on_disk, flushed);
+    assert!(
+        flushed.len() < inserted.len(),
+        "some hashes stay in the delta"
+    );
+
+    // One block is 65 536 hashes: the compacted run spans two.
+    let big = read_run(&set.runs()[5][0]);
+    assert!(
+        big.len() > 65_536 && set.runs()[5].len() > 1,
+        "{}",
+        big.len()
+    );
+    let mut cands: Vec<u128> = inserted.iter().step_by(97).copied().collect();
+    for run in set.runs().iter().flatten().map(read_run) {
+        cands.extend([run[0], run[run.len() - 1]]);
+    }
+    cands.extend([big[65_535], big[65_536]]);
+    let absent = cands
+        .iter()
+        .flat_map(|&h| [h.wrapping_sub(1), h.wrapping_add(1)]);
+    let absent: Vec<u128> = absent.filter(|h| !seen.contains(h)).collect();
+    cands.extend(absent);
+    let no_runs: Vec<u128> = (0..50).map(|_| random_in(40)).collect();
+    assert!(no_runs
+        .iter()
+        .all(|&h| shard_of(h) == 40 && set.runs()[40].is_empty()));
+    cands.extend(&no_runs);
+
+    let mut expected: Vec<u128> = (cands.iter().copied())
+        .filter(|&h| seen.contains(&h) && set.find(h).is_none())
+        .collect();
+    expected.sort_unstable();
+    expected.dedup();
+    assert!(expected.binary_search(&big[65_535]).is_ok());
+    assert!(expected.binary_search(&big[65_536]).is_ok());
+    let mut joined: Vec<u128> = set
+        .join(cands.iter().copied())
+        .unwrap()
+        .into_iter()
+        .collect();
+    joined.sort_unstable();
+    assert_eq!(joined, expected);
+    assert!(set.join(std::iter::empty()).unwrap().is_empty());
+    assert!(set.join(no_runs.into_iter()).unwrap().is_empty());
+}
+
 #[test]
 fn engine_labels_name_the_backend() {
     use crate::Engine;
-    let hashed = Engine::Parallel { workers: 2, hashed: true };
+    let hashed = Engine::Parallel {
+        workers: 2,
+        hashed: true,
+    };
     let spill = Engine::Spill {
         dir: std::env::temp_dir(),
         budget_bytes: 16 << 20,
@@ -1153,11 +1269,18 @@ fn engine_labels_name_the_backend() {
     assert_eq!(Engine::Sequential.label(), "dfs");
     assert_eq!(hashed.label(), "bfs+hash:2w");
     assert_eq!(spill.label(), "bfs+spill:2w:16MiB");
-    assert_eq!(Engine::Reduced(Box::new(spill)).label(), "bfs+spill:2w:16MiB+por");
+    assert_eq!(
+        Engine::Reduced(Box::new(spill)).label(),
+        "bfs+spill:2w:16MiB+por"
+    );
     assert_eq!(Engine::Reduced(Box::new(hashed)).label(), "bfs+hash:2w+por");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     assert_eq!(
-        Engine::Parallel { workers: 0, hashed: true }.label(),
+        Engine::Parallel {
+            workers: 0,
+            hashed: true
+        }
+        .label(),
         format!("bfs+hash:{cores}w")
     );
 }
@@ -1167,6 +1290,9 @@ fn engine_labels_name_the_backend() {
 fn check_with_rejects_an_exact_bfs() {
     let mut layout = Layout::new();
     let x = layout.scalar("X", 0);
-    let exact_bfs = crate::Engine::Parallel { workers: 1, hashed: false };
+    let exact_bfs = crate::Engine::Parallel {
+        workers: 1,
+        hashed: false,
+    };
     let _ = ModelChecker::new(layout, vec![Incr::new(x)]).check_with(&exact_bfs, |_| Ok(()));
 }
