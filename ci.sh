@@ -54,14 +54,18 @@
 #      machine pinned cycle by cycle to the checker's `&dyn Memory`
 #      copy) and the zero-allocation steady state, in the optimized
 #      build the benchmark measures.
-#   9. crash/churn gate: the fault-injection sweeps (freeze and
+#   9. examples: all five `examples/` programs (quickstart, worker_slots,
+#      model_check, tournament_lock, resilient_object) run in release,
+#      about 25 s on a 2-core host; each asserts its own outcome, so a
+#      library change that breaks one fails here.
+#  10. crash/churn gate: the fault-injection sweeps (freeze and
 #      crash–restart at every stall point, all ten protocol cores)
 #      and the arena churn battery (armed clients panicking mid-acquire
 #      under a 4-permit gate, 100 seeded rounds, zero leaked permits).
 #      Also release: the churn rounds are real oversubscribed threads,
 #      and the RAII permit-return path only earns trust under optimized
 #      unwinding.
-#  10. benchmark self-test: clippy with warnings denied on the benchmark
+#  11. benchmark self-test: clippy with warnings denied on the benchmark
 #      crate (perfbench/, a workspace of its own, so `--manifest-path`),
 #      so an llr-mc or llr-core API change that leaves the benchmark with
 #      a warning fails here; then its own tests. They smoke-run all
@@ -122,6 +126,11 @@ rm -rf "$spill_tmp"
 
 echo "== real-atomics arena gate (differential + stress + smoke + handle copy + zero-alloc, release) =="
 cargo test -q --offline --release --test atomic_backend --test session_layer --test arena_alloc
+
+echo "== examples (release) =="
+for example in quickstart worker_slots model_check tournament_lock resilient_object; do
+    cargo run -q --offline --release --example "$example" > /dev/null
+done
 
 echo "== crash/churn gate (fault injection + arena churn, release) =="
 cargo test -q --offline --release --test crash_tolerance --test arena_churn

@@ -31,18 +31,20 @@
 //! see the row comments for why block exclusion needs the full graph.
 
 use crate::common::{banner, Table};
-use llr_core::chain::spec as chain_spec;
-use llr_core::filter::spec as filter_spec;
+use llr_core::chain::{Chain, Then};
+use llr_core::filter::{spec as filter_spec, FilterCore, FilterShape, ReleasePolicy};
 use llr_core::levelarray::spec as la_spec;
 use llr_core::ma::spec as ma_spec;
 use llr_core::smallnet::spec as net_spec;
 use llr_core::onetime::spec as onetime_spec;
 use llr_core::pf::spec as pf_spec;
-use llr_core::split::spec as split_spec;
+use llr_core::session::unique_names_invariant;
+use llr_core::split::{spec as split_spec, SplitCore, SplitShape};
 use llr_core::splitter::spec as splitter_spec;
 use llr_core::tournament::spec as tree_spec;
 use llr_gf::FilterParams;
 use llr_mc::{CheckError, CheckStats, Engine, ModelChecker, StepMachine, World};
+use llr_mem::Layout;
 use std::time::{Duration, Instant};
 
 /// State budget for the large parallel rows.
@@ -401,19 +403,44 @@ pub fn run() {
         );
     }
 
-    // Chain composition (SPLIT → MA in one register file). Three sessions
-    // is new.
+    // Chain composition: each chain is one register file and one `Then`
+    // core, the value the arena serves. SPLIT → MA first.
+    let split_ma = Chain::split_ma(2).expect("SPLIT→MA chain");
     for (sessions, engine) in [(2u8, dfs()), (3, bfs_hashed())] {
         add(
             "chain SPLIT→MA",
             "end-to-end names unique",
             &format!("k=2, 2 procs, {sessions} sessions, backwards release"),
             &engine,
-            explore(
-                chain_spec::checker(2, &[3, 9], sessions),
-                chain_spec::unique_names_invariant,
-                &engine,
-            ),
+            explore(split_ma.checker(&[3, 9], sessions), unique_names_invariant, &engine),
+        );
+    }
+    // SPLIT → FILTER, composed by hand from the two stage cores: FILTER
+    // takes the k=2 Theorem 11 parameters over SPLIT's 3 names.
+    let split_filter = {
+        let mut layout = Layout::new();
+        let split = SplitCore::new(SplitShape::build(2, &mut layout), 0);
+        let params = FilterParams::exponential3(2).expect("k=2 parameters");
+        let shape = FilterShape::build(params, &[0, 1, 2], &mut layout).expect("SPLIT's names");
+        let filter = FilterCore::new(shape, 0, ReleasePolicy::AtReleaseName);
+        Chain::new(2, layout, Then::new(split, filter).expect("FILTER covers SPLIT's names"))
+    };
+    add(
+        "chain SPLIT→FILTER",
+        "end-to-end names unique",
+        "k=2, 2 procs, 3 sessions, backwards release",
+        &dfs(),
+        explore(split_filter.checker(&[3, 9], 3), unique_names_invariant, &dfs()),
+    );
+    // The whole Theorem 11 pipeline, SPLIT → FILTER → FILTER → MA.
+    let theorem11 = Chain::theorem11(2).expect("Theorem 11 chain");
+    for (sessions, engine) in [(1u8, dfs()), (3, bfs_hashed())] {
+        add(
+            "chain Theorem 11",
+            "end-to-end names unique",
+            &format!("k=2, 2 procs, {sessions} sessions, backwards release"),
+            &engine,
+            explore(theorem11.checker(&[3, 9], sessions), unique_names_invariant, &engine),
         );
     }
 
@@ -596,10 +623,17 @@ pub fn run() {
 
     let (r, w) = {
         let start = Instant::now();
-        let r = chain_spec::checker(2, &[3, 9], 2).workers(0).check_always_terminable();
+        let r = split_ma.checker(&[3, 9], 2).workers(0).check_always_terminable();
         (r, start.elapsed())
     };
     add_live("chain SPLIT→MA", "k=2, 2 procs, 2 sessions", r, w);
+
+    let (r, w) = {
+        let start = Instant::now();
+        let r = theorem11.checker(&[3, 9], 1).workers(0).check_always_terminable();
+        (r, start.elapsed())
+    };
+    add_live("chain Theorem 11", "k=2, 2 procs, 1 session", r, w);
 
     let (r, w) = {
         let start = Instant::now();

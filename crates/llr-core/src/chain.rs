@@ -17,6 +17,16 @@
 //! for long-lived renaming to the optimal-for-this-family `k(k+1)/2`
 //! names in `O(k³)` time, independent of `S`.
 //!
+//! # One composition, served and checked
+//!
+//! Composition is itself a [`ProtocolCore`]: [`Then<A, B>`] runs `A`'s
+//! acquire, then `B`'s under the name `A` handed out, and releases in the
+//! opposite order. A [`Chain`] is one register file holding every stage
+//! plus a nest of `Then`s, so its threaded handle is the same
+//! [`session::Handle`](crate::session::Handle) every other protocol
+//! serves through, and [`Chain::checker`] model-checks the very same
+//! cores as [`Session`]s.
+//!
 //! # Example
 //!
 //! ```
@@ -28,85 +38,39 @@
 //! let mut h = chain.handle(0xFFFF_FFFF_FFFF); // any 64-bit id
 //! let name = h.acquire();
 //! assert!(name < 6);
+//! assert_eq!(h.stage_names().len(), 4); // SPLIT, FILTER, FILTER, MA
 //! h.release();
 //! ```
 
-use crate::filter::{Filter, FilterHandle};
-use crate::ma::{MaGrid, MaHandle};
-use crate::split::{Split, SplitHandle};
-use crate::traits::{Renaming, RenamingHandle};
+use crate::filter::{FilterCore, FilterShape, ReleasePolicy};
+use crate::ma::{MaCore, MaShape};
+use crate::session::{Handle, ProtocolCore, Session};
+use crate::split::{SplitCore, SplitShape};
+use crate::traits::Renaming;
 use crate::types::{Name, Pid};
 use llr_gf::{FilterParams, ParamError};
+use llr_mc::{Footprint, ModelChecker};
+use llr_mem::{AtomicMemory, Layout, Memory, Word};
 use std::fmt;
+use std::sync::Arc;
 
-/// One stage of a chain.
-#[derive(Debug)]
-pub enum Stage {
-    /// A SPLIT tree (any source space → `3^(k-1)`).
-    Split(Split),
-    /// A FILTER instance.
-    Filter(Filter),
-    /// An MA grid (final compaction to `k(k+1)/2`).
-    Ma(MaGrid),
-}
+/// What composing a core into a [`Then`] needs from it.
+pub trait Composable: ProtocolCore {
+    /// The same core, sharing its shape, acting for process `pid`.
+    fn for_pid(&self, pid: Pid) -> Self;
 
-impl Stage {
-    fn source_size(&self) -> u64 {
-        match self {
-            Stage::Split(s) => s.source_size(),
-            Stage::Filter(f) => f.source_size(),
-            Stage::Ma(m) => m.source_size(),
-        }
+    /// Size `S` of the source space the core accepts pids from.
+    fn source_size(&self) -> u64;
+
+    /// Appends the destination size after each stage (the name-space
+    /// funnel); a single stage has one.
+    fn funnel(&self, out: &mut Vec<u64>) {
+        out.push(self.dest_size());
     }
 
-    fn dest_size(&self) -> u64 {
-        match self {
-            Stage::Split(s) => s.dest_size(),
-            Stage::Filter(f) => f.dest_size(),
-            Stage::Ma(m) => m.dest_size(),
-        }
-    }
-
-    fn handle(&self, pid: Pid) -> StageHandle<'_> {
-        match self {
-            Stage::Split(s) => StageHandle::Split(s.handle(pid)),
-            Stage::Filter(f) => StageHandle::Filter(f.handle(pid)),
-            Stage::Ma(m) => StageHandle::Ma(m.handle(pid)),
-        }
-    }
-}
-
-/// A per-process handle on one stage.
-#[derive(Debug)]
-enum StageHandle<'a> {
-    Split(SplitHandle<'a>),
-    Filter(FilterHandle<'a>),
-    Ma(MaHandle<'a>),
-}
-
-impl StageHandle<'_> {
-    fn acquire(&mut self) -> Name {
-        match self {
-            StageHandle::Split(h) => h.acquire(),
-            StageHandle::Filter(h) => h.acquire(),
-            StageHandle::Ma(h) => h.acquire(),
-        }
-    }
-
-    fn release(&mut self) {
-        match self {
-            StageHandle::Split(h) => h.release(),
-            StageHandle::Filter(h) => h.release(),
-            StageHandle::Ma(h) => h.release(),
-        }
-    }
-
-    fn accesses(&self) -> u64 {
-        match self {
-            StageHandle::Split(h) => h.accesses(),
-            StageHandle::Filter(h) => h.accesses(),
-            StageHandle::Ma(h) => h.accesses(),
-        }
+    /// Appends the name each stage's part of `token` holds.
+    fn stage_names(&self, token: &Self::Token, out: &mut Vec<Option<Name>>) {
+        out.push(self.token_name(token));
     }
 }
 
@@ -123,8 +87,6 @@ pub enum ChainError {
         /// This stage's source size.
         source: u64,
     },
-    /// The chain has no stages.
-    Empty,
     /// Building a FILTER stage's parameters failed.
     Params(ParamError),
     /// Building a FILTER stage failed.
@@ -142,7 +104,6 @@ impl fmt::Display for ChainError {
                 f,
                 "stage {stage} accepts {source} source names but receives {upstream_dest}"
             ),
-            ChainError::Empty => write!(f, "a chain needs at least one stage"),
             ChainError::Params(e) => write!(f, "parameter selection failed: {e}"),
             ChainError::Filter(e) => write!(f, "filter construction failed: {e}"),
         }
@@ -163,45 +124,409 @@ impl From<crate::filter::FilterError> for ChainError {
     }
 }
 
-/// A pipeline of long-lived renaming stages acting as a single long-lived
-/// renaming object.
-#[derive(Debug)]
-pub struct Chain {
-    stages: Vec<Stage>,
-    k: usize,
+/// Two stages composed as one [`ProtocolCore`]: `A`'s acquire, then `B`'s
+/// under the name `A` handed out; `B`'s release, then `A`'s.
+///
+/// `Then` holds `A`'s core and a table of `B` cores, one per name `A`
+/// hands out, built once by [`Then::new`] and shared by every
+/// [`for_pid`](Composable::for_pid) copy: no step and no cycle clones a
+/// shape. Chains nest to the left, `Then<Then<A, B>, C>`, so each table
+/// holds plain stage cores.
+#[derive(Clone, Debug)]
+pub struct Then<A, B> {
+    first: A,
+    /// `B`'s core for each name `A` hands out, indexed by that name.
+    second: Arc<[B]>,
 }
 
-impl Chain {
-    /// Builds a chain from explicit stages, validating that each stage's
-    /// source space covers its predecessor's destination space.
+impl<A: Composable, B: Composable> Then<A, B> {
+    /// Composes `first` with `second`, building `second`'s core for every
+    /// name `first` hands out.
     ///
     /// # Errors
     ///
-    /// See [`ChainError`].
-    pub fn from_stages(k: usize, stages: Vec<Stage>) -> Result<Self, ChainError> {
-        if stages.is_empty() {
-            return Err(ChainError::Empty);
+    /// [`ChainError::Mismatch`] if `second`'s source space is smaller than
+    /// `first`'s destination space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `second` cannot act for some name below `first`'s
+    /// destination size: a FILTER stage must have registered every one.
+    pub fn new(first: A, second: B) -> Result<Self, ChainError> {
+        let upstream_dest = first.dest_size();
+        let source = second.source_size();
+        if source < upstream_dest {
+            let mut funnel = Vec::new();
+            first.funnel(&mut funnel);
+            return Err(ChainError::Mismatch {
+                stage: funnel.len(),
+                upstream_dest,
+                source,
+            });
         }
-        for (i, pair) in stages.windows(2).enumerate() {
-            let upstream_dest = pair[0].dest_size();
-            let source = pair[1].source_size();
-            if source < upstream_dest {
-                return Err(ChainError::Mismatch {
-                    stage: i + 1,
-                    upstream_dest,
-                    source,
-                });
-            }
-        }
-        Ok(Self { stages, k })
+        let second = (0..upstream_dest)
+            .map(|name| second.for_pid(name))
+            .collect();
+        Ok(Self { first, second })
     }
 
+    /// The index of the `B` core that serves `A`'s token.
+    fn at(&self, token: &A::Token) -> usize {
+        self.first
+            .token_name(token)
+            .expect("a chained stage's token carries a name") as usize
+    }
+
+    /// The hand-off: `B`'s acquire under the name in `token`. It makes no
+    /// shared access; `B`'s first access is its own scheduled step.
+    fn hand_off(&self, token: A::Token) -> ThenAcquire<A, B> {
+        let at = self.at(&token);
+        ThenAcquire::Second {
+            at,
+            b: self.second[at].begin_acquire(),
+            token,
+        }
+    }
+}
+
+/// [`Then`]'s acquire machine.
+#[derive(Clone, Debug)]
+pub enum ThenAcquire<A: ProtocolCore, B: ProtocolCore> {
+    /// `A`'s acquire.
+    First(A::Acquire),
+    /// `A`'s prologue, run before the hand-off.
+    Prologue {
+        /// The in-flight prologue.
+        rel: A::Release,
+        /// `A`'s token.
+        token: A::Token,
+    },
+    /// `B`'s acquire on its core `at`, the name `A`'s token holds.
+    Second {
+        /// The `B` core's index.
+        at: usize,
+        /// `A`'s token, kept for the backwards release.
+        token: A::Token,
+        /// The in-flight `B` acquire.
+        b: B::Acquire,
+    },
+    /// Complete: the token has moved on, and the machine is never
+    /// stepped again.
+    Done,
+}
+
+/// [`Then`]'s release machine: `B`'s release, then `A`'s; or, as a
+/// prologue, `B`'s prologue alone.
+#[derive(Clone, Debug)]
+pub struct ThenRelease<A: ProtocolCore, B: ProtocolCore> {
+    /// `B`'s release (or prologue) and the index of its core, until it
+    /// completes.
+    second: Option<(usize, B::Release)>,
+    /// `A`'s release, run once `B`'s has completed; `None` for `B`'s
+    /// prologue, which completes into Holding.
+    first: Option<A::Release>,
+}
+
+impl<A: Composable, B: Composable> ProtocolCore for Then<A, B> {
+    type Acquire = ThenAcquire<A, B>;
+    type Token = (A::Token, B::Token);
+    type Release = ThenRelease<A, B>;
+
+    const LAZY_START: bool = A::LAZY_START;
+
+    fn pid(&self) -> Pid {
+        self.first.pid()
+    }
+
+    fn begin_acquire(&self) -> ThenAcquire<A, B> {
+        ThenAcquire::First(self.first.begin_acquire())
+    }
+
+    fn step_acquire<M: Memory + ?Sized>(
+        &self,
+        a: &mut ThenAcquire<A, B>,
+        mem: &M,
+    ) -> Option<Self::Token> {
+        match a {
+            ThenAcquire::First(m) => {
+                if let Some(mut token) = self.first.step_acquire(m, mem) {
+                    *a = match self.first.prologue(&mut token) {
+                        Some(rel) => ThenAcquire::Prologue { rel, token },
+                        None => self.hand_off(token),
+                    };
+                }
+                None
+            }
+            ThenAcquire::Prologue { rel, .. } => {
+                if self.first.step_release(rel, mem) {
+                    if let ThenAcquire::Prologue { token, .. } =
+                        std::mem::replace(a, ThenAcquire::Done)
+                    {
+                        *a = self.hand_off(token);
+                    }
+                }
+                None
+            }
+            ThenAcquire::Second { at, b, .. } => {
+                let second = self.second[*at].step_acquire(b, mem)?;
+                match std::mem::replace(a, ThenAcquire::Done) {
+                    ThenAcquire::Second { token, .. } => Some((token, second)),
+                    _ => None,
+                }
+            }
+            ThenAcquire::Done => None,
+        }
+    }
+
+    fn prologue(&self, (first, second): &mut Self::Token) -> Option<ThenRelease<A, B>> {
+        let at = self.at(first);
+        self.second[at].prologue(second).map(|b| ThenRelease {
+            second: Some((at, b)),
+            first: None,
+        })
+    }
+
+    fn begin_release(&self, (first, second): Self::Token) -> ThenRelease<A, B> {
+        let at = self.at(&first);
+        ThenRelease {
+            second: Some((at, self.second[at].begin_release(second))),
+            first: Some(self.first.begin_release(first)),
+        }
+    }
+
+    fn step_release<M: Memory + ?Sized>(&self, r: &mut ThenRelease<A, B>, mem: &M) -> bool {
+        if let Some((at, b)) = &mut r.second {
+            if self.second[*at].step_release(b, mem) {
+                r.second = None;
+                // A prologue completes here; a release goes on to `A`'s
+                // in the next step.
+                return r.first.is_none();
+            }
+            return false;
+        }
+        r.first
+            .as_mut()
+            .is_none_or(|a| self.first.step_release(a, mem))
+    }
+
+    fn token_name(&self, (first, second): &Self::Token) -> Option<Name> {
+        self.second[self.at(first)].token_name(second)
+    }
+
+    fn dest_size(&self) -> u64 {
+        self.second[0].dest_size()
+    }
+
+    fn acquire_footprint(&self, a: &ThenAcquire<A, B>, fp: &mut Footprint) -> bool {
+        // Completing `A` (or its prologue) only hands off to `B`.
+        match a {
+            ThenAcquire::First(m) => {
+                self.first.acquire_footprint(m, fp);
+                false
+            }
+            ThenAcquire::Prologue { rel, .. } => {
+                self.first.release_footprint(rel, fp);
+                false
+            }
+            ThenAcquire::Second { at, b, .. } => self.second[*at].acquire_footprint(b, fp),
+            ThenAcquire::Done => true,
+        }
+    }
+
+    fn release_footprint(&self, r: &ThenRelease<A, B>, fp: &mut Footprint) -> bool {
+        if let Some((at, b)) = &r.second {
+            return self.second[*at].release_footprint(b, fp) && r.first.is_none();
+        }
+        r.first
+            .as_ref()
+            .is_none_or(|a| self.first.release_footprint(a, fp))
+    }
+
+    fn future_footprint(&self, fp: &mut Footprint) {
+        self.first.future_footprint(fp);
+        // `B` runs under a name `A` hands out at run time, so every `B`
+        // core's lifetime is a potential future.
+        for core in self.second.iter() {
+            core.future_footprint(fp);
+        }
+    }
+
+    fn release_future_footprint(&self, r: &ThenRelease<A, B>, fp: &mut Footprint) {
+        if let Some((at, b)) = &r.second {
+            self.second[*at].release_future_footprint(b, fp);
+        }
+        if let Some(a) = &r.first {
+            self.first.release_future_footprint(a, fp);
+        }
+    }
+
+    fn key_acquire(&self, a: &ThenAcquire<A, B>, out: &mut Vec<Word>) {
+        match a {
+            ThenAcquire::First(m) => {
+                out.push(0);
+                self.first.key_acquire(m, out);
+            }
+            ThenAcquire::Prologue { rel, token } => {
+                out.push(1);
+                self.first.key_prologue(rel, token, out);
+            }
+            // `A`'s token is keyed: its release is still ahead.
+            ThenAcquire::Second { at, token, b } => {
+                out.push(2);
+                self.first.key_token(token, out);
+                self.second[*at].key_acquire(b, out);
+            }
+            ThenAcquire::Done => out.push(3),
+        }
+    }
+
+    fn key_token(&self, (first, second): &Self::Token, out: &mut Vec<Word>) {
+        self.first.key_token(first, out);
+        self.second[self.at(first)].key_token(second, out);
+    }
+
+    fn key_release(&self, r: &ThenRelease<A, B>, out: &mut Vec<Word>) {
+        match &r.second {
+            Some((at, b)) => {
+                out.push(*at as Word);
+                self.second[*at].key_release(b, out);
+            }
+            None => out.push(Word::MAX),
+        }
+        if let Some(a) = &r.first {
+            self.first.key_release(a, out);
+        }
+    }
+
+    fn describe_acquire(&self, a: &ThenAcquire<A, B>) -> String {
+        match a {
+            ThenAcquire::First(m) => self.first.describe_acquire(m),
+            ThenAcquire::Prologue { rel, .. } => {
+                format!("Prologue({})", self.first.describe_release(rel))
+            }
+            ThenAcquire::Second { at, token, b } => format!(
+                "{} → {}",
+                self.first.describe_token(token),
+                self.second[*at].describe_acquire(b)
+            ),
+            ThenAcquire::Done => "Acquired".into(),
+        }
+    }
+
+    fn describe_release(&self, r: &ThenRelease<A, B>) -> String {
+        match (&r.second, &r.first) {
+            (Some((at, b)), _) => self.second[*at].describe_release(b),
+            (None, Some(a)) => self.first.describe_release(a),
+            (None, None) => "Released".into(),
+        }
+    }
+}
+
+impl<A: Composable, B: Composable> Composable for Then<A, B> {
+    fn for_pid(&self, pid: Pid) -> Self {
+        Self {
+            first: self.first.for_pid(pid),
+            second: Arc::clone(&self.second),
+        }
+    }
+
+    fn source_size(&self) -> u64 {
+        self.first.source_size()
+    }
+
+    fn funnel(&self, out: &mut Vec<u64>) {
+        self.first.funnel(out);
+        out.push(self.dest_size());
+    }
+
+    fn stage_names(&self, (first, second): &Self::Token, out: &mut Vec<Option<Name>>) {
+        self.first.stage_names(first, out);
+        out.push(self.second[self.at(first)].token_name(second));
+    }
+}
+
+/// The Theorem 11 pipeline's core: SPLIT → FILTER → FILTER → MA.
+pub type Theorem11 = Then<Then<Then<SplitCore, FilterCore>, FilterCore>, MaCore>;
+
+/// The two-stage SPLIT → MA core.
+pub type SplitMa = Then<SplitCore, MaCore>;
+
+/// The FILTER → FILTER core of [`Chain::double_filter`].
+pub type DoubleFilter = Then<FilterCore, FilterCore>;
+
+/// A pipeline of long-lived renaming stages acting as a single long-lived
+/// renaming object: every stage in one register file, driven by one
+/// composed core `P`.
+#[derive(Debug)]
+pub struct Chain<P> {
+    /// The composed core, acting for pid 0; [`Composable::for_pid`]
+    /// copies it for each process.
+    core: P,
+    layout: Layout,
+    mem: AtomicMemory,
+    k: usize,
+}
+
+impl<P: Composable> Chain<P> {
+    /// Serves `core`, whose stages were all allocated in `layout`, to at
+    /// most `k` concurrent processes.
+    pub fn new(k: usize, layout: Layout, core: P) -> Self {
+        Self {
+            mem: AtomicMemory::new(&layout),
+            layout,
+            core,
+            k,
+        }
+    }
+
+    /// Destination sizes after each stage (the "name-space funnel").
+    pub fn funnel(&self) -> Vec<u64> {
+        let mut out = Vec::new();
+        self.core.funnel(&mut out);
+        out
+    }
+
+    /// The register layout every stage was allocated in.
+    pub fn layout(&self) -> &Layout {
+        &self.layout
+    }
+
+    /// The composed core acting for process `pid`.
+    pub fn core(&self, pid: Pid) -> P {
+        self.core.for_pid(pid)
+    }
+
+    /// The model checker over `pids`, each running `sessions`
+    /// acquire/release cycles of this chain's core.
+    pub fn checker(&self, pids: &[Pid], sessions: u8) -> ModelChecker<Session<P>> {
+        let machines = pids
+            .iter()
+            .map(|&p| Session::start(self.core(p), sessions))
+            .collect();
+        ModelChecker::new(self.layout.clone(), machines)
+    }
+}
+
+/// A FILTER stage for `params` that registers every name below `names`,
+/// acting for pid 0.
+fn filter_stage(
+    params: FilterParams,
+    names: u64,
+    layout: &mut Layout,
+) -> Result<FilterCore, ChainError> {
+    let pids: Vec<Pid> = (0..names).collect();
+    let shape = FilterShape::build(params, &pids, layout)?;
+    Ok(FilterCore::new(shape, 0, ReleasePolicy::AtReleaseName))
+}
+
+impl Chain<Theorem11> {
     /// The Theorem 11 pipeline: SPLIT → FILTER(`S ≤ 3^(k-1)`) →
     /// FILTER(`S ≤ 2k⁴`) → MA, renaming any 64-bit source space to
     /// `k(k+1)/2` names in `O(k³)` time.
     ///
-    /// For `k = 1` the pipeline is just SPLIT (which already renames to a
-    /// single name).
+    /// FILTER's `k` only bounds concurrency from above, so for `k = 1`
+    /// the FILTER stages take their `k = 2` parameters and the chain
+    /// still renames to a single name.
     ///
     /// # Errors
     ///
@@ -209,33 +534,30 @@ impl Chain {
     ///
     /// # Panics
     ///
-    /// Panics if `k` exceeds [`crate::split::MAX_K`] (the SPLIT tree and
-    /// the full intermediate registration become enormous well before
-    /// that).
+    /// Panics if `k = 0` or `k` exceeds [`crate::split::MAX_K`] (the
+    /// SPLIT tree and the full intermediate registration become enormous
+    /// well before that).
     pub fn theorem11(k: usize) -> Result<Self, ChainError> {
-        let split = Split::new(k);
-        if k == 1 {
-            return Self::from_stages(k, vec![Stage::Split(split)]);
-        }
-        let d1 = split.dest_size(); // 3^(k-1)
-        let p1 = FilterParams::exponential3(k)?;
-        let f1 = Filter::new(p1, &all_pids(d1))?;
-        let d2 = f1.dest_size();
-        let p2 = FilterParams::choose(k, d2)?;
-        let f2 = Filter::new(p2, &all_pids(d2))?;
-        let d3 = f2.dest_size();
-        let ma = MaGrid::new(k, d3);
-        Self::from_stages(
-            k,
-            vec![
-                Stage::Split(split),
-                Stage::Filter(f1),
-                Stage::Filter(f2),
-                Stage::Ma(ma),
-            ],
-        )
+        let mut layout = Layout::new();
+        let split = SplitCore::new(SplitShape::build(k, &mut layout), 0);
+        let filter_k = k.max(2);
+        let f1 = filter_stage(
+            FilterParams::exponential3(filter_k)?,
+            split.dest_size(),
+            &mut layout,
+        )?;
+        let f2 = filter_stage(
+            FilterParams::choose(filter_k, f1.dest_size())?,
+            f1.dest_size(),
+            &mut layout,
+        )?;
+        let ma = MaCore::new(MaShape::build(k, f2.dest_size(), &mut layout), 0);
+        let core = Then::new(Then::new(Then::new(split, f1)?, f2)?, ma)?;
+        Ok(Self::new(k, layout, core))
     }
+}
 
+impl Chain<DoubleFilter> {
     /// The paper's §4.4 observation "applying FILTER twice yields
     /// `D ∈ O(k²)`": FILTER(chosen for `S`) → FILTER(chosen for the first
     /// stage's output), for a source space already polynomial in `k`.
@@ -250,21 +572,26 @@ impl Chain {
     /// every source id with the first stage (so any pid may participate),
     /// which is only sensible for the poly(k)-sized source spaces the
     /// observation is about. For larger spaces, build the stages with an
-    /// explicit participant set and [`Chain::from_stages`].
+    /// explicit participant set, compose them with [`Then::new`] and
+    /// serve them with [`Chain::new`].
     pub fn double_filter(k: usize, s: u64) -> Result<Self, ChainError> {
         assert!(
             s <= 250_000,
-            "double_filter registers all {s} source ids; use from_stages \
-             with an explicit participant set for large source spaces"
+            "double_filter registers all {s} source ids; compose the stages \
+             with Then::new over an explicit participant set for large source spaces"
         );
-        let p1 = FilterParams::choose(k, s)?;
-        let f1 = Filter::new(p1, &all_pids(s))?;
-        let d1 = f1.dest_size();
-        let p2 = FilterParams::choose(k, d1)?;
-        let f2 = Filter::new(p2, &all_pids(d1))?;
-        Self::from_stages(k, vec![Stage::Filter(f1), Stage::Filter(f2)])
+        let mut layout = Layout::new();
+        let f1 = filter_stage(FilterParams::choose(k, s)?, s, &mut layout)?;
+        let f2 = filter_stage(
+            FilterParams::choose(k, f1.dest_size())?,
+            f1.dest_size(),
+            &mut layout,
+        )?;
+        Ok(Self::new(k, layout, Then::new(f1, f2)?))
     }
+}
 
+impl Chain<SplitMa> {
     /// A cheaper two-stage variant for measurements: SPLIT → MA. Same
     /// destination space as Theorem 11 but with the MA stage scanning
     /// `3^(k-1)` presence slots, illustrating why the intermediate FILTER
@@ -274,46 +601,29 @@ impl Chain {
     ///
     /// Propagates construction failures.
     pub fn split_ma(k: usize) -> Result<Self, ChainError> {
-        let split = Split::new(k);
-        let d1 = split.dest_size();
-        let ma = MaGrid::new(k, d1);
-        Self::from_stages(k, vec![Stage::Split(split), Stage::Ma(ma)])
-    }
-
-    /// The stages of this chain.
-    pub fn stages(&self) -> &[Stage] {
-        &self.stages
-    }
-
-    /// Destination sizes after each stage (the "name-space funnel").
-    pub fn funnel(&self) -> Vec<u64> {
-        self.stages.iter().map(Stage::dest_size).collect()
+        let mut layout = Layout::new();
+        let split = SplitCore::new(SplitShape::build(k, &mut layout), 0);
+        let ma = MaCore::new(MaShape::build(k, split.dest_size(), &mut layout), 0);
+        Ok(Self::new(k, layout, Then::new(split, ma)?))
     }
 }
 
-fn all_pids(n: u64) -> Vec<Pid> {
-    (0..n).collect()
-}
+impl<P: Composable> Renaming for Chain<P> {
+    type Handle<'a>
+        = Handle<'a, P>
+    where
+        P: 'a;
 
-impl Renaming for Chain {
-    type Handle<'a> = ChainHandle<'a>;
-
-    fn handle(&self, pid: Pid) -> ChainHandle<'_> {
-        ChainHandle {
-            chain: self,
-            pid,
-            inner: Vec::new(),
-            held: None,
-            retired_accesses: 0,
-        }
+    fn handle(&self, pid: Pid) -> Handle<'_, P> {
+        Handle::new(self.core(pid), &self.mem)
     }
 
     fn source_size(&self) -> u64 {
-        self.stages[0].source_size()
+        self.core.source_size()
     }
 
     fn dest_size(&self) -> u64 {
-        self.stages.last().expect("nonempty").dest_size()
+        self.core.dest_size()
     }
 
     fn concurrency(&self) -> usize {
@@ -321,432 +631,85 @@ impl Renaming for Chain {
     }
 }
 
-/// Process handle on a [`Chain`].
-#[derive(Debug)]
-pub struct ChainHandle<'a> {
-    chain: &'a Chain,
-    pid: Pid,
-    inner: Vec<StageHandle<'a>>,
-    held: Option<Name>,
-    /// Accesses from stage handles already retired by past releases.
-    retired_accesses: u64,
-}
-
-impl ChainHandle<'_> {
-    /// The intermediate names acquired at each stage during the current
-    /// hold (diagnostic).
+impl<A: Composable, B: Composable> Handle<'_, Then<A, B>> {
+    /// The intermediate names held at each stage, read from the held
+    /// token (diagnostic); empty while no name is held.
     pub fn stage_names(&self) -> Vec<Option<Name>> {
-        self.inner
-            .iter()
-            .map(|h| match h {
-                StageHandle::Split(h) => h.held(),
-                StageHandle::Filter(h) => h.held(),
-                StageHandle::Ma(h) => h.held(),
-            })
-            .collect()
-    }
-}
-
-impl RenamingHandle for ChainHandle<'_> {
-    fn acquire(&mut self) -> Name {
-        assert!(self.held.is_none(), "acquire while holding a name");
-        let mut id = self.pid;
-        for stage in &self.chain.stages {
-            let mut h = stage.handle(id);
-            id = h.acquire();
-            self.inner.push(h);
+        let mut out = Vec::new();
+        if let Some(token) = self.held_token() {
+            self.core().stage_names(token, &mut out);
         }
-        self.held = Some(id);
-        id
-    }
-
-    fn release(&mut self) {
-        assert!(self.held.is_some(), "release without holding a name");
-        self.held = None;
-        // Last stage first: our intermediate names stay reserved upstream
-        // until every downstream identity built on them is gone.
-        while let Some(mut h) = self.inner.pop() {
-            h.release();
-            self.retired_accesses += h.accesses();
-        }
-    }
-
-    fn pid(&self) -> Pid {
-        self.pid
-    }
-
-    fn held(&self) -> Option<Name> {
-        self.held
-    }
-
-    fn accesses(&self) -> u64 {
-        self.retired_accesses + self.inner.iter().map(StageHandle::accesses).sum::<u64>()
-    }
-}
-
-pub mod spec {
-    //! Model-checkable specification of stage composition: a two-stage
-    //! SPLIT → MA chain in one register file, exhaustively checked for
-    //! end-to-end name uniqueness — including the subtle part, the
-    //! *backwards* release order (MA name first, SPLIT name second).
-
-    use crate::ma::{MaAcquire, MaRelease, MaShape};
-    use crate::split::{PathVec, SplitAcquire, SplitRelease, SplitShape};
-    use crate::types::{Name, Pid};
-    use llr_mc::{CheckStats, Footprint, ModelChecker, Violation, World};
-    use llr_mem::{Layout, Memory, Word};
-
-    /// Register layout of a SPLIT → MA mini-chain.
-    #[derive(Clone, Debug)]
-    pub struct MiniChainShape {
-        split: SplitShape,
-        ma: MaShape,
-    }
-
-    impl MiniChainShape {
-        /// Allocates both stages in one layout: SPLIT for concurrency
-        /// `k`, MA over SPLIT's `3^(k-1)` output names.
-        pub fn build(k: usize, layout: &mut Layout) -> Self {
-            let split = SplitShape::build(k, layout);
-            let ma = MaShape::build(k, 3u64.pow(k as u32 - 1), layout);
-            Self { split, ma }
-        }
-
-        /// Holders of each stage's shape (`Arc` strong counts).
-        #[cfg(test)]
-        pub(crate) fn strong_counts(&self) -> (usize, usize) {
-            (self.split.strong_count(), self.ma.strong_count())
-        }
-    }
-
-    /// The composite acquire machine: walk the SPLIT tree, then — under
-    /// the intermediate identity it yields — walk the MA grid.
-    #[derive(Clone, Debug)]
-    pub enum ChainAcquire {
-        /// Stage 1: the SPLIT walk.
-        Split(SplitAcquire),
-        /// Stage 2: the MA walk, with the SPLIT outcome carried along for
-        /// the eventual backwards release.
-        Ma {
-            /// The SPLIT tree path, kept for the backwards release.
-            split_path: PathVec,
-            /// The intermediate identity SPLIT assigned for the MA stage.
-            intermediate: Pid,
-            /// The in-flight MA grid walk.
-            m: MaAcquire,
-        },
-    }
-
-    /// Everything a completed chain session holds: the final name plus
-    /// the breadcrumbs each stage's release needs.
-    #[derive(Clone, Debug)]
-    pub struct ChainToken {
-        split_path: PathVec,
-        intermediate: Pid,
-        cell: (usize, usize),
-        name: Name,
-    }
-
-    /// The composite release machine. Backwards order: the MA name goes
-    /// first (a single write, performed on the step that leaves Holding),
-    /// then the SPLIT-stage release retraces the tree path — releasing the
-    /// front stage first would let another process grab our intermediate
-    /// name and enter MA with an identity we still occupy there.
-    #[derive(Clone, Debug)]
-    pub enum ChainRelease {
-        /// The pending MA release write, with the SPLIT path stashed.
-        Ma {
-            /// The SPLIT tree path to retrace once the MA write lands.
-            split_path: PathVec,
-            /// The pending MA release machine.
-            m: MaRelease,
-        },
-        /// Stage 1 unwinding.
-        Split(SplitRelease),
-    }
-
-    /// The SPLIT → MA mini-chain's
-    /// [`ProtocolCore`][crate::session::ProtocolCore]: both stages' shapes
-    /// plus one pid. The core owns both shapes; the embedded stage
-    /// machines borrow them on every step, like the stand-alone cores'.
-    #[derive(Clone, Debug)]
-    pub struct ChainCore {
-        shape: MiniChainShape,
-        pid: Pid,
-    }
-
-    impl ChainCore {
-        /// A core for process `pid` on the mini-chain `shape`.
-        pub fn new(shape: MiniChainShape, pid: Pid) -> Self {
-            Self { shape, pid }
-        }
-    }
-
-    impl crate::session::ProtocolCore for ChainCore {
-        type Acquire = ChainAcquire;
-        type Token = ChainToken;
-        type Release = ChainRelease;
-
-        // The SPLIT walk's first access happens in the same scheduled step
-        // that leaves Idle (and a k = 1 zero-access SPLIT stage falls
-        // straight through to the MA walk).
-        const LAZY_START: bool = false;
-
-        fn pid(&self) -> Pid {
-            self.pid
-        }
-
-        fn begin_acquire(&self) -> ChainAcquire {
-            ChainAcquire::Split(SplitAcquire::new(self.pid))
-        }
-
-        fn step_acquire<M: Memory + ?Sized>(
-            &self,
-            a: &mut ChainAcquire,
-            mem: &M,
-        ) -> Option<ChainToken> {
-            match a {
-                ChainAcquire::Split(m) => {
-                    if let Some(intermediate) = m.step(&self.shape.split, mem) {
-                        let split_path = std::mem::replace(m, SplitAcquire::new(0)).into_path();
-                        *a = ChainAcquire::Ma {
-                            split_path,
-                            intermediate,
-                            m: MaAcquire::new(&self.shape.ma, intermediate),
-                        };
-                    }
-                    None
-                }
-                ChainAcquire::Ma {
-                    split_path,
-                    intermediate,
-                    m,
-                } => m.step(&self.shape.ma, mem).map(|name| ChainToken {
-                    split_path: std::mem::take(split_path),
-                    intermediate: *intermediate,
-                    cell: m.stopped_at().expect("stopped"),
-                    name,
-                }),
-            }
-        }
-
-        fn begin_release(&self, t: ChainToken) -> ChainRelease {
-            ChainRelease::Ma {
-                split_path: t.split_path,
-                m: MaRelease::new(t.intermediate, t.cell),
-            }
-        }
-
-        fn step_release<M: Memory + ?Sized>(&self, r: &mut ChainRelease, mem: &M) -> bool {
-            match r {
-                ChainRelease::Ma { split_path, m } => {
-                    let done = m.step(&self.shape.ma, mem);
-                    debug_assert!(done, "MA release is a single write");
-                    *r = ChainRelease::Split(SplitRelease::new(
-                        self.pid,
-                        std::mem::take(split_path),
-                    ));
-                    false
-                }
-                ChainRelease::Split(rel) => rel.step(&self.shape.split, mem),
-            }
-        }
-
-        fn acquire_footprint(&self, a: &ChainAcquire, fp: &mut Footprint) -> bool {
-            match a {
-                ChainAcquire::Split(m) => {
-                    // Completing the SPLIT walk only hands off to the MA
-                    // stage; the chain acquire continues.
-                    m.footprint(&self.shape.split, fp);
-                    false
-                }
-                ChainAcquire::Ma { m, .. } => m.footprint(&self.shape.ma, fp),
-            }
-        }
-
-        fn release_footprint(&self, r: &ChainRelease, fp: &mut Footprint) -> bool {
-            match r {
-                ChainRelease::Ma { m, .. } => {
-                    // The MA write's step hands off to the SPLIT unwind.
-                    m.footprint(&self.shape.ma, fp);
-                    false
-                }
-                ChainRelease::Split(rel) => rel.footprint(&self.shape.split, fp),
-            }
-        }
-
-        fn future_footprint(&self, fp: &mut Footprint) {
-            self.shape.split.future_footprint(fp);
-            // The MA stage runs under a dynamically acquired intermediate
-            // identity, so every presence slot is a potential future write.
-            for i in 0..self.shape.ma.s() {
-                self.shape.ma.future_footprint(i, fp);
-            }
-        }
-
-        fn release_future_footprint(&self, r: &ChainRelease, fp: &mut Footprint) {
-            match r {
-                ChainRelease::Ma { split_path, m } => {
-                    m.future_footprint(&self.shape.ma, fp);
-                    self.shape.split.path_release_footprint(split_path, fp);
-                }
-                ChainRelease::Split(rel) => rel.future_footprint(&self.shape.split, fp),
-            }
-        }
-
-        fn token_name(&self, t: &ChainToken) -> Option<Name> {
-            Some(t.name)
-        }
-
-        fn dest_size(&self) -> u64 {
-            (self.shape.ma.k() * (self.shape.ma.k() + 1) / 2) as u64
-        }
-
-        fn key_acquire(&self, a: &ChainAcquire, out: &mut Vec<Word>) {
-            match a {
-                ChainAcquire::Split(m) => {
-                    out.push(0);
-                    m.key(out);
-                }
-                ChainAcquire::Ma {
-                    split_path,
-                    intermediate,
-                    m,
-                } => {
-                    out.push(1);
-                    out.push(*intermediate);
-                    m.key(out);
-                    for e in split_path.as_slice() {
-                        out.push(e.advice.word());
-                        out.push(u64::from(e.adv2));
-                    }
-                }
-            }
-        }
-
-        fn key_token(&self, t: &ChainToken, out: &mut Vec<Word>) {
-            out.push(t.intermediate);
-            out.push(t.name);
-            out.push(t.cell.0 as u64);
-            out.push(t.cell.1 as u64);
-            for e in t.split_path.as_slice() {
-                out.push(e.advice.word());
-                out.push(u64::from(e.adv2));
-            }
-        }
-
-        fn key_release(&self, r: &ChainRelease, out: &mut Vec<Word>) {
-            match r {
-                // Never reachable as a stored state: the MA write happens
-                // inside the step that leaves Holding.
-                ChainRelease::Ma { .. } => out.push(0),
-                ChainRelease::Split(rel) => {
-                    out.push(1);
-                    rel.key(out);
-                }
-            }
-        }
-
-        fn describe_acquire(&self, a: &ChainAcquire) -> String {
-            match a {
-                ChainAcquire::Split(m) => format!("S1:{}", m.describe()),
-                ChainAcquire::Ma { m, .. } => format!("S2:{}", m.describe()),
-            }
-        }
-
-        fn describe_release(&self, r: &ChainRelease) -> String {
-            match r {
-                ChainRelease::Ma { .. } => "S2:Releasing".into(),
-                ChainRelease::Split(rel) => format!("S1:{}", rel.describe()),
-            }
-        }
-    }
-
-    /// A process cycling through the two-stage chain: the generic session
-    /// machine over [`ChainCore`].
-    pub type ChainUser = crate::session::Session<ChainCore>;
-
-    impl ChainUser {
-        /// A chain user with identity `pid` doing `sessions` cycles.
-        pub fn new(shape: MiniChainShape, pid: Pid, sessions: u8) -> Self {
-            crate::session::Session::start(ChainCore::new(shape, pid), sessions)
-        }
-    }
-
-    /// Final names held concurrently are pairwise distinct and in range.
-    pub fn unique_names_invariant(world: &World<'_, ChainUser>) -> Result<(), String> {
-        crate::session::unique_names_invariant(world)
-    }
-
-    /// Builds the model checker for a SPLIT → MA mini-chain (shared by
-    /// the exhaustive checks and the E2 driver).
-    pub fn checker(k: usize, pids: &[Pid], sessions: u8) -> ModelChecker<ChainUser> {
-        let mut layout = Layout::new();
-        let shape = MiniChainShape::build(k, &mut layout);
-        let machines: Vec<ChainUser> = pids
-            .iter()
-            .map(|&p| ChainUser::new(shape.clone(), p, sessions))
-            .collect();
-        ModelChecker::new(layout, machines)
-    }
-
-    /// Exhaustively checks end-to-end uniqueness of a SPLIT → MA chain.
-    ///
-    /// # Errors
-    ///
-    /// Returns the violating schedule if composition can break.
-    pub fn check_mini_chain(
-        k: usize,
-        pids: &[Pid],
-        sessions: u8,
-    ) -> Result<CheckStats, Box<Violation>> {
-        crate::session::run_check(
-            checker(k, pids, sessions),
-            &crate::session::Engine::Sequential,
-            unique_names_invariant,
-        )
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::test_support::{assert_session_keeps_refcount, sequential_cycle};
+    use crate::traits::test_support::{
+        assert_cycles_keep_refcount, assert_session_keeps_refcount, sequential_cycle,
+    };
+    use crate::traits::RenamingHandle;
 
-    #[test]
-    fn a_session_never_touches_the_stage_refcounts() {
-        let mut layout = llr_mem::Layout::new();
-        let shape = spec::MiniChainShape::build(3, &mut layout);
-        let user = spec::ChainUser::new(shape.clone(), 0xBEEF, 3);
-        assert_session_keeps_refcount(&layout, user, || shape.strong_counts());
+    /// The strong count of every stage shape and every `B` table of a
+    /// Theorem 11 chain.
+    fn theorem11_refs(chain: &Chain<Theorem11>) -> [usize; 7] {
+        let outer = &chain.core;
+        let middle = &outer.first;
+        let inner = &middle.first;
+        [
+            inner.first.shape().strong_count(),
+            inner.second[0].shape().strong_count(),
+            Arc::strong_count(&inner.second),
+            middle.second[0].shape().strong_count(),
+            Arc::strong_count(&middle.second),
+            outer.second[0].shape().strong_count(),
+            Arc::strong_count(&outer.second),
+        ]
     }
 
     #[test]
-    fn exhaustive_mini_chain_k2() {
-        let stats = spec::check_mini_chain(2, &[3, 9], 2).unwrap();
+    fn cycles_never_touch_the_stage_refcounts() {
+        let chain = Chain::theorem11(3).unwrap();
+        assert_cycles_keep_refcount(&chain, 0xC0FF_EE00, || theorem11_refs(&chain));
+        let chain = Chain::split_ma(3).unwrap();
+        let refs = || {
+            let core = &chain.core;
+            [
+                core.first.shape().strong_count(),
+                core.second[0].shape().strong_count(),
+                Arc::strong_count(&core.second),
+            ]
+        };
+        assert_cycles_keep_refcount(&chain, 0xBEEF, refs);
+    }
+
+    #[test]
+    fn a_session_never_touches_the_stage_refcounts() {
+        let chain = Chain::theorem11(3).unwrap();
+        let user = Session::start(chain.core(0xBEEF), 3);
+        assert_session_keeps_refcount(chain.layout(), user, || theorem11_refs(&chain));
+    }
+
+    #[test]
+    fn exhaustive_split_ma_k2() {
+        let stats = crate::session::run_check(
+            Chain::split_ma(2).unwrap().checker(&[3, 9], 2),
+            &crate::session::Engine::Sequential,
+            crate::session::unique_names_invariant,
+        )
+        .unwrap();
         assert!(stats.states > 1_000, "got {}", stats.states);
     }
 
     #[test]
-    fn exhaustive_mini_chain_always_terminable() {
-        let mut layout = llr_mem::Layout::new();
-        let shape = spec::MiniChainShape::build(2, &mut layout);
-        let machines: Vec<spec::ChainUser> = [3u64, 9]
-            .iter()
-            .map(|&p| spec::ChainUser::new(shape.clone(), p, 1))
-            .collect();
-        let stats = llr_mc::ModelChecker::new(layout, machines)
+    fn exhaustive_split_ma_always_terminable() {
+        let stats = Chain::split_ma(2)
+            .unwrap()
+            .checker(&[3, 9], 1)
             .check_always_terminable()
             .expect("chained stages are wait-free: no trap states");
         assert!(stats.terminal_states >= 1);
-    }
-
-    #[test]
-    #[ignore = "large state space; run via the e2_modelcheck binary in release mode"]
-    fn exhaustive_mini_chain_k2_three_procs_is_overloaded() {
-        // Deliberately NOT run by default: 3 procs exceed k = 2 and the
-        // protocols' assumptions no longer hold.
-        let _ = spec::check_mini_chain(2, &[3, 9, 12], 1);
     }
 
     #[test]
@@ -810,9 +773,10 @@ mod tests {
     #[test]
     fn mismatched_stages_rejected() {
         // MA stage too small for SPLIT's output space.
-        let split = Split::new(4); // D = 27
-        let ma = MaGrid::new(4, 9);
-        match Chain::from_stages(4, vec![Stage::Split(split), Stage::Ma(ma)]) {
+        let mut layout = Layout::new();
+        let split = SplitCore::new(SplitShape::build(4, &mut layout), 0); // D = 27
+        let ma = MaCore::new(MaShape::build(4, 9, &mut layout), 0);
+        match Then::new(split, ma) {
             Err(ChainError::Mismatch {
                 stage: 1,
                 upstream_dest: 27,
@@ -820,14 +784,6 @@ mod tests {
             }) => {}
             other => panic!("expected mismatch, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn empty_chain_rejected() {
-        assert!(matches!(
-            Chain::from_stages(2, vec![]),
-            Err(ChainError::Empty)
-        ));
     }
 
     #[test]

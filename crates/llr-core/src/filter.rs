@@ -46,6 +46,7 @@
 //! h.release();
 //! ```
 
+use crate::chain::Composable;
 use crate::pf::{self, MeEnter, MeRegs, Side};
 use crate::session::{Handle, ProtocolCore, Session};
 use crate::tournament::{TreeProgress, TreeShape};
@@ -261,6 +262,12 @@ impl FilterShape {
     /// Whether `pid` was registered.
     pub fn is_registered(&self, pid: Pid) -> bool {
         self.inner.plan_index.contains_key(&pid)
+    }
+
+    /// Holders of the shape (its `Arc` strong count).
+    #[cfg(test)]
+    pub(crate) fn strong_count(&self) -> usize {
+        Arc::strong_count(&self.inner)
     }
 
     /// Total ME blocks allocated across all trees.
@@ -992,6 +999,20 @@ impl ProtocolCore for FilterCore {
     }
 }
 
+impl Composable for FilterCore {
+    fn for_pid(&self, pid: Pid) -> Self {
+        Self {
+            pid,
+            plan: self.shape.plan_index(pid),
+            ..self.clone()
+        }
+    }
+
+    fn source_size(&self) -> u64 {
+        self.shape.params().source_size()
+    }
+}
+
 /// Process handle on a [`Filter`] object: the generic session handle over
 /// [`FilterCore`].
 pub type FilterHandle<'a> = Handle<'a, FilterCore>;
@@ -1037,32 +1058,50 @@ pub mod spec {
         /// `(name, level, block_index)` triples — the resource Lemma 6
         /// says no two processes share.
         pub fn won_blocks(&self) -> Vec<(Name, usize, u64)> {
+            let mut out = Vec::new();
+            let _: Result<(), ()> = self.try_each_won_block(|block| {
+                out.push(block);
+                Ok(())
+            });
+            out
+        }
+
+        /// Calls `f` on each of [`won_blocks`](Self::won_blocks) in its
+        /// order, without collecting them, until `f` fails.
+        fn try_each_won_block<E>(
+            &self,
+            mut f: impl FnMut((Name, usize, u64)) -> Result<(), E>,
+        ) -> Result<(), E> {
             let pid = self.core().pid;
             let names = self.core().names();
-            let collect = |conf: &dyn Fn(usize) -> usize| {
-                let mut out = Vec::new();
+            let mut each = |conf: &dyn Fn(usize) -> usize| {
                 for (i, &m) in names.iter().enumerate() {
                     for level in 1..=conf(i) {
-                        out.push((m, level, TreeShape::block_index(pid, level)));
+                        f((m, level, TreeShape::block_index(pid, level)))?;
                     }
                 }
-                out
+                Ok(())
             };
             match self.phase() {
-                SessionPhase::Idle => Vec::new(),
-                SessionPhase::Acquiring(a) => collect(&|i| a.confirmed_level(i)),
+                SessionPhase::Idle => Ok(()),
+                SessionPhase::Acquiring(a) => each(&|i| a.confirmed_level(i)),
                 SessionPhase::Prologue { rel, token } => {
-                    let mut out = collect(&|i| rel.confirmed_level(i));
-                    out.extend(collect(&|i| token.confirmed_level(i)));
-                    out
+                    each(&|i| rel.confirmed_level(i))?;
+                    each(&|i| token.confirmed_level(i))
                 }
-                SessionPhase::Holding(pos) => collect(&|i| pos.confirmed_level(i)),
-                SessionPhase::Releasing(r) => collect(&|i| r.confirmed_level(i)),
+                SessionPhase::Holding(pos) => each(&|i| pos.confirmed_level(i)),
+                SessionPhase::Releasing(r) => each(&|i| r.confirmed_level(i)),
                 // A crashed process holds no critical section *as far as
                 // liveness goes* — its torn marks may still block others,
                 // which is exactly what the crash tests observe.
-                SessionPhase::Crashed => Vec::new(),
+                SessionPhase::Crashed => Ok(()),
             }
+        }
+
+        /// Whether this process holds ME block `block`.
+        fn holds_block(&self, block: (Name, usize, u64)) -> bool {
+            self.try_each_won_block(|b| if b == block { Err(()) } else { Ok(()) })
+                .is_err()
         }
     }
 
@@ -1072,16 +1111,17 @@ pub mod spec {
     }
 
     /// Lemma 6, globally: no ME critical section is held by two processes.
+    /// Each held block is looked up in the earlier machines' confirmed
+    /// levels, so a state that satisfies the invariant allocates nothing.
     pub fn block_exclusion_invariant(world: &World<'_, FilterUser>) -> Result<(), String> {
-        let mut owner: HashMap<(Name, usize, u64), usize> = HashMap::new();
-        for (i, m) in world.machines.iter().enumerate() {
-            for block in m.won_blocks() {
-                if let Some(j) = owner.insert(block, i) {
-                    return Err(format!(
-                        "machines {j} and {i} both hold ME block {block:?}"
-                    ));
+        let machines = world.machines;
+        for (i, m) in machines.iter().enumerate() {
+            m.try_each_won_block(|block| {
+                match machines[..i].iter().position(|o| o.holds_block(block)) {
+                    Some(j) => Err(format!("machines {j} and {i} both hold ME block {block:?}")),
+                    None => Ok(()),
                 }
-            }
+            })?;
         }
         Ok(())
     }
@@ -1460,6 +1500,54 @@ mod tests {
         for (m_, _) in winner.entered_blocks(&f.shape) {
             assert_eq!(m_, name);
         }
+    }
+
+    #[test]
+    fn block_exclusion_pins_its_message() {
+        use llr_mc::{StepMachine, World};
+        use llr_mem::SimMemory;
+        let user = |pid: Pid| {
+            let mut layout = Layout::new();
+            let shape = FilterShape::build(tiny_params(), &[1, 3], &mut layout).unwrap();
+            (
+                spec::FilterUser::new(shape, pid, 1),
+                SimMemory::new(&layout),
+            )
+        };
+        // Each holder acquires alone on its own copy of the instance, so
+        // two of them can hold the same ME block.
+        let holding = |pid: Pid| {
+            let (mut u, mem) = user(pid);
+            while u.holding().is_none() {
+                u.step(&mem);
+            }
+            u
+        };
+        let idle = user(1).0;
+        let check = |machines: &[spec::FilterUser]| {
+            let mem = SimMemory::new(&Layout::new());
+            let done = vec![false; machines.len()];
+            spec::block_exclusion_invariant(&World {
+                mem: &mem,
+                machines,
+                done: &done,
+            })
+        };
+        let err = |message: &str| Err(message.to_string());
+        assert_eq!(check(&[holding(1), idle.clone()]), Ok(()));
+        // pids 1 and 3 share tree 1 and its root block (level 2) only.
+        assert_eq!(
+            check(&[idle, holding(1), holding(3)]),
+            err("machines 1 and 2 both hold ME block (1, 2, 0)")
+        );
+        assert_eq!(
+            check(&[holding(3), holding(1)]),
+            err("machines 0 and 1 both hold ME block (1, 2, 0)")
+        );
+        assert_eq!(
+            check(&[holding(1), holding(1)]),
+            err("machines 0 and 1 both hold ME block (1, 1, 0)")
+        );
     }
 
     #[test]

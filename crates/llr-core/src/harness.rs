@@ -1,12 +1,12 @@
 //! Multi-threaded execution harness: drives any [`Renaming`] object from
 //! real threads while a claim-table oracle checks name uniqueness and a
-//! token semaphore enforces the concurrency bound `k`.
+//! [`NameArena`] admission gate enforces the concurrency bound `k`.
 //!
 //! The harness is what the integration tests, the examples and every
 //! benchmark use to generate contention. Two knobs matter:
 //!
 //! * **participants vs. concurrency** — `n` registered pids can be driven
-//!   through a `k`-token gate, exercising the paper's regime of "many
+//!   through a `k`-permit gate, exercising the paper's regime of "many
 //!   processes exist, few are active" (the whole point of renaming);
 //! * **dwell** — how long a name is held, which controls how much
 //!   acquire/release traffic overlaps.
@@ -36,9 +36,10 @@
 //! # fn split_dest(s: &Split) -> u64 { s.dest_size() }
 //! ```
 
+use crate::arena::NameArena;
 use crate::traits::{Renaming, RenamingHandle};
 use crate::types::{Name, Pid};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A claim table that detects concurrent double-holding of a name.
 ///
@@ -99,49 +100,13 @@ impl Oracle {
     }
 }
 
-/// A spinning token semaphore bounding how many threads are inside
-/// acquire…release at once — the paper's `k` assumption.
-#[derive(Debug)]
-pub struct Gate {
-    tokens: AtomicUsize,
-}
-
-impl Gate {
-    /// A gate admitting `k` concurrent holders.
-    pub fn new(k: usize) -> Self {
-        Self {
-            tokens: AtomicUsize::new(k),
-        }
-    }
-
-    /// Takes a token (spins until available).
-    pub fn enter(&self) {
-        loop {
-            let t = self.tokens.load(Ordering::SeqCst);
-            if t > 0
-                && self
-                    .tokens
-                    .compare_exchange(t, t - 1, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-            {
-                return;
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Returns a token.
-    pub fn exit(&self) {
-        self.tokens.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
 /// Workload description for [`stress`].
 #[derive(Clone, Debug)]
 pub struct StressConfig {
     /// The participating pids (one thread each).
     pub pids: Vec<Pid>,
-    /// Maximum simultaneously active processes (`≤` the object's `k`).
+    /// Maximum simultaneously active processes: the permits of the
+    /// [`NameArena`] the threads run through, in `1..=` the object's `k`.
     pub concurrency: usize,
     /// Acquire/release cycles per thread.
     pub ops_per_thread: u64,
@@ -169,20 +134,18 @@ pub struct StressReport {
     pub distinct_names: usize,
 }
 
-/// Drives `rn` from one thread per pid, gated to `config.concurrency`
-/// concurrent holders, with the oracle checking every acquisition.
+/// Drives `rn` from one thread per pid through a [`NameArena`] gated to
+/// `config.concurrency` concurrent holders, with the oracle checking
+/// every acquisition.
 ///
 /// # Panics
 ///
-/// Panics on any uniqueness violation or out-of-range name, and
-/// propagates worker-thread panics.
+/// Panics if `config.concurrency` is not in `1..=rn.concurrency()`, on
+/// any uniqueness violation or out-of-range name, and propagates
+/// worker-thread panics.
 pub fn stress<R: Renaming>(rn: &R, config: &StressConfig) -> StressReport {
-    assert!(
-        config.concurrency >= 1,
-        "concurrency gate must admit at least one thread"
-    );
+    let arena = NameArena::with_permits(rn, config.concurrency);
     let oracle = Oracle::new(rn.dest_size());
-    let gate = Gate::new(config.concurrency);
     let max_name = AtomicU64::new(0);
     let max_acc = AtomicU64::new(0);
     let total_acc = AtomicU64::new(0);
@@ -190,18 +153,17 @@ pub fn stress<R: Renaming>(rn: &R, config: &StressConfig) -> StressReport {
 
     std::thread::scope(|scope| {
         for (t, &pid) in config.pids.iter().enumerate() {
+            let arena = &arena;
             let oracle = &oracle;
-            let gate = &gate;
             let max_name = &max_name;
             let max_acc = &max_acc;
             let total_acc = &total_acc;
             let name_seen = &name_seen;
             scope.spawn(move || {
-                let mut h = rn.handle(pid);
+                let mut h = arena.client(pid);
                 // Cheap deterministic per-thread jitter.
                 let mut rng = config.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
                 for _ in 0..config.ops_per_thread {
-                    gate.enter();
                     let before = h.accesses();
                     let name = h.acquire();
                     assert!(
@@ -227,7 +189,6 @@ pub fn stress<R: Renaming>(rn: &R, config: &StressConfig) -> StressReport {
                     let spent = h.accesses() - before;
                     max_acc.fetch_max(spent, Ordering::Relaxed);
                     total_acc.fetch_add(spent, Ordering::Relaxed);
-                    gate.exit();
                 }
             });
         }
@@ -271,33 +232,6 @@ mod tests {
         let o = Oracle::new(2);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| o.release_claim(0, 5)));
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn gate_bounds_concurrency() {
-        let gate = std::sync::Arc::new(Gate::new(2));
-        let inside = std::sync::Arc::new(AtomicUsize::new(0));
-        let peak = std::sync::Arc::new(AtomicUsize::new(0));
-        let hs: Vec<_> = (0..6)
-            .map(|_| {
-                let gate = std::sync::Arc::clone(&gate);
-                let inside = std::sync::Arc::clone(&inside);
-                let peak = std::sync::Arc::clone(&peak);
-                std::thread::spawn(move || {
-                    for _ in 0..200 {
-                        gate.enter();
-                        let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
-                        peak.fetch_max(now, Ordering::SeqCst);
-                        inside.fetch_sub(1, Ordering::SeqCst);
-                        gate.exit();
-                    }
-                })
-            })
-            .collect();
-        for h in hs {
-            h.join().unwrap();
-        }
-        assert!(peak.load(Ordering::SeqCst) <= 2);
     }
 
     #[test]

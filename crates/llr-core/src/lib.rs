@@ -15,7 +15,7 @@
 //! | [`split::Split`] | `3^(k-1)` | `O(k)` | yes |
 //! | [`filter::Filter`] | `2zd(k-1)` (≤ `72k²` for `S ≤ 2k⁴`) | `O(dk log S)` | yes (for `S` poly in `k`) |
 //! | [`ma::MaGrid`] | `k(k+1)/2` | `O(kS)` | **no** (the baseline) |
-//! | [`chain::Chain`] | `k(k+1)/2` | `O(k³)` | yes (Theorem 11) |
+//! | [`chain::Chain`] | `k(k+1)/2` | `O(k³)` | yes (Theorem 11; stages composed by [`chain::Then`]) |
 //! | [`onetime::OneTimeGrid`] | `k(k+1)/2` | `O(k)` | yes, but one-shot |
 //! | [`levelarray::LevelArray`] | `3k + ⌈log₂k⌉ + 1` | `O(k)` expected | yes (rival; uses swap) |
 //! | [`smallnet::SmallNet`] | `k(k+1)/2` | `O(k²)` | one-shot rival (renewable via [`smallnet::RenewableNet`]) |
@@ -29,7 +29,9 @@
 //! * runs on real threads over [`llr_mem::AtomicMemory`] through the
 //!   [`traits::Renaming`] handle API, and
 //! * is **exhaustively model-checked** with [`llr_mc`] (all interleavings
-//!   of small configurations) — see the `spec` items in each module.
+//!   of small configurations) — see the `spec` items in each module, and
+//!   [`chain::Chain::checker`] for a chain, whose stages compose into one
+//!   core ([`chain::Then`]) that is both served and checked.
 //!
 //! The step hooks are generic over the memory, so each use gets its own
 //! compiled copy of the one source, and every core owns its shape while

@@ -52,6 +52,7 @@
 //! h.release();
 //! ```
 
+use crate::chain::Composable;
 use crate::session::{Handle, ProtocolCore, Session};
 use crate::traits::Renaming;
 use crate::types::enc::{FALSE, TRUE};
@@ -536,6 +537,16 @@ impl ProtocolCore for MaCore {
 
     fn describe_release(&self, r: &MaRelease) -> String {
         format!("Releasing({},{})", r.cell.0, r.cell.1)
+    }
+}
+
+impl Composable for MaCore {
+    fn for_pid(&self, pid: Pid) -> Self {
+        Self::new(self.shape.clone(), pid)
+    }
+
+    fn source_size(&self) -> u64 {
+        self.shape.s
     }
 }
 

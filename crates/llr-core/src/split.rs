@@ -34,6 +34,7 @@
 //! h.release();
 //! ```
 
+use crate::chain::Composable;
 use crate::session::{Handle, ProtocolCore, Session};
 use crate::splitter::{EnterOp, ReleaseOp, SplitterRegs};
 use crate::traits::Renaming;
@@ -553,6 +554,17 @@ impl ProtocolCore for SplitCore {
 
     fn describe_release(&self, r: &SplitRelease) -> String {
         r.describe()
+    }
+}
+
+impl Composable for SplitCore {
+    fn for_pid(&self, pid: Pid) -> Self {
+        Self::new(self.shape.clone(), pid)
+    }
+
+    fn source_size(&self) -> u64 {
+        // Any 64-bit pid may enter the tree.
+        u64::MAX
     }
 }
 

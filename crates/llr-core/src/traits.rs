@@ -43,6 +43,32 @@ pub trait Renaming: Sync {
     fn concurrency(&self) -> usize;
 }
 
+/// A shared reference serves the object it points to, so a wrapper that
+/// owns its protocol (such as [`crate::arena::NameArena`]) can also wrap a
+/// borrowed one.
+impl<R: Renaming> Renaming for &R {
+    type Handle<'a>
+        = R::Handle<'a>
+    where
+        Self: 'a;
+
+    fn handle(&self, pid: Pid) -> R::Handle<'_> {
+        (**self).handle(pid)
+    }
+
+    fn source_size(&self) -> u64 {
+        (**self).source_size()
+    }
+
+    fn dest_size(&self) -> u64 {
+        (**self).dest_size()
+    }
+
+    fn concurrency(&self) -> usize {
+        (**self).concurrency()
+    }
+}
+
 /// A process's private handle on a [`Renaming`] object.
 ///
 /// The handle enforces the operation-pair discipline: `acquire` and

@@ -4,14 +4,17 @@
 //! set of "worker slots".
 //!
 //! Here 32 "daemon processes" with scattered 24-bit pids contend for
-//! k = 6 concurrent slots backed by a FILTER instance. Each active daemon
-//! acquires a slot name, uses a slot-indexed resource (a per-slot counter
-//! — something you could never array-index by raw pid), and releases.
+//! k = 6 concurrent slots backed by a FILTER instance, behind a
+//! `NameArena` that admits at most k of them at a time. Each active
+//! daemon acquires a slot name, uses a slot-indexed resource (a per-slot
+//! counter — something you could never array-index by raw pid), and
+//! releases.
 //!
 //! Run with: `cargo run --release --example worker_slots`
 
+use llr_core::arena::NameArena;
 use llr_core::filter::Filter;
-use llr_core::harness::{Gate, Oracle};
+use llr_core::harness::Oracle;
 use llr_core::traits::{Renaming, RenamingHandle};
 use llr_gf::FilterParams;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,28 +34,24 @@ fn main() {
 
     // 32 daemons with scattered pids register up front.
     let daemons: Vec<u64> = (0..32u64).map(|i| (i * 524_287 + 9_999) % s).collect();
-    let filter = Filter::new(params, &daemons).expect("registration");
+    // The arena admits at most k daemons at once, per the contract.
+    let slots = NameArena::new(Filter::new(params, &daemons).expect("registration"));
 
     // One tiny, dense, slot-indexed resource — the payoff of renaming.
-    let slot_work: Vec<AtomicU64> = (0..filter.dest_size())
-        .map(|_| AtomicU64::new(0))
-        .collect();
+    let slot_work: Vec<AtomicU64> = (0..slots.dest_size()).map(|_| AtomicU64::new(0)).collect();
 
-    let oracle = Oracle::new(filter.dest_size());
-    let gate = Gate::new(k); // at most k daemons active, per the contract
+    let oracle = Oracle::new(slots.dest_size());
     let max_acc = AtomicU64::new(0);
 
     std::thread::scope(|scope| {
         for &pid in &daemons {
-            let filter = &filter;
+            let slots = &slots;
             let oracle = &oracle;
-            let gate = &gate;
             let slot_work = &slot_work;
             let max_acc = &max_acc;
             scope.spawn(move || {
-                let mut h = filter.handle(pid);
+                let mut h = slots.client(pid);
                 for _ in 0..50 {
-                    gate.enter();
                     let before = h.accesses();
                     let slot = h.acquire();
                     oracle.claim(slot, pid);
@@ -61,7 +60,6 @@ fn main() {
                     oracle.release_claim(slot, pid);
                     h.release();
                     max_acc.fetch_max(h.accesses() - before, Ordering::Relaxed);
-                    gate.exit();
                 }
             });
         }
@@ -76,7 +74,7 @@ fn main() {
     println!(
         "32 daemons × 50 sessions ran through {} distinct slots (D = {}):",
         used.len(),
-        filter.dest_size()
+        slots.dest_size()
     );
     for (slot, count) in &used {
         println!("  slot {slot:>4}: {count:>4} sessions");

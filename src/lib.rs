@@ -13,7 +13,8 @@
 //!   [`ProtocolCore`]), and [`Session`] / [`Handle`] derive the
 //!   model-checked loop and the threaded [`RenamingHandle`] from it, so
 //!   the verified code and the executed code are identical by
-//!   construction;
+//!   construction — the Theorem 11 chain included, whose stages compose
+//!   into one core ([`chain::Then`]);
 //! * the exploration engines — [`mc`] ([`mc::ModelChecker`] with the
 //!   sequential, parallel, and external-memory backends behind
 //!   [`Engine`]), [`mem`] (the flat register file), and [`gf`] (the
@@ -35,8 +36,12 @@
 //! assert!(name < 3);
 //! h.release();
 //!
-//! // The same step machines, model-checked through the session layer.
-//! let stats = long_lived_renaming::split::spec::check_split(2, 2, 1).unwrap();
+//! // The same chain, model-checked through the session layer: two
+//! // processes, one acquire/release cycle each, every interleaving.
+//! let stats = chain
+//!     .checker(&[3, 9], 1)
+//!     .check(long_lived_renaming::session::unique_names_invariant)
+//!     .unwrap();
 //! assert!(stats.states > 100, "got {}", stats.states);
 //! ```
 

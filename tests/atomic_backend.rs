@@ -15,7 +15,7 @@
 //! runs on every PR.
 
 use llr_core::arena::NameArena;
-use llr_core::chain::{spec as chain_spec, Chain};
+use llr_core::chain::Chain;
 use llr_core::filter::{spec as filter_spec, Filter};
 use llr_core::levelarray::{spec as la_spec, LevelArray};
 use llr_core::ma::{spec as ma_spec, MaGrid};
@@ -137,8 +137,9 @@ fn ma_backends_agree() {
 
 #[test]
 fn chain_backends_agree() {
-    assert_backends_agree("chain k=2", &chain_spec::checker(2, &[3, 9], 2));
-    assert_backends_agree("chain k=3", &chain_spec::checker(3, &[3, 9, 27], 1));
+    let chain = |k| Chain::split_ma(k).unwrap();
+    assert_backends_agree("chain k=2", &chain(2).checker(&[3, 9], 2));
+    assert_backends_agree("chain k=3", &chain(3).checker(&[3, 9, 27], 1));
 }
 
 #[test]

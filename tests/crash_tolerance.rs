@@ -39,7 +39,7 @@
 //! | `tournament` | **wedges** | **wedges** | blocking mutex: replacement queues behind the dead holder's claim |
 //! | `pf` | **wedges** | **wedges** | two-sided ME has no fresh id to restart under |
 
-use llr_core::chain::spec::{ChainCore, ChainUser, MiniChainShape};
+use llr_core::chain::Chain;
 use llr_core::filter::spec::FilterUser;
 use llr_core::filter::{FilterCore, FilterShape, ReleasePolicy};
 use llr_core::levelarray::{LevelArrayCore, LevelShape};
@@ -264,14 +264,13 @@ fn ma_survives_any_freeze() {
 
 #[test]
 fn chain_survives_any_freeze() {
-    let mut layout = Layout::new();
-    let shape = MiniChainShape::build(3, &mut layout);
+    let chain = Chain::split_ma(3).unwrap();
     sweep(
-        &layout,
+        chain.layout(),
         || {
             [3u64, 9, 27]
                 .iter()
-                .map(|&p| ChainUser::new(shape.clone(), p, 2))
+                .map(|&p| Session::start(chain.core(p), 2))
                 .collect()
         },
         120,
@@ -438,17 +437,13 @@ fn ma_survives_crash_restart() {
 
 #[test]
 fn chain_survives_crash_restart() {
-    let mut layout = Layout::new();
-    let shape = MiniChainShape::build(3, &mut layout);
+    let chain = Chain::split_ma(3).unwrap();
     sweep(
-        &layout,
+        chain.layout(),
         || {
             [3u64, 9]
                 .iter()
-                .map(|&p| {
-                    ChainUser::new(shape.clone(), p, 2)
-                        .with_spares(vec![ChainCore::new(shape.clone(), p + 1_000)])
-                })
+                .map(|&p| Session::start(chain.core(p), 2).with_spares(vec![chain.core(p + 1_000)]))
                 .collect()
         },
         120,

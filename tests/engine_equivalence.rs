@@ -10,7 +10,7 @@
 //! the multi-million-state rows of the table are behind `--ignored`
 //! (run them in release mode).
 
-use llr_core::chain::spec as chain_spec;
+use llr_core::chain::Chain;
 use llr_core::filter::spec as filter_spec;
 use llr_core::levelarray::spec as la_spec;
 use llr_core::levelarray::{LevelArrayCore, LevelShape};
@@ -18,7 +18,7 @@ use llr_core::ma::spec as ma_spec;
 use llr_core::ma::{MaCore, MaShape};
 use llr_core::onetime::spec as onetime_spec;
 use llr_core::pf::spec as pf_spec;
-use llr_core::session::{crash_robust_uniqueness, ProtocolCore, Session};
+use llr_core::session::{self, crash_robust_uniqueness, ProtocolCore, Session};
 use llr_core::smallnet::spec as net_spec;
 use llr_core::smallnet::{SmallNetCore, SmallNetShape};
 use llr_core::split::spec as split_spec;
@@ -190,8 +190,8 @@ fn ma_engines_agree() {
 fn chain_engines_agree() {
     assert_engines_agree(
         "chain k=2",
-        || chain_spec::checker(2, &[3, 9], 2),
-        chain_spec::unique_names_invariant,
+        || Chain::split_ma(2).unwrap().checker(&[3, 9], 2),
+        session::unique_names_invariant,
         Some((163_117, 308_332)),
     );
 }

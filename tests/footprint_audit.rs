@@ -25,7 +25,7 @@
 
 use std::cell::RefCell;
 
-use llr_core::chain::spec as chain_spec;
+use llr_core::chain::Chain;
 use llr_core::filter::spec as filter_spec;
 use llr_core::levelarray::spec as la_spec;
 use llr_core::ma::spec as ma_spec;
@@ -189,7 +189,11 @@ fn ma_footprints_honest() {
 
 #[test]
 fn chain_footprints_honest() {
-    audit_ok("chain k=3", chain_spec::checker(3, &[2, 5, 11], 2), 0xF00D_000A);
+    audit_ok(
+        "chain k=3",
+        Chain::split_ma(3).unwrap().checker(&[2, 5, 11], 2),
+        0xF00D_000A,
+    );
 }
 
 #[test]

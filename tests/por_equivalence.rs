@@ -24,7 +24,7 @@
 //! deterministic schedule per backend that replays to a violating
 //! state.
 
-use llr_core::chain::spec as chain_spec;
+use llr_core::chain::Chain;
 use llr_core::filter::spec as filter_spec;
 use llr_core::levelarray::spec as la_spec;
 use llr_core::levelarray::{LevelArrayCore, LevelShape};
@@ -34,7 +34,7 @@ use llr_core::smallnet::spec as net_spec;
 use llr_core::smallnet::{SmallNetCore, SmallNetShape};
 use llr_core::onetime::spec as onetime_spec;
 use llr_core::pf::spec as pf_spec;
-use llr_core::session::{crash_robust_uniqueness, ProtocolCore, Session};
+use llr_core::session::{self, crash_robust_uniqueness, ProtocolCore, Session};
 use llr_core::split::spec as split_spec;
 use llr_core::splitter::spec as splitter_spec;
 use llr_core::tournament::spec as tree_spec;
@@ -290,8 +290,8 @@ fn ma_por_sound() {
 fn chain_por_sound() {
     assert_por_sound(
         "chain k=2",
-        || chain_spec::checker(2, &[3, 9], 1),
-        chain_spec::unique_names_invariant,
+        || Chain::split_ma(2).unwrap().checker(&[3, 9], 1),
+        session::unique_names_invariant,
     );
 }
 

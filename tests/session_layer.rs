@@ -15,7 +15,7 @@
 //!   `Counting<AtomicMemory>` and once for `&dyn Memory` — and those
 //!   counts are pinned to the paper's theorem bounds.
 
-use llr_core::chain::spec as chain_spec;
+use llr_core::chain::Chain;
 use llr_core::filter::{Filter, FilterCore, FilterShape, ReleasePolicy};
 use llr_core::levelarray::{LevelArray, LevelArrayCore, LevelShape};
 use llr_core::ma::{MaCore, MaGrid, MaShape};
@@ -117,14 +117,13 @@ fn naming_protocols_share_the_generic_invariant() {
             "onetime",
         );
 
-        // Theorem-11 mini chain (SPLIT stage into MA stage), random pids.
-        let mut layout = Layout::new();
-        let shape = chain_spec::MiniChainShape::build(2, &mut layout);
+        // SPLIT stage into MA stage, random pids.
+        let chain = Chain::split_ma(2).unwrap();
         let machines: Vec<_> = (0..2)
-            .map(|_| Session::start(chain_spec::ChainCore::new(shape.clone(), gen.next_u64()), 2))
+            .map(|_| Session::start(chain.core(gen.next_u64()), 2))
             .collect();
         walk(
-            layout,
+            chain.layout().clone(),
             machines,
             session::unique_names_invariant,
             gen.next_u64(),
@@ -324,6 +323,19 @@ fn handle_and_spec_agree_on_access_counts() {
 
         for (_, _, total) in assert_copies_agree("ma", exec, spec) {
             assert!(total <= 2 * s + 16, "ma: {total}");
+        }
+    }
+
+    // The Theorem 11 chain: one composed core behind the same handle,
+    // every solo cycle at E5's solo cost.
+    for (k, solo) in [(2usize, 51u64), (3, 97), (4, 153)] {
+        let pid = u64::MAX / 3;
+        let chain = Chain::theorem11(k).unwrap();
+        let exec = handle_solo_cycles(chain.handle(pid), CYCLES);
+        let spec = spec_solo_cycles(chain.layout(), chain.core(pid), CYCLES);
+
+        for (_, _, total) in assert_copies_agree(&format!("chain k={k}"), exec, spec) {
+            assert_eq!(total, solo, "chain k={k}");
         }
     }
 
