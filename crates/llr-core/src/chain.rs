@@ -803,8 +803,8 @@ mod tests {
                     let mut h = chain.handle(p);
                     for _ in 0..25 {
                         let n = h.acquire();
-                        let was = claimed[n as usize]
-                            .swap(true, std::sync::atomic::Ordering::SeqCst);
+                        let was =
+                            claimed[n as usize].swap(true, std::sync::atomic::Ordering::SeqCst);
                         assert!(!was, "name {n} double-held");
                         claimed[n as usize].store(false, std::sync::atomic::Ordering::SeqCst);
                         h.release();

@@ -538,10 +538,7 @@ impl FilterAcquire {
     pub fn describe(&self, shape: &FilterShape) -> String {
         let mode = match &self.mode {
             Mode::Entering(op) => op.describe(),
-            Mode::Checking => format!(
-                "Check@L{}",
-                self.progress[self.cur].entered_level()
-            ),
+            Mode::Checking => format!("Check@L{}", self.progress[self.cur].entered_level()),
         };
         format!("Acquire[T{} {mode}]", shape.plan(self.plan).names[self.cur])
     }
@@ -803,7 +800,10 @@ impl Renaming for Filter {
     type Handle<'a> = FilterHandle<'a>;
 
     fn handle(&self, pid: Pid) -> FilterHandle<'_> {
-        Handle::new(FilterCore::new(self.shape.clone(), pid, self.policy), &self.mem)
+        Handle::new(
+            FilterCore::new(self.shape.clone(), pid, self.policy),
+            &self.mem,
+        )
     }
 
     fn source_size(&self) -> u64 {
@@ -1162,8 +1162,8 @@ pub mod spec {
         policy: ReleasePolicy,
     ) -> ModelChecker<FilterUser> {
         let mut layout = Layout::new();
-        let shape = FilterShape::build(params, participants, &mut layout)
-            .expect("valid participants");
+        let shape =
+            FilterShape::build(params, participants, &mut layout).expect("valid participants");
         let machines: Vec<FilterUser> = participants
             .iter()
             .map(|&p| FilterUser::with_policy(shape.clone(), p, sessions, policy))
@@ -1184,8 +1184,8 @@ pub mod spec {
         sessions: u8,
     ) -> ModelChecker<FilterUser> {
         let mut layout = Layout::new();
-        let shape = FilterShape::build(params, participants, &mut layout)
-            .expect("valid participants");
+        let shape =
+            FilterShape::build(params, participants, &mut layout).expect("valid participants");
         let machines: Vec<FilterUser> = participants
             .iter()
             .map(|&p| {
@@ -1423,8 +1423,7 @@ mod tests {
         // Wait-freedom at the state-graph level: even from states where a
         // process is blocked in its shared tree, some schedule finishes.
         let mut layout = Layout::new();
-        let shape =
-            FilterShape::build(tiny_params(), &[1, 3], &mut layout).unwrap();
+        let shape = FilterShape::build(tiny_params(), &[1, 3], &mut layout).unwrap();
         let machines: Vec<spec::FilterUser> = [1u64, 3]
             .iter()
             .map(|&p| spec::FilterUser::new(shape.clone(), p, 2))
@@ -1450,8 +1449,7 @@ mod tests {
 
     #[test]
     fn eager_release_solo_and_contended() {
-        let f = Filter::with_policy(tiny_params(), &[1, 3], ReleasePolicy::EagerLosers)
-            .unwrap();
+        let f = Filter::with_policy(tiny_params(), &[1, 3], ReleasePolicy::EagerLosers).unwrap();
         assert_eq!(f.policy(), ReleasePolicy::EagerLosers);
         let mut h1 = f.handle(1);
         let mut h3 = f.handle(3);
@@ -1471,13 +1469,9 @@ mod tests {
     #[test]
     fn exhaustive_eager_release_policy() {
         // The contended pair under the eager policy: all interleavings.
-        let stats = spec::check_filter_with_policy(
-            tiny_params(),
-            &[1, 3],
-            2,
-            ReleasePolicy::EagerLosers,
-        )
-        .unwrap();
+        let stats =
+            spec::check_filter_with_policy(tiny_params(), &[1, 3], 2, ReleasePolicy::EagerLosers)
+                .unwrap();
         assert!(stats.states > 500, "got {}", stats.states);
     }
 

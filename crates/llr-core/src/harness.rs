@@ -68,8 +68,12 @@ impl Oracle {
     ///
     /// Panics (and counts a violation) if the name is already held.
     pub fn claim(&self, name: Name, pid: Pid) {
-        let prev = self.slots[name as usize]
-            .compare_exchange(0, pid + 1, Ordering::SeqCst, Ordering::SeqCst);
+        let prev = self.slots[name as usize].compare_exchange(
+            0,
+            pid + 1,
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+        );
         if let Err(holder) = prev {
             self.violations.fetch_add(1, Ordering::SeqCst);
             panic!(
@@ -86,8 +90,12 @@ impl Oracle {
     ///
     /// Panics if `pid` does not hold `name` per the table.
     pub fn release_claim(&self, name: Name, pid: Pid) {
-        let prev = self.slots[name as usize]
-            .compare_exchange(pid + 1, 0, Ordering::SeqCst, Ordering::SeqCst);
+        let prev = self.slots[name as usize].compare_exchange(
+            pid + 1,
+            0,
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+        );
         assert!(
             prev.is_ok(),
             "oracle: pid {pid} released name {name} it did not hold"
@@ -175,7 +183,9 @@ pub fn stress<R: Renaming>(rn: &R, config: &StressConfig) -> StressReport {
                     name_seen[name as usize].store(1, Ordering::Relaxed);
                     max_name.fetch_max(name, Ordering::Relaxed);
                     // Dwell with jitter so holds overlap unpredictably.
-                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    rng = rng
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
                     let spins = if config.dwell_spins == 0 {
                         0
                     } else {

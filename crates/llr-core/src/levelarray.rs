@@ -129,7 +129,11 @@ impl LevelShape {
         let mut level = 0;
         loop {
             let arr = layout.array(format!("L{level}"), width, FALSE);
-            levels.push(LevelRegs { first: arr.at(0), width, base });
+            levels.push(LevelRegs {
+                first: arr.at(0),
+                width,
+                base,
+            });
             base += width as u64;
             if width == 1 {
                 break;
@@ -138,9 +142,17 @@ impl LevelShape {
             level += 1;
         }
         let arr = layout.array("RESERVE", k, FALSE);
-        levels.push(LevelRegs { first: arr.at(0), width: k, base });
+        levels.push(LevelRegs {
+            first: arr.at(0),
+            width: k,
+            base,
+        });
         let dest = base + k as u64;
-        Self { k, levels: levels.into(), dest }
+        Self {
+            k,
+            levels: levels.into(),
+            dest,
+        }
     }
 
     /// The concurrency bound `k`.
@@ -274,7 +286,11 @@ impl ProtocolCore for LevelArrayCore {
     }
 
     fn begin_acquire(&self) -> LevelAcquire {
-        LevelAcquire { lvl: 0, probe: 0, budget: reserve_budget(self.shape.k) }
+        LevelAcquire {
+            lvl: 0,
+            probe: 0,
+            budget: reserve_budget(self.shape.k),
+        }
     }
 
     fn step_acquire<M: Memory + ?Sized>(
@@ -492,7 +508,11 @@ pub mod spec {
         pids: &[Pid],
         sessions: u8,
     ) -> Result<CheckStats, Box<Violation>> {
-        run_check(checker(k, pids, sessions), &Engine::Sequential, unique_names_invariant)
+        run_check(
+            checker(k, pids, sessions),
+            &Engine::Sequential,
+            unique_names_invariant,
+        )
     }
 }
 
@@ -535,8 +555,7 @@ mod tests {
     #[test]
     fn sequential_cycles_stay_in_range() {
         let la = LevelArray::new(3);
-        let (names, max_acc) =
-            crate::traits::test_support::sequential_cycle(&la, &[5, 17, 4096]);
+        let (names, max_acc) = crate::traits::test_support::sequential_cycle(&la, &[5, 17, 4096]);
         assert!(names.iter().all(|&n| n < la.dest_size()));
         // Solo cycles: one winning swap + one clear each.
         assert_eq!(max_acc, 3);

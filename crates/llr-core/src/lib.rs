@@ -62,8 +62,8 @@ pub mod levelarray;
 pub mod ma;
 pub mod onetime;
 pub mod pf;
-pub mod smallnet;
 pub mod session;
+pub mod smallnet;
 pub mod split;
 pub mod splitter;
 pub mod tas;
@@ -72,8 +72,6 @@ pub mod traits;
 pub mod types;
 
 pub use arena::{ArenaClient, NameArena};
-pub use session::{
-    crash_robust_uniqueness, Fault, Handle, ProtocolCore, Session, SessionPhase,
-};
+pub use session::{crash_robust_uniqueness, Fault, Handle, ProtocolCore, Session, SessionPhase};
 pub use traits::{Renaming, RenamingHandle};
 pub use types::{Direction, Name, Pid};

@@ -716,7 +716,10 @@ mod tests {
         };
         let c64 = cost(64);
         let c128 = cost(128);
-        assert!(c128 > c64 + 32, "scan cost must grow with S: {c64} vs {c128}");
+        assert!(
+            c128 > c64 + 32,
+            "scan cost must grow with S: {c64} vs {c128}"
+        );
     }
 
     #[test]

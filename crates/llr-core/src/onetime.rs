@@ -411,7 +411,11 @@ pub mod spec {
     /// Returns the violating schedule if two processes can acquire the
     /// same name.
     pub fn check_onetime(k: usize, pids: &[Pid]) -> Result<CheckStats, Box<Violation>> {
-        run_check(checker(k, pids), &Engine::Sequential, unique_names_invariant)
+        run_check(
+            checker(k, pids),
+            &Engine::Sequential,
+            unique_names_invariant,
+        )
     }
 }
 

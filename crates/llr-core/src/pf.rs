@@ -466,7 +466,11 @@ pub mod spec {
     ///
     /// Returns the violating schedule if a deadlock state is reachable.
     pub fn check_no_deadlock(sessions: u8) -> Result<CheckStats, Box<Violation>> {
-        run_check(checker(sessions), &Engine::Sequential, no_deadlock_invariant)
+        run_check(
+            checker(sessions),
+            &Engine::Sequential,
+            no_deadlock_invariant,
+        )
     }
 }
 

@@ -285,7 +285,10 @@ impl<P: ProtocolCore> Session<P> {
     /// acquire/release cycles (one-shot protocols ignore the count and
     /// finish at the first acquire).
     pub fn start(core: P, sessions: u8) -> Self {
-        assert!(sessions >= 1, "a session machine needs at least one session");
+        assert!(
+            sessions >= 1,
+            "a session machine needs at least one session"
+        );
         Self {
             core,
             sessions_left: sessions,
@@ -632,10 +635,14 @@ pub fn unique_names_invariant<P: ProtocolCore>(
         let Some(name) = m.holding() else { continue };
         let d = m.core().dest_size();
         if name >= d {
-            return Err(format!("machine {i} holds out-of-range name {name} (D = {d})"));
+            return Err(format!(
+                "machine {i} holds out-of-range name {name} (D = {d})"
+            ));
         }
         if let Some(j) = machines[..i].iter().position(|m| m.holding() == Some(name)) {
-            return Err(format!("machines {j} and {i} concurrently hold name {name}"));
+            return Err(format!(
+                "machines {j} and {i} concurrently hold name {name}"
+            ));
         }
     }
     Ok(())
@@ -659,15 +666,21 @@ pub fn crash_robust_uniqueness<P: ProtocolCore>(
         let d = m.core().dest_size();
         for (l, &name) in m.leaked().iter().enumerate() {
             if name >= d {
-                return Err(format!("machine {i} leaked out-of-range name {name} (D = {d})"));
+                return Err(format!(
+                    "machine {i} leaked out-of-range name {name} (D = {d})"
+                ));
             }
             if let Some(prev) = claimant(&machines[..i], (i, &m.leaked()[..l]), name) {
-                return Err(format!("{prev} and machine {i} (leaked) both claim name {name}"));
+                return Err(format!(
+                    "{prev} and machine {i} (leaked) both claim name {name}"
+                ));
             }
         }
         if let Some(name) = m.holding() {
             if name >= d {
-                return Err(format!("machine {i} holds out-of-range name {name} (D = {d})"));
+                return Err(format!(
+                    "machine {i} holds out-of-range name {name} (D = {d})"
+                ));
             }
             if let Some(prev) = claimant(&machines[..i], (i, m.leaked()), name) {
                 return Err(format!("{prev} and machine {i} both claim name {name}"));

@@ -100,7 +100,10 @@ impl SmallNetShape {
                 });
             }
         }
-        Self { ell, splitters: splitters.into() }
+        Self {
+            ell,
+            splitters: splitters.into(),
+        }
     }
 
     /// The depth `ℓ`.
@@ -132,7 +135,11 @@ impl SmallNetShape {
     ///
     /// Panics if `(r, c)` is outside the triangle.
     pub fn cell_name(&self, r: usize, c: usize) -> Name {
-        assert!(r + c <= self.ell, "({r},{c}) outside the depth-{} triangle", self.ell);
+        assert!(
+            r + c <= self.ell,
+            "({r},{c}) outside the depth-{} triangle",
+            self.ell
+        );
         (r * (self.ell + 1) - r * r.saturating_sub(1) / 2 + c) as Name
     }
 
@@ -400,7 +407,10 @@ impl SmallNet {
     pub fn new(ell: usize) -> Self {
         let mut layout = Layout::new();
         let shape = SmallNetShape::build(ell, &mut layout);
-        Self { shape, mem: AtomicMemory::new(&layout) }
+        Self {
+            shape,
+            mem: AtomicMemory::new(&layout),
+        }
     }
 
     /// The network shape.
@@ -473,7 +483,11 @@ impl NetGen {
     fn fresh(ell: usize) -> Arc<Self> {
         let mut layout = Layout::new();
         let shape = SmallNetShape::build(ell, &mut layout);
-        Arc::new(Self { shape, mem: AtomicMemory::new(&layout), outstanding: AtomicU64::new(0) })
+        Arc::new(Self {
+            shape,
+            mem: AtomicMemory::new(&layout),
+            outstanding: AtomicU64::new(0),
+        })
     }
 }
 
@@ -490,7 +504,10 @@ impl RenewableNet {
     pub fn new(ell: usize) -> Self {
         Self {
             ell,
-            cur: Mutex::new(GenState { gen: NetGen::fresh(ell), entered: 0 }),
+            cur: Mutex::new(GenState {
+                gen: NetGen::fresh(ell),
+                entered: 0,
+            }),
         }
     }
 
@@ -523,7 +540,12 @@ impl Renaming for RenewableNet {
     type Handle<'a> = RenewableHandle<'a>;
 
     fn handle(&self, pid: Pid) -> RenewableHandle<'_> {
-        RenewableHandle { net: self, pid, held: None, accesses: 0 }
+        RenewableHandle {
+            net: self,
+            pid,
+            held: None,
+            accesses: 0,
+        }
     }
 
     fn source_size(&self) -> u64 {
@@ -610,7 +632,10 @@ pub mod spec {
     /// `pids.len() ≤ ℓ + 1` processes (shared by the exhaustive tests and
     /// the E2/E12 drivers).
     pub fn checker(ell: usize, pids: &[Pid]) -> ModelChecker<SmallNetUser> {
-        assert!(pids.len() <= ell + 1, "more entrants than the network admits");
+        assert!(
+            pids.len() <= ell + 1,
+            "more entrants than the network admits"
+        );
         let mut layout = Layout::new();
         let shape = SmallNetShape::build(ell, &mut layout);
         let machines: Vec<SmallNetUser> = pids
@@ -628,7 +653,11 @@ pub mod spec {
     /// Returns the violating schedule if two processes can acquire the
     /// same name.
     pub fn check_smallnet(ell: usize, pids: &[Pid]) -> Result<CheckStats, Box<Violation>> {
-        run_check(checker(ell, pids), &Engine::Sequential, unique_names_invariant)
+        run_check(
+            checker(ell, pids),
+            &Engine::Sequential,
+            unique_names_invariant,
+        )
     }
 }
 

@@ -346,7 +346,12 @@ impl SplitAcquire {
 
     /// Short state description for traces.
     pub fn describe(&self) -> String {
-        format!("Acquire@depth{} node{} {}", self.depth, self.node, self.op.describe())
+        format!(
+            "Acquire@depth{} node{} {}",
+            self.depth,
+            self.node,
+            self.op.describe()
+        )
     }
 }
 
@@ -382,10 +387,7 @@ impl SplitRelease {
         }
         let entry = self.path[self.idx - 1];
         let regs = shape.regs(entry.node);
-        if self
-            .op
-            .step(&regs, self.pid, entry.advice, entry.adv2, mem)
-        {
+        if self.op.step(&regs, self.pid, entry.advice, entry.adv2, mem) {
             self.idx -= 1;
             self.op = ReleaseOp::new();
             if self.idx == 0 {
@@ -431,7 +433,12 @@ impl SplitRelease {
 
     /// Short state description for traces.
     pub fn describe(&self) -> String {
-        format!("Release@{}/{} {}", self.idx, self.path.len(), self.op.describe())
+        format!(
+            "Release@{}/{} {}",
+            self.idx,
+            self.path.len(),
+            self.op.describe()
+        )
     }
 }
 
@@ -678,11 +685,7 @@ pub mod spec {
     /// # Errors
     ///
     /// Returns the violation if name uniqueness can be broken.
-    pub fn check_split(
-        k: usize,
-        procs: usize,
-        sessions: u8,
-    ) -> Result<CheckStats, Box<Violation>> {
+    pub fn check_split(k: usize, procs: usize, sessions: u8) -> Result<CheckStats, Box<Violation>> {
         run_check(
             checker(k, procs, sessions),
             &Engine::Sequential,

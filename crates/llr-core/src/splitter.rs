@@ -649,11 +649,19 @@ mod tests {
         let mem = SimMemory::new(&layout);
         let mut op = EnterOp::new();
         while op.step(&regs, 3, &mem).is_none() {}
-        assert!(mem.accesses() <= 7, "Enter used {} accesses", mem.accesses());
+        assert!(
+            mem.accesses() <= 7,
+            "Enter used {} accesses",
+            mem.accesses()
+        );
         mem.reset_accesses();
         let mut rel = ReleaseOp::new();
         while !rel.step(&regs, 3, op.advice(), op.adv2(), &mem) {}
-        assert!(mem.accesses() <= 2, "Release used {} accesses", mem.accesses());
+        assert!(
+            mem.accesses() <= 2,
+            "Release used {} accesses",
+            mem.accesses()
+        );
     }
 
     #[test]
@@ -683,8 +691,7 @@ mod tests {
         // Wait-freedom implies every reachable state can still finish.
         let mut layout = Layout::new();
         let regs = SplitterRegs::allocate(&mut layout, "B");
-        let machines: Vec<SplitterUser> =
-            (0..3).map(|p| SplitterUser::new(p, regs, 2)).collect();
+        let machines: Vec<SplitterUser> = (0..3).map(|p| SplitterUser::new(p, regs, 2)).collect();
         let stats = llr_mc::ModelChecker::new(layout, machines)
             .check_always_terminable()
             .expect("no trap states");
