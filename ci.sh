@@ -3,9 +3,10 @@
 # third-party dependencies, so `--offline` must always succeed.
 #
 #   1. tier-1: release build + full test suite
-#   2. lint: clippy, warnings are errors; then rustfmt on llr-mc
-#      (`cargo fmt -p llr-mc --check`), the one crate kept formatted
-#      throughout, so an unformatted line there fails the gate.
+#   2. lint: clippy, warnings are errors; then rustfmt on llr-mc and
+#      llr-core (`cargo fmt -p llr-mc --check`, `cargo fmt -p llr-core
+#      --check`), the two crates kept formatted throughout, so an
+#      unformatted line there fails the gate.
 #   3. docs: `cargo doc` with warnings denied (llr-mc carries
 #      `#![warn(missing_docs)]`, so every public item must stay
 #      documented) plus the doctests, so the documented examples keep
@@ -59,7 +60,8 @@
 #      about 25 s on a 2-core host; each asserts its own outcome, so a
 #      library change that breaks one fails here.
 #  10. crash/churn gate: the fault-injection sweeps (freeze and
-#      crash–restart at every stall point, all ten protocol cores)
+#      crash–restart at every stall point, all nine protocol cores,
+#      the one-shot core on both of its shapes)
 #      and the arena churn battery (armed clients panicking mid-acquire
 #      under a 4-permit gate, 100 seeded rounds, zero leaked permits).
 #      Also release: the churn rounds are real oversubscribed threads,
@@ -90,8 +92,9 @@ cargo test -q --offline
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== rustfmt (llr-mc) =="
+echo "== rustfmt (llr-mc, llr-core) =="
 cargo fmt -p llr-mc --check
+cargo fmt -p llr-core --check
 
 echo "== docs (-D warnings) + doctests =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

@@ -30,8 +30,8 @@ use llr_core::chaos::ChaosService;
 use llr_core::filter::{FilterCore, FilterShape, ReleasePolicy};
 use llr_core::levelarray::{LevelArrayCore, LevelShape};
 use llr_core::ma::{MaCore, MaShape};
+use llr_core::onetime::{OneTimeCore, OneTimeShape};
 use llr_core::session::{crash_robust_uniqueness, ProtocolCore, Session};
-use llr_core::smallnet::{SmallNetCore, SmallNetShape};
 use llr_core::split::{Split, SplitCore, SplitShape};
 use llr_core::traits::{Renaming, RenamingHandle};
 use llr_gf::FilterParams;
@@ -324,12 +324,12 @@ pub fn run() {
     // network exactly at f = 2.
     for f in 0..=2u64 {
         let mut layout = Layout::new();
-        let shape = SmallNetShape::build(3, &mut layout);
+        let shape = OneTimeShape::small_net(3, &mut layout);
         let machines: Vec<_> = [0u64, 1]
             .iter()
             .map(|&p| {
-                Session::start(SmallNetCore::new(shape.clone(), p), 1)
-                    .with_spares(vec![SmallNetCore::new(shape.clone(), p + 2)])
+                Session::start(OneTimeCore::new(shape.clone(), p), 1)
+                    .with_spares(vec![OneTimeCore::new(shape.clone(), p + 2)])
             })
             .collect();
         checker_row(

@@ -35,7 +35,6 @@ use llr_core::chain::{Chain, Then};
 use llr_core::filter::{spec as filter_spec, FilterCore, FilterShape, ReleasePolicy};
 use llr_core::levelarray::spec as la_spec;
 use llr_core::ma::spec as ma_spec;
-use llr_core::smallnet::spec as net_spec;
 use llr_core::onetime::spec as onetime_spec;
 use llr_core::pf::spec as pf_spec;
 use llr_core::session::unique_names_invariant;
@@ -529,7 +528,11 @@ pub fn run() {
             "acquired names unique",
             &format!("ℓ={ell}, pids={pids:?}"),
             &dfs(),
-            explore(net_spec::checker(ell, &pids), net_spec::unique_names_invariant, &dfs()),
+            explore(
+                onetime_spec::small_net_checker(ell, &pids),
+                onetime_spec::unique_names_invariant,
+                &dfs(),
+            ),
         );
     }
     for engine in [dfs(), bfs_hashed()] {
@@ -539,8 +542,8 @@ pub fn run() {
             "ℓ=3 (4 entrants), pids=[0, 1, 2, 3]",
             &engine,
             explore(
-                net_spec::checker(3, &[0, 1, 2, 3]),
-                net_spec::unique_names_invariant,
+                onetime_spec::small_net_checker(3, &[0, 1, 2, 3]),
+                onetime_spec::unique_names_invariant,
                 &engine,
             ),
         );
@@ -551,8 +554,8 @@ pub fn run() {
         "ℓ=4 (5 entrants), pids=[0, 1, 2, 4]",
         &bfs_hashed(),
         explore(
-            net_spec::checker(4, &[0, 1, 2, 4]),
-            net_spec::unique_names_invariant,
+            onetime_spec::small_net_checker(4, &[0, 1, 2, 4]),
+            onetime_spec::unique_names_invariant,
             &bfs_hashed(),
         ),
     );
@@ -646,7 +649,9 @@ pub fn run() {
 
     let (r, w) = {
         let start = Instant::now();
-        let r = net_spec::checker(2, &[0, 1, 2]).workers(0).check_always_terminable();
+        let r = onetime_spec::small_net_checker(2, &[0, 1, 2])
+            .workers(0)
+            .check_always_terminable();
         (r, start.elapsed())
     };
     add_live("small net", "ℓ=2, 3 procs, 1 session", r, w);

@@ -62,6 +62,12 @@ pub trait Composable: ProtocolCore {
     /// Size `S` of the source space the core accepts pids from.
     fn source_size(&self) -> u64;
 
+    /// Whether [`for_pid`](Self::for_pid) can act for `pid`: by default,
+    /// any pid below [`source_size`](Self::source_size).
+    fn accepts(&self, pid: Pid) -> bool {
+        pid < self.source_size()
+    }
+
     /// Appends the destination size after each stage (the name-space
     /// funnel); a single stage has one.
     fn funnel(&self, out: &mut Vec<u64>) {
@@ -87,6 +93,14 @@ pub enum ChainError {
         /// This stage's source size.
         source: u64,
     },
+    /// A later stage cannot act for a name its predecessor hands out: a
+    /// FILTER stage did not register it.
+    Unregistered {
+        /// Index of the offending stage.
+        stage: usize,
+        /// The first name the stage cannot act for.
+        name: Name,
+    },
     /// Building a FILTER stage's parameters failed.
     Params(ParamError),
     /// Building a FILTER stage failed.
@@ -103,6 +117,10 @@ impl fmt::Display for ChainError {
             } => write!(
                 f,
                 "stage {stage} accepts {source} source names but receives {upstream_dest}"
+            ),
+            ChainError::Unregistered { stage, name } => write!(
+                f,
+                "stage {stage} cannot act for name {name}, which its predecessor hands out"
             ),
             ChainError::Params(e) => write!(f, "parameter selection failed: {e}"),
             ChainError::Filter(e) => write!(f, "filter construction failed: {e}"),
@@ -146,22 +164,28 @@ impl<A: Composable, B: Composable> Then<A, B> {
     /// # Errors
     ///
     /// [`ChainError::Mismatch`] if `second`'s source space is smaller than
-    /// `first`'s destination space.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `second` cannot act for some name below `first`'s
-    /// destination size: a FILTER stage must have registered every one.
+    /// `first`'s destination space, and [`ChainError::Unregistered`] if
+    /// `second` cannot act for some name below `first`'s destination
+    /// size (a FILTER stage must have registered every one).
     pub fn new(first: A, second: B) -> Result<Self, ChainError> {
         let upstream_dest = first.dest_size();
-        let source = second.source_size();
-        if source < upstream_dest {
+        let stage = || {
             let mut funnel = Vec::new();
             first.funnel(&mut funnel);
+            funnel.len()
+        };
+        let source = second.source_size();
+        if source < upstream_dest {
             return Err(ChainError::Mismatch {
-                stage: funnel.len(),
+                stage: stage(),
                 upstream_dest,
                 source,
+            });
+        }
+        if let Some(name) = (0..upstream_dest).find(|&name| !second.accepts(name)) {
+            return Err(ChainError::Unregistered {
+                stage: stage(),
+                name,
             });
         }
         let second = (0..upstream_dest)
@@ -432,6 +456,10 @@ impl<A: Composable, B: Composable> Composable for Then<A, B> {
 
     fn source_size(&self) -> u64 {
         self.first.source_size()
+    }
+
+    fn accepts(&self, pid: Pid) -> bool {
+        self.first.accepts(pid)
     }
 
     fn funnel(&self, out: &mut Vec<u64>) {
@@ -783,6 +811,20 @@ mod tests {
                 source: 9,
             }) => {}
             other => panic!("expected mismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unregistered_filter_names_rejected() {
+        // SPLIT k=2 hands out 3 names; the FILTER stage registered 0 and 1.
+        let mut layout = Layout::new();
+        let split = SplitCore::new(SplitShape::build(2, &mut layout), 0);
+        let params = FilterParams::exponential3(2).unwrap();
+        let shape = FilterShape::build(params, &[0, 1], &mut layout).unwrap();
+        let filter = FilterCore::new(shape, 0, ReleasePolicy::AtReleaseName);
+        match Then::new(split, filter) {
+            Err(ChainError::Unregistered { stage: 1, name: 2 }) => {}
+            other => panic!("expected name 2 unregistered, got {other:?}"),
         }
     }
 

@@ -481,11 +481,6 @@ impl FilterAcquire {
         matches!(self.mode, Mode::Checking)
     }
 
-    /// The acquired name's index in the name set, once complete.
-    pub fn acquired_index(&self) -> Option<usize> {
-        self.acquired
-    }
-
     /// The highest *confirmed-won* level in tree `i` (levels whose
     /// critical section this process currently holds): used by the
     /// model-checking invariants.
@@ -1010,6 +1005,10 @@ impl Composable for FilterCore {
 
     fn source_size(&self) -> u64 {
         self.shape.params().source_size()
+    }
+
+    fn accepts(&self, pid: Pid) -> bool {
+        self.shape.is_registered(pid)
     }
 }
 

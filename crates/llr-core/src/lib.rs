@@ -16,9 +16,9 @@
 //! | [`filter::Filter`] | `2zd(k-1)` (≤ `72k²` for `S ≤ 2k⁴`) | `O(dk log S)` | yes (for `S` poly in `k`) |
 //! | [`ma::MaGrid`] | `k(k+1)/2` | `O(kS)` | **no** (the baseline) |
 //! | [`chain::Chain`] | `k(k+1)/2` | `O(k³)` | yes (Theorem 11; stages composed by [`chain::Then`]) |
-//! | [`onetime::OneTimeGrid`] | `k(k+1)/2` | `O(k)` | yes, but one-shot |
+//! | [`onetime::OneTimeGrid::new`] | `k(k+1)/2` | `O(k)` | yes, but one-shot |
 //! | [`levelarray::LevelArray`] | `3k + ⌈log₂k⌉ + 1` | `O(k)` expected | yes (rival; uses swap) |
-//! | [`smallnet::SmallNet`] | `k(k+1)/2` | `O(k²)` | one-shot rival (renewable via [`smallnet::RenewableNet`]) |
+//! | [`onetime::OneTimeGrid::small_net`] | `k(k+1)/2` | `O(k)`, `k` fewer splitters | one-shot rival (renewable via [`smallnet::RenewableNet`]) |
 //!
 //! # Architecture
 //!

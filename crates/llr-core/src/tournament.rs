@@ -28,10 +28,11 @@
 //! many trees.
 
 use crate::pf::{self, MeEnter, MeRegs, Side};
+use crate::session::ProtocolCore;
 use crate::types::enc::{BIT0, BIT1};
 use crate::types::Pid;
 use llr_mc::Footprint;
-use llr_mem::{Layout, Memory, Word};
+use llr_mem::{AtomicMemory, Layout, Memory, Word};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -227,12 +228,15 @@ impl TreeProgress {
 }
 
 /// A multi-process mutual-exclusion lock built from one tournament tree —
-/// the substrate of FILTER, packaged standalone.
+/// the substrate of FILTER, packaged standalone. [`lock`](Self::lock)
+/// steps [`TreeCore`]'s climb and the guard's drop steps its descent, so
+/// the threaded lock runs the machines the checker verifies.
 #[derive(Debug)]
 pub struct TreeMutex {
     shape: TreeShape,
-    mem: llr_mem::AtomicMemory,
-    s: u64,
+    mem: AtomicMemory,
+    /// Each participant's core, built once.
+    cores: HashMap<Pid, TreeCore>,
 }
 
 impl TreeMutex {
@@ -245,10 +249,14 @@ impl TreeMutex {
     pub fn new(s: u64, participants: &[Pid]) -> Self {
         let mut layout = Layout::new();
         let shape = TreeShape::build(&mut layout, "T", s, participants);
+        let cores = participants
+            .iter()
+            .map(|&p| (p, TreeCore::new(shape.clone(), p)))
+            .collect();
         Self {
             shape,
-            mem: llr_mem::AtomicMemory::new(&layout),
-            s,
+            mem: AtomicMemory::new(&layout),
+            cores,
         }
     }
 
@@ -258,27 +266,24 @@ impl TreeMutex {
     }
 
     /// Acquires the lock for process `p` (spins while blocked).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not a participant of this lock.
     pub fn lock(&self, p: Pid) -> TreeGuard<'_> {
-        assert!(p < self.s, "pid {p} outside source space");
-        let mut progress = TreeProgress::new();
-        while progress.entered_level() < self.shape.levels() {
-            let level = progress.entered_level() + 1;
-            let regs = self.shape.block_for(p, level);
-            let side = TreeShape::side_at(p, level);
-            let mut op = MeEnter::new(side);
-            let own = loop {
-                if let Some(own) = op.step(&regs, &self.mem) {
-                    break own;
-                }
-            };
-            progress.push_entered(own);
-            while !pf::check(&regs, side, own, &self.mem) {
-                std::hint::spin_loop();
+        let core = self
+            .cores
+            .get(&p)
+            .unwrap_or_else(|| panic!("pid {p} is not a participant of this lock"));
+        let mut climb = core.begin_acquire();
+        let progress = loop {
+            if let Some(progress) = core.step_acquire(&mut climb, &self.mem) {
+                break progress;
             }
-        }
+        };
         TreeGuard {
-            mutex: self,
-            p,
+            mem: &self.mem,
+            core,
             progress,
         }
     }
@@ -288,43 +293,52 @@ impl TreeMutex {
 /// drop.
 #[derive(Debug)]
 pub struct TreeGuard<'a> {
-    mutex: &'a TreeMutex,
-    p: Pid,
+    mem: &'a AtomicMemory,
+    core: &'a TreeCore,
     progress: TreeProgress,
 }
 
 impl Drop for TreeGuard<'_> {
     fn drop(&mut self) {
-        // Top-down: release a block only while still holding its parent,
-        // so no same-direction second entrant can appear (Lemma 6).
-        for level in (1..=self.progress.entered_level()).rev() {
-            let regs = self.mutex.shape.block_for(self.p, level);
-            pf::release(&regs, TreeShape::side_at(self.p, level), &self.mutex.mem);
-        }
-        self.progress.reset();
+        let mut descent = self.core.begin_release(self.progress);
+        while !self.core.step_release(&mut descent, self.mem) {}
     }
 }
 
-/// The tournament's [`ProtocolCore`][crate::session::ProtocolCore]: one
-/// process's identity and the tree it climbs. The acquire is the
-/// composite [`TreeClimb`] (enter, spin, climb, repeat up to the root);
-/// the token is the full [`TreeProgress`] held while inside the root
-/// critical section; the release walks the path back down top-first.
+/// The tournament's [`ProtocolCore`]: one process's identity and the
+/// tree it climbs. The acquire is the composite [`TreeClimb`] (enter,
+/// spin, climb, repeat up to the root); the token is the full
+/// [`TreeProgress`] held while inside the root critical section; the
+/// release walks the path back down top-first.
 #[derive(Clone, Debug)]
 pub struct TreeCore {
-    shape: TreeShape,
+    /// The registers of `pid`'s block at each level, bottom-up: looked
+    /// up once, so no step hashes the shape's block table.
+    path: Arc<[MeRegs]>,
     pid: Pid,
 }
 
 impl TreeCore {
     /// A core for competitor `pid` on the tree described by `shape`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pid` was not a participant when `shape` was built.
     pub fn new(shape: TreeShape, pid: Pid) -> Self {
-        Self { shape, pid }
+        let path = (1..=shape.levels())
+            .map(|level| shape.block_for(pid, level))
+            .collect();
+        Self { path, pid }
     }
 
-    /// The tree shape.
-    pub fn shape(&self) -> &TreeShape {
-        &self.shape
+    /// The registers of `pid`'s block at `level`.
+    fn block(&self, level: usize) -> MeRegs {
+        self.path[level - 1]
+    }
+
+    /// Number of levels; the root block is at this level.
+    fn levels(&self) -> usize {
+        self.path.len()
     }
 }
 
@@ -352,7 +366,7 @@ pub struct TreeRelease {
     level: usize,
 }
 
-impl crate::session::ProtocolCore for TreeCore {
+impl ProtocolCore for TreeCore {
     type Acquire = TreeClimb;
     type Token = TreeProgress;
     type Release = TreeRelease;
@@ -376,7 +390,7 @@ impl crate::session::ProtocolCore for TreeCore {
         match &mut a.stage {
             ClimbStage::Entering(op) => {
                 let level = a.progress.entered_level() + 1;
-                let regs = self.shape.block_for(self.pid, level);
+                let regs = self.block(level);
                 if let Some(own) = op.step(&regs, mem) {
                     a.progress.push_entered(own);
                     a.stage = ClimbStage::Waiting;
@@ -385,10 +399,10 @@ impl crate::session::ProtocolCore for TreeCore {
             }
             ClimbStage::Waiting => {
                 let level = a.progress.entered_level();
-                let regs = self.shape.block_for(self.pid, level);
+                let regs = self.block(level);
                 let side = TreeShape::side_at(self.pid, level);
                 if pf::check(&regs, side, a.progress.own_at(level), mem) {
-                    if level == self.shape.levels() {
+                    if level == self.levels() {
                         return Some(a.progress);
                     }
                     let next_side = TreeShape::side_at(self.pid, level + 1);
@@ -401,13 +415,13 @@ impl crate::session::ProtocolCore for TreeCore {
 
     fn begin_release(&self, progress: TreeProgress) -> TreeRelease {
         TreeRelease {
-            level: self.shape.levels(),
+            level: self.levels(),
             progress,
         }
     }
 
     fn step_release<M: Memory + ?Sized>(&self, r: &mut TreeRelease, mem: &M) -> bool {
-        let regs = self.shape.block_for(self.pid, r.level);
+        let regs = self.block(r.level);
         pf::release(&regs, TreeShape::side_at(self.pid, r.level), mem);
         if r.level == 1 {
             true
@@ -421,35 +435,37 @@ impl crate::session::ProtocolCore for TreeCore {
         match &a.stage {
             ClimbStage::Entering(op) => {
                 let level = a.progress.entered_level() + 1;
-                op.footprint(&self.shape.block_for(self.pid, level), fp);
+                op.footprint(&self.block(level), fp);
                 // Completing the Enter only moves to Waiting.
                 false
             }
             ClimbStage::Waiting => {
                 let level = a.progress.entered_level();
-                let regs = self.shape.block_for(self.pid, level);
+                let regs = self.block(level);
                 pf::check_footprint(&regs, TreeShape::side_at(self.pid, level), fp);
                 // Winning the root check completes the climb.
-                level == self.shape.levels()
+                level == self.levels()
             }
         }
     }
 
     fn release_footprint(&self, r: &TreeRelease, fp: &mut Footprint) -> bool {
-        let regs = self.shape.block_for(self.pid, r.level);
+        let regs = self.block(r.level);
         pf::release_footprint(&regs, TreeShape::side_at(self.pid, r.level), fp);
         r.level == 1
     }
 
     fn future_footprint(&self, fp: &mut Footprint) {
-        self.shape.path_future_footprint(self.pid, fp);
+        for (level, regs) in (1..).zip(self.path.iter()) {
+            pf::side_future_footprint(regs, TreeShape::side_at(self.pid, level), fp);
+        }
     }
 
     fn release_future_footprint(&self, r: &TreeRelease, fp: &mut Footprint) {
         // The descent only writes nil to our own side of each remaining
         // block on the path.
         for level in 1..=r.level {
-            let regs = self.shape.block_for(self.pid, level);
+            let regs = self.block(level);
             fp.future_write(regs.r[TreeShape::side_at(self.pid, level)]);
         }
     }

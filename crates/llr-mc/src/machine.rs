@@ -15,11 +15,6 @@ pub enum MachineStatus {
 }
 
 impl MachineStatus {
-    /// `true` iff the machine can still be scheduled.
-    pub fn is_running(self) -> bool {
-        matches!(self, MachineStatus::Running)
-    }
-
     /// `true` iff the machine has finished.
     pub fn is_done(self) -> bool {
         matches!(self, MachineStatus::Done)

@@ -19,7 +19,7 @@ use llr_core::chain::Chain;
 use llr_core::filter::{spec as filter_spec, Filter};
 use llr_core::levelarray::{spec as la_spec, LevelArray};
 use llr_core::ma::{spec as ma_spec, MaGrid};
-use llr_core::smallnet::{spec as net_spec, RenewableNet};
+use llr_core::smallnet::RenewableNet;
 use llr_core::onetime::spec as onetime_spec;
 use llr_core::pf::spec as pf_spec;
 use llr_core::split::{spec as split_spec, Split};
@@ -159,8 +159,8 @@ fn levelarray_backends_agree() {
 
 #[test]
 fn smallnet_backends_agree() {
-    assert_backends_agree("small net ℓ=1", &net_spec::checker(1, &[0, 1]));
-    assert_backends_agree("small net ℓ=2", &net_spec::checker(2, &[0, 1, 2]));
+    assert_backends_agree("small net ℓ=1", &onetime_spec::small_net_checker(1, &[0, 1]));
+    assert_backends_agree("small net ℓ=2", &onetime_spec::small_net_checker(2, &[0, 1, 2]));
 }
 
 // ---------------------------------------------------------------------------

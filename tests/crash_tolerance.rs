@@ -17,7 +17,7 @@
 //!
 //! Both sweeps inject at every step index of the victim's workload.
 //!
-//! # Per-protocol crash verdicts (all 10 cores)
+//! # Per-protocol crash verdicts (all 9 cores, the one-shot core on both shapes)
 //!
 //! The table below is the suite's contract: every core's behaviour under
 //! both faults, stated so that no protocol lands undocumented (the
@@ -33,9 +33,9 @@
 //! | `filter` | survives | survives | victim may block a shared tree; survivors reroute |
 //! | `ma` | survives | survives | torn grid cells only deflect later walks |
 //! | `chain` | survives | survives | per-stage tolerance composes |
-//! | `onetime` | survives | survives | crash mid-acquire tears the grid, never capacity |
+//! | `onetime` (grid) | survives | survives | crash mid-acquire tears the grid, never capacity |
 //! | `levelarray` | survives | survives | failed probes leave **no** marks; crash-while-Holding leaks one bit (capacity gone, uniqueness kept) |
-//! | `smallnet` | survives | survives | a restarted incarnation is a **new entrant** — size the network for live + spares |
+//! | `onetime` (small net) | survives | survives | a restarted incarnation is a **new entrant** — size the network for live + spares |
 //! | `tournament` | **wedges** | **wedges** | blocking mutex: replacement queues behind the dead holder's claim |
 //! | `pf` | **wedges** | **wedges** | two-sided ME has no fresh id to restart under |
 
@@ -44,7 +44,6 @@ use llr_core::filter::spec::FilterUser;
 use llr_core::filter::{FilterCore, FilterShape, ReleasePolicy};
 use llr_core::levelarray::{LevelArrayCore, LevelShape};
 use llr_core::ma::spec::MaUser;
-use llr_core::smallnet::{SmallNetCore, SmallNetShape};
 use llr_core::ma::{MaCore, MaShape};
 use llr_core::onetime::{OneTimeCore, OneTimeShape};
 use llr_core::pf::{spec as pf_spec, MeRegs};
@@ -321,13 +320,13 @@ fn levelarray_survives_any_freeze() {
 #[test]
 fn smallnet_survives_any_freeze() {
     let mut layout = Layout::new();
-    let shape = SmallNetShape::build(3, &mut layout);
+    let shape = OneTimeShape::small_net(3, &mut layout);
     sweep(
         &layout,
         || {
             [0u64, 1, 2]
                 .iter()
-                .map(|&p| Session::start(SmallNetCore::new(shape.clone(), p), 1))
+                .map(|&p| Session::start(OneTimeCore::new(shape.clone(), p), 1))
                 .collect()
         },
         4 * 3,
@@ -511,15 +510,15 @@ fn smallnet_survives_crash_restart() {
     // provisioning bound, since every restarted incarnation enters the
     // one-shot network as a fresh process.
     let mut layout = Layout::new();
-    let shape = SmallNetShape::build(3, &mut layout);
+    let shape = OneTimeShape::small_net(3, &mut layout);
     sweep(
         &layout,
         || {
             [0u64, 1]
                 .iter()
                 .map(|&p| {
-                    Session::start(SmallNetCore::new(shape.clone(), p), 1)
-                        .with_spares(vec![SmallNetCore::new(shape.clone(), p + 2)])
+                    Session::start(OneTimeCore::new(shape.clone(), p), 1)
+                        .with_spares(vec![OneTimeCore::new(shape.clone(), p + 2)])
                 })
                 .collect()
         },

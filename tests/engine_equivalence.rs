@@ -17,10 +17,9 @@ use llr_core::levelarray::{LevelArrayCore, LevelShape};
 use llr_core::ma::spec as ma_spec;
 use llr_core::ma::{MaCore, MaShape};
 use llr_core::onetime::spec as onetime_spec;
+use llr_core::onetime::{OneTimeCore, OneTimeShape};
 use llr_core::pf::spec as pf_spec;
 use llr_core::session::{self, crash_robust_uniqueness, ProtocolCore, Session};
-use llr_core::smallnet::spec as net_spec;
-use llr_core::smallnet::{SmallNetCore, SmallNetShape};
 use llr_core::split::spec as split_spec;
 use llr_core::splitter::spec as splitter_spec;
 use llr_core::tournament::spec as tree_spec;
@@ -222,8 +221,8 @@ fn smallnet_engines_agree() {
     ] {
         assert_engines_agree(
             &format!("small net ℓ={ell} pids={pids:?}"),
-            || net_spec::checker(ell, &pids),
-            net_spec::unique_names_invariant,
+            || onetime_spec::small_net_checker(ell, &pids),
+            onetime_spec::unique_names_invariant,
             Some(expect),
         );
     }
@@ -266,10 +265,10 @@ fn la_faults(f: u64) -> ModelChecker<Session<LevelArrayCore>> {
 }
 
 /// E12's small splitter network ℓ=3 world.
-fn net_faults(f: u64) -> ModelChecker<Session<SmallNetCore>> {
+fn net_faults(f: u64) -> ModelChecker<Session<OneTimeCore>> {
     let mut layout = Layout::new();
-    let shape = SmallNetShape::build(3, &mut layout);
-    let core = |p| SmallNetCore::new(shape.clone(), p);
+    let shape = OneTimeShape::small_net(3, &mut layout);
+    let core = |p| OneTimeCore::new(shape.clone(), p);
     faults(layout, [(core(0), core(2)), (core(1), core(3))], f)
 }
 
@@ -491,8 +490,8 @@ fn frontier_spill_battery() {
     );
     battery(
         "small net ℓ=2",
-        || net_spec::checker(2, &[0, 1, 2]),
-        net_spec::unique_names_invariant,
+        || onetime_spec::small_net_checker(2, &[0, 1, 2]),
+        onetime_spec::unique_names_invariant,
     );
     for f in [1, 2] {
         battery(
@@ -707,5 +706,11 @@ fn full_seed_table_engines_agree() {
         || onetime_spec::checker(4, &[0, 1, 2, 3]),
         onetime_spec::unique_names_invariant,
         Some((2_884_713, 8_780_764)),
+    );
+    assert_engines_agree(
+        "small net ℓ=3",
+        || onetime_spec::small_net_checker(3, &[0, 1, 2, 3]),
+        onetime_spec::unique_names_invariant,
+        Some((1_526_121, 4_560_796)),
     );
 }

@@ -29,7 +29,6 @@ use llr_core::chain::Chain;
 use llr_core::filter::spec as filter_spec;
 use llr_core::levelarray::spec as la_spec;
 use llr_core::ma::spec as ma_spec;
-use llr_core::smallnet::spec as net_spec;
 use llr_core::onetime::spec as onetime_spec;
 use llr_core::pf::spec as pf_spec;
 use llr_core::split::spec as split_spec;
@@ -211,8 +210,8 @@ fn levelarray_footprints_honest() {
 
 #[test]
 fn smallnet_footprints_honest() {
-    audit_ok("small net ℓ=2", net_spec::checker(2, &[0, 1, 2]), 0xF00D_000E);
-    audit_ok("small net ℓ=3", net_spec::checker(3, &[0, 1, 2, 3]), 0xF00D_000F);
+    audit_ok("small net ℓ=2", onetime_spec::small_net_checker(2, &[0, 1, 2]), 0xF00D_000E);
+    audit_ok("small net ℓ=3", onetime_spec::small_net_checker(3, &[0, 1, 2, 3]), 0xF00D_000F);
 }
 
 /// A machine whose next-step declaration claims a *read of X* while the

@@ -6,7 +6,6 @@ use llr_core::filter::Filter;
 use llr_core::levelarray::LevelArray;
 use llr_core::ma::MaGrid;
 use llr_core::onetime::OneTimeGrid;
-use llr_core::smallnet::SmallNet;
 use llr_core::split::Split;
 use llr_core::traits::{Renaming, RenamingHandle};
 use llr_gf::FilterParams;
@@ -180,7 +179,7 @@ fn levelarray_names_linear_in_k() {
 #[test]
 fn smallnet_depth_bound() {
     for ell in 0..=8usize {
-        let net = SmallNet::new(ell);
+        let net = OneTimeGrid::small_net(ell);
         let k = ell as u64 + 1;
         assert_eq!(net.shape().dest_size(), k * (k + 1) / 2, "ℓ={ell}");
         // Exactly k fewer splitters than the grid spends for the same D.

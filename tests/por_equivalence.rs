@@ -30,9 +30,8 @@ use llr_core::levelarray::spec as la_spec;
 use llr_core::levelarray::{LevelArrayCore, LevelShape};
 use llr_core::ma::spec as ma_spec;
 use llr_core::ma::{MaCore, MaShape};
-use llr_core::smallnet::spec as net_spec;
-use llr_core::smallnet::{SmallNetCore, SmallNetShape};
 use llr_core::onetime::spec as onetime_spec;
+use llr_core::onetime::{OneTimeCore, OneTimeShape};
 use llr_core::pf::spec as pf_spec;
 use llr_core::session::{self, crash_robust_uniqueness, ProtocolCore, Session};
 use llr_core::split::spec as split_spec;
@@ -325,8 +324,8 @@ fn smallnet_por_sound() {
     for (ell, pids) in [(1usize, vec![0u64, 1]), (2, vec![0, 1, 2])] {
         assert_por_sound(
             &format!("small net ℓ={ell}"),
-            || net_spec::checker(ell, &pids),
-            net_spec::unique_names_invariant,
+            || onetime_spec::small_net_checker(ell, &pids),
+            onetime_spec::unique_names_invariant,
         );
     }
 }
@@ -371,8 +370,8 @@ fn faults_por_sound() {
         "small net ℓ=3 f=2",
         || {
             let mut layout = Layout::new();
-            let shape = SmallNetShape::build(3, &mut layout);
-            let core = |p| SmallNetCore::new(shape.clone(), p);
+            let shape = OneTimeShape::small_net(3, &mut layout);
+            let core = |p| OneTimeCore::new(shape.clone(), p);
             faults(layout, [(core(0), core(2)), (core(1), core(3))], 2)
         },
         crash_robust_uniqueness,

@@ -10,7 +10,7 @@
 use llr_core::filter::spec as filter_spec;
 use llr_core::levelarray::spec as la_spec;
 use llr_core::ma::spec as ma_spec;
-use llr_core::smallnet::spec as net_spec;
+use llr_core::onetime::spec as onetime_spec;
 use llr_core::split::spec as split_spec;
 use llr_core::split::SplitShape;
 use llr_core::splitter::spec as splitter_spec;
@@ -263,7 +263,7 @@ fn independent_steps_commute() {
         );
         diamonds += check_diamonds(
             "small net ℓ=3",
-            &net_spec::checker(3, &[0, 1, 2, 3]),
+            &onetime_spec::small_net_checker(3, &[0, 1, 2, 3]),
             &mut gen,
             200,
         );
@@ -371,8 +371,8 @@ fn crash_schedules_differential() {
     use llr_core::filter::{FilterCore, ReleasePolicy};
     use llr_core::levelarray::{LevelArrayCore, LevelShape};
     use llr_core::ma::{MaCore, MaShape};
+    use llr_core::onetime::{OneTimeCore, OneTimeShape};
     use llr_core::session::Session;
-    use llr_core::smallnet::{SmallNetCore, SmallNetShape};
     use llr_core::split::SplitCore;
 
     const SCHEDULES_PER_FAMILY: usize = 110;
@@ -465,13 +465,13 @@ fn crash_schedules_differential() {
     // restarted incarnation is a *new entrant*, so live + spares must
     // stay within the network's capacity.
     let mut layout = Layout::new();
-    let net_shape = SmallNetShape::build(3, &mut layout);
+    let net_shape = OneTimeShape::small_net(3, &mut layout);
     for _ in 0..SCHEDULES_PER_FAMILY {
         let machines: Vec<_> = [0u64, 1]
             .iter()
             .map(|&p| {
-                Session::start(SmallNetCore::new(net_shape.clone(), p), 1)
-                    .with_spares(vec![SmallNetCore::new(net_shape.clone(), p + 2)])
+                Session::start(OneTimeCore::new(net_shape.clone(), p), 1)
+                    .with_spares(vec![OneTimeCore::new(net_shape.clone(), p + 2)])
             })
             .collect();
         crashes += crash_differential("small net ℓ=3", &layout, machines, &mut gen, 200);
@@ -512,8 +512,8 @@ fn smallnet_random_walks() {
         let entrants = 2 + gen.next_index(ell); // 2..=ℓ+1
         let pids = draw_pids(&mut gen, 64, entrants);
         let seed = gen.next_u64();
-        net_spec::checker(ell, &pids)
-            .random_walks(net_spec::unique_names_invariant, 25, 200_000, seed)
+        onetime_spec::small_net_checker(ell, &pids)
+            .random_walks(onetime_spec::unique_names_invariant, 25, 200_000, seed)
             .unwrap_or_else(|v| panic!("ℓ={ell} pids={pids:?}: {v}"));
     }
 }

@@ -356,22 +356,50 @@ fn handle_and_spec_agree_on_access_counts() {
     }
 
     // One-time grid: at most 4k accesses and no release machine at all
-    // (one-shot, so no handle: its direct walk stands in).
+    // (one-shot: `get_name` serves its single acquire through the handle).
     {
         let (k, pid) = (4usize, 777u64);
         let grid = OneTimeGrid::new(k, 1 << 20);
-        let (exec_name, exec_acc) = grid.get_name(pid);
+        let exec = grid.get_name(pid);
 
         let mut layout = Layout::new();
         let shape = OneTimeShape::build(k, &mut layout);
-        let spec = spec_solo_cycles(&layout, OneTimeCore::new(shape, pid), 1);
-        let (spec_name, spec_acquire, spec_total) = spec[0];
-
-        assert_eq!(exec_name, spec_name, "onetime: names diverge");
-        assert_eq!(exec_acc, spec_acquire, "onetime: acquire accesses diverge");
-        assert_eq!(spec_acquire, spec_total, "onetime: release must be free");
-        assert!(spec_total <= 4 * k as u64, "onetime: {spec_total}");
+        let core = OneTimeCore::new(shape, pid);
+        let (_, total) = assert_one_shot_copies_agree("onetime", exec, &layout, core);
+        assert!(total <= 4 * k as u64, "onetime: {total}");
     }
+
+    // The small network, the same walk on the pruned shape: at most 4
+    // accesses per splitter diagonal; at ℓ = 0 the one name is free.
+    for ell in [0usize, 1, 3] {
+        let (label, pid) = (format!("small net ℓ={ell}"), 777u64);
+        let exec = OneTimeGrid::small_net(ell).get_name(pid);
+
+        let mut layout = Layout::new();
+        let shape = OneTimeShape::small_net(ell, &mut layout);
+        let core = OneTimeCore::new(shape, pid);
+        let (name, total) = assert_one_shot_copies_agree(&label, exec, &layout, core);
+        assert!(total <= 4 * ell as u64, "{label}: {total}");
+        if ell == 0 {
+            assert_eq!((name, total), (0, 0), "{label}");
+        }
+    }
+}
+
+/// Asserts a one-shot acquire served by `get_name` (name, accesses) agrees
+/// with the spec's single session over `core`, whose release must be
+/// free; returns the spec's name and accesses.
+fn assert_one_shot_copies_agree(
+    label: &str,
+    (exec_name, exec_acc): (Name, u64),
+    layout: &Layout,
+    core: OneTimeCore,
+) -> (Name, u64) {
+    let (spec_name, spec_acquire, spec_total) = spec_solo_cycles(layout, core, 1)[0];
+    assert_eq!(exec_name, spec_name, "{label}: names diverge");
+    assert_eq!(exec_acc, spec_acquire, "{label}: acquire accesses diverge");
+    assert_eq!(spec_acquire, spec_total, "{label}: release must be free");
+    (spec_name, spec_total)
 }
 
 /// A session executes exactly the requested number of acquire/release
