@@ -170,10 +170,7 @@ mod tests {
                     for c in f.elements() {
                         assert_eq!(f.add(f.add(a, b), c), f.add(a, f.add(b, c)));
                         assert_eq!(f.mul(f.mul(a, b), c), f.mul(a, f.mul(b, c)));
-                        assert_eq!(
-                            f.mul(a, f.add(b, c)),
-                            f.add(f.mul(a, b), f.mul(a, c))
-                        );
+                        assert_eq!(f.mul(a, f.add(b, c)), f.add(f.mul(a, b), f.mul(a, c)));
                     }
                 }
             }

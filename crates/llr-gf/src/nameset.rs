@@ -251,7 +251,7 @@ mod tests {
         let p = 13u64; // base-5 digits (3, 2): Q(x) = 2x + 3
         assert_eq!(ns.name(p, 0), 3);
         assert_eq!(ns.name(p, 1), 5); // 5·1 + Q(1)=5+0... computed below
-        // explicit: Q(1) = (2*1+3) mod 5 = 0, so n(1) = 5
+                                      // explicit: Q(1) = (2*1+3) mod 5 = 0, so n(1) = 5
         assert_eq!(ns.name(p, 1), 5);
         // Q(2) = 7 mod 5 = 2, n(2) = 12
         assert_eq!(ns.name(p, 2), 12);

@@ -231,8 +231,10 @@ impl FilterParams {
         // minimum.
         let s = saturating_pow(k as u64, c);
         let z_min = lo.max(nth_root_ceil(s, c + 1));
-        let z = prime_in_range(z_min, 2 * z_min.max(2))
-            .ok_or(ParamError::NoPrimeInRange { lo: z_min, hi: 2 * z_min })?;
+        let z = prime_in_range(z_min, 2 * z_min.max(2)).ok_or(ParamError::NoPrimeInRange {
+            lo: z_min,
+            hi: 2 * z_min,
+        })?;
         Self::with_regime(k, s, d, z, Regime::Polynomial { c })
     }
 
@@ -283,7 +285,10 @@ impl FilterParams {
                 break;
             }
         }
-        best.ok_or(ParamError::NoPrimeInRange { lo: 2, hi: u64::MAX })
+        best.ok_or(ParamError::NoPrimeInRange {
+            lo: 2,
+            hi: u64::MAX,
+        })
     }
 
     // --- Accessors and derived quantities --------------------------------
@@ -532,10 +537,7 @@ mod tests {
     #[test]
     fn access_bounds_are_consistent() {
         let p = FilterParams::two_k_four(4).unwrap();
-        assert_eq!(
-            p.max_checks(),
-            6 * 3 * 3 * p.tree_levels() as u64
-        );
+        assert_eq!(p.max_checks(), 6 * 3 * 3 * p.tree_levels() as u64);
         assert!(p.getname_access_bound() > p.max_checks());
         assert!(p.release_access_bound() < p.getname_access_bound());
         assert!(p.dense_registers() > 0);

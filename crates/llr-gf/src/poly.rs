@@ -97,10 +97,7 @@ impl Poly {
                 )
             })
             .collect();
-        Poly {
-            field: f,
-            coeffs,
-        }
+        Poly { field: f, coeffs }
     }
 
     /// Convolution product (degree bounds add).
@@ -117,10 +114,7 @@ impl Poly {
                 coeffs[i + j] = f.add(coeffs[i + j], f.mul(a, b));
             }
         }
-        Poly {
-            field: f,
-            coeffs,
-        }
+        Poly { field: f, coeffs }
     }
 
     /// Scales every coefficient by `c` (reduced into the field).

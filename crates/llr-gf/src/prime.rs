@@ -121,7 +121,10 @@ mod tests {
         let primes: Vec<u64> = (0..100).filter(|&n| is_prime(n)).collect();
         assert_eq!(
             primes,
-            vec![2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
+            vec![
+                2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79,
+                83, 89, 97
+            ]
         );
     }
 

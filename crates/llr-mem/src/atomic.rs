@@ -355,7 +355,11 @@ mod tests {
                 std::thread::spawn(move || m.swap(x, 1) == 0)
             })
             .collect();
-        let won = winners.into_iter().map(|h| h.join().unwrap()).filter(|&w| w).count();
+        let won = winners
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .filter(|&w| w)
+            .count();
         assert_eq!(won, 1, "test-and-set must have exactly one winner");
     }
 

@@ -33,10 +33,7 @@ use std::fmt;
 ///            std::mem::size_of::<CachePadded<AtomicU64>>());
 /// let _ = &cells;
 /// ```
-#[cfg_attr(
-    any(target_arch = "x86_64", target_arch = "aarch64"),
-    repr(align(128))
-)]
+#[cfg_attr(any(target_arch = "x86_64", target_arch = "aarch64"), repr(align(128)))]
 #[cfg_attr(
     not(any(target_arch = "x86_64", target_arch = "aarch64")),
     repr(align(64))
@@ -100,8 +97,9 @@ mod tests {
 
     #[test]
     fn neighbours_never_share_a_line() {
-        let cells: Vec<CachePadded<AtomicU64>> =
-            (0..8).map(|v| CachePadded::new(AtomicU64::new(v))).collect();
+        let cells: Vec<CachePadded<AtomicU64>> = (0..8)
+            .map(|v| CachePadded::new(AtomicU64::new(v)))
+            .collect();
         for w in cells.windows(2) {
             let a = &*w[0] as *const AtomicU64 as usize;
             let b = &*w[1] as *const AtomicU64 as usize;
