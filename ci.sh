@@ -3,9 +3,9 @@
 # third-party dependencies, so `--offline` must always succeed.
 #
 #   1. tier-1: release build + full test suite
-#   2. lint: clippy, warnings are errors; then rustfmt on llr-mc and
-#      llr-core (`cargo fmt -p llr-mc --check`, `cargo fmt -p llr-core
-#      --check`), the two crates kept formatted throughout, so an
+#   2. lint: clippy, warnings are errors; then rustfmt on llr-mc,
+#      llr-core, llr-mem and llr-gf (`cargo fmt -p <crate> --check` for
+#      each), the four crates kept formatted throughout, so an
 #      unformatted line there fails the gate.
 #   3. docs: `cargo doc` with warnings denied (llr-mc carries
 #      `#![warn(missing_docs)]`, so every public item must stay
@@ -92,9 +92,11 @@ cargo test -q --offline
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== rustfmt (llr-mc, llr-core) =="
+echo "== rustfmt (llr-mc, llr-core, llr-mem, llr-gf) =="
 cargo fmt -p llr-mc --check
 cargo fmt -p llr-core --check
+cargo fmt -p llr-mem --check
+cargo fmt -p llr-gf --check
 
 echo "== docs (-D warnings) + doctests =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

@@ -293,25 +293,6 @@ fn bench_onetime_vs_longlived() {
     report("onetime_vs_longlived_k4", "split_longlived", ns);
 }
 
-fn bench_release_policy() {
-    // Ablation: FILTER's Figure-4 release policy vs eager loser release.
-    use llr_core::filter::ReleasePolicy;
-    const OPS: u64 = 3_000;
-    let params = FilterParams::two_k_four(4).unwrap();
-    let s = params.source_size();
-    let pids: Vec<u64> = (0..4u64).map(|i| (i * (s / 5) + 1) % s).collect();
-    for (label, policy) in [
-        ("at_release_name", ReleasePolicy::AtReleaseName),
-        ("eager_losers", ReleasePolicy::EagerLosers),
-    ] {
-        let filter = Filter::with_policy(params, &pids, policy).unwrap();
-        let ns = time_ns_per_op(4 * OPS, 7, || {
-            std::hint::black_box(contended_ops(&filter, &pids, OPS));
-        });
-        report("filter_release_policy_k4", label, ns);
-    }
-}
-
 fn bench_substrate() {
     // Raw substrate costs, to put protocol numbers in context.
     let mut layout = llr_mem::Layout::new();
@@ -343,13 +324,12 @@ fn main() {
     println!("{:-<70}", "");
     println!("wall-clock benchmarks (median of samples; smaller is better)");
     println!("{:-<70}", "");
-    let groups: [(&str, fn()); 7] = [
+    let groups: [(&str, fn()); 6] = [
         ("solo_acquire_release", bench_solo),
         ("contended_throughput", bench_contended),
         ("contended_scaling", bench_contended_scaling),
         ("vs_source_space", bench_vs_source_space),
         ("onetime_vs_longlived", bench_onetime_vs_longlived),
-        ("release_policy", bench_release_policy),
         ("substrate", bench_substrate),
     ];
     let mut ran = 0;

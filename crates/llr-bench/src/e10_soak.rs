@@ -121,34 +121,6 @@ pub fn run() {
         );
     }
 
-    // FILTER, eager policy, same instance.
-    {
-        let params = FilterParams::new(4, 169, 1, 13).unwrap();
-        let pids: Vec<u64> = vec![3, 16, 29, 120];
-        let mut layout = Layout::new();
-        let shape = FilterShape::build(params, &pids, &mut layout).unwrap();
-        let machines: Vec<_> = pids
-            .iter()
-            .map(|&p| {
-                filter_spec::FilterUser::with_policy(
-                    shape.clone(),
-                    p,
-                    3,
-                    llr_core::filter::ReleasePolicy::EagerLosers,
-                )
-            })
-            .collect();
-        let inv = |w: &llr_mc::World<'_, filter_spec::FilterUser>| {
-            filter_spec::unique_names_invariant(w)?;
-            filter_spec::block_exclusion_invariant(w)
-        };
-        add(
-            "FILTER (eager)",
-            "k=4, S=169, d=1, z=13, 3 sessions",
-            ModelChecker::new(layout, machines).random_walks(inv, WALKS, MAX_STEPS, 0xE10 + 4),
-        );
-    }
-
     // MA grid at k = 4, S = 16.
     {
         let pids: Vec<u64> = vec![1, 6, 11, 15];

@@ -27,7 +27,7 @@
 use crate::common::{banner, host_parallelism, Table};
 use llr_core::arena::NameArena;
 use llr_core::chaos::ChaosService;
-use llr_core::filter::{FilterCore, FilterShape, ReleasePolicy};
+use llr_core::filter::{FilterCore, FilterShape};
 use llr_core::levelarray::{LevelArrayCore, LevelShape};
 use llr_core::ma::{MaCore, MaShape};
 use llr_core::onetime::{OneTimeCore, OneTimeShape};
@@ -272,15 +272,8 @@ pub fn run() {
         let machines: Vec<_> = [(1u64, 11u64), (6, 16)]
             .iter()
             .map(|&(p, spare)| {
-                Session::start(
-                    FilterCore::new(shape.clone(), p, ReleasePolicy::AtReleaseName),
-                    1,
-                )
-                .with_spares(vec![FilterCore::new(
-                    shape.clone(),
-                    spare,
-                    ReleasePolicy::AtReleaseName,
-                )])
+                Session::start(FilterCore::new(shape.clone(), p), 1)
+                    .with_spares(vec![FilterCore::new(shape.clone(), spare)])
             })
             .collect();
         checker_row(

@@ -32,7 +32,7 @@
 
 use crate::common::{banner, Table};
 use llr_core::chain::{Chain, Then};
-use llr_core::filter::{spec as filter_spec, FilterCore, FilterShape, ReleasePolicy};
+use llr_core::filter::{spec as filter_spec, FilterCore, FilterShape};
 use llr_core::levelarray::spec as la_spec;
 use llr_core::ma::spec as ma_spec;
 use llr_core::onetime::spec as onetime_spec;
@@ -421,7 +421,7 @@ pub fn run() {
         let split = SplitCore::new(SplitShape::build(2, &mut layout), 0);
         let params = FilterParams::exponential3(2).expect("k=2 parameters");
         let shape = FilterShape::build(params, &[0, 1, 2], &mut layout).expect("SPLIT's names");
-        let filter = FilterCore::new(shape, 0, ReleasePolicy::AtReleaseName);
+        let filter = FilterCore::new(shape, 0);
         Chain::new(2, layout, Then::new(split, filter).expect("FILTER covers SPLIT's names"))
     };
     add(

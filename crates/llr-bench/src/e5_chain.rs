@@ -11,8 +11,7 @@ pub fn run() {
     let mut t = Table::new(
         "e5_chain",
         &[
-            "k", "funnel", "D=k(k+1)/2", "solo acc", "solo acc / k^3",
-            "stress max acc", "violations",
+            "k", "funnel", "D=k(k+1)/2", "solo acc", "solo acc / k^3", "violations",
         ],
     );
     for k in 2..=6usize {
@@ -46,7 +45,6 @@ pub fn run() {
             &chain.dest_size(),
             &solo,
             &normalized,
-            &report.max_accesses_per_op,
             &report.violations,
         ]);
     }

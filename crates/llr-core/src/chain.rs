@@ -42,7 +42,7 @@
 //! h.release();
 //! ```
 
-use crate::filter::{FilterCore, FilterShape, ReleasePolicy};
+use crate::filter::{FilterCore, FilterShape};
 use crate::ma::{MaCore, MaShape};
 use crate::session::{Handle, ProtocolCore, Session};
 use crate::split::{SplitCore, SplitShape};
@@ -218,13 +218,6 @@ impl<A: Composable, B: Composable> Then<A, B> {
 pub enum ThenAcquire<A: ProtocolCore, B: ProtocolCore> {
     /// `A`'s acquire.
     First(A::Acquire),
-    /// `A`'s prologue, run before the hand-off.
-    Prologue {
-        /// The in-flight prologue.
-        rel: A::Release,
-        /// `A`'s token.
-        token: A::Token,
-    },
     /// `B`'s acquire on its core `at`, the name `A`'s token holds.
     Second {
         /// The `B` core's index.
@@ -239,16 +232,13 @@ pub enum ThenAcquire<A: ProtocolCore, B: ProtocolCore> {
     Done,
 }
 
-/// [`Then`]'s release machine: `B`'s release, then `A`'s; or, as a
-/// prologue, `B`'s prologue alone.
+/// [`Then`]'s release machine: `B`'s release, then `A`'s.
 #[derive(Clone, Debug)]
 pub struct ThenRelease<A: ProtocolCore, B: ProtocolCore> {
-    /// `B`'s release (or prologue) and the index of its core, until it
-    /// completes.
+    /// `B`'s release and the index of its core, until it completes.
     second: Option<(usize, B::Release)>,
-    /// `A`'s release, run once `B`'s has completed; `None` for `B`'s
-    /// prologue, which completes into Holding.
-    first: Option<A::Release>,
+    /// `A`'s release, run once `B`'s has completed.
+    first: A::Release,
 }
 
 impl<A: Composable, B: Composable> ProtocolCore for Then<A, B> {
@@ -273,21 +263,8 @@ impl<A: Composable, B: Composable> ProtocolCore for Then<A, B> {
     ) -> Option<Self::Token> {
         match a {
             ThenAcquire::First(m) => {
-                if let Some(mut token) = self.first.step_acquire(m, mem) {
-                    *a = match self.first.prologue(&mut token) {
-                        Some(rel) => ThenAcquire::Prologue { rel, token },
-                        None => self.hand_off(token),
-                    };
-                }
-                None
-            }
-            ThenAcquire::Prologue { rel, .. } => {
-                if self.first.step_release(rel, mem) {
-                    if let ThenAcquire::Prologue { token, .. } =
-                        std::mem::replace(a, ThenAcquire::Done)
-                    {
-                        *a = self.hand_off(token);
-                    }
+                if let Some(token) = self.first.step_acquire(m, mem) {
+                    *a = self.hand_off(token);
                 }
                 None
             }
@@ -302,35 +279,23 @@ impl<A: Composable, B: Composable> ProtocolCore for Then<A, B> {
         }
     }
 
-    fn prologue(&self, (first, second): &mut Self::Token) -> Option<ThenRelease<A, B>> {
-        let at = self.at(first);
-        self.second[at].prologue(second).map(|b| ThenRelease {
-            second: Some((at, b)),
-            first: None,
-        })
-    }
-
     fn begin_release(&self, (first, second): Self::Token) -> ThenRelease<A, B> {
         let at = self.at(&first);
         ThenRelease {
             second: Some((at, self.second[at].begin_release(second))),
-            first: Some(self.first.begin_release(first)),
+            first: self.first.begin_release(first),
         }
     }
 
     fn step_release<M: Memory + ?Sized>(&self, r: &mut ThenRelease<A, B>, mem: &M) -> bool {
         if let Some((at, b)) = &mut r.second {
             if self.second[*at].step_release(b, mem) {
+                // `A`'s release starts in the next step.
                 r.second = None;
-                // A prologue completes here; a release goes on to `A`'s
-                // in the next step.
-                return r.first.is_none();
             }
             return false;
         }
-        r.first
-            .as_mut()
-            .is_none_or(|a| self.first.step_release(a, mem))
+        self.first.step_release(&mut r.first, mem)
     }
 
     fn token_name(&self, (first, second): &Self::Token) -> Option<Name> {
@@ -342,14 +307,10 @@ impl<A: Composable, B: Composable> ProtocolCore for Then<A, B> {
     }
 
     fn acquire_footprint(&self, a: &ThenAcquire<A, B>, fp: &mut Footprint) -> bool {
-        // Completing `A` (or its prologue) only hands off to `B`.
+        // Completing `A` only hands off to `B`.
         match a {
             ThenAcquire::First(m) => {
                 self.first.acquire_footprint(m, fp);
-                false
-            }
-            ThenAcquire::Prologue { rel, .. } => {
-                self.first.release_footprint(rel, fp);
                 false
             }
             ThenAcquire::Second { at, b, .. } => self.second[*at].acquire_footprint(b, fp),
@@ -359,11 +320,10 @@ impl<A: Composable, B: Composable> ProtocolCore for Then<A, B> {
 
     fn release_footprint(&self, r: &ThenRelease<A, B>, fp: &mut Footprint) -> bool {
         if let Some((at, b)) = &r.second {
-            return self.second[*at].release_footprint(b, fp) && r.first.is_none();
+            self.second[*at].release_footprint(b, fp);
+            return false;
         }
-        r.first
-            .as_ref()
-            .is_none_or(|a| self.first.release_footprint(a, fp))
+        self.first.release_footprint(&r.first, fp)
     }
 
     fn future_footprint(&self, fp: &mut Footprint) {
@@ -379,9 +339,7 @@ impl<A: Composable, B: Composable> ProtocolCore for Then<A, B> {
         if let Some((at, b)) = &r.second {
             self.second[*at].release_future_footprint(b, fp);
         }
-        if let Some(a) = &r.first {
-            self.first.release_future_footprint(a, fp);
-        }
+        self.first.release_future_footprint(&r.first, fp);
     }
 
     fn key_acquire(&self, a: &ThenAcquire<A, B>, out: &mut Vec<Word>) {
@@ -390,11 +348,8 @@ impl<A: Composable, B: Composable> ProtocolCore for Then<A, B> {
                 out.push(0);
                 self.first.key_acquire(m, out);
             }
-            ThenAcquire::Prologue { rel, token } => {
-                out.push(1);
-                self.first.key_prologue(rel, token, out);
-            }
-            // `A`'s token is keyed: its release is still ahead.
+            // `A`'s token is keyed: its release is still ahead. (Tag 1 is
+            // unused, so these keys and their digests stay as pinned.)
             ThenAcquire::Second { at, token, b } => {
                 out.push(2);
                 self.first.key_token(token, out);
@@ -417,17 +372,12 @@ impl<A: Composable, B: Composable> ProtocolCore for Then<A, B> {
             }
             None => out.push(Word::MAX),
         }
-        if let Some(a) = &r.first {
-            self.first.key_release(a, out);
-        }
+        self.first.key_release(&r.first, out);
     }
 
     fn describe_acquire(&self, a: &ThenAcquire<A, B>) -> String {
         match a {
             ThenAcquire::First(m) => self.first.describe_acquire(m),
-            ThenAcquire::Prologue { rel, .. } => {
-                format!("Prologue({})", self.first.describe_release(rel))
-            }
             ThenAcquire::Second { at, token, b } => format!(
                 "{} → {}",
                 self.first.describe_token(token),
@@ -438,10 +388,9 @@ impl<A: Composable, B: Composable> ProtocolCore for Then<A, B> {
     }
 
     fn describe_release(&self, r: &ThenRelease<A, B>) -> String {
-        match (&r.second, &r.first) {
-            (Some((at, b)), _) => self.second[*at].describe_release(b),
-            (None, Some(a)) => self.first.describe_release(a),
-            (None, None) => "Released".into(),
+        match &r.second {
+            Some((at, b)) => self.second[*at].describe_release(b),
+            None => self.first.describe_release(&r.first),
         }
     }
 }
@@ -544,7 +493,7 @@ fn filter_stage(
 ) -> Result<FilterCore, ChainError> {
     let pids: Vec<Pid> = (0..names).collect();
     let shape = FilterShape::build(params, &pids, layout)?;
-    Ok(FilterCore::new(shape, 0, ReleasePolicy::AtReleaseName))
+    Ok(FilterCore::new(shape, 0))
 }
 
 impl Chain<Theorem11> {
@@ -821,7 +770,7 @@ mod tests {
         let split = SplitCore::new(SplitShape::build(2, &mut layout), 0);
         let params = FilterParams::exponential3(2).unwrap();
         let shape = FilterShape::build(params, &[0, 1], &mut layout).unwrap();
-        let filter = FilterCore::new(shape, 0, ReleasePolicy::AtReleaseName);
+        let filter = FilterCore::new(shape, 0);
         match Then::new(split, filter) {
             Err(ChainError::Unregistered { stage: 1, name: 2 }) => {}
             other => panic!("expected name 2 unregistered, got {other:?}"),

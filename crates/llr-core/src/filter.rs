@@ -17,8 +17,9 @@
 //! implementation enforces a (generous multiple of) this bound with a
 //! panic — a wait-freedom tripwire rather than silent spinning.
 //!
-//! `ReleaseName` releases every ME block the process entered in *any*
-//! tree, top-down within each tree.
+//! A process keeps every position it entered, in every tree, until
+//! `ReleaseName` (Figure 4: "releasing all played mutual exclusion
+//! blocks"), which releases them top-down within each tree.
 //!
 //! # Registration
 //!
@@ -539,25 +540,6 @@ impl FilterAcquire {
     }
 }
 
-/// When a process lets go of the tournament positions it holds in the
-/// trees it did **not** win.
-///
-/// The paper's Figure 4 keeps every entered position until `ReleaseName`
-/// ("releasing all played mutual exclusion blocks"); eagerly releasing
-/// the losers right after acquiring shortens the window in which a name
-/// holder blocks other names' trees, at the price of re-entering those
-/// trees from scratch next time. Experiment E9 measures the trade-off;
-/// both policies are exhaustively model-checked.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ReleasePolicy {
-    /// Figure 4 as written: all positions released at `ReleaseName`.
-    #[default]
-    AtReleaseName,
-    /// Loser-tree positions released at the end of `GetName`; only the
-    /// won tree is released at `ReleaseName`.
-    EagerLosers,
-}
-
 /// A process's standing positions in all trees: produced by a completed
 /// [`FilterAcquire`], consumed by [`FilterRelease`]. Its only heap
 /// storage is the per-tree progress vector.
@@ -593,40 +575,6 @@ impl FilterPosition {
             Some((won, _)) if won == i => entered,
             _ => entered.saturating_sub(1),
         }
-    }
-
-    /// Splits this position into (winner-tree-only, loser-trees-only)
-    /// positions, for the [`ReleasePolicy::EagerLosers`] policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no name was acquired.
-    pub fn split_winner(self) -> (FilterPosition, FilterPosition) {
-        let (won, _) = self.acquired.expect("split_winner on an empty position");
-        let mut winner = self.clone();
-        let mut losers = self;
-        for i in 0..winner.progress.len() {
-            if i == won {
-                losers.progress[i].reset();
-            } else {
-                winner.progress[i].reset();
-            }
-        }
-        losers.acquired = None;
-        (winner, losers)
-    }
-
-    /// ME blocks currently entered on the instance `shape`, as
-    /// (name, level) pairs.
-    pub fn entered_blocks(&self, shape: &FilterShape) -> Vec<(Name, usize)> {
-        let names = &shape.plan(self.plan).names;
-        let mut out = Vec::new();
-        for (i, p) in self.progress.iter().enumerate() {
-            for level in 1..=p.entered_level() {
-                out.push((names[i], level));
-            }
-        }
-        out
     }
 }
 
@@ -747,42 +695,22 @@ impl FilterRelease {
 pub struct Filter {
     shape: FilterShape,
     mem: AtomicMemory,
-    policy: ReleasePolicy,
 }
 
 impl Filter {
     /// Builds a FILTER instance for validated `params` and the given
-    /// participant set, with the paper's release policy.
+    /// participant set.
     ///
     /// # Errors
     ///
     /// See [`FilterError`].
     pub fn new(params: FilterParams, participants: &[Pid]) -> Result<Self, FilterError> {
-        Self::with_policy(params, participants, ReleasePolicy::AtReleaseName)
-    }
-
-    /// Builds a FILTER instance with an explicit [`ReleasePolicy`].
-    ///
-    /// # Errors
-    ///
-    /// See [`FilterError`].
-    pub fn with_policy(
-        params: FilterParams,
-        participants: &[Pid],
-        policy: ReleasePolicy,
-    ) -> Result<Self, FilterError> {
         let mut layout = Layout::new();
         let shape = FilterShape::build(params, participants, &mut layout)?;
         Ok(Self {
             shape,
             mem: AtomicMemory::new(&layout),
-            policy,
         })
-    }
-
-    /// The configured release policy.
-    pub fn policy(&self) -> ReleasePolicy {
-        self.policy
     }
 
     /// The shape (for custom drivers and model checking).
@@ -795,10 +723,7 @@ impl Renaming for Filter {
     type Handle<'a> = FilterHandle<'a>;
 
     fn handle(&self, pid: Pid) -> FilterHandle<'_> {
-        Handle::new(
-            FilterCore::new(self.shape.clone(), pid, self.policy),
-            &self.mem,
-        )
+        Handle::new(FilterCore::new(self.shape.clone(), pid), &self.mem)
     }
 
     fn source_size(&self) -> u64 {
@@ -814,32 +739,29 @@ impl Renaming for Filter {
     }
 }
 
-/// FILTER's [`ProtocolCore`]: the shape, one pid with its plan index, and
-/// the release policy (which decides whether acquire completion routes
-/// through the eager-loser prologue). The core owns the shape and lends
-/// it to each step, so no step clones a tree or looks one up.
+/// FILTER's [`ProtocolCore`]: the shape and one pid with its plan index.
+/// The core owns the shape and lends it to each step, so no step clones a
+/// tree or looks one up.
 #[derive(Clone, Debug)]
 pub struct FilterCore {
     shape: FilterShape,
     pid: Pid,
     plan: usize,
-    policy: ReleasePolicy,
     observe_blocks: bool,
 }
 
 impl FilterCore {
-    /// A core for registered process `pid` under `policy`.
+    /// A core for registered process `pid`.
     ///
     /// # Panics
     ///
     /// Panics if `pid` was not registered when the shape was built.
-    pub fn new(shape: FilterShape, pid: Pid, policy: ReleasePolicy) -> Self {
+    pub fn new(shape: FilterShape, pid: Pid) -> Self {
         let plan = shape.plan_index(pid);
         Self {
             shape,
             pid,
             plan,
-            policy,
             observe_blocks: false,
         }
     }
@@ -861,11 +783,6 @@ impl FilterCore {
     /// The FILTER shape.
     pub fn shape(&self) -> &FilterShape {
         &self.shape
-    }
-
-    /// The configured release policy.
-    pub fn policy(&self) -> ReleasePolicy {
-        self.policy
     }
 
     /// The name set `N_p` this process competes for, in `x` order: tree
@@ -901,17 +818,6 @@ impl ProtocolCore for FilterCore {
         // progress vector moves into the token; the metrics travel with it.
         a.step(&self.shape, mem)
             .map(|_| a.take_position(&self.shape))
-    }
-
-    fn prologue(&self, token: &mut FilterPosition) -> Option<FilterRelease> {
-        match self.policy {
-            ReleasePolicy::AtReleaseName => None,
-            ReleasePolicy::EagerLosers => {
-                let (winner, losers) = token.clone().split_winner();
-                *token = winner;
-                Some(FilterRelease::new(losers))
-            }
-        }
     }
 
     fn begin_release(&self, pos: FilterPosition) -> FilterRelease {
@@ -977,14 +883,6 @@ impl ProtocolCore for FilterCore {
         r.key(out);
     }
 
-    // Historical coarser encoding of the eager-loser phase: the loser
-    // release's full state plus just the winner's name (the winner's
-    // positions are untouched while the losers drain).
-    fn key_prologue(&self, rel: &FilterRelease, token: &FilterPosition, out: &mut Vec<Word>) {
-        rel.key(out);
-        out.push(token.name().map_or(u64::MAX, |n| n));
-    }
-
     fn describe_acquire(&self, a: &FilterAcquire) -> String {
         a.describe(&self.shape)
     }
@@ -1033,24 +931,13 @@ pub mod spec {
     use llr_mc::{CheckStats, ModelChecker, Violation, World};
 
     /// A process performing `sessions` × (`GetName`; dwell; `ReleaseName`):
-    /// the generic session machine over [`FilterCore`] (the eager-loser
-    /// release runs in the session's Prologue phase).
+    /// the generic session machine over [`FilterCore`].
     pub type FilterUser = Session<FilterCore>;
 
     impl FilterUser {
         /// A user of the FILTER instance described by `shape`.
         pub fn new(shape: FilterShape, pid: Pid, sessions: u8) -> Self {
-            Self::with_policy(shape, pid, sessions, ReleasePolicy::AtReleaseName)
-        }
-
-        /// A user with an explicit [`ReleasePolicy`].
-        pub fn with_policy(
-            shape: FilterShape,
-            pid: Pid,
-            sessions: u8,
-            policy: ReleasePolicy,
-        ) -> Self {
-            Session::start(FilterCore::new(shape, pid, policy), sessions)
+            Session::start(FilterCore::new(shape, pid), sessions)
         }
 
         /// All ME critical sections currently held, as
@@ -1084,10 +971,6 @@ pub mod spec {
             match self.phase() {
                 SessionPhase::Idle => Ok(()),
                 SessionPhase::Acquiring(a) => each(&|i| a.confirmed_level(i)),
-                SessionPhase::Prologue { rel, token } => {
-                    each(&|i| rel.confirmed_level(i))?;
-                    each(&|i| token.confirmed_level(i))
-                }
                 SessionPhase::Holding(pos) => each(&|i| pos.confirmed_level(i)),
                 SessionPhase::Releasing(r) => each(&|i| r.confirmed_level(i)),
                 // A crashed process holds no critical section *as far as
@@ -1125,49 +1008,11 @@ pub mod spec {
         Ok(())
     }
 
-    /// Exhaustively checks both invariants for the given instance under
-    /// an explicit release policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns the violating schedule if either invariant fails.
-    pub fn check_filter_with_policy(
-        params: FilterParams,
-        participants: &[Pid],
-        sessions: u8,
-        policy: ReleasePolicy,
-    ) -> Result<CheckStats, Box<Violation>> {
-        crate::session::run_check(
-            checker_with_policy(params, participants, sessions, policy),
-            &crate::session::Engine::Sequential,
-            combined_invariant,
-        )
-    }
-
     /// Both FILTER invariants in one closure-compatible function:
     /// name uniqueness, then global block exclusion.
     pub fn combined_invariant(w: &World<'_, FilterUser>) -> Result<(), String> {
         unique_names_invariant(w)?;
         block_exclusion_invariant(w)
-    }
-
-    /// Builds the model checker for the given instance under an explicit
-    /// release policy (shared by the exhaustive checks and the E2
-    /// driver).
-    pub fn checker_with_policy(
-        params: FilterParams,
-        participants: &[Pid],
-        sessions: u8,
-        policy: ReleasePolicy,
-    ) -> ModelChecker<FilterUser> {
-        let mut layout = Layout::new();
-        let shape =
-            FilterShape::build(params, participants, &mut layout).expect("valid participants");
-        let machines: Vec<FilterUser> = participants
-            .iter()
-            .map(|&p| FilterUser::with_policy(shape.clone(), p, sessions, policy))
-            .collect();
-        ModelChecker::new(layout, machines)
     }
 
     /// Builds the model checker with [`FilterCore::observe_blocks`]
@@ -1189,8 +1034,7 @@ pub mod spec {
             .iter()
             .map(|&p| {
                 Session::start(
-                    FilterCore::new(shape.clone(), p, ReleasePolicy::default())
-                        .observe_blocks(true),
+                    FilterCore::new(shape.clone(), p).observe_blocks(true),
                     sessions,
                 )
             })
@@ -1198,14 +1042,21 @@ pub mod spec {
         ModelChecker::new(layout, machines)
     }
 
-    /// Builds the model checker for the given instance under the paper's
-    /// Figure-4 release policy.
+    /// Builds the model checker for the given instance (shared by the
+    /// exhaustive checks and experiment E2).
     pub fn checker(
         params: FilterParams,
         participants: &[Pid],
         sessions: u8,
     ) -> ModelChecker<FilterUser> {
-        checker_with_policy(params, participants, sessions, ReleasePolicy::default())
+        let mut layout = Layout::new();
+        let shape =
+            FilterShape::build(params, participants, &mut layout).expect("valid participants");
+        let machines: Vec<FilterUser> = participants
+            .iter()
+            .map(|&p| FilterUser::new(shape.clone(), p, sessions))
+            .collect();
+        ModelChecker::new(layout, machines)
     }
 
     /// Exhaustively checks both invariants for the given instance.
@@ -1231,7 +1082,6 @@ mod tests {
     use super::*;
     use crate::traits::test_support::{assert_cycles_keep_refcount, sequential_cycle};
     use crate::traits::RenamingHandle;
-    use llr_mem::Counting;
 
     /// The smallest interesting instance: k=2, d=1, z=2, S=4.
     fn tiny_params() -> FilterParams {
@@ -1240,10 +1090,8 @@ mod tests {
 
     #[test]
     fn cycles_never_touch_the_shape_refcount() {
-        for policy in [ReleasePolicy::AtReleaseName, ReleasePolicy::EagerLosers] {
-            let f = Filter::with_policy(tiny_params(), &[1, 2], policy).unwrap();
-            assert_cycles_keep_refcount(&f, 1, || Arc::strong_count(&f.shape.inner));
-        }
+        let f = Filter::new(tiny_params(), &[1, 2]).unwrap();
+        assert_cycles_keep_refcount(&f, 1, || Arc::strong_count(&f.shape.inner));
     }
 
     /// Every registered pid's plan holds exactly what its definitions
@@ -1259,7 +1107,7 @@ mod tests {
             let plan = shape.plan(shape.plan_index(pid));
             assert_eq!(plan.pid, pid);
             assert_eq!(plan.names, sets.name_set(pid), "pid {pid}");
-            let core = FilterCore::new(shape.clone(), pid, ReleasePolicy::default());
+            let core = FilterCore::new(shape.clone(), pid);
             assert_eq!(core.names(), &plan.names[..]);
             let mut union = Footprint::new();
             for (i, &m) in plan.names.iter().enumerate() {
@@ -1444,55 +1292,6 @@ mod tests {
         // pids 1 and 2 share only their x = 1 tree: mostly independent.
         let stats = spec::check_filter(tiny_params(), &[1, 2], 2).unwrap();
         assert!(stats.states > 300, "got {}", stats.states);
-    }
-
-    #[test]
-    fn eager_release_solo_and_contended() {
-        let f = Filter::with_policy(tiny_params(), &[1, 3], ReleasePolicy::EagerLosers).unwrap();
-        assert_eq!(f.policy(), ReleasePolicy::EagerLosers);
-        let mut h1 = f.handle(1);
-        let mut h3 = f.handle(3);
-        for _ in 0..10 {
-            let n1 = h1.acquire();
-            let n3 = h3.acquire();
-            assert_ne!(n1, n3);
-            h1.release();
-            h3.release();
-        }
-        // After quiescence every ME register is nil under either policy.
-        for w in f.mem.snapshot() {
-            assert_eq!(w, crate::types::enc::NIL);
-        }
-    }
-
-    #[test]
-    fn exhaustive_eager_release_policy() {
-        // The contended pair under the eager policy: all interleavings.
-        let stats =
-            spec::check_filter_with_policy(tiny_params(), &[1, 3], 2, ReleasePolicy::EagerLosers)
-                .unwrap();
-        assert!(stats.states > 500, "got {}", stats.states);
-    }
-
-    #[test]
-    fn split_winner_partitions_positions() {
-        let f = Filter::new(tiny_params(), &[1, 3]).unwrap();
-        let mem = Counting::new(&f.mem);
-        let mut m = FilterAcquire::new(&f.shape, 1);
-        while m.step(&f.shape, &mem).is_none() {}
-        let pos = m.take_position(&f.shape);
-        let total_blocks = pos.entered_blocks(&f.shape).len();
-        let name = pos.name().unwrap();
-        let (winner, losers) = pos.split_winner();
-        assert_eq!(winner.name(), Some(name));
-        assert_eq!(losers.name(), None);
-        assert_eq!(
-            winner.entered_blocks(&f.shape).len() + losers.entered_blocks(&f.shape).len(),
-            total_blocks
-        );
-        for (m_, _) in winner.entered_blocks(&f.shape) {
-            assert_eq!(m_, name);
-        }
     }
 
     #[test]

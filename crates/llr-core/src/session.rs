@@ -5,6 +5,8 @@
 //! * [`Session<P>`] — the model-checkable repeated acquire/release loop
 //!   (Idle → Acquiring → Holding → Releasing, `sessions_left` times) with
 //!   a canonical [`StepMachine::key`]/[`StepMachine::describe`] encoding;
+//!   each phase holds one value — the acquire, the token or the release —
+//!   so a session machine is as large as its largest one plus a tag;
 //! * [`Handle<P>`] — the thread-executed [`RenamingHandle`] driving the
 //!   *same* machines over [`AtomicMemory`], so the checked code and the
 //!   benchmarked code are identical by construction;
@@ -29,9 +31,6 @@
 //!    transition, or does it perform the acquire's first shared access in
 //!    the same scheduled step?) and [`RELEASES`] (`false` for one-shot
 //!    protocols, whose session ends at acquire completion).
-//!
-//! The optional [`prologue`] hook inserts work between acquire completion
-//! and Holding (FILTER's eager-loser release is the one user).
 //!
 //! # One source, two compiled copies
 //!
@@ -75,7 +74,6 @@
 //! [`Token`]: ProtocolCore::Token
 //! [`LAZY_START`]: ProtocolCore::LAZY_START
 //! [`RELEASES`]: ProtocolCore::RELEASES
-//! [`prologue`]: ProtocolCore::prologue
 
 use crate::traits::RenamingHandle;
 use crate::types::{Name, Pid};
@@ -128,13 +126,6 @@ pub trait ProtocolCore: Clone + Debug + Send + Sync {
         mem: &M,
     ) -> Option<Self::Token>;
 
-    /// Work between acquire completion and Holding, run in its own phase
-    /// (FILTER's eager loser release). Returning `Some(rel)` routes the
-    /// session through [`SessionPhase::Prologue`]; the default is none.
-    fn prologue(&self, _token: &mut Self::Token) -> Option<Self::Release> {
-        None
-    }
-
     /// A fresh ReleaseName machine for a held token.
     fn begin_release(&self, token: Self::Token) -> Self::Release;
 
@@ -163,13 +154,6 @@ pub trait ProtocolCore: Clone + Debug + Send + Sync {
     fn key_token(&self, t: &Self::Token, out: &mut Vec<Word>);
     /// Injective encoding of a release machine's live state.
     fn key_release(&self, r: &Self::Release, out: &mut Vec<Word>);
-    /// Encoding of the Prologue phase; the default concatenates release
-    /// and token keys. Override only to preserve a protocol's historical
-    /// coarser encoding.
-    fn key_prologue(&self, rel: &Self::Release, token: &Self::Token, out: &mut Vec<Word>) {
-        self.key_release(rel, out);
-        self.key_token(token, out);
-    }
 
     /// Registers the next [`step_acquire`](Self::step_acquire) on `a` may
     /// touch, declared into `fp` (see [`Footprint`]); returns `true` iff
@@ -191,7 +175,7 @@ pub trait ProtocolCore: Clone + Debug + Send + Sync {
     }
 
     /// Every register this process may touch over its remaining lifetime
-    /// (any acquire, prologue, or release step of any remaining session),
+    /// (any acquire or release step of any remaining session),
     /// declared into `fp`'s future sets ([`Footprint::future_read`] /
     /// [`Footprint::future_write`]). A static per-process superset is
     /// fine — precision here only sharpens the reduction, never its
@@ -244,13 +228,6 @@ pub enum SessionPhase<P: ProtocolCore> {
     Idle,
     /// GetName in progress.
     Acquiring(P::Acquire),
-    /// Between acquire completion and Holding (eager-loser release).
-    Prologue {
-        /// The in-flight prologue release machine.
-        rel: P::Release,
-        /// The token the session will hold once the prologue completes.
-        token: P::Token,
-    },
     /// A token is held.
     Holding(P::Token),
     /// ReleaseName in progress.
@@ -428,17 +405,14 @@ impl<P: ProtocolCore> Session<P> {
         }
     }
 
-    /// Routes a completed acquire to Prologue / Holding / Done.
-    fn acquired(&mut self, mut token: P::Token) -> MachineStatus {
-        if !P::RELEASES {
-            self.phase = SessionPhase::Holding(token);
-            return MachineStatus::Done;
+    /// Holds a completed acquire's token; a one-shot session is then done.
+    fn acquired(&mut self, token: P::Token) -> MachineStatus {
+        self.phase = SessionPhase::Holding(token);
+        if P::RELEASES {
+            MachineStatus::Running
+        } else {
+            MachineStatus::Done
         }
-        match self.core.prologue(&mut token) {
-            Some(rel) => self.phase = SessionPhase::Prologue { rel, token },
-            None => self.phase = SessionPhase::Holding(token),
-        }
-        MachineStatus::Running
     }
 }
 
@@ -466,13 +440,6 @@ impl<P: ProtocolCore> StepMachine for Session<P> {
                 Some(token) => self.acquired(token),
                 None => MachineStatus::Running,
             },
-            SessionPhase::Prologue { rel, token } => {
-                if self.core.step_release(rel, mem) {
-                    let token = token.clone();
-                    self.phase = SessionPhase::Holding(token);
-                }
-                MachineStatus::Running
-            }
             SessionPhase::Holding(token) => {
                 // One-shot sessions return Done while Holding and are
                 // never stepped again, so reaching here implies RELEASES.
@@ -521,10 +488,8 @@ impl<P: ProtocolCore> StepMachine for Session<P> {
                 out.push(3);
                 self.core.key_release(r, out);
             }
-            SessionPhase::Prologue { rel, token } => {
-                out.push(4);
-                self.core.key_prologue(rel, token, out);
-            }
+            // Tag 4 is unused, so the keys (and with them the state
+            // digests) of crashed machines stay as pinned.
             SessionPhase::Crashed => out.push(5),
         }
     }
@@ -533,9 +498,6 @@ impl<P: ProtocolCore> StepMachine for Session<P> {
         let phase = match &self.phase {
             SessionPhase::Idle => "Idle".into(),
             SessionPhase::Acquiring(a) => self.core.describe_acquire(a),
-            SessionPhase::Prologue { rel, .. } => {
-                format!("Prologue({})", self.core.describe_release(rel))
-            }
             SessionPhase::Holding(t) => self.core.describe_token(t),
             SessionPhase::Releasing(r) => self.core.describe_release(r),
             SessionPhase::Crashed => "Crashed".into(),
@@ -573,14 +535,6 @@ impl<P: ProtocolCore> StepMachine for Session<P> {
                 if may_complete {
                     // Completing an acquire may start Holding a name (or
                     // finish a one-shot machine).
-                    fp.set_visible();
-                }
-            }
-            SessionPhase::Prologue { rel, .. } => {
-                let may_complete = self.core.release_footprint(rel, fp);
-                self.core.future_footprint(fp);
-                if may_complete {
-                    // Completing the prologue enters Holding.
                     fp.set_visible();
                 }
             }
@@ -796,30 +750,19 @@ impl<P: ProtocolCore> RenamingHandle for Handle<'_, P> {
     fn acquire(&mut self) -> Name {
         assert!(self.token.is_none(), "acquire while holding a name");
         let mut fuse = self.fuse.take();
-        let burn = |fuse: &mut Option<u64>| {
-            if let Some(left) = fuse {
+        let mem = Counting::new(self.mem);
+        let mut a = self.core.begin_acquire();
+        let token = loop {
+            if let Some(left) = &mut fuse {
                 if *left == 0 {
                     panic!("chaos fuse: p{} dies mid-acquire", self.core.pid());
                 }
                 *left -= 1;
             }
-        };
-        let mem = Counting::new(self.mem);
-        let mut a = self.core.begin_acquire();
-        let mut token = loop {
-            burn(&mut fuse);
             if let Some(t) = self.core.step_acquire(&mut a, &mem) {
                 break t;
             }
         };
-        if let Some(mut rel) = self.core.prologue(&mut token) {
-            loop {
-                burn(&mut fuse);
-                if self.core.step_release(&mut rel, &mem) {
-                    break;
-                }
-            }
-        }
         self.accesses += mem.accesses();
         let name = self
             .core
@@ -915,6 +858,38 @@ mod tests {
 
     fn err(message: &str) -> Result<(), String> {
         Err(message.into())
+    }
+
+    /// Asserts that `P`'s session phase is no larger than its largest
+    /// machine value plus the 8 B a tag may take.
+    fn assert_phase_holds_one_value<P: ProtocolCore>(core: &str) {
+        use std::mem::size_of;
+        let largest = size_of::<P::Acquire>()
+            .max(size_of::<P::Token>())
+            .max(size_of::<P::Release>());
+        let phase = size_of::<SessionPhase<P>>();
+        assert!(
+            phase <= largest + 8,
+            "{core}: a {phase} B phase, but its largest value is {largest} B"
+        );
+    }
+
+    /// Every phase holds one operation's values — an acquire, a token or a
+    /// release, never two — so a pooled or cloned machine pays for one.
+    #[test]
+    fn a_session_phase_holds_one_operations_values() {
+        use crate::chain::{DoubleFilter, SplitMa, Theorem11};
+        assert_phase_holds_one_value::<crate::splitter::SplitterCore>("SplitterCore");
+        assert_phase_holds_one_value::<crate::pf::MeCore>("MeCore");
+        assert_phase_holds_one_value::<crate::tournament::TreeCore>("TreeCore");
+        assert_phase_holds_one_value::<crate::split::SplitCore>("SplitCore");
+        assert_phase_holds_one_value::<crate::filter::FilterCore>("FilterCore");
+        assert_phase_holds_one_value::<crate::ma::MaCore>("MaCore");
+        assert_phase_holds_one_value::<crate::levelarray::LevelArrayCore>("LevelArrayCore");
+        assert_phase_holds_one_value::<crate::onetime::OneTimeCore>("OneTimeCore");
+        assert_phase_holds_one_value::<SplitMa>("SplitMa");
+        assert_phase_holds_one_value::<DoubleFilter>("DoubleFilter");
+        assert_phase_holds_one_value::<Theorem11>("Theorem11");
     }
 
     #[test]

@@ -202,11 +202,6 @@ impl TreeProgress {
         (self.own_bits >> (level - 1)) & 1
     }
 
-    /// Clears the progress (after all blocks were released).
-    pub fn reset(&mut self) {
-        *self = Self::new();
-    }
-
     /// Drops the topmost entered level (after its block was released;
     /// releases proceed top-down).
     ///
@@ -265,7 +260,8 @@ impl TreeMutex {
         &self.shape
     }
 
-    /// Acquires the lock for process `p` (spins while blocked).
+    /// Acquires the lock for process `p` (spins while blocked, yielding
+    /// the thread after each failed check).
     ///
     /// # Panics
     ///
@@ -277,8 +273,15 @@ impl TreeMutex {
             .unwrap_or_else(|| panic!("pid {p} is not a participant of this lock"));
         let mut climb = core.begin_acquire();
         let progress = loop {
+            let checking = matches!(climb.stage, ClimbStage::Waiting);
             if let Some(progress) = core.step_acquire(&mut climb, &self.mem) {
                 break progress;
+            }
+            // A failed check leaves the climb waiting at the same level:
+            // the block's other side is ahead, so let it run rather than
+            // spin out the time slice.
+            if checking && matches!(climb.stage, ClimbStage::Waiting) {
+                std::thread::yield_now();
             }
         };
         TreeGuard {
@@ -642,7 +645,7 @@ mod tests {
                     packed.push_entered(own);
                     reference.push(own);
                 } else if rng.next_below(20) == 0 {
-                    packed.reset();
+                    packed = TreeProgress::new();
                     reference.clear();
                 } else {
                     packed.pop_released();

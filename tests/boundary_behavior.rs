@@ -2,7 +2,7 @@
 //! public API — the cases a downstream user hits on day one.
 
 use llr_core::chain::Chain;
-use llr_core::filter::{Filter, ReleasePolicy};
+use llr_core::filter::Filter;
 use llr_core::ma::MaGrid;
 use llr_core::pf;
 use llr_core::split::Split;
@@ -90,23 +90,6 @@ fn split_max_k_boundary() {
         llr_core::split::SplitShape::build(llr_core::split::MAX_K + 1, &mut layout)
     });
     assert!(r.is_err());
-}
-
-#[test]
-fn filter_policies_agree_on_names_sequentially() {
-    let params = FilterParams::new(3, 25, 1, 5).unwrap();
-    let pids = [1u64, 6, 11];
-    let plain = Filter::new(params, &pids).unwrap();
-    let eager = Filter::with_policy(params, &pids, ReleasePolicy::EagerLosers).unwrap();
-    for &pid in &pids {
-        let mut hp = plain.handle(pid);
-        let mut he = eager.handle(pid);
-        for _ in 0..5 {
-            assert_eq!(hp.acquire(), he.acquire(), "pid {pid}");
-            hp.release();
-            he.release();
-        }
-    }
 }
 
 #[test]

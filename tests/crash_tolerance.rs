@@ -41,7 +41,7 @@
 
 use llr_core::chain::Chain;
 use llr_core::filter::spec::FilterUser;
-use llr_core::filter::{FilterCore, FilterShape, ReleasePolicy};
+use llr_core::filter::{FilterCore, FilterShape};
 use llr_core::levelarray::{LevelArrayCore, LevelShape};
 use llr_core::ma::spec::MaUser;
 use llr_core::ma::{MaCore, MaShape};
@@ -397,11 +397,8 @@ fn filter_survives_crash_restart() {
             [1u64, 6]
                 .iter()
                 .map(|&p| {
-                    FilterUser::new(shape.clone(), p, 1).with_spares(vec![FilterCore::new(
-                        shape.clone(),
-                        11,
-                        ReleasePolicy::AtReleaseName,
-                    )])
+                    FilterUser::new(shape.clone(), p, 1)
+                        .with_spares(vec![FilterCore::new(shape.clone(), 11)])
                 })
                 .collect()
         },

@@ -188,8 +188,8 @@ fn tournament_por_sound() {
             || tree_spec::checker(s, &parts, sessions),
             tree_spec::root_exclusion,
         );
-        // Root paths overlap near the root but the lazy idle/prologue
-        // phases commute, so the tree must see a real reduction.
+        // Root paths overlap near the root but the lazy Idle → Acquiring
+        // steps commute, so the tree must see a real reduction.
         assert!(
             por.states < full.states,
             "tournament S={s} pids={parts:?}: expected a strict reduction, \

@@ -368,7 +368,7 @@ fn crash_differential<P: llr_core::session::ProtocolCore>(
 /// 2 live machines: up to 2 crashes leave at most 4 participants).
 #[test]
 fn crash_schedules_differential() {
-    use llr_core::filter::{FilterCore, ReleasePolicy};
+    use llr_core::filter::FilterCore;
     use llr_core::levelarray::{LevelArrayCore, LevelShape};
     use llr_core::ma::{MaCore, MaShape};
     use llr_core::onetime::{OneTimeCore, OneTimeShape};
@@ -426,15 +426,8 @@ fn crash_schedules_differential() {
         let machines: Vec<_> = [(1u64, 11u64), (6, 16)]
             .iter()
             .map(|&(p, spare)| {
-                Session::start(
-                    FilterCore::new(filter_shape.clone(), p, ReleasePolicy::AtReleaseName),
-                    1,
-                )
-                .with_spares(vec![FilterCore::new(
-                    filter_shape.clone(),
-                    spare,
-                    ReleasePolicy::AtReleaseName,
-                )])
+                Session::start(FilterCore::new(filter_shape.clone(), p), 1)
+                    .with_spares(vec![FilterCore::new(filter_shape.clone(), spare)])
             })
             .collect();
         crashes += crash_differential("FILTER 2k-4", &layout, machines, &mut gen, 400);

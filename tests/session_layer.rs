@@ -16,7 +16,7 @@
 //!   counts are pinned to the paper's theorem bounds.
 
 use llr_core::chain::Chain;
-use llr_core::filter::{Filter, FilterCore, FilterShape, ReleasePolicy};
+use llr_core::filter::{Filter, FilterCore, FilterShape};
 use llr_core::levelarray::{LevelArray, LevelArrayCore, LevelShape};
 use llr_core::ma::{MaCore, MaGrid, MaShape};
 use llr_core::onetime::{OneTimeCore, OneTimeGrid, OneTimeShape};
@@ -72,12 +72,7 @@ fn naming_protocols_share_the_generic_invariant() {
         let shape = FilterShape::build(params, &pids, &mut layout).unwrap();
         let machines: Vec<_> = pids
             .iter()
-            .map(|&p| {
-                Session::start(
-                    FilterCore::new(shape.clone(), p, ReleasePolicy::AtReleaseName),
-                    2,
-                )
-            })
+            .map(|&p| Session::start(FilterCore::new(shape.clone(), p), 2))
             .collect();
         walk(
             layout,
@@ -299,7 +294,7 @@ fn handle_and_spec_agree_on_access_counts() {
 
         let mut layout = Layout::new();
         let shape = FilterShape::build(params, &pids, &mut layout).unwrap();
-        let core = FilterCore::new(shape, pids[0], ReleasePolicy::AtReleaseName);
+        let core = FilterCore::new(shape, pids[0]);
         let spec = spec_solo_cycles(&layout, core, CYCLES);
 
         for (_, acquire, _) in assert_copies_agree(&format!("filter k={k}"), exec, spec) {
