@@ -178,3 +178,46 @@ fn tas_is_optimal_sized() {
         assert!(tas.dest_size() < (2 * k - 1) as u64);
     }
 }
+
+/// `(source_size, dest_size, concurrency)` as a served object reports them.
+fn sizes<R: Renaming>(rn: R) -> (u64, u64, usize) {
+    (rn.source_size(), rn.dest_size(), rn.concurrency())
+}
+
+#[test]
+fn every_served_object_reports_its_sizes() {
+    // `NameArena::new` admits exactly `concurrency()` clients at once, so
+    // the bound each object reports is the one its arena enforces.
+    let params = FilterParams::two_k_four(3).unwrap();
+    for (object, got, want) in [
+        ("Split::new(4)", sizes(Split::new(4)), (u64::MAX, 27, 4)),
+        (
+            "Filter::new(two_k_four(3), [7, 56, 161])",
+            sizes(Filter::new(params, &[7, 56, 161]).unwrap()),
+            (162, 228, 3),
+        ),
+        ("MaGrid::new(3, 16)", sizes(MaGrid::new(3, 16)), (16, 6, 3)),
+        (
+            "LevelArray::new(8)",
+            sizes(llr_core::levelarray::LevelArray::new(8)),
+            (u64::MAX, 23, 8),
+        ),
+        (
+            "Chain::theorem11(3)",
+            sizes(Chain::theorem11(3).unwrap()),
+            (u64::MAX, 6, 3),
+        ),
+        (
+            "Chain::split_ma(3)",
+            sizes(Chain::split_ma(3).unwrap()),
+            (u64::MAX, 6, 3),
+        ),
+        (
+            "Chain::double_filter(3, 162)",
+            sizes(Chain::double_filter(3, 162).unwrap()),
+            (162, 44, 3),
+        ),
+    ] {
+        assert_eq!(got, want, "{object}");
+    }
+}
