@@ -212,7 +212,9 @@ fn bench_contended_scaling() {
         measure(&mut rows, "filter_2k4", k, &filter, &pids);
 
         let ma = MaGrid::new(k, 1024);
-        let pids: Vec<u64> = (0..k as u64).map(|i| i * (1024 / (k as u64 + 1)) + 1).collect();
+        let pids: Vec<u64> = (0..k as u64)
+            .map(|i| i * (1024 / (k as u64 + 1)) + 1)
+            .collect();
         measure(&mut rows, "ma_s1024", k, &ma, &pids);
 
         // Construction cost grows steeply with k (the k = 8 chain takes
@@ -239,7 +241,14 @@ fn bench_contended_scaling() {
 
     write_csv(
         "bench_contended",
-        &["protocol", "k", "threads", "ops_per_thread", "ns_per_op", "ops_per_sec"],
+        &[
+            "protocol",
+            "k",
+            "threads",
+            "ops_per_thread",
+            "ns_per_op",
+            "ops_per_sec",
+        ],
         &rows,
     );
 }

@@ -31,12 +31,36 @@ pub fn run() {
     let degraded = if degraded { "yes" } else { "no" };
     let mut t = Table::new(
         "e10_soak",
-        &["subject", "configuration", "walks", "transitions", "verdict", "host_cores", "degraded"],
+        &[
+            "subject",
+            "configuration",
+            "walks",
+            "transitions",
+            "verdict",
+            "host_cores",
+            "degraded",
+        ],
     );
     let mut add = |subject: &str, config: &str, r: Result<CheckStats, Box<Violation>>| match r {
-        Ok(s) => t.row(&[&subject, &config, &WALKS, &s.transitions, &"PASSED", &host_cores, &degraded]),
+        Ok(s) => t.row(&[
+            &subject,
+            &config,
+            &WALKS,
+            &s.transitions,
+            &"PASSED",
+            &host_cores,
+            &degraded,
+        ]),
         Err(v) => {
-            t.row(&[&subject, &config, &WALKS, &"-", &"VIOLATED", &host_cores, &degraded]);
+            t.row(&[
+                &subject,
+                &config,
+                &WALKS,
+                &"-",
+                &"VIOLATED",
+                &host_cores,
+                &degraded,
+            ]);
             eprintln!("VIOLATION in {subject} ({config}):\n{v}");
         }
     };

@@ -114,7 +114,9 @@ fn measure<R: Renaming + Sync>(
 
 /// Distinct sparse pids for protocols with an unbounded source space.
 fn sparse_pids(n: u64) -> Vec<u64> {
-    (0..n).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(3)).collect()
+    (0..n)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(3))
+        .collect()
 }
 
 /// Emits one acquire row and one release row for a finished run.
@@ -179,7 +181,9 @@ pub fn run() {
     for k in [2usize, 4, 8] {
         let arena = NameArena::new(Split::new(k));
         let stats = measure(&arena, &sparse_pids(k as u64), 2_000);
-        emit(&mut table, "latency", "split", "default", k, k, &stats, host_cores, degraded);
+        emit(
+            &mut table, "latency", "split", "default", k, k, &stats, host_cores, degraded,
+        );
     }
     {
         let k = 4;
@@ -187,20 +191,42 @@ pub fn run() {
         let pids: Vec<u64> = (0..k as u64).map(|i| i * 11 + 1).collect();
         let arena = NameArena::new(Filter::new(params, &pids).expect("filter"));
         let stats = measure(&arena, &pids, 1_000);
-        emit(&mut table, "latency", "filter_2k4", "default", k, k, &stats, host_cores, degraded);
+        emit(
+            &mut table,
+            "latency",
+            "filter_2k4",
+            "default",
+            k,
+            k,
+            &stats,
+            host_cores,
+            degraded,
+        );
     }
     {
         let k = 4;
         let arena = NameArena::new(MaGrid::new(k, 1024));
         let pids: Vec<u64> = (0..k as u64).map(|i| i * 17 + 1).collect();
         let stats = measure(&arena, &pids, 2_000);
-        emit(&mut table, "latency", "ma_s1024", "default", k, k, &stats, host_cores, degraded);
+        emit(
+            &mut table, "latency", "ma_s1024", "default", k, k, &stats, host_cores, degraded,
+        );
     }
     {
         let k = 3;
         let arena = NameArena::new(Chain::theorem11(k).expect("theorem-11 chain"));
         let stats = measure(&arena, &sparse_pids(k as u64), 500);
-        emit(&mut table, "latency", "chain_t11", "default", k, k, &stats, host_cores, degraded);
+        emit(
+            &mut table,
+            "latency",
+            "chain_t11",
+            "default",
+            k,
+            k,
+            &stats,
+            host_cores,
+            degraded,
+        );
     }
     // The rivals, head to head with the paper's protocols on the same
     // stack: LevelArray's acquire is a couple of swaps; the renewable
@@ -208,20 +234,42 @@ pub fn run() {
     for k in [2usize, 4, 8] {
         let arena = NameArena::new(LevelArray::new(k));
         let stats = measure(&arena, &sparse_pids(k as u64), 2_000);
-        emit(&mut table, "latency", "levelarray", "default", k, k, &stats, host_cores, degraded);
+        emit(
+            &mut table,
+            "latency",
+            "levelarray",
+            "default",
+            k,
+            k,
+            &stats,
+            host_cores,
+            degraded,
+        );
     }
     {
         let k = 4;
         let arena = NameArena::new(RenewableNet::new(k - 1));
         let stats = measure(&arena, &sparse_pids(k as u64), 2_000);
-        emit(&mut table, "latency", "smallnet_renew", "default", k, k, &stats, host_cores, degraded);
+        emit(
+            &mut table,
+            "latency",
+            "smallnet_renew",
+            "default",
+            k,
+            k,
+            &stats,
+            host_cores,
+            degraded,
+        );
     }
 
     banner("threads: SPLIT k = 4 from undersubscribed to oversubscribed");
     for threads in [1usize, 2, 4, 8, 16] {
         let arena = NameArena::new(Split::new(4));
         let stats = measure(&arena, &sparse_pids(threads as u64), 1_000);
-        emit(&mut table, "threads", "split", "default", 4, threads, &stats, host_cores, degraded);
+        emit(
+            &mut table, "threads", "split", "default", 4, threads, &stats, host_cores, degraded,
+        );
     }
 
     banner("ablation: SPLIT k = 4, 4 threads, hot-path optimizations off");
@@ -229,15 +277,29 @@ pub fn run() {
         ("default", MemPolicy::default()),
         // Flat (unpadded) cells: re-introduces false sharing between
         // neighbouring registers.
-        ("unpadded", MemPolicy { padded: false, relaxed_release: true }),
+        (
+            "unpadded",
+            MemPolicy {
+                padded: false,
+                relaxed_release: true,
+            },
+        ),
         // All stores SeqCst: release-path stores lose their Release
         // relaxation and pay the full fence again.
-        ("seqcst_only", MemPolicy { padded: true, relaxed_release: false }),
+        (
+            "seqcst_only",
+            MemPolicy {
+                padded: true,
+                relaxed_release: false,
+            },
+        ),
     ];
     for (variant, policy) in variants {
         let arena = NameArena::new(Split::with_mem_policy(4, policy));
         let stats = measure(&arena, &sparse_pids(4), 2_000);
-        emit(&mut table, "ablation", "split", variant, 4, 4, &stats, host_cores, degraded);
+        emit(
+            &mut table, "ablation", "split", variant, 4, 4, &stats, host_cores, degraded,
+        );
     }
 
     table.finish();

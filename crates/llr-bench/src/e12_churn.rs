@@ -149,10 +149,16 @@ fn churn_run(
             svc.arm(pid(t), gen.next_index(12) as u64);
         }
         let arena = NameArena::with_permits(svc, gate);
-        let claimed: Vec<AtomicBool> =
-            (0..arena.dest_size()).map(|_| AtomicBool::new(false)).collect();
+        let claimed: Vec<AtomicBool> = (0..arena.dest_size())
+            .map(|_| AtomicBool::new(false))
+            .collect();
         let in_use = AtomicU64::new(0);
-        let stats = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+        let stats = (
+            AtomicU64::new(0),
+            AtomicU64::new(0),
+            AtomicU64::new(0),
+            AtomicU64::new(0),
+        );
         let (ok_ops, died, peak_in_use, peak_name) = &stats;
         std::thread::scope(|s| {
             for t in 0..threads {
@@ -168,8 +174,10 @@ fn churn_run(
                             if claimed[n as usize].swap(true, Ordering::SeqCst) {
                                 unique.store(false, Ordering::SeqCst);
                             }
-                            peak_in_use
-                                .fetch_max(in_use.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                            peak_in_use.fetch_max(
+                                in_use.fetch_add(1, Ordering::SeqCst) + 1,
+                                Ordering::SeqCst,
+                            );
                             peak_name.fetch_max(n, Ordering::SeqCst);
                             in_use.fetch_sub(1, Ordering::SeqCst);
                             claimed[n as usize].store(false, Ordering::SeqCst);
@@ -190,7 +198,14 @@ fn churn_run(
         leaked_permits += gate - arena.free_permits();
     }
     std::panic::set_hook(hook);
-    (cycles, crashes, max_in_use, max_name, leaked_permits, unique.load(Ordering::SeqCst))
+    (
+        cycles,
+        crashes,
+        max_in_use,
+        max_name,
+        leaked_permits,
+        unique.load(Ordering::SeqCst),
+    )
 }
 
 /// Runs E12 and writes `results/e12_churn.csv`.
@@ -267,8 +282,7 @@ pub fn run() {
     for f in 0..=2u64 {
         let params = FilterParams::two_k_four(4).expect("2k=4 params");
         let mut layout = Layout::new();
-        let shape =
-            FilterShape::build(params, &[1, 6, 11, 16], &mut layout).expect("filter shape");
+        let shape = FilterShape::build(params, &[1, 6, 11, 16], &mut layout).expect("filter shape");
         let machines: Vec<_> = [(1u64, 11u64), (6, 16)]
             .iter()
             .map(|&(p, spare)| {
@@ -338,10 +352,17 @@ pub fn run() {
     }
 
     banner("churn: real threads dying mid-acquire on the gated arena");
-    for (label, armed) in [("fault-free baseline", 0usize), ("2 armed clients/round", 2)] {
+    for (label, armed) in [
+        ("fault-free baseline", 0usize),
+        ("2 armed clients/round", 2),
+    ] {
         let (cycles, crashes, max_in_use, max_name, leaked, unique) =
             churn_run(40, 8, 4, armed, 0xE12_0000_0000_0001);
-        let verdict = if leaked == 0 && unique { "PASSED" } else { "FAILED" };
+        let verdict = if leaked == 0 && unique {
+            "PASSED"
+        } else {
+            "FAILED"
+        };
         table.row(&[
             &"churn",
             &"arena SPLIT k=8",

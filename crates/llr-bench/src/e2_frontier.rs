@@ -52,7 +52,10 @@ const FILTER_CAP: usize = 1_000_000;
 const SPLITTER_CAP: usize = 2_000_000;
 
 fn bfs_hashed() -> Engine {
-    Engine::Parallel { workers: 0, hashed: true }
+    Engine::Parallel {
+        workers: 0,
+        hashed: true,
+    }
 }
 
 fn bfs_spill() -> Engine {
@@ -109,7 +112,11 @@ pub fn run() {
                    cap: usize,
                    (res, wall): (Result<CheckStats, CheckError>, Duration)| {
         let wall_ms = format!("{:.1}", wall.as_secs_f64() * 1e3);
-        let budget = if engine.spills() { BUDGET.to_string() } else { "-".into() };
+        let budget = if engine.spills() {
+            BUDGET.to_string()
+        } else {
+            "-".into()
+        };
         // Unlike the main E2 table, a state-limited run here still
         // reports its stats: the depth bound *is* the result.
         let (stats, verdict) = match &res {

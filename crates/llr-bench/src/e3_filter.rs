@@ -46,8 +46,19 @@ pub fn run() {
     let mut t = Table::new(
         "e3_filter",
         &[
-            "k", "d", "z", "S", "D", "72k^2", "acc bound", "solo acc", "stress max acc",
-            "max rounds", "min adv/round", "Lemma9 d(k-1)", "violations",
+            "k",
+            "d",
+            "z",
+            "S",
+            "D",
+            "72k^2",
+            "acc bound",
+            "solo acc",
+            "stress max acc",
+            "max rounds",
+            "min adv/round",
+            "Lemma9 d(k-1)",
+            "violations",
         ],
     );
     for k in 2..=8usize {

@@ -24,8 +24,17 @@ pub fn run() {
     let mut t = Table::new(
         "e4_regimes",
         &[
-            "regime", "k", "S", "d", "z", "D", "paper D bound", "time class",
-            "⌈log S⌉", "acc bound", "solo acc",
+            "regime",
+            "k",
+            "S",
+            "d",
+            "z",
+            "D",
+            "paper D bound",
+            "time class",
+            "⌈log S⌉",
+            "acc bound",
+            "solo acc",
         ],
     );
     for k in [4usize, 6, 8, 12, 16] {
@@ -33,7 +42,10 @@ pub fn run() {
         let rows: Vec<(FilterParams, String, String)> = vec![
             (
                 FilterParams::exponential_base(k, 2).unwrap(),
-                format!("{}", 8 * kk.pow(2) * (kk - 1).pow(2) + 4 * 2 * kk * (kk - 1)),
+                format!(
+                    "{}",
+                    8 * kk.pow(2) * (kk - 1).pow(2) + 4 * 2 * kk * (kk - 1)
+                ),
                 "O(k^3)".into(),
             ),
             (
@@ -43,7 +55,10 @@ pub fn run() {
             ),
             (
                 FilterParams::quasi_polynomial(k).unwrap(),
-                format!("{}", 8 * kk * (kk - 1) * (kk.ilog2() as u64).pow(2).max(1) * 2),
+                format!(
+                    "{}",
+                    8 * kk * (kk - 1) * (kk.ilog2() as u64).pow(2).max(1) * 2
+                ),
                 "O(k log k)".into(),
             ),
             (

@@ -11,7 +11,12 @@ pub fn run() {
     let mut t = Table::new(
         "e5_chain",
         &[
-            "k", "funnel", "D=k(k+1)/2", "solo acc", "solo acc / k^3", "violations",
+            "k",
+            "funnel",
+            "D=k(k+1)/2",
+            "solo acc",
+            "solo acc / k^3",
+            "violations",
         ],
     );
     for k in 2..=6usize {

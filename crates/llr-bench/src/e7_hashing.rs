@@ -3,17 +3,24 @@
 //! cover-freeness margin (`≥ d(k-1)` uncontended names against any
 //! `k-1` adversaries).
 
+use crate::common::SplitMix64;
 use crate::common::{banner, Table};
 use llr_gf::FilterParams;
-use crate::common::SplitMix64;
 
 pub fn run() {
     banner("E7 — name-set hashing: ‖N_p ∩ N_q‖ ≤ d and the covering margin");
     let mut t = Table::new(
         "e7_hashing",
         &[
-            "k", "d", "z", "|N_p|", "pairs checked", "max |N_p∩N_q|",
-            "adversary sets", "min free names", "guarantee d(k-1)",
+            "k",
+            "d",
+            "z",
+            "|N_p|",
+            "pairs checked",
+            "max |N_p∩N_q|",
+            "adversary sets",
+            "min free names",
+            "guarantee d(k-1)",
         ],
     );
     let mut rng = SplitMix64::new(0xC0FFEE);

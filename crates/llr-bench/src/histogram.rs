@@ -121,7 +121,11 @@ impl LogHistogram {
 
     /// p50/p99/p99.9 in one call.
     pub fn percentiles(&self) -> (u64, u64, u64) {
-        (self.quantile(0.50), self.quantile(0.99), self.quantile(0.999))
+        (
+            self.quantile(0.50),
+            self.quantile(0.99),
+            self.quantile(0.999),
+        )
     }
 }
 
@@ -159,7 +163,10 @@ mod tests {
             let got = h.quantile(0.5);
             assert!(got >= v, "q(0.5) of {{{v}}} under-reported: {got}");
             let err = (got - v) as f64 / v as f64;
-            assert!(err <= 1.0 / SUB_BUCKETS as f64 + 1e-9, "value {v}: err {err}");
+            assert!(
+                err <= 1.0 / SUB_BUCKETS as f64 + 1e-9,
+                "value {v}: err {err}"
+            );
             v = v.saturating_mul(2) + 1;
         }
     }

@@ -10,6 +10,9 @@
 //! `results/`.
 
 mod common;
+mod e10_soak;
+mod e11_arena;
+mod e12_churn;
 mod e1_split;
 mod e2_frontier;
 mod e2_modelcheck;
@@ -18,25 +21,70 @@ mod e4_regimes;
 mod e5_chain;
 mod e6_fast_vs_s;
 mod e7_hashing;
-mod e10_soak;
-mod e11_arena;
-mod e12_churn;
 mod e9_ablation;
 mod histogram;
 
 const ALL: &[(&str, &str, fn())] = &[
-    ("e1", "SPLIT: D = 3^(k-1), O(k) accesses (Theorem 2)", e1_split::run),
-    ("e2", "exhaustive model checking of all building blocks", e2_modelcheck::run),
-    ("e2f", "frontier rows: fixed-budget disk-frontier runs past the in-RAM ceiling", e2_frontier::run),
-    ("e3", "FILTER: D = 2zd(k-1), O(dk log S) accesses (Theorem 10)", e3_filter::run),
-    ("e4", "the Section 4.4 parameter-regime table", e4_regimes::run),
-    ("e5", "Theorem 11 chain to k(k+1)/2 names in O(k³)", e5_chain::run),
-    ("e6", "fast vs not-fast: cost vs S (the headline figure)", e6_fast_vs_s::run),
-    ("e7", "polynomial hashing: Proposition 8 and covering margins", e7_hashing::run),
-    ("e9", "ablations: one-time vs long-lived, chain composition", e9_ablation::run),
-    ("e10", "randomized deep-soak verification of large configurations", e10_soak::run),
-    ("e11", "NameArena on real atomics: latency percentiles, throughput, ablations", e11_arena::run),
-    ("e12", "crash–restart churn: fault-budget checking + arena thread churn", e12_churn::run),
+    (
+        "e1",
+        "SPLIT: D = 3^(k-1), O(k) accesses (Theorem 2)",
+        e1_split::run,
+    ),
+    (
+        "e2",
+        "exhaustive model checking of all building blocks",
+        e2_modelcheck::run,
+    ),
+    (
+        "e2f",
+        "frontier rows: fixed-budget disk-frontier runs past the in-RAM ceiling",
+        e2_frontier::run,
+    ),
+    (
+        "e3",
+        "FILTER: D = 2zd(k-1), O(dk log S) accesses (Theorem 10)",
+        e3_filter::run,
+    ),
+    (
+        "e4",
+        "the Section 4.4 parameter-regime table",
+        e4_regimes::run,
+    ),
+    (
+        "e5",
+        "Theorem 11 chain to k(k+1)/2 names in O(k³)",
+        e5_chain::run,
+    ),
+    (
+        "e6",
+        "fast vs not-fast: cost vs S (the headline figure)",
+        e6_fast_vs_s::run,
+    ),
+    (
+        "e7",
+        "polynomial hashing: Proposition 8 and covering margins",
+        e7_hashing::run,
+    ),
+    (
+        "e9",
+        "ablations: one-time vs long-lived, chain composition",
+        e9_ablation::run,
+    ),
+    (
+        "e10",
+        "randomized deep-soak verification of large configurations",
+        e10_soak::run,
+    ),
+    (
+        "e11",
+        "NameArena on real atomics: latency percentiles, throughput, ablations",
+        e11_arena::run,
+    ),
+    (
+        "e12",
+        "crash–restart churn: fault-budget checking + arena thread churn",
+        e12_churn::run,
+    ),
 ];
 
 fn main() {
