@@ -4,9 +4,9 @@
 #
 #   1. tier-1: release build + full test suite
 #   2. lint: clippy, warnings are errors; then rustfmt on llr-mc,
-#      llr-core, llr-mem and llr-gf (`cargo fmt -p <crate> --check` for
-#      each), the four crates kept formatted throughout, so an
-#      unformatted line there fails the gate.
+#      llr-core, llr-mem, llr-gf and llr-bench (`cargo fmt -p <crate>
+#      --check` for each), the five crates kept formatted throughout, so
+#      an unformatted line there fails the gate.
 #   3. docs: `cargo doc` with warnings denied (llr-mc carries
 #      `#![warn(missing_docs)]`, so every public item must stay
 #      documented) plus the doctests, so the documented examples keep
@@ -92,11 +92,12 @@ cargo test -q --offline
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== rustfmt (llr-mc, llr-core, llr-mem, llr-gf) =="
+echo "== rustfmt (llr-mc, llr-core, llr-mem, llr-gf, llr-bench) =="
 cargo fmt -p llr-mc --check
 cargo fmt -p llr-core --check
 cargo fmt -p llr-mem --check
 cargo fmt -p llr-gf --check
+cargo fmt -p llr-bench --check
 
 echo "== docs (-D warnings) + doctests =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

@@ -437,7 +437,7 @@ mod tests {
         assert_eq!(arena.dest_size(), 9);
         assert_eq!(arena.source_size(), u64::MAX);
         assert_eq!(arena.concurrency(), 3);
-        assert_eq!(arena.inner().shape().k(), 3);
+        assert_eq!(arena.inner().core.shape().k(), 3);
     }
 
     #[test]

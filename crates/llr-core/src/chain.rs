@@ -21,11 +21,13 @@
 //!
 //! Composition is itself a [`ProtocolCore`]: [`Then<A, B>`] runs `A`'s
 //! acquire, then `B`'s under the name `A` handed out, and releases in the
-//! opposite order. A [`Chain`] is one register file holding every stage
-//! plus a nest of `Then`s, so its threaded handle is the same
-//! [`session::Handle`](crate::session::Handle) every other protocol
-//! serves through, and [`Chain::checker`] model-checks the very same
-//! cores as [`Session`]s.
+//! opposite order. [`Theorem11::build`], [`SplitMa::build`] and
+//! [`DoubleFilter::build`] allocate every stage in a caller's register
+//! layout and return the nest of `Then`s. A [`Chain`] is that core served
+//! by the same [`Renamer`] every other protocol is, through the same
+//! [`session::Handle`](crate::session::Handle), and
+//! [`session::checker`](crate::session::checker) model-checks the very
+//! same core as [`Session`](crate::session::Session)s.
 //!
 //! # Example
 //!
@@ -44,41 +46,14 @@
 
 use crate::filter::{FilterCore, FilterShape};
 use crate::ma::{MaCore, MaShape};
-use crate::session::{Handle, ProtocolCore, Session};
+use crate::session::{Composable, Handle, ProtocolCore, Renamer};
 use crate::split::{SplitCore, SplitShape};
-use crate::traits::Renaming;
 use crate::types::{Name, Pid};
 use llr_gf::{FilterParams, ParamError};
-use llr_mc::{Footprint, ModelChecker};
-use llr_mem::{AtomicMemory, Layout, Memory, Word};
+use llr_mc::Footprint;
+use llr_mem::{Layout, Memory, Word};
 use std::fmt;
 use std::sync::Arc;
-
-/// What composing a core into a [`Then`] needs from it.
-pub trait Composable: ProtocolCore {
-    /// The same core, sharing its shape, acting for process `pid`.
-    fn for_pid(&self, pid: Pid) -> Self;
-
-    /// Size `S` of the source space the core accepts pids from.
-    fn source_size(&self) -> u64;
-
-    /// Whether [`for_pid`](Self::for_pid) can act for `pid`: by default,
-    /// any pid below [`source_size`](Self::source_size).
-    fn accepts(&self, pid: Pid) -> bool {
-        pid < self.source_size()
-    }
-
-    /// Appends the destination size after each stage (the name-space
-    /// funnel); a single stage has one.
-    fn funnel(&self, out: &mut Vec<u64>) {
-        out.push(self.dest_size());
-    }
-
-    /// Appends the name each stage's part of `token` holds.
-    fn stage_names(&self, token: &Self::Token, out: &mut Vec<Option<Name>>) {
-        out.push(self.token_name(token));
-    }
-}
 
 /// Errors from chain construction.
 #[derive(Debug)]
@@ -432,57 +407,9 @@ pub type SplitMa = Then<SplitCore, MaCore>;
 pub type DoubleFilter = Then<FilterCore, FilterCore>;
 
 /// A pipeline of long-lived renaming stages acting as a single long-lived
-/// renaming object: every stage in one register file, driven by one
-/// composed core `P`.
-#[derive(Debug)]
-pub struct Chain<P> {
-    /// The composed core, acting for pid 0; [`Composable::for_pid`]
-    /// copies it for each process.
-    core: P,
-    layout: Layout,
-    mem: AtomicMemory,
-    k: usize,
-}
-
-impl<P: Composable> Chain<P> {
-    /// Serves `core`, whose stages were all allocated in `layout`, to at
-    /// most `k` concurrent processes.
-    pub fn new(k: usize, layout: Layout, core: P) -> Self {
-        Self {
-            mem: AtomicMemory::new(&layout),
-            layout,
-            core,
-            k,
-        }
-    }
-
-    /// Destination sizes after each stage (the "name-space funnel").
-    pub fn funnel(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.core.funnel(&mut out);
-        out
-    }
-
-    /// The register layout every stage was allocated in.
-    pub fn layout(&self) -> &Layout {
-        &self.layout
-    }
-
-    /// The composed core acting for process `pid`.
-    pub fn core(&self, pid: Pid) -> P {
-        self.core.for_pid(pid)
-    }
-
-    /// The model checker over `pids`, each running `sessions`
-    /// acquire/release cycles of this chain's core.
-    pub fn checker(&self, pids: &[Pid], sessions: u8) -> ModelChecker<Session<P>> {
-        let machines = pids
-            .iter()
-            .map(|&p| Session::start(self.core(p), sessions))
-            .collect();
-        ModelChecker::new(self.layout.clone(), machines)
-    }
-}
+/// renaming object: one composed core `P`, its stages all allocated in one
+/// register file, served by a [`Renamer`].
+pub type Chain<P> = Renamer<P>;
 
 /// A FILTER stage for `params` that registers every name below `names`,
 /// acting for pid 0.
@@ -496,14 +423,88 @@ fn filter_stage(
     Ok(FilterCore::new(shape, 0))
 }
 
-impl Chain<Theorem11> {
-    /// The Theorem 11 pipeline: SPLIT → FILTER(`S ≤ 3^(k-1)`) →
-    /// FILTER(`S ≤ 2k⁴`) → MA, renaming any 64-bit source space to
-    /// `k(k+1)/2` names in `O(k³)` time.
+impl Theorem11 {
+    /// Allocates every stage of the Theorem 11 pipeline for concurrency
+    /// `k` in `layout` and composes them, acting for pid 0.
     ///
     /// FILTER's `k` only bounds concurrency from above, so for `k = 1`
     /// the FILTER stages take their `k = 2` parameters and the chain
     /// still renames to a single name.
+    ///
+    /// # Errors
+    ///
+    /// Propagates parameter-selection and construction failures.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k = 0` or `k` exceeds [`crate::split::MAX_K`].
+    pub fn build(k: usize, layout: &mut Layout) -> Result<Self, ChainError> {
+        let split = SplitCore::new(SplitShape::build(k, layout), 0);
+        let filter_k = k.max(2);
+        let f1 = filter_stage(
+            FilterParams::exponential3(filter_k)?,
+            split.dest_size(),
+            layout,
+        )?;
+        let f2 = filter_stage(
+            FilterParams::choose(filter_k, f1.dest_size())?,
+            f1.dest_size(),
+            layout,
+        )?;
+        let ma = MaCore::new(MaShape::build(k, f2.dest_size(), layout), 0);
+        Then::new(Then::new(Then::new(split, f1)?, f2)?, ma)
+    }
+}
+
+impl SplitMa {
+    /// Allocates a SPLIT stage and an MA stage over its `3^(k-1)` names
+    /// in `layout` and composes them, acting for pid 0.
+    ///
+    /// # Errors
+    ///
+    /// Propagates construction failures.
+    pub fn build(k: usize, layout: &mut Layout) -> Result<Self, ChainError> {
+        let split = SplitCore::new(SplitShape::build(k, layout), 0);
+        let ma = MaCore::new(MaShape::build(k, split.dest_size(), layout), 0);
+        Then::new(split, ma)
+    }
+}
+
+impl DoubleFilter {
+    /// Allocates FILTER(chosen for `s`), registering every source id, and
+    /// FILTER(chosen for the first stage's output) in `layout` and
+    /// composes them, acting for pid 0.
+    ///
+    /// # Errors
+    ///
+    /// Propagates parameter-selection and construction failures.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s > 250_000`: registering every source id is only
+    /// sensible for the poly(k)-sized source spaces the observation is
+    /// about. For larger spaces, build the stages with an explicit
+    /// participant set and compose them with [`Then::new`].
+    pub fn build(k: usize, s: u64, layout: &mut Layout) -> Result<Self, ChainError> {
+        assert!(
+            s <= 250_000,
+            "double_filter registers all {s} source ids; compose the stages \
+             with Then::new over an explicit participant set for large source spaces"
+        );
+        let f1 = filter_stage(FilterParams::choose(k, s)?, s, layout)?;
+        let f2 = filter_stage(
+            FilterParams::choose(k, f1.dest_size())?,
+            f1.dest_size(),
+            layout,
+        )?;
+        Then::new(f1, f2)
+    }
+}
+
+impl Chain<Theorem11> {
+    /// The Theorem 11 pipeline: SPLIT → FILTER(`S ≤ 3^(k-1)`) →
+    /// FILTER(`S ≤ 2k⁴`) → MA, renaming any 64-bit source space to
+    /// `k(k+1)/2` names in `O(k³)` time ([`Theorem11::build`], served).
     ///
     /// # Errors
     ///
@@ -516,28 +517,16 @@ impl Chain<Theorem11> {
     /// well before that).
     pub fn theorem11(k: usize) -> Result<Self, ChainError> {
         let mut layout = Layout::new();
-        let split = SplitCore::new(SplitShape::build(k, &mut layout), 0);
-        let filter_k = k.max(2);
-        let f1 = filter_stage(
-            FilterParams::exponential3(filter_k)?,
-            split.dest_size(),
-            &mut layout,
-        )?;
-        let f2 = filter_stage(
-            FilterParams::choose(filter_k, f1.dest_size())?,
-            f1.dest_size(),
-            &mut layout,
-        )?;
-        let ma = MaCore::new(MaShape::build(k, f2.dest_size(), &mut layout), 0);
-        let core = Then::new(Then::new(Then::new(split, f1)?, f2)?, ma)?;
-        Ok(Self::new(k, layout, core))
+        let core = Theorem11::build(k, &mut layout)?;
+        Ok(Self::serve(k, &layout, core))
     }
 }
 
 impl Chain<DoubleFilter> {
     /// The paper's §4.4 observation "applying FILTER twice yields
     /// `D ∈ O(k²)`": FILTER(chosen for `S`) → FILTER(chosen for the first
-    /// stage's output), for a source space already polynomial in `k`.
+    /// stage's output), for a source space already polynomial in `k`
+    /// ([`DoubleFilter::build`], served).
     ///
     /// # Errors
     ///
@@ -545,26 +534,11 @@ impl Chain<DoubleFilter> {
     ///
     /// # Panics
     ///
-    /// Panics if `s > 250_000`: this convenience constructor registers
-    /// every source id with the first stage (so any pid may participate),
-    /// which is only sensible for the poly(k)-sized source spaces the
-    /// observation is about. For larger spaces, build the stages with an
-    /// explicit participant set, compose them with [`Then::new`] and
-    /// serve them with [`Chain::new`].
+    /// Panics if `s > 250_000`, as [`DoubleFilter::build`] does.
     pub fn double_filter(k: usize, s: u64) -> Result<Self, ChainError> {
-        assert!(
-            s <= 250_000,
-            "double_filter registers all {s} source ids; compose the stages \
-             with Then::new over an explicit participant set for large source spaces"
-        );
         let mut layout = Layout::new();
-        let f1 = filter_stage(FilterParams::choose(k, s)?, s, &mut layout)?;
-        let f2 = filter_stage(
-            FilterParams::choose(k, f1.dest_size())?,
-            f1.dest_size(),
-            &mut layout,
-        )?;
-        Ok(Self::new(k, layout, Then::new(f1, f2)?))
+        let core = DoubleFilter::build(k, s, &mut layout)?;
+        Ok(Self::serve(k, &layout, core))
     }
 }
 
@@ -572,39 +546,15 @@ impl Chain<SplitMa> {
     /// A cheaper two-stage variant for measurements: SPLIT → MA. Same
     /// destination space as Theorem 11 but with the MA stage scanning
     /// `3^(k-1)` presence slots, illustrating why the intermediate FILTER
-    /// stages pay off for larger `k`.
+    /// stages pay off for larger `k` ([`SplitMa::build`], served).
     ///
     /// # Errors
     ///
     /// Propagates construction failures.
     pub fn split_ma(k: usize) -> Result<Self, ChainError> {
         let mut layout = Layout::new();
-        let split = SplitCore::new(SplitShape::build(k, &mut layout), 0);
-        let ma = MaCore::new(MaShape::build(k, split.dest_size(), &mut layout), 0);
-        Ok(Self::new(k, layout, Then::new(split, ma)?))
-    }
-}
-
-impl<P: Composable> Renaming for Chain<P> {
-    type Handle<'a>
-        = Handle<'a, P>
-    where
-        P: 'a;
-
-    fn handle(&self, pid: Pid) -> Handle<'_, P> {
-        Handle::new(self.core(pid), &self.mem)
-    }
-
-    fn source_size(&self) -> u64 {
-        self.core.source_size()
-    }
-
-    fn dest_size(&self) -> u64 {
-        self.core.dest_size()
-    }
-
-    fn concurrency(&self) -> usize {
-        self.k
+        let core = SplitMa::build(k, &mut layout)?;
+        Ok(Self::serve(k, &layout, core))
     }
 }
 
@@ -623,15 +573,16 @@ impl<A: Composable, B: Composable> Handle<'_, Then<A, B>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Session;
     use crate::traits::test_support::{
         assert_cycles_keep_refcount, assert_session_keeps_refcount, sequential_cycle,
     };
-    use crate::traits::RenamingHandle;
+    use crate::traits::{Renaming, RenamingHandle};
 
     /// The strong count of every stage shape and every `B` table of a
-    /// Theorem 11 chain.
-    fn theorem11_refs(chain: &Chain<Theorem11>) -> [usize; 7] {
-        let outer = &chain.core;
+    /// Theorem 11 core.
+    fn theorem11_refs(core: &Theorem11) -> [usize; 7] {
+        let outer = core;
         let middle = &outer.first;
         let inner = &middle.first;
         [
@@ -648,7 +599,7 @@ mod tests {
     #[test]
     fn cycles_never_touch_the_stage_refcounts() {
         let chain = Chain::theorem11(3).unwrap();
-        assert_cycles_keep_refcount(&chain, 0xC0FF_EE00, || theorem11_refs(&chain));
+        assert_cycles_keep_refcount(&chain, 0xC0FF_EE00, || theorem11_refs(&chain.core));
         let chain = Chain::split_ma(3).unwrap();
         let refs = || {
             let core = &chain.core;
@@ -663,15 +614,23 @@ mod tests {
 
     #[test]
     fn a_session_never_touches_the_stage_refcounts() {
-        let chain = Chain::theorem11(3).unwrap();
-        let user = Session::start(chain.core(0xBEEF), 3);
-        assert_session_keeps_refcount(chain.layout(), user, || theorem11_refs(&chain));
+        let mut layout = Layout::new();
+        let core = Theorem11::build(3, &mut layout).unwrap();
+        let user = Session::start(core.for_pid(0xBEEF), 3);
+        assert_session_keeps_refcount(&layout, user, || theorem11_refs(&core));
+    }
+
+    /// The model checker over two SPLIT → MA processes at `k = 2`.
+    fn split_ma_checker(sessions: u8) -> llr_mc::ModelChecker<Session<SplitMa>> {
+        let mut layout = Layout::new();
+        let core = SplitMa::build(2, &mut layout).unwrap();
+        crate::session::checker(layout, &core, &[3, 9], sessions)
     }
 
     #[test]
     fn exhaustive_split_ma_k2() {
         let stats = crate::session::run_check(
-            Chain::split_ma(2).unwrap().checker(&[3, 9], 2),
+            split_ma_checker(2),
             &crate::session::Engine::Sequential,
             crate::session::unique_names_invariant,
         )
@@ -681,9 +640,7 @@ mod tests {
 
     #[test]
     fn exhaustive_split_ma_always_terminable() {
-        let stats = Chain::split_ma(2)
-            .unwrap()
-            .checker(&[3, 9], 1)
+        let stats = split_ma_checker(1)
             .check_always_terminable()
             .expect("chained stages are wait-free: no trap states");
         assert!(stats.terminal_states >= 1);

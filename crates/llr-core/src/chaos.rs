@@ -1,9 +1,8 @@
 //! Deterministic crash injection for real-thread churn tests.
 //!
-//! [`ChaosService`] wraps any [`Renaming`] service whose handles can be
-//! [armed](Chaotic::arm_crash) with a crash fuse — in practice every
-//! session-layer protocol, since [`crate::session::Handle`] implements
-//! [`Chaotic`]. Arming `(pid, steps)` on the service makes that process's
+//! [`ChaosService`] wraps a served protocol ([`Renamer`]) and hands out
+//! its [`Handle`]s, each of which can be [armed](Handle::arm_crash) with a
+//! crash fuse. Arming `(pid, steps)` on the service makes that process's
 //! next `acquire` panic after exactly `steps` machine steps, leaving its
 //! partial protocol marks torn in shared memory: the threaded counterpart
 //! of the model checker's crash transitions, at reproducible points.
@@ -24,45 +23,26 @@
 //! whole schedule of deaths decided by the test's seed before any thread
 //! runs.
 
-use crate::traits::{Renaming, RenamingHandle};
+use crate::session::{Composable, Handle, Renamer};
+use crate::traits::Renaming;
 use crate::types::Pid;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-/// A renaming handle that can be armed to die mid-acquire.
-///
-/// Implemented by the generic session [`Handle`](crate::session::Handle)
-/// for every [`ProtocolCore`](crate::session::ProtocolCore); the armed
-/// fuse panics the next `acquire` after the given number of machine
-/// steps, abandoning the machine's partial marks exactly as written.
-pub trait Chaotic: RenamingHandle {
-    /// Arms the next `acquire` to panic after `steps` machine steps.
-    fn arm_crash(&mut self, steps: u64);
-}
-
-impl<P: crate::session::ProtocolCore> Chaotic for crate::session::Handle<'_, P> {
-    fn arm_crash(&mut self, steps: u64) {
-        crate::session::Handle::arm_crash(self, steps);
-    }
-}
-
-/// A [`Renaming`] service that hands out crash-armed handles.
+/// A served protocol that hands out crash-armed handles.
 ///
 /// Fuses are registered per pid with [`arm`](Self::arm) *before* the
 /// handle is created; [`Renaming::handle`] consumes the matching fuse,
 /// so each registered death fires exactly once.
 #[derive(Debug)]
-pub struct ChaosService<R: Renaming> {
-    inner: R,
+pub struct ChaosService<P> {
+    inner: Renamer<P>,
     fuses: Mutex<HashMap<Pid, u64>>,
 }
 
-impl<R: Renaming> ChaosService<R>
-where
-    for<'a> R::Handle<'a>: Chaotic,
-{
+impl<P: Composable> ChaosService<P> {
     /// Wraps `inner` with an (initially empty) fuse registry.
-    pub fn new(inner: R) -> Self {
+    pub fn new(inner: Renamer<P>) -> Self {
         Self {
             inner,
             fuses: Mutex::new(HashMap::new()),
@@ -77,23 +57,15 @@ where
             .expect("fuse registry poisoned")
             .insert(pid, steps);
     }
-
-    /// The wrapped service.
-    pub fn inner(&self) -> &R {
-        &self.inner
-    }
 }
 
-impl<R: Renaming> Renaming for ChaosService<R>
-where
-    for<'a> R::Handle<'a>: Chaotic,
-{
+impl<P: Composable> Renaming for ChaosService<P> {
     type Handle<'a>
-        = R::Handle<'a>
+        = Handle<'a, P>
     where
-        R: 'a;
+        P: 'a;
 
-    fn handle(&self, pid: Pid) -> Self::Handle<'_> {
+    fn handle(&self, pid: Pid) -> Handle<'_, P> {
         let mut h = self.inner.handle(pid);
         let fuse = self
             .fuses
@@ -123,6 +95,7 @@ where
 mod tests {
     use super::*;
     use crate::split::Split;
+    use crate::traits::RenamingHandle;
 
     #[test]
     fn armed_handles_die_at_their_fuse_and_leave_torn_marks() {

@@ -27,8 +27,13 @@
 //! tournament trees are allocated sparsely over exactly the union of the
 //! participants' root-paths (see [`crate::tournament::TreeShape`] on why
 //! this preserves the paper's behaviour while avoiding its `O(zdkS)`
-//! dense space). Any number of participants may register; at most `k` may
-//! acquire or hold names concurrently.
+//! dense space). Any number of participants — at least one — may
+//! register; at most `k` may acquire or hold names concurrently.
+//!
+//! The protocol is one core, [`FilterCore`]; the object [`Filter`] is that
+//! core served by the generic [`Renamer`], with the first participant's
+//! core as the template every handle is copied from, and
+//! [`spec::checker`] checks it through [`crate::session::checker`].
 //!
 //! # Example
 //!
@@ -47,15 +52,13 @@
 //! h.release();
 //! ```
 
-use crate::chain::Composable;
 use crate::pf::{self, MeEnter, MeRegs, Side};
-use crate::session::{Handle, ProtocolCore, Session};
+use crate::session::{Composable, Handle, ProtocolCore, Renamer, Session};
 use crate::tournament::{TreeProgress, TreeShape};
-use crate::traits::Renaming;
 use crate::types::{Name, Pid};
 use llr_gf::FilterParams;
 use llr_mc::Footprint;
-use llr_mem::{AtomicMemory, Layout, Memory, Word};
+use llr_mem::{Layout, Memory, Word};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -75,6 +78,8 @@ pub enum FilterError {
         /// The duplicated pid.
         pid: Pid,
     },
+    /// No participant was registered, so no process could use the object.
+    NoParticipants,
 }
 
 impl fmt::Display for FilterError {
@@ -84,6 +89,7 @@ impl fmt::Display for FilterError {
                 write!(f, "participant pid {pid} outside source space of size {s}")
             }
             FilterError::DuplicatePid { pid } => write!(f, "duplicate participant pid {pid}"),
+            FilterError::NoParticipants => write!(f, "no participant registered"),
         }
     }
 }
@@ -690,12 +696,9 @@ impl FilterRelease {
     }
 }
 
-/// The FILTER long-lived renaming object.
-#[derive(Debug)]
-pub struct Filter {
-    shape: FilterShape,
-    mem: AtomicMemory,
-}
+/// The FILTER long-lived renaming object: [`FilterCore`] served by a
+/// [`Renamer`], whose template is the first participant's core.
+pub type Filter = Renamer<FilterCore>;
 
 impl Filter {
     /// Builds a FILTER instance for validated `params` and the given
@@ -706,37 +709,22 @@ impl Filter {
     /// See [`FilterError`].
     pub fn new(params: FilterParams, participants: &[Pid]) -> Result<Self, FilterError> {
         let mut layout = Layout::new();
-        let shape = FilterShape::build(params, participants, &mut layout)?;
-        Ok(Self {
-            shape,
-            mem: AtomicMemory::new(&layout),
-        })
-    }
-
-    /// The shape (for custom drivers and model checking).
-    pub fn shape(&self) -> &FilterShape {
-        &self.shape
+        let core = first_core(params, participants, &mut layout)?;
+        Ok(Self::serve(params.concurrency(), &layout, core))
     }
 }
 
-impl Renaming for Filter {
-    type Handle<'a> = FilterHandle<'a>;
-
-    fn handle(&self, pid: Pid) -> FilterHandle<'_> {
-        Handle::new(FilterCore::new(self.shape.clone(), pid), &self.mem)
-    }
-
-    fn source_size(&self) -> u64 {
-        self.shape.params().source_size()
-    }
-
-    fn dest_size(&self) -> u64 {
-        self.shape.dest_size()
-    }
-
-    fn concurrency(&self) -> usize {
-        self.shape.params().concurrency()
-    }
+/// Allocates the instance for `params` and `participants` in `layout` and
+/// returns its first participant's core: the template a [`Filter`] serves
+/// and [`spec::checker`] copies for each participant.
+fn first_core(
+    params: FilterParams,
+    participants: &[Pid],
+    layout: &mut Layout,
+) -> Result<FilterCore, FilterError> {
+    let &first = participants.first().ok_or(FilterError::NoParticipants)?;
+    let shape = FilterShape::build(params, participants, layout)?;
+    Ok(FilterCore::new(shape, first))
 }
 
 /// FILTER's [`ProtocolCore`]: the shape and one pid with its plan index.
@@ -910,11 +898,7 @@ impl Composable for FilterCore {
     }
 }
 
-/// Process handle on a [`Filter`] object: the generic session handle over
-/// [`FilterCore`].
-pub type FilterHandle<'a> = Handle<'a, FilterCore>;
-
-impl FilterHandle<'_> {
+impl Handle<'_, FilterCore> {
     /// Metrics (checks/enters/rounds) of the acquire that produced the
     /// held name; `None` while no name is held.
     pub fn last_metrics(&self) -> Option<AcquireMetrics> {
@@ -928,7 +912,7 @@ pub mod spec {
 
     use super::*;
     use crate::session::SessionPhase;
-    use llr_mc::{CheckStats, ModelChecker, Violation, World};
+    use llr_mc::{ModelChecker, World};
 
     /// A process performing `sessions` × (`GetName`; dwell; `ReleaseName`):
     /// the generic session machine over [`FilterCore`].
@@ -1027,19 +1011,8 @@ pub mod spec {
         participants: &[Pid],
         sessions: u8,
     ) -> ModelChecker<FilterUser> {
-        let mut layout = Layout::new();
-        let shape =
-            FilterShape::build(params, participants, &mut layout).expect("valid participants");
-        let machines: Vec<FilterUser> = participants
-            .iter()
-            .map(|&p| {
-                Session::start(
-                    FilterCore::new(shape.clone(), p).observe_blocks(true),
-                    sessions,
-                )
-            })
-            .collect();
-        ModelChecker::new(layout, machines)
+        let (layout, core) = instance(params, participants);
+        crate::session::checker(layout, &core.observe_blocks(true), participants, sessions)
     }
 
     /// Builds the model checker for the given instance (shared by the
@@ -1049,39 +1022,24 @@ pub mod spec {
         participants: &[Pid],
         sessions: u8,
     ) -> ModelChecker<FilterUser> {
-        let mut layout = Layout::new();
-        let shape =
-            FilterShape::build(params, participants, &mut layout).expect("valid participants");
-        let machines: Vec<FilterUser> = participants
-            .iter()
-            .map(|&p| FilterUser::new(shape.clone(), p, sessions))
-            .collect();
-        ModelChecker::new(layout, machines)
+        let (layout, core) = instance(params, participants);
+        crate::session::checker(layout, &core, participants, sessions)
     }
 
-    /// Exhaustively checks both invariants for the given instance.
-    ///
-    /// # Errors
-    ///
-    /// Returns the violating schedule if either invariant fails.
-    pub fn check_filter(
-        params: FilterParams,
-        participants: &[Pid],
-        sessions: u8,
-    ) -> Result<CheckStats, Box<Violation>> {
-        crate::session::run_check(
-            checker(params, participants, sessions),
-            &crate::session::Engine::Sequential,
-            combined_invariant,
-        )
+    /// The instance's registers and its first participant's core.
+    fn instance(params: FilterParams, participants: &[Pid]) -> (Layout, FilterCore) {
+        let mut layout = Layout::new();
+        let core = first_core(params, participants, &mut layout).expect("valid participants");
+        (layout, core)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{run_check, Engine};
     use crate::traits::test_support::{assert_cycles_keep_refcount, sequential_cycle};
-    use crate::traits::RenamingHandle;
+    use crate::traits::{Renaming, RenamingHandle};
 
     /// The smallest interesting instance: k=2, d=1, z=2, S=4.
     fn tiny_params() -> FilterParams {
@@ -1091,7 +1049,7 @@ mod tests {
     #[test]
     fn cycles_never_touch_the_shape_refcount() {
         let f = Filter::new(tiny_params(), &[1, 2]).unwrap();
-        assert_cycles_keep_refcount(&f, 1, || Arc::strong_count(&f.shape.inner));
+        assert_cycles_keep_refcount(&f, 1, || Arc::strong_count(&f.core.shape.inner));
     }
 
     /// Every registered pid's plan holds exactly what its definitions
@@ -1186,6 +1144,10 @@ mod tests {
         assert_eq!(
             Filter::new(tiny_params(), &[1, 1]).unwrap_err(),
             FilterError::DuplicatePid { pid: 1 }
+        );
+        assert_eq!(
+            Filter::new(tiny_params(), &[]).unwrap_err(),
+            FilterError::NoParticipants
         );
     }
 
@@ -1283,14 +1245,24 @@ mod tests {
 
     #[test]
     fn exhaustive_tiny_instance_one_session() {
-        let stats = spec::check_filter(tiny_params(), &[1, 2], 1).unwrap();
+        let stats = run_check(
+            spec::checker(tiny_params(), &[1, 2], 1),
+            &Engine::Sequential,
+            spec::combined_invariant,
+        )
+        .unwrap();
         assert!(stats.states > 100, "got {}", stats.states);
     }
 
     #[test]
     fn exhaustive_tiny_instance_two_sessions() {
         // pids 1 and 2 share only their x = 1 tree: mostly independent.
-        let stats = spec::check_filter(tiny_params(), &[1, 2], 2).unwrap();
+        let stats = run_check(
+            spec::checker(tiny_params(), &[1, 2], 2),
+            &Engine::Sequential,
+            spec::combined_invariant,
+        )
+        .unwrap();
         assert!(stats.states > 300, "got {}", stats.states);
     }
 
@@ -1347,7 +1319,12 @@ mod tests {
         // pids 1 and 3 share their x = 0 tree (both have n_p(0) = 1), so
         // every session starts with a head-on collision: one must lose a
         // check, switch trees, and win elsewhere.
-        let stats = spec::check_filter(tiny_params(), &[1, 3], 2).unwrap();
+        let stats = run_check(
+            spec::checker(tiny_params(), &[1, 3], 2),
+            &Engine::Sequential,
+            spec::combined_invariant,
+        )
+        .unwrap();
         assert!(stats.states > 1_000, "got {}", stats.states);
     }
 
@@ -1357,7 +1334,12 @@ mod tests {
         // Pairs sharing a different tree, and the degenerate all-shared
         // case of N_0 ∩ N_3 = {2}.
         for pair in [[1u64, 3], [0, 3], [0, 2]] {
-            spec::check_filter(tiny_params(), &pair, 2).unwrap();
+            run_check(
+                spec::checker(tiny_params(), &pair, 2),
+                &Engine::Sequential,
+                spec::combined_invariant,
+            )
+            .unwrap();
         }
     }
 }

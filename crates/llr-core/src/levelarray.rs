@@ -37,6 +37,9 @@
 //! wins) and release always one — the O(1) fast path that makes the
 //! LevelArray the head-to-head speed benchmark for E6/E11.
 //!
+//! Like the paper's protocols, it is one core, [`LevelArrayCore`]; the
+//! object [`LevelArray`] is that core served by the generic [`Renamer`].
+//!
 //! # The swap extension, loudly
 //!
 //! The LevelArray is **not** a read/write protocol: claim bits are taken
@@ -75,12 +78,11 @@
 //! assert_eq!(h.accesses(), 3); // 1 swap (= read+write) + 1 clear
 //! ```
 
-use crate::session::{Handle, ProtocolCore};
-use crate::traits::Renaming;
+use crate::session::{Composable, ProtocolCore, Renamer};
 use crate::types::enc::{FALSE, TRUE};
 use crate::types::{Name, Pid};
 use llr_mc::Footprint;
-use llr_mem::{AtomicMemory, Layout, Loc, MemPolicy, Memory, Word};
+use llr_mem::{Layout, Loc, Memory, Word};
 use std::sync::Arc;
 
 /// Probes per non-reserve level before descending. Two is enough to make
@@ -386,14 +388,22 @@ impl ProtocolCore for LevelArrayCore {
     }
 }
 
+impl Composable for LevelArrayCore {
+    fn for_pid(&self, pid: Pid) -> Self {
+        Self::new(self.shape.clone(), pid)
+    }
+
+    fn source_size(&self) -> u64 {
+        // Cost and correctness are independent of S: any 64-bit pid.
+        u64::MAX
+    }
+}
+
 /// The LevelArray long-lived renaming object: `D = O(k)` names, O(1)
 /// uncontended acquire and O(1) release — at the price of test-and-set
-/// claim bits (see the module docs).
-#[derive(Debug)]
-pub struct LevelArray {
-    shape: LevelShape,
-    mem: AtomicMemory,
-}
+/// claim bits (see the module docs). [`LevelArrayCore`] served by a
+/// [`Renamer`].
+pub type LevelArray = Renamer<LevelArrayCore>;
 
 impl LevelArray {
     /// Creates a LevelArray for at most `k` concurrent processes.
@@ -413,53 +423,11 @@ impl LevelArray {
     /// assert_eq!(la.concurrency(), 8);
     /// ```
     pub fn new(k: usize) -> Self {
-        Self::with_mem_policy(k, MemPolicy::default())
-    }
-
-    /// Creates a LevelArray with an explicit [`MemPolicy`] — the E11
-    /// ablation hook, as on [`crate::split::Split::with_mem_policy`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k = 0`.
-    pub fn with_mem_policy(k: usize, policy: MemPolicy) -> Self {
         let mut layout = Layout::new();
         let shape = LevelShape::build(k, &mut layout);
-        layout.set_policy(policy);
-        let mem = AtomicMemory::new(&layout);
-        Self { shape, mem }
-    }
-
-    /// The level shape (for building custom drivers/model checks).
-    pub fn shape(&self) -> &LevelShape {
-        &self.shape
+        Self::serve(k, &layout, LevelArrayCore::new(shape, 0))
     }
 }
-
-impl Renaming for LevelArray {
-    type Handle<'a> = LevelArrayHandle<'a>;
-
-    fn handle(&self, pid: Pid) -> LevelArrayHandle<'_> {
-        Handle::new(LevelArrayCore::new(self.shape.clone(), pid), &self.mem)
-    }
-
-    fn source_size(&self) -> u64 {
-        // Cost and correctness are independent of S: any 64-bit pid.
-        u64::MAX
-    }
-
-    fn dest_size(&self) -> u64 {
-        self.shape.dest_size()
-    }
-
-    fn concurrency(&self) -> usize {
-        self.shape.k
-    }
-}
-
-/// Process handle on a [`LevelArray`]: the generic session handle driving
-/// [`LevelArrayCore`]'s machines.
-pub type LevelArrayHandle<'a> = Handle<'a, LevelArrayCore>;
 
 pub mod spec {
     //! Model-checkable specification of the LevelArray. The session loop,
@@ -469,8 +437,8 @@ pub mod spec {
     //! atomic transition either way).
 
     use super::*;
-    use crate::session::{run_check, Engine, Session};
-    use llr_mc::{CheckStats, ModelChecker, Violation, World};
+    use crate::session::Session;
+    use llr_mc::{ModelChecker, World};
 
     /// A process running repeated LevelArray sessions: the generic session
     /// machine over [`LevelArrayCore`].
@@ -488,31 +456,8 @@ pub mod spec {
     pub fn checker(k: usize, pids: &[Pid], sessions: u8) -> ModelChecker<LevelArrayUser> {
         assert!(pids.len() <= k, "more processes than the concurrency bound");
         let mut layout = Layout::new();
-        let shape = LevelShape::build(k, &mut layout);
-        let machines: Vec<LevelArrayUser> = pids
-            .iter()
-            .map(|&p| Session::start(LevelArrayCore::new(shape.clone(), p), sessions))
-            .collect();
-        ModelChecker::new(layout, machines)
-    }
-
-    /// Exhaustively checks name uniqueness for `pids.len() ≤ k` processes
-    /// over `sessions` cycles each.
-    ///
-    /// # Errors
-    ///
-    /// Returns the violating schedule if two processes can hold the same
-    /// name.
-    pub fn check_levelarray(
-        k: usize,
-        pids: &[Pid],
-        sessions: u8,
-    ) -> Result<CheckStats, Box<Violation>> {
-        run_check(
-            checker(k, pids, sessions),
-            &Engine::Sequential,
-            unique_names_invariant,
-        )
+        let core = LevelArrayCore::new(LevelShape::build(k, &mut layout), 0);
+        crate::session::checker(layout, &core, pids, sessions)
     }
 }
 
@@ -520,7 +465,8 @@ pub mod spec {
 mod tests {
     use super::*;
     use crate::harness::{stress, StressConfig};
-    use crate::traits::RenamingHandle;
+    use crate::session::{run_check, Engine};
+    use crate::traits::{Renaming, RenamingHandle};
 
     #[test]
     fn shape_widths_and_dest() {
@@ -599,9 +545,19 @@ mod tests {
     fn exhaustive_small_configs() {
         // State spaces are tiny compared to the read/write protocols:
         // a swap-based claim makes the whole acquire 1-2 steps.
-        let stats = spec::check_levelarray(2, &[0, 1], 2).unwrap();
+        let stats = run_check(
+            spec::checker(2, &[0, 1], 2),
+            &Engine::Sequential,
+            spec::unique_names_invariant,
+        )
+        .unwrap();
         assert!(stats.states > 20, "states={}", stats.states);
-        let stats = spec::check_levelarray(3, &[2, 9, 77], 2).unwrap();
+        let stats = run_check(
+            spec::checker(3, &[2, 9, 77], 2),
+            &Engine::Sequential,
+            spec::unique_names_invariant,
+        )
+        .unwrap();
         assert!(stats.states > 50, "states={}", stats.states);
     }
 

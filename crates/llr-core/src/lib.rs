@@ -20,6 +20,11 @@
 //! | [`levelarray::LevelArray`] | `3k + ⌈log₂k⌉ + 1` | `O(k)` expected | yes (rival; uses swap) |
 //! | [`onetime::OneTimeGrid::small_net`] | `k(k+1)/2` | `O(k)`, `k` fewer splitters | one-shot rival (renewable via [`smallnet::RenewableNet`]) |
 //!
+//! `Split`, `Filter`, `MaGrid`, `Chain` and `LevelArray` are one type: each
+//! is a [`session::Renamer`] serving that protocol's core (`Split` is
+//! `Renamer<SplitCore>`, `Chain<P>` is `Renamer<P>`), so they share one
+//! [`traits::Renaming`] impl and one handle, [`session::Handle`].
+//!
 //! # Architecture
 //!
 //! Every protocol is implemented once, as an explicit *step machine* (one
@@ -30,8 +35,9 @@
 //!   [`traits::Renaming`] handle API, and
 //! * is **exhaustively model-checked** with [`llr_mc`] (all interleavings
 //!   of small configurations) — see the `spec` items in each module, and
-//!   [`chain::Chain::checker`] for a chain, whose stages compose into one
-//!   core ([`chain::Then`]) that is both served and checked.
+//!   [`session::checker`], which checks any served core: a chain's
+//!   stages compose into one core ([`chain::Then`]) that is both served
+//!   and checked.
 //!
 //! The step hooks are generic over the memory, so each use gets its own
 //! compiled copy of the one source, and every core owns its shape while
@@ -72,6 +78,8 @@ pub mod traits;
 pub mod types;
 
 pub use arena::{ArenaClient, NameArena};
-pub use session::{crash_robust_uniqueness, Fault, Handle, ProtocolCore, Session, SessionPhase};
+pub use session::{
+    crash_robust_uniqueness, Fault, Handle, ProtocolCore, Renamer, Session, SessionPhase,
+};
 pub use traits::{Renaming, RenamingHandle};
 pub use types::{Direction, Name, Pid};

@@ -38,6 +38,10 @@
 //! from `(0,0)`. Uniqueness is unaffected; a tripwire panics if restarts
 //! ever exceed a generous bound.
 //!
+//! The protocol is one core, [`MaCore`]; the object [`MaGrid`] is that
+//! core served by the generic [`Renamer`], and [`spec::checker`] checks
+//! it through [`crate::session::checker`].
+//!
 //! # Example
 //!
 //! ```
@@ -52,13 +56,11 @@
 //! h.release();
 //! ```
 
-use crate::chain::Composable;
-use crate::session::{Handle, ProtocolCore, Session};
-use crate::traits::Renaming;
+use crate::session::{Composable, ProtocolCore, Renamer, Session};
 use crate::types::enc::{FALSE, TRUE};
 use crate::types::{Name, Pid};
 use llr_mc::Footprint;
-use llr_mem::{ArrayLoc, AtomicMemory, Layout, Loc, Memory, Word};
+use llr_mem::{ArrayLoc, Layout, Loc, Memory, Word};
 use std::sync::Arc;
 
 /// Outcome of one building-block access.
@@ -550,12 +552,8 @@ impl Composable for MaCore {
     }
 }
 
-/// The MA-style grid renaming object.
-#[derive(Debug)]
-pub struct MaGrid {
-    shape: MaShape,
-    mem: AtomicMemory,
-}
+/// The MA-style grid renaming object: [`MaCore`] served by a [`Renamer`].
+pub type MaGrid = Renamer<MaCore>;
 
 impl MaGrid {
     /// Creates a grid for at most `k` concurrent processes out of a source
@@ -569,41 +567,9 @@ impl MaGrid {
     pub fn new(k: usize, s: u64) -> Self {
         let mut layout = Layout::new();
         let shape = MaShape::build(k, s, &mut layout);
-        Self {
-            shape,
-            mem: AtomicMemory::new(&layout),
-        }
-    }
-
-    /// The grid shape.
-    pub fn shape(&self) -> &MaShape {
-        &self.shape
+        Self::serve(k, &layout, MaCore::new(shape, 0))
     }
 }
-
-impl Renaming for MaGrid {
-    type Handle<'a> = MaHandle<'a>;
-
-    fn handle(&self, pid: Pid) -> MaHandle<'_> {
-        Handle::new(MaCore::new(self.shape.clone(), pid), &self.mem)
-    }
-
-    fn source_size(&self) -> u64 {
-        self.shape.s
-    }
-
-    fn dest_size(&self) -> u64 {
-        (self.shape.k * (self.shape.k + 1) / 2) as u64
-    }
-
-    fn concurrency(&self) -> usize {
-        self.shape.k
-    }
-}
-
-/// Process handle on a [`MaGrid`]: the generic session handle driving
-/// [`MaCore`]'s machines.
-pub type MaHandle<'a> = Handle<'a, MaCore>;
 
 pub mod spec {
     //! Model-checkable specification of the MA grid: name uniqueness
@@ -611,8 +577,7 @@ pub mod spec {
     //! invariant are all the generic ones from [`crate::session`].
 
     use super::*;
-    use crate::session::{run_check, Engine};
-    use llr_mc::{CheckStats, ModelChecker, Violation, World};
+    use llr_mc::{ModelChecker, World};
 
     /// A process performing `sessions` × (`GetName`; dwell; `ReleaseName`):
     /// the generic session machine over [`MaCore`].
@@ -636,43 +601,22 @@ pub mod spec {
     pub fn checker(k: usize, s: u64, pids: &[Pid], sessions: u8) -> ModelChecker<MaUser> {
         assert!(pids.len() <= k);
         let mut layout = Layout::new();
-        let shape = MaShape::build(k, s, &mut layout);
-        let machines: Vec<MaUser> = pids
-            .iter()
-            .map(|&p| MaUser::new(shape.clone(), p, sessions))
-            .collect();
-        ModelChecker::new(layout, machines)
-    }
-
-    /// Exhaustively checks name uniqueness for `procs ≤ k` processes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the violating schedule if uniqueness can be broken.
-    pub fn check_ma(
-        k: usize,
-        s: u64,
-        pids: &[Pid],
-        sessions: u8,
-    ) -> Result<CheckStats, Box<Violation>> {
-        run_check(
-            checker(k, s, pids, sessions),
-            &Engine::Sequential,
-            unique_names_invariant,
-        )
+        let core = MaCore::new(MaShape::build(k, s, &mut layout), 0);
+        crate::session::checker(layout, &core, pids, sessions)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{run_check, Engine};
     use crate::traits::test_support::{assert_cycles_keep_refcount, sequential_cycle};
-    use crate::traits::RenamingHandle;
+    use crate::traits::{Renaming, RenamingHandle};
 
     #[test]
     fn cycles_never_touch_the_shape_refcount() {
         let ma = MaGrid::new(3, 16);
-        assert_cycles_keep_refcount(&ma, 9, || ma.shape.strong_count());
+        assert_cycles_keep_refcount(&ma, 9, || ma.core.shape.strong_count());
     }
 
     #[test]
@@ -769,14 +713,24 @@ mod tests {
 
     #[test]
     fn exhaustive_two_processes() {
-        let stats = spec::check_ma(2, 3, &[0, 2], 2).unwrap();
+        let stats = run_check(
+            spec::checker(2, 3, &[0, 2], 2),
+            &Engine::Sequential,
+            spec::unique_names_invariant,
+        )
+        .unwrap();
         assert!(stats.states > 500, "got {}", stats.states);
     }
 
     #[test]
     #[ignore = "large state space; run via the e2_modelcheck binary in release mode"]
     fn exhaustive_three_processes() {
-        let stats = spec::check_ma(3, 3, &[0, 1, 2], 1).unwrap();
+        let stats = run_check(
+            spec::checker(3, 3, &[0, 1, 2], 1),
+            &Engine::Sequential,
+            spec::unique_names_invariant,
+        )
+        .unwrap();
         assert!(stats.states > 1_000);
     }
 

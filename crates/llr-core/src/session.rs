@@ -10,6 +10,13 @@
 //! * [`Handle<P>`] — the thread-executed [`RenamingHandle`] driving the
 //!   *same* machines over [`AtomicMemory`], so the checked code and the
 //!   benchmarked code are identical by construction;
+//! * [`Renamer<P>`] — the served renaming object: one template core, the
+//!   [`AtomicMemory`] its shape lives in, and `k`. It carries the one
+//!   [`Renaming`] impl of every session-layer protocol; `split::Split`,
+//!   `filter::Filter`, `ma::MaGrid`, `levelarray::LevelArray` and
+//!   `chain::Chain<P>` are aliases of it;
+//! * [`checker`] — the model checker of any [`Composable`] core: one
+//!   [`Session`] per pid, on the layout the core was built in;
 //! * [`unique_names_invariant`] — the paper's uniqueness condition,
 //!   parameterized by [`Session::holding`] and the protocol's destination
 //!   bound;
@@ -19,7 +26,10 @@
 //! # How a protocol plugs in
 //!
 //! Implement [`ProtocolCore`] on a small per-process value (shape +
-//! pid). The four associated behaviours are the whole contract:
+//! pid), and [`Composable`] to copy it for any pid; then name the served
+//! object `pub type Foo = Renamer<FooCore>` with a constructor that builds
+//! the shape and calls [`Renamer::serve`]. The four associated behaviours
+//! of `ProtocolCore` are the whole protocol contract:
 //!
 //! 1. `begin_acquire` / `step_acquire` — the GetName machine; a step
 //!    performs at most one shared access and yields the [`Token`]
@@ -75,12 +85,12 @@
 //! [`LAZY_START`]: ProtocolCore::LAZY_START
 //! [`RELEASES`]: ProtocolCore::RELEASES
 
-use crate::traits::RenamingHandle;
+use crate::traits::{Renaming, RenamingHandle};
 use crate::types::{Name, Pid};
 use llr_mc::{
     CheckError, CheckStats, Footprint, MachineStatus, ModelChecker, StepMachine, Violation, World,
 };
-use llr_mem::{AtomicMemory, Counting, Memory, Word};
+use llr_mem::{AtomicMemory, Counting, Layout, Memory, Word};
 use std::fmt::Debug;
 
 pub use llr_mc::Engine;
@@ -206,6 +216,35 @@ pub trait ProtocolCore: Clone + Debug + Send + Sync {
     }
     /// One-line description of a release machine's state.
     fn describe_release(&self, r: &Self::Release) -> String;
+}
+
+/// What serving a core to any process needs from it: the same core acting
+/// for another pid, and the source space it takes pids from. A
+/// [`Renamer`] serves one core as the template for every pid, and
+/// [`crate::chain::Then`] composes two.
+pub trait Composable: ProtocolCore {
+    /// The same core, sharing its shape, acting for process `pid`.
+    fn for_pid(&self, pid: Pid) -> Self;
+
+    /// Size `S` of the source space the core accepts pids from.
+    fn source_size(&self) -> u64;
+
+    /// Whether [`for_pid`](Self::for_pid) can act for `pid`: by default,
+    /// any pid below [`source_size`](Self::source_size).
+    fn accepts(&self, pid: Pid) -> bool {
+        pid < self.source_size()
+    }
+
+    /// Appends the destination size after each stage (the name-space
+    /// funnel); a single stage has one.
+    fn funnel(&self, out: &mut Vec<u64>) {
+        out.push(self.dest_size());
+    }
+
+    /// Appends the name each stage's part of `token` holds.
+    fn stage_names(&self, token: &Self::Token, out: &mut Vec<Option<Name>>) {
+        out.push(self.token_name(token));
+    }
 }
 
 /// A fault injected into a [`Session`] via [`Session::inject`].
@@ -689,6 +728,23 @@ where
     }
 }
 
+/// The model checker over `pids`, each running `sessions` acquire/release
+/// cycles of `core`'s protocol as a [`Session`] of
+/// [`core.for_pid(pid)`](Composable::for_pid), on the registers `core`'s
+/// shape was allocated in.
+pub fn checker<P: Composable>(
+    layout: Layout,
+    core: &P,
+    pids: &[Pid],
+    sessions: u8,
+) -> ModelChecker<Session<P>> {
+    let machines = pids
+        .iter()
+        .map(|&pid| Session::start(core.for_pid(pid), sessions))
+        .collect();
+    ModelChecker::new(layout, machines)
+}
+
 /// The generic threaded handle: drives the *same* acquire/release
 /// machines the model checker explores, in a loop over [`AtomicMemory`],
 /// with a [`Counting`] wrapper maintaining the paper's shared-access
@@ -790,6 +846,62 @@ impl<P: ProtocolCore> RenamingHandle for Handle<'_, P> {
 
     fn accesses(&self) -> u64 {
         self.accesses
+    }
+}
+
+/// A core served as a long-lived renaming object: the [`Renaming`] impl
+/// of every session-layer protocol, a Theorem 11 chain included.
+///
+/// It holds one core, the template that [`Composable::for_pid`] copies for
+/// each process's [`Handle`], the [`AtomicMemory`] the core's shape was
+/// allocated in, and the concurrency bound `k`. It keeps no [`Layout`]:
+/// the memory is all a handle needs.
+#[derive(Debug)]
+pub struct Renamer<P> {
+    pub(crate) core: P,
+    pub(crate) mem: AtomicMemory,
+    k: usize,
+}
+
+impl<P: Composable> Renamer<P> {
+    /// Serves `core`, whose shape was allocated in `layout`, to at most
+    /// `k` concurrent processes.
+    pub fn serve(k: usize, layout: &Layout, core: P) -> Self {
+        Self {
+            core,
+            mem: AtomicMemory::new(layout),
+            k,
+        }
+    }
+
+    /// Destination sizes after each stage (the "name-space funnel").
+    pub fn funnel(&self) -> Vec<u64> {
+        let mut out = Vec::new();
+        self.core.funnel(&mut out);
+        out
+    }
+}
+
+impl<P: Composable> Renaming for Renamer<P> {
+    type Handle<'a>
+        = Handle<'a, P>
+    where
+        P: 'a;
+
+    fn handle(&self, pid: Pid) -> Handle<'_, P> {
+        Handle::new(self.core.for_pid(pid), &self.mem)
+    }
+
+    fn source_size(&self) -> u64 {
+        self.core.source_size()
+    }
+
+    fn dest_size(&self) -> u64 {
+        self.core.dest_size()
+    }
+
+    fn concurrency(&self) -> usize {
+        self.k
     }
 }
 

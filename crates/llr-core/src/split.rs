@@ -19,6 +19,10 @@
 //! shared accesses each: SPLIT is *fast* (Theorem 2) — its cost is
 //! independent of both `S` and `n`.
 //!
+//! The protocol is one core, [`SplitCore`]; the object [`Split`] is that
+//! core served by the generic [`Renamer`], and [`spec::checker`] checks
+//! it through [`crate::session::checker`].
+//!
 //! # Example
 //!
 //! ```
@@ -34,14 +38,12 @@
 //! h.release();
 //! ```
 
-use crate::chain::Composable;
-use crate::session::{Handle, ProtocolCore, Session};
+use crate::session::{Composable, ProtocolCore, Renamer, Session};
 use crate::splitter::{EnterOp, ReleaseOp, SplitterRegs};
-use crate::traits::Renaming;
 use crate::types::enc::Adv;
 use crate::types::{Direction, Name, Pid};
 use llr_mc::Footprint;
-use llr_mem::{AtomicMemory, Layout, MemPolicy, Memory, Word};
+use llr_mem::{Layout, MemPolicy, Memory, Word};
 use std::fmt;
 use std::sync::Arc;
 
@@ -576,12 +578,8 @@ impl Composable for SplitCore {
 }
 
 /// The SPLIT long-lived renaming object: `D = 3^(k-1)`, `O(k)` per
-/// operation, any source space.
-#[derive(Debug)]
-pub struct Split {
-    shape: SplitShape,
-    mem: AtomicMemory,
-}
+/// operation, any source space — [`SplitCore`] served by a [`Renamer`].
+pub type Split = Renamer<SplitCore>;
 
 impl Split {
     /// Creates a SPLIT instance for at most `k` concurrent processes.
@@ -604,41 +602,9 @@ impl Split {
         let mut layout = Layout::new();
         let shape = SplitShape::build(k, &mut layout);
         layout.set_policy(policy);
-        let mem = AtomicMemory::new(&layout);
-        Self { shape, mem }
-    }
-
-    /// The tree shape (for building custom drivers/model checks).
-    pub fn shape(&self) -> &SplitShape {
-        &self.shape
+        Self::serve(k, &layout, SplitCore::new(shape, 0))
     }
 }
-
-impl Renaming for Split {
-    type Handle<'a> = SplitHandle<'a>;
-
-    fn handle(&self, pid: Pid) -> SplitHandle<'_> {
-        Handle::new(SplitCore::new(self.shape.clone(), pid), &self.mem)
-    }
-
-    fn source_size(&self) -> u64 {
-        // SPLIT's cost and correctness are independent of S: any 64-bit
-        // pid may participate.
-        u64::MAX
-    }
-
-    fn dest_size(&self) -> u64 {
-        3u64.pow(self.shape.k as u32 - 1)
-    }
-
-    fn concurrency(&self) -> usize {
-        self.shape.k
-    }
-}
-
-/// Process handle on a [`Split`] object: the generic session handle
-/// driving [`SplitCore`]'s machines.
-pub type SplitHandle<'a> = Handle<'a, SplitCore>;
 
 pub mod spec {
     //! Model-checkable specification of SPLIT: uniqueness of held names
@@ -646,8 +612,7 @@ pub mod spec {
     //! invariant are all the generic ones from [`crate::session`].
 
     use super::*;
-    use crate::session::{run_check, Engine};
-    use llr_mc::{CheckStats, ModelChecker, Violation, World};
+    use llr_mc::{ModelChecker, World};
 
     /// A process performing `sessions` × (`GetName`; dwell; `ReleaseName`):
     /// the generic session machine over [`SplitCore`].
@@ -672,38 +637,23 @@ pub mod spec {
     pub fn checker(k: usize, procs: usize, sessions: u8) -> ModelChecker<SplitUser> {
         assert!(procs <= k, "at most k processes may participate");
         let mut layout = Layout::new();
-        let shape = SplitShape::build(k, &mut layout);
-        let machines: Vec<SplitUser> = (0..procs)
-            .map(|i| SplitUser::new(shape.clone(), 1_000_003 * (i as u64 + 1), sessions))
-            .collect();
-        ModelChecker::new(layout, machines)
-    }
-
-    /// Exhaustively model-checks SPLIT with `procs ≤ k` processes, each
-    /// doing `sessions` invocations.
-    ///
-    /// # Errors
-    ///
-    /// Returns the violation if name uniqueness can be broken.
-    pub fn check_split(k: usize, procs: usize, sessions: u8) -> Result<CheckStats, Box<Violation>> {
-        run_check(
-            checker(k, procs, sessions),
-            &Engine::Sequential,
-            unique_names_invariant,
-        )
+        let core = SplitCore::new(SplitShape::build(k, &mut layout), 0);
+        let pids: Vec<Pid> = (0..procs).map(|i| 1_000_003 * (i as u64 + 1)).collect();
+        crate::session::checker(layout, &core, &pids, sessions)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{run_check, Engine};
     use crate::traits::test_support::{assert_cycles_keep_refcount, sequential_cycle};
-    use crate::traits::RenamingHandle;
+    use crate::traits::{Renaming, RenamingHandle};
 
     #[test]
     fn cycles_never_touch_the_shape_refcount() {
         let split = Split::new(4);
-        assert_cycles_keep_refcount(&split, 0xC0FF_EE00, || split.shape.strong_count());
+        assert_cycles_keep_refcount(&split, 0xC0FF_EE00, || split.core.shape.strong_count());
     }
 
     #[test]
@@ -809,20 +759,35 @@ mod tests {
 
     #[test]
     fn exhaustive_k2_two_procs_two_sessions() {
-        let stats = spec::check_split(2, 2, 2).unwrap();
+        let stats = run_check(
+            spec::checker(2, 2, 2),
+            &Engine::Sequential,
+            spec::unique_names_invariant,
+        )
+        .unwrap();
         assert!(stats.states > 100);
     }
 
     #[test]
     fn exhaustive_k3_two_procs_one_session() {
-        let stats = spec::check_split(3, 2, 1).unwrap();
+        let stats = run_check(
+            spec::checker(3, 2, 1),
+            &Engine::Sequential,
+            spec::unique_names_invariant,
+        )
+        .unwrap();
         assert!(stats.states > 100);
     }
 
     #[test]
     #[ignore = "large state space; run via the e2_modelcheck binary in release mode"]
     fn exhaustive_k3_three_procs() {
-        let stats = spec::check_split(3, 3, 1).unwrap();
+        let stats = run_check(
+            spec::checker(3, 3, 1),
+            &Engine::Sequential,
+            spec::unique_names_invariant,
+        )
+        .unwrap();
         assert!(stats.states > 1_000);
     }
 }

@@ -521,8 +521,8 @@ pub mod spec {
     //! generic ones from [`crate::session`].
 
     use super::*;
-    use crate::session::{run_check, Engine, Session};
-    use llr_mc::{CheckStats, ModelChecker, Violation, World};
+    use crate::session::Session;
+    use llr_mc::{ModelChecker, World};
 
     /// A process repeatedly acquiring the tree's root critical section:
     /// the generic session machine over [`TreeCore`].
@@ -563,29 +563,12 @@ pub mod spec {
             .collect();
         ModelChecker::new(layout, machines)
     }
-
-    /// Exhaustively checks root exclusion for the given participants.
-    ///
-    /// # Errors
-    ///
-    /// Returns the violating schedule if two participants can hold the
-    /// root critical section at once.
-    pub fn check_tree(
-        s: u64,
-        participants: &[Pid],
-        sessions: u8,
-    ) -> Result<CheckStats, Box<Violation>> {
-        run_check(
-            checker(s, participants, sessions),
-            &Engine::Sequential,
-            root_exclusion,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{run_check, Engine};
 
     #[test]
     fn levels_formula() {
@@ -752,22 +735,42 @@ mod tests {
     #[test]
     fn exhaustive_two_processes_deep_tree() {
         // S = 8 (3 levels), adjacent and far-apart pids.
-        let stats = spec::check_tree(8, &[2, 3], 2).unwrap();
+        let stats = run_check(
+            spec::checker(8, &[2, 3], 2),
+            &Engine::Sequential,
+            spec::root_exclusion,
+        )
+        .unwrap();
         assert!(stats.states > 100);
-        let stats = spec::check_tree(8, &[0, 7], 2).unwrap();
+        let stats = run_check(
+            spec::checker(8, &[0, 7], 2),
+            &Engine::Sequential,
+            spec::root_exclusion,
+        )
+        .unwrap();
         assert!(stats.states > 100);
     }
 
     #[test]
     fn exhaustive_three_processes() {
-        let stats = spec::check_tree(4, &[0, 1, 3], 1).unwrap();
+        let stats = run_check(
+            spec::checker(4, &[0, 1, 3], 1),
+            &Engine::Sequential,
+            spec::root_exclusion,
+        )
+        .unwrap();
         assert!(stats.states > 1_000);
     }
 
     #[test]
     #[ignore = "large state space; run via the e2_modelcheck binary in release mode"]
     fn exhaustive_four_processes_two_sessions() {
-        let stats = spec::check_tree(4, &[0, 1, 2, 3], 2).unwrap();
+        let stats = run_check(
+            spec::checker(4, &[0, 1, 2, 3], 2),
+            &Engine::Sequential,
+            spec::root_exclusion,
+        )
+        .unwrap();
         assert!(stats.states > 10_000);
     }
 

@@ -13,8 +13,11 @@
 //!   [`ProtocolCore`]), and [`Session`] / [`Handle`] derive the
 //!   model-checked loop and the threaded [`RenamingHandle`] from it, so
 //!   the verified code and the executed code are identical by
-//!   construction — the Theorem 11 chain included, whose stages compose
-//!   into one core ([`chain::Then`]);
+//!   construction; [`Renamer`] serves a core as the renaming object
+//!   itself (`split::Split`, `filter::Filter`, `ma::MaGrid` and
+//!   `chain::Chain` are all `Renamer`s) and [`session::checker`] checks
+//!   it — the Theorem 11 chain included, whose stages compose into one
+//!   core ([`chain::Then`]);
 //! * the exploration engines — [`mc`] ([`mc::ModelChecker`] with the
 //!   sequential, parallel, and external-memory backends behind
 //!   [`Engine`]), [`mem`] (the flat register file), and [`gf`] (the
@@ -26,8 +29,9 @@
 //! machines under every interleaving:
 //!
 //! ```
-//! use long_lived_renaming::chain::Chain;
-//! use long_lived_renaming::{Renaming, RenamingHandle};
+//! use long_lived_renaming::chain::{Chain, Theorem11};
+//! use long_lived_renaming::mem::Layout;
+//! use long_lived_renaming::{session, Renaming, RenamingHandle};
 //!
 //! // Theorem 11: any 64-bit id renamed to one of k(k+1)/2 names.
 //! let chain = Chain::theorem11(2).unwrap();
@@ -36,17 +40,18 @@
 //! assert!(name < 3);
 //! h.release();
 //!
-//! // The same chain, model-checked through the session layer: two
+//! // The same core, model-checked through the session layer: two
 //! // processes, one acquire/release cycle each, every interleaving.
-//! let stats = chain
-//!     .checker(&[3, 9], 1)
-//!     .check(long_lived_renaming::session::unique_names_invariant)
+//! let mut layout = Layout::new();
+//! let core = Theorem11::build(2, &mut layout).unwrap();
+//! let stats = session::checker(layout, &core, &[3, 9], 1)
+//!     .check(session::unique_names_invariant)
 //!     .unwrap();
 //! assert!(stats.states > 100, "got {}", stats.states);
 //! ```
 
 pub use llr_core::{chain, filter, harness, ma, onetime, pf, split, splitter, tournament};
-pub use llr_core::session::{self, Engine, Handle, ProtocolCore, Session, SessionPhase};
+pub use llr_core::session::{self, Engine, Handle, ProtocolCore, Renamer, Session, SessionPhase};
 pub use llr_core::traits::{Renaming, RenamingHandle};
 pub use llr_core::types::{Direction, Name, Pid};
 

@@ -15,20 +15,21 @@
 //! runs on every PR.
 
 use llr_core::arena::NameArena;
-use llr_core::chain::Chain;
+use llr_core::chain::{Chain, SplitMa};
 use llr_core::filter::{spec as filter_spec, Filter};
 use llr_core::levelarray::{spec as la_spec, LevelArray};
 use llr_core::ma::{spec as ma_spec, MaGrid};
 use llr_core::smallnet::RenewableNet;
 use llr_core::onetime::spec as onetime_spec;
 use llr_core::pf::spec as pf_spec;
+use llr_core::session;
 use llr_core::split::{spec as split_spec, Split};
 use llr_core::splitter::spec as splitter_spec;
 use llr_core::tournament::spec as tree_spec;
 use llr_core::traits::{Renaming, RenamingHandle};
 use llr_gf::FilterParams;
 use llr_mc::{ModelChecker, StepMachine};
-use llr_mem::{AtomicMemory, MemPolicy, Memory, SimMemory};
+use llr_mem::{AtomicMemory, Layout, MemPolicy, Memory, SimMemory};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -137,9 +138,13 @@ fn ma_backends_agree() {
 
 #[test]
 fn chain_backends_agree() {
-    let chain = |k| Chain::split_ma(k).unwrap();
-    assert_backends_agree("chain k=2", &chain(2).checker(&[3, 9], 2));
-    assert_backends_agree("chain k=3", &chain(3).checker(&[3, 9, 27], 1));
+    let chain = |k, pids: &[u64], sessions| {
+        let mut layout = Layout::new();
+        let core = SplitMa::build(k, &mut layout).unwrap();
+        session::checker(layout, &core, pids, sessions)
+    };
+    assert_backends_agree("chain k=2", &chain(2, &[3, 9], 2));
+    assert_backends_agree("chain k=3", &chain(3, &[3, 9, 27], 1));
 }
 
 #[test]

@@ -39,7 +39,7 @@
 //! | `tournament` | **wedges** | **wedges** | blocking mutex: replacement queues behind the dead holder's claim |
 //! | `pf` | **wedges** | **wedges** | two-sided ME has no fresh id to restart under |
 
-use llr_core::chain::Chain;
+use llr_core::chain::SplitMa;
 use llr_core::filter::spec::FilterUser;
 use llr_core::filter::{FilterCore, FilterShape};
 use llr_core::levelarray::{LevelArrayCore, LevelShape};
@@ -47,7 +47,7 @@ use llr_core::ma::spec::MaUser;
 use llr_core::ma::{MaCore, MaShape};
 use llr_core::onetime::{OneTimeCore, OneTimeShape};
 use llr_core::pf::{spec as pf_spec, MeRegs};
-use llr_core::session::{Fault, ProtocolCore, Session};
+use llr_core::session::{Composable, Fault, ProtocolCore, Session};
 use llr_core::split::spec::SplitUser;
 use llr_core::split::{SplitCore, SplitShape};
 use llr_core::splitter::spec::SplitterUser;
@@ -263,13 +263,14 @@ fn ma_survives_any_freeze() {
 
 #[test]
 fn chain_survives_any_freeze() {
-    let chain = Chain::split_ma(3).unwrap();
+    let mut layout = Layout::new();
+    let chain = SplitMa::build(3, &mut layout).unwrap();
     sweep(
-        chain.layout(),
+        &layout,
         || {
             [3u64, 9, 27]
                 .iter()
-                .map(|&p| Session::start(chain.core(p), 2))
+                .map(|&p| Session::start(chain.for_pid(p), 2))
                 .collect()
         },
         120,
@@ -433,13 +434,16 @@ fn ma_survives_crash_restart() {
 
 #[test]
 fn chain_survives_crash_restart() {
-    let chain = Chain::split_ma(3).unwrap();
+    let mut layout = Layout::new();
+    let chain = SplitMa::build(3, &mut layout).unwrap();
     sweep(
-        chain.layout(),
+        &layout,
         || {
             [3u64, 9]
                 .iter()
-                .map(|&p| Session::start(chain.core(p), 2).with_spares(vec![chain.core(p + 1_000)]))
+                .map(|&p| {
+                    Session::start(chain.for_pid(p), 2).with_spares(vec![chain.for_pid(p + 1_000)])
+                })
                 .collect()
         },
         120,

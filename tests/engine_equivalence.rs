@@ -10,7 +10,7 @@
 //! the multi-million-state rows of the table are behind `--ignored`
 //! (run them in release mode).
 
-use llr_core::chain::Chain;
+use llr_core::chain::SplitMa;
 use llr_core::filter::spec as filter_spec;
 use llr_core::levelarray::spec as la_spec;
 use llr_core::levelarray::{LevelArrayCore, LevelShape};
@@ -189,7 +189,11 @@ fn ma_engines_agree() {
 fn chain_engines_agree() {
     assert_engines_agree(
         "chain k=2",
-        || Chain::split_ma(2).unwrap().checker(&[3, 9], 2),
+        || {
+            let mut layout = Layout::new();
+            let core = SplitMa::build(2, &mut layout).unwrap();
+            session::checker(layout, &core, &[3, 9], 2)
+        },
         session::unique_names_invariant,
         Some((163_117, 308_332)),
     );

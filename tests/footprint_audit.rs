@@ -25,18 +25,19 @@
 
 use std::cell::RefCell;
 
-use llr_core::chain::Chain;
+use llr_core::chain::SplitMa;
 use llr_core::filter::spec as filter_spec;
 use llr_core::levelarray::spec as la_spec;
 use llr_core::ma::spec as ma_spec;
 use llr_core::onetime::spec as onetime_spec;
 use llr_core::pf::spec as pf_spec;
+use llr_core::session;
 use llr_core::split::spec as split_spec;
 use llr_core::splitter::spec as splitter_spec;
 use llr_core::tournament::spec as tree_spec;
 use llr_gf::FilterParams;
 use llr_mc::{Footprint, ModelChecker, SplitMix64, StepMachine};
-use llr_mem::{Loc, Memory, SimMemory, Word};
+use llr_mem::{Layout, Loc, Memory, SimMemory, Word};
 
 /// Wraps a [`SimMemory`] and logs every access so it can be compared
 /// against the footprint declared before the step.
@@ -188,9 +189,11 @@ fn ma_footprints_honest() {
 
 #[test]
 fn chain_footprints_honest() {
+    let mut layout = Layout::new();
+    let core = SplitMa::build(3, &mut layout).unwrap();
     audit_ok(
         "chain k=3",
-        Chain::split_ma(3).unwrap().checker(&[2, 5, 11], 2),
+        session::checker(layout, &core, &[2, 5, 11], 2),
         0xF00D_000A,
     );
 }

@@ -15,12 +15,13 @@
 //!   flag) must stay under a resident-byte budget that its edge list
 //!   alone exceeds — the row the in-RAM checker cannot produce.
 
-use llr_core::chain::Chain;
+use llr_core::chain::SplitMa;
 use llr_core::filter::spec as filter_spec;
 use llr_core::levelarray::spec as la_spec;
 use llr_core::ma::spec as ma_spec;
 use llr_core::onetime::spec as onetime_spec;
 use llr_core::pf::spec as pf_spec;
+use llr_core::session;
 use llr_core::split::spec as split_spec;
 use llr_core::tournament::spec as tree_spec;
 use llr_gf::FilterParams;
@@ -80,7 +81,11 @@ fn e2_families_disk_csr_agrees() {
     assert_liveness_agrees("SPLIT k=2", || split_spec::checker(2, 2, 3));
     assert_liveness_agrees("FILTER tiny", || filter_spec::checker(tiny, &[1, 3], 2));
     assert_liveness_agrees("MA k=2 S=3", || ma_spec::checker(2, 3, &[0, 2], 3));
-    assert_liveness_agrees("chain k=2", || Chain::split_ma(2).unwrap().checker(&[3, 9], 1));
+    assert_liveness_agrees("chain k=2", || {
+        let mut layout = Layout::new();
+        let core = SplitMa::build(2, &mut layout).unwrap();
+        session::checker(layout, &core, &[3, 9], 1)
+    });
     assert_liveness_agrees("LevelArray k=3", || la_spec::checker(3, &[2, 9, 77], 2));
     assert_liveness_agrees("small net ℓ=2", || onetime_spec::small_net_checker(2, &[0, 1, 2]));
 }

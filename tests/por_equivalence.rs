@@ -24,7 +24,7 @@
 //! deterministic schedule per backend that replays to a violating
 //! state.
 
-use llr_core::chain::Chain;
+use llr_core::chain::SplitMa;
 use llr_core::filter::spec as filter_spec;
 use llr_core::levelarray::spec as la_spec;
 use llr_core::levelarray::{LevelArrayCore, LevelShape};
@@ -289,7 +289,11 @@ fn ma_por_sound() {
 fn chain_por_sound() {
     assert_por_sound(
         "chain k=2",
-        || Chain::split_ma(2).unwrap().checker(&[3, 9], 1),
+        || {
+            let mut layout = Layout::new();
+            let core = SplitMa::build(2, &mut layout).unwrap();
+            session::checker(layout, &core, &[3, 9], 1)
+        },
         session::unique_names_invariant,
     );
 }

@@ -15,13 +15,13 @@
 //!   `Counting<AtomicMemory>` and once for `&dyn Memory` — and those
 //!   counts are pinned to the paper's theorem bounds.
 
-use llr_core::chain::Chain;
+use llr_core::chain::{Chain, SplitMa, Theorem11};
 use llr_core::filter::{Filter, FilterCore, FilterShape};
 use llr_core::levelarray::{LevelArray, LevelArrayCore, LevelShape};
 use llr_core::ma::{MaCore, MaGrid, MaShape};
 use llr_core::onetime::{OneTimeCore, OneTimeGrid, OneTimeShape};
 use llr_core::pf::{spec as pf_spec, MeCore, MeRegs};
-use llr_core::session::{self, ProtocolCore, Session};
+use llr_core::session::{self, Composable, ProtocolCore, Session};
 use llr_core::split::{Split, SplitCore, SplitShape};
 use llr_core::splitter::{spec as splitter_spec, SplitterCore, SplitterRegs};
 use llr_core::tournament::{spec as tree_spec, TreeCore, TreeShape};
@@ -113,12 +113,13 @@ fn naming_protocols_share_the_generic_invariant() {
         );
 
         // SPLIT stage into MA stage, random pids.
-        let chain = Chain::split_ma(2).unwrap();
+        let mut layout = Layout::new();
+        let chain = SplitMa::build(2, &mut layout).unwrap();
         let machines: Vec<_> = (0..2)
-            .map(|_| Session::start(chain.core(gen.next_u64()), 2))
+            .map(|_| Session::start(chain.for_pid(gen.next_u64()), 2))
             .collect();
         walk(
-            chain.layout().clone(),
+            layout,
             machines,
             session::unique_names_invariant,
             gen.next_u64(),
@@ -327,7 +328,10 @@ fn handle_and_spec_agree_on_access_counts() {
         let pid = u64::MAX / 3;
         let chain = Chain::theorem11(k).unwrap();
         let exec = handle_solo_cycles(chain.handle(pid), CYCLES);
-        let spec = spec_solo_cycles(chain.layout(), chain.core(pid), CYCLES);
+
+        let mut layout = Layout::new();
+        let core = Theorem11::build(k, &mut layout).unwrap();
+        let spec = spec_solo_cycles(&layout, core.for_pid(pid), CYCLES);
 
         for (_, _, total) in assert_copies_agree(&format!("chain k={k}"), exec, spec) {
             assert_eq!(total, solo, "chain k={k}");
