@@ -12,8 +12,8 @@ fn main() {
     // --- 1. The real thing: Theorem 5, exhaustively ----------------------
     println!("splitter invariant (Theorem 5): every output set ≤ ℓ-1 of ℓ entrants");
     for (ell, sessions) in [(2usize, 3u8), (3, 2)] {
-        let stats = splitter_spec::check_all_inits(ell, sessions)
-            .expect("the reconstruction is correct");
+        let stats =
+            splitter_spec::check_all_inits(ell, sessions).expect("the reconstruction is correct");
         println!(
             "  ℓ = {ell}, {sessions} sessions/proc, all 12 initial register \
              assignments: VERIFIED over {stats}"

@@ -50,16 +50,16 @@
 //! assert!(stats.states > 100, "got {}", stats.states);
 //! ```
 
-pub use llr_core::{chain, filter, harness, ma, onetime, pf, split, splitter, tournament};
 pub use llr_core::session::{self, Engine, Handle, ProtocolCore, Renamer, Session, SessionPhase};
 pub use llr_core::traits::{Renaming, RenamingHandle};
 pub use llr_core::types::{Direction, Name, Pid};
+pub use llr_core::{chain, filter, harness, ma, onetime, pf, split, splitter, tournament};
 
 /// The whole protocol crate, for paths not re-exported above.
 pub use llr_core as core_protocols;
+/// GF(z) polynomial hashing and FILTER parameter selection.
+pub use llr_gf as gf;
 /// The model checker: [`mc::ModelChecker`], [`mc::StepMachine`], engines.
 pub use llr_mc as mc;
 /// The shared register file: [`mem::Layout`], [`mem::AtomicMemory`].
 pub use llr_mem as mem;
-/// GF(z) polynomial hashing and FILTER parameter selection.
-pub use llr_gf as gf;

@@ -352,7 +352,8 @@ fn splitter_survives_crash_restart() {
         || {
             (0..2)
                 .map(|p| {
-                    SplitterUser::new(p, regs, 2).with_spares(vec![SplitterCore::new(p + 100, regs)])
+                    SplitterUser::new(p, regs, 2)
+                        .with_spares(vec![SplitterCore::new(p + 100, regs)])
                 })
                 .collect()
         },

@@ -139,9 +139,10 @@ fn tournament_engines_agree() {
 
 #[test]
 fn split_engines_agree() {
-    for (k, procs, sessions, expect) in
-        [(2usize, 2usize, 3u8, (9_341, 18_008)), (3, 2, 2, (48_803, 93_696))]
-    {
+    for (k, procs, sessions, expect) in [
+        (2usize, 2usize, 3u8, (9_341, 18_008)),
+        (3, 2, 2, (48_803, 93_696)),
+    ] {
         assert_engines_agree(
             &format!("SPLIT k={k} procs={procs}"),
             || split_spec::checker(k, procs, sessions),
@@ -234,9 +235,10 @@ fn smallnet_engines_agree() {
 
 #[test]
 fn onetime_engines_agree() {
-    for (k, pids, expect) in
-        [(2usize, vec![0u64, 1], (165, 254)), (3, vec![0, 1, 2], (14_887, 34_095))]
-    {
+    for (k, pids, expect) in [
+        (2usize, vec![0u64, 1], (165, 254)),
+        (3, vec![0, 1, 2], (14_887, 34_095)),
+    ] {
         assert_engines_agree(
             &format!("one-time k={k}"),
             || onetime_spec::checker(k, &pids),
@@ -396,12 +398,18 @@ fn spill_backend_engines_agree() {
                 .expect("SPLIT verifies spilled");
             let tag = format!("budget={budget} workers={workers}");
             assert_eq!(spill.states, exact.states, "spill states ({tag})");
-            assert_eq!(spill.transitions, exact.transitions, "spill transitions ({tag})");
+            assert_eq!(
+                spill.transitions, exact.transitions,
+                "spill transitions ({tag})"
+            );
             assert_eq!(
                 spill.terminal_states, exact.terminal_states,
                 "spill terminal states ({tag})"
             );
-            assert!(spill.peak_resident_bytes > 0, "resident accounting ran ({tag})");
+            assert!(
+                spill.peak_resident_bytes > 0,
+                "resident accounting ran ({tag})"
+            );
             if budget == 0 {
                 assert!(
                     spill.spilled_bytes >= exact.states.saturating_sub(8_192) * 16,
@@ -453,13 +461,19 @@ fn frontier_spill_battery() {
                     });
                 let tag = format!("{label} budget={budget} workers={workers}");
                 assert_eq!(spill.states, reference.states, "states ({tag})");
-                assert_eq!(spill.transitions, reference.transitions, "transitions ({tag})");
+                assert_eq!(
+                    spill.transitions, reference.transitions,
+                    "transitions ({tag})"
+                );
                 assert_eq!(
                     spill.terminal_states, reference.terminal_states,
                     "terminal states ({tag})"
                 );
                 assert_eq!(spill.max_depth, reference.max_depth, "BFS depth ({tag})");
-                assert!(spill.peak_resident_bytes > 0, "resident accounting ran ({tag})");
+                assert!(
+                    spill.peak_resident_bytes > 0,
+                    "resident accounting ran ({tag})"
+                );
                 if budget == 0 {
                     // With every slice at its floor the frontier layers
                     // themselves must have gone through disk, not just
@@ -527,10 +541,12 @@ fn worlds_seen<M: StepMachine>(
             m.key(&mut key);
             (done, key)
         });
-        seen.borrow_mut().push((w.mem.snapshot(), machines.collect()));
+        seen.borrow_mut()
+            .push((w.mem.snapshot(), machines.collect()));
         Ok(())
     };
-    let stats = check(&record).unwrap_or_else(|e| panic!("a recording invariant cannot fail:\n{e}"));
+    let stats =
+        check(&record).unwrap_or_else(|e| panic!("a recording invariant cannot fail:\n{e}"));
     let mut seen = seen.into_inner();
     assert_eq!(seen.len() as u64, stats.states, "one world per state");
     seen.sort();
@@ -545,7 +561,10 @@ fn worlds_seen<M: StepMachine>(
 /// with it, the breadth-first stores agree among themselves.
 #[test]
 fn every_store_shows_the_invariant_the_same_worlds() {
-    fn stores_agree<M: StepMachine + Send + Sync>(label: &str, build: impl Fn() -> ModelChecker<M>) {
+    fn stores_agree<M: StepMachine + Send + Sync>(
+        label: &str,
+        build: impl Fn() -> ModelChecker<M>,
+    ) {
         let dir = std::env::temp_dir();
         for por in [false, true] {
             let mut reference = (!por).then(|| worlds_seen(|inv| build().check(inv)));
@@ -636,10 +655,7 @@ fn violation_schedule_is_deterministic() {
                 assert!(v.trace.contains("#0"), "trace renders steps:\n{}", v.trace);
                 first = Some(got);
             }
-            Some(expected) => assert_eq!(
-                &got, expected,
-                "violation differs (workers={workers})"
-            ),
+            Some(expected) => assert_eq!(&got, expected, "violation differs (workers={workers})"),
         }
     }
 

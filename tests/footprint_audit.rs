@@ -48,7 +48,10 @@ struct RecordingMem<'a> {
 
 impl<'a> RecordingMem<'a> {
     fn new(inner: &'a SimMemory) -> Self {
-        Self { inner, log: RefCell::new(Vec::new()) }
+        Self {
+            inner,
+            log: RefCell::new(Vec::new()),
+        }
     }
 }
 
@@ -86,8 +89,7 @@ fn audit<M: StepMachine>(
         // not just the latest one.
         let mut claims: Vec<Vec<Footprint>> = vec![Vec::new(); machines.len()];
         for step_no in 0..max_steps {
-            let running: Vec<usize> =
-                (0..machines.len()).filter(|&i| !done[i]).collect();
+            let running: Vec<usize> = (0..machines.len()).filter(|&i| !done[i]).collect();
             let Some(&i) = running.get(gen.next_index(running.len().max(1))) else {
                 break;
             };
@@ -110,8 +112,11 @@ fn audit<M: StepMachine>(
             }
             for &(is_write, loc) in &log {
                 let kind = if is_write { "write" } else { "read" };
-                let next_ok =
-                    if is_write { fp.covers_write(loc) } else { fp.covers_read(loc) };
+                let next_ok = if is_write {
+                    fp.covers_write(loc)
+                } else {
+                    fp.covers_read(loc)
+                };
                 if !next_ok {
                     return Err(format!(
                         "walk {walk} step {step_no}: machine {i} [{desc}] performed \
@@ -164,8 +169,16 @@ fn pf_footprints_honest() {
 
 #[test]
 fn tournament_footprints_honest() {
-    audit_ok("tournament S=8", tree_spec::checker(8, &[0, 3, 5, 6], 3), 0xF00D_0003);
-    audit_ok("tournament S=4", tree_spec::checker(4, &[0, 1, 2, 3], 2), 0xF00D_0004);
+    audit_ok(
+        "tournament S=8",
+        tree_spec::checker(8, &[0, 3, 5, 6], 3),
+        0xF00D_0003,
+    );
+    audit_ok(
+        "tournament S=4",
+        tree_spec::checker(4, &[0, 1, 2, 3], 2),
+        0xF00D_0004,
+    );
 }
 
 #[test]
@@ -177,9 +190,17 @@ fn split_footprints_honest() {
 #[test]
 fn filter_footprints_honest() {
     let gf5 = FilterParams::new(3, 25, 1, 5).unwrap();
-    audit_ok("FILTER gf5", filter_spec::checker(gf5, &[1, 6, 11], 2), 0xF00D_0007);
+    audit_ok(
+        "FILTER gf5",
+        filter_spec::checker(gf5, &[1, 6, 11], 2),
+        0xF00D_0007,
+    );
     let tiny = FilterParams::new(2, 4, 1, 2).unwrap();
-    audit_ok("FILTER tiny", filter_spec::checker(tiny, &[0, 3], 3), 0xF00D_0008);
+    audit_ok(
+        "FILTER tiny",
+        filter_spec::checker(tiny, &[0, 3], 3),
+        0xF00D_0008,
+    );
 }
 
 #[test]
@@ -200,21 +221,41 @@ fn chain_footprints_honest() {
 
 #[test]
 fn onetime_footprints_honest() {
-    audit_ok("one-time k=3", onetime_spec::checker(3, &[0, 1, 2]), 0xF00D_000B);
+    audit_ok(
+        "one-time k=3",
+        onetime_spec::checker(3, &[0, 1, 2]),
+        0xF00D_000B,
+    );
 }
 
 #[test]
 fn levelarray_footprints_honest() {
     // The claim step is a swap: the audit sees its read+write halves and
     // requires the declared footprint to cover both.
-    audit_ok("LevelArray k=3", la_spec::checker(3, &[2, 9, 77], 2), 0xF00D_000C);
-    audit_ok("LevelArray k=4", la_spec::checker(4, &[0, 1, 2, 3], 1), 0xF00D_000D);
+    audit_ok(
+        "LevelArray k=3",
+        la_spec::checker(3, &[2, 9, 77], 2),
+        0xF00D_000C,
+    );
+    audit_ok(
+        "LevelArray k=4",
+        la_spec::checker(4, &[0, 1, 2, 3], 1),
+        0xF00D_000D,
+    );
 }
 
 #[test]
 fn smallnet_footprints_honest() {
-    audit_ok("small net ℓ=2", onetime_spec::small_net_checker(2, &[0, 1, 2]), 0xF00D_000E);
-    audit_ok("small net ℓ=3", onetime_spec::small_net_checker(3, &[0, 1, 2, 3]), 0xF00D_000F);
+    audit_ok(
+        "small net ℓ=2",
+        onetime_spec::small_net_checker(2, &[0, 1, 2]),
+        0xF00D_000E,
+    );
+    audit_ok(
+        "small net ℓ=3",
+        onetime_spec::small_net_checker(3, &[0, 1, 2, 3]),
+        0xF00D_000F,
+    );
 }
 
 /// A machine whose next-step declaration claims a *read of X* while the

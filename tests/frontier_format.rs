@@ -24,10 +24,8 @@ struct TestDir(PathBuf);
 
 impl TestDir {
     fn new(tag: &str) -> Self {
-        let path = std::env::temp_dir().join(format!(
-            "llr-frontier-format-{}-{tag}",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("llr-frontier-format-{}-{tag}", std::process::id()));
         std::fs::create_dir_all(&path).unwrap();
         Self(path)
     }
@@ -65,7 +63,8 @@ fn random_layer(
 fn write_layer(path: &Path, words: usize, machines: usize, layer: &[LayerRecord]) {
     let mut w = LayerWriter::create(path, words, machines).unwrap();
     for rec in layer {
-        w.push(rec.id, &rec.done, &rec.machine_ids, &rec.snap).unwrap();
+        w.push(rec.id, &rec.done, &rec.machine_ids, &rec.snap)
+            .unwrap();
         assert_eq!(w.count(), rec.id as u64 + 1, "writer counts pushes");
     }
     assert_eq!(
@@ -104,7 +103,11 @@ fn random_layers_round_trip() {
         assert_eq!(r.machines(), machines);
 
         // Full scan.
-        assert_eq!(r.read_range(0, count).unwrap(), layer, "full scan (case {case})");
+        assert_eq!(
+            r.read_range(0, count).unwrap(),
+            layer,
+            "full scan (case {case})"
+        );
 
         // Chunked scan with a chunk size that does not divide the count,
         // plus an over-long final request (read_range clamps).
@@ -178,7 +181,11 @@ fn assert_open_fails(path: &Path, needle: &str, tag: &str) {
         Err(e) => e,
         Ok(_) => panic!("{tag}: open must fail"),
     };
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{tag}: error kind");
+    assert_eq!(
+        err.kind(),
+        std::io::ErrorKind::InvalidData,
+        "{tag}: error kind"
+    );
     let msg = err.to_string();
     assert!(
         msg.contains(needle),

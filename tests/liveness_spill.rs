@@ -41,7 +41,10 @@ fn assert_liveness_agrees<M: StepMachine + Send + Sync>(
     let inram = build()
         .check_always_terminable()
         .unwrap_or_else(|e| panic!("{label}: in-RAM liveness failed:\n{e}"));
-    assert_eq!(inram.spilled_bytes, 0, "{label}: in-RAM path must not spill");
+    assert_eq!(
+        inram.spilled_bytes, 0,
+        "{label}: in-RAM path must not spill"
+    );
     let dir = std::env::temp_dir();
     for budget in SPILL_BUDGETS {
         for workers in WORKER_COUNTS {
@@ -87,7 +90,9 @@ fn e2_families_disk_csr_agrees() {
         session::checker(layout, &core, &[3, 9], 1)
     });
     assert_liveness_agrees("LevelArray k=3", || la_spec::checker(3, &[2, 9, 77], 2));
-    assert_liveness_agrees("small net ℓ=2", || onetime_spec::small_net_checker(2, &[0, 1, 2]));
+    assert_liveness_agrees("small net ℓ=2", || {
+        onetime_spec::small_net_checker(2, &[0, 1, 2])
+    });
 }
 
 /// Two machines that grab two plain flags in opposite order and spin for
@@ -152,8 +157,16 @@ fn deadlock_checker() -> ModelChecker<DeadlockProne> {
     ModelChecker::new(
         layout,
         vec![
-            DeadlockProne { first: a, second: b, pc: 0 },
-            DeadlockProne { first: b, second: a, pc: 0 },
+            DeadlockProne {
+                first: a,
+                second: b,
+                pc: 0,
+            },
+            DeadlockProne {
+                first: b,
+                second: a,
+                pc: 0,
+            },
         ],
     )
 }
@@ -249,7 +262,10 @@ fn spinner_checker(spinners: usize, countdown: u16) -> ModelChecker<Spinner2> {
     let mut machines: Vec<Spinner2> = (0..spinners)
         .map(|_| Spinner2::Spin(Spinner { flag, done: false }))
         .collect();
-    machines.push(Spinner2::Count(Countdown { flag, left: countdown }));
+    machines.push(Spinner2::Count(Countdown {
+        flag,
+        left: countdown,
+    }));
     ModelChecker::new(layout, machines)
 }
 
@@ -320,7 +336,10 @@ fn edge_heavy_run_stays_under_budget() {
         .expect("the spinner family always terminates under spilling");
     assert_eq!(spill.states, inram.states, "states");
     assert_eq!(spill.edges, inram.edges, "edges");
-    assert_eq!(spill.terminal_states, inram.terminal_states, "terminal states");
+    assert_eq!(
+        spill.terminal_states, inram.terminal_states,
+        "terminal states"
+    );
     assert!(
         spill.peak_resident_bytes <= BUDGET as u64,
         "the disk-CSR run must stay under the budget its edge list exceeds: \

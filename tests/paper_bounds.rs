@@ -40,8 +40,7 @@ fn theorem2_split_sizes_and_costs() {
 fn theorem10_filter_sizes_and_costs() {
     for k in 2..=6usize {
         let params = FilterParams::two_k_four(k).unwrap();
-        let expected_d =
-            2 * params.modulus() * params.degree() as u64 * (k as u64 - 1);
+        let expected_d = 2 * params.modulus() * params.degree() as u64 * (k as u64 - 1);
         assert_eq!(params.dest_size(), expected_d, "k={k}");
 
         let s = params.source_size();
@@ -96,13 +95,13 @@ fn ma_cost_is_linear_in_s() {
         h.acquire();
         h.release();
         let cost = h.accesses();
-        assert!(
-            cost > last,
-            "S={s}: cost {cost} did not grow past {last}"
-        );
+        assert!(cost > last, "S={s}: cost {cost} did not grow past {last}");
         // Solo walk: one block, about S+3 accesses.
         assert!(cost >= s, "S={s}: cost {cost} below the scan length");
-        assert!(cost <= 2 * s + 16, "S={s}: cost {cost} above one block + slack");
+        assert!(
+            cost <= 2 * s + 16,
+            "S={s}: cost {cost} above one block + slack"
+        );
         last = cost;
     }
 }
@@ -219,7 +218,10 @@ fn double_filter_compresses_to_k_squared() {
         let s = (k as u64).pow(4);
         let chain = Chain::double_filter(k, s).unwrap();
         let funnel = chain.funnel();
-        assert!(funnel[1] < funnel[0], "second FILTER must compress: {funnel:?}");
+        assert!(
+            funnel[1] < funnel[0],
+            "second FILTER must compress: {funnel:?}"
+        );
         // O(k²) with a generous constant for prime gaps at tiny k.
         assert!(
             chain.dest_size() <= 60 * (k as u64) * (k as u64),

@@ -139,7 +139,10 @@ where
                     )
                 });
             let tag = format!("budget={budget} workers={workers}");
-            assert_eq!(spill.states, por_bfs.states, "{label}: spill states ({tag})");
+            assert_eq!(
+                spill.states, por_bfs.states,
+                "{label}: spill states ({tag})"
+            );
             assert_eq!(
                 spill.transitions, por_bfs.transitions,
                 "{label}: spill transitions ({tag})"
@@ -175,14 +178,20 @@ fn splitter_por_sound() {
 
 #[test]
 fn pf_por_sound() {
-    assert_por_sound("PF 5 sessions", || pf_spec::checker(5), pf_spec::mutual_exclusion);
+    assert_por_sound(
+        "PF 5 sessions",
+        || pf_spec::checker(5),
+        pf_spec::mutual_exclusion,
+    );
 }
 
 #[test]
 fn tournament_por_sound() {
-    for (s, parts, sessions) in
-        [(8u64, vec![2u64, 3], 3u8), (8, vec![0, 7], 3), (4, vec![0, 1, 3], 2)]
-    {
+    for (s, parts, sessions) in [
+        (8u64, vec![2u64, 3], 3u8),
+        (8, vec![0, 7], 3),
+        (4, vec![0, 1, 3], 2),
+    ] {
         let (full, por) = assert_por_sound(
             &format!("tournament S={s} pids={parts:?}"),
             || tree_spec::checker(s, &parts, sessions),
@@ -274,9 +283,7 @@ fn filter_blocks_observable_por_sound() {
 
 #[test]
 fn ma_por_sound() {
-    for (k, s, pids, sessions) in
-        [(2usize, 3u64, vec![0u64, 2], 3u8), (2, 4, vec![1, 3], 3)]
-    {
+    for (k, s, pids, sessions) in [(2usize, 3u64, vec![0u64, 2], 3u8), (2, 4, vec![1, 3], 3)] {
         assert_por_sound(
             &format!("MA k={k} S={s} pids={pids:?}"),
             || ma_spec::checker(k, s, &pids, sessions),
@@ -471,7 +478,10 @@ fn por_still_finds_seeded_violation() {
     // Reduced DFS: its schedule may be a different linearisation of the
     // same Mazurkiewicz trace than the full search reports — it only has
     // to exist and replay.
-    let err = build().por(true).check(broken).expect_err("reduced DFS must trip");
+    let err = build()
+        .por(true)
+        .check(broken)
+        .expect_err("reduced DFS must trip");
     let CheckError::Violation(v) = err else {
         panic!("expected a violation, got {err}");
     };

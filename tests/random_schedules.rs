@@ -197,7 +197,8 @@ fn check_diamonds<M: StepMachine>(
                 let ji = run_pair(&mem, &machines, i, j, false);
                 mem.restore(&snap);
                 assert_eq!(
-                    ij, ji,
+                    ij,
+                    ji,
                     "{label}: steps of machines {i} [{}] and {j} [{}] were declared \
                      independent but do not commute",
                     machines[i].describe(),
@@ -227,12 +228,7 @@ fn independent_steps_commute() {
             &mut gen,
             200,
         );
-        diamonds += check_diamonds(
-            "SPLIT k=3",
-            &split_spec::checker(3, 3, 2),
-            &mut gen,
-            200,
-        );
+        diamonds += check_diamonds("SPLIT k=3", &split_spec::checker(3, 3, 2), &mut gen, 200);
         diamonds += check_diamonds(
             "tournament S=8",
             &tree_spec::checker(8, &[1, 4, 6], 2),
@@ -335,7 +331,10 @@ fn crash_differential<P: llr_core::session::ProtocolCore>(
                 keys(&clean),
                 "{label}: prefix machine state diverged at step {step}"
             );
-            assert_eq!(done_f, done_c, "{label}: prefix done flags diverged at step {step}");
+            assert_eq!(
+                done_f, done_c,
+                "{label}: prefix done flags diverged at step {step}"
+            );
         }
         let running: Vec<usize> = (0..n).filter(|&i| !done_f[i]).collect();
         if running.is_empty() {
@@ -356,8 +355,7 @@ fn crash_differential<P: llr_core::session::ProtocolCore>(
             machines: &faulty,
             done: &done_f,
         };
-        crash_robust_uniqueness(&world)
-            .unwrap_or_else(|msg| panic!("{label}: step {step}: {msg}"));
+        crash_robust_uniqueness(&world).unwrap_or_else(|msg| panic!("{label}: step {step}: {msg}"));
     }
     injected
 }

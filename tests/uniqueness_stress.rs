@@ -55,7 +55,9 @@ fn filter_stress_two_k_four() {
     for k in [2usize, 3, 4, 6] {
         let params = FilterParams::two_k_four(k).unwrap();
         let s = params.source_size();
-        let pids: Vec<u64> = (0..(2 * k as u64)).map(|i| (i * (s / 31) + 3) % s).collect();
+        let pids: Vec<u64> = (0..(2 * k as u64))
+            .map(|i| (i * (s / 31) + 3) % s)
+            .collect();
         let filter = Filter::new(params, &pids).unwrap();
         let report = stress(&filter, &cfg(pids, k, 120, 7 * k as u64));
         assert_eq!(report.violations, 0, "k={k}");
