@@ -101,8 +101,7 @@ impl std::error::Error for FilterError {}
 /// its block at every (tree, level) pair and its lifetime footprint,
 /// each derived once (the footprint on first use) so that no step,
 /// footprint or key derives them again. Cheap to clone (one reference
-/// count); owned by the [`FilterCore`] and lent to the machines on every
-/// step.
+/// count); owned by the [`FilterCore`], which steps the machines on it.
 #[derive(Clone, Debug)]
 pub struct FilterShape {
     inner: Arc<ShapeInner>,
@@ -343,161 +342,23 @@ enum Mode {
     Checking,
 }
 
-/// `GetName` (Figure 4) as a step machine: one shared access per step.
-/// Holds only the operation's locals — its plan index and its progress in
-/// each tree; the shape (and with it the name set and the blocks) is lent
-/// by the caller on every [`step`](Self::step).
+/// `GetName` (Figure 4) as a step machine: the operation's locals — its
+/// progress in each tree of the name set — stepped one shared access at a
+/// time by [`FilterCore`], whose plan holds the name set and the blocks.
 #[derive(Clone, Debug)]
 pub struct FilterAcquire {
-    plan: usize,
     progress: Vec<TreeProgress>,
     cur: usize,
     mode: Mode,
-    acquired: Option<usize>,
     metrics: AcquireMetrics,
 }
 
 impl FilterAcquire {
-    /// Starts a `GetName` for registered process `pid` on the instance
-    /// `shape`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` was not registered when the shape was built.
-    pub fn new(shape: &FilterShape, pid: Pid) -> Self {
-        Self::for_plan(shape, shape.plan_index(pid))
-    }
-
-    fn for_plan(shape: &FilterShape, plan: usize) -> Self {
-        let p = shape.plan(plan);
-        Self {
-            plan,
-            progress: vec![TreeProgress::new(); p.names.len()],
-            cur: 0,
-            mode: Mode::Entering(MeEnter::new(p.side(1))),
-            acquired: None,
-            metrics: AcquireMetrics::new(),
-        }
-    }
-
-    /// Executes one atomic statement on the instance `shape`; returns the
-    /// acquired name when done.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of checks wildly exceeds Theorem 10's
-    /// wait-freedom bound — which can only happen if more than `k`
-    /// processes use the object concurrently.
-    pub fn step<M: Memory + ?Sized>(&mut self, shape: &FilterShape, mem: &M) -> Option<Name> {
-        let plan = shape.plan(self.plan);
-        if let Some(i) = self.acquired {
-            return Some(plan.names[i]);
-        }
-        let cur = self.cur;
-        match &mut self.mode {
-            Mode::Entering(op) => {
-                let level = self.progress[cur].entered_level() + 1;
-                if let Some(own) = op.step(&plan.block(cur, level), mem) {
-                    self.progress[cur].push_entered(own);
-                    self.metrics.enters += 1;
-                    self.mode = Mode::Checking;
-                }
-                None
-            }
-            Mode::Checking => {
-                let level = self.progress[cur].entered_level();
-                let own = self.progress[cur].own_at(level);
-                self.metrics.checks += 1;
-                assert!(
-                    self.metrics.checks <= shape.check_budget(),
-                    "wait-freedom tripwire: {} checks exceed 50× Theorem 10's bound \
-                     ({}); is the concurrency bound k = {} being violated?",
-                    self.metrics.checks,
-                    shape.inner.max_checks,
-                    shape.inner.params.concurrency()
-                );
-                if pf::check(&plan.block(cur, level), plan.side(level), own, mem) {
-                    self.metrics.advances_this_round += 1;
-                    if level == plan.levels {
-                        // Root critical section won: name acquired.
-                        self.acquired = Some(cur);
-                        return Some(plan.names[cur]);
-                    }
-                    self.mode = Mode::Entering(MeEnter::new(plan.side(level + 1)));
-                } else {
-                    self.advance_tree(plan);
-                }
-                None
-            }
-        }
-    }
-
-    /// Moves to the next tree in the round-robin order after a failed
-    /// check (purely local).
-    fn advance_tree(&mut self, plan: &ProcessPlan) {
-        self.cur = (self.cur + 1) % self.progress.len();
-        if self.cur == 0 {
-            self.metrics.rounds += 1;
-            self.metrics.min_round_advances = self
-                .metrics
-                .min_round_advances
-                .min(self.metrics.advances_this_round);
-            self.metrics.advances_this_round = 0;
-        }
-        self.mode = if self.progress[self.cur].entered_level() == 0 {
-            Mode::Entering(MeEnter::new(plan.side(1)))
-        } else {
-            Mode::Checking
-        };
-    }
-
-    /// Declares the register the next [`step`](Self::step) on `shape`
-    /// touches into `fp`; returns `true` iff that step may complete the
-    /// `GetName`.
-    pub fn footprint(&self, shape: &FilterShape, fp: &mut Footprint) -> bool {
-        if self.acquired.is_some() {
-            return true;
-        }
-        let plan = shape.plan(self.plan);
-        match &self.mode {
-            Mode::Entering(op) => {
-                let level = self.progress[self.cur].entered_level() + 1;
-                op.footprint(&plan.block(self.cur, level), fp);
-                false
-            }
-            Mode::Checking => {
-                let level = self.progress[self.cur].entered_level();
-                pf::check_footprint(&plan.block(self.cur, level), plan.side(level), fp);
-                // Only winning a root check completes the GetName.
-                level == plan.levels
-            }
-        }
-    }
-
-    /// Progress metrics so far.
-    pub fn metrics(&self) -> AcquireMetrics {
-        self.metrics
-    }
-
-    /// Whether the next step is a check (the only acquire step that can
-    /// *confirm* an ME block: a successful check promotes the entered
-    /// level to confirmed-won, growing [`spec::FilterUser::won_blocks`]).
-    /// Entry steps only push *entered* levels, which stay unconfirmed
-    /// until checked, so they never change the won set.
-    pub fn is_checking(&self) -> bool {
-        matches!(self.mode, Mode::Checking)
-    }
-
     /// The highest *confirmed-won* level in tree `i` (levels whose
     /// critical section this process currently holds): used by the
     /// model-checking invariants.
     pub fn confirmed_level(&self, i: usize) -> usize {
         let entered = self.progress[i].entered_level();
-        if self.acquired == Some(i) {
-            // The winning check was at the root, the tree's top entered
-            // level: the whole path is held.
-            return entered;
-        }
         if self.cur == i && matches!(self.mode, Mode::Entering(_)) {
             // We are entering `entered + 1`, so `entered` itself was won
             // (or `entered = 0` and nothing is won yet).
@@ -506,44 +367,6 @@ impl FilterAcquire {
             entered.saturating_sub(1)
         }
     }
-
-    /// Moves everything the matching [`FilterRelease`] needs out of a
-    /// completed machine (no clone of the per-tree vector), leaving it
-    /// empty. The machine must not be stepped afterwards.
-    fn take_position(&mut self, shape: &FilterShape) -> FilterPosition {
-        let names = &shape.plan(self.plan).names;
-        FilterPosition {
-            plan: self.plan,
-            progress: std::mem::take(&mut self.progress),
-            acquired: self.acquired.map(|i| (i, names[i])),
-            metrics: self.metrics,
-        }
-    }
-
-    /// Encodes machine state for model-checker keys.
-    pub fn key(&self, out: &mut Vec<Word>) {
-        out.push(self.cur as u64);
-        out.push(self.acquired.map_or(u64::MAX, |i| i as u64));
-        match &self.mode {
-            Mode::Entering(op) => {
-                out.push(0);
-                op.key(out);
-            }
-            Mode::Checking => out.push(1),
-        }
-        for p in &self.progress {
-            p.key(out);
-        }
-    }
-
-    /// Short state description for traces.
-    pub fn describe(&self, shape: &FilterShape) -> String {
-        let mode = match &self.mode {
-            Mode::Entering(op) => op.describe(),
-            Mode::Checking => format!("Check@L{}", self.progress[self.cur].entered_level()),
-        };
-        format!("Acquire[T{} {mode}]", shape.plan(self.plan).names[self.cur])
-    }
 }
 
 /// A process's standing positions in all trees: produced by a completed
@@ -551,7 +374,6 @@ impl FilterAcquire {
 /// storage is the per-tree progress vector.
 #[derive(Clone, Debug)]
 pub struct FilterPosition {
-    plan: usize,
     progress: Vec<TreeProgress>,
     /// The won tree's index and name.
     acquired: Option<(usize, Name)>,
@@ -561,16 +383,6 @@ pub struct FilterPosition {
 }
 
 impl FilterPosition {
-    /// The acquired name, if any.
-    pub fn name(&self) -> Option<Name> {
-        self.acquired.map(|(_, name)| name)
-    }
-
-    /// Metrics of the `GetName` that produced this position.
-    pub fn metrics(&self) -> AcquireMetrics {
-        self.metrics
-    }
-
     /// The highest level whose critical section is held in tree `i`: the
     /// whole entered path in the won tree, and every entered level but
     /// the unconfirmed top one elsewhere (a `GetName` leaves a tree only
@@ -584,9 +396,9 @@ impl FilterPosition {
     }
 }
 
-/// `ReleaseName` as a step machine: one register write (`nil`) per entered
-/// ME block, top-down within each tree. Like [`FilterAcquire`], it
-/// borrows the shape on every step.
+/// `ReleaseName` as a step machine: the position whose entered ME blocks
+/// [`FilterCore`] releases, one register write (`nil`) each, top-down
+/// within each tree.
 #[derive(Clone, Debug)]
 pub struct FilterRelease {
     pos: FilterPosition,
@@ -597,35 +409,6 @@ pub struct FilterRelease {
 }
 
 impl FilterRelease {
-    /// Starts releasing all positions in `pos`.
-    pub fn new(pos: FilterPosition) -> Self {
-        Self {
-            pos,
-            tree_idx: 0,
-            popped: false,
-        }
-    }
-
-    /// Executes one atomic statement on the instance `shape`; returns
-    /// `true` when every entered block has been released.
-    pub fn step<M: Memory + ?Sized>(&mut self, shape: &FilterShape, mem: &M) -> bool {
-        let plan = shape.plan(self.pos.plan);
-        // Find the next tree that still has entered levels.
-        while self.tree_idx < self.pos.progress.len() {
-            let prog = &mut self.pos.progress[self.tree_idx];
-            let level = prog.entered_level();
-            if level == 0 {
-                self.tree_idx += 1;
-                continue;
-            }
-            pf::release(&plan.block(self.tree_idx, level), plan.side(level), mem);
-            prog.pop_released();
-            self.popped = true;
-            return level == 1 && self.remaining_after(self.tree_idx) == 0;
-        }
-        true
-    }
-
     fn remaining_after(&self, idx: usize) -> usize {
         self.pos.progress[idx + 1..]
             .iter()
@@ -642,57 +425,6 @@ impl FilterRelease {
         } else {
             self.pos.confirmed_level(i)
         }
-    }
-
-    /// Declares the register the next [`step`](Self::step) on `shape`
-    /// touches into `fp`; returns `true` iff that step may complete the
-    /// `ReleaseName`.
-    pub fn footprint(&self, shape: &FilterShape, fp: &mut Footprint) -> bool {
-        let plan = shape.plan(self.pos.plan);
-        for idx in self.tree_idx..self.pos.progress.len() {
-            let level = self.pos.progress[idx].entered_level();
-            if level > 0 {
-                pf::release_footprint(&plan.block(idx, level), plan.side(level), fp);
-                return level == 1 && self.remaining_after(idx) == 0;
-            }
-        }
-        // Nothing entered: the next step completes without any access.
-        true
-    }
-
-    /// Whether any tree still has entered levels — i.e. whether the next
-    /// step pops a block (shrinking
-    /// [`spec::FilterUser::won_blocks`]) rather than completing with no
-    /// access.
-    pub fn has_entered(&self) -> bool {
-        self.pos.progress[self.tree_idx..]
-            .iter()
-            .any(|p| p.entered_level() > 0)
-    }
-
-    /// Adds every register the rest of this `ReleaseName` on `shape` may
-    /// touch — the process's own side of each still-entered block — to
-    /// `fp`'s future sets.
-    pub fn future_footprint(&self, shape: &FilterShape, fp: &mut Footprint) {
-        let plan = shape.plan(self.pos.plan);
-        for idx in self.tree_idx..self.pos.progress.len() {
-            for level in 1..=self.pos.progress[idx].entered_level() {
-                fp.future_write(plan.block(idx, level).r[plan.side(level)]);
-            }
-        }
-    }
-
-    /// Encodes machine state for model-checker keys.
-    pub fn key(&self, out: &mut Vec<Word>) {
-        out.push(self.tree_idx as u64);
-        for p in &self.pos.progress {
-            p.key(out);
-        }
-    }
-
-    /// Short state description for traces.
-    pub fn describe(&self) -> String {
-        format!("Release[tree #{}]", self.tree_idx)
     }
 }
 
@@ -728,8 +460,8 @@ fn first_core(
 }
 
 /// FILTER's [`ProtocolCore`]: the shape and one pid with its plan index.
-/// The core owns the shape and lends it to each step, so no step clones a
-/// tree or looks one up.
+/// The core owns the shape and steps the machines on its plan, so no step
+/// clones a tree or looks one up.
 #[derive(Clone, Debug)]
 pub struct FilterCore {
     shape: FilterShape,
@@ -761,10 +493,10 @@ impl FilterCore {
     /// visible, so block-level invariants like
     /// [`spec::block_exclusion_invariant`] stay sound under
     /// `Engine::Reduced`. Off by default: the extra visible steps shrink
-    /// the reduction, so name-only invariants should leave this off
-    /// (and keep the seed's reduced state counts).
-    pub fn observe_blocks(mut self, on: bool) -> Self {
-        self.observe_blocks = on;
+    /// the reduction, so name-only invariants leave it off (and keep the
+    /// seed's reduced state counts).
+    pub fn observe_blocks(mut self) -> Self {
+        self.observe_blocks = true;
         self
     }
 
@@ -776,7 +508,30 @@ impl FilterCore {
     /// The name set `N_p` this process competes for, in `x` order: tree
     /// index `i` of every machine of this core is `names()[i]`.
     pub fn names(&self) -> &[Name] {
-        &self.shape.plan(self.plan).names
+        &self.plan().names
+    }
+
+    fn plan(&self) -> &ProcessPlan {
+        self.shape.plan(self.plan)
+    }
+
+    /// Moves to the next tree in the round-robin order after a failed
+    /// check (purely local).
+    fn advance_tree(&self, a: &mut FilterAcquire) {
+        a.cur = (a.cur + 1) % a.progress.len();
+        if a.cur == 0 {
+            a.metrics.rounds += 1;
+            a.metrics.min_round_advances = a
+                .metrics
+                .min_round_advances
+                .min(a.metrics.advances_this_round);
+            a.metrics.advances_this_round = 0;
+        }
+        a.mode = if a.progress[a.cur].entered_level() == 0 {
+            Mode::Entering(MeEnter::new(self.plan().side(1)))
+        } else {
+            Mode::Checking
+        };
     }
 }
 
@@ -794,61 +549,154 @@ impl ProtocolCore for FilterCore {
     }
 
     fn begin_acquire(&self) -> FilterAcquire {
-        FilterAcquire::for_plan(&self.shape, self.plan)
+        let plan = self.plan();
+        FilterAcquire {
+            progress: vec![TreeProgress::new(); plan.names.len()],
+            cur: 0,
+            mode: Mode::Entering(MeEnter::new(plan.side(1))),
+            metrics: AcquireMetrics::new(),
+        }
     }
 
+    /// # Panics
+    ///
+    /// Panics if the number of checks wildly exceeds Theorem 10's
+    /// wait-freedom bound — which can only happen if more than `k`
+    /// processes use the object concurrently.
     fn step_acquire<M: Memory + ?Sized>(
         &self,
         a: &mut FilterAcquire,
         mem: &M,
     ) -> Option<FilterPosition> {
-        // The completed machine is discarded by every caller, so its
-        // progress vector moves into the token; the metrics travel with it.
-        a.step(&self.shape, mem)
-            .map(|_| a.take_position(&self.shape))
+        let plan = self.plan();
+        let cur = a.cur;
+        match &mut a.mode {
+            Mode::Entering(op) => {
+                let level = a.progress[cur].entered_level() + 1;
+                if let Some(own) = op.step(&plan.block(cur, level), mem) {
+                    a.progress[cur].push_entered(own);
+                    a.metrics.enters += 1;
+                    a.mode = Mode::Checking;
+                }
+            }
+            Mode::Checking => {
+                let level = a.progress[cur].entered_level();
+                let own = a.progress[cur].own_at(level);
+                a.metrics.checks += 1;
+                assert!(
+                    a.metrics.checks <= self.shape.check_budget(),
+                    "wait-freedom tripwire: {} checks exceed 50× Theorem 10's bound \
+                     ({}); is the concurrency bound k = {} being violated?",
+                    a.metrics.checks,
+                    self.shape.inner.max_checks,
+                    self.shape.inner.params.concurrency()
+                );
+                if pf::check(&plan.block(cur, level), plan.side(level), own, mem) {
+                    a.metrics.advances_this_round += 1;
+                    if level == plan.levels {
+                        // Root critical section won: name acquired. Every
+                        // caller discards the finished machine, so its
+                        // progress vector moves into the token.
+                        return Some(FilterPosition {
+                            progress: std::mem::take(&mut a.progress),
+                            acquired: Some((cur, plan.names[cur])),
+                            metrics: a.metrics,
+                        });
+                    }
+                    a.mode = Mode::Entering(MeEnter::new(plan.side(level + 1)));
+                } else {
+                    self.advance_tree(a);
+                }
+            }
+        }
+        None
     }
 
     fn begin_release(&self, pos: FilterPosition) -> FilterRelease {
-        FilterRelease::new(pos)
+        FilterRelease {
+            pos,
+            tree_idx: 0,
+            popped: false,
+        }
     }
 
     fn step_release<M: Memory + ?Sized>(&self, r: &mut FilterRelease, mem: &M) -> bool {
-        r.step(&self.shape, mem)
+        let plan = self.plan();
+        // Find the next tree that still has entered levels.
+        while r.tree_idx < r.pos.progress.len() {
+            let prog = &mut r.pos.progress[r.tree_idx];
+            let level = prog.entered_level();
+            if level == 0 {
+                r.tree_idx += 1;
+                continue;
+            }
+            pf::release(&plan.block(r.tree_idx, level), plan.side(level), mem);
+            prog.pop_released();
+            r.popped = true;
+            return level == 1 && r.remaining_after(r.tree_idx) == 0;
+        }
+        true
     }
 
     fn acquire_footprint(&self, a: &FilterAcquire, fp: &mut Footprint) -> bool {
-        let may_complete = a.footprint(&self.shape, fp);
-        // A check may succeed and confirm an ME block, changing
-        // `won_blocks`; entry steps only push unconfirmed levels.
-        if self.observe_blocks && a.is_checking() {
-            fp.set_visible();
+        let plan = self.plan();
+        match &a.mode {
+            Mode::Entering(op) => {
+                let level = a.progress[a.cur].entered_level() + 1;
+                op.footprint(&plan.block(a.cur, level), fp);
+                false
+            }
+            Mode::Checking => {
+                let level = a.progress[a.cur].entered_level();
+                pf::check_footprint(&plan.block(a.cur, level), plan.side(level), fp);
+                // A check may succeed and confirm an ME block, changing
+                // `won_blocks`; entry steps only push unconfirmed levels.
+                if self.observe_blocks {
+                    fp.set_visible();
+                }
+                // Only winning a root check completes the GetName.
+                level == plan.levels
+            }
         }
-        may_complete
     }
 
     fn release_footprint(&self, r: &FilterRelease, fp: &mut Footprint) -> bool {
-        let may_complete = r.footprint(&self.shape, fp);
-        // Every pop removes a block from `won_blocks`; a release with
-        // nothing entered completes without touching the won set.
-        if self.observe_blocks && r.has_entered() {
-            fp.set_visible();
+        let plan = self.plan();
+        for idx in r.tree_idx..r.pos.progress.len() {
+            let level = r.pos.progress[idx].entered_level();
+            if level > 0 {
+                pf::release_footprint(&plan.block(idx, level), plan.side(level), fp);
+                // Every pop removes a block from `won_blocks`.
+                if self.observe_blocks {
+                    fp.set_visible();
+                }
+                return level == 1 && r.remaining_after(idx) == 0;
+            }
         }
-        may_complete
+        // Nothing entered: the next step completes without any access, and
+        // without touching the won set.
+        true
     }
 
     fn future_footprint(&self, fp: &mut Footprint) {
         // The union of the pid's root paths in every tree of its name set,
         // precomputed in the plan; exact, so processes with disjoint name
         // sets never conflict.
-        fp.extend_future(self.shape.plan(self.plan).lifetime());
+        fp.extend_future(self.plan().lifetime());
     }
 
+    /// The process's own side of each still-entered block.
     fn release_future_footprint(&self, r: &FilterRelease, fp: &mut Footprint) {
-        r.future_footprint(&self.shape, fp);
+        let plan = self.plan();
+        for idx in r.tree_idx..r.pos.progress.len() {
+            for level in 1..=r.pos.progress[idx].entered_level() {
+                fp.future_write(plan.block(idx, level).r[plan.side(level)]);
+            }
+        }
     }
 
     fn token_name(&self, pos: &FilterPosition) -> Option<Name> {
-        pos.name()
+        pos.acquired.map(|(_, name)| name)
     }
 
     fn dest_size(&self) -> u64 {
@@ -856,11 +704,24 @@ impl ProtocolCore for FilterCore {
     }
 
     fn key_acquire(&self, a: &FilterAcquire, out: &mut Vec<Word>) {
-        a.key(out);
+        out.push(a.cur as u64);
+        // The won-tree slot, empty while the GetName runs: a finished one is
+        // a token, never an acquire. The word keeps the pinned key digests.
+        out.push(u64::MAX);
+        match &a.mode {
+            Mode::Entering(op) => {
+                out.push(0);
+                op.key(out);
+            }
+            Mode::Checking => out.push(1),
+        }
+        for p in &a.progress {
+            p.key(out);
+        }
     }
 
     fn key_token(&self, pos: &FilterPosition, out: &mut Vec<Word>) {
-        out.push(pos.name().map_or(u64::MAX, |n| n));
+        out.push(self.token_name(pos).unwrap_or(u64::MAX));
         for i in 0..pos.progress.len() {
             out.push(pos.confirmed_level(i) as u64);
             pos.progress[i].key(out);
@@ -868,15 +729,22 @@ impl ProtocolCore for FilterCore {
     }
 
     fn key_release(&self, r: &FilterRelease, out: &mut Vec<Word>) {
-        r.key(out);
+        out.push(r.tree_idx as u64);
+        for p in &r.pos.progress {
+            p.key(out);
+        }
     }
 
     fn describe_acquire(&self, a: &FilterAcquire) -> String {
-        a.describe(&self.shape)
+        let mode = match &a.mode {
+            Mode::Entering(op) => op.describe(),
+            Mode::Checking => format!("Check@L{}", a.progress[a.cur].entered_level()),
+        };
+        format!("Acquire[T{} {mode}]", self.plan().names[a.cur])
     }
 
     fn describe_release(&self, r: &FilterRelease) -> String {
-        r.describe()
+        format!("Release[tree #{}]", r.tree_idx)
     }
 }
 
@@ -902,7 +770,7 @@ impl Handle<'_, FilterCore> {
     /// Metrics (checks/enters/rounds) of the acquire that produced the
     /// held name; `None` while no name is held.
     pub fn last_metrics(&self) -> Option<AcquireMetrics> {
-        self.held_token().map(FilterPosition::metrics)
+        self.held_token().map(|pos| pos.metrics)
     }
 }
 
@@ -1012,7 +880,7 @@ pub mod spec {
         sessions: u8,
     ) -> ModelChecker<FilterUser> {
         let (layout, core) = instance(params, participants);
-        crate::session::checker(layout, &core.observe_blocks(true), participants, sessions)
+        crate::session::checker(layout, &core.observe_blocks(), participants, sessions)
     }
 
     /// Builds the model checker for the given instance (shared by the

@@ -94,7 +94,7 @@ impl BlockRegs {
 }
 
 /// The static shape of an MA grid. Cheap to clone; owned by the
-/// [`MaCore`] and lent to the machines on every step.
+/// [`MaCore`], which steps the machines on it.
 #[derive(Clone, Debug)]
 pub struct MaShape {
     k: usize,
@@ -186,247 +186,28 @@ enum BlockPc {
     WithdrawY,
 }
 
-/// `GetName` as a step machine: walk the grid, one shared access per step.
-/// Holds only the walk's locals; the grid is lent by the caller on every
-/// [`step`](Self::step).
+/// `GetName` as a step machine: the grid walk's locals, stepped one shared
+/// access at a time by [`MaCore`].
 #[derive(Clone, Debug)]
 pub struct MaAcquire {
-    pid: Pid,
     r: usize,
     c: usize,
     pc: BlockPc,
+    /// Grid-walk restarts so far (0 in every non-adversarial execution we
+    /// have observed).
     restarts: u64,
-    name: Option<Name>,
 }
 
 /// Restart tripwire: exceeded only if the grid is kept churning by an
 /// adversarial scheduler for this long.
 const MAX_RESTARTS: u64 = 100_000;
 
-impl MaAcquire {
-    /// Starts a `GetName` for process `pid` on the grid `shape`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid ≥ S`.
-    pub fn new(shape: &MaShape, pid: Pid) -> Self {
-        assert!(pid < shape.s, "pid {pid} outside source space {}", shape.s);
-        Self {
-            pid,
-            r: 0,
-            c: 0,
-            pc: BlockPc::WriteX,
-            restarts: 0,
-            name: None,
-        }
-    }
-
-    /// Executes one atomic statement on the grid `shape`; returns the
-    /// acquired name when done.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the walk restarts more than a generous tripwire bound
-    /// (possible only under sustained adversarial scheduling).
-    pub fn step<M: Memory + ?Sized>(&mut self, shape: &MaShape, mem: &M) -> Option<Name> {
-        if let Some(name) = self.name {
-            return Some(name);
-        }
-        let block = shape.block(self.r, self.c);
-        match self.pc {
-            BlockPc::WriteX => {
-                mem.write(block.x, self.pid);
-                self.pc = BlockPc::Scan(0);
-                None
-            }
-            BlockPc::Scan(i) => {
-                // Skip our own slot (it can only be stale-free: we cleared
-                // it before leaving any block).
-                if i == self.pid {
-                    self.pc = BlockPc::Scan(i + 1);
-                    return self.step(shape, mem);
-                }
-                if i >= shape.s {
-                    self.pc = BlockPc::PublishY;
-                    return self.step(shape, mem);
-                }
-                if mem.read(block.y.at(i as usize)) == TRUE {
-                    self.move_to(shape.k, Outcome::Right);
-                } else {
-                    self.pc = BlockPc::Scan(i + 1);
-                }
-                None
-            }
-            BlockPc::PublishY => {
-                mem.write(block.y.at(self.pid as usize), TRUE);
-                self.pc = BlockPc::ReadX;
-                None
-            }
-            BlockPc::ReadX => {
-                if mem.read(block.x) == self.pid {
-                    // Stop: this cell's name is ours; our Y bit stays set
-                    // until release.
-                    self.name = Some(shape.cell_name(self.r, self.c));
-                    return self.name;
-                }
-                self.pc = BlockPc::WithdrawY;
-                None
-            }
-            BlockPc::WithdrawY => {
-                mem.write(block.y.at(self.pid as usize), FALSE);
-                self.move_to(shape.k, Outcome::Down);
-                None
-            }
-        }
-    }
-
-    /// Local move to the next cell of a `k`-grid (or restart from the
-    /// origin when the walk falls off the diagonal).
-    fn move_to(&mut self, k: usize, outcome: Outcome) {
-        let (nr, nc) = match outcome {
-            Outcome::Right => (self.r, self.c + 1),
-            Outcome::Down => (self.r + 1, self.c),
-            Outcome::Stop => unreachable!("stop is terminal"),
-        };
-        if nr + nc > k - 1 {
-            self.restarts += 1;
-            assert!(
-                self.restarts <= MAX_RESTARTS,
-                "MA grid walk restarted {} times; the concurrency bound \
-                 k = {k} is being violated or the scheduler is adversarial",
-                self.restarts,
-            );
-            self.r = 0;
-            self.c = 0;
-        } else {
-            self.r = nr;
-            self.c = nc;
-        }
-        self.pc = BlockPc::WriteX;
-    }
-
-    /// Declares the register the next [`step`](Self::step) on `shape`
-    /// touches into `fp`; returns `true` iff that step may complete the
-    /// `GetName`.
-    pub fn footprint(&self, shape: &MaShape, fp: &mut Footprint) -> bool {
-        if self.name.is_some() {
-            return true;
-        }
-        let block = shape.block(self.r, self.c);
-        match self.pc {
-            BlockPc::WriteX => fp.write(block.x),
-            BlockPc::Scan(i) => {
-                // Mirror step()'s local skips: our own slot is passed over,
-                // and a scan past the end performs PublishY's write.
-                let mut j = i;
-                if j == self.pid {
-                    j += 1;
-                }
-                if j >= shape.s {
-                    fp.write(block.y.at(self.pid as usize));
-                } else {
-                    fp.read(block.y.at(j as usize));
-                }
-            }
-            BlockPc::PublishY => fp.write(block.y.at(self.pid as usize)),
-            BlockPc::ReadX => {
-                fp.read(block.x);
-                // Re-reading our own pid stops the walk here.
-                return true;
-            }
-            BlockPc::WithdrawY => fp.write(block.y.at(self.pid as usize)),
-        }
-        false
-    }
-
-    /// Grid-walk restarts performed so far (0 in every non-adversarial
-    /// execution we have observed).
-    pub fn restarts(&self) -> u64 {
-        self.restarts
-    }
-
-    /// The cell whose name was acquired, if complete.
-    pub fn stopped_at(&self) -> Option<(usize, usize)> {
-        self.name.map(|_| (self.r, self.c))
-    }
-
-    /// Encodes machine state for model-checker keys.
-    pub fn key(&self, out: &mut Vec<Word>) {
-        out.push(self.r as u64);
-        out.push(self.c as u64);
-        out.push(self.restarts);
-        out.push(self.name.map_or(u64::MAX, |n| n));
-        match self.pc {
-            BlockPc::WriteX => out.push(0),
-            BlockPc::Scan(i) => {
-                out.push(1);
-                out.push(i);
-            }
-            BlockPc::PublishY => out.push(2),
-            BlockPc::ReadX => out.push(3),
-            BlockPc::WithdrawY => out.push(4),
-        }
-    }
-
-    /// Short state description for traces.
-    pub fn describe(&self) -> String {
-        format!("Acquire@({},{}) {:?}", self.r, self.c, self.pc)
-    }
-}
-
-/// `ReleaseName` as a step machine: clear the stop cell's presence bit
-/// (one write).
+/// `ReleaseName` as a step machine: the stop cell whose presence bit
+/// [`MaCore`] clears (one write).
 #[derive(Clone, Debug)]
 pub struct MaRelease {
-    pid: Pid,
     cell: (usize, usize),
     done: bool,
-}
-
-impl MaRelease {
-    /// Starts releasing the name of `cell`.
-    pub fn new(pid: Pid, cell: (usize, usize)) -> Self {
-        Self {
-            pid,
-            cell,
-            done: false,
-        }
-    }
-
-    /// Executes the single release write on the grid `shape`; returns
-    /// `true` when done.
-    pub fn step<M: Memory + ?Sized>(&mut self, shape: &MaShape, mem: &M) -> bool {
-        if !self.done {
-            let block = shape.block(self.cell.0, self.cell.1);
-            // The release's only access: Release ordering suffices (see
-            // llr-mem's AtomicMemory docs).
-            mem.write_rel(block.y.at(self.pid as usize), FALSE);
-            self.done = true;
-        }
-        true
-    }
-
-    /// Declares the single release write on `shape` into `fp` (nothing
-    /// once done); the next [`step`](Self::step) always completes.
-    pub fn footprint(&self, shape: &MaShape, fp: &mut Footprint) {
-        if !self.done {
-            let block = shape.block(self.cell.0, self.cell.1);
-            fp.write(block.y.at(self.pid as usize));
-        }
-    }
-
-    /// Adds the pending release write on `shape` to `fp`'s future sets.
-    pub fn future_footprint(&self, shape: &MaShape, fp: &mut Footprint) {
-        if !self.done {
-            let block = shape.block(self.cell.0, self.cell.1);
-            fp.future_write(block.y.at(self.pid as usize));
-        }
-    }
-
-    /// Encodes machine state for model-checker keys.
-    pub fn key(&self, out: &mut Vec<Word>) {
-        out.push(u64::from(self.done));
-    }
 }
 
 /// MA's [`ProtocolCore`]: one process's view of the grid. The acquire
@@ -454,6 +235,42 @@ impl MaCore {
     pub fn shape(&self) -> &MaShape {
         &self.shape
     }
+
+    /// This process's presence bit in the block of its stop cell.
+    fn own_bit(&self, (r, c): (usize, usize)) -> Loc {
+        self.shape.block(r, c).y.at(self.pid as usize)
+    }
+
+    /// Local move to the next cell (or restart from the origin when the
+    /// walk falls off the diagonal).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the walk restarts more than a generous tripwire bound
+    /// (possible only under sustained adversarial scheduling).
+    fn move_to(&self, a: &mut MaAcquire, outcome: Outcome) {
+        let k = self.shape.k;
+        let (nr, nc) = match outcome {
+            Outcome::Right => (a.r, a.c + 1),
+            Outcome::Down => (a.r + 1, a.c),
+            Outcome::Stop => unreachable!("stop is terminal"),
+        };
+        if nr + nc > k - 1 {
+            a.restarts += 1;
+            assert!(
+                a.restarts <= MAX_RESTARTS,
+                "MA grid walk restarted {} times; the concurrency bound \
+                 k = {k} is being violated or the scheduler is adversarial",
+                a.restarts,
+            );
+            a.r = 0;
+            a.c = 0;
+        } else {
+            a.r = nr;
+            a.c = nc;
+        }
+        a.pc = BlockPc::WriteX;
+    }
 }
 
 impl ProtocolCore for MaCore {
@@ -471,7 +288,12 @@ impl ProtocolCore for MaCore {
     }
 
     fn begin_acquire(&self) -> MaAcquire {
-        MaAcquire::new(&self.shape, self.pid)
+        MaAcquire {
+            r: 0,
+            c: 0,
+            pc: BlockPc::WriteX,
+            restarts: 0,
+        }
     }
 
     fn step_acquire<M: Memory + ?Sized>(
@@ -479,24 +301,96 @@ impl ProtocolCore for MaCore {
         a: &mut MaAcquire,
         mem: &M,
     ) -> Option<(usize, usize)> {
-        a.step(&self.shape, mem)
-            .map(|_| a.stopped_at().expect("stopped"))
+        let block = self.shape.block(a.r, a.c);
+        match a.pc {
+            BlockPc::WriteX => {
+                mem.write(block.x, self.pid);
+                a.pc = BlockPc::Scan(0);
+            }
+            BlockPc::Scan(i) => {
+                // Skip our own slot (it can only be stale-free: we cleared
+                // it before leaving any block).
+                if i == self.pid {
+                    a.pc = BlockPc::Scan(i + 1);
+                    return self.step_acquire(a, mem);
+                }
+                if i >= self.shape.s {
+                    a.pc = BlockPc::PublishY;
+                    return self.step_acquire(a, mem);
+                }
+                if mem.read(block.y.at(i as usize)) == TRUE {
+                    self.move_to(a, Outcome::Right);
+                } else {
+                    a.pc = BlockPc::Scan(i + 1);
+                }
+            }
+            BlockPc::PublishY => {
+                mem.write(block.y.at(self.pid as usize), TRUE);
+                a.pc = BlockPc::ReadX;
+            }
+            BlockPc::ReadX => {
+                if mem.read(block.x) == self.pid {
+                    // Stop: this cell's name is ours; our Y bit stays set
+                    // until release.
+                    return Some((a.r, a.c));
+                }
+                a.pc = BlockPc::WithdrawY;
+            }
+            BlockPc::WithdrawY => {
+                mem.write(block.y.at(self.pid as usize), FALSE);
+                self.move_to(a, Outcome::Down);
+            }
+        }
+        None
     }
 
     fn begin_release(&self, cell: (usize, usize)) -> MaRelease {
-        MaRelease::new(self.pid, cell)
+        MaRelease { cell, done: false }
     }
 
     fn step_release<M: Memory + ?Sized>(&self, r: &mut MaRelease, mem: &M) -> bool {
-        r.step(&self.shape, mem)
+        if !r.done {
+            // The release's only access: Release ordering suffices (see
+            // llr-mem's AtomicMemory docs).
+            mem.write_rel(self.own_bit(r.cell), FALSE);
+            r.done = true;
+        }
+        true
     }
 
     fn acquire_footprint(&self, a: &MaAcquire, fp: &mut Footprint) -> bool {
-        a.footprint(&self.shape, fp)
+        let block = self.shape.block(a.r, a.c);
+        match a.pc {
+            BlockPc::WriteX => fp.write(block.x),
+            BlockPc::Scan(i) => {
+                // Mirror the step's local skips: our own slot is passed
+                // over, and a scan past the end performs PublishY's write.
+                let mut j = i;
+                if j == self.pid {
+                    j += 1;
+                }
+                if j >= self.shape.s {
+                    fp.write(block.y.at(self.pid as usize));
+                } else {
+                    fp.read(block.y.at(j as usize));
+                }
+            }
+            BlockPc::PublishY | BlockPc::WithdrawY => fp.write(block.y.at(self.pid as usize)),
+            BlockPc::ReadX => {
+                fp.read(block.x);
+                // Re-reading our own pid stops the walk here.
+                return true;
+            }
+        }
+        false
     }
 
+    /// The single release write (nothing once done); the next step always
+    /// completes.
     fn release_footprint(&self, r: &MaRelease, fp: &mut Footprint) -> bool {
-        r.footprint(&self.shape, fp);
+        if !r.done {
+            fp.write(self.own_bit(r.cell));
+        }
         true
     }
 
@@ -504,8 +398,11 @@ impl ProtocolCore for MaCore {
         self.shape.future_footprint(self.pid, fp);
     }
 
+    /// The pending release write.
     fn release_future_footprint(&self, r: &MaRelease, fp: &mut Footprint) {
-        r.future_footprint(&self.shape, fp);
+        if !r.done {
+            fp.future_write(self.own_bit(r.cell));
+        }
     }
 
     fn token_name(&self, cell: &(usize, usize)) -> Option<Name> {
@@ -517,7 +414,22 @@ impl ProtocolCore for MaCore {
     }
 
     fn key_acquire(&self, a: &MaAcquire, out: &mut Vec<Word>) {
-        a.key(out);
+        out.push(a.r as u64);
+        out.push(a.c as u64);
+        out.push(a.restarts);
+        // The name slot, empty while the walk runs: a stopped walk is a
+        // token, never an acquire. The word keeps the pinned key digests.
+        out.push(u64::MAX);
+        match a.pc {
+            BlockPc::WriteX => out.push(0),
+            BlockPc::Scan(i) => {
+                out.push(1);
+                out.push(i);
+            }
+            BlockPc::PublishY => out.push(2),
+            BlockPc::ReadX => out.push(3),
+            BlockPc::WithdrawY => out.push(4),
+        }
     }
 
     fn key_token(&self, cell: &(usize, usize), out: &mut Vec<Word>) {
@@ -526,11 +438,11 @@ impl ProtocolCore for MaCore {
     }
 
     fn key_release(&self, r: &MaRelease, out: &mut Vec<Word>) {
-        r.key(out);
+        out.push(u64::from(r.done));
     }
 
     fn describe_acquire(&self, a: &MaAcquire) -> String {
-        a.describe()
+        format!("Acquire@({},{}) {:?}", a.r, a.c, a.pc)
     }
 
     fn describe_token(&self, cell: &(usize, usize)) -> String {
@@ -732,6 +644,25 @@ mod tests {
         )
         .unwrap();
         assert!(stats.states > 1_000);
+    }
+
+    #[test]
+    fn restart_counter_stays_zero_in_normal_runs() {
+        let mut layout = Layout::new();
+        let shape = MaShape::build(3, 8, &mut layout);
+        let mem = llr_mem::SimMemory::new(&layout);
+        for pid in [0u64, 3, 7] {
+            let core = MaCore::new(shape.clone(), pid);
+            let mut a = core.begin_acquire();
+            let cell = loop {
+                if let Some(cell) = core.step_acquire(&mut a, &mem) {
+                    break cell;
+                }
+            };
+            assert_eq!(a.restarts, 0);
+            let mut r = core.begin_release(cell);
+            while !core.step_release(&mut r, &mem) {}
+        }
     }
 
     #[test]

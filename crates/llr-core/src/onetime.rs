@@ -78,7 +78,7 @@ pub struct OtBlockRegs {
 /// The static shape of a one-shot splitter network: the triangle of side
 /// `k`, with a splitter on each cell of its first `depth` diagonals and
 /// free cells on the rest. Cheap to clone; owned by the [`OneTimeCore`]
-/// (or [`OneTimeGrid`]) and lent to the machine on every step.
+/// (or [`OneTimeGrid`]), which steps the walk on it.
 #[derive(Clone, Debug)]
 pub struct OneTimeShape {
     k: usize,
@@ -164,130 +164,14 @@ fn triangle_index(side: usize, r: usize, c: usize) -> usize {
     r * side - r * r.saturating_sub(1) / 2 + c
 }
 
-/// One-time `GetName` as a step machine: the three-line splitter on every
-/// splitter cell, zero accesses on a free one. Holds only the walk's
-/// locals; the network is lent by the caller on every
-/// [`step`](Self::step).
+/// One-time `GetName` as a step machine: the walk's locals, stepped by
+/// [`OneTimeCore`] — the three-line splitter on every splitter cell, zero
+/// accesses on a free one.
 #[derive(Clone, Debug)]
 pub struct OneTimeAcquire {
-    pid: Pid,
     r: usize,
     c: usize,
     pc: u8,
-    name: Option<Name>,
-}
-
-impl OneTimeAcquire {
-    /// Starts the (single) `GetName` of process `pid`.
-    pub fn new(pid: Pid) -> Self {
-        Self {
-            pid,
-            r: 0,
-            c: 0,
-            pc: 0,
-            name: None,
-        }
-    }
-
-    /// Executes one atomic statement on the network `shape`; returns the
-    /// acquired name when done.
-    pub fn step<M: Memory + ?Sized>(&mut self, shape: &OneTimeShape, mem: &M) -> Option<Name> {
-        if self.name.is_none() && shape.is_free(self.r, self.c) {
-            // Only a depth-0 network starts on a free cell.
-            self.name = Some(shape.cell_name(self.r, self.c));
-        }
-        if self.name.is_some() {
-            return self.name;
-        }
-        let b = shape.block(self.r, self.c);
-        match self.pc {
-            // X ← p
-            0 => {
-                mem.write(b.x, self.pid);
-                self.pc = 1;
-            }
-            // if Y then Right
-            1 => {
-                if mem.read(b.y) == TRUE {
-                    self.c += 1;
-                    self.pc = 0;
-                    return self.arrive(shape);
-                }
-                self.pc = 2;
-            }
-            // Y ← true
-            2 => {
-                mem.write(b.y, TRUE);
-                self.pc = 3;
-            }
-            // if X = p then Stop else Down
-            _ => {
-                if mem.read(b.x) == self.pid {
-                    self.name = Some(shape.cell_name(self.r, self.c));
-                    return self.name;
-                }
-                self.r += 1;
-                self.pc = 0;
-                return self.arrive(shape);
-            }
-        }
-        None
-    }
-
-    /// After a Right/Down move: a free cell's name is taken in the same
-    /// step (the move's read was the step's one access; the free cell
-    /// costs none).
-    fn arrive(&mut self, shape: &OneTimeShape) -> Option<Name> {
-        assert!(
-            self.r + self.c < shape.k,
-            "one-time grid walk fell off the triangle: more than k = {} \
-             processes, or a pid was reused",
-            shape.k,
-        );
-        if shape.is_free(self.r, self.c) {
-            self.name = Some(shape.cell_name(self.r, self.c));
-        }
-        self.name
-    }
-
-    /// Declares the register the next [`step`](Self::step) on `shape`
-    /// touches into `fp`; returns `true` iff that step may complete the
-    /// `GetName`.
-    pub fn footprint(&self, shape: &OneTimeShape, fp: &mut Footprint) -> bool {
-        if self.name.is_some() || shape.is_free(self.r, self.c) {
-            // Completing (or free-cell) step: no accesses.
-            return true;
-        }
-        let b = shape.block(self.r, self.c);
-        match self.pc {
-            0 => fp.write(b.x),
-            // A Right move completes iff it lands on a free cell.
-            1 => {
-                fp.read(b.y);
-                return shape.is_free(self.r, self.c + 1);
-            }
-            2 => fp.write(b.y),
-            // Stop completes here; so may a Down move onto a free cell.
-            _ => {
-                fp.read(b.x);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Encodes machine state for model-checker keys.
-    pub fn key(&self, out: &mut Vec<Word>) {
-        out.push(self.r as u64);
-        out.push(self.c as u64);
-        out.push(self.pc as u64);
-        out.push(self.name.map_or(u64::MAX, |n| n));
-    }
-
-    /// Short state description for traces.
-    pub fn describe(&self) -> String {
-        format!("OtAcquire@({},{}) pc{}", self.r, self.c, self.pc)
-    }
 }
 
 /// A one-shot splitter network on real atomics — the grid or the small
@@ -384,6 +268,27 @@ impl OneTimeCore {
     }
 }
 
+impl OneTimeCore {
+    /// The walk's position as a name, if it stands on a free cell.
+    fn free_name(&self, a: &OneTimeAcquire) -> Option<Name> {
+        let free = self.shape.is_free(a.r, a.c);
+        free.then(|| self.shape.cell_name(a.r, a.c))
+    }
+
+    /// After a Right/Down move: a free cell's name is taken in the same
+    /// step (the move's read was the step's one access; the free cell
+    /// costs none).
+    fn arrive(&self, a: &OneTimeAcquire) -> Option<Name> {
+        assert!(
+            a.r + a.c < self.shape.k,
+            "one-time grid walk fell off the triangle: more than k = {} \
+             processes, or a pid was reused",
+            self.shape.k,
+        );
+        self.free_name(a)
+    }
+}
+
 impl ProtocolCore for OneTimeCore {
     type Acquire = OneTimeAcquire;
     type Token = Name;
@@ -400,11 +305,46 @@ impl ProtocolCore for OneTimeCore {
     }
 
     fn begin_acquire(&self) -> OneTimeAcquire {
-        OneTimeAcquire::new(self.pid)
+        OneTimeAcquire { r: 0, c: 0, pc: 0 }
     }
 
     fn step_acquire<M: Memory + ?Sized>(&self, a: &mut OneTimeAcquire, mem: &M) -> Option<Name> {
-        a.step(&self.shape, mem)
+        if let Some(name) = self.free_name(a) {
+            // Only a depth-0 network starts on a free cell.
+            return Some(name);
+        }
+        let b = self.shape.block(a.r, a.c);
+        match a.pc {
+            // X ← p
+            0 => {
+                mem.write(b.x, self.pid);
+                a.pc = 1;
+            }
+            // if Y then Right
+            1 => {
+                if mem.read(b.y) == TRUE {
+                    a.c += 1;
+                    a.pc = 0;
+                    return self.arrive(a);
+                }
+                a.pc = 2;
+            }
+            // Y ← true
+            2 => {
+                mem.write(b.y, TRUE);
+                a.pc = 3;
+            }
+            // if X = p then Stop else Down
+            _ => {
+                if mem.read(b.x) == self.pid {
+                    return Some(self.shape.cell_name(a.r, a.c));
+                }
+                a.r += 1;
+                a.pc = 0;
+                return self.arrive(a);
+            }
+        }
+        None
     }
 
     fn begin_release(&self, _name: Name) {}
@@ -414,7 +354,26 @@ impl ProtocolCore for OneTimeCore {
     }
 
     fn acquire_footprint(&self, a: &OneTimeAcquire, fp: &mut Footprint) -> bool {
-        a.footprint(&self.shape, fp)
+        if self.shape.is_free(a.r, a.c) {
+            // Free-cell step: no accesses.
+            return true;
+        }
+        let b = self.shape.block(a.r, a.c);
+        match a.pc {
+            0 => fp.write(b.x),
+            // A Right move completes iff it lands on a free cell.
+            1 => {
+                fp.read(b.y);
+                return self.shape.is_free(a.r, a.c + 1);
+            }
+            2 => fp.write(b.y),
+            // Stop completes here; so may a Down move onto a free cell.
+            _ => {
+                fp.read(b.x);
+                return true;
+            }
+        }
+        false
     }
 
     fn release_footprint(&self, _r: &(), _fp: &mut Footprint) -> bool {
@@ -444,7 +403,12 @@ impl ProtocolCore for OneTimeCore {
     }
 
     fn key_acquire(&self, a: &OneTimeAcquire, out: &mut Vec<Word>) {
-        a.key(out);
+        out.push(a.r as u64);
+        out.push(a.c as u64);
+        out.push(a.pc as u64);
+        // The name slot, empty while the walk runs: a finished walk is a
+        // token, never an acquire. The word keeps the pinned key digests.
+        out.push(u64::MAX);
     }
 
     fn key_token(&self, name: &Name, out: &mut Vec<Word>) {
@@ -456,7 +420,7 @@ impl ProtocolCore for OneTimeCore {
     }
 
     fn describe_acquire(&self, a: &OneTimeAcquire) -> String {
-        a.describe()
+        format!("OtAcquire@({},{}) pc{}", a.r, a.c, a.pc)
     }
 
     fn describe_release(&self, _r: &()) -> String {

@@ -25,18 +25,22 @@
 //!
 //! # How a protocol plugs in
 //!
-//! Implement [`ProtocolCore`] on a small per-process value (shape +
-//! pid), and [`Composable`] to copy it for any pid; then name the served
-//! object `pub type Foo = Renamer<FooCore>` with a constructor that builds
-//! the shape and calls [`Renamer::serve`]. The four associated behaviours
-//! of `ProtocolCore` are the whole protocol contract:
+//! A protocol is one per-process program, as the paper writes each of its
+//! Figures 1, 2 and 4. Implement [`ProtocolCore`] on a small per-process
+//! value (shape + pid), with plain data types for the acquire, the token
+//! and the release, and [`Composable`] to copy the core for any pid; then
+//! name the served object `pub type Foo = Renamer<FooCore>` with a
+//! constructor that builds the shape and calls [`Renamer::serve`]. The
+//! four associated behaviours of `ProtocolCore` are the whole protocol
+//! contract, and all of them live in the core's impl:
 //!
 //! 1. `begin_acquire` / `step_acquire` — the GetName machine; a step
 //!    performs at most one shared access and yields the [`Token`]
 //!    (name + whatever the release needs) when complete.
 //! 2. `begin_release` / `step_release` — the ReleaseName machine.
 //! 3. `key_*` — injective encodings of each machine's live state
-//!    (everything that influences future behaviour, nothing more).
+//!    (everything that influences future behaviour, nothing more), with
+//!    `*_footprint` and `describe_*` beside them.
 //! 4. Two knobs: [`LAZY_START`] (is Idle → Acquiring a pure local
 //!    transition, or does it perform the acquire's first shared access in
 //!    the same scheduled step?) and [`RELEASES`] (`false` for one-shot
@@ -44,13 +48,14 @@
 //!
 //! # One source, two compiled copies
 //!
-//! Every core follows one ownership rule: **the core owns the shape, the
-//! machines own the locals.** The shape (register table, parameters) is
-//! the core's, and its step hooks lend it to the machines as `&Shape`;
-//! an acquire, release or token value holds only what one operation
-//! needs — program counter, path so far, the name — and never an `Arc`.
-//! Starting, finishing or abandoning an operation therefore touches no
-//! reference count, and a token moves by `memcpy`.
+//! Every core follows one ownership rule: **the core owns the shape and
+//! the pid, the machines own the locals.** The core's hooks read the shape
+//! (register table, parameters) and the pid from `self`; an acquire,
+//! release or token value holds only what one operation needs — program
+//! counter, path so far, the name — with no step logic of its own, no copy
+//! of the core's state and never an `Arc`. Starting, finishing or
+//! abandoning an operation therefore touches no reference count, and a
+//! token moves by `memcpy`.
 //!
 //! The step hooks are generic over `M: Memory + ?Sized`. The checker
 //! steps [`Session`] through `&dyn Memory` (its [`StepMachine::step`] is
@@ -752,8 +757,8 @@ pub fn checker<P: Composable>(
 ///
 /// The step hooks are monomorphized for `Counting<AtomicMemory>` here
 /// (the checker's [`Session`] runs them through `&dyn Memory`), and a
-/// cycle moves only per-operation locals: the core's shape is lent to
-/// each step, never cloned.
+/// cycle moves only per-operation locals: each step reads the core's
+/// shape, never clones it.
 #[derive(Debug)]
 pub struct Handle<'a, P: ProtocolCore> {
     core: P,
