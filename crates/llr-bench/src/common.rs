@@ -7,9 +7,11 @@
 pub use llr_mc::SplitMix64;
 
 use llr_core::traits::{Renaming, RenamingHandle};
+use llr_mc::{CheckError, CheckStats, Engine, ModelChecker, StepMachine, World};
 use std::fmt::Display;
 use std::fs;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 /// A simple aligned table that also lands in `results/<name>.csv`.
 pub struct Table {
@@ -125,6 +127,50 @@ pub fn host_parallelism(experiment: &str) -> (usize, bool) {
         );
     }
     (cores, degraded)
+}
+
+/// Parallel BFS, one worker per core, 128-bit hashed dedup.
+pub fn bfs_hashed() -> Engine {
+    Engine::Parallel {
+        workers: 0,
+        hashed: true,
+    }
+}
+
+/// Parallel BFS with the external-memory visited set: only `budget`
+/// bytes of not-yet-flushed state hashes stay in RAM; the rest lives in
+/// sorted runs on disk.
+pub fn bfs_spill(budget: usize) -> Engine {
+    Engine::Spill {
+        dir: std::env::temp_dir(),
+        budget_bytes: budget,
+        workers: 0,
+    }
+}
+
+/// The given backend with partial-order reduction on
+/// (`tests/por_equivalence.rs` pins that the reduced graphs agree with
+/// the full ones on verdicts and terminal states). Only used with
+/// por-safe invariants — ones over held names and done flags.
+pub fn por(inner: Engine) -> Engine {
+    Engine::Reduced(Box::new(inner))
+}
+
+/// Checks `mc` against `invariant` on `engine`, stopping at `cap` states,
+/// and times the run.
+pub fn explore<M, F>(
+    mc: ModelChecker<M>,
+    invariant: F,
+    engine: &Engine,
+    cap: usize,
+) -> (Result<CheckStats, CheckError>, Duration)
+where
+    M: StepMachine + Send + Sync,
+    F: Fn(&World<'_, M>) -> Result<(), String>,
+{
+    let start = Instant::now();
+    let r = mc.max_states(cap).check_with(engine, invariant);
+    (r, start.elapsed())
 }
 
 #[cfg(test)]

@@ -24,12 +24,12 @@
 //! Written to its own CSV (`results/e2_frontier.csv`) so regenerating
 //! these rows never clobbers the seed table.
 
-use crate::common::{banner, Table};
+use crate::common::{banner, bfs_hashed, bfs_spill, explore, por, Table};
 use llr_core::filter::spec as filter_spec;
 use llr_core::splitter::spec as splitter_spec;
 use llr_gf::FilterParams;
-use llr_mc::{CheckError, CheckStats, Engine, ModelChecker, StepMachine, World};
-use std::time::{Duration, Instant};
+use llr_mc::{CheckError, CheckStats, Engine};
+use std::time::Duration;
 
 /// The fixed resident-byte budget every spill row runs under. Sized so
 /// the visited hashes *alone* of the capped exploration (16 bytes per
@@ -50,40 +50,6 @@ const FILTER_CAP: usize = 1_000_000;
 /// pending set is accounted but not bounded (DESIGN.md §6) — this
 /// keeps the row honestly under budget.
 const SPLITTER_CAP: usize = 2_000_000;
-
-fn bfs_hashed() -> Engine {
-    Engine::Parallel {
-        workers: 0,
-        hashed: true,
-    }
-}
-
-fn bfs_spill() -> Engine {
-    Engine::Spill {
-        dir: std::env::temp_dir(),
-        budget_bytes: BUDGET,
-        workers: 0,
-    }
-}
-
-fn por(inner: Engine) -> Engine {
-    Engine::Reduced(Box::new(inner))
-}
-
-fn explore<M, F>(
-    mc: ModelChecker<M>,
-    invariant: F,
-    engine: &Engine,
-    cap: usize,
-) -> (Result<CheckStats, CheckError>, Duration)
-where
-    M: StepMachine + Send + Sync,
-    F: Fn(&World<'_, M>) -> Result<(), String>,
-{
-    let start = Instant::now();
-    let r = mc.max_states(cap).check_with(engine, invariant);
-    (r, start.elapsed())
-}
 
 pub fn run() {
     banner("E2 frontier — fixed-budget rows past the in-RAM ceiling");
@@ -188,7 +154,7 @@ pub fn run() {
     // exploration under it".
     let gf11 = FilterParams::new(5, 121, 1, 11).unwrap();
     let pids: [u64; 5] = [1, 12, 23, 34, 45];
-    for engine in [por(bfs_hashed()), por(bfs_spill())] {
+    for engine in [por(bfs_hashed()), por(bfs_spill(BUDGET))] {
         add(
             "FILTER (Fig 4)",
             "unique names (por-safe)",
@@ -208,7 +174,7 @@ pub fn run() {
     // first of `all_inits(4)`), full interleaving graph. One level past
     // the ℓ=3 rows of the main table.
     let (init_last, init_a1, init_a2) = splitter_spec::all_inits(4)[0];
-    for engine in [bfs_hashed(), bfs_spill()] {
+    for engine in [bfs_hashed(), bfs_spill(BUDGET)] {
         add(
             "splitter (Fig 2)",
             "each output set ≤ ℓ-1",

@@ -30,7 +30,7 @@
 //! checkable. These rows use the `(por-safe)` unique-names invariant;
 //! see the row comments for why block exclusion needs the full graph.
 
-use crate::common::{banner, Table};
+use crate::common::{banner, bfs_hashed, bfs_spill, explore, por, Table};
 use llr_core::chain::{SplitMa, Then, Theorem11};
 use llr_core::filter::{spec as filter_spec, FilterCore, FilterShape};
 use llr_core::levelarray::spec as la_spec;
@@ -42,7 +42,7 @@ use llr_core::split::{spec as split_spec, SplitCore, SplitShape};
 use llr_core::splitter::spec as splitter_spec;
 use llr_core::tournament::spec as tree_spec;
 use llr_gf::FilterParams;
-use llr_mc::{CheckError, CheckStats, Engine, ModelChecker, StepMachine, World};
+use llr_mc::{CheckError, CheckStats, Engine};
 use llr_mem::Layout;
 use std::time::{Duration, Instant};
 
@@ -60,47 +60,6 @@ fn dfs() -> Engine {
     Engine::Sequential
 }
 
-/// Parallel BFS, one worker per core, 128-bit hashed dedup.
-fn bfs_hashed() -> Engine {
-    Engine::Parallel {
-        workers: 0,
-        hashed: true,
-    }
-}
-
-/// Parallel BFS with the external-memory visited set: only `budget`
-/// bytes of not-yet-flushed state hashes stay in RAM; the rest lives in
-/// sorted runs on disk.
-fn bfs_spill(budget: usize) -> Engine {
-    Engine::Spill {
-        dir: std::env::temp_dir(),
-        budget_bytes: budget,
-        workers: 0,
-    }
-}
-
-/// The given backend with partial-order reduction on
-/// (`tests/por_equivalence.rs` pins that the reduced graphs agree with
-/// the full ones on verdicts and terminal states). Only used with
-/// por-safe invariants — ones over held names and done flags.
-fn por(inner: Engine) -> Engine {
-    Engine::Reduced(Box::new(inner))
-}
-
-fn explore<M, F>(
-    mc: ModelChecker<M>,
-    invariant: F,
-    engine: &Engine,
-) -> (Result<CheckStats, CheckError>, Duration)
-where
-    M: StepMachine + Send + Sync,
-    F: Fn(&World<'_, M>) -> Result<(), String>,
-{
-    let start = Instant::now();
-    let r = mc.max_states(BIG).check_with(engine, invariant);
-    (r, start.elapsed())
-}
-
 /// Sums [`splitter_spec::checker`] over every quiescent initial register
 /// assignment (the unit the splitter rows report).
 fn splitter_all_inits(
@@ -115,6 +74,7 @@ fn splitter_all_inits(
             splitter_spec::checker(ell, sessions, init_last, init_a1, init_a2),
             splitter_spec::output_set_invariant,
             engine,
+            BIG,
         );
         wall += w;
         match r {
@@ -257,6 +217,7 @@ pub fn run() {
                 pf_spec::checker(sessions),
                 pf_spec::mutual_exclusion,
                 &dfs(),
+                BIG,
             ),
         );
     }
@@ -265,7 +226,12 @@ pub fn run() {
         "no deadlock state",
         "2 procs, 5 sessions",
         &dfs(),
-        explore(pf_spec::checker(5), pf_spec::no_deadlock_invariant, &dfs()),
+        explore(
+            pf_spec::checker(5),
+            pf_spec::no_deadlock_invariant,
+            &dfs(),
+            BIG,
+        ),
     );
 
     // Tournament trees — Lemma 6. The 4-contender S=8 row is new: all
@@ -286,6 +252,7 @@ pub fn run() {
                 tree_spec::checker(s, &parts, sessions),
                 tree_spec::root_exclusion,
                 &engine,
+                BIG,
             ),
         );
     }
@@ -308,6 +275,7 @@ pub fn run() {
                 split_spec::checker(k, procs, sessions),
                 split_spec::unique_names_invariant,
                 &engine,
+                BIG,
             ),
         );
     }
@@ -325,6 +293,7 @@ pub fn run() {
                 filter_spec::checker(tiny, &pair, 2),
                 filter_spec::combined_invariant,
                 &dfs(),
+                BIG,
             ),
         );
     }
@@ -339,6 +308,7 @@ pub fn run() {
                 filter_spec::checker(gf5, &[1, 6, 11], sessions),
                 filter_spec::combined_invariant,
                 &engine,
+                BIG,
             ),
         );
     }
@@ -356,6 +326,7 @@ pub fn run() {
             filter_spec::checker(gf7, &[1, 8, 15, 22], 1),
             filter_spec::combined_invariant,
             &bfs_spill(SPILL_BUDGET),
+            BIG,
         ),
     );
     // The same configuration under partial-order reduction. FILTER is
@@ -379,6 +350,7 @@ pub fn run() {
             filter_spec::checker(gf7, &[1, 8, 15, 22], 1),
             filter_spec::unique_names_invariant,
             &por(bfs_hashed()),
+            BIG,
         ),
     );
     // The reduction opens field sizes the full search cannot touch. The
@@ -396,6 +368,7 @@ pub fn run() {
             filter_spec::checker(gf11, &[1, 12, 23, 34], 1),
             filter_spec::unique_names_invariant,
             &por(bfs_hashed()),
+            BIG,
         ),
     );
 
@@ -416,6 +389,7 @@ pub fn run() {
                 ma_spec::checker(k, s, &pids, sessions),
                 ma_spec::unique_names_invariant,
                 &engine,
+                BIG,
             ),
         );
     }
@@ -434,6 +408,7 @@ pub fn run() {
                 session::checker(split_ma_layout.clone(), &split_ma, &[3, 9], sessions),
                 unique_names_invariant,
                 &engine,
+                BIG,
             ),
         );
     }
@@ -454,6 +429,7 @@ pub fn run() {
             session::checker(layout, &split_filter, &[3, 9], 3),
             unique_names_invariant,
             &dfs(),
+            BIG,
         ),
     );
     // The whole Theorem 11 pipeline, SPLIT → FILTER → FILTER → MA.
@@ -469,6 +445,7 @@ pub fn run() {
                 session::checker(theorem11_layout.clone(), &theorem11, &[3, 9], sessions),
                 unique_names_invariant,
                 &engine,
+                BIG,
             ),
         );
     }
@@ -485,6 +462,7 @@ pub fn run() {
                 onetime_spec::checker(k, &pids),
                 onetime_spec::unique_names_invariant,
                 &dfs(),
+                BIG,
             ),
         );
     }
@@ -498,6 +476,7 @@ pub fn run() {
                 onetime_spec::checker(4, &[0, 1, 2, 3]),
                 onetime_spec::unique_names_invariant,
                 &engine,
+                BIG,
             ),
         );
     }
@@ -513,6 +492,7 @@ pub fn run() {
             onetime_spec::checker(5, &[0, 1, 2, 4]),
             onetime_spec::unique_names_invariant,
             &bfs_hashed(),
+            BIG,
         ),
     );
 
@@ -537,6 +517,7 @@ pub fn run() {
                 la_spec::checker(k, &pids, sessions),
                 la_spec::unique_names_invariant,
                 &dfs(),
+                BIG,
             ),
         );
     }
@@ -549,6 +530,7 @@ pub fn run() {
             la_spec::checker(4, &[0, 1, 2, 3], 2),
             la_spec::unique_names_invariant,
             &por(bfs_hashed()),
+            BIG,
         ),
     );
 
@@ -566,6 +548,7 @@ pub fn run() {
                 onetime_spec::small_net_checker(ell, &pids),
                 onetime_spec::unique_names_invariant,
                 &dfs(),
+                BIG,
             ),
         );
     }
@@ -579,6 +562,7 @@ pub fn run() {
                 onetime_spec::small_net_checker(3, &[0, 1, 2, 3]),
                 onetime_spec::unique_names_invariant,
                 &engine,
+                BIG,
             ),
         );
     }
@@ -591,6 +575,7 @@ pub fn run() {
             onetime_spec::small_net_checker(4, &[0, 1, 2, 4]),
             onetime_spec::unique_names_invariant,
             &bfs_hashed(),
+            BIG,
         ),
     );
 
