@@ -380,8 +380,8 @@ pub mod spec {
     //! and key encoding are the generic ones from [`crate::session`].
 
     use super::*;
-    use crate::session::{run_check, Engine, Session};
-    use llr_mc::{CheckStats, ModelChecker, Violation, World};
+    use crate::session::Session;
+    use llr_mc::{ModelChecker, World};
 
     /// One competitor performing `sessions` × (enter; spin; critical;
     /// release) from a fixed side: the generic session machine over
@@ -445,39 +445,13 @@ pub mod spec {
         ];
         ModelChecker::new(layout, machines)
     }
-
-    /// Exhaustively checks mutual exclusion for two competitors doing
-    /// `sessions` sessions each.
-    ///
-    /// # Errors
-    ///
-    /// Returns the violating schedule if exclusion can be broken.
-    pub fn check_exclusion(sessions: u8) -> Result<CheckStats, Box<Violation>> {
-        run_check(checker(sessions), &Engine::Sequential, mutual_exclusion)
-    }
-
-    /// Exhaustively verifies absence of *stuck* states: in every reachable
-    /// state where both competitors are `Waiting` and neither can ever
-    /// proceed, fail. Because `check` depends only on the registers, it is
-    /// enough to test both checks against the current registers whenever
-    /// both machines are waiting and no enter/release is in flight.
-    ///
-    /// # Errors
-    ///
-    /// Returns the violating schedule if a deadlock state is reachable.
-    pub fn check_no_deadlock(sessions: u8) -> Result<CheckStats, Box<Violation>> {
-        run_check(
-            checker(sessions),
-            &Engine::Sequential,
-            no_deadlock_invariant,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::spec::*;
     use super::*;
+    use crate::session::{run_check, Engine};
     use llr_mem::SimMemory;
 
     fn fresh() -> (MeRegs, SimMemory) {
@@ -551,13 +525,13 @@ mod tests {
 
     #[test]
     fn exhaustive_mutual_exclusion() {
-        let stats = check_exclusion(4).unwrap();
+        let stats = run_check(checker(4), &Engine::Sequential, mutual_exclusion).unwrap();
         assert!(stats.states > 200, "state space suspiciously small");
     }
 
     #[test]
     fn exhaustive_no_deadlock() {
-        let stats = check_no_deadlock(4).unwrap();
+        let stats = run_check(checker(4), &Engine::Sequential, no_deadlock_invariant).unwrap();
         assert!(stats.states > 200);
     }
 

@@ -34,7 +34,7 @@
 //! `Release` to write `advice` (not `¬advice`) when `LAST = p`, and case 2
 //! needs a release path that writes `⊥` and is taken exactly when the
 //! invocation did *not* execute statement 6 (`¬adv2`). The reconstruction
-//! is validated exhaustively: [`spec::check_exhaustive`] explores **all**
+//! is validated exhaustively: [`spec::check_all_inits`] explores **all**
 //! interleavings of ℓ ∈ {2, 3} processes with repeated invocations from
 //! every initial register assignment, checking the output-set invariant in
 //! every reachable state (see `tests` and experiment E2).
@@ -454,7 +454,7 @@ impl crate::session::ProtocolCore for SplitterCore {
 pub mod spec {
     //! Model-checkable specification of the splitter: a driver machine that
     //! repeatedly enters and releases one splitter, plus the output-set
-    //! invariant and ready-made exhaustive checks. The session loop and
+    //! invariant and its all-inits exhaustive check. The session loop and
     //! key encoding are the generic ones from [`crate::session`].
 
     use super::*;
@@ -499,28 +499,6 @@ pub mod spec {
         Ok(())
     }
 
-    /// Exhaustively checks the output-set invariant for `ell` processes,
-    /// each performing `sessions` invocations, from the given initial
-    /// register values.
-    ///
-    /// # Errors
-    ///
-    /// Returns the violation (with a replayable schedule) if the invariant
-    /// fails.
-    pub fn check_exhaustive(
-        ell: usize,
-        sessions: u8,
-        init_last: Pid,
-        init_a1: Word,
-        init_a2: Word,
-    ) -> Result<CheckStats, Box<Violation>> {
-        crate::session::run_check(
-            checker(ell, sessions, init_last, init_a1, init_a2),
-            &crate::session::Engine::Sequential,
-            output_set_invariant,
-        )
-    }
-
     /// Builds the model checker for `ell` processes, each performing
     /// `sessions` invocations, from the given initial register values.
     /// The exhaustive checks, the equivalence tests, and the E2 driver
@@ -559,8 +537,9 @@ pub mod spec {
         inits
     }
 
-    /// Runs [`check_exhaustive`] over **every** initial register
-    /// assignment: `ADVICE[1] ∈ {-1, ⊥, 1}`, `ADVICE[2] ∈ {-1, 1}`, and
+    /// Exhaustively checks the output-set invariant for `ell` processes,
+    /// each performing `sessions` invocations, from **every** initial
+    /// register assignment: `ADVICE[1] ∈ {-1, ⊥, 1}`, `ADVICE[2] ∈ {-1, 1}`, and
     /// `LAST` either a participant or a foreign id — the splitter must be
     /// safe from any quiescent state, because in SPLIT it is reused
     /// long-lived with whatever residue earlier invocations left.
@@ -573,7 +552,11 @@ pub mod spec {
     pub fn check_all_inits(ell: usize, sessions: u8) -> Result<CheckStats, Box<Violation>> {
         let mut total = CheckStats::default();
         for (init_last, init_a1, init_a2) in all_inits(ell) {
-            let stats = check_exhaustive(ell, sessions, init_last, init_a1, init_a2)?;
+            let stats = crate::session::run_check(
+                checker(ell, sessions, init_last, init_a1, init_a2),
+                &crate::session::Engine::Sequential,
+                output_set_invariant,
+            )?;
             total.states += stats.states;
             total.transitions += stats.transitions;
             total.max_depth = total.max_depth.max(stats.max_depth);
@@ -675,7 +658,12 @@ mod tests {
         // Paper-initial registers only; the full sweep over every initial
         // assignment runs in the (release-mode) experiment binary
         // `e2_modelcheck` and in `exhaustive_three_processes_all_inits`.
-        let stats = check_exhaustive(3, 2, 0, enc::POS, enc::POS).unwrap();
+        let stats = crate::session::run_check(
+            checker(3, 2, 0, enc::POS, enc::POS),
+            &crate::session::Engine::Sequential,
+            output_set_invariant,
+        )
+        .unwrap();
         assert!(stats.states > 10_000, "state space suspiciously small");
     }
 
