@@ -3,10 +3,11 @@
 # third-party dependencies, so `--offline` must always succeed.
 #
 #   1. tier-1: release build + full test suite
-#   2. lint: clippy, warnings are errors; then rustfmt on llr-mc,
-#      llr-core, llr-mem, llr-gf and llr-bench (`cargo fmt -p <crate>
-#      --check` for each), the five crates kept formatted throughout, so
-#      an unformatted line there fails the gate.
+#   2. lint: clippy, warnings are errors; then rustfmt on the root
+#      package (long-lived-renaming: src/lib.rs, tests/ and examples/)
+#      and on llr-mc, llr-core, llr-mem, llr-gf and llr-bench (`cargo fmt
+#      -p <package> --check` for each), the six packages kept formatted
+#      throughout, so an unformatted line there fails the gate.
 #   3. docs: `cargo doc` with warnings denied (llr-mc carries
 #      `#![warn(missing_docs)]`, so every public item must stay
 #      documented) plus the doctests, so the documented examples keep
@@ -92,7 +93,8 @@ cargo test -q --offline
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== rustfmt (llr-mc, llr-core, llr-mem, llr-gf, llr-bench) =="
+echo "== rustfmt (root package, llr-mc, llr-core, llr-mem, llr-gf, llr-bench) =="
+cargo fmt -p long-lived-renaming --check
 cargo fmt -p llr-mc --check
 cargo fmt -p llr-core --check
 cargo fmt -p llr-mem --check
