@@ -173,6 +173,20 @@ where
     (r, start.elapsed())
 }
 
+/// Checks that every reachable state of `mc` can still finish, on
+/// `engine`, and times the run.
+pub fn liveness<M>(
+    mc: ModelChecker<M>,
+    engine: &Engine,
+) -> (Result<CheckStats, CheckError>, Duration)
+where
+    M: StepMachine + Send + Sync,
+{
+    let start = Instant::now();
+    let r = mc.check_always_terminable(engine);
+    (r, start.elapsed())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

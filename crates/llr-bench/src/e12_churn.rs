@@ -35,7 +35,7 @@ use llr_core::session::{crash_robust_uniqueness, ProtocolCore, Session};
 use llr_core::split::{Split, SplitCore, SplitShape};
 use llr_core::traits::{Renaming, RenamingHandle};
 use llr_gf::FilterParams;
-use llr_mc::{CheckError, ModelChecker, SplitMix64};
+use llr_mc::{CheckError, Engine, ModelChecker, SplitMix64};
 use llr_mem::Layout;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -62,7 +62,8 @@ fn checker_row<P: ProtocolCore>(
     // state could hide the peak).
     let max_in_use = Cell::new(0u64);
     let max_name = Cell::new(0u64);
-    let result = ModelChecker::new(layout, machines).faults(f).check(|w| {
+    let mc = ModelChecker::new(layout, machines).faults(f);
+    let result = mc.check_with(&Engine::Sequential, |w| {
         let mut in_use = 0u64;
         let mut peak = 0u64;
         for m in w.machines {

@@ -23,14 +23,14 @@
 //! run bytes written, so the memory story is auditable from the CSV.
 //!
 //! The `+por` rows run the same engines under partial-order reduction
-//! (`por(true)`): only provably-commuting step orders are collapsed, so
-//! the verdict is unchanged while the explored graph shrinks by an
-//! order of magnitude or more — this is what makes the GF(11) FILTER
-//! configurations (full graph beyond even the spill frontier)
-//! checkable. These rows use the `(por-safe)` unique-names invariant;
+//! (`Engine::Reduced`): only provably-commuting step orders are
+//! collapsed, so the verdict is unchanged while the explored graph
+//! shrinks by an order of magnitude or more — this is what makes the
+//! GF(11) FILTER configurations (full graph beyond even the spill
+//! frontier) checkable. These rows use the `(por-safe)` unique-names invariant;
 //! see the row comments for why block exclusion needs the full graph.
 
-use crate::common::{banner, bfs_hashed, bfs_spill, explore, por, Table};
+use crate::common::{banner, bfs_hashed, bfs_spill, explore, liveness, por, Table};
 use llr_core::chain::{SplitMa, Then, Theorem11};
 use llr_core::filter::{spec as filter_spec, FilterCore, FilterShape};
 use llr_core::levelarray::spec as la_spec;
@@ -44,7 +44,7 @@ use llr_core::tournament::spec as tree_spec;
 use llr_gf::FilterParams;
 use llr_mc::{CheckError, CheckStats, Engine};
 use llr_mem::Layout;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// State budget for the large parallel rows.
 const BIG: usize = 200_000_000;
@@ -596,104 +596,76 @@ pub fn run() {
             "verdict",
         ],
     );
-    let mut add_live = |subject: &str,
-                        config: &str,
-                        r: Result<llr_mc::LivenessStats, llr_mc::CheckError>,
-                        wall: Duration| {
-        let wall_ms = format!("{:.1}", wall.as_secs_f64() * 1e3);
-        match r {
-            Ok(s) => lt.row(&[
-                &subject,
-                &config,
-                &s.states,
-                &s.edges,
-                &wall_ms,
-                &"ALWAYS-TERMINABLE",
-            ]),
-            Err(e) => {
-                lt.row(&[&subject, &config, &"-", &"-", &wall_ms, &"TRAP FOUND"]);
-                eprintln!("TRAP in {subject} ({config}):\n{e}");
+    let mut add_live =
+        |subject: &str, config: &str, (r, wall): (Result<CheckStats, CheckError>, Duration)| {
+            let wall_ms = format!("{:.1}", wall.as_secs_f64() * 1e3);
+            match r {
+                Ok(s) => lt.row(&[
+                    &subject,
+                    &config,
+                    &s.states,
+                    &s.transitions,
+                    &wall_ms,
+                    &"ALWAYS-TERMINABLE",
+                ]),
+                Err(e) => {
+                    lt.row(&[&subject, &config, &"-", &"-", &wall_ms, &"TRAP FOUND"]);
+                    eprintln!("TRAP in {subject} ({config}):\n{e}");
+                }
             }
-        }
-    };
-    let (r, w) = {
-        let start = Instant::now();
-        let r = pf_spec::checker(4).workers(0).check_always_terminable();
-        (r, start.elapsed())
-    };
-    add_live("PF 2-proc ME", "2 procs, 4 sessions", r, w);
-
-    let (r, w) = {
-        let start = Instant::now();
-        let r = tree_spec::checker(4, &[0, 1, 3], 2)
-            .workers(0)
-            .check_always_terminable();
-        (r, start.elapsed())
-    };
-    add_live("tournament tree", "S=4, 3 procs, 2 sessions", r, w);
-
-    let (r, w) = {
-        let start = Instant::now();
-        let r = split_spec::checker(3, 2, 2)
-            .workers(0)
-            .check_always_terminable();
-        (r, start.elapsed())
-    };
-    add_live("SPLIT", "k=3, 2 procs, 2 sessions", r, w);
-
-    let (r, w) = {
-        let start = Instant::now();
-        let r = filter_spec::checker(tiny, &[1, 3], 2)
-            .workers(0)
-            .check_always_terminable();
-        (r, start.elapsed())
-    };
-    add_live("FILTER", "k=2, contended first tree, 2 sessions", r, w);
-
-    let (r, w) = {
-        let start = Instant::now();
-        let r = ma_spec::checker(3, 3, &[0, 1, 2], 1)
-            .workers(0)
-            .check_always_terminable();
-        (r, start.elapsed())
-    };
-    add_live("MA grid", "k=3, 3 procs, 1 session", r, w);
-
-    let (r, w) = {
-        let start = Instant::now();
-        let r = session::checker(split_ma_layout, &split_ma, &[3, 9], 2)
-            .workers(0)
-            .check_always_terminable();
-        (r, start.elapsed())
-    };
-    add_live("chain SPLIT→MA", "k=2, 2 procs, 2 sessions", r, w);
-
-    let (r, w) = {
-        let start = Instant::now();
-        let r = session::checker(theorem11_layout, &theorem11, &[3, 9], 1)
-            .workers(0)
-            .check_always_terminable();
-        (r, start.elapsed())
-    };
-    add_live("chain Theorem 11", "k=2, 2 procs, 1 session", r, w);
-
-    let (r, w) = {
-        let start = Instant::now();
-        let r = la_spec::checker(3, &[2, 9, 77], 2)
-            .workers(0)
-            .check_always_terminable();
-        (r, start.elapsed())
-    };
-    add_live("LevelArray", "k=3, 3 procs, 2 sessions", r, w);
-
-    let (r, w) = {
-        let start = Instant::now();
-        let r = onetime_spec::small_net_checker(2, &[0, 1, 2])
-            .workers(0)
-            .check_always_terminable();
-        (r, start.elapsed())
-    };
-    add_live("small net", "ℓ=2, 3 procs, 1 session", r, w);
+        };
+    let live = bfs_hashed();
+    add_live(
+        "PF 2-proc ME",
+        "2 procs, 4 sessions",
+        liveness(pf_spec::checker(4), &live),
+    );
+    add_live(
+        "tournament tree",
+        "S=4, 3 procs, 2 sessions",
+        liveness(tree_spec::checker(4, &[0, 1, 3], 2), &live),
+    );
+    add_live(
+        "SPLIT",
+        "k=3, 2 procs, 2 sessions",
+        liveness(split_spec::checker(3, 2, 2), &live),
+    );
+    add_live(
+        "FILTER",
+        "k=2, contended first tree, 2 sessions",
+        liveness(filter_spec::checker(tiny, &[1, 3], 2), &live),
+    );
+    add_live(
+        "MA grid",
+        "k=3, 3 procs, 1 session",
+        liveness(ma_spec::checker(3, 3, &[0, 1, 2], 1), &live),
+    );
+    add_live(
+        "chain SPLIT→MA",
+        "k=2, 2 procs, 2 sessions",
+        liveness(
+            session::checker(split_ma_layout, &split_ma, &[3, 9], 2),
+            &live,
+        ),
+    );
+    add_live(
+        "chain Theorem 11",
+        "k=2, 2 procs, 1 session",
+        liveness(
+            session::checker(theorem11_layout, &theorem11, &[3, 9], 1),
+            &live,
+        ),
+    );
+    add_live(
+        "LevelArray",
+        "k=3, 3 procs, 2 sessions",
+        liveness(la_spec::checker(3, &[2, 9, 77], 2), &live),
+    );
+    add_live(
+        "small net",
+        "ℓ=2, 3 procs, 1 session",
+        liveness(onetime_spec::small_net_checker(2, &[0, 1, 2]), &live),
+    );
 
     lt.finish();
 }

@@ -641,7 +641,10 @@ mod tests {
     #[test]
     fn exhaustive_split_ma_always_terminable() {
         let stats = split_ma_checker(1)
-            .check_always_terminable()
+            .check_always_terminable(&crate::session::Engine::Parallel {
+                workers: 1,
+                hashed: true,
+            })
             .expect("chained stages are wait-free: no trap states");
         assert!(stats.terminal_states >= 1);
     }

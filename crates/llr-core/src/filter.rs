@@ -1106,7 +1106,10 @@ mod tests {
             .map(|&p| spec::FilterUser::new(shape.clone(), p, 2))
             .collect();
         let stats = llr_mc::ModelChecker::new(layout, machines)
-            .check_always_terminable()
+            .check_always_terminable(&Engine::Parallel {
+                workers: 1,
+                hashed: true,
+            })
             .expect("FILTER is wait-free: no trap states");
         assert!(stats.terminal_states >= 1);
     }

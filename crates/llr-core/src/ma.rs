@@ -618,7 +618,10 @@ mod tests {
             .map(|&p| spec::MaUser::new(shape.clone(), p, 2))
             .collect();
         let stats = llr_mc::ModelChecker::new(layout, machines)
-            .check_always_terminable()
+            .check_always_terminable(&Engine::Parallel {
+                workers: 1,
+                hashed: true,
+            })
             .expect("no trap states in the grid");
         assert!(stats.terminal_states >= 1);
     }

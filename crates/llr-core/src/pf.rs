@@ -554,7 +554,10 @@ mod tests {
         let regs = MeRegs::allocate(&mut layout, "ME");
         let machines = vec![MeUser::new(regs, 0, 3), MeUser::new(regs, 1, 3)];
         let stats = llr_mc::ModelChecker::new(layout, machines)
-            .check_always_terminable()
+            .check_always_terminable(&Engine::Parallel {
+                workers: 1,
+                hashed: true,
+            })
             .expect("no trap states");
         assert!(stats.terminal_states >= 1);
     }

@@ -195,11 +195,6 @@ impl PathVec {
     pub fn as_slice(&self) -> &[PathEntry] {
         &self.entries[..self.len as usize]
     }
-
-    /// Empties the path.
-    pub fn clear(&mut self) {
-        self.len = 0;
-    }
 }
 
 impl Default for PathVec {
@@ -642,7 +637,10 @@ mod tests {
             .map(|i| spec::SplitUser::new(shape.clone(), i * 71 + 5, 2))
             .collect();
         let stats = llr_mc::ModelChecker::new(layout, machines)
-            .check_always_terminable()
+            .check_always_terminable(&Engine::Parallel {
+                workers: 1,
+                hashed: true,
+            })
             .expect("SPLIT is wait-free: no trap states");
         assert!(stats.terminal_states >= 1);
     }

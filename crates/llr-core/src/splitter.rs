@@ -681,7 +681,10 @@ mod tests {
         let regs = SplitterRegs::allocate(&mut layout, "B");
         let machines: Vec<SplitterUser> = (0..3).map(|p| SplitterUser::new(p, regs, 2)).collect();
         let stats = llr_mc::ModelChecker::new(layout, machines)
-            .check_always_terminable()
+            .check_always_terminable(&crate::session::Engine::Parallel {
+                workers: 1,
+                hashed: true,
+            })
             .expect("no trap states");
         assert!(stats.terminal_states >= 1);
     }

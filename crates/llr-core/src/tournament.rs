@@ -783,7 +783,10 @@ mod tests {
             .map(|&p| spec::TreeUser::new(shape.clone(), p, 1))
             .collect();
         let stats = llr_mc::ModelChecker::new(layout, machines)
-            .check_always_terminable()
+            .check_always_terminable(&Engine::Parallel {
+                workers: 1,
+                hashed: true,
+            })
             .expect("no trap states in the tournament");
         assert!(stats.terminal_states >= 1);
     }

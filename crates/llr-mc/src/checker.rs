@@ -1,8 +1,9 @@
 //! DFS state-space exploration with memoization, replay and random walks.
 //!
 //! This module holds the checker configuration, the sequential DFS
-//! engine (the one exact-dedup engine, the reference that the
-//! breadth-first loop in [`crate::engine`] is checked against), and the
+//! engine ([`Engine::Sequential`](crate::Engine::Sequential), the one
+//! exact-dedup engine, the reference that the breadth-first loop in
+//! [`crate::engine`] is checked against), and the
 //! shared state-key machinery: a reusable [`KeyBuilder`] so the hot path
 //! performs no per-transition allocation, and the 128-bit digests
 //! ([`Hash128`]) the breadth-first loop hashes states from. Both engines
@@ -11,13 +12,11 @@
 use crate::por::AmpleCtx;
 use crate::relation::{Plan, Relation, Replay};
 use crate::rng::SplitMix64;
-use crate::spill::SpillConfig;
 use crate::StepMachine;
 use llr_mem::{Layout, Loc, SimMemory, Word};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::path::PathBuf;
 
 /// Schedule-entry encoding of crash transitions: entry `i` with
 /// `i < CRASH_SCHEDULE_BASE` steps machine `i`, entry
@@ -57,10 +56,10 @@ pub struct CheckStats {
     /// already-visited states.
     pub transitions: u64,
     /// Depth of the exploration: the longest schedule prefix on the DFS
-    /// path ([`ModelChecker::check`]) or the number of breadth-first
-    /// layers ([`ModelChecker::check_parallel`]). The two engines agree
-    /// on `states`, `transitions` and `terminal_states` but not on this
-    /// field.
+    /// path ([`Engine::Sequential`](crate::Engine::Sequential)) or the
+    /// number of breadth-first layers (every other engine). The two
+    /// engines agree on `states`, `transitions` and `terminal_states` but
+    /// not on this field.
     pub max_depth: usize,
     /// States in which every machine was done.
     pub terminal_states: u64,
@@ -74,19 +73,21 @@ pub struct CheckStats {
     /// themselves: the pools hold each distinct machine per slot and each
     /// distinct register block per block position once, with its digest.
     ///
-    /// Only the parallel breadth-first loop accounts for this
-    /// ([`ModelChecker::check_parallel`], with or without spilling), and a
-    /// run that stops early charges the layer it was draining; the
-    /// sequential DFS reports `0`. The figure is a deterministic lower
+    /// Only the parallel breadth-first loop accounts for this (every
+    /// engine but [`Engine::Sequential`](crate::Engine::Sequential), with
+    /// or without spilling), and a run that stops early charges the layer
+    /// it was draining; the sequential DFS reports `0`. A liveness check adds its backward
+    /// marking: the reversed-edge CSR, or only its offset array and
+    /// bounded windows when spilling. The figure is a deterministic lower
     /// bound on real memory use: it counts payload bytes and ignores
     /// allocator and hash-table overhead, so it is reproducible across
     /// hosts (unlike an RSS sample) and is what the E2 table records.
     pub peak_resident_bytes: u64,
-    /// Total bytes written to disk under [`ModelChecker::spill_dir`]: the
-    /// visited set's sorted runs (including compaction rewrites), the
-    /// layer and candidate files, the parent log, and — for liveness
-    /// checks — the edge log and predecessor file. `0` for the purely
-    /// in-RAM engines.
+    /// Total bytes written to disk under
+    /// [`Engine::Spill`](crate::Engine::Spill): the visited set's sorted
+    /// runs (including compaction rewrites), the layer and candidate
+    /// files, the parent log, and — for liveness checks — the edge log and
+    /// predecessor file. `0` for the purely in-RAM engines.
     pub spilled_bytes: u64,
 }
 
@@ -136,7 +137,8 @@ impl fmt::Display for Violation {
 
 impl std::error::Error for Violation {}
 
-/// Errors produced by [`ModelChecker::check`].
+/// Errors produced by [`ModelChecker::check_with`] and
+/// [`ModelChecker::check_always_terminable`].
 #[derive(Debug)]
 pub enum CheckError {
     /// An invariant failed in a reachable state.
@@ -151,8 +153,8 @@ pub enum CheckError {
         /// configured budget.
         stats: CheckStats,
     },
-    /// The spilling visited set ([`ModelChecker::spill_dir`]) hit an I/O
-    /// error; the exploration is incomplete and nothing was proven.
+    /// The disk stores ([`Engine::Spill`](crate::Engine::Spill)) hit an
+    /// I/O error; the exploration is incomplete and nothing was proven.
     Io(std::io::Error),
 }
 
@@ -364,25 +366,23 @@ struct Frame<M> {
 /// Explores every interleaving of a set of [`StepMachine`]s over a shared
 /// register file and checks invariants in each reachable state.
 ///
-/// Two complete-exploration engines are available:
+/// The checker holds the model: the register layout, the machines, the
+/// state limit and the fault model. The [`Engine`](crate::Engine) passed
+/// to [`check_with`](Self::check_with) or
+/// [`check_always_terminable`](Self::check_always_terminable) picks the
+/// backend that explores it: the sequential depth-first search, or the
+/// breadth-first loop over its worker threads with its stores in RAM or
+/// on disk, either with or without partial-order reduction.
 ///
-/// * [`check`](Self::check) — sequential depth-first search;
-/// * [`check_parallel`](Self::check_parallel) — breadth-first frontier
-///   exploration over [`workers`](Self::workers) threads, with its stores
-///   in RAM or on disk ([`spill_dir`](Self::spill_dir)).
-///
-/// Both visit exactly the same set of states and report identical
-/// `states`/`transitions`/`terminal_states` counts. The DFS dedups by
-/// exact keys; the breadth-first loop by a 128-bit state hash.
+/// Every engine visits exactly the same set of states and reports
+/// identical `states`/`transitions`/`terminal_states` counts. The DFS
+/// dedups by exact keys; the breadth-first loop by a 128-bit state hash.
 ///
 /// See the crate docs for a full example.
 pub struct ModelChecker<M> {
     layout: Layout,
     machines: Vec<M>,
     max_states: usize,
-    workers: usize,
-    spill: Option<SpillConfig>,
-    por: bool,
     faults_loc: Option<Loc>,
 }
 
@@ -394,9 +394,6 @@ impl<M: StepMachine> ModelChecker<M> {
             layout,
             machines,
             max_states: 20_000_000,
-            workers: 1,
-            spill: None,
-            por: false,
             faults_loc: None,
         }
     }
@@ -419,44 +416,6 @@ impl<M: StepMachine> ModelChecker<M> {
     /// up with [`CheckError::StateLimit`] (default: 20 million).
     pub fn max_states(mut self, n: usize) -> Self {
         self.max_states = n;
-        self
-    }
-
-    /// Enables partial-order reduction: at states where one machine's next
-    /// step is declared (via [`StepMachine::footprint`]), invisible, and
-    /// independent of everything the other running machines may still do,
-    /// only that step is explored.
-    ///
-    /// This can shrink the explored state count by orders of magnitude for
-    /// protocols whose processes mostly work on disjoint registers (the
-    /// FILTER family), while preserving:
-    ///
-    /// * **safety verdicts** for invariants over *invariant-observable*
-    ///   state — held names and done flags (uniqueness, exclusion). If the
-    ///   invariant fails anywhere in the full graph, the reduced search
-    ///   reports a violation too (possibly via a different, Mazurkiewicz-
-    ///   equivalent schedule);
-    /// * **terminal states** — exactly the same all-done states (and count)
-    ///   are reached, so renaming outcomes are unaffected;
-    /// * [`check_always_terminable`](Self::check_always_terminable) — the
-    ///   reduction keeps singleton-or-full successor sets with the cycle
-    ///   proviso, which preserves the always-terminable verdict.
-    ///
-    /// It is **not** sound for invariants that read raw register contents
-    /// (e.g. a deadlock predicate over memory words): reduced-away states
-    /// differ from visited ones in register values. Keep it off for those.
-    ///
-    /// Off by default. Composes with every engine ([`check`](Self::check),
-    /// [`check_parallel`](Self::check_parallel), and the
-    /// [`spill_dir`](Self::spill_dir) backend). Under reduction the two
-    /// breadth-first backends (in-RAM and spill) visit bit-for-bit the
-    /// same states at every worker count and budget; the DFS applies the
-    /// cycle proviso in its own visit order, so it may settle on a
-    /// different (equally sound) reduced subset — verdicts and terminal
-    /// states still agree. `tests/por_equivalence.rs` pins all of this
-    /// differentially.
-    pub fn por(mut self, on: bool) -> Self {
-        self.por = on;
         self
     }
 
@@ -485,10 +444,11 @@ impl<M: StepMachine> ModelChecker<M> {
     /// [`render_trace`](Self::render_trace), which skip a crash the state
     /// does not enable.
     ///
-    /// Composes with partial-order reduction ([`por`](Self::por)): states
-    /// with remaining budget are always fully expanded (a crash is a
-    /// visible transition that commutes with nothing of its own machine),
-    /// and reduction resumes once the budget is spent.
+    /// Composes with partial-order reduction
+    /// ([`Engine::Reduced`](crate::Engine::Reduced)): states with
+    /// remaining budget are always fully expanded (a crash is a visible
+    /// transition that commutes with nothing of its own machine), and
+    /// reduction resumes once the budget is spent.
     ///
     /// # Panics
     ///
@@ -507,141 +467,31 @@ impl<M: StepMachine> ModelChecker<M> {
         self
     }
 
-    /// Spill the visited set and the breadth-first layers to disk under
-    /// `dir`, keeping the tracked resident bytes within `budget_bytes` in
-    /// total: half of it bounds the not-yet-flushed state hashes.
-    ///
-    /// This selects the disk stores of
-    /// [`check_parallel`](Self::check_parallel)'s loop (the `spill`
-    /// module): dedup is by 128-bit state hash, as in RAM, recently
-    /// discovered hashes stay in an in-RAM delta, and whenever the delta
-    /// exceeds its half of the budget it is flushed as one sorted run per
-    /// shard.
-    /// Every layer's candidate states are joined against the on-disk
-    /// runs, read in blocks, so states, transitions, terminal counts and any
-    /// violation (message *and* schedule) are **bit-for-bit identical**
-    /// to the in-RAM engines at every worker count — only the memory
-    /// ceiling moves. A unique subdirectory is created under `dir` and
-    /// removed when the exploration finishes.
-    ///
-    /// `budget_bytes` is **one budget for every disk-backed structure**
-    /// of the run: half of it bounds the visited-set delta (floored at
-    /// the 64 KiB flush granularity) and a quarter bounds the frontier
-    /// read window — the BFS frontier itself lives in per-layer files
-    /// (the [`frontier`](crate::frontier) module) and is expanded one
-    /// bounded chunk at a time, and the spanning-tree parents live in an
-    /// append-only log walked from disk when a schedule is needed. What
-    /// stays in RAM and is *accounted but not bounded* by the budget:
-    /// the per-layer pending set (≈48 bytes per candidate, proportional
-    /// to one layer's discoveries, one to two orders of magnitude below
-    /// the retired per-state frontier payload) and the per-slot machine
-    /// intern pool (proportional to slot-local machine diversity, not to
-    /// states). [`CheckStats::peak_resident_bytes`] reports the
-    /// deterministic per-layer peak over all of these.
-    ///
-    /// Ignored by [`check`](Self::check) (sequential DFS). For
-    /// [`check_always_terminable`](Self::check_always_terminable) the
-    /// forward pass streams the edge list to disk and the backward
-    /// marking runs over an on-disk reversed-edge CSR whose build window
-    /// gets the same quarter-budget, instead of holding the flat edge
-    /// vectors in RAM.
-    ///
-    /// # Example
-    ///
-    /// A zero budget clamps to the 64 KiB flush floor and still
-    /// reproduces the in-RAM counts exactly:
-    ///
-    /// ```
-    /// use llr_mc::{MachineStatus, ModelChecker, StepMachine};
-    /// use llr_mem::{Layout, Loc, Memory};
-    ///
-    /// #[derive(Clone)]
-    /// struct Count { x: Loc, left: u8 }
-    /// impl StepMachine for Count {
-    ///     fn step(&mut self, mem: &dyn Memory) -> MachineStatus {
-    ///         mem.write(self.x, self.left as u64);
-    ///         self.left -= 1;
-    ///         if self.left == 0 { MachineStatus::Done } else { MachineStatus::Running }
-    ///     }
-    ///     fn key(&self, out: &mut Vec<u64>) { out.push(self.left as u64); }
-    ///     fn describe(&self) -> String { format!("left={}", self.left) }
-    /// }
-    ///
-    /// let mut layout = Layout::new();
-    /// let x = layout.scalar("X", 0);
-    /// let machines = vec![Count { x, left: 3 }, Count { x, left: 3 }];
-    /// let in_ram = ModelChecker::new(layout.clone(), machines.clone())
-    ///     .check_parallel(|_| Ok(()))
-    ///     .unwrap();
-    /// let spilled = ModelChecker::new(layout, machines)
-    ///     .spill_dir(std::env::temp_dir(), 0)
-    ///     .check_parallel(|_| Ok(()))
-    ///     .unwrap();
-    /// assert_eq!(spilled.states, in_ram.states);
-    /// assert_eq!(spilled.transitions, in_ram.transitions);
-    /// ```
-    pub fn spill_dir(mut self, dir: impl Into<PathBuf>, budget_bytes: usize) -> Self {
-        self.spill = Some(SpillConfig {
-            dir: dir.into(),
-            budget_bytes,
-        });
-        self
-    }
-
-    /// Number of worker threads [`check_parallel`](Self::check_parallel)
-    /// and [`check_always_terminable`](Self::check_always_terminable) use.
-    ///
-    /// `0` means "one per available core". The default is `1`
-    /// (sequential). Worker count never changes which states are visited,
-    /// the reported counts, or which violation is reported — only wall
-    /// time.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.workers = n;
-        self
-    }
-
-    /// The configured worker count with `0` resolved to the core count.
-    pub(crate) fn resolved_workers(&self) -> usize {
-        if self.workers == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.workers
-        }
-    }
-
     /// The configured state budget.
     pub(crate) fn state_limit(&self) -> usize {
         self.max_states
     }
 
-    /// The spill configuration, if the external-memory backend is on.
-    pub(crate) fn spill_config(&self) -> Option<&SpillConfig> {
-        self.spill.as_ref()
+    /// The transition relation the engines and replay explore, with
+    /// partial-order reduction if `por`.
+    pub(crate) fn relation(&self, por: bool) -> Relation {
+        Relation::new(self.faults_loc, por, self.machines.len())
     }
 
-    /// The transition relation the engines and replay explore.
-    pub(crate) fn relation(&self) -> Relation {
-        Relation::new(self.faults_loc, self.por, self.machines.len())
-    }
-
-    /// Exhaustively explores the state space depth-first, checking
-    /// `invariant` in every reachable state (including the initial one).
+    /// Exhaustively explores the state space depth-first
+    /// ([`Engine::Sequential`](crate::Engine::Sequential)), with
+    /// partial-order reduction if `por`, checking `invariant` in every
+    /// reachable state (including the initial one).
     ///
     /// The hot path is allocation-free: state keys are built in a reusable
     /// `KeyBuilder`, only one machine is cloned per transition, and
     /// popped DFS frames are pooled and recycled. Dedup is exact: the
     /// search allocates once per *distinct* state (the owned key).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckError::Violation`] with a replayable schedule if the
-    /// invariant fails, or [`CheckError::StateLimit`] if the configured
-    /// state bound is exceeded before the search completes.
-    pub fn check<F>(&self, invariant: F) -> Result<CheckStats, CheckError>
+    pub(crate) fn dfs<F>(&self, por: bool, invariant: F) -> Result<CheckStats, CheckError>
     where
         F: Fn(&World<'_, M>) -> Result<(), String>,
     {
-        let rel = self.relation();
+        let rel = self.relation(por);
         let mem = SimMemory::new(&self.layout);
         let mut stats = CheckStats::default();
         let mut visited: HashSet<Box<[u64]>> = HashSet::new();

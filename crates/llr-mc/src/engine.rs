@@ -8,7 +8,7 @@
 //!   [`RamVisited`] (returning ids for liveness edges), or the spill
 //!   module's in-RAM delta plus sorted runs on disk. Both dedup by the
 //!   128-bit state hash; the exact-key reference is the DFS
-//!   ([`ModelChecker::check`]);
+//!   ([`Engine::Sequential`](crate::Engine::Sequential));
 //! * a **layer store** ([`Layers`]) — the layer being expanded and the one
 //!   being filled: [`RamLayers`], flat buffers of records expanded in one
 //!   chunk, or the spill module's layer and candidate files read through
@@ -72,6 +72,7 @@
 use crate::checker::{
     CheckError, CheckStats, DigestMap, DigestSet, Hash128, ModelChecker, Violation, World,
 };
+use crate::drive::Run;
 use crate::frontier::{
     Block, EdgeLog, Pool, RecordCodec, Renumber, ScratchDir, BLOCK, PROVISIONAL,
 };
@@ -880,13 +881,13 @@ impl<M: StepMachine> Shown<M> {
     }
 }
 
-/// Breadth-first exploration of the full state space over `workers`
-/// threads, keeping visited states in `visited` — handed back at the end
-/// — and layers in the store `new_layers` builds from the record codec and
-/// the root's record.
+/// Breadth-first exploration of the full state space over `run`'s worker
+/// threads, with `run`'s reduction, keeping visited states in `visited` —
+/// handed back at the end — and layers in the store `new_layers` builds
+/// from the record codec and the root's record.
 ///
-/// Visits exactly the states [`ModelChecker::check`] visits and reports
-/// the same `states`/`transitions`/`terminal_states`; `max_depth` counts
+/// Visits exactly the states the DFS visits and reports the same
+/// `states`/`transitions`/`terminal_states`; `max_depth` counts
 /// breadth-first layers instead of DFS depth. Violations are deterministic
 /// for every worker count and store: ids are assigned in `(parent, via)`
 /// order layer by layer, the invariant is checked in id order, and the
@@ -894,12 +895,12 @@ impl<M: StepMachine> Shown<M> {
 ///
 /// With `record_edges` (complete visited stores only) every transition
 /// comes back as a `(from, to)` id pair — streamed to an edge log on disk
-/// when a spill budget is configured, the only forward structure that
-/// grows with *transitions* rather than states.
+/// when `run` spills, the only forward structure that grows with
+/// *transitions* rather than states.
 pub(crate) fn explore<M, F, V, L>(
     mc: &ModelChecker<M>,
     invariant: &F,
-    workers: usize,
+    run: &Run,
     record_edges: bool,
     mut visited: V,
     new_layers: impl FnOnce(RecordCodec, Vec<u8>) -> io::Result<L>,
@@ -910,7 +911,8 @@ where
     V: Visited,
     L: Layers,
 {
-    let rel = mc.relation();
+    let rel = mc.relation(run.por);
+    let workers = run.workers.expect("the DFS runs no breadth-first loop");
     let slots = mc.machines().len();
     let mut shown = Shown {
         mem: SimMemory::new(mc.layout()),
@@ -962,7 +964,7 @@ where
     }
     let mut layers = new_layers(codec, root)?;
 
-    let mut edges = match (record_edges, mc.spill_config()) {
+    let mut edges = match (record_edges, &run.spill) {
         (true, Some(cfg)) => {
             let guard = ScratchDir::create(&cfg.dir)?;
             let log = EdgeLog::create(guard.path().join("edges.log"))?;
@@ -1116,83 +1118,27 @@ where
 }
 
 impl<M: StepMachine + Send + Sync> ModelChecker<M> {
-    /// Exhaustively explores the state space breadth-first over
-    /// [`workers`](Self::workers) threads, checking `invariant` in every
-    /// reachable state (including the initial one).
-    ///
-    /// Visits exactly the same states as [`check`](Self::check) and
-    /// reports identical `states`, `transitions` and `terminal_states`
-    /// (`max_depth` counts breadth-first layers instead of DFS depth).
-    /// Violation reporting is deterministic for every worker count: state
-    /// ids follow the layered `(parent, via)` order, and the first
-    /// violating id's spanning-tree schedule is returned.
-    ///
-    /// Visited states are deduplicated by a 128-bit state hash (collision
-    /// odds about `n²/2¹²⁹` over `n` states); [`check`](Self::check) is
-    /// the exact-key engine the equivalence suites compare it with.
-    ///
-    /// With [`spill_dir`](Self::spill_dir) configured, the same loop keeps
-    /// the visited set in sorted runs on disk behind a bounded in-RAM
-    /// delta and the layers in files (the `spill` module); the reported
-    /// counts and any violation remain bit-for-bit identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckError::Violation`] with a replayable schedule if the
-    /// invariant fails, [`CheckError::StateLimit`] if the configured
-    /// state bound is exceeded before the search completes, or
-    /// [`CheckError::Io`] if the spill backend hits an I/O error.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use llr_mc::{MachineStatus, ModelChecker, StepMachine};
-    /// use llr_mem::{Layout, Loc, Memory};
-    ///
-    /// #[derive(Clone)]
-    /// struct Count { x: Loc, left: u8 }
-    /// impl StepMachine for Count {
-    ///     fn step(&mut self, mem: &dyn Memory) -> MachineStatus {
-    ///         mem.write(self.x, self.left as u64);
-    ///         self.left -= 1;
-    ///         if self.left == 0 { MachineStatus::Done } else { MachineStatus::Running }
-    ///     }
-    ///     fn key(&self, out: &mut Vec<u64>) { out.push(self.left as u64); }
-    ///     fn describe(&self) -> String { format!("left={}", self.left) }
-    /// }
-    ///
-    /// let mut layout = Layout::new();
-    /// let x = layout.scalar("X", 0);
-    /// let machines = vec![Count { x, left: 2 }, Count { x, left: 2 }];
-    /// let seq = ModelChecker::new(layout.clone(), machines.clone())
-    ///     .check(|_| Ok(()))
-    ///     .unwrap();
-    /// let par = ModelChecker::new(layout, machines)
-    ///     .workers(2)
-    ///     .check_parallel(|_| Ok(()))
-    ///     .unwrap();
-    /// assert_eq!(par.states, seq.states); // engines agree exactly
-    /// assert_eq!(par.transitions, seq.transitions);
-    /// ```
-    pub fn check_parallel<F>(&self, invariant: F) -> Result<CheckStats, CheckError>
+    /// Exhaustively explores the state space breadth-first on `run`'s
+    /// stores, checking `invariant` in every reachable state (including
+    /// the initial one).
+    pub(crate) fn bfs<F>(&self, run: &Run, invariant: F) -> Result<CheckStats, CheckError>
     where
         F: Fn(&World<'_, M>) -> Result<(), String>,
     {
-        let workers = self.resolved_workers();
         let inv = &invariant;
-        match self.spill_config() {
+        match &run.spill {
             Some(cfg) => {
                 let scratch = ScratchDir::create(&cfg.dir)?;
                 let visited = SpillSet::create(scratch.path(), cfg)?;
-                let max_moves = self.relation().max_moves(self.machines().len());
+                let max_moves = self.relation(run.por).max_moves(self.machines().len());
                 let layers = |codec, root: Vec<u8>| {
                     DiskLayers::new(scratch.path(), cfg, codec, &root, max_moves)
                 };
-                explore(self, inv, workers, false, visited, layers).map(|(stats, ..)| stats)
+                explore(self, inv, run, false, visited, layers).map(|(stats, ..)| stats)
             }
             None => {
                 let visited = RamVisited::new();
-                explore(self, inv, workers, false, visited, RamLayers::new).map(|(stats, ..)| stats)
+                explore(self, inv, run, false, visited, RamLayers::new).map(|(stats, ..)| stats)
             }
         }
     }

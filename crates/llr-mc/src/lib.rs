@@ -21,13 +21,17 @@
 //!   counter + locals, one shared access per [`StepMachine::step`].
 //! * [`ModelChecker`] — exhaustive search over the global state graph
 //!   (registers × machine states) with visited-state memoization;
-//!   [`ModelChecker::check`] (sequential DFS) and
-//!   [`ModelChecker::check_parallel`] (breadth-first frontier exploration
-//!   over [`ModelChecker::workers`] threads) verify an invariant in every
-//!   reachable state and produce a replayable [`Violation`] trace
-//!   otherwise. Both engines visit the same states and report identical
-//!   `states`/`transitions`/`terminal_states`; the parallel engine's
-//!   violation choice is deterministic for every worker count.
+//!   [`ModelChecker::check_with`] verifies an invariant in every
+//!   reachable state on the backend an [`Engine`] names and produces a
+//!   replayable [`Violation`] trace otherwise, and
+//!   [`ModelChecker::check_always_terminable`] verifies that every
+//!   reachable state can still finish. Every engine visits the same
+//!   states and reports identical `states`/`transitions`/`terminal_states`
+//!   in one [`CheckStats`]; the breadth-first engines' violation choice is
+//!   deterministic for every worker count.
+//! * [`Engine`] — the one backend selector: the sequential DFS, or the
+//!   breadth-first loop over its worker threads with its stores in RAM or
+//!   on disk, each with or without partial-order reduction.
 //! * [`ModelChecker::random_walks`] — seeded random schedules (driven by
 //!   the vendored [`SplitMix64`]) for configurations too large to
 //!   enumerate.
@@ -43,7 +47,7 @@
 //! checker finds the interleaving:
 //!
 //! ```
-//! use llr_mc::{MachineStatus, ModelChecker, StepMachine};
+//! use llr_mc::{Engine, MachineStatus, ModelChecker, StepMachine};
 //! use llr_mem::{Layout, Loc, Memory};
 //!
 //! #[derive(Clone)]
@@ -64,7 +68,7 @@
 //! let x = layout.scalar("X", 0);
 //! let machines = vec![Incr { x, pc: 0, tmp: 0 }, Incr { x, pc: 0, tmp: 0 }];
 //! let mc = ModelChecker::new(layout, machines);
-//! let result = mc.check(|world| {
+//! let result = mc.check_with(&Engine::Sequential, |world| {
 //!     if world.all_done() && world.mem.read(x) != 2 {
 //!         Err("lost update".into())
 //!     } else {
@@ -77,26 +81,26 @@
 //! # Engines
 //!
 //! Two exploration engines, visiting the same states and reporting
-//! identical counts: the sequential DFS ([`ModelChecker::check`]), with an
+//! identical counts: the sequential DFS ([`Engine::Sequential`]), with an
 //! explicit stack and an in-RAM visited set of exact keys — the one exact
-//! engine — and one parallel breadth-first loop
-//! ([`ModelChecker::check_parallel`], also the forward pass of
+//! engine — and one parallel breadth-first loop ([`Engine::Parallel`] and
+//! [`Engine::Spill`], also the forward pass of
 //! [`ModelChecker::check_always_terminable`]), which dedups by a 128-bit
 //! state hash on every store.
 //!
 //! Both engines and replay share one transition relation: which moves
 //! (machine steps and, under [`ModelChecker::faults`], crashes) a state
 //! enables and in what order, when partial-order reduction
-//! ([`ModelChecker::por`]) may take one ample step instead, what a move
+//! ([`Engine::Reduced`]) may take one ample step instead, what a move
 //! does, and how a move is written in a [`Violation::schedule`]. Replay
 //! ([`ModelChecker::run_schedule`], [`ModelChecker::render_trace`],
 //! [`ModelChecker::shrink_schedule`]) skips an entry whose move the state
 //! does not enable, so it never takes a move that no engine takes.
 //!
-//! The loop runs over two stores, and [`ModelChecker::spill_dir`] selects
-//! their disk versions:
+//! The loop runs over two stores, and [`Engine::Spill`] selects their disk
+//! versions:
 //!
-//! | store | in RAM | with `spill_dir` |
+//! | store | in RAM ([`Engine::Parallel`]) | on disk ([`Engine::Spill`]) |
 //! |---|---|---|
 //! | visited | sharded map of 128-bit state hashes | bounded in-RAM delta + sorted runs on disk |
 //! | layers | packed records in flat buffers, one chunk per layer | the same records in per-layer files on disk ([`frontier`]), read in bounded chunks |
@@ -125,7 +129,6 @@ mod spill;
 
 pub use checker::{CheckError, CheckStats, ModelChecker, Violation, World, CRASH_SCHEDULE_BASE};
 pub use drive::Engine;
-pub use liveness::LivenessStats;
 pub use machine::{MachineStatus, StepMachine};
 pub use por::{independent, Footprint};
 pub use rng::SplitMix64;

@@ -1,9 +1,9 @@
 //! Exhaustive liveness checking: "from every reachable state, the system
 //! can still finish".
 //!
-//! Safety invariants ([`ModelChecker::check`]) say nothing about getting
-//! stuck: a protocol could be exclusion-safe yet drive itself into a
-//! state from which no schedule completes the workload (deadlock, or a
+//! Safety invariants ([`ModelChecker::check_with`]) say nothing about
+//! getting stuck: a protocol could be exclusion-safe yet drive itself into
+//! a state from which no schedule completes the workload (deadlock, or a
 //! livelock trap where only unproductive cycles remain). This module
 //! builds the full reachable state graph and verifies that **every**
 //! state can reach a terminal state (all machines done).
@@ -13,10 +13,10 @@
 //! For blocking substrates like the Peterson–Fischer block, it is
 //! exactly deadlock-freedom.
 //!
-//! The graph is built by the same breadth-first loop as
-//! [`ModelChecker::check_parallel`], on its in-RAM visited store with edge
-//! recording on, so the forward pass scales over
-//! [`ModelChecker::workers`] threads. The backward marking runs
+//! The graph is built by the same breadth-first loop as the breadth-first
+//! engines of [`ModelChecker::check_with`], on its in-RAM visited store
+//! with edge recording on, so the forward pass scales over the
+//! [`Engine`]'s worker threads. The backward marking runs
 //! layer-parallel over the same worker count: the reversed edges are
 //! packed into a CSR adjacency (one offset array, one flat predecessor
 //! array — no per-state `Vec`s), and one sweep marks each backward layer
@@ -24,13 +24,13 @@
 //! exactly once, whichever of the two CSR forms below it reads. Edges are
 //! stored as flat `u32` index pairs.
 //!
-//! With [`ModelChecker::spill_dir`] configured, the structure that grows
-//! with *edges* moves to disk: the forward pass streams `(from, to)`
-//! pairs to an append-only log instead of an in-RAM `Vec`, the reversed
-//! CSR's flat predecessor array is built on disk by an external counting
-//! sort whose working buffer is bounded by a quarter of the configured
-//! budget ([`crate::frontier::DiskCsr`]), and each backward-marking
-//! worker reads predecessor runs through its own file handle. Only the
+//! On [`Engine::Spill`], the structure that grows with *edges* moves to
+//! disk: the forward pass streams `(from, to)` pairs to an append-only
+//! log instead of an in-RAM `Vec`, the reversed CSR's flat predecessor
+//! array is built on disk by an external counting sort whose working
+//! buffer is bounded by a quarter of the configured budget
+//! ([`crate::frontier::DiskCsr`]), and each backward-marking worker reads
+//! predecessor runs through its own file handle. Only the
 //! `8(n + 1)`-byte offset array — linear in states, not edges — stays in
 //! RAM, and the reported verdict, trap state and schedule are identical
 //! to the in-RAM path (`tests/liveness_spill.rs` pins this on every E2
@@ -39,48 +39,22 @@
 use crate::checker::{CheckError, CheckStats, ModelChecker, Violation};
 use crate::engine::{explore, schedule_to, EdgeStore, RamLayers, RamVisited};
 use crate::frontier::{DiskCsr, ScratchDir};
-use crate::StepMachine;
+use crate::{Engine, StepMachine};
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Result of a [`ModelChecker::check_always_terminable`] run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LivenessStats {
-    /// Distinct reachable states.
-    pub states: u64,
-    /// Edges in the state graph.
-    pub edges: u64,
-    /// Terminal states (all machines done).
-    pub terminal_states: u64,
-    /// Deterministic peak payload bytes across the forward exploration
-    /// and the backward marking (including the in-RAM edge list / CSR,
-    /// or only the offset array and bounded windows when spilling).
-    pub peak_resident_bytes: u64,
-    /// Bytes written to disk (edge log + predecessor file); `0` on the
-    /// all-in-RAM path.
-    pub spilled_bytes: u64,
-}
-
-impl std::fmt::Display for LivenessStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} states, {} edges, {} terminal",
-            self.states, self.edges, self.terminal_states
-        )
-    }
-}
-
 impl<M: StepMachine + Send + Sync> ModelChecker<M> {
-    /// Explores the full reachable state graph and verifies that a
-    /// terminal state (every machine done) is reachable **from every
-    /// reachable state**.
+    /// Explores the full reachable state graph on the breadth-first
+    /// `engine` and verifies that a terminal state (every machine done) is
+    /// reachable **from every reachable state**.
     ///
-    /// Both passes run over [`workers`](Self::workers) threads: the
-    /// forward graph construction on the breadth-first loop, and
-    /// the backward marking as a layered sweep over the reversed-edge
-    /// CSR adjacency. State ids, the set of trap states, and hence the
-    /// reported trap are deterministic for every worker count.
+    /// Both passes run over the engine's worker threads: the forward graph
+    /// construction on the breadth-first loop, and the backward marking as
+    /// a layered sweep over the reversed-edge CSR adjacency. State ids,
+    /// the set of trap states, and hence the reported trap are
+    /// deterministic for every worker count. The stats count the graph's
+    /// edges as `transitions`, its breadth-first layers as `max_depth`, and
+    /// the backward marking in `peak_resident_bytes` and `spilled_bytes`.
     ///
     /// # Errors
     ///
@@ -91,15 +65,19 @@ impl<M: StepMachine + Send + Sync> ModelChecker<M> {
     ///
     /// # Panics
     ///
-    /// Panics if the state graph exceeds `u32::MAX` states (far beyond
-    /// the configured limits).
+    /// Panics on [`Engine::Sequential`]: liveness has no DFS form, so
+    /// pass a breadth-first engine (`Engine::Parallel { workers: 1,
+    /// hashed: true }` is the single-threaded one). Panics on
+    /// `Engine::Parallel { hashed: false, .. }`, as
+    /// [`check_with`](Self::check_with) does, and if the state graph
+    /// exceeds `u32::MAX` states (far beyond the configured limits).
     ///
     /// # Example
     ///
     /// Two straight-line writers can always finish from anywhere:
     ///
     /// ```
-    /// use llr_mc::{MachineStatus, ModelChecker, StepMachine};
+    /// use llr_mc::{Engine, MachineStatus, ModelChecker, StepMachine};
     /// use llr_mem::{Layout, Loc, Memory};
     ///
     /// #[derive(Clone)]
@@ -117,14 +95,19 @@ impl<M: StepMachine + Send + Sync> ModelChecker<M> {
     /// let mut layout = Layout::new();
     /// let x = layout.scalar("X", 0);
     /// let mc = ModelChecker::new(layout, vec![Count { x, left: 2 }, Count { x, left: 2 }]);
-    /// let stats = mc.check_always_terminable().unwrap();
+    /// let stats = mc
+    ///     .check_always_terminable(&Engine::Parallel { workers: 1, hashed: true })
+    ///     .unwrap();
     /// assert_eq!(stats.terminal_states, 1); // both done, X settled
     /// ```
-    pub fn check_always_terminable(&self) -> Result<LivenessStats, CheckError> {
-        let workers = self.resolved_workers();
+    pub fn check_always_terminable(&self, engine: &Engine) -> Result<CheckStats, CheckError> {
+        let run = engine.resolve();
+        let Some(workers) = run.workers else {
+            panic!("liveness has no DFS form: check_always_terminable needs a breadth-first Engine")
+        };
         let ok = |_: &crate::World<'_, M>| Ok(());
         let (explored, edges, visited) =
-            explore(self, &ok, workers, true, RamVisited::new(), RamLayers::new)?;
+            explore(self, &ok, &run, true, RamVisited::new(), RamLayers::new)?;
 
         // Backward marking from terminal states over reversed edges,
         // layer-parallel like the forward pass. The reversed graph is
@@ -167,8 +150,9 @@ impl<M: StepMachine + Send + Sync> ModelChecker<M> {
                 Preds::Ram { off, preds }
             }
             EdgeStore::Disk(guard, log) => {
-                let cfg = self
-                    .spill_config()
+                let cfg = run
+                    .spill
+                    .as_ref()
                     .expect("edges spill only under a spill budget");
                 let out = guard.path().join("preds.csr");
                 let csr = DiskCsr::build(&log.path, log.count, n, cfg.window_bytes(), out)?;
@@ -181,6 +165,11 @@ impl<M: StepMachine + Send + Sync> ModelChecker<M> {
         // The marking frontiers themselves (current + next, 4 bytes per
         // entry, bounded by the widest marked layer).
         peak = peak.max(8 * (n as u64 + 1) + n as u64 + 8 * width_peak);
+        let stats = CheckStats {
+            peak_resident_bytes: peak,
+            spilled_bytes: spilled,
+            ..explored
+        };
 
         if let Some(trap) = (0..n).find(|&i| !can_finish[i].load(Ordering::Relaxed)) {
             // Reconstruct the schedule into the trap via the forward
@@ -193,21 +182,10 @@ impl<M: StepMachine + Send + Sync> ModelChecker<M> {
                 ),
                 schedule,
                 trace,
-                stats: CheckStats {
-                    peak_resident_bytes: peak,
-                    spilled_bytes: spilled,
-                    ..explored
-                },
+                stats,
             })));
         }
-
-        Ok(LivenessStats {
-            states: n as u64,
-            edges: explored.transitions,
-            terminal_states: explored.terminal_states,
-            peak_resident_bytes: peak,
-            spilled_bytes: spilled,
-        })
+        Ok(stats)
     }
 }
 
@@ -281,8 +259,14 @@ impl Preds {
 
 #[cfg(test)]
 mod tests {
-    use crate::{MachineStatus, ModelChecker, StepMachine};
+    use crate::{Engine, MachineStatus, ModelChecker, StepMachine};
     use llr_mem::{Layout, Loc, Memory};
+
+    /// The single-threaded in-RAM breadth-first engine.
+    const BFS: Engine = Engine::Parallel {
+        workers: 1,
+        hashed: true,
+    };
 
     /// Two machines that each grab one of two "locks" (plain flags, no
     /// protocol) in opposite order and spin for the second: the classic
@@ -362,7 +346,7 @@ mod tests {
                 },
             ],
         );
-        let err = mc.check_always_terminable().unwrap_err();
+        let err = mc.check_always_terminable(&BFS).unwrap_err();
         let v = match err {
             crate::CheckError::Violation(v) => v,
             other => panic!("expected a trap, got {other:?}"),
@@ -400,7 +384,7 @@ mod tests {
         let mut layout = Layout::new();
         let x = layout.scalar("X", 0);
         let mc = ModelChecker::new(layout, vec![Writer { x, left: 3 }, Writer { x, left: 3 }]);
-        let stats = mc.check_always_terminable().unwrap();
+        let stats = mc.check_always_terminable(&BFS).unwrap();
         assert_eq!(stats.terminal_states, 1);
         assert!(stats.states >= 7);
     }

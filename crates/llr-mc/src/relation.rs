@@ -207,10 +207,11 @@ pub(crate) struct Replay<M> {
 }
 
 impl<M: StepMachine> Replay<M> {
-    /// The initial state of `mc`.
+    /// The initial state of `mc`. Replay takes every enabled move, so its
+    /// relation has no reduction.
     pub(crate) fn new(mc: &ModelChecker<M>) -> Self {
         Self {
-            rel: mc.relation(),
+            rel: mc.relation(false),
             mem: SimMemory::new(mc.layout()),
             machines: mc.machines().to_vec(),
             done: vec![false; mc.machines().len()],

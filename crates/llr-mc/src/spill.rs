@@ -126,8 +126,8 @@ const _: () = assert!(
     "a block holds whole hashes"
 );
 
-/// Configuration carried by
-/// [`ModelChecker::spill_dir`](crate::ModelChecker::spill_dir).
+/// The disk stores' directory and budget, resolved from an
+/// [`Engine::Spill`](crate::Engine::Spill).
 pub(crate) struct SpillConfig {
     /// Parent directory for the per-run spill subdirectory.
     pub dir: PathBuf,

@@ -1,8 +1,26 @@
 //! Self-tests for the model checker: known-racy and known-correct
 //! algorithms must be classified correctly.
 
-use crate::{CheckStats, MachineStatus, ModelChecker, StepMachine};
+use crate::{CheckStats, Engine, MachineStatus, ModelChecker, StepMachine};
 use llr_mem::{Layout, Loc, Memory};
+
+/// The in-RAM breadth-first engine on `workers` threads.
+fn bfs(workers: usize) -> Engine {
+    Engine::Parallel {
+        workers,
+        hashed: true,
+    }
+}
+
+/// The breadth-first engine on `workers` threads with its stores on disk
+/// under `budget_bytes`.
+fn spill(budget_bytes: usize, workers: usize) -> Engine {
+    Engine::Spill {
+        dir: std::env::temp_dir(),
+        budget_bytes,
+        workers,
+    }
+}
 
 // ---------------------------------------------------------------------------
 // A non-atomic increment: read x, then write x+1. Two of these must lose an
@@ -54,7 +72,7 @@ fn finds_lost_update() {
     let x = layout.scalar("X", 0);
     let mc = ModelChecker::new(layout, vec![Incr::new(x), Incr::new(x)]);
     let err = mc
-        .check(|w| {
+        .check_with(&Engine::Sequential, |w| {
             if w.all_done() && w.mem.read(x) != 2 {
                 Err(format!("lost update: X = {}", w.mem.read(x)))
             } else {
@@ -75,7 +93,7 @@ fn single_machine_state_count_is_exact() {
     let mut layout = Layout::new();
     let x = layout.scalar("X", 0);
     let mc = ModelChecker::new(layout, vec![Incr::new(x)]);
-    let stats = mc.check(|_| Ok(())).unwrap();
+    let stats = mc.check_with(&Engine::Sequential, |_| Ok(())).unwrap();
     assert_eq!(
         stats,
         CheckStats {
@@ -94,10 +112,10 @@ fn hashed_dedup_matches_exact() {
     let x = layout.scalar("X", 0);
     let machines = vec![Incr::new(x), Incr::new(x), Incr::new(x)];
     let exact = ModelChecker::new(layout.clone(), machines.clone())
-        .check(|_| Ok(()))
+        .check_with(&Engine::Sequential, |_| Ok(()))
         .unwrap();
     let hashed = ModelChecker::new(layout, machines)
-        .check_parallel(|_| Ok(()))
+        .check_with(&bfs(1), |_| Ok(()))
         .unwrap();
     assert_eq!(exact.states, hashed.states);
     assert_eq!(exact.transitions, hashed.transitions);
@@ -108,7 +126,7 @@ fn state_limit_reported() {
     let mut layout = Layout::new();
     let x = layout.scalar("X", 0);
     let mc = ModelChecker::new(layout, vec![Incr::new(x), Incr::new(x)]).max_states(2);
-    match mc.check(|_| Ok(())) {
+    match mc.check_with(&Engine::Sequential, |_| Ok(())) {
         Err(crate::checker::CheckError::StateLimit { limit, .. }) => assert_eq!(limit, 2),
         other => panic!("expected state limit, got {other:?}"),
     }
@@ -174,7 +192,7 @@ fn naive_lock_violates_mutual_exclusion() {
     };
     let mc = ModelChecker::new(layout, vec![m.clone(), m]);
     let err = mc
-        .check(|w| {
+        .check_with(&Engine::Sequential, |w| {
             let inside = w.machines.iter().filter(|m| m.in_cs).count();
             if inside > 1 {
                 Err(format!("{inside} machines in the critical section"))
@@ -288,7 +306,9 @@ fn exclusion(w: &crate::World<'_, Peterson>) -> Result<(), String> {
 
 #[test]
 fn peterson_satisfies_mutual_exclusion_exhaustively() {
-    let stats = peterson_checker(3).check(exclusion).unwrap();
+    let stats = peterson_checker(3)
+        .check_with(&Engine::Sequential, exclusion)
+        .unwrap();
     // Two machines, repeated sessions, spinning: a nontrivial state space.
     assert!(stats.states > 100, "suspiciously small: {stats}");
     assert!(stats.terminal_states >= 1);
@@ -313,7 +333,7 @@ fn replay_reproduces_violation() {
     let x = layout.scalar("X", 0);
     let mc = ModelChecker::new(layout, vec![Incr::new(x), Incr::new(x)]);
     let v = mc
-        .check(|w| {
+        .check_with(&Engine::Sequential, |w| {
             if w.all_done() && w.mem.read(x) != 2 {
                 Err("lost".into())
             } else {
@@ -380,7 +400,7 @@ fn error_displays_are_informative() {
     let x = layout.scalar("X", 0);
     let mc = ModelChecker::new(layout, vec![Incr::new(x), Incr::new(x)]);
     let err = mc
-        .check(|w| {
+        .check_with(&Engine::Sequential, |w| {
             if w.all_done() && w.mem.read(x) != 2 {
                 Err("lost update".into())
             } else {
@@ -420,7 +440,7 @@ fn violation_is_a_std_error() {
     let x = layout.scalar("X", 0);
     let mc = ModelChecker::new(layout, vec![Incr::new(x), Incr::new(x)]);
     let err = mc
-        .check(|w| {
+        .check_with(&Engine::Sequential, |w| {
             if w.all_done() && w.mem.read(x) != 2 {
                 Err("lost".into())
             } else {
@@ -435,18 +455,6 @@ fn violation_is_a_std_error() {
 }
 
 #[test]
-fn liveness_stats_display() {
-    let s = crate::LivenessStats {
-        states: 3,
-        edges: 4,
-        terminal_states: 1,
-        peak_resident_bytes: 0,
-        spilled_bytes: 0,
-    };
-    assert!(s.to_string().contains("3 states"));
-}
-
-#[test]
 fn shrinking_produces_the_minimal_race() {
     let mut layout = Layout::new();
     let x = layout.scalar("X", 0);
@@ -458,7 +466,10 @@ fn shrinking_produces_the_minimal_race() {
             Ok(())
         }
     };
-    let v = mc.check(inv).unwrap_err().unwrap_violation();
+    let v = mc
+        .check_with(&Engine::Sequential, inv)
+        .unwrap_err()
+        .unwrap_violation();
     let shrunk = mc.shrink_schedule(&v.schedule, inv);
     assert!(shrunk.len() <= v.schedule.len());
     // The minimal lost-update interleaving is exactly 4 steps:
@@ -530,11 +541,11 @@ fn faults_zero_leaves_the_state_space_untouched() {
     let x = layout.scalar("X", 0);
     let machines = vec![Flagger { x, pc: 0 }, Flagger { x, pc: 0 }];
     let plain = ModelChecker::new(layout.clone(), machines.clone())
-        .check(|_| Ok(()))
+        .check_with(&Engine::Sequential, |_| Ok(()))
         .unwrap();
     let zero = ModelChecker::new(layout, machines)
         .faults(0)
-        .check(|_| Ok(()))
+        .check_with(&Engine::Sequential, |_| Ok(()))
         .unwrap();
     assert_eq!(plain, zero);
 }
@@ -547,7 +558,7 @@ fn a_crash_exposes_torn_state() {
     // Fault-free, X is always lowered before the machine finishes; only a
     // crash between the writes can leave it torn high at quiescence.
     let v = mc
-        .check(|w| {
+        .check_with(&Engine::Sequential, |w| {
             if w.all_done() && w.mem.read(x) == 1 {
                 Err("flag left torn high".into())
             } else {
@@ -636,7 +647,7 @@ fn shrinking_takes_only_enabled_crashes() {
             Ok(())
         }
     };
-    let v = mc.check_parallel(torn).unwrap_err().unwrap_violation();
+    let v = mc.check_with(&bfs(1), torn).unwrap_err().unwrap_violation();
     assert_eq!(v.schedule, [0, 0, 1, crate::CRASH_SCHEDULE_BASE + 1]);
     let shrunk = mc.shrink_schedule(&v.schedule, torn);
     let (mem, _, done) = mc.run_schedule(&shrunk);
@@ -653,7 +664,7 @@ fn fault_budget_bounds_the_number_of_crashes() {
     // high, but both machines can never be tombstoned at once.
     let stats = ModelChecker::new(layout, machines)
         .faults(1)
-        .check(|w| {
+        .check_with(&Engine::Sequential, |w| {
             if w.machines.iter().filter(|m| m.pc == 3).count() > 1 {
                 Err("two crashes under a budget of one".into())
             } else {
@@ -677,12 +688,11 @@ fn engines_agree_under_faults() {
     ];
     let seq = ModelChecker::new(layout.clone(), machines.clone())
         .faults(2)
-        .check(|_| Ok(()))
+        .check_with(&Engine::Sequential, |_| Ok(()))
         .unwrap();
     let par = ModelChecker::new(layout, machines)
         .faults(2)
-        .workers(3)
-        .check_parallel(|_| Ok(()))
+        .check_with(&bfs(3), |_| Ok(()))
         .unwrap();
     assert_eq!(seq.states, par.states);
     assert_eq!(seq.transitions, par.transitions);
@@ -862,7 +872,6 @@ fn stats(states: u64, transitions: u64, depth: usize, peak: u64, spilled: u64) -
 
 #[test]
 fn bfs_stores_account_exactly() {
-    let tmp = std::env::temp_dir();
     let full_hashed = stats(20_276, 107_400, 29, 954_374, 0);
     let full_spill = [
         (1usize << 30, stats(20_276, 107_400, 29, 791_874, 1_805_986)),
@@ -877,25 +886,27 @@ fn bfs_stores_account_exactly() {
     ];
     for workers in [1, 2, 4] {
         for por in [false, true] {
-            let run = |mc: ModelChecker<Pinned>| {
-                mc.workers(workers)
-                    .por(por)
-                    .check_parallel(|_| Ok(()))
-                    .unwrap()
+            let run = |engine: Engine| {
+                let engine = if por {
+                    Engine::Reduced(Box::new(engine))
+                } else {
+                    engine
+                };
+                pinned_checker().check_with(&engine, |_| Ok(())).unwrap()
             };
-            let (hashed, spill) = if por {
+            let (hashed, on_disk) = if por {
                 (reduced_hashed, &reduced_spill)
             } else {
                 (full_hashed, &full_spill)
             };
             assert_eq!(
-                run(pinned_checker()),
+                run(bfs(workers)),
                 hashed,
                 "in-RAM hashed, {workers}w, por {por}"
             );
-            for &(budget, pin) in spill.iter() {
+            for &(budget, pin) in on_disk.iter() {
                 assert_eq!(
-                    run(pinned_checker().spill_dir(&tmp, budget)),
+                    run(spill(budget, workers)),
                     pin,
                     "spill {budget} B, {workers}w, por {por}"
                 );
@@ -906,32 +917,17 @@ fn bfs_stores_account_exactly() {
 
 #[test]
 fn liveness_csr_paths_account_exactly() {
-    let ram = crate::LivenessStats {
-        states: 20_276,
-        edges: 107_400,
-        terminal_states: 1,
-        peak_resident_bytes: 1_590_340,
-        spilled_bytes: 0,
-    };
-    let disk = crate::LivenessStats {
-        states: 20_276,
-        edges: 107_400,
-        terminal_states: 1,
-        peak_resident_bytes: 954_374,
-        spilled_bytes: 1_288_800,
-    };
+    let ram = stats(20_276, 107_400, 29, 1_590_340, 0);
+    let disk = stats(20_276, 107_400, 29, 954_374, 1_288_800);
     for workers in [1, 2, 4] {
-        let mc = pinned_checker().workers(workers);
+        let mc = pinned_checker();
         assert_eq!(
-            mc.check_always_terminable().unwrap(),
+            mc.check_always_terminable(&bfs(workers)).unwrap(),
             ram,
             "in-RAM CSR, {workers}w"
         );
-        let mc = pinned_checker()
-            .workers(workers)
-            .spill_dir(std::env::temp_dir(), 0);
         assert_eq!(
-            mc.check_always_terminable().unwrap(),
+            mc.check_always_terminable(&spill(0, workers)).unwrap(),
             disk,
             "disk CSR, {workers}w"
         );
@@ -961,7 +957,7 @@ fn walk_digest_hash<M: StepMachine>(label: &str, mc: &ModelChecker<M>, steps: us
     use crate::engine::{block_digest, key_digest, rehash, slot_digest};
     use crate::frontier::BLOCK;
     use crate::relation::{Plan, Replay};
-    let rel = mc.relation();
+    let rel = mc.relation(false);
     let slot = |i: usize, m: &M, d: bool| {
         let mut key = Vec::new();
         m.key(&mut key);
@@ -1084,7 +1080,7 @@ fn frontier_chunks_fit_every_successor() {
         (pinned_checker().faults(1), 12, 120),
     ] {
         let n = mc.machines().len();
-        assert_eq!(mc.relation().max_moves(n), moves);
+        assert_eq!(mc.relation(false).max_moves(n), moves);
         let blocks = mc.layout().len().div_ceil(crate::frontier::BLOCK);
         let record = layer_record_bytes(blocks, n) as usize;
         assert_eq!(record, 42);
@@ -1104,14 +1100,17 @@ fn in_ram_errors_charge_the_layer_in_progress() {
             Ok(())
         }
     };
-    match pinned_checker().max_states(1).check_parallel(|_| Ok(())) {
+    match pinned_checker()
+        .max_states(1)
+        .check_with(&bfs(1), |_| Ok(()))
+    {
         Err(crate::CheckError::StateLimit { stats, .. }) => {
             assert!(stats.peak_resident_bytes > 0, "{stats:?}")
         }
         other => panic!("expected the state limit, got {other:?}"),
     }
     let v = pinned_checker()
-        .check_parallel(t_raised)
+        .check_with(&bfs(1), t_raised)
         .unwrap_err()
         .unwrap_violation();
     assert!(v.stats.peak_resident_bytes > 0, "{:?}", v.stats);
@@ -1121,7 +1120,11 @@ fn in_ram_errors_charge_the_layer_in_progress() {
 fn spill_runs_leave_no_scratch_behind() {
     let dir = std::env::temp_dir().join(format!("llr-mc-scratch-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let spill = |mc: ModelChecker<Pinned>| mc.spill_dir(&dir, 0).workers(2);
+    let spill = Engine::Spill {
+        dir: dir.clone(),
+        budget_bytes: 0,
+        workers: 2,
+    };
     let t_raised = |w: &crate::World<'_, Pinned>| {
         if w.mem.read(Loc(0)) == 1 {
             Err("T raised".into())
@@ -1129,18 +1132,20 @@ fn spill_runs_leave_no_scratch_behind() {
             Ok(())
         }
     };
-    spill(pinned_checker()).check_parallel(|_| Ok(())).unwrap();
-    spill(pinned_checker())
-        .check_parallel(t_raised)
+    pinned_checker().check_with(&spill, |_| Ok(())).unwrap();
+    pinned_checker()
+        .check_with(&spill, t_raised)
         .unwrap_err()
         .unwrap_violation();
     assert!(matches!(
-        spill(pinned_checker().max_states(5_000)).check_parallel(|_| Ok(())),
+        pinned_checker()
+            .max_states(5_000)
+            .check_with(&spill, |_| Ok(())),
         Err(crate::CheckError::StateLimit { .. })
     ));
-    spill(pinned_checker()).check_always_terminable().unwrap();
-    let trap = spill(looper_checker(3, false))
-        .check_always_terminable()
+    pinned_checker().check_always_terminable(&spill).unwrap();
+    let trap = looper_checker(3, false)
+        .check_always_terminable(&spill)
         .unwrap_err();
     assert!(trap.unwrap_violation().message.contains("trap state"));
     let left: Vec<_> = std::fs::read_dir(&dir)
@@ -1256,21 +1261,15 @@ fn block_join_matches_an_oracle() {
 
 #[test]
 fn engine_labels_name_the_backend() {
-    use crate::Engine;
-    let hashed = Engine::Parallel {
-        workers: 2,
-        hashed: true,
-    };
-    let spill = Engine::Spill {
-        dir: std::env::temp_dir(),
-        budget_bytes: 16 << 20,
-        workers: 2,
-    };
+    let hashed = bfs(2);
+    let spill_16m = spill(16 << 20, 2);
     assert_eq!(Engine::Sequential.label(), "dfs");
     assert_eq!(hashed.label(), "bfs+hash:2w");
-    assert_eq!(spill.label(), "bfs+spill:2w:16MiB");
+    assert_eq!(spill_16m.label(), "bfs+spill:2w:16MiB");
+    assert_eq!(spill(256 << 10, 2).label(), "bfs+spill:2w:256KiB");
+    assert_eq!(spill(0, 2).label(), "bfs+spill:2w:0MiB");
     assert_eq!(
-        Engine::Reduced(Box::new(spill)).label(),
+        Engine::Reduced(Box::new(spill_16m)).label(),
         "bfs+spill:2w:16MiB+por"
     );
     assert_eq!(Engine::Reduced(Box::new(hashed)).label(), "bfs+hash:2w+por");
@@ -1295,4 +1294,13 @@ fn check_with_rejects_an_exact_bfs() {
         hashed: false,
     };
     let _ = ModelChecker::new(layout, vec![Incr::new(x)]).check_with(&exact_bfs, |_| Ok(()));
+}
+
+#[test]
+#[should_panic(expected = "liveness has no DFS form")]
+fn check_always_terminable_rejects_the_dfs() {
+    let mut layout = Layout::new();
+    let x = layout.scalar("X", 0);
+    let _ =
+        ModelChecker::new(layout, vec![Incr::new(x)]).check_always_terminable(&Engine::Sequential);
 }

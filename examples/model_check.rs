@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example model_check`
 
 use llr_core::splitter::spec as splitter_spec;
-use llr_mc::{MachineStatus, ModelChecker, StepMachine};
+use llr_mc::{Engine, MachineStatus, ModelChecker, StepMachine};
 use llr_mem::{Layout, Loc, Memory};
 
 fn main() {
@@ -67,7 +67,7 @@ fn main() {
         in_cs: false,
     };
     let mc = ModelChecker::new(layout, vec![m.clone(), m]);
-    match mc.check(|w| {
+    match mc.check_with(&Engine::Sequential, |w| {
         let inside = w.machines.iter().filter(|m| m.in_cs).count();
         if inside > 1 {
             Err(format!("{inside} processes in the critical section"))

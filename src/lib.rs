@@ -31,7 +31,7 @@
 //! ```
 //! use long_lived_renaming::chain::{Chain, Theorem11};
 //! use long_lived_renaming::mem::Layout;
-//! use long_lived_renaming::{session, Renaming, RenamingHandle};
+//! use long_lived_renaming::{session, Engine, Renaming, RenamingHandle};
 //!
 //! // Theorem 11: any 64-bit id renamed to one of k(k+1)/2 names.
 //! let chain = Chain::theorem11(2).unwrap();
@@ -45,7 +45,7 @@
 //! let mut layout = Layout::new();
 //! let core = Theorem11::build(2, &mut layout).unwrap();
 //! let stats = session::checker(layout, &core, &[3, 9], 1)
-//!     .check(session::unique_names_invariant)
+//!     .check_with(&Engine::Sequential, session::unique_names_invariant)
 //!     .unwrap();
 //! assert!(stats.states > 100, "got {}", stats.states);
 //! ```

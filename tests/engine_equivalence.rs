@@ -24,7 +24,9 @@ use llr_core::split::spec as split_spec;
 use llr_core::splitter::spec as splitter_spec;
 use llr_core::tournament::spec as tree_spec;
 use llr_gf::FilterParams;
-use llr_mc::{CheckError, CheckStats, ModelChecker, StepMachine, World, CRASH_SCHEDULE_BASE};
+use llr_mc::{
+    CheckError, CheckStats, Engine, ModelChecker, StepMachine, World, CRASH_SCHEDULE_BASE,
+};
 use llr_mem::Layout;
 
 /// Worker counts exercised for every configuration. 1 covers the
@@ -32,6 +34,24 @@ use llr_mem::Layout;
 /// work splitting (even on a single-core host the layer chunking
 /// differs, which is exactly what must not change the results).
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
+
+/// The in-RAM breadth-first engine at every worker count.
+fn in_ram() -> [Engine; 3] {
+    WORKER_COUNTS.map(|workers| Engine::Parallel {
+        workers,
+        hashed: true,
+    })
+}
+
+/// The breadth-first engine at every worker count, with its stores on
+/// disk under `budget_bytes`.
+fn on_disk(budget_bytes: usize) -> [Engine; 3] {
+    WORKER_COUNTS.map(|workers| Engine::Spill {
+        dir: std::env::temp_dir(),
+        budget_bytes,
+        workers,
+    })
+}
 
 /// Runs `build()` through the sequential checker and the parallel engine
 /// at every worker count, asserting identical `(states, transitions,
@@ -48,7 +68,7 @@ where
     F: Fn(&World<'_, M>) -> Result<(), String> + Copy,
 {
     let seq = build()
-        .check(invariant)
+        .check_with(&Engine::Sequential, invariant)
         .unwrap_or_else(|e| panic!("{label}: sequential check failed:\n{e}"));
     if let Some((states, transitions)) = expect {
         assert_eq!(seq.states, states, "{label}: states vs seed CSV");
@@ -58,24 +78,24 @@ where
         );
     }
     let mut par_depth = None;
-    for workers in WORKER_COUNTS {
+    for engine in in_ram() {
+        let w = engine.label();
         let par = build()
-            .workers(workers)
-            .check_parallel(invariant)
-            .unwrap_or_else(|e| panic!("{label}: parallel check ({workers}w) failed:\n{e}"));
-        assert_eq!(par.states, seq.states, "{label}: states ({workers}w)");
+            .check_with(&engine, invariant)
+            .unwrap_or_else(|e| panic!("{label}: parallel check ({w}) failed:\n{e}"));
+        assert_eq!(par.states, seq.states, "{label}: states ({w})");
         assert_eq!(
             par.transitions, seq.transitions,
-            "{label}: transitions ({workers}w)"
+            "{label}: transitions ({w})"
         );
         assert_eq!(
             par.terminal_states, seq.terminal_states,
-            "{label}: terminal states ({workers}w)"
+            "{label}: terminal states ({w})"
         );
         // BFS depth (layer count) differs from DFS depth by design, but
         // it must be identical across worker counts.
         let d = *par_depth.get_or_insert(par.max_depth);
-        assert_eq!(par.max_depth, d, "{label}: BFS depth ({workers}w)");
+        assert_eq!(par.max_depth, d, "{label}: BFS depth ({w})");
     }
     seq
 }
@@ -340,29 +360,19 @@ fn fault_schedule_is_deterministic() {
         );
         assert!(v.trace.contains("CRASH"), "{tag}: trace:\n{}", v.trace);
     };
-    let dir = std::env::temp_dir();
-    for por in [false, true] {
-        for workers in WORKER_COUNTS {
-            let stores = [
-                ("in RAM", la_faults(2)),
-                ("spill 0 B", la_faults(2).spill_dir(&dir, 0)),
-                ("spill 1 GiB", la_faults(2).spill_dir(&dir, 1 << 30)),
-            ];
-            for (store, mc) in stores {
-                let tag = format!("{store}, {workers}w, por {por}");
-                let v = mc
-                    .por(por)
-                    .workers(workers)
-                    .check_parallel(leaked)
-                    .expect_err("a crash while holding leaks the name")
-                    .unwrap_violation();
-                assert_eq!(v.schedule, vec![0, 0, CRASH_SCHEDULE_BASE], "{tag}");
-                replays(&v, &tag);
-            }
-        }
+    let stores = [in_ram(), on_disk(0), on_disk(1 << 30)].concat();
+    let reduced = stores.iter().map(|e| Engine::Reduced(Box::new(e.clone())));
+    for engine in reduced.chain(stores.clone()) {
+        let tag = engine.label();
+        let v = la_faults(2)
+            .check_with(&engine, leaked)
+            .expect_err("a crash while holding leaks the name")
+            .unwrap_violation();
+        assert_eq!(v.schedule, vec![0, 0, CRASH_SCHEDULE_BASE], "{tag}");
+        replays(&v, &tag);
     }
     let v = la_faults(2)
-        .check(leaked)
+        .check_with(&Engine::Sequential, leaked)
         .expect_err("a crash while holding leaks the name")
         .unwrap_violation();
     assert_eq!(
@@ -382,21 +392,18 @@ fn fault_schedule_is_deterministic() {
 #[test]
 fn spill_backend_engines_agree() {
     let exact = split_spec::checker(3, 2, 2)
-        .check(split_spec::unique_names_invariant)
+        .check_with(&Engine::Sequential, split_spec::unique_names_invariant)
         .expect("SPLIT verifies");
     assert_eq!((exact.states, exact.transitions), (48_803, 93_696));
 
-    let dir = std::env::temp_dir();
     // 48_803 states × 16 B ≈ 763 KiB of hashes: a zero budget (64 KiB
     // effective) forces ~12 flushes spread across the layers.
     for budget in [1usize << 30, 0] {
-        for workers in WORKER_COUNTS {
+        for engine in on_disk(budget) {
             let spill = split_spec::checker(3, 2, 2)
-                .spill_dir(&dir, budget)
-                .workers(workers)
-                .check_parallel(split_spec::unique_names_invariant)
+                .check_with(&engine, split_spec::unique_names_invariant)
                 .expect("SPLIT verifies spilled");
-            let tag = format!("budget={budget} workers={workers}");
+            let tag = engine.label();
             assert_eq!(spill.states, exact.states, "spill states ({tag})");
             assert_eq!(
                 spill.transitions, exact.transitions,
@@ -445,21 +452,16 @@ fn frontier_spill_battery() {
         M: StepMachine + Send + Sync,
         F: Fn(&World<'_, M>) -> Result<(), String> + Copy,
     {
+        let [one_worker, ..] = in_ram();
         let reference = build()
-            .workers(1)
-            .check_parallel(invariant)
+            .check_with(&one_worker, invariant)
             .unwrap_or_else(|e| panic!("{label}: in-RAM reference failed:\n{e}"));
-        let dir = std::env::temp_dir();
         for budget in SPILL_BUDGETS {
-            for workers in WORKER_COUNTS {
+            for engine in on_disk(budget) {
+                let tag = format!("{label} {}", engine.label());
                 let spill = build()
-                    .spill_dir(&dir, budget)
-                    .workers(workers)
-                    .check_parallel(invariant)
-                    .unwrap_or_else(|e| {
-                        panic!("{label}: spill (budget={budget}, {workers}w) failed:\n{e}")
-                    });
-                let tag = format!("{label} budget={budget} workers={workers}");
+                    .check_with(&engine, invariant)
+                    .unwrap_or_else(|e| panic!("{tag} failed:\n{e}"));
                 assert_eq!(spill.states, reference.states, "states ({tag})");
                 assert_eq!(
                     spill.transitions, reference.transitions,
@@ -565,26 +567,22 @@ fn every_store_shows_the_invariant_the_same_worlds() {
         label: &str,
         build: impl Fn() -> ModelChecker<M>,
     ) {
-        let dir = std::env::temp_dir();
+        let stores = [in_ram(), on_disk(0), on_disk(1 << 30)].concat();
         for por in [false, true] {
-            let mut reference = (!por).then(|| worlds_seen(|inv| build().check(inv)));
+            let mut reference =
+                (!por).then(|| worlds_seen(|inv| build().check_with(&Engine::Sequential, inv)));
             let mut agree = |tag: String, got: Vec<Seen>| match &reference {
                 Some(want) => assert!(got == *want, "{label}: {tag} shows other worlds"),
                 None => reference = Some(got),
             };
-            for workers in WORKER_COUNTS {
-                let ram = worlds_seen(|inv| build().por(por).workers(workers).check_parallel(inv));
-                agree(format!("in RAM, {workers}w, por {por}"), ram);
-                for budget in [0, 1 << 30] {
-                    let spill = worlds_seen(|inv| {
-                        build()
-                            .por(por)
-                            .workers(workers)
-                            .spill_dir(&dir, budget)
-                            .check_parallel(inv)
-                    });
-                    agree(format!("spill {budget} B, {workers}w, por {por}"), spill);
-                }
+            for engine in stores.iter().cloned() {
+                let engine = if por {
+                    Engine::Reduced(Box::new(engine))
+                } else {
+                    engine
+                };
+                let seen = worlds_seen(|inv| build().check_with(&engine, inv));
+                agree(engine.label(), seen);
             }
         }
     }
@@ -604,14 +602,12 @@ fn every_store_shows_the_invariant_the_same_worlds() {
 /// point of the backend, and what the E2 table's budget column claims.
 #[test]
 fn spill_backend_bounds_resident_memory() {
+    let ([inram, ..], [spill, ..]) = (in_ram(), on_disk(0));
     let inram = split_spec::checker(3, 2, 2)
-        .workers(1)
-        .check_parallel(split_spec::unique_names_invariant)
+        .check_with(&inram, split_spec::unique_names_invariant)
         .expect("SPLIT verifies hashed");
     let spill = split_spec::checker(3, 2, 2)
-        .spill_dir(std::env::temp_dir(), 0)
-        .workers(1)
-        .check_parallel(split_spec::unique_names_invariant)
+        .check_with(&spill, split_spec::unique_names_invariant)
         .expect("SPLIT verifies spilled");
     assert!(
         spill.peak_resident_bytes < inram.peak_resident_bytes,
@@ -638,10 +634,9 @@ fn violation_schedule_is_deterministic() {
     };
 
     let mut first: Option<(String, Vec<usize>)> = None;
-    for workers in WORKER_COUNTS {
+    for engine in in_ram() {
         let err = onetime_spec::checker(2, &[0, 1])
-            .workers(workers)
-            .check_parallel(broken)
+            .check_with(&engine, broken)
             .expect_err("the broken invariant must trip");
         let CheckError::Violation(v) = err else {
             panic!("expected a violation, got {err}");
@@ -655,7 +650,7 @@ fn violation_schedule_is_deterministic() {
                 assert!(v.trace.contains("#0"), "trace renders steps:\n{}", v.trace);
                 first = Some(got);
             }
-            Some(expected) => assert_eq!(&got, expected, "violation differs (workers={workers})"),
+            Some(expected) => assert_eq!(&got, expected, "violation differs ({})", engine.label()),
         }
     }
 
@@ -665,11 +660,9 @@ fn violation_schedule_is_deterministic() {
     // single-state read chunks.
     let expected = first.expect("in-RAM engines produced a violation");
     for budget in SPILL_BUDGETS {
-        for workers in WORKER_COUNTS {
+        for engine in on_disk(budget) {
             let err = onetime_spec::checker(2, &[0, 1])
-                .spill_dir(std::env::temp_dir(), budget)
-                .workers(workers)
-                .check_parallel(broken)
+                .check_with(&engine, broken)
                 .expect_err("the broken invariant must trip under spilling");
             let CheckError::Violation(v) = err else {
                 panic!("expected a violation, got {err}");
@@ -677,7 +670,8 @@ fn violation_schedule_is_deterministic() {
             assert_eq!(
                 (v.message.clone(), v.schedule.clone()),
                 expected,
-                "spill violation differs (budget={budget}, workers={workers})"
+                "spill violation differs ({})",
+                engine.label()
             );
         }
     }

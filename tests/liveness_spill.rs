@@ -1,13 +1,14 @@
 //! Disk-CSR differential suite for the liveness checker.
 //!
-//! With `spill_dir` configured, `check_always_terminable` streams the
+//! On `Engine::Spill`, `check_always_terminable` streams the
 //! state graph's edges to an on-disk log during the forward pass, builds
 //! the reversed-edge CSR predecessor file with a bounded-window external
 //! counting sort, and reads predecessor runs through per-worker file
 //! handles. This suite pins that path against the all-in-RAM checker:
 //!
 //! * every E2 liveness family must report identical `(states, edges,
-//!   terminal_states)` and the same verdict at every tested worker count
+//!   terminal_states)` (the edges are the stats' `transitions`) and the
+//!   same verdict at every tested worker count
 //!   and byte budget;
 //! * a trap (the deadlock witness) must be reported with the identical
 //!   message and schedule through both CSR representations;
@@ -25,11 +26,34 @@ use llr_core::session;
 use llr_core::split::spec as split_spec;
 use llr_core::tournament::spec as tree_spec;
 use llr_gf::FilterParams;
-use llr_mc::{CheckError, MachineStatus, ModelChecker, StepMachine};
+use llr_mc::{CheckError, Engine, MachineStatus, ModelChecker, StepMachine};
 use llr_mem::{Layout, Loc, Memory};
 
 const WORKER_COUNTS: [usize; 2] = [1, 2];
 const SPILL_BUDGETS: [usize; 2] = [1usize << 30, 0];
+
+/// The all-in-RAM liveness checker: one worker, edges and CSR in RAM.
+const IN_RAM: Engine = Engine::Parallel {
+    workers: 1,
+    hashed: true,
+};
+
+/// The disk-CSR liveness checker on `workers` threads under
+/// `budget_bytes`.
+fn disk_csr(budget_bytes: usize, workers: usize) -> Engine {
+    Engine::Spill {
+        dir: std::env::temp_dir(),
+        budget_bytes,
+        workers,
+    }
+}
+
+/// The disk-CSR liveness checker at every budget and worker count.
+fn on_disk() -> impl Iterator<Item = Engine> {
+    SPILL_BUDGETS
+        .into_iter()
+        .flat_map(|budget| WORKER_COUNTS.map(|workers| disk_csr(budget, workers)))
+}
 
 /// Runs the liveness check fully in RAM and through the disk-CSR path
 /// at every budget and worker count, asserting identical graph counts
@@ -39,38 +63,31 @@ fn assert_liveness_agrees<M: StepMachine + Send + Sync>(
     build: impl Fn() -> ModelChecker<M>,
 ) {
     let inram = build()
-        .check_always_terminable()
+        .check_always_terminable(&IN_RAM)
         .unwrap_or_else(|e| panic!("{label}: in-RAM liveness failed:\n{e}"));
     assert_eq!(
         inram.spilled_bytes, 0,
         "{label}: in-RAM path must not spill"
     );
-    let dir = std::env::temp_dir();
-    for budget in SPILL_BUDGETS {
-        for workers in WORKER_COUNTS {
-            let spill = build()
-                .spill_dir(&dir, budget)
-                .workers(workers)
-                .check_always_terminable()
-                .unwrap_or_else(|e| {
-                    panic!("{label}: disk-CSR liveness (budget={budget}, {workers}w) failed:\n{e}")
-                });
-            let tag = format!("{label} budget={budget} workers={workers}");
-            assert_eq!(spill.states, inram.states, "states ({tag})");
-            assert_eq!(spill.edges, inram.edges, "edges ({tag})");
-            assert_eq!(
-                spill.terminal_states, inram.terminal_states,
-                "terminal states ({tag})"
-            );
-            // The edge log (8 B/edge) and predecessor file (4 B/edge)
-            // must both have gone to disk.
-            assert!(
-                spill.spilled_bytes >= inram.edges * 12,
-                "edge structure must live on disk ({tag}): spilled {} bytes for {} edges",
-                spill.spilled_bytes,
-                inram.edges
-            );
-        }
+    for engine in on_disk() {
+        let tag = format!("{label} {}", engine.label());
+        let spill = build()
+            .check_always_terminable(&engine)
+            .unwrap_or_else(|e| panic!("{tag}: disk-CSR liveness failed:\n{e}"));
+        assert_eq!(spill.states, inram.states, "states ({tag})");
+        assert_eq!(spill.transitions, inram.transitions, "edges ({tag})");
+        assert_eq!(
+            spill.terminal_states, inram.terminal_states,
+            "terminal states ({tag})"
+        );
+        // The edge log (8 B/edge) and predecessor file (4 B/edge)
+        // must both have gone to disk.
+        assert!(
+            spill.spilled_bytes >= inram.transitions * 12,
+            "edge structure must live on disk ({tag}): spilled {} bytes for {} edges",
+            spill.spilled_bytes,
+            inram.transitions
+        );
     }
 }
 
@@ -181,23 +198,16 @@ fn trap_report_is_identical_through_disk_csr() {
     };
     let expected = trap_of(
         deadlock_checker()
-            .check_always_terminable()
+            .check_always_terminable(&IN_RAM)
             .expect_err("the deadlock must be found in RAM"),
     );
-    for budget in SPILL_BUDGETS {
-        for workers in WORKER_COUNTS {
-            let got = trap_of(
-                deadlock_checker()
-                    .spill_dir(std::env::temp_dir(), budget)
-                    .workers(workers)
-                    .check_always_terminable()
-                    .expect_err("the deadlock must be found through the disk CSR"),
-            );
-            assert_eq!(
-                got, expected,
-                "trap report differs (budget={budget}, workers={workers})"
-            );
-        }
+    for engine in on_disk() {
+        let got = trap_of(
+            deadlock_checker()
+                .check_always_terminable(&engine)
+                .expect_err("the deadlock must be found through the disk CSR"),
+        );
+        assert_eq!(got, expected, "trap report differs ({})", engine.label());
     }
 }
 
@@ -316,12 +326,12 @@ fn edge_heavy_run_stays_under_budget() {
     let build = || spinner_checker(8, 8_000);
 
     let inram = build()
-        .check_always_terminable()
+        .check_always_terminable(&IN_RAM)
         .expect("the spinner family always terminates");
     assert!(
-        inram.edges * 8 > BUDGET as u64,
+        inram.transitions * 8 > BUDGET as u64,
         "the family must be edge-heavy enough: {} edges × 8 B vs {BUDGET} B budget",
-        inram.edges
+        inram.transitions
     );
     assert!(
         inram.peak_resident_bytes > BUDGET as u64,
@@ -330,12 +340,10 @@ fn edge_heavy_run_stays_under_budget() {
     );
 
     let spill = build()
-        .spill_dir(std::env::temp_dir(), BUDGET)
-        .workers(2)
-        .check_always_terminable()
+        .check_always_terminable(&disk_csr(BUDGET, 2))
         .expect("the spinner family always terminates under spilling");
     assert_eq!(spill.states, inram.states, "states");
-    assert_eq!(spill.edges, inram.edges, "edges");
+    assert_eq!(spill.transitions, inram.transitions, "edges");
     assert_eq!(
         spill.terminal_states, inram.terminal_states,
         "terminal states"
@@ -347,7 +355,7 @@ fn edge_heavy_run_stays_under_budget() {
         spill.peak_resident_bytes
     );
     assert!(
-        spill.spilled_bytes >= inram.edges * 12,
+        spill.spilled_bytes >= inram.transitions * 12,
         "the edge log and predecessor file must be on disk: spilled {} B",
         spill.spilled_bytes
     );

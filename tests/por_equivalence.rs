@@ -1,8 +1,8 @@
 //! Differential soundness suite for partial-order reduction.
 //!
 //! For every protocol family at a small configuration, the reduced
-//! search (`.por(true)`) is run against the full search and must agree
-//! on everything the reduction promises to preserve:
+//! search (`Engine::Reduced`) is run against the full search and must
+//! agree on everything the reduction promises to preserve:
 //!
 //! * the **safety verdict** of every invariant over held names and
 //!   done-ness (the invariants used here are exactly the
@@ -38,7 +38,7 @@ use llr_core::split::spec as split_spec;
 use llr_core::splitter::spec as splitter_spec;
 use llr_core::tournament::spec as tree_spec;
 use llr_gf::FilterParams;
-use llr_mc::{CheckError, CheckStats, ModelChecker, StepMachine, World};
+use llr_mc::{CheckError, CheckStats, Engine, ModelChecker, StepMachine, World};
 use llr_mem::Layout;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
@@ -47,6 +47,34 @@ const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 /// its 64 KiB floor: single-digit-state chunks, multiple sorted runs
 /// per layer).
 const SPILL_BUDGETS: [usize; 3] = [1usize << 30, 1 << 18, 0];
+
+/// `engine` with partial-order reduction on.
+fn reduced(engine: Engine) -> Engine {
+    Engine::Reduced(Box::new(engine))
+}
+
+/// The reduced in-RAM breadth-first engine at every worker count.
+fn reduced_in_ram() -> [Engine; 3] {
+    WORKER_COUNTS.map(|workers| {
+        reduced(Engine::Parallel {
+            workers,
+            hashed: true,
+        })
+    })
+}
+
+/// The reduced breadth-first engine on disk at every budget and worker
+/// count.
+fn reduced_on_disk() -> impl Iterator<Item = Engine> {
+    let at = |budget_bytes| {
+        WORKER_COUNTS.map(move |workers| Engine::Spill {
+            dir: std::env::temp_dir(),
+            budget_bytes,
+            workers,
+        })
+    };
+    SPILL_BUDGETS.into_iter().flat_map(at).map(reduced)
+}
 
 /// Runs `build()` fully and reduced through every backend and asserts
 /// the POR soundness contract. Returns `(full DFS, reduced BFS)` stats
@@ -61,13 +89,12 @@ where
     F: Fn(&World<'_, M>) -> Result<(), String> + Copy,
 {
     let full = build()
-        .check(invariant)
+        .check_with(&Engine::Sequential, invariant)
         .unwrap_or_else(|e| panic!("{label}: full check failed:\n{e}"));
 
     // Reduced DFS: same verdict, same terminal states, never more work.
     let por_dfs = build()
-        .por(true)
-        .check(invariant)
+        .check_with(&reduced(Engine::Sequential), invariant)
         .unwrap_or_else(|e| panic!("{label}: reduced DFS flagged a spurious violation:\n{e}"));
     assert!(
         por_dfs.states <= full.states,
@@ -87,34 +114,28 @@ where
     // Reduced BFS: identical counts at every worker count, same
     // soundness bounds against the full search.
     let mut por_bfs: Option<CheckStats> = None;
-    for workers in WORKER_COUNTS {
-        let par = build()
-            .por(true)
-            .workers(workers)
-            .check_parallel(invariant)
-            .unwrap_or_else(|e| {
-                panic!("{label}: reduced BFS ({workers}w) flagged a spurious violation:\n{e}")
-            });
+    for engine in reduced_in_ram() {
+        let w = engine.label();
+        let par = build().check_with(&engine, invariant).unwrap_or_else(|e| {
+            panic!("{label}: reduced BFS ({w}) flagged a spurious violation:\n{e}")
+        });
         assert!(
             par.states <= full.states,
-            "{label}: reduced BFS ({workers}w) explored more states"
+            "{label}: reduced BFS ({w}) explored more states"
         );
         assert_eq!(
             par.terminal_states, full.terminal_states,
-            "{label}: reduced BFS ({workers}w) changed the terminal-state count"
+            "{label}: reduced BFS ({w}) changed the terminal-state count"
         );
         match &por_bfs {
             None => por_bfs = Some(par),
             Some(first) => {
-                assert_eq!(par.states, first.states, "{label}: BFS states ({workers}w)");
+                assert_eq!(par.states, first.states, "{label}: BFS states ({w})");
                 assert_eq!(
                     par.transitions, first.transitions,
-                    "{label}: BFS transitions ({workers}w)"
+                    "{label}: BFS transitions ({w})"
                 );
-                assert_eq!(
-                    par.max_depth, first.max_depth,
-                    "{label}: BFS depth ({workers}w)"
-                );
+                assert_eq!(par.max_depth, first.max_depth, "{label}: BFS depth ({w})");
             }
         }
     }
@@ -124,38 +145,27 @@ where
     // budget and worker count (a zero budget clamps to the 64 KiB
     // flush floor, forcing the join-time frozen-hit path that patches
     // the cycle proviso for states deduplicated against disk runs).
-    let dir = std::env::temp_dir();
-    for budget in SPILL_BUDGETS {
-        for workers in WORKER_COUNTS {
-            let spill = build()
-                .por(true)
-                .spill_dir(&dir, budget)
-                .workers(workers)
-                .check_parallel(invariant)
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "{label}: reduced spill (budget={budget}, {workers}w) \
-                         flagged a spurious violation:\n{e}"
-                    )
-                });
-            let tag = format!("budget={budget} workers={workers}");
-            assert_eq!(
-                spill.states, por_bfs.states,
-                "{label}: spill states ({tag})"
-            );
-            assert_eq!(
-                spill.transitions, por_bfs.transitions,
-                "{label}: spill transitions ({tag})"
-            );
-            assert_eq!(
-                spill.terminal_states, por_bfs.terminal_states,
-                "{label}: spill terminal states ({tag})"
-            );
-            assert_eq!(
-                spill.max_depth, por_bfs.max_depth,
-                "{label}: spill depth ({tag})"
-            );
-        }
+    for engine in reduced_on_disk() {
+        let tag = engine.label();
+        let spill = build().check_with(&engine, invariant).unwrap_or_else(|e| {
+            panic!("{label}: reduced spill ({tag}) flagged a spurious violation:\n{e}")
+        });
+        assert_eq!(
+            spill.states, por_bfs.states,
+            "{label}: spill states ({tag})"
+        );
+        assert_eq!(
+            spill.transitions, por_bfs.transitions,
+            "{label}: spill transitions ({tag})"
+        );
+        assert_eq!(
+            spill.terminal_states, por_bfs.terminal_states,
+            "{label}: spill terminal states ({tag})"
+        );
+        assert_eq!(
+            spill.max_depth, por_bfs.max_depth,
+            "{label}: spill depth ({tag})"
+        );
     }
 
     (full, por_bfs)
@@ -257,10 +267,10 @@ fn filter_blocks_observable_por_sound() {
         // The full graph must be identical to the default checker's —
         // the flag only affects footprints, never stepping or keys.
         let default_full = filter_spec::checker(tiny, &pair, 2)
-            .check(filter_spec::combined_invariant)
+            .check_with(&Engine::Sequential, filter_spec::combined_invariant)
             .expect("FILTER verifies");
         let observing_full = filter_spec::blocks_observable_checker(tiny, &pair, 2)
-            .check(filter_spec::combined_invariant)
+            .check_with(&Engine::Sequential, filter_spec::combined_invariant)
             .expect("FILTER verifies with observable blocks");
         assert_eq!(
             (observing_full.states, observing_full.transitions),
@@ -418,27 +428,29 @@ fn liveness_composes_with_por() {
         build: impl Fn() -> ModelChecker<M>,
     ) {
         let full = build()
-            .check_always_terminable()
+            .check_always_terminable(&Engine::Parallel {
+                workers: 1,
+                hashed: true,
+            })
             .unwrap_or_else(|e| panic!("{label}: full liveness failed:\n{e}"));
         let mut first = None;
-        for workers in WORKER_COUNTS {
+        for engine in reduced_in_ram() {
+            let w = engine.label();
             let red = build()
-                .por(true)
-                .workers(workers)
-                .check_always_terminable()
+                .check_always_terminable(&engine)
                 .unwrap_or_else(|e| {
-                    panic!("{label}: reduced liveness ({workers}w) reported a spurious trap:\n{e}")
+                    panic!("{label}: reduced liveness ({w}) reported a spurious trap:\n{e}")
                 });
             assert!(
                 red.states <= full.states,
-                "{label}: reduced liveness explored more states ({workers}w)"
+                "{label}: reduced liveness explored more states ({w})"
             );
             assert_eq!(
                 red.terminal_states, full.terminal_states,
-                "{label}: reduced liveness changed the terminal count ({workers}w)"
+                "{label}: reduced liveness changed the terminal count ({w})"
             );
             let f = *first.get_or_insert(red);
-            assert_eq!(red, f, "{label}: reduced liveness differs at {workers}w");
+            assert_eq!(red, f, "{label}: reduced liveness differs at {w}");
         }
     }
 
@@ -479,8 +491,7 @@ fn por_still_finds_seeded_violation() {
     // same Mazurkiewicz trace than the full search reports — it only has
     // to exist and replay.
     let err = build()
-        .por(true)
-        .check(broken)
+        .check_with(&reduced(Engine::Sequential), broken)
         .expect_err("reduced DFS must trip");
     let CheckError::Violation(v) = err else {
         panic!("expected a violation, got {err}");
@@ -490,39 +501,38 @@ fn por_still_finds_seeded_violation() {
     // Reduced BFS: identical message + schedule at every worker count,
     // and the spill backend reproduces it bit-for-bit at every budget.
     let mut expected: Option<(String, Vec<usize>)> = None;
-    for workers in WORKER_COUNTS {
+    for engine in reduced_in_ram() {
         let err = build()
-            .por(true)
-            .workers(workers)
-            .check_parallel(broken)
+            .check_with(&engine, broken)
             .expect_err("reduced BFS must trip");
         let CheckError::Violation(v) = err else {
             panic!("expected a violation, got {err}");
         };
-        replay_violates(&v, &format!("reduced BFS {workers}w"));
+        replay_violates(&v, &engine.label());
         let got = (v.message.clone(), v.schedule.clone());
         match &expected {
             None => expected = Some(got),
-            Some(e) => assert_eq!(&got, e, "reduced BFS violation differs ({workers}w)"),
+            Some(e) => assert_eq!(
+                &got,
+                e,
+                "reduced BFS violation differs ({})",
+                engine.label()
+            ),
         }
     }
     let expected = expected.expect("reduced BFS produced a violation");
-    for budget in SPILL_BUDGETS {
-        for workers in WORKER_COUNTS {
-            let err = build()
-                .por(true)
-                .spill_dir(std::env::temp_dir(), budget)
-                .workers(workers)
-                .check_parallel(broken)
-                .expect_err("reduced spill must trip");
-            let CheckError::Violation(v) = err else {
-                panic!("expected a violation, got {err}");
-            };
-            assert_eq!(
-                (v.message.clone(), v.schedule.clone()),
-                expected,
-                "spill violation differs (budget={budget}, workers={workers})"
-            );
-        }
+    for engine in reduced_on_disk() {
+        let err = build()
+            .check_with(&engine, broken)
+            .expect_err("reduced spill must trip");
+        let CheckError::Violation(v) = err else {
+            panic!("expected a violation, got {err}");
+        };
+        assert_eq!(
+            (v.message.clone(), v.schedule.clone()),
+            expected,
+            "spill violation differs ({})",
+            engine.label()
+        );
     }
 }
