@@ -7,7 +7,10 @@
 #      package (long-lived-renaming: src/lib.rs, tests/ and examples/)
 #      and on llr-mc, llr-core, llr-mem, llr-gf and llr-bench (`cargo fmt
 #      -p <package> --check` for each), the six packages kept formatted
-#      throughout, so an unformatted line there fails the gate.
+#      throughout, so an unformatted line there fails the gate; and on the
+#      benchmark crate (perfbench/, a workspace of its own, so
+#      `cargo fmt --manifest-path perfbench/Cargo.toml --check`), which
+#      only reads it.
 #   3. docs: `cargo doc` with warnings denied (llr-mc carries
 #      `#![warn(missing_docs)]`, so every public item must stay
 #      documented) plus the doctests, so the documented examples keep
@@ -93,13 +96,14 @@ cargo test -q --offline
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== rustfmt (root package, llr-mc, llr-core, llr-mem, llr-gf, llr-bench) =="
+echo "== rustfmt (root package, llr-mc, llr-core, llr-mem, llr-gf, llr-bench, perfbench) =="
 cargo fmt -p long-lived-renaming --check
 cargo fmt -p llr-mc --check
 cargo fmt -p llr-core --check
 cargo fmt -p llr-mem --check
 cargo fmt -p llr-gf --check
 cargo fmt -p llr-bench --check
+cargo fmt --manifest-path perfbench/Cargo.toml --check
 
 echo "== docs (-D warnings) + doctests =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
