@@ -76,12 +76,13 @@ pub struct CheckStats {
     /// Only the parallel breadth-first loop accounts for this (every
     /// engine but [`Engine::Sequential`](crate::Engine::Sequential), with
     /// or without spilling), and a run that stops early charges the layer
-    /// it was draining; the sequential DFS reports `0`. A liveness check adds its backward
-    /// marking: the reversed-edge CSR, or only its offset array and
-    /// bounded windows when spilling. The figure is a deterministic lower
-    /// bound on real memory use: it counts payload bytes and ignores
-    /// allocator and hash-table overhead, so it is reproducible across
-    /// hosts (unlike an RSS sample) and is what the E2 table records.
+    /// it was draining; the sequential DFS reports `0`. A liveness check
+    /// adds its backward marking: the reversed-edge CSR, or only its
+    /// offset array and bounded windows when spilling. The figure is a
+    /// deterministic lower bound on real memory use: it counts payload
+    /// bytes and ignores allocator and hash-table overhead, so it is
+    /// reproducible across hosts (unlike an RSS sample) and is what the E2
+    /// table records.
     pub peak_resident_bytes: u64,
     /// Total bytes written to disk under
     /// [`Engine::Spill`](crate::Engine::Spill): the visited set's sorted
